@@ -87,17 +87,12 @@ def build_map(spec: dict, order: int, m: int) -> FourierMap:
 
 
 def build_field(spec: dict, order: int, m: int,
-                scale: float, seed: int | None) -> TimeDependentField:
+                scale: float) -> TimeDependentField:
     kind = spec["type"]
     if kind == "step":
         grid = TimeGrid(tuple(Fraction(b) for b in spec["grid"]))
         vals = [build_map(s, order, m) for s in spec["values"]]
         return TimeDependentField.step(grid, vals, scale)
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        budget = float(spec.get("budget", 0.3))
-        return random_admissible_field(rng, order=order, budget=budget,
-                                       scale=scale)
     return TimeDependentField.constant(build_map(spec, order, m), scale)
 
 
@@ -138,14 +133,20 @@ def _certify(scenario: dict) -> AdmissibleField:
     m = int(scenario.get("m", 1))
     eps = float(scenario.get("eps", 0.05))
     scale = float(scenario.get("scale", 4 * eps))
-    field = build_field(scenario["field"], order, m, scale,
-                        scenario.get("seed"))
+    spec = scenario["field"]
+    if spec["type"] == "random":
+        # budget normalised at the scenario's own width 2 eps
+        field = random_admissible_field(
+            np.random.default_rng(scenario["seed"]), order=order,
+            budget=float(spec.get("budget", 0.3)), scale=scale, eps=eps)
+    else:
+        field = build_field(spec, order, m, scale)
     return AdmissibleField.certify(field, eps,
                                    chart_delta0=scenario.get("delta0", 1.0),
                                    for_chart=scenario.get("for_chart", False))
 
 
-def run_solve(scenario: dict, out: Path, checks: list) -> dict:
+def run_solve(scenario: dict, out: Path, checks: list) -> None:
     tol = float(scenario.get("tolerances", {}).get("tol_solve", 1e-10))
     gamma = _certify(scenario)
     path = solve_flow(gamma, tol_solve=tol)
@@ -161,10 +162,9 @@ def run_solve(scenario: dict, out: Path, checks: list) -> dict:
                    gamma.eps, path.check_strip_invariant()))
     end = AnalyticDiffeo.certify(path.snapshots[-1], gamma.eps)
     checks.append(("endpoint_mu", end.mu, 1.0, end.mu < 1.0))
-    return {"theta_hat": gamma.theta_hat, "iterations": len(path.iteration_log)}
 
 
-def run_verify(scenario: dict, out: Path, checks: list) -> dict:
+def run_verify(scenario: dict, out: Path, checks: list) -> None:
     tol_pw = float(scenario.get("tolerances", {}).get("tol_pointwise", 1e-8))
     gamma = _certify(scenario)
     evol = evol_right(gamma)
@@ -181,7 +181,6 @@ def run_verify(scenario: dict, out: Path, checks: list) -> dict:
               ("t_a", "t_b", "increment", "bound", "pass"), ac_rows)
     checks.append(("ac_modulus", max(r[2] for r in ac_rows),
                    max(r[3] for r in ac_rows), all(r[4] for r in ac_rows)))
-    return {"theta_hat": gamma.theta_hat}
 
 
 def _sweep_item(args) -> tuple:
@@ -199,7 +198,7 @@ def _sweep_item(args) -> tuple:
 
 
 def run_sweep(scenario: dict, out: Path, checks: list,
-              workers: int = 1) -> dict:
+              workers: int = 1) -> None:
     count = int(scenario.get("count", 10))
     order = int(scenario.get("order", 32))
     eps = float(scenario.get("eps", 0.05))
@@ -223,10 +222,9 @@ def run_sweep(scenario: dict, out: Path, checks: list,
     worst = max(r[2] for r in rows)
     checks.append(("sweep_contraction", worst, 0.55,
                    all(r[5] for r in rows) and worst <= 0.55))
-    return {"count": count}
 
 
-def run_trotter(scenario: dict, out: Path, checks: list) -> dict:
+def run_trotter(scenario: dict, out: Path, checks: list) -> None:
     order = int(scenario.get("order", 32))
     m = int(scenario.get("m", 1))
     eps = float(scenario.get("eps", 0.05))
@@ -242,10 +240,9 @@ def run_trotter(scenario: dict, out: Path, checks: list) -> dict:
                    max(ratios) if ratios else 0.0, 0.65, window_ok))
     checks.append(("trotter_decade", ds[-1], ds[0] / 10,
                    ds[-1] <= ds[0] / 10 or ds[0] == 0))
-    return {"curve": curve}
 
 
-def run_limits(scenario: dict, out: Path, checks: list) -> dict:
+def run_limits(scenario: dict, out: Path, checks: list) -> None:
     order = int(scenario.get("order", 16))
     eps_top = float(scenario.get("eps_top", 0.2))
     radii = scenario.get("radii", [0.5, 0.6, 0.7, 0.8])
@@ -275,10 +272,9 @@ def run_limits(scenario: dict, out: Path, checks: list) -> dict:
                               int(scenario.get("ratio_samples", 1000)), rng)
     checks.append(("cauchy_ratio", cb.max_ratio, 1.001, cb.ok()))
     checks.append(("third_ball_ratio", tb.max_ratio, 1.001, tb.ok()))
-    return {"levels": len(levels)}
 
 
-def run_pullback(scenario: dict, out: Path, checks: list) -> dict:
+def run_pullback(scenario: dict, out: Path, checks: list) -> None:
     gamma = _certify(scenario)
     K = int(scenario.get("K", 8))
     rep = pullback_path(gamma, float(scenario.get("t0", 0.0)), K)
@@ -311,7 +307,6 @@ def run_pullback(scenario: dict, out: Path, checks: list) -> dict:
            + 2.0 * pullback_apply(phi, g_test, tol_trunc=1e-5))
     lin_defect = float(np.abs(lin.coeffs).max())
     checks.append(("linearity", lin_defect, 1e-12, lin_defect <= 1e-12))
-    return {"K": K}
 
 
 RUNNERS = {
@@ -330,9 +325,18 @@ def validate_scenario(scenario: dict, kind: str) -> str | None:
     tols = scenario.get("tolerances", {})
     if any(float(v) <= 0 for v in tols.values()):
         return "tolerances must be positive"
-    needs_seed = kind in ("sweep", "verify", "limits") or \
-        (isinstance(scenario.get("field"), dict)
-         and scenario["field"].get("type") == "random")
+    order, m, eps = (scenario.get(key, 1) for key in ("order", "m", "eps"))
+    if not isinstance(order, int) or order < 1:
+        return f"order must be an integer >= 1, got {order!r}"
+    if m not in (1, 2):
+        return f"m must be 1 or 2, got {m!r}"
+    if not isinstance(eps, (int, float)) or not eps > 0:
+        return f"eps must be positive, got {eps!r}"
+    random_field = (isinstance(scenario.get("field"), dict)
+                    and scenario["field"].get("type") == "random")
+    if random_field and m != 1:
+        return "random field specs draw fields on T^1 only (m = 1)"
+    needs_seed = kind in ("sweep", "verify", "limits") or random_field
     if needs_seed and scenario.get("seed") is None:
         return "sampling scenarios must carry a seed for reproducibility"
     if kind in ("solve", "verify", "pullback") and "field" not in scenario:
@@ -369,10 +373,9 @@ def main(argv=None) -> int:
     checks: list = []
     try:
         if args.kind == "sweep":
-            extra = RUNNERS[args.kind](scenario, out, checks,
-                                       workers=args.workers)
+            run_sweep(scenario, out, checks, workers=args.workers)
         else:
-            extra = RUNNERS[args.kind](scenario, out, checks)
+            RUNNERS[args.kind](scenario, out, checks)
     except AdmissibilityViolation as exc:
         (out / "summary.json").write_text(json.dumps(
             {"kind": args.kind, "pass": False, "rejected": str(exc)}, indent=1))
@@ -399,7 +402,6 @@ def main(argv=None) -> int:
     for name, value, tol, ok in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {value:.6g} "
               f"(tol {tol:.6g})")
-    del extra
     return 0 if summary["pass"] else 1
 
 

@@ -19,22 +19,29 @@ the observed sup-distances and their ratios, which must respect the
 certified contraction factor; two solved parameter values can never drift
 apart by more than twice their L^1 distance, which is checked by
 ``param_lipschitz_check``.
+
+One sweep engine applies P for m = 1 and m = 2 alike; ``solve_flow`` and
+``picard_step`` both call it.  Every sweep checks, at every collocation
+node, that id + u maps the working strip into the doubled strip where the
+field's majorants are certified (DomainEscape), that u is real on the real
+grid, and that the spectral tail discarded by truncation stays within
+budget (TruncationBudgetExceeded).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
                      NonContraction, TruncationBudgetExceeded)
-from .fourier import (FourierMap, TWO_PI, TOL_TRUNC, _k_axis, compose,
+from .fourier import (OVERSAMPLE, TOL_TRUNC, TWO_PI, FourierMap,
+                      _eval_series_2d, _grid_points, _k_axis, _k_l1,
                       imag_reach, strip_norms)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
-                        _FIT_VANDER_INV, _GL4_W, _GL4_X, _poly_antiderivative,
-                        _poly_eval)
+                        _FIT_VANDER_INV, _GL4_W, _GL4_X, _poly_eval)
 
 #: default solver tolerance, measured in nu_eps of snapshot differences
 TOL_SOLVE = 1e-10
@@ -142,13 +149,6 @@ class FlowPath:
         """Flows started in the half strip stay strictly inside the full strip."""
         return self.imag_reach_max(self.eps / 2) < self.eps
 
-    def with_perturbed_snapshot(self, j: int, delta: FourierMap) -> "FlowPath":
-        """Copy with one tampered snapshot (fault-injection support)."""
-        snaps = list(self.snapshots)
-        snaps[j] = snaps[j] + delta
-        return FlowPath(self.grid, self.eps, snaps, self.pieces,
-                        self.source, self.iteration_log, self.residual)
-
     def to_json(self) -> dict:
         from .timepaths import _modes_to_json
         return {
@@ -177,116 +177,132 @@ def identity_path(gamma: AdmissibleField,
 # one application of the integral-equation map
 # ---------------------------------------------------------------------------
 
-def _nu_weights(order: int, eps: float) -> np.ndarray:
-    return np.exp(TWO_PI * eps * np.abs(_k_axis(order)))
+#: grid points (collocation nodes x M^m) a sweep holds at once; bounds memory
+_CHUNK_POINTS = 2 ** 14
 
 
-class _Sweep1D:
-    """Vectorized Picard sweep for m = 1 (single component).
+def _node_values(pieces) -> np.ndarray:
+    """Per-interval polynomials at FIT_NODES, one row per node (j, q)."""
+    stacked = np.zeros((max(p.shape[0] for p in pieces), len(pieces))
+                       + pieces[0].shape[1:], dtype=complex)
+    for j, p in enumerate(pieces):
+        stacked[:p.shape[0], j] = p
+    vals = np.swapaxes(_poly_eval(stacked, FIT_NODES), 0, 1)
+    return vals.reshape((-1,) + vals.shape[2:])
 
-    Evaluates gamma(s) o zeta(s) at 4 collocation nodes of every interval
-    in one batch: synthesis of u on the oversampled grid by FFT, outer
-    evaluation by a Horner pass over the shifted unit-circle powers, then
-    one batched FFT back to coefficients.  Field samples and grid data are
-    precomputed once per solve.
+
+class _PicardSweep:
+    """The integral-equation map on one solver grid, for m in {1, 2}.
+
+    Built once per solve from the field on the grid.  A sweep evaluates u at
+    the 4 collocation nodes of every interval, synthesises it on the
+    oversampled real grid by inverse FFT, evaluates the field at x + u(x)
+    (Horner over unit-circle powers for m = 1, the two-stage lattice
+    contraction for m = 2), transforms back, truncates to order N, and fits
+    and integrates one cubic per interval in closed form.  Every sweep
+    checks, at every node, that the imaginary reach of id + u from the
+    working strip stays inside the doubled strip (DomainEscape), that u is
+    real on the real grid, and that the relative spectral tail beyond
+    ||k||_1 > N stays within ``tol_trunc`` (TruncationBudgetExceeded).
+    Grid work runs over chunks of nodes of about _CHUNK_POINTS points.
     """
 
-    def __init__(self, gam: TimeDependentField, grid: TimeGrid,
+    def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
                  tol_trunc: float):
-        self.ts = grid.floats
-        self.n = gam.order
-        self.nmodes = 2 * self.n + 1
-        self.M = 4 * self.nmodes
-        self.x = np.arange(self.M) / self.M
-        self.J = len(grid) - 1
-        self.Q = len(FIT_NODES)
-        self.k = _k_axis(self.n)
-        self.tol_trunc = tol_trunc
-        rows = np.empty((self.J, self.Q, self.nmodes), dtype=complex)
-        for j in range(self.J):
-            rows[j] = _poly_eval(gam.pieces[j], FIT_NODES)[..., 0]
-        self.gam_rows = rows.reshape(self.J * self.Q, self.nmodes)
-        kfull = np.fft.fftfreq(self.M, d=1.0 / self.M).astype(int)
-        self.outside = np.abs(kfull) > self.n
+        gam = gamma.field.on_grid(grid)
+        if gam.ncomp != gam.m:
+            raise ValueError("the field must be a self-map displacement field")
+        self.eps, self.tol_trunc = gamma.eps, tol_trunc
+        m, n = gam.m, gam.order
+        self.m, self.n = m, n
+        self.M = M = OVERSAMPLE * (2 * n + 1)
+        self.axes = tuple(range(1, m + 1))
+        self.x = _grid_points(M, m).reshape((M,) * m + (m,))
+        self.h = np.diff(grid.floats)
+        self.g_nodes = _node_values(gam.pieces)
+        self.chunk = max(1, _CHUNK_POINTS // M ** m)
+        self.lattice = (slice(None),) + np.ix_(*[_k_axis(n) % M] * m)
+        kfull = np.abs(np.fft.fftfreq(M, d=1.0 / M).astype(int))
+        # ||k||_1 > N on the oversampled lattice, in FFT order, flattened
+        self.outside = (sum(np.ix_(*[kfull] * m)) > n).ravel()
+        l1 = _k_l1(n, m)
+        self.corners = l1 > n
+        w = np.exp(TWO_PI * self.eps * l1)
+        self.w_osc = np.where(l1 > 0, w, 0.0)
+        self.w_mu = TWO_PI * l1 * w
 
     def run(self, pieces):
-        n, nmodes, M, J, Q = self.n, self.nmodes, self.M, self.J, self.Q
-        u_rows = np.empty((J, Q, nmodes), dtype=complex)
-        for j in range(J):
-            u_rows[j] = _poly_eval(pieces[j], FIT_NODES)[..., 0]
-        u_rows = u_rows.reshape(J * Q, nmodes)
+        """New (snapshots, pieces) from the pieces of a candidate path."""
+        u_nodes = _node_values(pieces)
+        self._check_reach(u_nodes)
+        kept = np.empty(u_nodes.shape, dtype=complex)
+        for s in range(0, len(u_nodes), self.chunk):
+            nodes = slice(s, s + self.chunk)
+            args = self._positions(u_nodes[nodes])
+            kept[nodes] = self._truncate(self._outer(self.g_nodes[nodes], args))
+        kept[:, self.corners] = 0.0
+        return self._integrate(kept)
 
-        dense = np.zeros((J * Q, M), dtype=complex)
-        dense[:, self.k % M] = u_rows
-        u_vals = M * np.fft.ifft(dense, axis=1)
-        args = self.x[None, :] + u_vals.real
+    def _positions(self, u: np.ndarray) -> np.ndarray:
+        """x + u_q(x) on the oversampled real grid, for the nodes of a chunk."""
+        dense = np.zeros((len(u),) + self.x.shape, dtype=complex)
+        dense[self.lattice] = u
+        u_vals = np.fft.ifftn(dense, axes=self.axes)
+        u_vals *= self.M ** self.m
+        flat = u_vals.reshape(len(u), -1)
+        size = np.maximum(1.0, np.abs(flat.real).max(axis=1))
+        if (np.abs(flat.imag).max(axis=1) > 1e-9 * size).any():
+            raise ValueError("perturbation is not real on the real grid")
+        return self.x + u_vals.real
 
-        z = np.exp(TWO_PI * 1j * args)
-        acc = np.zeros_like(z)
-        for idx in range(nmodes - 1, -1, -1):
-            acc = acc * z + self.gam_rows[:, idx][:, None]
-        vals = acc * np.exp(-TWO_PI * 1j * n * args)
-
-        spec = np.fft.fft(vals, axis=1) / M
-        amp = np.abs(spec)
-        totals = amp.sum(axis=1)
-        tails = amp[:, self.outside].sum(axis=1)
-        nz = totals > 0
-        worst_tail = float((tails[nz] / totals[nz]).max()) if nz.any() else 0.0
-        if worst_tail > self.tol_trunc:
+    def _truncate(self, vals: np.ndarray) -> np.ndarray:
+        """Coefficients up to order N of grid values, after the tail check."""
+        spec = np.fft.fftn(vals, axes=self.axes) / self.M ** self.m
+        amp = np.abs(spec).max(axis=-1).reshape(len(spec), -1)
+        total = amp.sum(axis=1)
+        tail = amp[:, self.outside].sum(axis=1)
+        ratio = np.divide(tail, total, out=np.zeros_like(tail), where=total > 0)
+        if ratio.max() > self.tol_trunc:
             raise TruncationBudgetExceeded(
-                f"picard sweep: tail ratio {worst_tail:.3e} > {self.tol_trunc:.1e}")
-        kept = spec[:, self.k % M].reshape(J, Q, nmodes)
+                f"picard sweep: tail ratio {ratio.max():.3e} > "
+                f"{self.tol_trunc:.1e}")
+        return spec[self.lattice]
 
-        new_pieces = []
-        snaps_c = np.empty((J + 1, nmodes), dtype=complex)
-        snaps_c[0] = 0.0
-        acc_c = np.zeros(nmodes, dtype=complex)
-        for j in range(J):
-            h = self.ts[j + 1] - self.ts[j]
-            poly = _FIT_VANDER_INV @ kept[j]
-            anti = _poly_antiderivative(poly[..., None], h)[..., 0]
-            piece = anti.copy()
-            piece[0] += acc_c
-            new_pieces.append(piece[..., None])
-            acc_c = acc_c + anti.sum(axis=0)
-            snaps_c[j + 1] = acc_c
-        snaps = [FourierMap(c[:, None], check=False) for c in snaps_c]
-        return snaps, new_pieces
+    def _check_reach(self, u_nodes: np.ndarray) -> None:
+        """imag_reach(u_q, eps) <= 2 eps at every node, vectorised."""
+        absc = np.abs(u_nodes)
+        nu_osc = (absc.max(axis=-1) * self.w_osc).sum(axis=self.axes)
+        mu = (absc * self.w_mu[..., None]).sum(axis=self.axes).max(axis=-1)
+        reach = float((self.eps + np.minimum(nu_osc, self.eps * mu)).max())
+        if reach > 2 * self.eps * (1 + 1e-12):
+            raise DomainEscape(
+                f"candidate path reaches {reach:.6g}, beyond the controlled "
+                f"strip {2 * self.eps:.6g}")
 
+    def _outer(self, g: np.ndarray, args: np.ndarray) -> np.ndarray:
+        """gamma_q(args) for the nodes of a chunk; args has shape (C, M.., m)."""
+        if self.m == 1:
+            x, c = args[..., 0], g[..., 0]
+            z = np.exp(TWO_PI * 1j * x)
+            acc = np.zeros_like(z)
+            for idx in range(c.shape[1] - 1, -1, -1):
+                acc = acc * z + c[:, idx, None]
+            return (acc * np.exp(-TWO_PI * 1j * self.n * x))[..., None]
+        return np.stack([_eval_series_2d(gq, a.reshape(-1, 2)) for gq, a in
+                         zip(g, args)]).reshape(args.shape[:-1] + g.shape[-1:])
 
-def _sweep_fast_1d(gam: TimeDependentField, path: FlowPath, tol_trunc: float):
-    return _Sweep1D(gam, path.grid, tol_trunc).run(path.pieces)
-
-
-def _sweep_generic(gam: TimeDependentField, path: FlowPath, eps: float,
-                   tol_trunc: float):
-    """Reference sweep through ``compose`` (any m); used for m = 2."""
-    grid = path.grid
-    ts = grid.floats
-    J = len(grid) - 1
-    new_pieces = []
-    zero = FourierMap.zero(gam.order, gam.m, gam.ncomp)
-    snaps = [zero]
-    acc = zero
-    for j in range(J):
-        h = ts[j + 1] - ts[j]
-        samples = []
-        for tau in FIT_NODES:
-            g_s = FourierMap(_poly_eval(gam.pieces[j], tau), check=False)
-            u_s = FourierMap(_poly_eval(path.pieces[j], tau), check=False)
-            comp = compose(g_s, u_s, order=gam.order, tol_trunc=tol_trunc,
-                           outer_scale=2 * eps, inner_scale=eps)
-            samples.append(comp.coeffs)
-        flat = np.stack(samples).reshape(4, -1)
-        poly = (_FIT_VANDER_INV @ flat).reshape((4,) + samples[0].shape)
-        anti = _poly_antiderivative(poly, h)
-        piece = anti.copy()
-        piece[0] += acc.coeffs
-        new_pieces.append(piece)
-        acc = acc + FourierMap(_poly_eval(anti, 1.0), check=False)
-        snaps.append(acc)
-    return snaps, new_pieces
+    def _integrate(self, kept: np.ndarray):
+        """Fit a cubic per interval through the node values and integrate it."""
+        J, Q, shape = len(self.h), len(FIT_NODES), kept.shape[1:]
+        poly = _FIT_VANDER_INV @ kept.reshape(J, Q, -1)
+        # tau -> h_j * int_0^tau p_j, then shifted by the snapshot at t_j
+        anti = np.zeros((J, Q + 1, poly.shape[2]), dtype=complex)
+        anti[:, 1:] = poly * (self.h[:, None] / np.arange(1, Q + 1))[..., None]
+        snaps = np.zeros((J + 1, poly.shape[2]), dtype=complex)
+        np.cumsum(anti.sum(axis=1), axis=0, out=snaps[1:])
+        anti[:, 0] = snaps[:-1]
+        return ([FourierMap(c.reshape(shape), check=False) for c in snaps],
+                list(anti.reshape((J, Q + 1) + shape)))
 
 
 def picard_step(gamma: AdmissibleField, path: FlowPath,
@@ -294,19 +310,10 @@ def picard_step(gamma: AdmissibleField, path: FlowPath,
     """One application of the integral-equation map to a candidate path.
 
     The candidate must map the working strip into the doubled strip where
-    the field's majorants are certified; the certificate implies this for
-    every iterate of an admissible field.
+    the field's majorants are certified, at every collocation node; the
+    certificate implies this for every iterate of an admissible field.
     """
-    reach = path.imag_reach_max(gamma.eps)
-    if reach > 2 * gamma.eps * (1 + 1e-12):
-        raise DomainEscape(
-            f"candidate path reaches {reach:.6g}, beyond the controlled "
-            f"strip {2 * gamma.eps:.6g}")
-    gam = gamma.field.on_grid(path.grid)
-    if gam.m == 1 and gam.ncomp == 1:
-        snaps, pieces = _sweep_fast_1d(gam, path, tol_trunc)
-    else:
-        snaps, pieces = _sweep_generic(gam, path, gamma.eps, tol_trunc)
+    snaps, pieces = _PicardSweep(gamma, path.grid, tol_trunc).run(path.pieces)
     return FlowPath(path.grid, gamma.eps, snaps, pieces, source=gamma,
                     iteration_log=path.iteration_log)
 
@@ -334,30 +341,19 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
     theta = gamma.theta_hat
     path = start if start is not None else identity_path(gamma, max_step)
     target = tol_solve * (1 - theta)
-    w = _nu_weights(path.order, gamma.eps)
-    gam = gamma.field.on_grid(path.grid)
-    fast = gam.m == 1 and gam.ncomp == 1
-    ctx = _Sweep1D(gam, path.grid, TOL_TRUNC) if fast else None
-
-    def _one_sweep(p: FlowPath):
-        if fast:
-            return ctx.run(p.pieces)
-        return _sweep_generic(gam, p, gamma.eps, TOL_TRUNC)
+    w = np.exp(TWO_PI * gamma.eps * _k_l1(path.order, path.m))
+    sweep = _PicardSweep(gamma, path.grid, TOL_TRUNC)
 
     def _diff(snaps_a, snaps_b) -> float:
-        worst = 0.0
-        for a, b in zip(snaps_a, snaps_b):
-            if fast:
-                worst = max(worst, float(
-                    (np.abs(a.coeffs - b.coeffs)[..., 0] * w).sum()))
-            else:
-                worst = max(worst, strip_norms(a - b, gamma.eps).nu)
-        return worst
+        """max over grid times of nu_eps(a - b)."""
+        d = np.abs(np.stack([a.coeffs for a in snaps_a])
+                   - np.stack([b.coeffs for b in snaps_b])).max(axis=-1)
+        return float((d * w).reshape(len(d), -1).sum(axis=1).max())
 
     if fixed_iters is not None:
         log = []
         for step in range(1, fixed_iters + 1):
-            snaps, pieces = _one_sweep(path)
+            snaps, pieces = sweep.run(path.pieces)
             log.append((step, _diff(snaps, path.snapshots), float("nan")))
             path = FlowPath(path.grid, gamma.eps, snaps, pieces, source=gamma)
         return FlowPath(path.grid, gamma.eps, path.snapshots, path.pieces,
@@ -367,7 +363,7 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
     log = []
     converged = False
     for step in range(1, max_iter + 1):
-        snaps, pieces = _one_sweep(path)
+        snaps, pieces = sweep.run(path.pieces)
         diff = _diff(snaps, path.snapshots)
         ratio = diff / prev_diff if prev_diff else float("nan")
         log.append((step, diff, ratio))
@@ -384,7 +380,7 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
         prev_diff = diff
     if not converged:
         raise ContractionStall(f"no convergence within {max_iter} iterations")
-    snaps, _ = _one_sweep(path)
+    snaps, _ = sweep.run(path.pieces)
     residual = _diff(snaps, path.snapshots)
     return FlowPath(path.grid, gamma.eps, path.snapshots, path.pieces,
                     source=gamma, iteration_log=log, residual=residual)
@@ -418,20 +414,14 @@ def param_lipschitz_check(g1: AdmissibleField, g2: AdmissibleField,
     """Observed flow distance against twice the L^1 field distance."""
     if abs(g1.eps - g2.eps) > 1e-15:
         raise ValueError("fields must share the working half-width")
-    grid = g1.field.grid.merged(g2.field.grid).refined(MAX_STEP)
-    p1 = solve_flow(g1, tol_solve, start=_identity_on(g1, grid))
-    p2 = solve_flow(g2, tol_solve, start=_identity_on(g2, grid))
+    # the same certified fields, re-expressed on one grid so snapshots align
+    grid = g1.field.grid.merged(g2.field.grid)
+    p1, p2 = (solve_flow(replace(g, field=g.field.on_grid(grid)), tol_solve)
+              for g in (g1, g2))
     sup = p1.sup_distance(p2, g1.eps)
     l1 = (g2.field - g1.field).lp_norm(1, "nu", 2 * g1.eps)
     ratio = 0.0 if sup == 0 else (np.inf if l1 == 0 else sup / l1)
     return LipschitzReport(sup_distance=sup, l1_distance=l1, ratio=ratio)
-
-
-def _identity_on(gamma: AdmissibleField, grid: TimeGrid) -> FlowPath:
-    f = gamma.field
-    zero = FourierMap.zero(f.order, f.m, f.ncomp)
-    return FlowPath(grid, gamma.eps, [zero] * len(grid),
-                    [zero.coeffs[None, ...]] * (len(grid) - 1), source=gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -282,11 +282,6 @@ class FourierMap:
     def beta(self, eps: float) -> float:
         return strip_norms(self, eps).beta
 
-    def sup_real(self, samples: int = 256) -> float:
-        """Max-norm over a uniform real sample grid (diagnostic only)."""
-        vals = self.sample_grid(max(samples, 2 * self.order + 1))
-        return float(np.abs(vals.real).max()) if vals.size else 0.0
-
 
 def _common_order(a: FourierMap, b: FourierMap):
     if a.m != b.m or a.ncomp != b.ncomp:

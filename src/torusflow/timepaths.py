@@ -44,7 +44,11 @@ _FIT_VANDER_INV = np.linalg.inv(np.vander(FIT_NODES, 4, increasing=True))
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing rational breakpoints 0 = t_0 < ... < t_M = 1."""
+    """Strictly increasing rational breakpoints 0 = t_0 < ... < t_M = 1.
+
+    ``floats`` holds the breakpoints as a read-only float array, computed
+    once per grid.
+    """
 
     breakpoints: tuple
 
@@ -55,14 +59,13 @@ class TimeGrid:
             raise ValueError("grid must run from 0 to 1")
         if any(a >= b for a, b in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        floats = np.array([float(b) for b in bp])
+        floats.flags.writeable = False
+        object.__setattr__(self, "floats", floats)
 
     @classmethod
     def uniform(cls, n: int) -> "TimeGrid":
         return cls(tuple(Fraction(j, n) for j in range(n + 1)))
-
-    @property
-    def floats(self) -> np.ndarray:
-        return np.array([float(b) for b in self.breakpoints])
 
     @property
     def steps(self):
@@ -187,9 +190,6 @@ class TimeDependentField:
     def value_at(self, t: float) -> FourierMap:
         j, tau, _ = self._local(t)
         return FourierMap(_poly_eval(self.pieces[j], tau), check=False)
-
-    def piece_values(self, j: int, taus: np.ndarray) -> np.ndarray:
-        return _poly_eval(self.pieces[j], taus)
 
     # -- algebra ------------------------------------------------------------
 

@@ -114,3 +114,37 @@ def test_pullback_scenario(tmp_path):
     names = {c["name"] for c in summary["checks"]}
     assert {"pullback_ac", "transport_residual", "contravariance",
             "linearity"} <= names
+
+
+def _scenario(tmp_path, **fields):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(fields))
+    return path
+
+
+def test_random_field_budget_at_scenario_eps(tmp_path):
+    scenario = _scenario(tmp_path, kind="solve", order=16, m=1, eps=0.1,
+                         seed=3, field={"type": "random", "budget": 0.3})
+    assert run(["solve", scenario, "--out", tmp_path / "out"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    # the contraction_ratios check quotes theta_hat + 0.05
+    ratios = next(c for c in summary["checks"]
+                  if c["name"] == "contraction_ratios")
+    assert abs(ratios["value"] - 0.35) < 1e-12
+
+
+def test_random_field_rejects_m2(tmp_path, capsys):
+    scenario = _scenario(tmp_path, kind="solve", order=8, m=2, eps=0.05,
+                         seed=3, field={"type": "random", "budget": 0.3})
+    assert run(["solve", scenario, "--out", tmp_path / "out"]) == 2
+    assert "m = 1" in capsys.readouterr().err
+
+
+def test_scenario_fields_checked_up_front(tmp_path, capsys):
+    base = {"kind": "solve", "field": {"type": "sine", "amplitude": 0.02},
+            "order": 16, "m": 1, "eps": 0.05}
+    for key, bad in (("order", 0), ("order", -3), ("order", 2.5),
+                     ("m", 3), ("m", 0), ("eps", 0), ("eps", -0.05)):
+        scenario = _scenario(tmp_path, **{**base, key: bad})
+        assert run(["solve", scenario, "--out", tmp_path / "out"]) == 2
+        assert f"{key} must be" in capsys.readouterr().err

@@ -7,13 +7,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
-                       FourierMap, TimeDependentField, TimeGrid,
+                       FlowPath, FourierMap, TimeDependentField, TimeGrid,
                        identity_path, param_lipschitz_check, picard_step,
                        pointwise_solution, restriction_consistency,
                        solve_flow)
+from torusflow.fourier import TOL_TRUNC
 from torusflow.flow import contraction_certificate_ok
 
-from conftest import EPS, probe_points, random_admissible, sine_map
+from _reference_sweep import reference_sweep
+from conftest import EPS, cosine_map, probe_points, random_admissible, sine_map
 
 
 def tangent_oracle(y0, t, a=0.02):
@@ -66,6 +68,54 @@ def test_picard_first_iterate_is_field_primitive(sine_gamma):
     t = 0.75
     want = t * sine_gamma.field.value_at(0.0).coeffs
     assert np.abs(path.u_at(t).coeffs - want).max() < 1e-13
+
+
+def _coupled_m2_field(order=8, a=0.004, b=0.003):
+    """Two-component field on T^2 whose components each depend on both axes."""
+    f = FourierMap.zero(order, 2, 2)
+    f.coeffs[order, order + 1] = [-0.5j * a, 0.3 * a]
+    f.coeffs[order, order - 1] = [0.5j * a, 0.3 * a]
+    f.coeffs[order + 1, order] = [0.1 * b, 0.5 * b]
+    f.coeffs[order - 1, order] = [0.1 * b, 0.5 * b]
+    f.coeffs[order + 1, order + 1] = [0.2 * a, -0.25j * b]
+    f.coeffs[order - 1, order - 1] = [0.2 * a, 0.25j * b]
+    return TimeDependentField.constant(FourierMap(f.coeffs), 0.2)
+
+
+DIFFERENTIAL_FIELDS = {
+    "m1_step_3_pieces": (lambda: TimeDependentField.step(
+        TimeGrid((0, Fraction(1, 4), Fraction(5, 8), 1)),
+        [sine_map(0.02), cosine_map(0.01, mode=2),
+         sine_map(0.01) + cosine_map(0.004, mode=3)], 0.2), Fraction(1, 16)),
+    "m1_profile_cubic": (lambda: TimeDependentField.from_profile(
+        sine_map(0.03) + cosine_map(0.01, mode=2),
+        lambda t: np.cos(3 * t) + t * t, 0.2, n_pieces=8), Fraction(1, 16)),
+    "m2_coupled_N8": (_coupled_m2_field, Fraction(1, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FIELDS))
+def test_sweep_matches_compose_reference(name):
+    make, max_step = DIFFERENTIAL_FIELDS[name]
+    gamma = AdmissibleField.certify(make(), EPS)
+    path = identity_path(gamma, max_step)
+    gam = gamma.field.on_grid(path.grid)
+    for _ in range(2):  # from the identity path, then from a quartic iterate
+        want_snaps, want_pieces = reference_sweep(gam, path, EPS, TOL_TRUNC)
+        path = picard_step(gamma, path)
+        assert max(np.abs(a.coeffs - b.coeffs).max() for a, b in
+                   zip(path.snapshots, want_snaps)) <= 1e-13
+        assert max(np.abs(a - b).max() for a, b in
+                   zip(path.pieces, want_pieces)) <= 1e-13
+
+
+def test_solve_start_path_escaping_strip_m1(sine_gamma):
+    grid = sine_gamma.field.grid.refined(Fraction(1, 8))
+    u = sine_map(0.5)     # imag_reach(u, eps) ~ 0.27 > 2 eps
+    start = FlowPath(grid, EPS, [u] * len(grid),
+                     [u.coeffs[None, ...]] * (len(grid) - 1))
+    with pytest.raises(DomainEscape):
+        solve_flow(sine_gamma, start=start)
 
 
 # -- solve ------------------------------------------------------------------------
