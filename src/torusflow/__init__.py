@@ -4,8 +4,8 @@ __version__ = "0.1.0"
 
 from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
                      EmptyLevel, InvertibilityLost, NoPositiveRadius,
-                     NonContraction, OutOfRange, ScaleMismatch,
-                     TorusflowError, TruncationBudgetExceeded)
+                     NonContraction, OutOfRange, RealityDefect,
+                     ScaleMismatch, TorusflowError, TruncationBudgetExceeded)
 from .fourier import (FourierMap, JacobianField, NormReport, StripScale,
                       compose, imag_reach, jacobian, multiply, restrict,
                       strip_norms)

@@ -319,23 +319,31 @@ RUNNERS = {
 }
 
 
+def _positive_number(value) -> bool:
+    """A JSON number above zero; booleans and numeric strings are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value > 0)
+
+
 def validate_scenario(scenario: dict, kind: str) -> str | None:
     if scenario.get("kind") != kind:
         return f"scenario kind {scenario.get('kind')!r} does not match {kind!r}"
     tols = scenario.get("tolerances", {})
-    if any(float(v) <= 0 for v in tols.values()):
-        return "tolerances must be positive"
+    if not (isinstance(tols, dict) and all(map(_positive_number, tols.values()))):
+        return f"tolerances must be positive numbers, got {tols!r}"
     order, m, eps = (scenario.get(key, 1) for key in ("order", "m", "eps"))
     if not isinstance(order, int) or order < 1:
         return f"order must be an integer >= 1, got {order!r}"
     if m not in (1, 2):
         return f"m must be 1 or 2, got {m!r}"
-    if not isinstance(eps, (int, float)) or not eps > 0:
+    if not _positive_number(eps):
         return f"eps must be positive, got {eps!r}"
     random_field = (isinstance(scenario.get("field"), dict)
                     and scenario["field"].get("type") == "random")
     if random_field and m != 1:
         return "random field specs draw fields on T^1 only (m = 1)"
+    if kind == "sweep" and m != 1:
+        return "sweeps draw random fields on T^1 only (m = 1)"
     needs_seed = kind in ("sweep", "verify", "limits") or random_field
     if needs_seed and scenario.get("seed") is None:
         return "sampling scenarios must carry a seed for reproducibility"

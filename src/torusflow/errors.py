@@ -9,6 +9,10 @@ class ScaleMismatch(TorusflowError):
     """A norm or certificate was requested beyond the scale a field carries."""
 
 
+class RealityDefect(TorusflowError):
+    """A map meant to be real takes non-real values on the real grid."""
+
+
 class DomainEscape(TorusflowError):
     """A norm bound certifies that an argument leaves the controlled strip."""
 

@@ -24,8 +24,11 @@ One sweep engine applies P for m = 1 and m = 2 alike; ``solve_flow`` and
 ``picard_step`` both call it.  Every sweep checks, at every collocation
 node, that id + u maps the working strip into the doubled strip where the
 field's majorants are certified (DomainEscape), that u is real on the real
-grid, and that the spectral tail discarded by truncation stays within
-budget (TruncationBudgetExceeded).
+grid (RealityDefect), and that the spectral tail discarded by truncation
+stays within budget (TruncationBudgetExceeded).  The field is evaluated only
+on its spectral support band |k_i| <= K, the smallest K <= N holding every
+nonzero coefficient of the field at every collocation node; the band is read
+from the field, so a dense field keeps K = N.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
-                     NonContraction, TruncationBudgetExceeded)
+                     NonContraction, RealityDefect, TruncationBudgetExceeded)
 from .fourier import (OVERSAMPLE, TOL_TRUNC, TWO_PI, FourierMap,
                       _eval_series_2d, _grid_points, _k_axis, _k_l1,
                       imag_reach, strip_norms)
@@ -202,9 +205,17 @@ class _PicardSweep:
     and integrates one cubic per interval in closed form.  Every sweep
     checks, at every node, that the imaginary reach of id + u from the
     working strip stays inside the doubled strip (DomainEscape), that u is
-    real on the real grid, and that the relative spectral tail beyond
-    ||k||_1 > N stays within ``tol_trunc`` (TruncationBudgetExceeded).
-    Grid work runs over chunks of nodes of about _CHUNK_POINTS points.
+    real on the real grid (RealityDefect), and that the relative spectral
+    tail beyond ||k||_1 > N stays within ``tol_trunc``
+    (TruncationBudgetExceeded).  Grid work runs over chunks of nodes of
+    about _CHUNK_POINTS points.
+
+    The field is evaluated only on its support band: ``g_nodes`` keeps the
+    (2K+1)^m cube |k_i| <= ``band`` = K, the smallest K that holds every
+    coefficient nonzero at any node.  The cube is a raw array, not a
+    FourierMap, because its corners ||k||_1 > K (mode (1, 1) at K = 1) may
+    be nonzero.  The checks above act on u and on the full M^m spectrum of
+    the composed values, so the band changes no certificate.
     """
 
     def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
@@ -214,12 +225,17 @@ class _PicardSweep:
             raise ValueError("the field must be a self-map displacement field")
         self.eps, self.tol_trunc = gamma.eps, tol_trunc
         m, n = gam.m, gam.order
-        self.m, self.n = m, n
+        self.m = m
         self.M = M = OVERSAMPLE * (2 * n + 1)
         self.axes = tuple(range(1, m + 1))
         self.x = _grid_points(M, m).reshape((M,) * m + (m,))
         self.h = np.diff(grid.floats)
-        self.g_nodes = _node_values(gam.pieces)
+        g_nodes = _node_values(gam.pieces)
+        k_used = np.abs(np.argwhere(np.abs(g_nodes).max(axis=(0, -1)) > 0) - n)
+        self.band = int(k_used.max()) if k_used.size else 0
+        cut = (slice(None),) + (slice(n - self.band, n + self.band + 1),) * m
+        # not a view, which would keep the dense node array alive
+        self.g_nodes = np.ascontiguousarray(g_nodes[cut])
         self.chunk = max(1, _CHUNK_POINTS // M ** m)
         self.lattice = (slice(None),) + np.ix_(*[_k_axis(n) % M] * m)
         kfull = np.abs(np.fft.fftfreq(M, d=1.0 / M).astype(int))
@@ -252,7 +268,7 @@ class _PicardSweep:
         flat = u_vals.reshape(len(u), -1)
         size = np.maximum(1.0, np.abs(flat.real).max(axis=1))
         if (np.abs(flat.imag).max(axis=1) > 1e-9 * size).any():
-            raise ValueError("perturbation is not real on the real grid")
+            raise RealityDefect("perturbation is not real on the real grid")
         return self.x + u_vals.real
 
     def _truncate(self, vals: np.ndarray) -> np.ndarray:
@@ -287,7 +303,7 @@ class _PicardSweep:
             acc = np.zeros_like(z)
             for idx in range(c.shape[1] - 1, -1, -1):
                 acc = acc * z + c[:, idx, None]
-            return (acc * np.exp(-TWO_PI * 1j * self.n * x))[..., None]
+            return (acc * np.exp(-TWO_PI * 1j * self.band * x))[..., None]
         return np.stack([_eval_series_2d(gq, a.reshape(-1, 2)) for gq, a in
                          zip(g, args)]).reshape(args.shape[:-1] + g.shape[-1:])
 

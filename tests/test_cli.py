@@ -144,7 +144,25 @@ def test_scenario_fields_checked_up_front(tmp_path, capsys):
     base = {"kind": "solve", "field": {"type": "sine", "amplitude": 0.02},
             "order": 16, "m": 1, "eps": 0.05}
     for key, bad in (("order", 0), ("order", -3), ("order", 2.5),
-                     ("m", 3), ("m", 0), ("eps", 0), ("eps", -0.05)):
+                     ("m", 3), ("m", 0), ("eps", 0), ("eps", -0.05),
+                     ("eps", True)):
         scenario = _scenario(tmp_path, **{**base, key: bad})
         assert run(["solve", scenario, "--out", tmp_path / "out"]) == 2
         assert f"{key} must be" in capsys.readouterr().err
+
+
+def test_sweep_rejects_m2(tmp_path, capsys):
+    scenario = _scenario(tmp_path, kind="sweep", count=1, order=32, m=2,
+                         eps=0.05, seed=1)
+    assert run(["sweep", scenario, "--out", tmp_path / "out"]) == 2
+    assert "m = 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_non_numeric_tolerance_exit_two(tmp_path, capsys):
+    for bad in ("small", "1e-10", None, True, [1e-10], 0, float("nan")):
+        scenario = _scenario(tmp_path, kind="solve", order=16, m=1, eps=0.05,
+                             field={"type": "sine", "amplitude": 0.02},
+                             tolerances={"tol_solve": bad})
+        assert run(["solve", scenario, "--out", tmp_path / "out"]) == 2
+        assert "tolerances must be positive numbers" in capsys.readouterr().err

@@ -7,12 +7,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
-                       FlowPath, FourierMap, TimeDependentField, TimeGrid,
-                       identity_path, param_lipschitz_check, picard_step,
-                       pointwise_solution, restriction_consistency,
-                       solve_flow)
+                       FlowPath, FourierMap, RealityDefect, TimeDependentField,
+                       TimeGrid, identity_path, param_lipschitz_check,
+                       picard_step, pointwise_solution,
+                       restriction_consistency, solve_flow)
 from torusflow.fourier import TOL_TRUNC
-from torusflow.flow import contraction_certificate_ok
+from torusflow.flow import _PicardSweep, contraction_certificate_ok
 
 from _reference_sweep import reference_sweep
 from conftest import EPS, cosine_map, probe_points, random_admissible, sine_map
@@ -82,24 +82,46 @@ def _coupled_m2_field(order=8, a=0.004, b=0.003):
     return TimeDependentField.constant(FourierMap(f.coeffs), 0.2)
 
 
+def _full_band_m1(order=8, edge=2e-11):
+    """A sine plus a cosine at |k| = N, as large as the tail budget allows."""
+    return TimeDependentField.constant(
+        sine_map(0.02, order=order)
+        + cosine_map(edge, order=order, mode=order), 0.2)
+
+
+def _full_band_m2(order=6, edge=5e-12):
+    """A weak coupled field plus modes (N, 0) and (0, N), near the tail budget."""
+    f = _coupled_m2_field(order, a=4e-4, b=3e-4).value_at(0.0)
+    f.coeffs[2 * order, order] = f.coeffs[0, order] = [edge, 0.5 * edge]
+    f.coeffs[order, 2 * order] = [-1j * edge, 0.0]
+    f.coeffs[order, 0] = [1j * edge, 0.0]
+    return TimeDependentField.constant(FourierMap(f.coeffs), 0.2)
+
+
+#: field factory, solver step and the band K of the field's nonzero modes
 DIFFERENTIAL_FIELDS = {
     "m1_step_3_pieces": (lambda: TimeDependentField.step(
         TimeGrid((0, Fraction(1, 4), Fraction(5, 8), 1)),
         [sine_map(0.02), cosine_map(0.01, mode=2),
-         sine_map(0.01) + cosine_map(0.004, mode=3)], 0.2), Fraction(1, 16)),
+         sine_map(0.01) + cosine_map(0.004, mode=3)], 0.2), Fraction(1, 16), 3),
     "m1_profile_cubic": (lambda: TimeDependentField.from_profile(
         sine_map(0.03) + cosine_map(0.01, mode=2),
-        lambda t: np.cos(3 * t) + t * t, 0.2, n_pieces=8), Fraction(1, 16)),
-    "m2_coupled_N8": (_coupled_m2_field, Fraction(1, 8)),
+        lambda t: np.cos(3 * t) + t * t, 0.2, n_pieces=8), Fraction(1, 16), 2),
+    "m2_coupled_N8": (_coupled_m2_field, Fraction(1, 8), 1),
+    "m1_full_band_N8": (_full_band_m1, Fraction(1, 16), 8),
+    "m2_full_band_N6": (_full_band_m2, Fraction(1, 8), 6),
+    "m1_sine_N64": (lambda: TimeDependentField.constant(
+        sine_map(0.02, order=64), 0.2), Fraction(1, 16), 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FIELDS))
 def test_sweep_matches_compose_reference(name):
-    make, max_step = DIFFERENTIAL_FIELDS[name]
+    make, max_step, band = DIFFERENTIAL_FIELDS[name]
     gamma = AdmissibleField.certify(make(), EPS)
     path = identity_path(gamma, max_step)
     gam = gamma.field.on_grid(path.grid)
+    assert _PicardSweep(gamma, path.grid, TOL_TRUNC).band == band
     for _ in range(2):  # from the identity path, then from a quartic iterate
         want_snaps, want_pieces = reference_sweep(gam, path, EPS, TOL_TRUNC)
         path = picard_step(gamma, path)
@@ -107,6 +129,16 @@ def test_sweep_matches_compose_reference(name):
                    zip(path.snapshots, want_snaps)) <= 1e-13
         assert max(np.abs(a - b).max() for a, b in
                    zip(path.pieces, want_pieces)) <= 1e-13
+
+
+def test_picard_step_rejects_non_real_candidate(sine_gamma):
+    grid = sine_gamma.field.grid.refined(Fraction(1, 8))
+    u = FourierMap.zero(32, 1, 1)
+    u.coeffs[33] = 0.01     # mode 1 without its conjugate mode -1
+    start = FlowPath(grid, EPS, [u] * len(grid),
+                     [u.coeffs[None, ...]] * (len(grid) - 1))
+    with pytest.raises(RealityDefect):
+        picard_step(sine_gamma, start)
 
 
 def test_solve_start_path_escaping_strip_m1(sine_gamma):
