@@ -344,6 +344,10 @@ def validate_scenario(scenario: dict, kind: str) -> str | None:
         return "random field specs draw fields on T^1 only (m = 1)"
     if kind == "sweep" and m != 1:
         return "sweeps draw random fields on T^1 only (m = 1)"
+    count = scenario.get("count", 10)
+    if kind == "sweep" and (isinstance(count, bool)
+                            or not isinstance(count, int) or count < 1):
+        return f"sweep count must be an integer >= 1, got {count!r}"
     needs_seed = kind in ("sweep", "verify", "limits") or random_field
     if needs_seed and scenario.get("seed") is None:
         return "sampling scenarios must carry a seed for reproducibility"

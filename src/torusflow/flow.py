@@ -28,7 +28,12 @@ grid (RealityDefect), and that the spectral tail discarded by truncation
 stays within budget (TruncationBudgetExceeded).  The field is evaluated only
 on its spectral support band |k_i| <= K, the smallest K <= N holding every
 nonzero coefficient of the field at every collocation node; the band is read
-from the field, so a dense field keeps K = N.
+from the field, so a dense field keeps K = N.  The displaced positions
+y = x + u(x) are real, so the field is evaluated there by unit-circle Horner
+in w = e^{2 pi i y}, one cos and one sin per axis, with the negative modes in
+conj(w) = 1/w: no complex exp and no phase factor.  For m = 2 one batched
+matrix product first contracts k_2 for all nodes of a chunk.  u reaches the
+grid by a zero-padded inverse FFT run one axis at a time.
 """
 
 from __future__ import annotations
@@ -41,8 +46,7 @@ import numpy as np
 from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
                      NonContraction, RealityDefect, TruncationBudgetExceeded)
 from .fourier import (OVERSAMPLE, TOL_TRUNC, TWO_PI, FourierMap,
-                      _eval_series_2d, _grid_points, _k_axis, _k_l1,
-                      imag_reach, strip_norms)
+                      _grid_points, _k_axis, _k_l1, imag_reach, strip_norms)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
                         _FIT_VANDER_INV, _GL4_W, _GL4_X, _poly_eval)
 
@@ -194,26 +198,54 @@ def _node_values(pieces) -> np.ndarray:
     return vals.reshape((-1,) + vals.shape[2:])
 
 
+def _laurent_horner(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_{|k| <= K} c_k w^k at points w on the unit circle, by Horner.
+
+    ``c`` holds c_{-K}, .., c_K along axis 1 and ``w`` broadcasts against
+    each slice ``c[:, k]``.  On the unit circle w^{-1} = conj(w), so the
+    negative half runs in conj(w): no division, no phase factor, and the
+    memory is three accumulators whatever K is.
+    """
+    K = c.shape[1] // 2
+    acc = np.array(np.broadcast_to(
+        c[:, K], np.broadcast_shapes(w.shape, c[:, K].shape)))
+    if K:
+        w_bar = w.conj()
+        pos, neg = c[:, 2 * K] * w, c[:, 0] * w_bar
+        for k in range(1, K):
+            pos += c[:, 2 * K - k]
+            pos *= w
+            neg += c[:, k]
+            neg *= w_bar
+        acc += pos
+        acc += neg
+    return acc
+
+
 class _PicardSweep:
     """The integral-equation map on one solver grid, for m in {1, 2}.
 
     Built once per solve from the field on the grid.  A sweep evaluates u at
     the 4 collocation nodes of every interval, synthesises it on the
-    oversampled real grid by inverse FFT, evaluates the field at x + u(x)
-    (Horner over unit-circle powers for m = 1, the two-stage lattice
-    contraction for m = 2), transforms back, truncates to order N, and fits
-    and integrates one cubic per interval in closed form.  Every sweep
-    checks, at every node, that the imaginary reach of id + u from the
-    working strip stays inside the doubled strip (DomainEscape), that u is
-    real on the real grid (RealityDefect), and that the relative spectral
-    tail beyond ||k||_1 > N stays within ``tol_trunc``
-    (TruncationBudgetExceeded).  Grid work runs over chunks of nodes of
-    about _CHUNK_POINTS points.
+    oversampled real grid by inverse FFT (axis by axis, from the last),
+    evaluates the field at the real points y = x + u(x) by unit-circle
+    Horner in w = e^{2 pi i y} (``_laurent_horner``; for m = 2 after one
+    batched product that contracts k_2 against the powers of w_2),
+    transforms back, truncates to order N, and fits and integrates one cubic
+    per interval in closed form.  Every sweep checks, at every node, that
+    the imaginary reach of id + u from the working strip stays inside the
+    doubled strip (DomainEscape), that u is real on the real grid
+    (RealityDefect), and that the relative spectral tail beyond
+    ||k||_1 > N stays within ``tol_trunc`` (TruncationBudgetExceeded).  Grid
+    work runs over chunks of nodes of about _CHUNK_POINTS points, component
+    first with the grid axes last, so the FFTs and the reductions over
+    components run on contiguous lines.
 
     The field is evaluated only on its support band: ``g_nodes`` keeps the
     (2K+1)^m cube |k_i| <= ``band`` = K, the smallest K that holds every
-    coefficient nonzero at any node.  The cube is a raw array, not a
-    FourierMap, because its corners ||k||_1 > K (mode (1, 1) at K = 1) may
+    coefficient nonzero at any node, stored as (node, k_1, component[, k_2])
+    so that the k_2 contraction needs no copy.  The cube is a raw array, not
+    a FourierMap, because its corners ||k||_1 > K (mode (1, 1) at K = 1) may
     be nonzero.  The checks above act on u and on the full M^m spectrum of
     the composed values, so the band changes no certificate.
     """
@@ -228,16 +260,18 @@ class _PicardSweep:
         self.m = m
         self.M = M = OVERSAMPLE * (2 * n + 1)
         self.axes = tuple(range(1, m + 1))
-        self.x = _grid_points(M, m).reshape((M,) * m + (m,))
+        self.grid_axes = tuple(range(-m, 0))
+        self.x = _grid_points(M, m).T.reshape((m,) + (M,) * m)
         self.h = np.diff(grid.floats)
         g_nodes = _node_values(gam.pieces)
         k_used = np.abs(np.argwhere(np.abs(g_nodes).max(axis=(0, -1)) > 0) - n)
         self.band = int(k_used.max()) if k_used.size else 0
         cut = (slice(None),) + (slice(n - self.band, n + self.band + 1),) * m
         # not a view, which would keep the dense node array alive
-        self.g_nodes = np.ascontiguousarray(g_nodes[cut])
+        self.g_nodes = np.ascontiguousarray(np.moveaxis(g_nodes[cut], -1, 2))
         self.chunk = max(1, _CHUNK_POINTS // M ** m)
-        self.lattice = (slice(None),) + np.ix_(*[_k_axis(n) % M] * m)
+        self.k_pos = _k_axis(n) % M
+        self.lattice = (slice(None),) * 2 + np.ix_(*[self.k_pos] * m)
         kfull = np.abs(np.fft.fftfreq(M, d=1.0 / M).astype(int))
         # ||k||_1 > N on the oversampled lattice, in FFT order, flattened
         self.outside = (sum(np.ix_(*[kfull] * m)) > n).ravel()
@@ -254,27 +288,57 @@ class _PicardSweep:
         kept = np.empty(u_nodes.shape, dtype=complex)
         for s in range(0, len(u_nodes), self.chunk):
             nodes = slice(s, s + self.chunk)
-            args = self._positions(u_nodes[nodes])
-            kept[nodes] = self._truncate(self._outer(self.g_nodes[nodes], args))
+            y = self._positions(np.moveaxis(u_nodes[nodes], -1, 1))
+            spec = self._truncate(self._outer(self.g_nodes[nodes], y))
+            kept[nodes] = np.moveaxis(spec, 1, -1)
         kept[:, self.corners] = 0.0
         return self._integrate(kept)
 
     def _positions(self, u: np.ndarray) -> np.ndarray:
-        """x + u_q(x) on the oversampled real grid, for the nodes of a chunk."""
-        dense = np.zeros((len(u),) + self.x.shape, dtype=complex)
-        dense[self.lattice] = u
-        u_vals = np.fft.ifftn(dense, axes=self.axes)
-        u_vals *= self.M ** self.m
-        flat = u_vals.reshape(len(u), -1)
+        """x + u_q(x) on the oversampled real grid, shape (C, m, M..).
+
+        ``u`` holds the coefficients of the chunk's nodes, shape (C, m, n..).
+        The zero-padded inverse transform runs one axis at a time from the
+        last, as ``ifftn`` does, so for m = 2 the first pass transforms only
+        the 2N+1 lines that hold coefficients.
+        """
+        vals = u
+        for ax in reversed(range(2, self.m + 2)):
+            dense = np.zeros(vals.shape[:ax] + (self.M,) + vals.shape[ax + 1:],
+                             dtype=complex)
+            dense[(slice(None),) * ax + (self.k_pos,)] = vals
+            vals = np.fft.ifft(dense, axis=ax, norm="forward")
+        flat = vals.reshape(len(u), -1)
         size = np.maximum(1.0, np.abs(flat.real).max(axis=1))
         if (np.abs(flat.imag).max(axis=1) > 1e-9 * size).any():
             raise RealityDefect("perturbation is not real on the real grid")
-        return self.x + u_vals.real
+        return self.x + vals.real
+
+    def _outer(self, g: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """gamma_q(y) for the nodes of a chunk, shape (C, ncomp, M..).
+
+        ``g`` is the band cube of the nodes, shape (C, n, ncomp[, n]), and
+        ``y`` the real positions, shape (C, m, M..).
+        """
+        c, n, ncomp = len(y), g.shape[1], g.shape[2]
+        ty = TWO_PI * y.reshape(c, self.m, -1)
+        w = np.empty(ty.shape, dtype=complex)
+        np.cos(ty, out=w.real)
+        np.sin(ty, out=w.imag)
+        if self.m == 1:
+            g = g[..., None]
+        else:
+            # contract k_2 against the Laurent powers of w_2 for all nodes
+            pos = np.cumprod(np.repeat(w[:, 1:], self.band, axis=1), axis=1)
+            powers = np.concatenate(
+                (pos[:, ::-1].conj(), np.ones_like(w[:, :1]), pos), axis=1)
+            g = (g.reshape(c, n * ncomp, n) @ powers).reshape(c, n, ncomp, -1)
+        return _laurent_horner(g, w[:, :1]).reshape((c, ncomp) + y.shape[2:])
 
     def _truncate(self, vals: np.ndarray) -> np.ndarray:
         """Coefficients up to order N of grid values, after the tail check."""
-        spec = np.fft.fftn(vals, axes=self.axes) / self.M ** self.m
-        amp = np.abs(spec).max(axis=-1).reshape(len(spec), -1)
+        spec = np.fft.fftn(vals, axes=self.grid_axes, norm="forward")
+        amp = np.abs(spec).max(axis=1).reshape(len(spec), -1)
         total = amp.sum(axis=1)
         tail = amp[:, self.outside].sum(axis=1)
         ratio = np.divide(tail, total, out=np.zeros_like(tail), where=total > 0)
@@ -294,18 +358,6 @@ class _PicardSweep:
             raise DomainEscape(
                 f"candidate path reaches {reach:.6g}, beyond the controlled "
                 f"strip {2 * self.eps:.6g}")
-
-    def _outer(self, g: np.ndarray, args: np.ndarray) -> np.ndarray:
-        """gamma_q(args) for the nodes of a chunk; args has shape (C, M.., m)."""
-        if self.m == 1:
-            x, c = args[..., 0], g[..., 0]
-            z = np.exp(TWO_PI * 1j * x)
-            acc = np.zeros_like(z)
-            for idx in range(c.shape[1] - 1, -1, -1):
-                acc = acc * z + c[:, idx, None]
-            return (acc * np.exp(-TWO_PI * 1j * self.band * x))[..., None]
-        return np.stack([_eval_series_2d(gq, a.reshape(-1, 2)) for gq, a in
-                         zip(g, args)]).reshape(args.shape[:-1] + g.shape[-1:])
 
     def _integrate(self, kept: np.ndarray):
         """Fit a cubic per interval through the node values and integrate it."""

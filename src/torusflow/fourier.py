@@ -33,7 +33,7 @@ from itertools import product as _iter_product
 
 import numpy as np
 
-from .errors import DomainEscape, TruncationBudgetExceeded
+from .errors import DomainEscape, RealityDefect, TruncationBudgetExceeded
 
 TWO_PI = 2.0 * np.pi
 
@@ -253,7 +253,7 @@ class FourierMap:
         resid = float(np.abs(vals.imag).max()) if vals.size else 0.0
         scale = max(1.0, float(np.abs(vals.real).max())) if vals.size else 1.0
         if resid > 1e-10 * scale:
-            raise ValueError(f"imaginary residue {resid:.3e} at real points")
+            raise RealityDefect(f"imaginary residue {resid:.3e} at real points")
         return vals.real
 
     def sample_grid(self, grid_size: int) -> np.ndarray:
@@ -445,7 +445,7 @@ def compose(g: FourierMap, perturb: FourierMap, *,
     u_vals = u_vals.reshape(pts.shape[0], g.m)
     resid = float(np.abs(u_vals.imag).max()) if u_vals.size else 0.0
     if resid > 1e-9 * max(1.0, float(np.abs(u_vals.real).max())):
-        raise ValueError("perturbation is not real on the real grid")
+        raise RealityDefect("perturbation is not real on the real grid")
     args = pts + u_vals.real
     vals = g.eval(args.astype(complex))
     shape = (M,) * g.m + (g.ncomp,)

@@ -342,19 +342,20 @@ def _embed(piece: np.ndarray, order: int, m: int) -> np.ndarray:
 
 
 def _modes_to_json(coeffs: np.ndarray, m: int, order: int) -> list:
-    entries = []
-    it = np.ndindex(*coeffs.shape[:-1])
-    for idx in it:
-        row = coeffs[idx]
-        if not np.any(row):
-            continue
-        k = [int(i - order) for i in idx]
-        key = k[0] if m == 1 else k
-        if coeffs.shape[-1] == 1:
-            entries.append([key, float(row[0].real), float(row[0].imag)])
-        else:
-            entries.append([key, [[float(v.real), float(v.imag)] for v in row]])
-    return entries
+    """Nonzero rows of a coefficient cube, in index order, as JSON entries.
+
+    An entry is [k, re, im] for one component and [k, [[re, im], ..]] for
+    several; k is an int for m = 1 and a list for m = 2.
+    """
+    idx = np.argwhere(np.any(coeffs, axis=-1))
+    keys = (idx - order).tolist()
+    if m == 1:
+        keys = [k[0] for k in keys]
+    rows = coeffs[tuple(idx.T)]
+    pairs = np.stack([rows.real, rows.imag], axis=-1).tolist()
+    if coeffs.shape[-1] == 1:
+        return [[k, *p[0]] for k, p in zip(keys, pairs)]
+    return [[k, p] for k, p in zip(keys, pairs)]
 
 
 def _modes_from_json(entries: list, m: int, order: int, ncomp: int) -> np.ndarray:

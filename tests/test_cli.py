@@ -159,6 +159,15 @@ def test_sweep_rejects_m2(tmp_path, capsys):
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+def test_sweep_count_checked_up_front(tmp_path, capsys):
+    for bad in (0, -1, 2.5, "3", True, None):
+        scenario = _scenario(tmp_path, kind="sweep", count=bad, order=16,
+                             eps=0.05, seed=1)
+        assert run(["sweep", scenario, "--out", tmp_path / "out"]) == 2
+        assert "sweep count must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_non_numeric_tolerance_exit_two(tmp_path, capsys):
     for bad in ("small", "1e-10", None, True, [1e-10], 0, float("nan")):
         scenario = _scenario(tmp_path, kind="solve", order=16, m=1, eps=0.05,

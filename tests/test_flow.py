@@ -12,7 +12,8 @@ from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
                        picard_step, pointwise_solution,
                        restriction_consistency, solve_flow)
 from torusflow.fourier import TOL_TRUNC
-from torusflow.flow import _PicardSweep, contraction_certificate_ok
+from torusflow.flow import (_PicardSweep, _laurent_horner,
+                            contraction_certificate_ok)
 
 from _reference_sweep import reference_sweep
 from conftest import EPS, cosine_map, probe_points, random_admissible, sine_map
@@ -112,6 +113,10 @@ DIFFERENTIAL_FIELDS = {
     "m2_full_band_N6": (_full_band_m2, Fraction(1, 8), 6),
     "m1_sine_N64": (lambda: TimeDependentField.constant(
         sine_map(0.02, order=64), 0.2), Fraction(1, 16), 1),
+    "m1_constant_N8": (lambda: TimeDependentField.constant(
+        FourierMap.constant([0.03], 8), 0.2), Fraction(1, 16), 0),
+    "m2_constant_N6": (lambda: TimeDependentField.constant(
+        FourierMap.constant([0.02, -0.01], 6, m=2), 0.2), Fraction(1, 8), 0),
 }
 
 
@@ -129,6 +134,19 @@ def test_sweep_matches_compose_reference(name):
                    zip(path.snapshots, want_snaps)) <= 1e-13
         assert max(np.abs(a - b).max() for a, b in
                    zip(path.pieces, want_pieces)) <= 1e-13
+
+
+@pytest.mark.parametrize("K", [0, 1, 5])
+def test_laurent_horner_matches_direct_sum(K):
+    rng = np.random.default_rng(K)
+    shape = (3, 2 * K + 1, 2, 1)        # nodes, modes -K..K, components
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    y = rng.uniform(-1.0, 2.0, (3, 1, 40))
+    k = np.arange(-K, K + 1)[None, :, None]
+    want = np.einsum("ckj,ckp->cjp", c[..., 0], np.exp(2j * np.pi * k * y))
+    got = _laurent_horner(c, np.exp(2j * np.pi * y))
+    assert got.shape == (3, 2, 40)
+    assert np.abs(got - want).max() <= 1e-13
 
 
 def test_picard_step_rejects_non_real_candidate(sine_gamma):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusflow import (FourierMap, TruncationBudgetExceeded, compose,
-                       jacobian, multiply, restrict, strip_norms)
+from torusflow import (FourierMap, RealityDefect, TruncationBudgetExceeded,
+                       compose, jacobian, multiply, restrict, strip_norms)
 from torusflow.fourier import cauchy_gain, imag_reach, strip_sample_points
 
 from conftest import cosine_map, random_real_map, sine_map
@@ -153,6 +153,23 @@ def test_compose_truncation_budget_raises():
     big = FourierMap.from_modes({1: [-0.5j * 0.8]}, 4)
     with pytest.raises(TruncationBudgetExceeded):
         compose(g, big, tol_trunc=1e-9)
+
+
+def _one_sided(order=16):
+    """Mode 1 without its conjugate mode -1: complex on the real grid."""
+    f = FourierMap.zero(order, 1, 1)
+    f.coeffs[order + 1] = 0.01
+    return FourierMap(f.coeffs, check=False)
+
+
+def test_compose_rejects_non_real_perturbation():
+    with pytest.raises(RealityDefect, match="not real on the real grid"):
+        compose(sine_map(0.02, 16), _one_sided())
+
+
+def test_eval_real_rejects_imaginary_residue():
+    with pytest.raises(RealityDefect, match="imaginary residue"):
+        _one_sided().eval_real(np.linspace(0, 1, 8)[:, None])
 
 
 def test_compose_against_direct_evaluation():

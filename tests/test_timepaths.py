@@ -1,5 +1,6 @@
 """Time-grid fields: L^p seminorms, primitives, chain-rule postcomposition."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from torusflow import (ACPath, AffineRule, FourierMap, IdentityRule,
                        ScaleMismatch, SelfCompositionRule, TimeDependentField,
                        TimeGrid, ac_postcompose, integrate_primitive)
 from torusflow.errors import DomainEscape
+from torusflow.timepaths import _modes_to_json
 
 from conftest import random_real_map, sine_map
 
@@ -144,6 +146,39 @@ def test_serialization_roundtrip():
     assert g.grid.breakpoints == f.grid.breakpoints
     for t in (0.1, 0.5, 0.9):
         assert np.abs(g.value_at(t).coeffs - f.value_at(t).coeffs).max() < 1e-15
+
+
+def _modes_to_json_loop(coeffs, m, order):
+    """Reference serialisation: one nonzero row at a time, in index order."""
+    entries = []
+    for idx in np.ndindex(*coeffs.shape[:-1]):
+        row = coeffs[idx]
+        if not np.any(row):
+            continue
+        k = [int(i - order) for i in idx]
+        key = k[0] if m == 1 else k
+        if coeffs.shape[-1] == 1:
+            entries.append([key, float(row[0].real), float(row[0].imag)])
+        else:
+            entries.append([key, [[float(v.real), float(v.imag)] for v in row]])
+    return entries
+
+
+@pytest.mark.parametrize("m,ncomp", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_modes_to_json_matches_loop(m, ncomp):
+    order = 5
+    rng = np.random.default_rng(10 * m + ncomp)
+    shape = (2 * order + 1,) * m + (ncomp,)
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    coeffs[rng.random(shape[:-1]) < 0.6] = 0.0           # zero rows
+    flat = coeffs.reshape(-1)
+    flat[rng.random(flat.size) < 0.2] = complex(-0.0, 0.0)
+    flat[rng.random(flat.size) < 0.2] = complex(1.5, -0.0)
+    coeffs[(order,) * m] = complex(-0.0, -0.0)          # a row of signed zeros
+    want = json.dumps(_modes_to_json_loop(coeffs, m, order), indent=1)
+    assert json.dumps(_modes_to_json(coeffs, m, order), indent=1) == want
+    assert "-0.0" in want
+    assert json.dumps(_modes_to_json(np.zeros(shape, complex), m, order)) == "[]"
 
 
 # -- postcomposition -----------------------------------------------------------------
