@@ -158,8 +158,8 @@ def run_solve(scenario: dict, out: Path, checks: list) -> None:
     checks.append(("residual", path.residual, tol, path.residual <= tol))
     checks.append(("contraction_ratios", gamma.theta_hat + 0.05, 0.55,
                    contraction_certificate_ok(path)))
-    checks.append(("strip_invariant", path.imag_reach_max(gamma.eps / 2),
-                   gamma.eps, path.check_strip_invariant()))
+    reach = path.imag_reach_max(gamma.eps / 2)
+    checks.append(("strip_invariant", reach, gamma.eps, reach < gamma.eps))
     end = AnalyticDiffeo.certify(path.snapshots[-1], gamma.eps)
     checks.append(("endpoint_mu", end.mu, 1.0, end.mu < 1.0))
 
@@ -325,6 +325,11 @@ def _positive_number(value) -> bool:
             and value > 0)
 
 
+def _integer(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_scenario(scenario: dict, kind: str) -> str | None:
     if scenario.get("kind") != kind:
         return f"scenario kind {scenario.get('kind')!r} does not match {kind!r}"
@@ -332,9 +337,9 @@ def validate_scenario(scenario: dict, kind: str) -> str | None:
     if not (isinstance(tols, dict) and all(map(_positive_number, tols.values()))):
         return f"tolerances must be positive numbers, got {tols!r}"
     order, m, eps = (scenario.get(key, 1) for key in ("order", "m", "eps"))
-    if not isinstance(order, int) or order < 1:
+    if not _integer(order) or order < 1:
         return f"order must be an integer >= 1, got {order!r}"
-    if m not in (1, 2):
+    if not _integer(m) or m not in (1, 2):
         return f"m must be 1 or 2, got {m!r}"
     if not _positive_number(eps):
         return f"eps must be positive, got {eps!r}"
@@ -345,8 +350,7 @@ def validate_scenario(scenario: dict, kind: str) -> str | None:
     if kind == "sweep" and m != 1:
         return "sweeps draw random fields on T^1 only (m = 1)"
     count = scenario.get("count", 10)
-    if kind == "sweep" and (isinstance(count, bool)
-                            or not isinstance(count, int) or count < 1):
+    if kind == "sweep" and not (_integer(count) and count >= 1):
         return f"sweep count must be an integer >= 1, got {count!r}"
     needs_seed = kind in ("sweep", "verify", "limits") or random_field
     if needs_seed and scenario.get("seed") is None:

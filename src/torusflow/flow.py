@@ -24,16 +24,21 @@ One sweep engine applies P for m = 1 and m = 2 alike; ``solve_flow`` and
 ``picard_step`` both call it.  Every sweep checks, at every collocation
 node, that id + u maps the working strip into the doubled strip where the
 field's majorants are certified (DomainEscape), that u is real on the real
-grid (RealityDefect), and that the spectral tail discarded by truncation
-stays within budget (TruncationBudgetExceeded).  The field is evaluated only
-on its spectral support band |k_i| <= K, the smallest K <= N holding every
-nonzero coefficient of the field at every collocation node; the band is read
-from the field, so a dense field keeps K = N.  The displaced positions
-y = x + u(x) are real, so the field is evaluated there by unit-circle Horner
-in w = e^{2 pi i y}, one cos and one sin per axis, with the negative modes in
-conj(w) = 1/w: no complex exp and no phase factor.  For m = 2 one batched
-matrix product first contracts k_2 for all nodes of a chunk.  u reaches the
-grid by a zero-padded inverse FFT run one axis at a time.
+grid (RealityDefect, read from its coefficients), and that the spectral tail
+discarded by truncation stays within budget (TruncationBudgetExceeded).  The
+field is evaluated only on its spectral support band |k_i| <= K, the
+smallest K <= N holding every nonzero coefficient of the field at every
+collocation node; the band is read from the field, so a dense field keeps
+K = N.  Fields and iterates are real,
+so the sweep works on the Hermitian half of every spectrum, k_m >= 0 on the
+last lattice axis: u reaches the grid by a zero-padded inverse FFT over k_1
+(m = 2) and ``irfft`` over the last axis, the composed values go back by
+``rfftn``, and the full lattice is rebuilt by the conjugate mirror.  The
+displaced positions y = x + u(x) are real, so the field is evaluated there
+from w = e^{2 pi i y}, one cos and one sin per axis, by one Horner pass over
+the positive powers of w_1 with the rows k_1 > 0 doubled, whose real part is
+the field's value: no complex exp and no phase factor.  For m = 2 one batched
+matrix product first contracts k_2 for all nodes of a chunk.
 """
 
 from __future__ import annotations
@@ -198,56 +203,58 @@ def _node_values(pieces) -> np.ndarray:
     return vals.reshape((-1,) + vals.shape[2:])
 
 
-def _laurent_horner(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_{|k| <= K} c_k w^k at points w on the unit circle, by Horner.
+def _real_horner(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Re sum_{k=0}^{K} c_k w^k at points w, by Horner.
 
-    ``c`` holds c_{-K}, .., c_K along axis 1 and ``w`` broadcasts against
-    each slice ``c[:, k]``.  On the unit circle w^{-1} = conj(w), so the
-    negative half runs in conj(w): no division, no phase factor, and the
-    memory is three accumulators whatever K is.
+    ``c`` holds c_0, .., c_K along axis 1 and ``w`` broadcasts against each
+    slice ``c[:, k]``.  On the unit circle a real Laurent series
+    sum_{|k| <= K} a_k w^k, a_{-k} = conj(a_k), is this sum with c_0 = a_0
+    and c_k = 2 a_k: one accumulator over the positive powers, no conj(w).
     """
-    K = c.shape[1] // 2
-    acc = np.array(np.broadcast_to(
-        c[:, K], np.broadcast_shapes(w.shape, c[:, K].shape)))
-    if K:
-        w_bar = w.conj()
-        pos, neg = c[:, 2 * K] * w, c[:, 0] * w_bar
-        for k in range(1, K):
-            pos += c[:, 2 * K - k]
-            pos *= w
-            neg += c[:, k]
-            neg *= w_bar
-        acc += pos
-        acc += neg
-    return acc
+    K = c.shape[1] - 1
+    if not K:
+        return np.array(np.broadcast_to(
+            c[:, 0].real, np.broadcast_shapes(w.shape, c[:, 0].shape)))
+    acc = c[:, K] * w
+    for k in range(K - 1, 0, -1):
+        acc += c[:, k]
+        acc *= w
+    return acc.real + c[:, 0].real
 
 
 class _PicardSweep:
     """The integral-equation map on one solver grid, for m in {1, 2}.
 
-    Built once per solve from the field on the grid.  A sweep evaluates u at
-    the 4 collocation nodes of every interval, synthesises it on the
-    oversampled real grid by inverse FFT (axis by axis, from the last),
-    evaluates the field at the real points y = x + u(x) by unit-circle
-    Horner in w = e^{2 pi i y} (``_laurent_horner``; for m = 2 after one
-    batched product that contracts k_2 against the powers of w_2),
-    transforms back, truncates to order N, and fits and integrates one cubic
-    per interval in closed form.  Every sweep checks, at every node, that
-    the imaginary reach of id + u from the working strip stays inside the
-    doubled strip (DomainEscape), that u is real on the real grid
-    (RealityDefect), and that the relative spectral tail beyond
-    ||k||_1 > N stays within ``tol_trunc`` (TruncationBudgetExceeded).  Grid
-    work runs over chunks of nodes of about _CHUNK_POINTS points, component
-    first with the grid axes last, so the FFTs and the reductions over
-    components run on contiguous lines.
+    Built once per solve from the field on the grid.  Fields and iterates
+    are real, so every spectrum is Hermitian, c_{-k} = conj(c_k), and the
+    sweep keeps only its half k_m >= 0 on the last lattice axis.  A sweep
+    evaluates u at the 4 collocation nodes of every interval, synthesises
+    it on the oversampled real grid (for m = 2 one zero-padded inverse FFT
+    over k_1 of the N+1 columns k_2 >= 0, then ``irfft`` over the last
+    axis), evaluates the field at the real points y = x + u(x) by one
+    Horner pass over the positive powers of w_1 = e^{2 pi i y_1}
+    (``_real_horner``; for m = 2 after one batched product that contracts
+    k_2 against the powers of w_2), transforms back by ``rfftn``, rebuilds
+    the (2N+1)^m lattice by the conjugate mirror, and fits and integrates
+    one cubic per interval in closed form.  Every sweep checks, at every
+    node, that the imaginary reach of id + u from the working strip stays
+    inside the doubled strip (DomainEscape), that u is real on the real
+    grid, from its coefficients: 1/2 sum_k |c_k - conj(c_{-k})| bounds
+    |Im u| there (RealityDefect), and that the relative spectral tail beyond
+    ||k||_1 > N stays within ``tol_trunc`` (TruncationBudgetExceeded; from
+    the half spectrum, whose columns 0 < k_m < M/2 stand for two modes).
+    Grid work runs over chunks of nodes of about _CHUNK_POINTS points,
+    component first with the grid axes last, so the FFTs and the reductions
+    over components run on contiguous lines.
 
-    The field is evaluated only on its support band: ``g_nodes`` keeps the
-    (2K+1)^m cube |k_i| <= ``band`` = K, the smallest K that holds every
-    coefficient nonzero at any node, stored as (node, k_1, component[, k_2])
-    so that the k_2 contraction needs no copy.  The cube is a raw array, not
-    a FourierMap, because its corners ||k||_1 > K (mode (1, 1) at K = 1) may
-    be nonzero.  The checks above act on u and on the full M^m spectrum of
-    the composed values, so the band changes no certificate.
+    The field is evaluated only on its support band K, the smallest K that
+    holds every coefficient nonzero at any node.  ``g_nodes`` keeps the rows
+    0 <= k_1 <= K of the band cube |k_i| <= K with the rows k_1 > 0 doubled,
+    stored as (node, k_1, component[, k_2]) so that the k_2 contraction
+    needs no copy.  The cube is a raw array, not a FourierMap, because its
+    corners ||k||_1 > K (mode (1, 1) at K = 1) may be nonzero.  The checks
+    above act on u and on the full spectrum of the composed values, so
+    neither the band nor the half spectrum changes a certificate.
     """
 
     def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
@@ -257,7 +264,7 @@ class _PicardSweep:
             raise ValueError("the field must be a self-map displacement field")
         self.eps, self.tol_trunc = gamma.eps, tol_trunc
         m, n = gam.m, gam.order
-        self.m = m
+        self.m, self.n = m, n
         self.M = M = OVERSAMPLE * (2 * n + 1)
         self.axes = tuple(range(1, m + 1))
         self.grid_axes = tuple(range(-m, 0))
@@ -265,16 +272,21 @@ class _PicardSweep:
         self.h = np.diff(grid.floats)
         g_nodes = _node_values(gam.pieces)
         k_used = np.abs(np.argwhere(np.abs(g_nodes).max(axis=(0, -1)) > 0) - n)
-        self.band = int(k_used.max()) if k_used.size else 0
-        cut = (slice(None),) + (slice(n - self.band, n + self.band + 1),) * m
-        # not a view, which would keep the dense node array alive
-        self.g_nodes = np.ascontiguousarray(np.moveaxis(g_nodes[cut], -1, 2))
+        self.band = K = int(k_used.max()) if k_used.size else 0
+        cut = ((slice(None), slice(n, n + K + 1))
+               + (slice(n - K, n + K + 1),) * (m - 1))
+        # a copy, not a view, which would keep the dense node array alive
+        self.g_nodes = np.moveaxis(g_nodes[cut], -1, 2).copy()
+        self.g_nodes[:, 1:] *= 2.0
         self.chunk = max(1, _CHUNK_POINTS // M ** m)
         self.k_pos = _k_axis(n) % M
-        self.lattice = (slice(None),) * 2 + np.ix_(*[self.k_pos] * m)
-        kfull = np.abs(np.fft.fftfreq(M, d=1.0 / M).astype(int))
-        # ||k||_1 > N on the oversampled lattice, in FFT order, flattened
-        self.outside = (sum(np.ix_(*[kfull] * m)) > n).ravel()
+        # half spectrum: rows k_1 in FFT order (m = 2), columns 0 <= k_m <= M/2
+        k_rows = np.abs(np.fft.fftfreq(M, d=1.0 / M).astype(int))
+        k_cols = np.arange(M // 2 + 1)
+        weight = np.where((k_cols > 0) & (k_cols < M // 2), 2.0, 1.0)
+        l1 = k_cols if m == 1 else k_rows[:, None] + k_cols
+        self.weight = np.broadcast_to(weight, l1.shape).ravel()
+        self.tail_weight = np.where(l1.ravel() > n, self.weight, 0.0)
         l1 = _k_l1(n, m)
         self.corners = l1 > n
         w = np.exp(TWO_PI * self.eps * l1)
@@ -298,29 +310,32 @@ class _PicardSweep:
         """x + u_q(x) on the oversampled real grid, shape (C, m, M..).
 
         ``u`` holds the coefficients of the chunk's nodes, shape (C, m, n..).
-        The zero-padded inverse transform runs one axis at a time from the
-        last, as ``ifftn`` does, so for m = 2 the first pass transforms only
-        the 2N+1 lines that hold coefficients.
+        Only the columns k_m >= 0 are transformed: for m = 2 a zero-padded
+        inverse FFT over k_1 first, then ``irfft`` over the last axis, which
+        pads them to M/2 + 1 itself.
         """
-        vals = u
-        for ax in reversed(range(2, self.m + 2)):
-            dense = np.zeros(vals.shape[:ax] + (self.M,) + vals.shape[ax + 1:],
-                             dtype=complex)
-            dense[(slice(None),) * ax + (self.k_pos,)] = vals
-            vals = np.fft.ifft(dense, axis=ax, norm="forward")
-        flat = vals.reshape(len(u), -1)
-        size = np.maximum(1.0, np.abs(flat.real).max(axis=1))
-        if (np.abs(flat.imag).max(axis=1) > 1e-9 * size).any():
+        n, m = self.n, self.m
+        vals = u[..., n:]
+        if m == 2:
+            dense = np.zeros(vals.shape[:2] + (self.M, n + 1), dtype=complex)
+            dense[:, :, self.k_pos] = vals
+            vals = np.fft.ifft(dense, axis=2, norm="forward")
+        vals = np.fft.irfft(vals, n=self.M, axis=-1, norm="forward")
+        mirror = u[(Ellipsis,) + (slice(None, None, -1),) * m].conj()
+        defect = 0.5 * np.abs(u - mirror).reshape(len(u), m, -1).sum(axis=2)
+        size = np.maximum(1.0, np.abs(vals).reshape(len(u), -1).max(axis=1))
+        if (defect.max(axis=1) > 1e-9 * size).any():
             raise RealityDefect("perturbation is not real on the real grid")
-        return self.x + vals.real
+        return self.x + vals
 
     def _outer(self, g: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """gamma_q(y) for the nodes of a chunk, shape (C, ncomp, M..).
+        """Real gamma_q(y) for the nodes of a chunk, shape (C, ncomp, M..).
 
-        ``g`` is the band cube of the nodes, shape (C, n, ncomp[, n]), and
-        ``y`` the real positions, shape (C, m, M..).
+        ``g`` is the half band cube of the nodes, shape
+        (C, K+1, ncomp[, 2K+1]), and ``y`` the real positions, shape
+        (C, m, M..).
         """
-        c, n, ncomp = len(y), g.shape[1], g.shape[2]
+        c, rows, ncomp = g.shape[:3]
         ty = TWO_PI * y.reshape(c, self.m, -1)
         w = np.empty(ty.shape, dtype=complex)
         np.cos(ty, out=w.real)
@@ -328,25 +343,44 @@ class _PicardSweep:
         if self.m == 1:
             g = g[..., None]
         else:
-            # contract k_2 against the Laurent powers of w_2 for all nodes
-            pos = np.cumprod(np.repeat(w[:, 1:], self.band, axis=1), axis=1)
-            powers = np.concatenate(
-                (pos[:, ::-1].conj(), np.ones_like(w[:, :1]), pos), axis=1)
-            g = (g.reshape(c, n * ncomp, n) @ powers).reshape(c, n, ncomp, -1)
-        return _laurent_horner(g, w[:, :1]).reshape((c, ncomp) + y.shape[2:])
+            # contract k_2 against the powers w_2^{-K..K} for all nodes; each
+            # power is one contiguous line of the chunk's points
+            K = self.band
+            powers = np.empty((c, 2 * K + 1, w.shape[2]), dtype=complex)
+            powers[:, K] = 1.0
+            for j in range(K + 1, 2 * K + 1):
+                np.multiply(powers[:, j - 1], w[:, 1], out=powers[:, j])
+            np.conjugate(powers[:, :K:-1], out=powers[:, :K])
+            g = (g.reshape(c, rows * ncomp, -1) @ powers).reshape(
+                c, rows, ncomp, -1)
+        return _real_horner(g, w[:, :1]).reshape((c, ncomp) + y.shape[2:])
+
+    def _tail_ratio(self, spec: np.ndarray) -> np.ndarray:
+        """Per node, the l1 share of ||k||_1 > N in a half spectrum.
+
+        ``spec`` has shape (C, ncomp, M/2+1) or (C, ncomp, M, M/2+1).
+        """
+        amp = np.abs(spec).max(axis=1).reshape(len(spec), -1)
+        total = amp @ self.weight
+        tail = amp @ self.tail_weight
+        return np.divide(tail, total, out=np.zeros_like(tail), where=total > 0)
 
     def _truncate(self, vals: np.ndarray) -> np.ndarray:
-        """Coefficients up to order N of grid values, after the tail check."""
-        spec = np.fft.fftn(vals, axes=self.grid_axes, norm="forward")
-        amp = np.abs(spec).max(axis=1).reshape(len(spec), -1)
-        total = amp.sum(axis=1)
-        tail = amp[:, self.outside].sum(axis=1)
-        ratio = np.divide(tail, total, out=np.zeros_like(tail), where=total > 0)
+        """Coefficients up to order N of real grid values, tail checked."""
+        spec = np.fft.rfftn(vals, axes=self.grid_axes, norm="forward")
+        ratio = self._tail_ratio(spec)
         if ratio.max() > self.tol_trunc:
             raise TruncationBudgetExceeded(
                 f"picard sweep: tail ratio {ratio.max():.3e} > "
                 f"{self.tol_trunc:.1e}")
-        return spec[self.lattice]
+        n, m = self.n, self.m
+        half = spec[..., :n + 1] if m == 1 else spec[:, :, self.k_pos, :n + 1]
+        kept = np.empty(half.shape[:-1] + (2 * n + 1,), dtype=complex)
+        kept[..., n:] = half
+        # c_{-k} = conj(c_k): reverse every lattice axis of the columns k_m > 0
+        kept[..., :n] = half[(Ellipsis,) + (slice(None, None, -1),) * (m - 1)
+                             + (slice(n, 0, -1),)].conj()
+        return kept
 
     def _check_reach(self, u_nodes: np.ndarray) -> None:
         """imag_reach(u_q, eps) <= 2 eps at every node, vectorised."""

@@ -21,7 +21,8 @@ from math import comb
 import numpy as np
 
 from .errors import DomainEscape, ScaleMismatch
-from .fourier import FourierMap, imag_reach, jacobian, compose, strip_norms
+from .fourier import (TOL_REALITY, FourierMap, imag_reach, jacobian, compose,
+                      strip_norms)
 
 #: relative tolerance for the ACPath self-verification (closed-form integrals)
 TOL_INT = 1e-12
@@ -150,8 +151,15 @@ class TimeDependentField:
         self.order = shape[0] // 2
         self.ncomp = shape[-1]
         self.scale = float(scale)
-        for p in self.pieces:
-            FourierMap(p.sum(axis=0))  # reality check of each piece
+        # every coefficient row must be Hermitian for the field to be real at
+        # every time, not only at the end of its interval
+        rows = np.concatenate(self.pieces)
+        mirror = rows[(slice(None),) + (slice(None, None, -1),) * self.m]
+        defect = np.abs(mirror - rows.conj()).reshape(len(rows), -1).max(axis=1)
+        size = np.abs(rows).reshape(len(rows), -1).max(axis=1)
+        if (defect > TOL_REALITY * np.maximum(1.0, size)).any():
+            raise ValueError(
+                f"reality constraint violated (defect {defect.max():.3e})")
 
     # -- constructors -----------------------------------------------------
 

@@ -144,8 +144,8 @@ def test_scenario_fields_checked_up_front(tmp_path, capsys):
     base = {"kind": "solve", "field": {"type": "sine", "amplitude": 0.02},
             "order": 16, "m": 1, "eps": 0.05}
     for key, bad in (("order", 0), ("order", -3), ("order", 2.5),
-                     ("m", 3), ("m", 0), ("eps", 0), ("eps", -0.05),
-                     ("eps", True)):
+                     ("order", True), ("m", 3), ("m", 0), ("m", True),
+                     ("eps", 0), ("eps", -0.05), ("eps", True)):
         scenario = _scenario(tmp_path, **{**base, key: bad})
         assert run(["solve", scenario, "--out", tmp_path / "out"]) == 2
         assert f"{key} must be" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
@@ -12,7 +13,7 @@ from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
                        picard_step, pointwise_solution,
                        restriction_consistency, solve_flow)
 from torusflow.fourier import TOL_TRUNC
-from torusflow.flow import (_PicardSweep, _laurent_horner,
+from torusflow.flow import (_PicardSweep, _real_horner,
                             contraction_certificate_ok)
 
 from _reference_sweep import reference_sweep
@@ -136,17 +137,98 @@ def test_sweep_matches_compose_reference(name):
                    zip(path.pieces, want_pieces)) <= 1e-13
 
 
+def _hermitian(rng, shape, m):
+    """Random coefficients with c_{-k} = conj(c_k) on the first m axes."""
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return 0.5 * (c + c[(slice(None, None, -1),) * m].conj())
+
+
 @pytest.mark.parametrize("K", [0, 1, 5])
 def test_laurent_horner_matches_direct_sum(K):
     rng = np.random.default_rng(K)
-    shape = (3, 2 * K + 1, 2, 1)        # nodes, modes -K..K, components
-    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    a = np.moveaxis(_hermitian(rng, (2 * K + 1, 3, 2, 1), 1), 0, 1)
     y = rng.uniform(-1.0, 2.0, (3, 1, 40))
     k = np.arange(-K, K + 1)[None, :, None]
-    want = np.einsum("ckj,ckp->cjp", c[..., 0], np.exp(2j * np.pi * k * y))
-    got = _laurent_horner(c, np.exp(2j * np.pi * y))
-    assert got.shape == (3, 2, 40)
+    want = np.einsum("ckj,ckp->cjp", a[..., 0], np.exp(2j * np.pi * k * y))
+    half = a[:, K:].copy()      # c_0, 2 c_1, .., 2 c_K
+    half[:, 1:] *= 2
+    got = _real_horner(half, np.exp(2j * np.pi * y))
+    assert got.shape == (3, 2, 40) and got.dtype == float
     assert np.abs(got - want).max() <= 1e-13
+
+
+def _random_real_field(seed, m, order, band):
+    """A real field on T^m with decaying modes |k_i| <= band, 1 to 3 pieces.
+
+    Scaled to a random L^1 beta budget below the admissibility bound.
+    """
+    rng = np.random.default_rng(seed)
+    n_pieces = int(rng.integers(1, 4))
+    cuts = sorted(rng.choice(np.arange(1, 8), n_pieces - 1, replace=False))
+    grid = TimeGrid((0, *(Fraction(int(c), 8) for c in cuts), 1))
+    k = np.abs(np.arange(-band, band + 1))
+    decay = np.exp(-0.7 * (k if m == 1 else k[:, None] + k))[..., None]
+    values = []
+    for _ in range(n_pieces):
+        cube = np.zeros((2 * order + 1,) * m + (m,), dtype=complex)
+        cube[(slice(order - band, order + band + 1),) * m] = decay * _hermitian(
+            rng, (2 * band + 1,) * m + (m,), m)
+        values.append(FourierMap(cube))
+    field = TimeDependentField.step(grid, values, 0.2)
+    budget = float(rng.uniform(0.05, 0.4))
+    return (budget / field.lp_norm(1, "beta", 2 * EPS)) * field
+
+
+def _sweep_matches_reference(seed, m, order, band):
+    gamma = AdmissibleField.certify(
+        _random_real_field(seed, m, order, band), EPS)
+    start = picard_step(gamma, identity_path(gamma, Fraction(1, 8)), 1.0)
+    gam = gamma.field.on_grid(start.grid)
+    want_snaps, want_pieces = reference_sweep(gam, start, EPS, 1.0)
+    path = picard_step(gamma, start, 1.0)
+    assert max(np.abs(a.coeffs - b.coeffs).max() for a, b in
+               zip(path.snapshots, want_snaps)) <= 1e-13
+    assert max(np.abs(a - b).max() for a, b in
+               zip(path.pieces, want_pieces)) <= 1e-13
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 12),
+       data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_sweep_matches_reference_random_m1(seed, order, data):
+    band = data.draw(st.integers(0, order))
+    _sweep_matches_reference(seed, 1, order, band)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 6),
+       data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_sweep_matches_reference_random_m2(seed, order, data):
+    band = data.draw(st.integers(0, order))
+    _sweep_matches_reference(seed, 2, order, band)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_half_spectrum_tail_ratio_matches_full(m):
+    field = (TimeDependentField.constant(sine_map(0.02, order=8), 0.2)
+             if m == 1 else _coupled_m2_field(8))
+    gamma = AdmissibleField.certify(field, EPS)
+    sweep = _PicardSweep(gamma, gamma.field.grid, TOL_TRUNC)
+    rng = np.random.default_rng(m)
+    axes = tuple(range(-m, 0))
+    # per node: smooth modes |k| <= 3 plus white noise of three sizes
+    x = np.arange(sweep.M) / sweep.M
+    smooth = np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x)
+    noise = rng.normal(size=(3, m) + (sweep.M,) * m)
+    vals = smooth.reshape((sweep.M,) + (1,) * (m - 1)) + np.array(
+        [1e-14, 1e-6, 1.0]).reshape((3,) + (1,) * (m + 1)) * noise
+    full = np.abs(np.fft.fftn(vals, axes=axes, norm="forward")).max(axis=1)
+    kf = np.abs(np.fft.fftfreq(sweep.M, d=1.0 / sweep.M))
+    outside = sum(np.ix_(*[kf] * m)) > 8
+    want = full[:, outside].sum(axis=1) / full.reshape(3, -1).sum(axis=1)
+    got = sweep._tail_ratio(np.fft.rfftn(vals, axes=axes, norm="forward"))
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert want[0] < 1e-9 < want[1] < want[2]
 
 
 def test_picard_step_rejects_non_real_candidate(sine_gamma):

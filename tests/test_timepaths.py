@@ -36,6 +36,16 @@ def test_grid_refine_and_merge():
     assert set(TimeGrid.uniform(5).breakpoints) <= set(merged.breakpoints)
 
 
+def test_field_rows_must_be_real_at_every_time():
+    x = sine_map(0.02, order=4).coeffs.copy()
+    x[5] += 0.01                # mode 1 without its conjugate mode -1
+    piece = np.stack([x, -x])   # (1 - tau) x: zero at tau = 1 only
+    with pytest.raises(ValueError, match="reality"):
+        TimeDependentField(TimeGrid.uniform(1), [piece], 0.2)
+    real = sine_map(0.02, order=4).coeffs
+    TimeDependentField(TimeGrid.uniform(1), [np.stack([real, -real])], 0.2)
+
+
 # -- L^p norms ----------------------------------------------------------------
 
 def test_lp_norm_zero_field():
