@@ -27,8 +27,9 @@ import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall,
                      NoPositiveRadius, OutOfRange)
-from .fourier import FourierMap, fit_grid, nu_per_component, _grid_points
-from .timepaths import (ACPath, FIT_NODES, TimeDependentField, fit_poly3)
+from .fourier import (FourierMap, MapStack, fit_grid, node_chunks,
+                      nu_per_component, sampling_grid)
+from .timepaths import ACPath, FIT_NODES, TimeDependentField, fit_poly3
 
 #: residual target for the displacement inversion
 TOL_INVERT = 1e-12
@@ -88,7 +89,7 @@ class LocalAddition:
         """sum_p C_p(z) w^p from pre-evaluated coefficient values."""
         out = np.zeros_like(w)
         for (p, _), cv in zip(self.terms, z_vals_list):
-            mono = np.ones(w.shape[:-1], dtype=complex)
+            mono = np.ones(w.shape[:-1], dtype=w.dtype)
             for axis, q in enumerate(p):
                 if q:
                     mono = mono * w[..., axis] ** q
@@ -263,37 +264,36 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert,
             f"flow displacement bound {2 * gamma.l1_nu:.6g} reaches "
             f"delta0/2 = {cert.delta0 / 2:.6g}")
     m, order = flow.m, flow.order
-    M = 4 * (2 * order + 1)
-    pts = _grid_points(M, m).astype(complex)
+    M, pts = sampling_grid(order, m)
     z_vals = [coeff.eval(pts) for _, coeff in alpha.terms]
 
-    def chart_vector_values(t: float) -> np.ndarray:
-        u_vals = flow.u_at(t).eval(pts)
-        if alpha.flat:
-            return u_vals
+    def chart_vectors(times) -> np.ndarray:
+        """Fitted w(t) at a chunk of times, alpha(x, w) = x + u(t)(x)."""
+        u_vals = MapStack(flow.u_at_many(times)).eval(pts)
         w = u_vals.copy()
+        live = np.arange(0 if alpha.flat else len(w))
         for _ in range(200):
-            res = u_vals - w - alpha.higher_terms(z_vals, w)
-            w = w + res
-            if np.abs(res).max() <= TOL_INVERT:
-                return w
-        raise ContractionStall("pointwise chart inversion did not converge")
+            if not len(live):
+                break
+            res = u_vals[live] - w[live] - alpha.higher_terms(z_vals, w[live])
+            w[live] += res
+            live = live[np.abs(res).reshape(len(live), -1).max(axis=1) > TOL_INVERT]
+        if len(live):
+            raise ContractionStall("pointwise chart inversion did not converge")
+        return fit_grid(w.reshape((len(times),) + (M,) * m + (m,)), order, m,
+                        tol_trunc=1e-8, context="chart re-expansion")
 
-    def to_map(vals: np.ndarray) -> FourierMap:
-        shaped = vals.reshape((M,) * m + (m,))
-        return fit_grid(shaped, order, m, tol_trunc=1e-8,
-                        context="chart re-expansion")
-
+    # the grid times, then the collocation nodes of every interval
     ts = flow.grid.floats
-    values = [to_map(chart_vector_values(t)) for t in ts]
-    pieces = []
-    for j in range(len(ts) - 1):
-        h = ts[j + 1] - ts[j]
-        samples = np.stack([to_map(chart_vector_values(ts[j] + h * tau)).coeffs
-                            for tau in FIT_NODES])
-        val_poly = fit_poly3(samples)
-        der_poly = np.stack([(d + 1) * val_poly[d + 1] / h for d in range(3)])
-        pieces.append(der_poly)
+    times = np.concatenate([ts, flow.grid.nodes(FIT_NODES)[2]])
+    fits = np.concatenate([chart_vectors(times[c])
+                           for c in node_chunks(len(times), len(pts))])
+    values = [FourierMap(c, check=False) for c in fits[:len(ts)]]
+    J, Q = len(ts) - 1, len(FIT_NODES)
+    val_poly = fit_poly3(fits[len(ts):]).reshape(J, Q, -1)
+    der_poly = (np.arange(1, Q)[:, None] * val_poly[:, 1:]
+                / np.diff(ts)[:, None, None])
+    pieces = list(der_poly.reshape((J, Q - 1) + fits.shape[1:]))
     scale = gamma.field.scale if gamma is not None else cert.eps
     derivative = TimeDependentField(flow.grid, pieces, scale)
     return ACPath(flow.grid, values, derivative, tol=tol_chain)
@@ -309,9 +309,6 @@ def chart_roundtrip_defect(flow, alpha: LocalAddition, path: ACPath,
         g = np.arange(int(np.sqrt(n_probe))) / int(np.sqrt(n_probe))
         pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
         pts = pts.astype(complex)
-    worst = 0.0
-    for t, w_map in zip(flow.grid.floats, path.values):
-        lhs = alpha(pts, w_map.eval(pts))
-        rhs = flow.eval_points(t, pts)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    w = MapStack(np.stack([v.coeffs for v in path.values])).eval(pts)
+    zeta = pts + MapStack(flow.u_at_many(flow.grid.floats)).eval(pts)
+    return float(np.abs(alpha(pts, w) - zeta).max())

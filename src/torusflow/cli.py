@@ -349,6 +349,9 @@ def validate_scenario(scenario: dict, kind: str) -> str | None:
         return "random field specs draw fields on T^1 only (m = 1)"
     if kind == "sweep" and m != 1:
         return "sweeps draw random fields on T^1 only (m = 1)"
+    if kind == "limits" and (m != 1 or "eps" in scenario):
+        return ("limits scenarios run the m = 1 harness on the widths "
+                "eps_top/eps_target; they take no m != 1 and no eps")
     count = scenario.get("count", 10)
     if kind == "sweep" and not (_integer(count) and count >= 1):
         return f"sweep count must be an integer >= 1, got {count!r}"

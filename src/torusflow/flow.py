@@ -25,20 +25,13 @@ One sweep engine applies P for m = 1 and m = 2 alike; ``solve_flow`` and
 node, that id + u maps the working strip into the doubled strip where the
 field's majorants are certified (DomainEscape), that u is real on the real
 grid (RealityDefect, read from its coefficients), and that the spectral tail
-discarded by truncation stays within budget (TruncationBudgetExceeded).  The
-field is evaluated only on its spectral support band |k_i| <= K, the
-smallest K <= N holding every nonzero coefficient of the field at every
-collocation node; the band is read from the field, so a dense field keeps
-K = N.  Fields and iterates are real,
-so the sweep works on the Hermitian half of every spectrum, k_m >= 0 on the
-last lattice axis: u reaches the grid by a zero-padded inverse FFT over k_1
-(m = 2) and ``irfft`` over the last axis, the composed values go back by
-``rfftn``, and the full lattice is rebuilt by the conjugate mirror.  The
-displaced positions y = x + u(x) are real, so the field is evaluated there
-from w = e^{2 pi i y}, one cos and one sin per axis, by one Horner pass over
-the positive powers of w_1 with the rows k_1 > 0 doubled, whose real part is
-the field's value: no complex exp and no phase factor.  For m = 2 one batched
-matrix product first contracts k_2 for all nodes of a chunk.
+discarded by truncation stays within budget (TruncationBudgetExceeded).
+The sweep evaluates the field with the one series kernel of ``fourier``
+(``eval_series``'s real-point Horner pass, on the field's spectral support
+band |k_i| <= K only) and fits the values back with the one fitter,
+``fit_grid``; the nodes come from the time-axis primitive ``piece_values``,
+which ``FlowPath.u_at_many`` also serves.  ``invert_at_point`` solves
+x + u(x) = y for one map or a whole MapStack at once.
 """
 
 from __future__ import annotations
@@ -49,11 +42,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
-                     NonContraction, RealityDefect, TruncationBudgetExceeded)
-from .fourier import (OVERSAMPLE, TOL_TRUNC, TWO_PI, FourierMap,
-                      _grid_points, _k_axis, _k_l1, imag_reach, strip_norms)
+                     NonContraction, RealityDefect)
+from .fourier import (TOL_TRUNC, TWO_PI, FourierMap, MapStack,
+                      _k_l1, _series_sum, _unit_circle, fit_grid, imag_reach,
+                      node_chunks, sampling_grid, strip_norms)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
-                        _FIT_VANDER_INV, _GL4_W, _GL4_X, _poly_eval)
+                        _GL4_W, _GL4_X, fit_poly3, piece_values)
 
 #: default solver tolerance, measured in nu_eps of snapshot differences
 TOL_SOLVE = 1e-10
@@ -134,11 +128,12 @@ class FlowPath:
         self.m = first.m
         self.order = first.order
 
+    def u_at_many(self, times) -> np.ndarray:
+        """Coefficients of u at many times, with a leading time axis."""
+        return piece_values(self.pieces, *self.grid.locate(times))
+
     def u_at(self, t: float) -> FourierMap:
-        j = self.grid.interval_of(t)
-        ts = self.grid.floats
-        tau = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return FourierMap(_poly_eval(self.pieces[j], tau), check=False)
+        return FourierMap(self.u_at_many([t])[0], check=False)
 
     def eval_points(self, t: float, pts: np.ndarray) -> np.ndarray:
         """zeta(t) applied to points of shape (..., m)."""
@@ -189,61 +184,23 @@ def identity_path(gamma: AdmissibleField,
 # one application of the integral-equation map
 # ---------------------------------------------------------------------------
 
-#: grid points (collocation nodes x M^m) a sweep holds at once; bounds memory
-_CHUNK_POINTS = 2 ** 14
-
-
-def _node_values(pieces) -> np.ndarray:
-    """Per-interval polynomials at FIT_NODES, one row per node (j, q)."""
-    stacked = np.zeros((max(p.shape[0] for p in pieces), len(pieces))
-                       + pieces[0].shape[1:], dtype=complex)
-    for j, p in enumerate(pieces):
-        stacked[:p.shape[0], j] = p
-    vals = np.swapaxes(_poly_eval(stacked, FIT_NODES), 0, 1)
-    return vals.reshape((-1,) + vals.shape[2:])
-
-
-def _real_horner(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Re sum_{k=0}^{K} c_k w^k at points w, by Horner.
-
-    ``c`` holds c_0, .., c_K along axis 1 and ``w`` broadcasts against each
-    slice ``c[:, k]``.  On the unit circle a real Laurent series
-    sum_{|k| <= K} a_k w^k, a_{-k} = conj(a_k), is this sum with c_0 = a_0
-    and c_k = 2 a_k: one accumulator over the positive powers, no conj(w).
-    """
-    K = c.shape[1] - 1
-    if not K:
-        return np.array(np.broadcast_to(
-            c[:, 0].real, np.broadcast_shapes(w.shape, c[:, 0].shape)))
-    acc = c[:, K] * w
-    for k in range(K - 1, 0, -1):
-        acc += c[:, k]
-        acc *= w
-    return acc.real + c[:, 0].real
-
-
 class _PicardSweep:
     """The integral-equation map on one solver grid, for m in {1, 2}.
 
     Built once per solve from the field on the grid.  Fields and iterates
-    are real, so every spectrum is Hermitian, c_{-k} = conj(c_k), and the
-    sweep keeps only its half k_m >= 0 on the last lattice axis.  A sweep
+    are real, so every spectrum is Hermitian, c_{-k} = conj(c_k).  A sweep
     evaluates u at the 4 collocation nodes of every interval, synthesises
-    it on the oversampled real grid (for m = 2 one zero-padded inverse FFT
-    over k_1 of the N+1 columns k_2 >= 0, then ``irfft`` over the last
-    axis), evaluates the field at the real points y = x + u(x) by one
-    Horner pass over the positive powers of w_1 = e^{2 pi i y_1}
-    (``_real_horner``; for m = 2 after one batched product that contracts
-    k_2 against the powers of w_2), transforms back by ``rfftn``, rebuilds
-    the (2N+1)^m lattice by the conjugate mirror, and fits and integrates
-    one cubic per interval in closed form.  Every sweep checks, at every
-    node, that the imaginary reach of id + u from the working strip stays
-    inside the doubled strip (DomainEscape), that u is real on the real
-    grid, from its coefficients: 1/2 sum_k |c_k - conj(c_{-k})| bounds
-    |Im u| there (RealityDefect), and that the relative spectral tail beyond
-    ||k||_1 > N stays within ``tol_trunc`` (TruncationBudgetExceeded; from
-    the half spectrum, whose columns 0 < k_m < M/2 stand for two modes).
-    Grid work runs over chunks of nodes of about _CHUNK_POINTS points,
+    it on the oversampled real grid from the columns k_m >= 0 (for m = 2 a
+    zero-padded inverse FFT over k_1, then ``irfft``), evaluates the field
+    at the real points y = x + u(x) with the shared real-point kernel,
+    fits the values back with ``fit_grid``, and fits and integrates one
+    cubic per interval in closed form.  Every sweep checks, at every node,
+    that the imaginary reach of id + u from the working strip stays inside
+    the doubled strip (DomainEscape), that u is real on the real grid, from
+    its coefficients: 1/2 sum_k |c_k - conj(c_{-k})| bounds |Im u| there
+    (RealityDefect), and that the relative spectral tail beyond
+    ||k||_1 > N stays within ``tol_trunc`` (TruncationBudgetExceeded).
+    Grid work runs over chunks of nodes (``node_chunks``),
     component first with the grid axes last, so the FFTs and the reductions
     over components run on contiguous lines.
 
@@ -265,12 +222,12 @@ class _PicardSweep:
         self.eps, self.tol_trunc = gamma.eps, tol_trunc
         m, n = gam.m, gam.order
         self.m, self.n = m, n
-        self.M = M = OVERSAMPLE * (2 * n + 1)
-        self.axes = tuple(range(1, m + 1))
-        self.grid_axes = tuple(range(-m, 0))
-        self.x = _grid_points(M, m).T.reshape((m,) + (M,) * m)
+        self.M, x = sampling_grid(n, m)
+        self.x = x.T.reshape((m,) + (self.M,) * m)
+        self.to_last = (0,) + tuple(range(2, m + 2)) + (1,)  # component axis last
         self.h = np.diff(grid.floats)
-        g_nodes = _node_values(gam.pieces)
+        self.nodes = grid.nodes(FIT_NODES)[:2]
+        g_nodes = piece_values(gam.pieces, *self.nodes)
         k_used = np.abs(np.argwhere(np.abs(g_nodes).max(axis=(0, -1)) > 0) - n)
         self.band = K = int(k_used.max()) if k_used.size else 0
         cut = ((slice(None), slice(n, n + K + 1))
@@ -278,32 +235,18 @@ class _PicardSweep:
         # a copy, not a view, which would keep the dense node array alive
         self.g_nodes = np.moveaxis(g_nodes[cut], -1, 2).copy()
         self.g_nodes[:, 1:] *= 2.0
-        self.chunk = max(1, _CHUNK_POINTS // M ** m)
-        self.k_pos = _k_axis(n) % M
-        # half spectrum: rows k_1 in FFT order (m = 2), columns 0 <= k_m <= M/2
-        k_rows = np.abs(np.fft.fftfreq(M, d=1.0 / M).astype(int))
-        k_cols = np.arange(M // 2 + 1)
-        weight = np.where((k_cols > 0) & (k_cols < M // 2), 2.0, 1.0)
-        l1 = k_cols if m == 1 else k_rows[:, None] + k_cols
-        self.weight = np.broadcast_to(weight, l1.shape).ravel()
-        self.tail_weight = np.where(l1.ravel() > n, self.weight, 0.0)
-        l1 = _k_l1(n, m)
-        self.corners = l1 > n
-        w = np.exp(TWO_PI * self.eps * l1)
-        self.w_osc = np.where(l1 > 0, w, 0.0)
-        self.w_mu = TWO_PI * l1 * w
+        self.k_pos = np.arange(-n, n + 1) % self.M
 
     def run(self, pieces):
         """New (snapshots, pieces) from the pieces of a candidate path."""
-        u_nodes = _node_values(pieces)
+        u_nodes = piece_values(pieces, *self.nodes)
         self._check_reach(u_nodes)
         kept = np.empty(u_nodes.shape, dtype=complex)
-        for s in range(0, len(u_nodes), self.chunk):
-            nodes = slice(s, s + self.chunk)
+        for nodes in node_chunks(len(u_nodes), self.M ** self.m):
             y = self._positions(np.moveaxis(u_nodes[nodes], -1, 1))
-            spec = self._truncate(self._outer(self.g_nodes[nodes], y))
-            kept[nodes] = np.moveaxis(spec, 1, -1)
-        kept[:, self.corners] = 0.0
+            vals = self._outer(self.g_nodes[nodes], y)
+            kept[nodes] = fit_grid(vals.transpose(self.to_last), self.n,
+                                   self.m, self.tol_trunc, context="picard sweep")
         return self._integrate(kept)
 
     def _positions(self, u: np.ndarray) -> np.ndarray:
@@ -335,59 +278,13 @@ class _PicardSweep:
         (C, K+1, ncomp[, 2K+1]), and ``y`` the real positions, shape
         (C, m, M..).
         """
-        c, rows, ncomp = g.shape[:3]
-        ty = TWO_PI * y.reshape(c, self.m, -1)
-        w = np.empty(ty.shape, dtype=complex)
-        np.cos(ty, out=w.real)
-        np.sin(ty, out=w.imag)
-        if self.m == 1:
-            g = g[..., None]
-        else:
-            # contract k_2 against the powers w_2^{-K..K} for all nodes; each
-            # power is one contiguous line of the chunk's points
-            K = self.band
-            powers = np.empty((c, 2 * K + 1, w.shape[2]), dtype=complex)
-            powers[:, K] = 1.0
-            for j in range(K + 1, 2 * K + 1):
-                np.multiply(powers[:, j - 1], w[:, 1], out=powers[:, j])
-            np.conjugate(powers[:, :K:-1], out=powers[:, :K])
-            g = (g.reshape(c, rows * ncomp, -1) @ powers).reshape(
-                c, rows, ncomp, -1)
-        return _real_horner(g, w[:, :1]).reshape((c, ncomp) + y.shape[2:])
-
-    def _tail_ratio(self, spec: np.ndarray) -> np.ndarray:
-        """Per node, the l1 share of ||k||_1 > N in a half spectrum.
-
-        ``spec`` has shape (C, ncomp, M/2+1) or (C, ncomp, M, M/2+1).
-        """
-        amp = np.abs(spec).max(axis=1).reshape(len(spec), -1)
-        total = amp @ self.weight
-        tail = amp @ self.tail_weight
-        return np.divide(tail, total, out=np.zeros_like(tail), where=total > 0)
-
-    def _truncate(self, vals: np.ndarray) -> np.ndarray:
-        """Coefficients up to order N of real grid values, tail checked."""
-        spec = np.fft.rfftn(vals, axes=self.grid_axes, norm="forward")
-        ratio = self._tail_ratio(spec)
-        if ratio.max() > self.tol_trunc:
-            raise TruncationBudgetExceeded(
-                f"picard sweep: tail ratio {ratio.max():.3e} > "
-                f"{self.tol_trunc:.1e}")
-        n, m = self.n, self.m
-        half = spec[..., :n + 1] if m == 1 else spec[:, :, self.k_pos, :n + 1]
-        kept = np.empty(half.shape[:-1] + (2 * n + 1,), dtype=complex)
-        kept[..., n:] = half
-        # c_{-k} = conj(c_k): reverse every lattice axis of the columns k_m > 0
-        kept[..., :n] = half[(Ellipsis,) + (slice(None, None, -1),) * (m - 1)
-                             + (slice(n, 0, -1),)].conj()
-        return kept
+        c, ncomp = g.shape[0], g.shape[2]
+        w = _unit_circle(y.reshape(c, self.m, -1))
+        return _series_sum(g, w, real=True).reshape((c, ncomp) + y.shape[2:])
 
     def _check_reach(self, u_nodes: np.ndarray) -> None:
         """imag_reach(u_q, eps) <= 2 eps at every node, vectorised."""
-        absc = np.abs(u_nodes)
-        nu_osc = (absc.max(axis=-1) * self.w_osc).sum(axis=self.axes)
-        mu = (absc * self.w_mu[..., None]).sum(axis=self.axes).max(axis=-1)
-        reach = float((self.eps + np.minimum(nu_osc, self.eps * mu)).max())
+        reach = float(imag_reach(MapStack(u_nodes), self.eps).max())
         if reach > 2 * self.eps * (1 + 1e-12):
             raise DomainEscape(
                 f"candidate path reaches {reach:.6g}, beyond the controlled "
@@ -396,7 +293,7 @@ class _PicardSweep:
     def _integrate(self, kept: np.ndarray):
         """Fit a cubic per interval through the node values and integrate it."""
         J, Q, shape = len(self.h), len(FIT_NODES), kept.shape[1:]
-        poly = _FIT_VANDER_INV @ kept.reshape(J, Q, -1)
+        poly = fit_poly3(kept).reshape(J, Q, -1)
         # tau -> h_j * int_0^tau p_j, then shifted by the snapshot at t_j
         anti = np.zeros((J, Q + 1, poly.shape[2]), dtype=complex)
         anti[:, 1:] = poly * (self.h[:, None] / np.arange(1, Q + 1))[..., None]
@@ -546,26 +443,39 @@ class Trajectory:
         return self.max_residual <= self.tol
 
 
-def invert_at_point(u: FourierMap, y: np.ndarray, tol: float = 1e-13,
+def invert_at_point(u, y: np.ndarray, tol: float = 1e-13,
                     max_iter: int = 200,
                     fixed_iters: int | None = None) -> np.ndarray:
     """Solve x + u(x) = y pointwise by the displacement contraction.
 
-    With ``fixed_iters`` the iteration count is pinned (no stopping test),
-    which keeps the result a smooth function of parameters; used by the
-    finite-difference derivative probes.
+    ``u`` is a FourierMap, or a MapStack solved at once: map t against row
+    t of ``y`` (shape (T, P, m), or (P, m) shared by all).  Each map stops
+    on its own test, max |step| <= tol over its points, so a stack gives
+    what each map gives alone.  With ``fixed_iters`` the iteration count is
+    pinned (no stopping test), which keeps the result a smooth function of
+    parameters; used by the finite-difference derivative probes.
     """
-    y = np.asarray(y, dtype=complex)
+    y = np.asarray(y)
+    shape = y.shape
+    if isinstance(u, MapStack):
+        stack, y = u, np.broadcast_to(y, (len(u.coeffs),) + y.shape[-2:])
+    else:
+        stack, y = MapStack(u.coeffs[None]), y.reshape(1, -1, u.m)
     x = y.copy()
     if fixed_iters is not None:
         for _ in range(fixed_iters):
-            x = y - u.eval(x)
-        return x
+            x = y - stack.eval(x)
+        return x if stack is u else x.reshape(shape)
+    live, maps = np.arange(len(stack.coeffs)), stack
     for _ in range(max_iter):
-        step = y - x - u.eval(x)
-        x = x + step
-        if np.abs(step).max() <= tol:
-            return x
+        step = y[live] - x[live] - maps.eval(x[live])
+        x[live] += step
+        done = np.abs(step).reshape(len(live), -1).max(axis=1) <= tol
+        if done.all():
+            return x if stack is u else x.reshape(shape)
+        if done.any():
+            live = live[~done]
+            maps = MapStack(stack.coeffs[live])
     raise ContractionStall("pointwise inversion did not converge")
 
 
@@ -575,7 +485,8 @@ def pointwise_solution(flow: FlowPath, t0: float, y0,
 
     The residual at each grid time re-checks the scalar Caratheodory
     equation y(t) = y0 + int_{t0}^t gamma(s)(y(s)) ds by Gauss quadrature
-    along the stored path.
+    along the stored path; the path and the field are evaluated at all
+    quadrature nodes at once.
     """
     gamma = flow.source
     y0 = np.atleast_1d(np.asarray(y0, dtype=complex))
@@ -587,27 +498,22 @@ def pointwise_solution(flow: FlowPath, t0: float, y0,
     else:
         base = invert_at_point(flow.u_at(t0), y0)
     ts = flow.grid.floats
-    pts = np.array([flow.eval_points(t, base[None, :])[0] for t in ts])
+    pts = base + MapStack(flow.u_at_many(ts)).eval(base[None, :])[:, 0]
     gam = gamma.field.on_grid(flow.grid)
-
-    def _gauss_piece(j: int, a: float, b: float) -> np.ndarray:
-        """int_a^b gamma(s)(y(s)) ds inside interval j."""
-        h_full = ts[j + 1] - ts[j]
-        node_vals = []
-        for tau in _GL4_X:
-            t = a + (b - a) * tau
-            g_s = FourierMap(
-                _poly_eval(gam.pieces[j], (t - ts[j]) / h_full), check=False)
-            y_s = flow.eval_points(t, base[None, :])[0]
-            node_vals.append(g_s.eval(y_s[None, :])[0])
-        return (b - a) * np.tensordot(_GL4_W, np.array(node_vals), axes=(0, 0))
-
-    cumulative = np.zeros_like(pts)
-    for j in range(len(ts) - 1):
-        cumulative[j + 1] = cumulative[j] + _gauss_piece(j, ts[j], ts[j + 1])
+    # Gauss nodes of every interval, then of [t_{j0}, t0] inside interval j0
     j0 = flow.grid.interval_of(t0)
-    at_t0 = cumulative[j0] + (_gauss_piece(j0, ts[j0], t0)
-                              if t0 > ts[j0] else 0.0)
+    j = np.append(np.arange(len(ts) - 1), j0)
+    a, b = ts[j], np.append(ts[1:], t0)
+    s = a[:, None] + (b - a)[:, None] * _GL4_X
+    tau = (s - ts[j][:, None]) / (ts[j + 1] - ts[j])[:, None]
+    y_s = base + MapStack(flow.u_at_many(s.ravel())).eval(base[None, :])[:, 0]
+    g_vals = MapStack(piece_values(gam.pieces, np.repeat(j, 4), tau.ravel())
+                      ).eval(y_s[:, None, :])[:, 0]
+    pieces = (b - a)[:, None] * np.tensordot(
+        g_vals.reshape(len(j), 4, -1), _GL4_W, axes=(1, 0))
+    cumulative = np.zeros_like(pts)
+    np.cumsum(pieces[:-1], axis=0, out=cumulative[1:])
+    at_t0 = cumulative[j0] + (pieces[-1] if t0 > ts[j0] else 0.0)
     residuals = np.abs(pts - y0[None, :]
                        - (cumulative - at_t0[None, :])).max(axis=1)
     return Trajectory(times=ts, points=pts, residuals=residuals,
@@ -644,8 +550,7 @@ def restriction_consistency(gamma: AdmissibleField, delta: float,
                                       gamma.chart_delta0, gamma.for_chart)
     p_eps = solve_flow(gamma, tol_solve)
     p_delta = solve_flow(g_delta, tol_solve)
-    worst = 0.0
-    for a, b in zip(p_eps.snapshots, p_delta.snapshots):
-        worst = max(worst, float(np.abs(a.coeffs - b.coeffs).max()))
+    worst = max(float(np.abs(a.coeffs - b.coeffs).max())
+                for a, b in zip(p_eps.snapshots, p_delta.snapshots))
     return RestrictionReport(eps=gamma.eps, delta=delta, discrepancy=worst,
                              tol=10 * tol_solve)

@@ -20,15 +20,22 @@ inf-operator norm of the Jacobian, so ``beta`` is a computable stand-in
 for a BC^1-type norm: it is a Lipschitz constant for ``f`` on the strip
 and controls imaginary growth via ``||Im f(x+iy)|| <= mu_eps(f) ||y||``.
 
-Composition ``g(x + u(x))`` with a small real perturbation ``u`` is done
-by an oversampled discrete Fourier transform on a real grid followed by
-truncation back to order N; the discarded relative tail mass is checked
-against a budget so aliasing stays far below solver tolerances.
+One kernel, ``eval_series``, evaluates every series: a Horner pass over
+the powers of w = e^{2 pi i z_1}, batched over a leading axis of maps and
+points (``MapStack`` holds maps stacked along a time axis).  At real points
+a real map needs only the rows k_1 >= 0, doubled for k_1 > 0; at complex
+points a two-sided pass in w and 1/w runs over all rows.  One fitter,
+``fit_grid``, takes grid values to a truncated lattice, batched likewise:
+``rfftn`` to the Hermitian half spectrum for real values, ``fftn`` for
+complex ones, and a check of the discarded relative tail mass against a
+budget, so aliasing in compositions g(x + u(x)) stays far below solver
+tolerances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _iter_product
 
 import numpy as np
@@ -37,7 +44,7 @@ from .errors import DomainEscape, RealityDefect, TruncationBudgetExceeded
 
 TWO_PI = 2.0 * np.pi
 
-#: oversampling factor for composition / product grids
+#: oversampling factor of the sampling grids (composition, fits, inversion)
 OVERSAMPLE = 4
 #: default budget for the relative spectral tail discarded by truncation
 TOL_TRUNC = 1e-9
@@ -177,9 +184,10 @@ class FourierMap:
     def reality_defect(self) -> float:
         return float(np.abs(self._flipped() - np.conj(self.coeffs)).max())
 
-    def hermitized(self) -> "FourierMap":
-        sym = 0.5 * (self.coeffs + np.conj(self._flipped()))
-        return FourierMap(sym, check=False)
+    def imag_bound(self) -> float:
+        """1/2 sum_k |c_k - conj(c_{-k})|, a bound on |Im f| at real points."""
+        return 0.5 * float(np.abs(self._flipped() - np.conj(self.coeffs)).sum(
+            axis=tuple(range(self.m))).max())
 
     def copy(self) -> "FourierMap":
         return FourierMap(self.coeffs.copy(), check=False)
@@ -226,61 +234,57 @@ class FourierMap:
     # -- evaluation -----------------------------------------------------
 
     def eval(self, z) -> np.ndarray:
-        """Evaluate at complex points; z has shape (..., m) (or scalar, m=1)."""
-        z = np.asarray(z, dtype=complex)
+        """Evaluate at points z of shape (..., m) (or scalar, m=1).
+
+        Real points give real values (the map is real); complex points,
+        such as strip probes, give complex values.
+        """
+        z = np.asarray(z)
         scalar_in = False
         if self.m == 1 and (z.ndim == 0 or z.shape[-1] != 1):
             z = z.reshape(z.shape + (1,))
             scalar_in = True
-        lead = z.shape[:-1]
-        pts = z.reshape(-1, self.m)
-        if self.m == 1:
-            vals = _eval_series_1d(self.coeffs, pts[:, 0])
-        else:
-            vals = _eval_series_2d(self.coeffs, pts)
-        vals = vals.reshape(lead + (self.ncomp,))
+        vals = eval_series(self.coeffs[None], z.reshape(1, -1, self.m))
+        vals = vals.reshape(z.shape[:-1] + (self.ncomp,))
         if scalar_in and self.ncomp == 1:
             return vals[..., 0]
         return vals
 
     def eval_real(self, x) -> np.ndarray:
-        """Evaluate at real points and return the real part.
+        """Evaluate at real points, checking that the map is real there.
 
-        The imaginary residue is a reality defect and must stay below
-        TOL_REALITY relative to the map size.
+        1/2 sum_k |c_k - conj(c_{-k})| bounds the imaginary residue at real
+        points; it is a reality defect and must stay below 1e-10 relative
+        to the map size.
         """
-        vals = self.eval(np.asarray(x, dtype=float).astype(complex))
-        resid = float(np.abs(vals.imag).max()) if vals.size else 0.0
-        scale = max(1.0, float(np.abs(vals.real).max())) if vals.size else 1.0
+        vals = self.eval(np.asarray(x, dtype=float))
+        resid = self.imag_bound()
+        scale = max(1.0, float(np.abs(vals).max())) if vals.size else 1.0
         if resid > 1e-10 * scale:
             raise RealityDefect(f"imaginary residue {resid:.3e} at real points")
-        return vals.real
+        return vals
 
-    def sample_grid(self, grid_size: int) -> np.ndarray:
-        """Values on the uniform real grid (j/M)_j via zero-padded FFT."""
-        M = grid_size
-        if M < 2 * self.order + 1:
-            raise ValueError("grid too small for the stored spectrum")
-        k = _k_axis(self.order)
-        if self.m == 1:
-            dense = np.zeros((M, self.ncomp), dtype=complex)
-            dense[k % M] = self.coeffs
-            return M * np.fft.ifft(dense, axis=0)
-        dense = np.zeros((M, M, self.ncomp), dtype=complex)
-        ix = k % M
-        dense[np.ix_(ix, ix)] = self.coeffs
-        return (M * M) * np.fft.ifft2(dense, axes=(0, 1))
 
-    # -- norms ------------------------------------------------------------
+class MapStack:
+    """Maps on T^m stacked along a leading axis, one per time node.
 
-    def norms(self, eps: float) -> NormReport:
-        return strip_norms(self, eps)
+    ``coeffs`` has shape (T,) + (2N+1,)*m + (ncomp,).  ``eval`` runs the
+    shared kernel once for all maps, map t at row t of the points (T, P, m)
+    or at shared points (P, m); a stack stands in for a FourierMap in
+    ``jacobian``, ``invert_at_point`` and ``AnalyticDiffeo`` evaluations.
+    """
 
-    def nu(self, eps: float) -> float:
-        return strip_norms(self, eps).nu
+    __slots__ = ("coeffs", "m", "order", "ncomp")
 
-    def beta(self, eps: float) -> float:
-        return strip_norms(self, eps).beta
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = coeffs
+        self.m = coeffs.ndim - 2
+        self.order = coeffs.shape[1] // 2
+        self.ncomp = coeffs.shape[-1]
+
+    def eval(self, z) -> np.ndarray:
+        z = np.asarray(z)
+        return eval_series(self.coeffs, z if z.ndim == 3 else z[None])
 
 
 def _common_order(a: FourierMap, b: FourierMap):
@@ -290,32 +294,128 @@ def _common_order(a: FourierMap, b: FourierMap):
     return a.with_order(n), b.with_order(n)
 
 
-def _eval_series_1d(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k c_k e^{2 pi i k z} via unit-circle powers (one exp per point).
+# ---------------------------------------------------------------------------
+# the series evaluator
+# ---------------------------------------------------------------------------
 
-    Powers of w = e^{2 pi i z} are built multiplicatively (np.vander), which
-    is a few ulp per power; the single-exp cost replaces a full (P, 2N+1)
-    exponential matrix on the hot inversion/quadrature paths.
+#: points (time nodes x points per node) one batch of grid work holds at
+#: once; bounds the memory of batched evaluations, inversions and fits
+_CHUNK_POINTS = 2 ** 14
+
+
+def node_chunks(nodes: int, points: int) -> list:
+    """Consecutive slices of a node axis, each about _CHUNK_POINTS points."""
+    step = max(1, _CHUNK_POINTS // max(points, 1))
+    return [slice(s, s + step) for s in range(0, max(nodes, 1), step)]
+
+
+def _unit_circle(z: np.ndarray) -> np.ndarray:
+    """w = e^{2 pi i z} at real z: one cos and one sin per point."""
+    tz = TWO_PI * z
+    w = np.empty(z.shape, dtype=complex)
+    np.cos(tz, out=w.real)
+    np.sin(tz, out=w.imag)
+    return w
+
+
+def _horner_tail(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_{k=1}^{K} c_k w^k by Horner; c holds c_0, .., c_K along axis 1."""
+    acc = c[:, -1] * w
+    for k in range(c.shape[1] - 2, 0, -1):
+        acc += c[:, k]
+        acc *= w
+    return acc
+
+
+def _real_horner(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Re sum_{k=0}^{K} c_k w^k at points w, by Horner.
+
+    ``c`` holds c_0, .., c_K along axis 1 and ``w`` broadcasts against each
+    slice ``c[:, k]``.  On the unit circle a real Laurent series
+    sum_{|k| <= K} a_k w^k, a_{-k} = conj(a_k), is this sum with c_0 = a_0
+    and c_k = 2 a_k: one accumulator over the positive powers, no conj(w).
     """
-    order = coeffs.shape[0] // 2
-    w = np.exp(TWO_PI * 1j * z)
-    V = np.vander(w, coeffs.shape[0], increasing=True)
-    vals = V @ coeffs
-    return vals * np.exp(-TWO_PI * 1j * order * z)[:, None]
+    if c.shape[1] == 1:
+        return np.array(np.broadcast_to(
+            c[:, 0].real, np.broadcast_shapes(w.shape, c[:, 0].shape)))
+    return _horner_tail(c, w).real + c[:, 0].real
 
 
-def _eval_series_2d(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Two-stage contraction over the lattice axes with vander powers."""
-    n = coeffs.shape[0]
-    order = n // 2
-    w1 = np.exp(TWO_PI * 1j * pts[:, 0])
-    w2 = np.exp(TWO_PI * 1j * pts[:, 1])
-    V1 = np.vander(w1, n, increasing=True)
-    V2 = np.vander(w2, n, increasing=True)
-    inner = np.tensordot(V2, coeffs, axes=([1], [1]))      # (P, n, ncomp)
-    vals = np.einsum("pa,pac->pc", V1, inner)
-    phase = np.exp(-TWO_PI * 1j * order * (pts[:, 0] + pts[:, 1]))
-    return vals * phase[:, None]
+def _laurent_horner(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_{|k| <= K} c_k w^k at any w != 0, by Horner in w and in 1/w.
+
+    ``c`` holds c_{-K}, .., c_K along axis 1; ``w`` broadcasts as above.
+    """
+    K = c.shape[1] // 2
+    out = np.broadcast_to(c[:, K], np.broadcast_shapes(
+        w.shape, c[:, K].shape)).astype(complex)
+    if K:
+        out += _horner_tail(c[:, K:], w) + _horner_tail(c[:, K::-1], 1.0 / w)
+    return out
+
+
+def _band_powers(w: np.ndarray, K: int, unit: bool) -> np.ndarray:
+    """w^k for k = -K..K along axis 1, shape (B, 2K+1, P), from w (B, P).
+
+    On the unit circle (``unit``) w^{-k} = conj(w^k); elsewhere the
+    negative powers are products of 1/w.
+    """
+    p = np.empty((w.shape[0], 2 * K + 1, w.shape[-1]), dtype=complex)
+    p[:, K] = 1.0
+    for j in range(K + 1, 2 * K + 1):
+        np.multiply(p[:, j - 1], w, out=p[:, j])
+    if unit:
+        np.conjugate(p[:, :K:-1], out=p[:, :K])
+        return p
+    v = 1.0 / w
+    for j in range(K - 1, -1, -1):
+        np.multiply(p[:, j + 1], v, out=p[:, j])
+    return p
+
+
+def _series_sum(c: np.ndarray, w: np.ndarray, real: bool) -> np.ndarray:
+    """The kernel on one batch, shape (B, ncomp, P).
+
+    ``c`` is laid out (B, k_1, ncomp[, k_2]) and ``w`` = e^{2 pi i z} has
+    shape (B, m, P).  With ``real`` the rows are k_1 = 0..K with the rows
+    k_1 > 0 doubled, w lies on the unit circle and the value is real;
+    otherwise the rows run over k_1 = -K..K.  For m = 2 one batched matrix
+    product first contracts k_2 against the powers of w_2.
+    """
+    if c.ndim == 4:
+        b, rows, ncomp, cols = c.shape
+        powers = _band_powers(w[:, 1], cols // 2, real)
+        c = (c.reshape(b, rows * ncomp, cols) @ powers).reshape(
+            max(b, len(w)), rows, ncomp, -1)
+    else:
+        c = c[..., None]
+    return (_real_horner if real else _laurent_horner)(c, w[:, :1])
+
+
+def eval_series(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k c_k e^{2 pi i k.z} at points z: the one series evaluator.
+
+    ``coeffs`` has shape (B,) + (2N+1,)*m + (ncomp,) and ``z`` shape
+    (B, P, m), where either B may be 1 and broadcasts; the result has shape
+    (B, P, ncomp).  At real z the coefficients must be Hermitian (real
+    maps): one Horner pass over the rows k_1 >= 0, the rows k_1 > 0
+    doubled, gives the real value from one cos and one sin per point.  At
+    complex z a two-sided Horner pass in w and 1/w gives the complex value.
+    """
+    m, real = z.shape[-1], not np.iscomplexobj(z)
+    c = coeffs
+    if real:
+        c = c[:, c.shape[1] // 2:].copy()
+        c[:, 1:] *= 2.0
+    if m == 2:
+        c = np.ascontiguousarray(np.moveaxis(c, -1, 2))
+    w = np.swapaxes(_unit_circle(z) if real else np.exp(TWO_PI * 1j * z), 1, 2)
+    b = max(len(c), len(w))     # m = 2 needs a (2K+1)-row table per point
+    chunks = [slice(None)] if m == 1 else node_chunks(b, w.shape[-1])
+    out = np.concatenate([_series_sum(c[s] if len(c) > 1 else c,
+                                      w[s] if len(w) > 1 else w, real)
+                          for s in chunks])
+    return np.swapaxes(out, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +432,28 @@ def strip_norms(f: FourierMap, eps: float) -> NormReport:
     if eps <= 0:
         raise ValueError("eps must be positive")
     l1 = _k_l1(f.order, f.m)
-    w = np.exp(TWO_PI * eps * l1)
-    absc = np.abs(f.coeffs)
-    amp = absc.max(axis=-1)
-    nu = float((amp * w).sum())
-    mu = float((absc * (TWO_PI * l1 * w)[..., None]).sum(axis=tuple(range(f.m))).max())
-    total = (amp * w).sum()
-    if total > 0:
-        tail = (amp * w)[l1 > f.order / 2].sum()
-        tail_ratio = float(tail / total)
-    else:
-        tail_ratio = 0.0
+    terms, mu = _majorant_terms(f.coeffs, l1, eps)
+    nu, mu = float(terms.sum()), float(mu)
+    tail_ratio = float(terms[l1 > f.order / 2].sum() / nu) if nu > 0 else 0.0
     return NormReport(eps=eps, nu=nu, mu=mu, beta=max(nu, mu), tail_ratio=tail_ratio)
+
+
+def majorants(coeffs: np.ndarray, m: int, eps: float):
+    """(nu_eps, mu_eps) of coefficient cubes ([B,] (2N+1,)*m, ncomp).
+
+    With a leading batch axis both are arrays with one entry per cube.
+    """
+    terms, mu = _majorant_terms(coeffs, _k_l1(coeffs.shape[-2] // 2, m), eps)
+    return terms.sum(axis=tuple(range(-m, 0))), mu
+
+
+def _majorant_terms(coeffs: np.ndarray, l1: np.ndarray, eps: float):
+    """Per mode max_i |c_{k,i}| e^{2 pi ||k||_1 eps} (nu sums them), and mu."""
+    w = np.exp(TWO_PI * eps * l1)
+    absc = np.abs(coeffs)
+    lattice = tuple(range(-l1.ndim - 1, -1))
+    mu = (absc * (TWO_PI * l1 * w)[..., None]).sum(axis=lattice).max(axis=-1)
+    return absc.max(axis=-1) * w, mu
 
 
 def nu_per_component(f: FourierMap, eps: float) -> np.ndarray:
@@ -353,18 +463,19 @@ def nu_per_component(f: FourierMap, eps: float) -> np.ndarray:
     return (np.abs(f.coeffs) * w[..., None]).sum(axis=tuple(range(f.m)))
 
 
-def imag_reach(u: FourierMap, eps_in: float) -> float:
+def imag_reach(u, eps_in: float):
     """Certified bound on ||Im(z + u(z))||_inf over the strip ||Im z|| <= eps_in.
 
     Two valid majorant bounds are combined: the oscillating sup bound
     nu(u - u_0) (the real constant part cannot move the strip) and the
-    mean-value bound eps_in * mu(u); the smaller one is used.
+    mean-value bound eps_in * mu(u); the smaller one is used.  For a
+    MapStack the bound of every map is returned.
     """
-    rep = strip_norms(u, eps_in)
-    osc = u.coeffs.copy()
-    osc[(u.order,) * u.m] = 0.0
-    nu_osc = strip_norms(FourierMap(osc, check=False), eps_in).nu
-    return eps_in + min(nu_osc, eps_in * rep.mu)
+    nu, mu = majorants(u.coeffs, u.m, eps_in)
+    nu_osc = nu - np.abs(u.coeffs[(Ellipsis,) + (u.order,) * u.m + (slice(None),)]
+                         ).max(axis=-1)
+    reach = eps_in + np.minimum(nu_osc, eps_in * mu)
+    return reach if isinstance(u, MapStack) else float(reach)
 
 
 # ---------------------------------------------------------------------------
@@ -379,42 +490,82 @@ def _grid_points(M: int, m: int) -> np.ndarray:
     return np.stack([g1.ravel(), g2.ravel()], axis=-1)
 
 
-def fit_grid(values: np.ndarray, order: int, m: int,
-             tol_trunc: float = TOL_TRUNC, context: str = "fit",
-             hermitize: bool = True) -> FourierMap:
-    """Fourier-fit values sampled on the uniform real grid, truncating to order.
+def sampling_grid(order: int, m: int):
+    """(M, points) of the real grid (j/M)_j, M = OVERSAMPLE (2N+1) per axis.
 
-    Raises TruncationBudgetExceeded when the relative l1 mass of the modes
-    discarded by the truncation exceeds ``tol_trunc``.  ``hermitize``
-    symmetrizes the result (valid for real maps only; basis exponentials
-    and other complex-valued samples must skip it).
+    The grid on which maps of order N are sampled and re-fitted; the
+    points have shape (M^m, m) and are real.
     """
-    if m == 1:
-        M = values.shape[0]
-        spec = np.fft.fft(values, axis=0) / M
-        kfull = np.fft.fftfreq(M, d=1.0 / M).astype(int)
-        l1 = np.abs(kfull)
-        amp = np.abs(spec).max(axis=-1)
-        total = amp.sum()
-        tail = amp[l1 > order].sum()
-        k = _k_axis(order)
-        kept = spec[k % M]
-    else:
-        M = values.shape[0]
-        spec = np.fft.fft2(values, axes=(0, 1)) / (M * M)
-        kfull = np.fft.fftfreq(M, d=1.0 / M).astype(int)
-        l1 = np.abs(kfull)[:, None] + np.abs(kfull)[None, :]
-        amp = np.abs(spec).max(axis=-1)
-        total = amp.sum()
-        tail = amp[l1 > order].sum()
-        ix = _k_axis(order) % M
-        kept = spec[np.ix_(ix, ix)]
-    ratio = float(tail / total) if total > 0 else 0.0
-    if ratio > tol_trunc:
+    M = OVERSAMPLE * (2 * order + 1)
+    return M, _grid_points(M, m)
+
+
+@lru_cache(maxsize=64)
+def _spectrum_weights(M: int, m: int, order: int, half: bool):
+    """l1 weights of the spectrum entries, those weights beyond order N
+    (both flattened), and 1 on the lattice ||k||_1 <= N, 0 on its corners.
+
+    For a half spectrum (columns 0 <= k_m <= M/2) the columns
+    0 < k_m < M/2 stand for two modes.  Read-only.
+    """
+    k = np.abs(np.fft.fftfreq(M, d=1.0 / M).astype(int))
+    cols = np.arange(M // 2 + 1) if half else k
+    weight = np.where((cols > 0) & (2 * cols < M), 2.0, 1.0) if half \
+        else np.ones(M)
+    l1 = cols if m == 1 else k[:, None] + cols
+    weight = np.broadcast_to(weight, l1.shape).ravel()
+    tail = np.where(l1.ravel() > order, weight, 0.0)
+    inside = (_k_l1(order, m) <= order).astype(float)
+    weight.flags.writeable = tail.flags.writeable = inside.flags.writeable = False
+    return weight, tail, inside
+
+
+def _tail_ratio(spec: np.ndarray, M: int, m: int, order: int) -> np.ndarray:
+    """Per batch entry, the l1 share of the modes ||k||_1 > N of a spectrum
+    (B, ncomp, M..), last axis M/2 + 1 for a half spectrum."""
+    weight, tail, _ = _spectrum_weights(M, m, order, spec.shape[-1] != M)
+    amp = np.abs(spec).max(axis=1).reshape(len(spec), -1)
+    total = amp @ weight
+    return np.divide(amp @ tail, total, out=np.zeros_like(total),
+                     where=total > 0)
+
+
+def fit_grid(values: np.ndarray, order: int, m: int,
+             tol_trunc: float = TOL_TRUNC, context: str = "fit"):
+    """Fourier-fit values on the uniform real grid (j/M)_j, truncated to order N.
+
+    ``values`` has shape ([B,] (M,)*m, ncomp); a batch gives the array
+    (B,) + (2N+1,)*m + (ncomp,), else a FourierMap.  Real values go by
+    ``rfftn`` to the half spectrum k_m >= 0, mirrored back by
+    c_{-k} = conj(c_k); complex values by a full ``fftn``.  Raises
+    TruncationBudgetExceeded when, for any batch entry, the relative l1
+    mass of the modes ||k||_1 > N exceeds ``tol_trunc``.
+    """
+    batched = values.ndim == m + 2
+    # component first, grid axes last: the transforms run on contiguous lines
+    vals = (values if batched else values[None]).transpose(
+        (0, m + 1) + tuple(range(1, m + 1)))
+    M, n = vals.shape[-1], order
+    real = not np.iscomplexobj(vals)
+    spec = (np.fft.rfftn if real else np.fft.fftn)(
+        vals, axes=tuple(range(-m, 0)), norm="forward")
+    ratio = _tail_ratio(spec, M, m, n)
+    if ratio.max() > tol_trunc:
         raise TruncationBudgetExceeded(
-            f"{context}: discarded tail ratio {ratio:.3e} > {tol_trunc:.1e}")
-    out = FourierMap(kept, check=False)
-    return out.hermitized() if hermitize else out
+            f"{context}: discarded tail ratio {ratio.max():.3e} > {tol_trunc:.1e}")
+    k = _k_axis(n) % M
+    if real:
+        half = spec[..., :n + 1] if m == 1 else spec[:, :, k, :n + 1]
+        kept = np.empty(half.shape[:-1] + (2 * n + 1,), dtype=complex)
+        kept[..., n:] = half
+        # reverse every lattice axis of the columns k_m > 0
+        kept[..., :n] = half[(Ellipsis,) + (slice(None, None, -1),) * (m - 1)
+                             + (slice(n, 0, -1),)].conj()
+    else:
+        kept = spec[..., k] if m == 1 else spec[:, :, k[:, None], k]
+    kept *= _spectrum_weights(M, m, n, real)[2]
+    kept = kept.transpose((0,) + tuple(range(2, m + 2)) + (1,))
+    return kept if batched else FourierMap(kept[0], check=False)
 
 
 def compose(g: FourierMap, perturb: FourierMap, *,
@@ -428,7 +579,8 @@ def compose(g: FourierMap, perturb: FourierMap, *,
     When ``outer_scale``/``inner_scale`` are given, the certified imaginary
     reach of ``id + perturb`` from the inner strip must stay inside the
     outer strip where the majorants of ``g`` are quoted; otherwise
-    DomainEscape is raised.
+    DomainEscape is raised.  ``g`` may be a MapStack; then every map is
+    composed and fitted in one batch and the coefficient array returned.
     """
     if perturb.ncomp != g.m or perturb.m != g.m:
         raise ValueError("perturbation must be a self-map displacement")
@@ -441,14 +593,12 @@ def compose(g: FourierMap, perturb: FourierMap, *,
     n_out = g.order if order is None else order
     M = oversample * (2 * n_out + 1)
     pts = _grid_points(M, g.m)
-    u_vals = perturb.with_order(min(perturb.order, n_out)).sample_grid(M)
-    u_vals = u_vals.reshape(pts.shape[0], g.m)
-    resid = float(np.abs(u_vals.imag).max()) if u_vals.size else 0.0
-    if resid > 1e-9 * max(1.0, float(np.abs(u_vals.real).max())):
+    u = perturb.with_order(min(perturb.order, n_out))
+    u_vals = u.eval(pts)
+    if u.imag_bound() > 1e-9 * max(1.0, float(np.abs(u_vals).max())):
         raise RealityDefect("perturbation is not real on the real grid")
-    args = pts + u_vals.real
-    vals = g.eval(args.astype(complex))
-    shape = (M,) * g.m + (g.ncomp,)
+    vals = g.eval(pts + u_vals)
+    shape = vals.shape[:-2] + (M,) * g.m + (g.ncomp,)
     return fit_grid(vals.reshape(shape), n_out, g.m, tol_trunc, context="compose")
 
 
@@ -465,9 +615,8 @@ def multiply(f: FourierMap, g: FourierMap, *, order: int | None = None,
         raise ValueError("component counts are not broadcastable")
     n_exact = f.order + g.order
     M = 2 * n_exact + 2
-    fv = f.sample_grid(M)
-    gv = g.sample_grid(M)
-    vals = fv * gv
+    pts = _grid_points(M, f.m)
+    vals = f.eval(pts) * g.eval(pts)
     n_out = max(f.order, g.order) if order is None else order
     ncomp = max(f.ncomp, g.ncomp)
     shape = (M,) * f.m + (ncomp,)
@@ -545,67 +694,35 @@ def cauchy_gain(from_eps: float, to_eps: float, order: int | None = None) -> flo
 class JacobianField:
     """Matrix of partial derivatives of a FourierMap, entry (i, j) = d_i f / d x_j.
 
-    Stored as one centered coefficient cube with trailing axes (ncomp, m).
+    Stored as one centered coefficient cube with trailing axes (ncomp, m),
+    after an optional leading stack axis (the Jacobians of a MapStack).
     """
 
     __slots__ = ("coeffs", "m", "order", "ncomp")
 
     def __init__(self, coeffs: np.ndarray):
         self.coeffs = coeffs
-        self.m = coeffs.ndim - 2
-        self.order = coeffs.shape[0] // 2
+        self.m = coeffs.shape[-1]
+        self.order = coeffs.shape[-3] // 2
         self.ncomp = coeffs.shape[-2]
 
     def eval(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        lead = z.shape[:-1]
-        pts = z.reshape(-1, self.m)
         flat = self.coeffs.reshape(self.coeffs.shape[:-2] + (self.ncomp * self.m,))
-        if self.m == 1:
-            vals = _eval_series_1d(flat, pts[:, 0])
-        else:
-            vals = _eval_series_2d(flat, pts)
-        return vals.reshape(lead + (self.ncomp, self.m))
+        stack = self.coeffs.ndim == self.m + 3
+        vals = (MapStack(flat) if stack else FourierMap(flat, check=False)).eval(z)
+        return vals.reshape(vals.shape[:-1] + (self.ncomp, self.m))
 
     def entry(self, i: int, j: int) -> FourierMap:
         return FourierMap(self.coeffs[..., i, j][..., None], check=False)
 
-    def mu(self, eps: float) -> float:
-        """Majorant of the strip sup of the inf-operator norm."""
-        l1 = _k_l1(self.order, self.m)
-        w = np.exp(TWO_PI * eps * l1)
-        per_row = (np.abs(self.coeffs) * w[..., None, None]).sum(
-            axis=tuple(range(self.m)) + (-1,))
-        return float(per_row.max())
 
-
-def jacobian(f: FourierMap) -> JacobianField:
-    """Entry (i, j) has coefficients 2 pi i k_j (c_k)_i."""
-    k = _k_axis(f.order)
+def jacobian(f) -> JacobianField:
+    """Entry (i, j) has coefficients 2 pi i k_j (c_k)_i; f may be a MapStack."""
+    k = TWO_PI * 1j * _k_axis(f.order)
     if f.m == 1:
-        coeffs = f.coeffs[..., None] * (TWO_PI * 1j * k)[:, None, None]
-    else:
-        coeffs = np.empty(f.coeffs.shape + (f.m,), dtype=complex)
-        coeffs[..., 0] = f.coeffs * (TWO_PI * 1j * k)[:, None, None]
-        coeffs[..., 1] = f.coeffs * (TWO_PI * 1j * k)[None, :, None]
-    return JacobianField(coeffs)
-
-
-def strip_sample_points(order: int, m: int, eps: float,
-                        n_real: int = 64, n_imag: int = 8,
-                        rng: np.random.Generator | None = None) -> np.ndarray:
-    """Deterministic strip sampling grid used by the majorant-domination checks."""
-    x = np.arange(n_real) / n_real
-    y = np.linspace(-eps, eps, n_imag)
-    if m == 1:
-        zz = (x[:, None] + 1j * y[None, :]).ravel()
-        return zz.reshape(-1, 1)
-    xs = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    ys = rng.uniform(-eps, eps, size=(n_imag, 2))
-    pts = (xs[:, None, :] + 1j * ys[None, :, :]).reshape(-1, 2)
-    return pts
+        return JacobianField(f.coeffs[..., None] * k[:, None, None])
+    return JacobianField(np.stack([f.coeffs * k[:, None, None],
+                                   f.coeffs * k[:, None]], axis=-1))
 
 
 def lattice_modes(order: int, m: int):

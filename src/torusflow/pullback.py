@@ -28,8 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import AdmissibleField, FlowPath, solve_flow
-from .fourier import FourierMap, TWO_PI, jacobian, lattice_modes, multiply
-from .group import AnalyticDiffeo, compose_diffeo, invert_diffeo
+from .fourier import (FourierMap, MapStack, TWO_PI, compose, fit_grid,
+                      jacobian, lattice_modes, majorants, node_chunks,
+                      sampling_grid)
+from .group import (AnalyticDiffeo, _field_nu_integral, compose_diffeo,
+                    invert_diffeo)
 
 #: tolerance for matrix-vs-direct-composition agreement
 TOL_PB = 1e-9
@@ -38,7 +41,6 @@ TOL_PB = 1e-9
 def pullback_apply(phi: AnalyticDiffeo, f: FourierMap,
                    tol_trunc: float = TOL_PB) -> FourierMap:
     """f o phi, truncated to the ambient order; linear in f."""
-    from .fourier import compose
     if f.ncomp != 1:
         raise ValueError("pullback acts on scalar functions")
     order = max(phi.order, f.order)
@@ -130,29 +132,32 @@ def pullback_matrix(phi: AnalyticDiffeo, K: int,
     """
     if K > phi.order:
         raise ValueError("window exceeds the ambient truncation order")
-    m, order = phi.m, phi.order
+    A = _pullback_windows(phi.u.coeffs[None], K)[0]
+    A.source = phi
+    return A
+
+
+def _pullback_windows(u: np.ndarray, K: int) -> list:
+    """PullbackMatrix of id + u_t for each displacement of a stack u.
+
+    The basis exponentials e_k o (id + u_t) of every map are sampled on
+    the real grid and fitted in batches (complex values, full spectrum).
+    """
+    m, order = u.ndim - 2, u.shape[1] // 2
     modes = lattice_modes(K, m)
-    M = 4 * (2 * order + 1)
-    from .fourier import _grid_points, fit_grid
-    pts = _grid_points(M, m)
-    u_vals = phi.u.sample_grid(M).reshape(pts.shape[0], m)
-    args = pts + u_vals.real
-    nmat = np.empty((len(modes), len(modes)), dtype=complex)
-    leak = np.empty(len(modes))
-    mode_index = {k: i for i, k in enumerate(modes)}
-    for col, k in enumerate(modes):
-        vals = np.exp(TWO_PI * 1j * (args @ np.array(k)))
-        comp = fit_grid(vals.reshape((M,) * m + (1,)), order, m,
-                        tol_trunc=np.inf, context="pullback column",
-                        hermitize=False)
-        total = float(np.abs(comp.coeffs).sum())
-        inside = 0.0
-        for j in modes:
-            idx = tuple(q + order for q in j)
-            nmat[mode_index[j], col] = comp.coeffs[idx + (0,)]
-            inside += abs(comp.coeffs[idx + (0,)])
-        leak[col] = total - inside
-    return PullbackMatrix(modes, nmat, leak, source=phi)
+    M, pts = sampling_grid(order, m)
+    idx = (slice(None),) + tuple(np.array(modes).T + order)
+    out = []
+    for s in node_chunks(len(u), len(pts) * len(modes)):
+        args = pts + MapStack(u[s]).eval(pts)
+        vals = np.exp(TWO_PI * 1j * (args @ np.array(modes).T))
+        comp = fit_grid(vals.reshape((len(args),) + (M,) * m + (len(modes),)),
+                        order, m, tol_trunc=np.inf, context="pullback column")
+        mats = comp[idx]
+        leak = (np.abs(comp).reshape(len(comp), -1, len(modes)).sum(axis=1)
+                - np.abs(mats).sum(axis=1))
+        out += [PullbackMatrix(modes, a, lk) for a, lk in zip(mats, leak)]
+    return out
 
 
 def contravariance_defect(phi: AnalyticDiffeo, psi: AnalyticDiffeo, K: int,
@@ -203,24 +208,19 @@ class PullbackPathReport:
         return self.max_transport_residual <= self.transport_tol
 
 
-def _two_param_map(flow: FlowPath, t: float, base_inv: AnalyticDiffeo,
-                   eps: float) -> AnalyticDiffeo:
-    head = AnalyticDiffeo.certify(flow.u_at(t), eps)
-    if base_inv is None:
-        return head
-    return compose_diffeo(head, base_inv)
-
-
-def _grad_dot(gamma_map: FourierMap, f: FourierMap) -> FourierMap:
-    """gamma . grad f computed spectrally (exact product, then truncation)."""
-    J = jacobian(f)
-    out = None
-    for axis in range(f.m):
-        df = J.entry(0, axis)
-        g_axis = FourierMap(gamma_map.coeffs[..., axis:axis + 1], check=False)
-        term = multiply(df, g_axis, order=f.order, tol_trunc=np.inf)
-        out = term if out is None else out + term
-    return out
+def _two_param_maps(flow: FlowPath, times, base_inv: AnalyticDiffeo | None,
+                    eps: float) -> np.ndarray:
+    """Displacements of Fl_{t, t0} = zeta(t) o zeta(t0)^{-1} at many times,
+    each map certified as AnalyticDiffeo.certify does it."""
+    maps = [flow.u_at_many(times)]
+    if base_inv is not None:
+        v = base_inv.u
+        maps.append(v.coeffs + compose(MapStack(maps[0]), v, order=v.order,
+                                       outer_scale=2 * eps, inner_scale=eps))
+    for u in maps:      # zeta(t), then the composite
+        for i in np.flatnonzero(majorants(u, flow.m, eps)[1] >= 1.0):
+            AnalyticDiffeo.certify(FourierMap(u[i], check=False), eps)
+    return maps[-1]
 
 
 def pullback_path(gamma: AdmissibleField, t0: float, K: int,
@@ -235,7 +235,8 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
     the mode frequency);
     (ii) the transport identity is checked at interior sample times with a
     4th-order central difference in t against (Fl)^* (gamma . grad f) for a
-    basket of test functions.
+    basket of test functions.  The maps at all grid times, and at all
+    stencil times, are built, certified and pulled back as one batch each.
     """
     flow = solve_flow(gamma)
     eps = gamma.eps
@@ -243,44 +244,46 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
     if t0 != 0.0:
         base_inv = invert_diffeo(AnalyticDiffeo.certify(flow.u_at(t0), eps))
     ts = flow.grid.floats
-    mats = [pullback_matrix(_two_param_map(flow, t, base_inv, eps), K)
-            for t in ts]
-
-    from .group import _field_nu_integral
+    mats = _pullback_windows(_two_param_maps(flow, ts, base_inv, eps), K)
+    bounds = TWO_PI * max(K, 1) * _field_nu_integral(gamma, ts[:-1], ts[1:])
     ac_rows = []
-    for j in range(len(ts) - 1):
+    for j, bound in enumerate(bounds):
         inc = float(np.abs(mats[j + 1].matrix - mats[j].matrix).max())
-        bound = TWO_PI * max(K, 1) * _field_nu_integral(gamma, ts[j], ts[j + 1])
         ac_rows.append((ts[j], ts[j + 1], inc, bound, inc <= bound * (1 + 1e-9)))
 
+    m, order = gamma.field.m, gamma.field.order
     if test_functions is None:
-        order = gamma.field.order
         test_functions = [
-            FourierMap.from_modes({1: [0.5]} if gamma.field.m == 1
-                                  else {(1, 0): [0.5]}, order,
-                                  m=gamma.field.m, ncomp=1),
-            FourierMap.from_modes({2: [-0.25j]} if gamma.field.m == 1
-                                  else {(1, 1): [-0.25j]}, order,
-                                  m=gamma.field.m, ncomp=1),
+            FourierMap.from_modes({1: [0.5]} if m == 1 else {(1, 0): [0.5]},
+                                  order, m=m, ncomp=1),
+            FourierMap.from_modes({2: [-0.25j]} if m == 1
+                                  else {(1, 1): [-0.25j]}, order, m=m, ncomp=1),
         ]
     sample_times = np.linspace(0.15, 0.85, n_transport_times)
     stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * fd_step)
     offsets = np.array([-2, -1, 1, 2]) * fd_step
-    gam_field = gamma.field
+    # per sample time: the four stencil maps, then the map at the time itself
+    times = (sample_times[:, None] + np.append(offsets, 0.0)).ravel()
+    order = max(order, max(f.order for f in test_functions))
+    M, pts = sampling_grid(order, m)
+    args = pts + MapStack(_two_param_maps(flow, times, base_inv, eps)).eval(pts)
+    args = args.reshape(len(sample_times), len(offsets) + 1, -1, m)
+    # gamma(t) . grad f at the mapped points of the time itself
+    g_mid = MapStack(gamma.field.values_at(sample_times)).eval(args[:, -1])
     transport_rows = []
-    for t in sample_times:
-        stencil_maps = [_two_param_map(flow, t + o, base_inv, eps)
-                        for o in offsets]
-        mid = _two_param_map(flow, t, base_inv, eps)
-        g_t = gam_field.value_at(t)
-        for fi, f in enumerate(test_functions):
-            pulled = [pullback_apply(p, f, tol_trunc=1e-6) for p in stencil_maps]
-            lhs = pulled[0] * stencil[0]
-            for sc, p in zip(stencil[1:], pulled[1:]):
-                lhs = lhs + sc * p
-            rhs = pullback_apply(mid, _grad_dot(g_t, f), tol_trunc=1e-6)
-            resid = float(np.abs((lhs - rhs).coeffs).max())
-            transport_rows.append((float(t), fi, resid))
+    for fi, f in enumerate(test_functions):
+        # f o Fl at the stencil times, then (gamma . grad f) o Fl at the time
+        rhs = (jacobian(f).eval(args[:, -1])[..., 0, :] * g_mid).sum(axis=-1)
+        vals = np.concatenate([f.eval(args[:, :-1]), rhs[:, None, :, None]], axis=1)
+        fits = fit_grid(vals.reshape((-1,) + (M,) * m + (1,)), order, m,
+                        tol_trunc=1e-6, context="transport").reshape(
+                            vals.shape[:2] + (-1,))
+        lhs = fits[:, 0] * stencil[0]
+        for i in range(1, len(offsets)):
+            lhs = lhs + stencil[i] * fits[:, i]
+        transport_rows += [(float(t), fi, float(d)) for t, d in
+                           zip(sample_times, np.abs(lhs - fits[:, -1]).max(axis=1))]
+    transport_rows.sort(key=lambda row: (row[0], row[1]))
     return PullbackPathReport(times=ts, matrices=mats, ac_rows=ac_rows,
                               transport_rows=transport_rows,
                               transport_tol=transport_tol)

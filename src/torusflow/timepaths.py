@@ -21,8 +21,8 @@ from math import comb
 import numpy as np
 
 from .errors import DomainEscape, ScaleMismatch
-from .fourier import (TOL_REALITY, FourierMap, imag_reach, jacobian, compose,
-                      strip_norms)
+from .fourier import (TOL_REALITY, FourierMap, compose, fit_grid, imag_reach,
+                      jacobian, majorants, sampling_grid)
 
 #: relative tolerance for the ACPath self-verification (closed-form integrals)
 TOL_INT = 1e-12
@@ -77,9 +77,22 @@ class TimeGrid:
 
     def interval_of(self, t: float) -> int:
         """Index j with t in [t_j, t_{j+1}); the last interval is closed."""
+        return int(self.locate(t)[0])
+
+    def locate(self, times):
+        """Interval index j (as in ``interval_of``) and local variable tau
+        = (t - t_j) / (t_{j+1} - t_j) of each time."""
         ts = self.floats
-        j = int(np.searchsorted(ts, t, side="right") - 1)
-        return min(max(j, 0), len(ts) - 2)
+        t = np.asarray(times, dtype=float)
+        j = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+        return j, (t - ts[j]) / (ts[j + 1] - ts[j])
+
+    def nodes(self, taus):
+        """(j, tau, t) of the local nodes ``taus`` in every interval, in order."""
+        ts = self.floats
+        j = np.repeat(np.arange(len(ts) - 1), len(taus))
+        tau = np.tile(taus, len(ts) - 1)
+        return j, tau, ts[j] + (ts[j + 1] - ts[j]) * tau
 
     def merged(self, other: "TimeGrid") -> "TimeGrid":
         pts = sorted(set(self.breakpoints) | set(other.breakpoints))
@@ -95,11 +108,28 @@ class TimeGrid:
         return TimeGrid(tuple(pts))
 
 
-def _poly_eval(poly: np.ndarray, tau) -> np.ndarray:
+def _poly_eval(poly: np.ndarray, tau: float) -> np.ndarray:
     """Evaluate sum_d poly[d] tau^d; poly has the degree axis first."""
-    out = np.zeros(np.shape(tau) + poly.shape[1:], dtype=complex)
-    for d in range(poly.shape[0] - 1, -1, -1):
-        out = out * np.reshape(tau, np.shape(tau) + (1,) * (poly.ndim - 1)) + poly[d]
+    return piece_values([poly], [0], [tau])[0]
+
+
+def piece_values(pieces, j, tau) -> np.ndarray:
+    """Row i is piece j[i] at local time tau[i]: the time-axis primitive.
+
+    Returns one coefficient array with a leading time axis, each row the
+    Horner sum over the degree axis of its piece.
+    """
+    j = np.asarray(j, dtype=int).ravel()
+    used, row = np.unique(j, return_inverse=True)
+    deg = max(pieces[i].shape[0] for i in used)
+    stacked = np.zeros((deg, len(used)) + pieces[0].shape[1:], dtype=complex)
+    for r, i in enumerate(used):
+        stacked[:pieces[i].shape[0], r] = pieces[i]
+    tau = np.reshape(tau, (-1,) + (1,) * (stacked.ndim - 2))
+    out = stacked[deg - 1][row]
+    for d in range(deg - 2, -1, -1):
+        out *= tau
+        out += stacked[d][row]
     return out
 
 
@@ -122,10 +152,14 @@ def _poly_antiderivative(poly: np.ndarray, h: float) -> np.ndarray:
 
 
 def fit_poly3(samples: np.ndarray) -> np.ndarray:
-    """Cubic coefficients (in tau on [0,1]) through values at FIT_NODES."""
-    flat = samples.reshape(4, -1)
-    coeffs = _FIT_VANDER_INV @ flat
-    return coeffs.reshape((4,) + samples.shape[1:])
+    """Cubic coefficients (in tau on [0,1]) through values at FIT_NODES.
+
+    ``samples`` holds 4 node values per interval along axis 0, intervals
+    in order; the result has shape (intervals, 4) + samples.shape[1:].
+    """
+    J = len(samples) // 4
+    return (_FIT_VANDER_INV @ samples.reshape(J, 4, -1)).reshape(
+        (J, 4) + samples.shape[1:])
 
 
 class TimeDependentField:
@@ -178,26 +212,19 @@ class TimeDependentField:
                      n_pieces: int = 64) -> "TimeDependentField":
         """Field t -> profile(t) * f with a cubic fit of the scalar profile."""
         grid = TimeGrid.uniform(n_pieces)
-        ts = grid.floats
-        pieces = []
-        for j in range(n_pieces):
-            tt = ts[j] + (ts[j + 1] - ts[j]) * FIT_NODES
-            vals = np.array([profile(t) for t in tt], dtype=float)
-            poly = fit_poly3(vals[:, None])[:, 0]       # scalar cubic
-            pieces.append(poly.reshape((4,) + (1,) * (f.m + 1)) * f.coeffs[None, ...])
-        return cls(grid, pieces, scale)
+        vals = np.array([profile(t) for t in grid.nodes(FIT_NODES)[2]], dtype=float)
+        polys = fit_poly3(vals[:, None])        # scalar cubics
+        return cls(grid, [p.reshape((4,) + (1,) * (f.m + 1)) * f.coeffs[None, ...]
+                          for p in polys], scale)
 
     # -- evaluation -------------------------------------------------------
 
-    def _local(self, t: float):
-        j = self.grid.interval_of(t)
-        ts = self.grid.floats
-        h = ts[j + 1] - ts[j]
-        return j, (t - ts[j]) / h, h
+    def values_at(self, times) -> np.ndarray:
+        """Coefficients at many times, with a leading time axis."""
+        return piece_values(self.pieces, *self.grid.locate(times))
 
     def value_at(self, t: float) -> FourierMap:
-        j, tau, _ = self._local(t)
-        return FourierMap(_poly_eval(self.pieces[j], tau), check=False)
+        return FourierMap(self.values_at([t])[0], check=False)
 
     # -- algebra ------------------------------------------------------------
 
@@ -205,13 +232,9 @@ class TimeDependentField:
         """Re-express on a refinement of (or merge with) the own grid."""
         grid = self.grid.merged(grid)
         own = self.grid.floats
-        pieces = []
-        for a, b in zip(grid.breakpoints, grid.breakpoints[1:]):
-            j = self.grid.interval_of(float(a))
-            h = own[j + 1] - own[j]
-            aa = (float(a) - own[j]) / h
-            bb = float(b - a) / h
-            pieces.append(_poly_reparam(self.pieces[j], aa, bb))
+        js, starts = self.grid.locate(grid.floats[:-1])
+        pieces = [_poly_reparam(self.pieces[j], aa, float(step) / (own[j + 1] - own[j]))
+                  for j, aa, step in zip(js, starts, grid.steps)]
         return TimeDependentField(grid, pieces, self.scale)
 
     def _binary(self, other: "TimeDependentField", sign: float) -> "TimeDependentField":
@@ -262,29 +285,23 @@ class TimeDependentField:
             raise ValueError("t_end must lie in (0, 1]")
         keep = [b for b in self.grid.breakpoints if b < t_end]
         bp = tuple(b / t_end for b in keep) + (Fraction(1),)
-        pieces = []
         own = self.grid.floats
-        for a, b in zip(keep, list(keep[1:]) + [t_end]):
-            j = self.grid.interval_of(float(a))
-            h = own[j + 1] - own[j]
-            aa = (float(a) - own[j]) / h
-            bb = float(b - a) / h
-            pieces.append(float(t_end) * _poly_reparam(self.pieces[j], aa, bb))
+        js, starts = self.grid.locate([float(a) for a in keep])
+        steps = [b - a for a, b in zip(keep, keep[1:] + [t_end])]
+        pieces = [float(t_end) * _poly_reparam(
+            self.pieces[j], aa, float(step) / (own[j + 1] - own[j]))
+            for j, aa, step in zip(js, starts, steps)]
         return TimeDependentField(TimeGrid(bp), pieces, self.scale)
 
     # -- norms --------------------------------------------------------------
-
-    def _seminorm_at(self, j: int, tau: float, kind: str, eps: float) -> float:
-        f = FourierMap(_poly_eval(self.pieces[j], tau), check=False)
-        rep = strip_norms(f, eps)
-        return rep.nu if kind == "nu" else rep.beta
 
     def lp_norm(self, p, kind: str, eps: float) -> float:
         """Exact L^p norm of t -> seminorm(field(t)) for p in {1, 2, inf}.
 
         Piecewise-constant pieces contribute closed-form terms; polynomial
         pieces are integrated by Gauss quadrature exact to their degree
-        (p = inf uses dense sampling including the endpoints).
+        (p = inf uses dense sampling including the endpoints).  All nodes
+        are evaluated at once.
         """
         if kind not in ("nu", "beta"):
             raise ValueError("seminorm selector must be 'nu' or 'beta'")
@@ -293,28 +310,22 @@ class TimeDependentField:
                 f"requested eps {eps} exceeds field scale {self.scale}")
         if p not in (1, 2, np.inf, "inf"):
             raise ValueError("p must be 1, 2 or inf")
-        steps = [float(s) for s in self.grid.steps]
-        if p in (np.inf, "inf"):
-            worst = 0.0
-            for j, piece in enumerate(self.pieces):
-                if piece.shape[0] == 1:
-                    worst = max(worst, self._seminorm_at(j, 0.0, kind, eps))
-                else:
-                    taus = np.concatenate(
-                        [[0.0, 1.0], 0.5 - 0.5 * np.cos(np.pi * np.arange(1, 64) / 64)])
-                    worst = max(worst, max(self._seminorm_at(j, t, kind, eps)
-                                           for t in taus))
-            return worst
-        total = 0.0
-        for j, piece in enumerate(self.pieces):
-            if piece.shape[0] == 1:
-                s = self._seminorm_at(j, 0.0, kind, eps)
-                total += steps[j] * (s if p == 1 else s * s)
-            else:
-                vals = np.array([self._seminorm_at(j, t, kind, eps)
-                                 for t in _GL4_X])
-                integrand = vals if p == 1 else vals**2
-                total += steps[j] * float(_GL4_W @ integrand)
+        sup = p in (np.inf, "inf")
+        taus, weights = _GL4_X, _GL4_W
+        if sup:
+            taus = np.concatenate(
+                [[0.0, 1.0], 0.5 - 0.5 * np.cos(np.pi * np.arange(1, 64) / 64)])
+            weights = np.ones_like(taus)
+        nodes = [(i, t, q) for i, piece in enumerate(self.pieces) for t, q in
+                 (zip(taus, weights) if len(piece) > 1 else [(0.0, 1.0)])]
+        j, tau, w = (np.array(col) for col in zip(*nodes))
+        nu, mu = majorants(piece_values(self.pieces, j, tau), self.m, eps)
+        vals = nu if kind == "nu" else np.maximum(nu, mu)
+        if sup:
+            return float(vals.max())
+        per_piece = np.zeros(len(self.pieces))
+        np.add.at(per_piece, j, w * (vals if p == 1 else vals**2))
+        total = float(np.dot([float(s) for s in self.grid.steps], per_piece))
         return total if p == 1 else float(np.sqrt(total))
 
     # -- serialization --------------------------------------------------------
@@ -427,10 +438,8 @@ class ACPath:
 
     def value_at(self, t: float) -> FourierMap:
         der = self.derivative
-        j = self.grid.interval_of(t)
-        ts = self.grid.floats
-        h = ts[j + 1] - ts[j]
-        tau = (t - ts[j]) / h
+        j, tau = self.grid.locate(t)
+        h = self.grid.floats[j + 1] - self.grid.floats[j]
         dg = der.on_grid(self.grid) if der.grid.breakpoints != self.grid.breakpoints else der
         inc = _poly_eval(_poly_antiderivative(dg.pieces[j], h), tau)
         return self.values[j] + FourierMap(inc, check=False)
@@ -538,14 +547,10 @@ class SelfCompositionRule(SuperpositionRule):
 
 def _jacobian_compose_apply(J, u: FourierMap, v: FourierMap) -> FourierMap:
     """(J o (id+u)) . v re-expanded as a FourierMap (sampled product)."""
-    from .fourier import _grid_points, fit_grid
     n = u.order
-    M = 4 * (2 * n + 1)
-    pts = _grid_points(M, u.m)
-    uv = u.sample_grid(M).reshape(pts.shape[0], u.m)
-    args = (pts + uv.real).astype(complex)
-    Jv = J.eval(args)
-    vv = v.sample_grid(M).reshape(pts.shape[0], v.ncomp)
+    M, pts = sampling_grid(n, u.m)
+    Jv = J.eval(pts + u.eval(pts))
+    vv = v.eval(pts)
     out = np.einsum("pij,pj->pi", Jv, vv)
     return fit_grid(out.reshape((M,) * u.m + (u.m,)), n, u.m,
                     tol_trunc=1e-7, context="jacobian product")
@@ -575,16 +580,8 @@ def ac_postcompose(path: ACPath, rule: SuperpositionRule,
                                 for c in piece]) for piece in der.pieces]
         new_der = TimeDependentField(grid, new_pieces, path.derivative.scale)
         return ACPath(grid, new_values, new_der, tol=TOL_INT)
-    ts = grid.floats
-    new_pieces = []
-    for j in range(len(grid) - 1):
-        h = ts[j + 1] - ts[j]
-        samples = []
-        for tau in FIT_NODES:
-            t = ts[j] + h * tau
-            ut = path.value_at(t)
-            gt = der.value_at(t)
-            samples.append(rule.differential(ut, gt).coeffs)
-        new_pieces.append(fit_poly3(np.stack(samples)))
-    new_der = TimeDependentField(grid, new_pieces, path.derivative.scale)
+    samples = [rule.differential(path.value_at(t), der.value_at(t)).coeffs
+               for t in grid.nodes(FIT_NODES)[2]]
+    new_der = TimeDependentField(grid, list(fit_poly3(np.stack(samples))),
+                                 path.derivative.scale)
     return ACPath(grid, new_values, new_der, tol=tol_chain)

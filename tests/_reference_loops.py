@@ -1,0 +1,258 @@
+"""Per-node reference loops: one FourierMap and one inversion per time node.
+
+These are the direct forms of the time-axis computations that the package
+now runs batched over all nodes at once.  They are kept as differential
+oracles: every batched path must reproduce its loop to rounding.  The only
+changes against their first form are the names of the shared helpers they
+call (the sampling grid, the one evaluator and the one fitter).
+"""
+
+import numpy as np
+
+from torusflow.errors import ContractionStall
+from torusflow.flow import invert_at_point, solve_flow
+from torusflow.fourier import (TWO_PI, FourierMap, fit_grid, jacobian,
+                               multiply, sampling_grid, strip_norms)
+from torusflow.group import (AnalyticDiffeo, _adjoint_inverse_values,
+                             _adjoint_values, compose_diffeo, invert_diffeo)
+from torusflow.pullback import pullback_apply, pullback_matrix
+from torusflow.timepaths import (ACPath, FIT_NODES, TimeDependentField,
+                                 _GL4_W, _GL4_X, _poly_eval, fit_poly3)
+from torusflow.charts import TOL_INVERT
+
+
+def _at(pieces, j, tau):
+    return FourierMap(_poly_eval(pieces[j], tau), check=False)
+
+
+def odot(gamma, eta, grid, tol_solve=1e-10):
+    """(gamma ⊙ eta) on ``grid`` (the merged, refined grid), node by node."""
+    eta_flow = solve_flow(eta.negated(), tol_solve)
+    m, order = gamma.field.m, gamma.field.order
+    M, pts = sampling_grid(order, m)
+    gam, eta_on = gamma.field.on_grid(grid), eta.field.on_grid(grid)
+    ts = grid.floats
+    pieces = []
+    for j in range(len(ts) - 1):
+        samples = []
+        for tau in FIT_NODES:
+            s = ts[j] + (ts[j + 1] - ts[j]) * tau
+            zeta = AnalyticDiffeo(eta_flow.u_at(s), eta_flow.eps, 0.0)
+            vals = _adjoint_values(zeta, _at(gam.pieces, j, tau), pts)
+            ad_map = fit_grid(vals.reshape((M,) * m + (m,)), order, m,
+                              tol_trunc=1e-7, context="odot")
+            samples.append((ad_map + _at(eta_on.pieces, j, tau)).coeffs)
+        pieces.append(fit_poly3(np.stack(samples))[0])
+    return TimeDependentField(grid, pieces, gamma.field.scale)
+
+
+def ad_transport_integral(eta, gamma_field, t, tol_solve=1e-10):
+    eta_flow = solve_flow(eta.negated(), tol_solve)
+    grid = eta_flow.grid
+    m, order = gamma_field.m, gamma_field.order
+    M, pts = sampling_grid(order, m)
+    gam = gamma_field.on_grid(grid)
+    ts = grid.floats
+    acc = FourierMap.zero(order, m, m)
+    for j in range(len(ts) - 1):
+        if ts[j] >= t:
+            break
+        a, b = ts[j], min(ts[j + 1], t)
+        h_full = ts[j + 1] - ts[j]
+        node_vals = []
+        for tau in _GL4_X:
+            s = a + (b - a) * tau
+            zeta = AnalyticDiffeo(eta_flow.u_at(s), eta_flow.eps, 0.0)
+            node_vals.append(_adjoint_inverse_values(
+                zeta, _at(gam.pieces, j, (s - ts[j]) / h_full), pts))
+        integ = (b - a) * np.tensordot(_GL4_W, np.array(node_vals), axes=(0, 0))
+        acc = acc + fit_grid(integ.reshape((M,) * m + (m,)), order, m,
+                             tol_trunc=1e-6, context="transport integral")
+    return acc
+
+
+def verify_rows(candidate, gamma, probes):
+    """The (probe, time, residual) rows of verify_evolution_pointwise."""
+    probes = np.asarray(probes, dtype=complex)
+    if probes.ndim == 1:
+        probes = probes[:, None]
+    ts = candidate.grid.floats
+    gam = gamma.field.on_grid(candidate.grid)
+    traj = np.array([probes + u.eval(probes) for u in candidate.snapshots])
+    increments = np.zeros_like(traj)
+    for j in range(len(ts) - 1):
+        h = ts[j + 1] - ts[j]
+        node_vals = []
+        for tau in _GL4_X:
+            s = ts[j] + h * tau
+            g_s = _at(gam.pieces, j, tau)
+            if candidate.side == "right":
+                node_vals.append(g_s.eval(candidate.eval_at(s, probes)))
+            else:
+                inner = AnalyticDiffeo(candidate.flow.u_at(s), candidate.eps, 0.0)
+                Jz = inner.jacobian_values(candidate.eval_at(s, probes))
+                g_vals = g_s.eval(probes)
+                if candidate.m == 1:
+                    node_vals.append(g_vals / Jz[..., 0, 0][..., None])
+                else:
+                    node_vals.append(np.linalg.solve(Jz, g_vals[..., None])[..., 0])
+        increments[j + 1] = increments[j] + h * np.tensordot(
+            _GL4_W, np.array(node_vals), axes=(0, 0))
+    rows = []
+    for j, t in enumerate(ts):
+        resid = np.abs(traj[j] - probes - increments[j]).max(axis=-1)
+        rows += [(p, float(t), float(r)) for p, r in enumerate(resid)]
+    return rows
+
+
+def field_nu_integral(gamma, a, b):
+    gam = gamma.field
+    ts = gam.grid.floats
+    total = 0.0
+    for j in range(len(ts) - 1):
+        lo, hi = max(a, ts[j]), min(b, ts[j + 1])
+        if hi <= lo:
+            continue
+        h_full = ts[j + 1] - ts[j]
+        for tau, wq in zip(_GL4_X, _GL4_W):
+            s = lo + (hi - lo) * tau
+            f = _at(gam.pieces, j, (s - ts[j]) / h_full)
+            total += (hi - lo) * wq * strip_norms(f, 2 * gamma.eps).nu
+    return total
+
+
+def pointwise_solution(flow, t0, y0):
+    """(points, residuals) of the trajectory t -> Fl_{t, t0}(y0)."""
+    gamma = flow.source
+    y0 = np.atleast_1d(np.asarray(y0, dtype=complex))
+    base = y0 if t0 == 0.0 else invert_at_point(flow.u_at(t0), y0)
+    ts = flow.grid.floats
+    pts = np.array([flow.eval_points(t, base[None, :])[0] for t in ts])
+    gam = gamma.field.on_grid(flow.grid)
+
+    def gauss_piece(j, a, b):
+        h_full = ts[j + 1] - ts[j]
+        node_vals = []
+        for tau in _GL4_X:
+            t = a + (b - a) * tau
+            y_s = flow.eval_points(t, base[None, :])[0]
+            node_vals.append(_at(gam.pieces, j, (t - ts[j]) / h_full)
+                             .eval(y_s[None, :])[0])
+        return (b - a) * np.tensordot(_GL4_W, np.array(node_vals), axes=(0, 0))
+
+    cumulative = np.zeros_like(pts)
+    for j in range(len(ts) - 1):
+        cumulative[j + 1] = cumulative[j] + gauss_piece(j, ts[j], ts[j + 1])
+    j0 = flow.grid.interval_of(t0)
+    at_t0 = cumulative[j0] + (gauss_piece(j0, ts[j0], t0) if t0 > ts[j0] else 0.0)
+    residuals = np.abs(pts - y0[None, :] - (cumulative - at_t0[None, :])).max(axis=1)
+    return pts, residuals
+
+
+def flow_to_chart(flow, alpha, tol_chain=1e-8):
+    m, order = flow.m, flow.order
+    M, pts = sampling_grid(order, m)
+    z_vals = [coeff.eval(pts) for _, coeff in alpha.terms]
+
+    def chart_vector_values(t):
+        u_vals = flow.u_at(t).eval(pts)
+        if alpha.flat:
+            return u_vals
+        w = u_vals.copy()
+        for _ in range(200):
+            res = u_vals - w - alpha.higher_terms(z_vals, w)
+            w = w + res
+            if np.abs(res).max() <= TOL_INVERT:
+                return w
+        raise ContractionStall("pointwise chart inversion did not converge")
+
+    def to_map(vals):
+        return fit_grid(vals.reshape((M,) * m + (m,)), order, m,
+                        tol_trunc=1e-8, context="chart re-expansion")
+
+    ts = flow.grid.floats
+    values = [to_map(chart_vector_values(t)) for t in ts]
+    pieces = []
+    for j in range(len(ts) - 1):
+        h = ts[j + 1] - ts[j]
+        samples = np.stack([to_map(chart_vector_values(ts[j] + h * tau)).coeffs
+                            for tau in FIT_NODES])
+        val_poly = fit_poly3(samples)[0]
+        pieces.append(np.stack([(d + 1) * val_poly[d + 1] / h for d in range(3)]))
+    derivative = TimeDependentField(flow.grid, pieces, flow.source.field.scale)
+    return ACPath(flow.grid, values, derivative, tol=tol_chain)
+
+
+def _two_param_map(flow, t, base_inv, eps):
+    head = AnalyticDiffeo.certify(flow.u_at(t), eps)
+    return head if base_inv is None else compose_diffeo(head, base_inv)
+
+
+def _grad_dot(gamma_map, f):
+    """gamma . grad f computed spectrally (exact product, then truncation)."""
+    J = jacobian(f)
+    out = None
+    for axis in range(f.m):
+        g_axis = FourierMap(gamma_map.coeffs[..., axis:axis + 1], check=False)
+        term = multiply(J.entry(0, axis), g_axis, order=f.order, tol_trunc=np.inf)
+        out = term if out is None else out + term
+    return out
+
+
+def pullback_path(gamma, t0, K, test_functions, n_transport_times=5,
+                  fd_step=1e-3):
+    """(matrices, ac_rows, transport_rows) of pullback_path, map by map."""
+    flow = solve_flow(gamma)
+    eps = gamma.eps
+    base_inv = None
+    if t0 != 0.0:
+        base_inv = invert_diffeo(AnalyticDiffeo.certify(flow.u_at(t0), eps))
+    ts = flow.grid.floats
+    mats = [pullback_matrix(_two_param_map(flow, t, base_inv, eps), K)
+            for t in ts]
+    ac_rows = []
+    for j in range(len(ts) - 1):
+        inc = float(np.abs(mats[j + 1].matrix - mats[j].matrix).max())
+        bound = TWO_PI * max(K, 1) * field_nu_integral(gamma, ts[j], ts[j + 1])
+        ac_rows.append((ts[j], ts[j + 1], inc, bound, inc <= bound * (1 + 1e-9)))
+    stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * fd_step)
+    offsets = np.array([-2, -1, 1, 2]) * fd_step
+    transport_rows = []
+    for t in np.linspace(0.15, 0.85, n_transport_times):
+        stencil_maps = [_two_param_map(flow, t + o, base_inv, eps)
+                        for o in offsets]
+        mid = _two_param_map(flow, t, base_inv, eps)
+        g_t = gamma.field.value_at(t)
+        for fi, f in enumerate(test_functions):
+            pulled = [pullback_apply(p, f, tol_trunc=1e-6) for p in stencil_maps]
+            lhs = pulled[0] * stencil[0]
+            for sc, p in zip(stencil[1:], pulled[1:]):
+                lhs = lhs + sc * p
+            rhs = pullback_apply(mid, _grad_dot(g_t, f), tol_trunc=1e-6)
+            transport_rows.append(
+                (float(t), fi, float(np.abs((lhs - rhs).coeffs).max())))
+    return mats, ac_rows, transport_rows
+
+
+def lp_norm(field, p, kind, eps):
+    def seminorm(j, tau):
+        rep = strip_norms(_at(field.pieces, j, tau), eps)
+        return rep.nu if kind == "nu" else rep.beta
+
+    steps = [float(s) for s in field.grid.steps]
+    if p in (np.inf, "inf"):
+        worst = 0.0
+        for j, piece in enumerate(field.pieces):
+            taus = [0.0] if piece.shape[0] == 1 else np.concatenate(
+                [[0.0, 1.0], 0.5 - 0.5 * np.cos(np.pi * np.arange(1, 64) / 64)])
+            worst = max(worst, max(seminorm(j, t) for t in taus))
+        return worst
+    total = 0.0
+    for j, piece in enumerate(field.pieces):
+        if piece.shape[0] == 1:
+            s = seminorm(j, 0.0)
+            total += steps[j] * (s if p == 1 else s * s)
+        else:
+            vals = np.array([seminorm(j, t) for t in _GL4_X])
+            total += steps[j] * float(_GL4_W @ (vals if p == 1 else vals**2))
+    return total if p == 1 else float(np.sqrt(total))

@@ -175,3 +175,12 @@ def test_non_numeric_tolerance_exit_two(tmp_path, capsys):
                              tolerances={"tol_solve": bad})
         assert run(["solve", scenario, "--out", tmp_path / "out"]) == 2
         assert "tolerances must be positive numbers" in capsys.readouterr().err
+
+
+def test_limits_rejects_m_and_eps(tmp_path, capsys):
+    base = json.loads((SCENARIOS / "limits_square.json").read_text())
+    for extra in ({"m": 2, "eps": 0.3}, {"m": 2}, {"eps": 0.3}):
+        scenario = _scenario(tmp_path, **{**base, **extra})
+        assert run(["limits", scenario, "--out", tmp_path / "out"]) == 2
+        assert "limits scenarios" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "continuity.csv").exists()

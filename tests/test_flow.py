@@ -12,9 +12,8 @@ from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
                        TimeGrid, identity_path, param_lipschitz_check,
                        picard_step, pointwise_solution,
                        restriction_consistency, solve_flow)
-from torusflow.fourier import TOL_TRUNC
-from torusflow.flow import (_PicardSweep, _real_horner,
-                            contraction_certificate_ok)
+from torusflow.fourier import TOL_TRUNC, _real_horner, _tail_ratio
+from torusflow.flow import _PicardSweep, contraction_certificate_ok
 
 from _reference_sweep import reference_sweep
 from conftest import EPS, cosine_map, probe_points, random_admissible, sine_map
@@ -226,7 +225,8 @@ def test_half_spectrum_tail_ratio_matches_full(m):
     kf = np.abs(np.fft.fftfreq(sweep.M, d=1.0 / sweep.M))
     outside = sum(np.ix_(*[kf] * m)) > 8
     want = full[:, outside].sum(axis=1) / full.reshape(3, -1).sum(axis=1)
-    got = sweep._tail_ratio(np.fft.rfftn(vals, axes=axes, norm="forward"))
+    got = _tail_ratio(np.fft.rfftn(vals, axes=axes, norm="forward"),
+                      sweep.M, m, 8)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
     assert want[0] < 1e-9 < want[1] < want[2]
 

@@ -6,9 +6,24 @@ from hypothesis import given, settings, strategies as st
 
 from torusflow import (FourierMap, RealityDefect, TruncationBudgetExceeded,
                        compose, jacobian, multiply, restrict, strip_norms)
-from torusflow.fourier import cauchy_gain, imag_reach, strip_sample_points
+from torusflow.fourier import cauchy_gain, imag_reach
 
 from conftest import cosine_map, random_real_map, sine_map
+
+
+def strip_sample_points(order, m, eps, n_real=64, n_imag=8, rng=None):
+    """Deterministic strip sampling grid used by the majorant-domination checks."""
+    x = np.arange(n_real) / n_real
+    y = np.linspace(-eps, eps, n_imag)
+    if m == 1:
+        zz = (x[:, None] + 1j * y[None, :]).ravel()
+        return zz.reshape(-1, 1)
+    xs = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    ys = rng.uniform(-eps, eps, size=(n_imag, 2))
+    pts = (xs[:, None, :] + 1j * ys[None, :, :]).reshape(-1, 2)
+    return pts
 
 
 # -- evaluation -------------------------------------------------------------

@@ -1,0 +1,151 @@
+"""Batched time-axis paths against their per-node reference loops.
+
+Each function that once built one FourierMap and ran one inversion per
+time node now evaluates, inverts and fits all of its nodes at once.  The
+loops live on in ``_reference_loops`` and every batched path must match its
+loop to 1e-13, on m = 1 and on m = 2.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from torusflow import (AdmissibleField, FourierMap, LocalAddition,
+                       TimeDependentField, TimeGrid, evol_left, evol_right,
+                       find_delta0, flow_to_chart, odot, pointwise_solution,
+                       pullback_path, solve_flow, verify_evolution_pointwise)
+from torusflow.flow import MAX_STEP
+from torusflow.group import _field_nu_integral, ad_transport_integral
+
+import _reference_loops as ref
+from conftest import EPS, cosine_map, sine_map
+
+TOL = 1e-13
+
+
+def _m2_map(order, a, b, shift=0.0):
+    """A coupled real field on T^2 with modes (1, 0), (0, 1) and (1, 1)."""
+    return FourierMap.from_modes({(1, 0): [0.0, -0.5j * a],
+                                  (0, 1): [0.5 * b, 0.0],
+                                  (1, 1): [0.2j * a, 0.3 * b + shift]},
+                                 order, m=2)
+
+
+def _fields(m):
+    """(gamma, eta): a two-piece step field and a cubic-in-time field."""
+    grid = TimeGrid((Fraction(0), Fraction(3, 8), Fraction(1)))
+    if m == 1:
+        step = [sine_map(0.02, 16), sine_map(0.005, 16, mode=2)]
+        base = cosine_map(0.02, 16)
+    else:
+        step = [_m2_map(6, 1e-4, 8e-5), _m2_map(6, 8e-5, 1e-4, 5e-5)]
+        base = _m2_map(6, 1e-4, 6e-5)
+    gamma = AdmissibleField.certify(
+        TimeDependentField.step(grid, step, scale=0.2), EPS)
+    profile = TimeDependentField.from_profile(
+        base, lambda t: 1.0 + 0.5 * t * t - 0.3 * t ** 3, scale=0.2, n_pieces=4)
+    return gamma, AdmissibleField.certify(profile, EPS)
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["m1", "m2"])
+def fields(request):
+    return _fields(request.param)
+
+
+def _close(got, want):
+    return np.abs(np.asarray(got) - np.asarray(want)).max() <= TOL
+
+
+def test_odot_matches_node_loop(fields):
+    gamma, eta = fields
+    got = odot(gamma, eta)
+    want = ref.odot(gamma, eta, gamma.field.grid.merged(eta.field.grid)
+                    .refined(MAX_STEP))
+    assert got.grid == want.grid
+    assert _close(np.stack(got.pieces), np.stack(want.pieces))
+
+
+def test_ad_transport_integral_matches_node_loop(fields):
+    gamma, eta = fields
+    for t in (0.0, 0.6):
+        assert _close(ad_transport_integral(eta, gamma.field, t).coeffs,
+                      ref.ad_transport_integral(eta, gamma.field, t).coeffs)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_verify_pointwise_matches_node_loop(fields, side):
+    gamma, _ = fields
+    evol = (evol_right if side == "right" else evol_left)(gamma)
+    probes = np.random.default_rng(3).uniform(0, 1, (5, gamma.field.m))
+    rep = verify_evolution_pointwise(evol, gamma, probes)
+    want = ref.verify_rows(evol, gamma, probes)
+    assert [r[:2] for r in rep.rows] == [r[:2] for r in want]
+    assert _close([r[2] for r in rep.rows], [r[2] for r in want])
+    assert rep.passed
+
+
+def test_field_nu_integral_matches_node_loop(fields):
+    for gamma in fields:
+        a = np.array([0.0, 0.1, 0.3, 0.5, 0.0])
+        b = np.array([1.0, 0.2, 0.45, 0.5, 0.375])
+        want = [ref.field_nu_integral(gamma, x, y) for x, y in zip(a, b)]
+        assert _close(_field_nu_integral(gamma, a, b), want)
+
+
+def test_lp_norm_matches_node_loop(fields):
+    for gamma in fields:
+        for p in (1, 2, "inf"):
+            for kind in ("nu", "beta"):
+                got = gamma.field.lp_norm(p, kind, 2 * EPS)
+                assert abs(got - ref.lp_norm(gamma.field, p, kind, 2 * EPS)) \
+                    <= TOL * max(1.0, got)
+
+
+def test_pointwise_solution_matches_node_loop(fields):
+    gamma, _ = fields
+    flow = solve_flow(gamma)
+    y0 = np.full(gamma.field.m, 0.37)
+    for t0 in (0.0, 0.41):
+        traj = pointwise_solution(flow, t0, y0)
+        pts, resid = ref.pointwise_solution(flow, t0, y0)
+        assert _close(traj.points, pts) and _close(traj.residuals, resid)
+        assert traj.ok
+
+
+def test_flow_to_chart_matches_node_loop(fields):
+    gamma, _ = fields
+    m, order = gamma.field.m, gamma.field.order
+    term = (sine_map(0.05, order) if m == 1
+            else _m2_map(order, 0.05, 0.04))
+    flow = solve_flow(gamma)
+    for terms in ([], [((2,) if m == 1 else (2, 0), term)]):
+        alpha = LocalAddition(terms, m=m, order=order)
+        cert = find_delta0(alpha, EPS)
+        got, want = flow_to_chart(flow, alpha, cert), ref.flow_to_chart(flow, alpha)
+        assert _close(np.stack([v.coeffs for v in got.values]),
+                      np.stack([v.coeffs for v in want.values]))
+        assert _close(np.stack(got.derivative.pieces),
+                      np.stack(want.derivative.pieces))
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.3])
+def test_pullback_path_matches_node_loop(fields, t0):
+    gamma, _ = fields
+    m, order = gamma.field.m, gamma.field.order
+    tests = [FourierMap.from_modes({1: [0.5]} if m == 1 else {(1, 0): [0.5]},
+                                   order, m=m, ncomp=1),
+             FourierMap.from_modes({2: [-0.25j]} if m == 1
+                                   else {(1, 1): [-0.25j]}, order, m=m, ncomp=1)]
+    K = 3
+    rep = pullback_path(gamma, t0, K, test_functions=tests)
+    mats, ac_rows, transport_rows = ref.pullback_path(gamma, t0, K, tests)
+    assert _close(np.stack([A.matrix for A in rep.matrices]),
+                  np.stack([A.matrix for A in mats]))
+    assert _close(np.stack([A.column_leakage for A in rep.matrices]),
+                  np.stack([A.column_leakage for A in mats]))
+    assert [r[4] for r in rep.ac_rows] == [r[4] for r in ac_rows]
+    assert _close([r[2:4] for r in rep.ac_rows], [r[2:4] for r in ac_rows])
+    assert [r[:2] for r in rep.transport_rows] == [r[:2] for r in transport_rows]
+    assert _close([r[2] for r in rep.transport_rows],
+                  [r[2] for r in transport_rows])
