@@ -26,8 +26,8 @@ from .flow import (AdmissibleField, contraction_certificate_ok,
 from .fourier import FourierMap, strip_norms
 from .group import (AnalyticDiffeo, ac_modulus_check, evol_right,
                     trotter_curve, verify_evolution_pointwise)
-from .limits import (LinearScaleMap, PointwiseSquareMap, cauchy_bound_check,
-                     make_levels, third_ball_lipschitz,
+from .limits import (MAX_MODE, LinearScaleMap, PointwiseSquareMap,
+                     cauchy_bound_check, make_levels, third_ball_lipschitz,
                      verify_continuity_estimate)
 from .pullback import contravariance_defect, pullback_apply, pullback_path
 from .timepaths import TimeDependentField, TimeGrid
@@ -42,7 +42,7 @@ def _fail(msg: str, code: int) -> int:
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))    # np.float64 is a float whose repr names it
     return str(x)
 
 
@@ -146,6 +146,16 @@ def _certify(scenario: dict) -> AdmissibleField:
                                    for_chart=scenario.get("for_chart", False))
 
 
+def _flow_json(data: dict) -> str:
+    """flow.json, one line per field and per snapshot: json.dumps without
+    indent runs the C encoder, with indent the pure-Python one."""
+    fields = {k: json.dumps(v) for k, v in data.items() if k != "snapshots"}
+    fields["snapshots"] = "[\n  " + ",\n  ".join(
+        map(json.dumps, data["snapshots"])) + "\n ]"
+    return "{\n" + ",\n".join(f" {json.dumps(k)}: {fields[k]}"
+                               for k in data) + "\n}"
+
+
 def run_solve(scenario: dict, out: Path, checks: list) -> None:
     tol = float(scenario.get("tolerances", {}).get("tol_solve", 1e-10))
     gamma = _certify(scenario)
@@ -154,7 +164,7 @@ def run_solve(scenario: dict, out: Path, checks: list) -> None:
               path.iteration_log_rows())
     write_csv(out / "norms.csv", ("eps", "nu", "beta", "tail_ratio"),
               [strip_norms(u, gamma.eps).as_row() for u in path.snapshots])
-    (out / "flow.json").write_text(json.dumps(path.to_json(), indent=1))
+    (out / "flow.json").write_text(_flow_json(path.to_json()))
     checks.append(("residual", path.residual, tol, path.residual <= tol))
     checks.append(("contraction_ratios", gamma.theta_hat + 0.05, 0.55,
                    contraction_certificate_ok(path)))
@@ -266,10 +276,9 @@ def run_limits(scenario: dict, out: Path, checks: list) -> None:
               rep.rows)
     checks.append(("continuity_violations", rep.violations, 0,
                    rep.violations == 0))
-    cb = cauchy_bound_check(f, levels[0], levels[0].eps,
-                            int(scenario.get("ratio_samples", 1000)), rng)
-    tb = third_ball_lipschitz(f, levels[0], levels[0].eps,
-                              int(scenario.get("ratio_samples", 1000)), rng)
+    n_ratio = scenario.get("ratio_samples", 1000)
+    cb = cauchy_bound_check(f, levels[0], levels[0].eps, n_ratio, rng)
+    tb = third_ball_lipschitz(f, levels[0], levels[0].eps, n_ratio, rng)
     checks.append(("cauchy_ratio", cb.max_ratio, 1.001, cb.ok()))
     checks.append(("third_ball_ratio", tb.max_ratio, 1.001, tb.ok()))
 
@@ -336,13 +345,14 @@ def validate_scenario(scenario: dict, kind: str) -> str | None:
     tols = scenario.get("tolerances", {})
     if not (isinstance(tols, dict) and all(map(_positive_number, tols.values()))):
         return f"tolerances must be positive numbers, got {tols!r}"
-    order, m, eps = (scenario.get(key, 1) for key in ("order", "m", "eps"))
+    order, m = scenario.get("order", 1), scenario.get("m", 1)
     if not _integer(order) or order < 1:
         return f"order must be an integer >= 1, got {order!r}"
     if not _integer(m) or m not in (1, 2):
         return f"m must be 1 or 2, got {m!r}"
-    if not _positive_number(eps):
-        return f"eps must be positive, got {eps!r}"
+    for key in ("eps_top", "eps_target") if kind == "limits" else ("eps",):
+        if not _positive_number(scenario.get(key, 0.1)):
+            return f"{key} must be positive, got {scenario[key]!r}"
     random_field = (isinstance(scenario.get("field"), dict)
                     and scenario["field"].get("type") == "random")
     if random_field and m != 1:
@@ -352,9 +362,20 @@ def validate_scenario(scenario: dict, kind: str) -> str | None:
     if kind == "limits" and (m != 1 or "eps" in scenario):
         return ("limits scenarios run the m = 1 harness on the widths "
                 "eps_top/eps_target; they take no m != 1 and no eps")
-    count = scenario.get("count", 10)
-    if kind == "sweep" and not (_integer(count) and count >= 1):
-        return f"sweep count must be an integer >= 1, got {count!r}"
+    for key in {"sweep": ["count"], "limits": ["count", "ratio_samples"]}.get(
+            kind, []):
+        count = scenario.get(key, 10)
+        if not (_integer(count) and count >= 1):
+            return f"{kind} {key} must be an integer >= 1, got {count!r}"
+    if kind == "limits":
+        if scenario.get("order", 16) < MAX_MODE:
+            return f"limits order must be >= {MAX_MODE} (the ball maps' modes)"
+        radii = scenario.get("radii", [0.5])
+        if not (isinstance(radii, list) and radii
+                and all(map(_positive_number, radii))
+                and all(a <= b for a, b in zip(radii, radii[1:]))):
+            return ("limits radii must be a non-empty, non-decreasing list "
+                    f"of positive numbers, got {radii!r}")
     needs_seed = kind in ("sweep", "verify", "limits") or random_field
     if needs_seed and scenario.get("seed") is None:
         return "sampling scenarios must carry a seed for reproducibility"

@@ -43,9 +43,9 @@ import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
                      NonContraction, RealityDefect)
-from .fourier import (TOL_TRUNC, TWO_PI, FourierMap, MapStack,
-                      _k_l1, _series_sum, _unit_circle, fit_grid, imag_reach,
-                      node_chunks, sampling_grid, strip_norms)
+from .fourier import (TOL_TRUNC, FourierMap, MapStack,
+                      _series_sum, _unit_circle, fit_grid, imag_reach,
+                      node_chunks, sampling_grid, strip_norms, strip_weights)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
                         _GL4_W, _GL4_X, fit_poly3, piece_values)
 
@@ -340,7 +340,7 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
     theta = gamma.theta_hat
     path = start if start is not None else identity_path(gamma, max_step)
     target = tol_solve * (1 - theta)
-    w = np.exp(TWO_PI * gamma.eps * _k_l1(path.order, path.m))
+    w = strip_weights(path.order, path.m, gamma.eps)[0]
     sweep = _PicardSweep(gamma, path.grid, TOL_TRUNC)
 
     def _diff(snaps_a, snaps_b) -> float:

@@ -56,12 +56,23 @@ def _k_axis(order: int) -> np.ndarray:
     return np.arange(-order, order + 1)
 
 
+@lru_cache(maxsize=128)
 def _k_l1(order: int, m: int) -> np.ndarray:
-    """||k||_1 on the centered lattice cube, shape (2N+1,)*m."""
+    """||k||_1 on the centered lattice cube, shape (2N+1,)*m.  Read-only."""
     k = np.abs(_k_axis(order))
-    if m == 1:
-        return k
-    return k[:, None] + k[None, :]
+    l1 = k if m == 1 else k[:, None] + k[None, :]
+    l1.flags.writeable = False
+    return l1
+
+
+@lru_cache(maxsize=256)
+def strip_weights(order: int, m: int, eps: float):
+    """Read-only weights e^{2 pi ||k||_1 eps} and 2 pi ||k||_1 e^{..} of nu, mu."""
+    l1 = _k_l1(order, m)
+    w = np.exp(TWO_PI * eps * l1)
+    dw = TWO_PI * l1 * w
+    w.flags.writeable = dw.flags.writeable = False
+    return w, dw
 
 
 @dataclass(frozen=True)
@@ -127,10 +138,8 @@ class FourierMap:
         if size % 2 != 1 or any(s != size for s in coeffs.shape[:-1]):
             raise ValueError("coefficient cube must be (2N+1,)*m")
         order = size // 2
-        mask = _k_l1(order, m) > order
-        if mask.any():
-            coeffs = coeffs.copy()
-            coeffs[mask] = 0.0
+        if m == 2:      # zero the corners ||k||_1 > N (none exist for m = 1)
+            coeffs = np.where(_k_l1(order, m)[..., None] > order, 0.0, coeffs)
         self.coeffs = coeffs
         self.m = m
         self.order = order
@@ -431,10 +440,10 @@ def strip_norms(f: FourierMap, eps: float) -> NormReport:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    l1 = _k_l1(f.order, f.m)
-    terms, mu = _majorant_terms(f.coeffs, l1, eps)
+    terms, mu = _majorant_terms(f.coeffs, f.m, eps)
     nu, mu = float(terms.sum()), float(mu)
-    tail_ratio = float(terms[l1 > f.order / 2].sum() / nu) if nu > 0 else 0.0
+    tail = _k_l1(f.order, f.m) > f.order / 2
+    tail_ratio = float(terms[tail].sum() / nu) if nu > 0 else 0.0
     return NormReport(eps=eps, nu=nu, mu=mu, beta=max(nu, mu), tail_ratio=tail_ratio)
 
 
@@ -443,23 +452,22 @@ def majorants(coeffs: np.ndarray, m: int, eps: float):
 
     With a leading batch axis both are arrays with one entry per cube.
     """
-    terms, mu = _majorant_terms(coeffs, _k_l1(coeffs.shape[-2] // 2, m), eps)
+    terms, mu = _majorant_terms(coeffs, m, eps)
     return terms.sum(axis=tuple(range(-m, 0))), mu
 
 
-def _majorant_terms(coeffs: np.ndarray, l1: np.ndarray, eps: float):
+def _majorant_terms(coeffs: np.ndarray, m: int, eps: float):
     """Per mode max_i |c_{k,i}| e^{2 pi ||k||_1 eps} (nu sums them), and mu."""
-    w = np.exp(TWO_PI * eps * l1)
+    w, dw = strip_weights(coeffs.shape[-2] // 2, m, eps)
     absc = np.abs(coeffs)
-    lattice = tuple(range(-l1.ndim - 1, -1))
-    mu = (absc * (TWO_PI * l1 * w)[..., None]).sum(axis=lattice).max(axis=-1)
+    lattice = tuple(range(-m - 1, -1))
+    mu = (absc * dw[..., None]).sum(axis=lattice).max(axis=-1)
     return absc.max(axis=-1) * w, mu
 
 
 def nu_per_component(f: FourierMap, eps: float) -> np.ndarray:
     """Component-wise sup-majorants sum_k |c_{k,i}| e^{2 pi ||k||_1 eps}."""
-    l1 = _k_l1(f.order, f.m)
-    w = np.exp(TWO_PI * eps * l1)
+    w = strip_weights(f.order, f.m, eps)[0]
     return (np.abs(f.coeffs) * w[..., None]).sum(axis=tuple(range(f.m)))
 
 
@@ -621,14 +629,6 @@ def multiply(f: FourierMap, g: FourierMap, *, order: int | None = None,
     ncomp = max(f.ncomp, g.ncomp)
     shape = (M,) * f.m + (ncomp,)
     return fit_grid(vals.reshape(shape), n_out, f.m, tol_trunc, context="product")
-
-
-def multiply_exact(f: FourierMap, g: FourierMap) -> FourierMap:
-    """Exact product, kept at the full order N1+N2 (no truncation)."""
-    if f.m != 1 or g.m != 1 or f.ncomp != 1 or g.ncomp != 1:
-        return multiply(f, g, order=f.order + g.order, tol_trunc=np.inf)
-    c = np.convolve(f.coeffs[:, 0], g.coeffs[:, 0])
-    return FourierMap(c[:, None], check=False)
 
 
 # ---------------------------------------------------------------------------

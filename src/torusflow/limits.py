@@ -22,6 +22,9 @@ map bounded on U_n, the derivative obeys the Cauchy estimate
 with q_n the Minkowski functional of U_n/3 and v ranging over U_n/3, and
 f is Lipschitz on the third-ball with the same constant; both ratios are
 swept with finite-difference derivatives.
+
+The sweeps draw blocks of samples into arrays (samples, levels, 2N+1) and
+check every link by array reductions over them.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyLevel
-from .fourier import FourierMap, multiply_exact, strip_norms
+from .fourier import FourierMap, node_chunks, strip_norms, strip_weights
 
 #: slack for the Cauchy / third-ball ratio contracts
 RATIO_SLACK = 1e-3
+#: a random ball map carries the modes |k| <= MAX_MODE
+MAX_MODE = 6
 
 
 @dataclass(frozen=True)
@@ -74,17 +79,9 @@ class LevelLipschitzCert:
 # ---------------------------------------------------------------------------
 
 class ScaleMap:
-    """A map of the scale with certified per-level data."""
-
-    def apply(self, u: FourierMap) -> FourierMap:
-        raise NotImplementedError
-
-    def lipschitz_certs(self, levels, p_eps: float) -> list:
-        raise NotImplementedError
-
-    def sup_bound(self, level: ScaleLevel, p_eps: float) -> float:
-        """Certified sup of p over the level ball U_n."""
-        raise NotImplementedError
+    """A map of the scale: ``apply`` maps the scalar maps on T^1 stacked in
+    an array (..., 2N+1) to their images; ``lipschitz_certs`` (one per level)
+    and ``sup_bound(level, p_eps)`` (sup of p on U_n) certify it."""
 
 
 class LinearScaleMap(ScaleMap):
@@ -95,18 +92,13 @@ class LinearScaleMap(ScaleMap):
             raise ValueError("multipliers must be bounded by 1")
         self.multipliers = np.asarray(multipliers, dtype=complex)
 
-    def apply(self, u: FourierMap) -> FourierMap:
-        mult = self.multipliers
-        if mult.shape[0] != u.coeffs.shape[0]:
-            half = (mult.shape[0] - u.coeffs.shape[0]) // 2
-            mult = mult[half:half + u.coeffs.shape[0]]
-        return FourierMap(u.coeffs * mult[..., None], check=False)
+    def apply(self, c):
+        half = (len(self.multipliers) - c.shape[-1]) // 2
+        return c * self.multipliers[half:half + c.shape[-1]]
 
     def lipschitz_certs(self, levels, p_eps):
-        return [LevelLipschitzCert(
-            lv.index, 1.0,
-            "diagonal multiplier bounded by 1; p <= q_n since eps_p <= eps_n")
-            for lv in levels]
+        why = "diagonal multiplier bounded by 1; p <= q_n since eps_p <= eps_n"
+        return [LevelLipschitzCert(lv.index, 1.0, why) for lv in levels]
 
     def sup_bound(self, level, p_eps):
         return level.radius
@@ -116,8 +108,9 @@ class ConstantScaleMap(ScaleMap):
     def __init__(self, value: FourierMap):
         self.value = value
 
-    def apply(self, u):
-        return self.value
+    def apply(self, c):
+        value = self.value.coeffs[:, 0]
+        return np.broadcast_to(value, c.shape[:-1] + value.shape)
 
     def lipschitz_certs(self, levels, p_eps):
         return [LevelLipschitzCert(lv.index, 0.0, "constant map")
@@ -135,42 +128,60 @@ class PointwiseSquareMap(ScaleMap):
     strip.
     """
 
-    def apply(self, u):
-        return multiply_exact(u, u)
+    def apply(self, c):
+        """Exact squares, order 2N: one shifted product per occupied mode."""
+        n = c.shape[-1]
+        out = np.zeros(c.shape[:-1] + (2 * n - 1,), dtype=complex)
+        for i in np.flatnonzero(c.reshape(-1, n).any(axis=0)):
+            out[..., i:i + n] += c[..., i:i + 1] * c
+        return out
 
     def lipschitz_certs(self, levels, p_eps):
-        certs = []
-        for lv in levels:
-            if p_eps > lv.eps + 1e-15:
-                raise ValueError("target seminorm must sit at a thinner strip")
-            certs.append(LevelLipschitzCert(
-                lv.index, 2.0 * lv.radius,
-                f"nu submultiplicative: factor 2 r_{lv.index} = {2 * lv.radius}"))
-        return certs
+        if any(p_eps > lv.eps + 1e-15 for lv in levels):
+            raise ValueError("target seminorm must sit at a thinner strip")
+        return [LevelLipschitzCert(
+            lv.index, 2.0 * lv.radius,
+            f"nu submultiplicative: factor 2 r_{lv.index} = {2 * lv.radius}")
+            for lv in levels]
 
     def sup_bound(self, level, p_eps):
         return level.radius**2
 
 
+def _nu(c: np.ndarray, eps) -> np.ndarray:
+    """nu_eps of the maps in c (n, [levels,] 2N+1), eps one width per level."""
+    return (np.abs(c) * np.array([strip_weights(c.shape[-1] // 2, 1, e)[0]
+                                  for e in np.atleast_1d(eps)])).sum(axis=-1)
+
+
+def _ball_maps(rng, count: int, order: int, bounds, eps, scale):
+    """Blocks (n, len(bounds), 2N+1) of ``count`` draws of real maps on T^1.
+    Per map, in stream order: t = rng.uniform(*bounds[j]), then 2 MAX_MODE
+    + 1 normals d; modes (d_{2k-2} + i d_{2k-1}) e^{-0.7 k}, k <= MAX_MODE,
+    constant d_{2 MAX_MODE}, scaled to nu_eps = t * scale[0] / scale[1]."""
+    for block in node_chunks(count, len(bounds) * (2 * order + 1)):
+        n = len(range(count)[block])
+        u = np.empty((n, len(bounds)))
+        d = np.empty((n, len(bounds), 2 * MAX_MODE + 1))
+        for s in range(n):
+            for j, (low, high) in enumerate(bounds):
+                u[s, j] = rng.uniform(low, high)
+                d[s, j] = rng.normal(size=2 * MAX_MODE + 1)
+        v = (d[..., 0:-1:2] + 1j * d[..., 1:-1:2]) * np.exp(
+            -0.7 * np.arange(1, MAX_MODE + 1))
+        c = np.zeros(d.shape[:-1] + (2 * order + 1,), dtype=complex)
+        c[..., order + 1:order + MAX_MODE + 1] = v
+        c[..., order - MAX_MODE:order] = np.conj(v[..., ::-1])
+        c[..., order] = d[..., -1]
+        nu = _nu(c, eps)
+        c[nu == 0, order] = 1.0
+        nu[nu == 0] = 1.0
+        yield c * (u * scale[0] / scale[1] / nu)[..., None]
+
+
 # ---------------------------------------------------------------------------
 # the telescoping neighbourhood
 # ---------------------------------------------------------------------------
-
-def _random_ball_map(rng, order: int, eps: float, nu_target: float,
-                     max_mode: int = 6) -> FourierMap:
-    f = FourierMap.zero(order, 1, 1)
-    for k in range(1, max_mode + 1):
-        v = (rng.normal() + 1j * rng.normal()) * np.exp(-0.7 * k)
-        f.coeffs[order + k, 0] = v
-        f.coeffs[order - k, 0] = np.conj(v)
-    f.coeffs[order, 0] = rng.normal()
-    f = FourierMap(f.coeffs, check=False)
-    nu = strip_norms(f, eps).nu
-    if nu == 0:
-        f.coeffs[order, 0] = 1.0
-        nu = 1.0
-    return (nu_target / nu) * f
-
 
 @dataclass
 class NeighborhoodSample:
@@ -186,6 +197,24 @@ class NeighborhoodSample:
         return self.partial_sums[-1]
 
 
+def _telescoping(levels, certs, eps_target: float, rng, depth: int, count):
+    """Blocks of ``count`` telescoping draws: parts z_k (n, depth, 2N+1) and
+    q_k(z_k) (n, depth)."""
+    if len(certs) != len(levels):
+        raise ValueError("need one Lipschitz certificate per level")
+    caps = []
+    for lv, cert in zip(levels[:depth], certs[:depth]):
+        lip_cap = (eps_target * 2.0**-lv.index / cert.constant
+                   if cert.constant > 0 else np.inf)
+        caps.append(min(lip_cap, 2.0**-lv.index * lv.radius))
+        if not caps[-1] > 0:
+            raise EmptyLevel(f"level {lv.index} has an empty intersection")
+    eps = [lv.eps for lv in levels[:depth]]
+    for parts in _ball_maps(rng, count, levels[0].order,
+                            [(0.05, 0.99)] * depth, eps, (np.array(caps), 1.0)):
+        yield parts, _nu(parts, eps)
+
+
 def build_neighborhood(levels, certs, eps_target: float,
                        rng: np.random.Generator, depth: int | None = None):
     """Generator of telescoping samples y = sum z_k with bookkeeping.
@@ -194,27 +223,15 @@ def build_neighborhood(levels, certs, eps_target: float,
     below eps 2^{-k}) and the shrunken level ball 2^{-k} U_k; the partial
     sums stay in U_k by convexity, which the caller re-asserts.
     """
-    if len(certs) != len(levels):
-        raise ValueError("need one Lipschitz certificate per level")
     depth = len(levels) if depth is None else depth
-    caps = []
-    for lv, cert in zip(levels[:depth], certs[:depth]):
-        lip_cap = (eps_target * 2.0**-lv.index / cert.constant
-                   if cert.constant > 0 else np.inf)
-        ball_cap = 2.0**-lv.index * lv.radius
-        cap = min(lip_cap, ball_cap)
-        if not cap > 0:
-            raise EmptyLevel(f"level {lv.index} has an empty intersection")
-        caps.append(cap)
+    zero = FourierMap.zero(levels[0].order, 1, 1)
     while True:
-        parts, sums, qs = [], [FourierMap.zero(levels[0].order, 1, 1)], []
-        for lv, cap in zip(levels[:depth], caps):
-            z = _random_ball_map(rng, lv.order, lv.eps,
-                                 cap * rng.uniform(0.05, 0.99))
-            parts.append(z)
-            sums.append(sums[-1] + z)
-            qs.append(lv.q(z))
-        yield NeighborhoodSample(parts=parts, partial_sums=sums, q_values=qs,
+        parts, q = next(_telescoping(levels, certs, eps_target, rng, depth, 1))
+        maps = [FourierMap(c[:, None], check=False)
+                for c in np.concatenate([parts[0], parts[0].cumsum(axis=0)])]
+        yield NeighborhoodSample(parts=maps[:depth],
+                                 partial_sums=[zero] + maps[depth:],
+                                 q_values=q[0].tolist(),
                                  caps=[eps_target * 2.0**-lv.index
                                        for lv in levels[:depth]])
 
@@ -243,50 +260,32 @@ def verify_continuity_estimate(f: ScaleMap, levels, certs, p_eps: float,
     Lipschitz link p(f(y_k) - f(y_{k-1})) <= L_k q_k(z_k), the telescoped
     sum below sum_k eps 2^{-k}, and the headline p(f(y) - f(0)) < eps.
     """
-    gen = build_neighborhood(levels, certs, eps_target, rng)
-    f0 = f.apply(FourierMap.zero(levels[0].order, 1, 1))
+    depth = len(levels)
+    link_caps = eps_target * 2.0**-np.array([lv.index for lv in levels])
     rows = []
-    violations = 0
-    for i in range(count):
-        sample = next(gen)
-        ok = True
-        # convexity membership of every partial sum
-        for j, lv in enumerate(levels[:len(sample.parts)], start=1):
-            if lv.q(sample.partial_sums[j]) >= lv.radius:
-                ok = False
-        telescoped = 0.0
-        for k, (lv, cert) in enumerate(list(zip(levels, certs))[:len(sample.parts)]):
-            step = strip_norms(f.apply(sample.partial_sums[k + 1])
-                               - f.apply(sample.partial_sums[k]), p_eps).nu
-            link_bound = cert.constant * sample.q_values[k]
-            if step > link_bound * (1 + 1e-9) + 1e-15:
-                ok = False
-            if link_bound > sample.caps[k] * (1 + 1e-9):
-                ok = False
-            telescoped += step
-        observed = strip_norms(f.apply(sample.point) - f0, p_eps).nu
-        if observed > telescoped * (1 + 1e-9) + 1e-15:
-            ok = False
-        if observed >= eps_target:
-            ok = False
-        if not ok:
-            violations += 1
-        rows.append((i, len(sample.parts), telescoped, observed, ok))
+    for parts, q in _telescoping(levels, certs, eps_target, rng, depth, count):
+        n = len(parts)
+        sums = np.cumsum(np.pad(parts, ((0, 0), (1, 0), (0, 0))), axis=1)
+        images = f.apply(sums)          # f(y_0 = 0), f(y_1), ..., f(y)
+        steps = _nu(np.diff(images, axis=1), p_eps)
+        telescoped = np.cumsum(steps, axis=1)[:, -1]
+        observed = _nu(images[:, -1] - images[:, 0], p_eps)
+        link = np.array([cert.constant for cert in certs]) * q
+        bad = ((_nu(sums[:, 1:], [lv.eps for lv in levels])
+                >= [lv.radius for lv in levels]).any(axis=1)
+               | (steps > link * (1 + 1e-9) + 1e-15).any(axis=1)
+               | (link > link_caps * (1 + 1e-9)).any(axis=1)
+               | (observed > telescoped * (1 + 1e-9) + 1e-15)
+               | (observed >= eps_target))
+        rows += zip(range(len(rows), len(rows) + n), [depth] * n,
+                    telescoped.tolist(), observed.tolist(), (~bad).tolist())
     return ContinuityReport(rows=rows, eps_target=eps_target,
-                            violations=violations)
+                            violations=sum(not r[4] for r in rows))
 
 
 # ---------------------------------------------------------------------------
 # Cauchy estimate and third-ball Lipschitz sweeps
 # ---------------------------------------------------------------------------
-
-def _fd_directional(f: ScaleMap, v: FourierMap, w: FourierMap,
-                    step: float = 1e-5) -> FourierMap:
-    """Central complex finite difference of f at v along w."""
-    up = f.apply(v + step * w)
-    dn = f.apply(v + (-step) * w)
-    return (1.0 / (2 * step)) * (up - dn)
-
 
 @dataclass
 class RatioSweep:
@@ -303,32 +302,32 @@ class RatioSweep:
 def cauchy_bound_check(f: ScaleMap, level: ScaleLevel, p_eps: float,
                        n_samples: int, rng: np.random.Generator,
                        fd_step: float = 1e-5) -> RatioSweep:
-    """max over samples of p(df(v, w)) / (M_{n,p} q_n(w)), v in U_n/3."""
+    """max over samples of p(df(v, w)) / (M_{n,p} q_n(w)), v in U_n/3.
+
+    df(v, w) is the central complex finite difference of f at v along w.
+    """
     M = f.sup_bound(level, p_eps)
-    ratios = []
-    for _ in range(n_samples):
-        v = _random_ball_map(rng, level.order, level.eps,
-                             rng.uniform(0.02, 0.99) * level.radius / 3.0)
-        w = _random_ball_map(rng, level.order, level.eps,
-                             rng.uniform(0.05, 2.0))
-        df = _fd_directional(f, v, w, fd_step)
-        minkowski = 3.0 * level.q(w) / level.radius
-        ratios.append(strip_norms(df, p_eps).nu / (M * minkowski))
-    return RatioSweep(np.array(ratios))
+    ratios = [np.empty(0)]
+    for c in _ball_maps(rng, n_samples, level.order,
+                        [(0.02, 0.99), (0.05, 2.0)], level.eps,
+                        (np.array([level.radius, 1.0]), np.array([3.0, 1.0]))):
+        v, w = c[:, 0], c[:, 1]
+        df = (f.apply(v + fd_step * w)
+              - f.apply(v + (-fd_step) * w)) * (1.0 / (2 * fd_step))
+        ratios.append(_nu(df, p_eps)
+                      / (M * (3.0 * _nu(w, level.eps) / level.radius)))
+    return RatioSweep(np.concatenate(ratios))
 
 
 def third_ball_lipschitz(f: ScaleMap, level: ScaleLevel, p_eps: float,
                          n_samples: int, rng: np.random.Generator) -> RatioSweep:
     """max over pairs in U_n/3 of p(f(w) - f(v)) / (M_{n,p} q_n(w - v))."""
     M = f.sup_bound(level, p_eps)
-    ratios = []
-    for _ in range(n_samples):
-        v = _random_ball_map(rng, level.order, level.eps,
-                             rng.uniform(0.02, 0.99) * level.radius / 3.0)
-        w = _random_ball_map(rng, level.order, level.eps,
-                             rng.uniform(0.02, 0.99) * level.radius / 3.0)
-        num = strip_norms(f.apply(w) - f.apply(v), p_eps).nu
-        den = M * 3.0 * level.q(w - v) / level.radius
-        if den > 0:
-            ratios.append(num / den)
-    return RatioSweep(np.array(ratios))
+    ratios = [np.empty(0)]
+    for c in _ball_maps(rng, n_samples, level.order, [(0.02, 0.99)] * 2,
+                        level.eps, (level.radius, 3.0)):
+        v, w = c[:, 0], c[:, 1]
+        num = _nu(f.apply(w) - f.apply(v), p_eps)
+        den = M * 3.0 * _nu(w - v, level.eps) / level.radius
+        ratios.append(num[den > 0] / den[den > 0])
+    return RatioSweep(np.concatenate(ratios))

@@ -4,8 +4,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from torusflow.cli import main
+from torusflow.cli import _certify, main
+from torusflow.flow import solve_flow
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -33,10 +35,15 @@ def test_inadmissible_exit_code_names_bound(tmp_path, capsys):
     assert not summary["pass"]
 
 
-def test_sine_benchmark_reproduces_closed_form(tmp_path):
-    code = run(["solve", SCENARIOS / "sine_benchmark.json", "--out", tmp_path])
-    assert code == 0
-    flow = json.loads((tmp_path / "flow.json").read_text())
+@pytest.fixture(scope="module")
+def sine_benchmark_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sine_benchmark")
+    assert run(["solve", SCENARIOS / "sine_benchmark.json", "--out", out]) == 0
+    return out
+
+
+def test_sine_benchmark_reproduces_closed_form(sine_benchmark_out):
+    flow = json.loads((sine_benchmark_out / "flow.json").read_text())
     # reconstruct the endpoint map and probe it against the tangent flow
     end = flow["snapshots"][-1]
     order = 32
@@ -49,6 +56,19 @@ def test_sine_benchmark_reproduces_closed_form(tmp_path):
     a = 0.02
     want = np.arctan(np.exp(2 * np.pi * a) * np.tan(np.pi * y0)) / np.pi
     assert abs(val.real - want) < 1e-8
+
+
+def test_flow_json_loads_as_the_indented_layout(sine_benchmark_out):
+    scenario = json.loads((SCENARIOS / "sine_benchmark.json").read_text())
+    path = solve_flow(_certify(scenario), tol_solve=1e-10)
+    indented = json.dumps(path.to_json(), indent=1)
+    text = (sine_benchmark_out / "flow.json").read_text()
+    assert json.loads(text) == json.loads(indented)
+    assert len(text) < len(indented)
+    # header fields one per line, then one line per snapshot
+    lines = text.splitlines()
+    assert lines[1].startswith(' "eps": ') and lines[-2].startswith(' "residual"')
+    assert len(lines) == len(path.snapshots) + 7
 
 
 def test_invalid_scenario_exit_two(tmp_path):
@@ -105,15 +125,30 @@ def test_limits_scenario(tmp_path):
     assert len(rows) == 201
 
 
-def test_pullback_scenario(tmp_path):
-    code = run(["pullback", SCENARIOS / "pullback_sine.json",
-                "--out", tmp_path])
-    assert code == 0
-    assert (tmp_path / "pullback_matrix.csv").exists()
-    summary = json.loads((tmp_path / "summary.json").read_text())
+@pytest.fixture(scope="module")
+def pullback_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pullback_sine")
+    assert run(["pullback", SCENARIOS / "pullback_sine.json",
+                "--out", out]) == 0
+    return out
+
+
+def test_pullback_scenario(pullback_out):
+    assert (pullback_out / "pullback_matrix.csv").exists()
+    summary = json.loads((pullback_out / "summary.json").read_text())
     names = {c["name"] for c in summary["checks"]}
     assert {"pullback_ac", "transport_residual", "contravariance",
             "linearity"} <= names
+
+
+def test_ac_modulus_csv_fields_are_numbers(pullback_out):
+    rows = (pullback_out / "ac_modulus.csv").read_text().splitlines()
+    assert rows[0] == "t_a,t_b,increment,bound,pass"
+    assert len(rows) > 1
+    for row in rows[1:]:
+        for field in row.split(","):
+            if field not in ("True", "False"):
+                float(field)
 
 
 def _scenario(tmp_path, **fields):
@@ -183,4 +218,20 @@ def test_limits_rejects_m_and_eps(tmp_path, capsys):
         scenario = _scenario(tmp_path, **{**base, **extra})
         assert run(["limits", scenario, "--out", tmp_path / "out"]) == 2
         assert "limits scenarios" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "continuity.csv").exists()
+
+
+def test_limits_fields_checked_up_front(tmp_path, capsys):
+    base = json.loads((SCENARIOS / "limits_square.json").read_text())
+    bad_fields = [("order", 5)]
+    bad_fields += [("count", v) for v in (0, -1, 2.5, "3", True, None)]
+    bad_fields += [("ratio_samples", v) for v in (0, -5, 1.5, False)]
+    bad_fields += [("radii", v) for v in ([], [0.6, 0.5], [0.5, -0.1],
+                                          [0.5, 0], [True], "0.5", 0.5)]
+    bad_fields += [(k, v) for k in ("eps_top", "eps_target")
+                   for v in (0, -0.05, True, "0.1")]
+    for key, bad in bad_fields:
+        scenario = _scenario(tmp_path, **{**base, key: bad})
+        assert run(["limits", scenario, "--out", tmp_path / "out"]) == 2, key
+        assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out" / "continuity.csv").exists()

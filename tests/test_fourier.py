@@ -307,8 +307,8 @@ def test_reality_preserved_by_compose_hypothesis(c1, c2):
 def test_nu_submultiplicative_hypothesis(c, scale):
     f = FourierMap.from_modes({1: [c], 3: [0.2 * c]}, 8)
     g = FourierMap.from_modes({2: [scale * c]}, 8)
-    from torusflow.fourier import multiply_exact
-    prod = multiply_exact(f, g)
+    prod = FourierMap(np.convolve(f.coeffs[:, 0], g.coeffs[:, 0])[:, None],
+                      check=False)     # the exact product, order 16
     eps = 0.07
     assert strip_norms(prod, eps).nu <= \
         strip_norms(f, eps).nu * strip_norms(g, eps).nu + 1e-12

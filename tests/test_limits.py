@@ -6,9 +6,11 @@ import pytest
 from torusflow import (FourierMap, LinearScaleMap, PointwiseSquareMap,
                        build_neighborhood, cauchy_bound_check, make_levels,
                        third_ball_lipschitz, verify_continuity_estimate)
+from torusflow import fourier, limits
 from torusflow.errors import EmptyLevel
-from torusflow.limits import ConstantScaleMap
+from torusflow.limits import ConstantScaleMap, LevelLipschitzCert
 
+import _reference_limits as ref
 from conftest import random_real_map
 
 
@@ -126,3 +128,80 @@ def test_third_ball_trio(levels, square):
     const = ConstantScaleMap(FourierMap.from_modes({1: [0.2]}, 16, ncomp=1))
     assert third_ball_lipschitz(const, levels[0], levels[0].eps, 50,
                                 rng).max_ratio == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batched harness against the per-sample reference
+# ---------------------------------------------------------------------------
+
+ORACLE_MAPS = {
+    "square": lambda n: PointwiseSquareMap(),
+    "linear": lambda n: LinearScaleMap(np.full(2 * n + 1, 0.95, dtype=complex)),
+    "constant": lambda n: ConstantScaleMap(
+        FourierMap.from_modes({1: [0.2]}, n, ncomp=1)),
+}
+
+
+def _close(got, want, rtol=1e-12):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want))
+
+
+@pytest.mark.parametrize("order", [16, 32])
+@pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batched_harness_matches_reference(name, order, seed):
+    levels = make_levels(0.2, [0.5, 0.6, 0.7, 0.8], order=order)
+    f, p_eps = ORACLE_MAPS[name](order), levels[-1].eps
+    certs = f.lipschitz_certs(levels, p_eps)
+    if seed == 1:   # undersized constants: links fail (square: 21 of 60)
+        certs = [LevelLipschitzCert(c.level, 0.03 * c.constant, "too small")
+                 for c in certs]
+    got, want = (mod.verify_continuity_estimate(
+        f, levels, certs, p_eps, 0.05, 60, np.random.default_rng(seed))
+        for mod in (limits, ref))
+    assert [(r[0], r[1], r[4]) for r in got.rows] == \
+        [(r[0], r[1], r[4]) for r in want.rows]
+    assert got.violations == want.violations
+    _close([r[2:4] for r in got.rows], [r[2:4] for r in want.rows])
+    # the square map's central difference divides the rounding of two
+    # squares by 2 fd_step, and the batched convolution rounds otherwise
+    # than np.convolve: at the default step 1e-5 the ratios agree to ~1e-11
+    # only, so it is compared exactly at a step where that stays below 1e-13
+    # (the central difference of a square is exact for every step)
+    for fd_step, rtol in ((1e-5, 1e-10 if name == "square" else 1e-12),
+                          (1e-3, 1e-12)):
+        got, want = (mod.cauchy_bound_check(
+            f, levels[0], levels[0].eps, 40, np.random.default_rng(seed),
+            fd_step) for mod in (limits, ref))
+        _close(got.ratios, want.ratios, rtol)
+        assert got.ok() == want.ok()
+    got, want = (mod.third_ball_lipschitz(
+        f, levels[0], levels[0].eps, 40, np.random.default_rng(seed))
+        for mod in (limits, ref))
+    _close(got.ratios, want.ratios)
+
+
+def test_third_ball_drops_zero_denominators():
+    levels = make_levels(0.2, [0.5], order=16)
+    zero = ConstantScaleMap(FourierMap.zero(16, 1, 1))
+    got, want = (mod.third_ball_lipschitz(zero, levels[0], levels[0].eps, 30,
+                                          np.random.default_rng(3))
+                 for mod in (limits, ref))
+    assert got.ratios.size == want.ratios.size == 0
+
+
+def test_blocks_keep_the_random_stream():
+    """A sweep split into many blocks draws what one block draws."""
+    levels = make_levels(0.2, [0.5, 0.6, 0.7, 0.8], order=16)
+    square = PointwiseSquareMap()
+    certs = square.lipschitz_certs(levels, levels[-1].eps)
+    one = verify_continuity_estimate(square, levels, certs, levels[-1].eps,
+                                     0.05, 300, np.random.default_rng(12))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fourier, "_CHUNK_POINTS", 1000)
+        many = verify_continuity_estimate(square, levels, certs,
+                                          levels[-1].eps, 0.05, 300,
+                                          np.random.default_rng(12))
+    assert one.rows == many.rows
