@@ -64,18 +64,11 @@ def build_map(spec: dict, order: int, m: int) -> FourierMap:
         return FourierMap.zero(order, m, m)
     if kind == "constant":
         return FourierMap.constant(spec["value"], order, m)
-    if kind == "sine":
-        a = float(spec["amplitude"])
+    if kind in ("sine", "cosine"):     # along the first axis for m = 2
+        c = (-0.5j if kind == "sine" else 0.5) * float(spec["amplitude"])
         mode = spec.get("mode", 1)
-        key = mode if m == 1 else tuple(mode)
-        return FourierMap.from_modes({key: [-0.5j * a] * 1 if m == 1
-                                      else [-0.5j * a, 0.0]}, order, m=m)
-    if kind == "cosine":
-        a = float(spec["amplitude"])
-        mode = spec.get("mode", 1)
-        key = mode if m == 1 else tuple(mode)
-        return FourierMap.from_modes({key: [0.5 * a] if m == 1
-                                      else [0.5 * a, 0.0]}, order, m=m)
+        return FourierMap.from_modes({mode if m == 1 else tuple(mode):
+                                      [c, 0.0][:m]}, order, m=m)
     if kind == "coeffs":
         modes = {}
         for entry in spec["modes"]:
@@ -339,13 +332,40 @@ def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _mode_problem(spec, m: int, order: int) -> str | None:
+    """Why a map or field spec (``step`` values included) holds a mode that
+    is no lattice index k with ||k||_1 <= order, nonzero for sine/cosine."""
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if kind == "step":
+        return next(filter(None, (_mode_problem(v, m, order)
+                                  for v in spec.get("values", []))), None)
+    if kind in ("sine", "cosine"):
+        entries, low = [spec.get("mode", 1)], 1
+    elif kind == "coeffs":      # [k, re, im] entries
+        entries, low = spec.get("modes", []), 0
+    else:
+        return None
+    for entry in entries:
+        k = entry if low else (entry[0] if isinstance(entry, list)
+                               and len(entry) == 3 else None)
+        pair = (isinstance(k, (list, tuple)) and len(k) == 2
+                and all(map(_integer, k)))
+        l1 = (abs(k) if m == 1 and _integer(k) else
+              abs(k[0]) + abs(k[1]) if m == 2 and pair else -1)
+        if not low <= l1 <= order:
+            return (f"{kind} modes must be {'integers' if m == 1 else 'integer pairs'}"
+                    f" k with {'0 < ' * low}||k||_1 <= order = {order}, got {entry!r}")
+    return None
+
+
 def validate_scenario(scenario: dict, kind: str) -> str | None:
     if scenario.get("kind") != kind:
         return f"scenario kind {scenario.get('kind')!r} does not match {kind!r}"
     tols = scenario.get("tolerances", {})
     if not (isinstance(tols, dict) and all(map(_positive_number, tols.values()))):
         return f"tolerances must be positive numbers, got {tols!r}"
-    order, m = scenario.get("order", 1), scenario.get("m", 1)
+    order = scenario.get("order", 16 if kind == "limits" else 32)
+    m = scenario.get("m", 1)
     if not _integer(order) or order < 1:
         return f"order must be an integer >= 1, got {order!r}"
     if not _integer(m) or m not in (1, 2):
@@ -353,6 +373,22 @@ def validate_scenario(scenario: dict, kind: str) -> str | None:
     for key in ("eps_top", "eps_target") if kind == "limits" else ("eps",):
         if not _positive_number(scenario.get(key, 0.1)):
             return f"{key} must be positive, got {scenario[key]!r}"
+    eps = scenario.get("eps", 0.05)
+    scale = scenario.get("scale", 4 * eps)      # norms are quoted at 2 eps
+    if kind in ("solve", "verify", "pullback") and not (
+            _positive_number(scale) and scale >= 2 * eps):
+        return f"scale must be a number >= 2 eps = {2 * eps:g}, got {scale!r}"
+    for key in ("field", "v", "w"):
+        problem = _mode_problem(scenario.get(key), m, order)
+        if problem:
+            return f"{key}: {problem}"
+    K = scenario.get("K", 8)
+    if kind == "pullback" and not (_integer(K) and 1 <= K <= order):
+        return f"pullback K must be an integer in [1, order = {order}], got {K!r}"
+    ladder = scenario.get("ladder", [8])
+    if kind == "trotter" and not (isinstance(ladder, list) and ladder and all(
+            _integer(n) and n >= 1 and n & (n - 1) == 0 for n in ladder)):
+        return f"trotter ladder entries must be powers of two, got {ladder!r}"
     random_field = (isinstance(scenario.get("field"), dict)
                     and scenario["field"].get("type") == "random")
     if random_field and m != 1:

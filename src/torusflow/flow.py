@@ -21,17 +21,16 @@ apart by more than twice their L^1 distance, which is checked by
 ``param_lipschitz_check``.
 
 One sweep engine applies P for m = 1 and m = 2 alike; ``solve_flow`` and
-``picard_step`` both call it.  Every sweep checks, at every collocation
-node, that id + u maps the working strip into the doubled strip where the
-field's majorants are certified (DomainEscape), that u is real on the real
-grid (RealityDefect, read from its coefficients), and that the spectral tail
-discarded by truncation stays within budget (TruncationBudgetExceeded).
-The sweep evaluates the field with the one series kernel of ``fourier``
-(``eval_series``'s real-point Horner pass, on the field's spectral support
-band |k_i| <= K only) and fits the values back with the one fitter,
-``fit_grid``; the nodes come from the time-axis primitive ``piece_values``,
-which ``FlowPath.u_at_many`` also serves.  ``invert_at_point`` solves
-x + u(x) = y for one map or a whole MapStack at once.
+``picard_step`` both call it.  A sweep is one call of ``fourier.compose``,
+the one composition kernel, on the stacks of the field and of u at every
+collocation node; it checks, at every node, that id + u maps the working
+strip into the doubled strip where the field's majorants are certified
+(DomainEscape), that u is real on the real grid (RealityDefect, read from
+its coefficients), and that the spectral tail discarded by truncation stays
+within budget (TruncationBudgetExceeded).  The nodes come from the
+time-axis primitive ``piece_values``, which ``FlowPath.u_at_many`` also
+serves.  ``invert_at_point`` solves x + u(x) = y for one map or a whole
+MapStack at once.
 """
 
 from __future__ import annotations
@@ -42,10 +41,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
-                     NonContraction, RealityDefect)
-from .fourier import (TOL_TRUNC, FourierMap, MapStack,
-                      _series_sum, _unit_circle, fit_grid, imag_reach,
-                      node_chunks, sampling_grid, strip_norms, strip_weights)
+                     NonContraction)
+from .fourier import (TOL_TRUNC, FourierMap, MapStack, compose, imag_reach,
+                      strip_norms, strip_weights)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
                         _GL4_W, _GL4_X, fit_poly3, piece_values)
 
@@ -142,10 +140,8 @@ class FlowPath:
 
     def sup_distance(self, other: "FlowPath", eps: float | None = None) -> float:
         eps = eps if eps is not None else self.eps
-        worst = 0.0
-        for a, b in zip(self.snapshots, other.snapshots):
-            worst = max(worst, strip_norms(a - b, eps).nu)
-        return worst
+        return max(strip_norms(a - b, eps).nu
+                   for a, b in zip(self.snapshots, other.snapshots))
 
     def imag_reach_max(self, start_width: float | None = None) -> float:
         """Certified bound on ||Im zeta(t)(z)|| over starts ||Im z|| <= start_width."""
@@ -187,31 +183,12 @@ def identity_path(gamma: AdmissibleField,
 class _PicardSweep:
     """The integral-equation map on one solver grid, for m in {1, 2}.
 
-    Built once per solve from the field on the grid.  Fields and iterates
-    are real, so every spectrum is Hermitian, c_{-k} = conj(c_k).  A sweep
-    evaluates u at the 4 collocation nodes of every interval, synthesises
-    it on the oversampled real grid from the columns k_m >= 0 (for m = 2 a
-    zero-padded inverse FFT over k_1, then ``irfft``), evaluates the field
-    at the real points y = x + u(x) with the shared real-point kernel,
-    fits the values back with ``fit_grid``, and fits and integrates one
-    cubic per interval in closed form.  Every sweep checks, at every node,
-    that the imaginary reach of id + u from the working strip stays inside
-    the doubled strip (DomainEscape), that u is real on the real grid, from
-    its coefficients: 1/2 sum_k |c_k - conj(c_{-k})| bounds |Im u| there
-    (RealityDefect), and that the relative spectral tail beyond
-    ||k||_1 > N stays within ``tol_trunc`` (TruncationBudgetExceeded).
-    Grid work runs over chunks of nodes (``node_chunks``),
-    component first with the grid axes last, so the FFTs and the reductions
-    over components run on contiguous lines.
-
-    The field is evaluated only on its support band K, the smallest K that
-    holds every coefficient nonzero at any node.  ``g_nodes`` keeps the rows
-    0 <= k_1 <= K of the band cube |k_i| <= K with the rows k_1 > 0 doubled,
-    stored as (node, k_1, component[, k_2]) so that the k_2 contraction
-    needs no copy.  The cube is a raw array, not a FourierMap, because its
-    corners ||k||_1 > K (mode (1, 1) at K = 1) may be nonzero.  The checks
-    above act on u and on the full spectrum of the composed values, so
-    neither the band nor the half spectrum changes a certificate.
+    Built once per solve from the field at the 4 collocation nodes of every
+    interval.  A sweep evaluates u at the same nodes, composes the field
+    with id + u node by node in one ``compose`` call, which checks the
+    reach from the working strip into the doubled strip, the reality of u
+    and the truncation tail at every node, and fits and integrates one
+    cubic per interval in closed form.
     """
 
     def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
@@ -219,76 +196,17 @@ class _PicardSweep:
         gam = gamma.field.on_grid(grid)
         if gam.ncomp != gam.m:
             raise ValueError("the field must be a self-map displacement field")
-        self.eps, self.tol_trunc = gamma.eps, tol_trunc
-        m, n = gam.m, gam.order
-        self.m, self.n = m, n
-        self.M, x = sampling_grid(n, m)
-        self.x = x.T.reshape((m,) + (self.M,) * m)
-        self.to_last = (0,) + tuple(range(2, m + 2)) + (1,)  # component axis last
+        self.eps, self.tol_trunc, self.n = gamma.eps, tol_trunc, gam.order
         self.h = np.diff(grid.floats)
         self.nodes = grid.nodes(FIT_NODES)[:2]
-        g_nodes = piece_values(gam.pieces, *self.nodes)
-        k_used = np.abs(np.argwhere(np.abs(g_nodes).max(axis=(0, -1)) > 0) - n)
-        self.band = K = int(k_used.max()) if k_used.size else 0
-        cut = ((slice(None), slice(n, n + K + 1))
-               + (slice(n - K, n + K + 1),) * (m - 1))
-        # a copy, not a view, which would keep the dense node array alive
-        self.g_nodes = np.moveaxis(g_nodes[cut], -1, 2).copy()
-        self.g_nodes[:, 1:] *= 2.0
-        self.k_pos = np.arange(-n, n + 1) % self.M
+        self.field = MapStack(piece_values(gam.pieces, *self.nodes))
 
     def run(self, pieces):
         """New (snapshots, pieces) from the pieces of a candidate path."""
-        u_nodes = piece_values(pieces, *self.nodes)
-        self._check_reach(u_nodes)
-        kept = np.empty(u_nodes.shape, dtype=complex)
-        for nodes in node_chunks(len(u_nodes), self.M ** self.m):
-            y = self._positions(np.moveaxis(u_nodes[nodes], -1, 1))
-            vals = self._outer(self.g_nodes[nodes], y)
-            kept[nodes] = fit_grid(vals.transpose(self.to_last), self.n,
-                                   self.m, self.tol_trunc, context="picard sweep")
+        kept = compose(self.field, MapStack(piece_values(pieces, *self.nodes)),
+                       order=self.n, tol_trunc=self.tol_trunc,
+                       outer_scale=2 * self.eps, inner_scale=self.eps)
         return self._integrate(kept)
-
-    def _positions(self, u: np.ndarray) -> np.ndarray:
-        """x + u_q(x) on the oversampled real grid, shape (C, m, M..).
-
-        ``u`` holds the coefficients of the chunk's nodes, shape (C, m, n..).
-        Only the columns k_m >= 0 are transformed: for m = 2 a zero-padded
-        inverse FFT over k_1 first, then ``irfft`` over the last axis, which
-        pads them to M/2 + 1 itself.
-        """
-        n, m = self.n, self.m
-        vals = u[..., n:]
-        if m == 2:
-            dense = np.zeros(vals.shape[:2] + (self.M, n + 1), dtype=complex)
-            dense[:, :, self.k_pos] = vals
-            vals = np.fft.ifft(dense, axis=2, norm="forward")
-        vals = np.fft.irfft(vals, n=self.M, axis=-1, norm="forward")
-        mirror = u[(Ellipsis,) + (slice(None, None, -1),) * m].conj()
-        defect = 0.5 * np.abs(u - mirror).reshape(len(u), m, -1).sum(axis=2)
-        size = np.maximum(1.0, np.abs(vals).reshape(len(u), -1).max(axis=1))
-        if (defect.max(axis=1) > 1e-9 * size).any():
-            raise RealityDefect("perturbation is not real on the real grid")
-        return self.x + vals
-
-    def _outer(self, g: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Real gamma_q(y) for the nodes of a chunk, shape (C, ncomp, M..).
-
-        ``g`` is the half band cube of the nodes, shape
-        (C, K+1, ncomp[, 2K+1]), and ``y`` the real positions, shape
-        (C, m, M..).
-        """
-        c, ncomp = g.shape[0], g.shape[2]
-        w = _unit_circle(y.reshape(c, self.m, -1))
-        return _series_sum(g, w, real=True).reshape((c, ncomp) + y.shape[2:])
-
-    def _check_reach(self, u_nodes: np.ndarray) -> None:
-        """imag_reach(u_q, eps) <= 2 eps at every node, vectorised."""
-        reach = float(imag_reach(MapStack(u_nodes), self.eps).max())
-        if reach > 2 * self.eps * (1 + 1e-12):
-            raise DomainEscape(
-                f"candidate path reaches {reach:.6g}, beyond the controlled "
-                f"strip {2 * self.eps:.6g}")
 
     def _integrate(self, kept: np.ndarray):
         """Fit a cubic per interval through the node values and integrate it."""
@@ -360,7 +278,6 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
 
     prev_diff = None
     log = []
-    converged = False
     for step in range(1, max_iter + 1):
         snaps, pieces = sweep.run(path.pieces)
         diff = _diff(snaps, path.snapshots)
@@ -374,10 +291,9 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
                 f"(certificate theta_hat = {theta:.3f})")
         path = FlowPath(path.grid, gamma.eps, snaps, pieces, source=gamma)
         if diff <= max(target, noise_floor):
-            converged = True
             break
         prev_diff = diff
-    if not converged:
+    else:
         raise ContractionStall(f"no convergence within {max_iter} iterations")
     snaps, _ = sweep.run(path.pieces)
     residual = _diff(snaps, path.snapshots)

@@ -490,12 +490,12 @@ def imag_reach(u, eps_in: float):
 # composition with a near-identity perturbation
 # ---------------------------------------------------------------------------
 
-def _grid_points(M: int, m: int) -> np.ndarray:
-    x = np.arange(M) / M
-    if m == 1:
-        return x.reshape(-1, 1)
-    g1, g2 = np.meshgrid(x, x, indexing="ij")
-    return np.stack([g1.ravel(), g2.ravel()], axis=-1)
+@lru_cache(maxsize=64)
+def _grid_axes(M: int, m: int) -> np.ndarray:
+    """The real grid (j/M)_j as m coordinate arrays (m,) + (M,)*m.  Read-only."""
+    x = np.stack(np.meshgrid(*[np.arange(M) / M] * m, indexing="ij"))
+    x.flags.writeable = False
+    return x
 
 
 def sampling_grid(order: int, m: int):
@@ -505,7 +505,7 @@ def sampling_grid(order: int, m: int):
     points have shape (M^m, m) and are real.
     """
     M = OVERSAMPLE * (2 * order + 1)
-    return M, _grid_points(M, m)
+    return M, _grid_axes(M, m).reshape(m, -1).T.copy()
 
 
 @lru_cache(maxsize=64)
@@ -576,38 +576,89 @@ def fit_grid(values: np.ndarray, order: int, m: int,
     return kept if batched else FourierMap(kept[0], check=False)
 
 
-def compose(g: FourierMap, perturb: FourierMap, *,
+def _support_band(c: np.ndarray) -> int:
+    """The least K with every nonzero mode of a stack c in |k_i| <= K."""
+    k = np.argwhere(c.any(axis=(0, -1))) - c.shape[1] // 2
+    return int(np.abs(k).max()) if k.size else 0
+
+
+def _stack_coeffs(f, order: int) -> np.ndarray:
+    """The coefficients of a map or MapStack with a stack axis, cut to at
+    most ``order`` (the corners ||k||_1 > order zeroed)."""
+    c = f.coeffs if isinstance(f, MapStack) else f.coeffs[None]
+    off = max(f.order - order, 0)
+    c = c[(slice(None),) + (slice(off, c.shape[1] - off),) * f.m]
+    return c if f.m == 1 or not off else np.where(
+        _k_l1(order, 2)[..., None] > order, 0, c)
+
+
+def _positions(u: np.ndarray, M: int) -> np.ndarray:
+    """x + u(x) on the grid of M points per axis, shape (B, m, M..), from
+    the columns k_m >= 0 of the Hermitian u, shape (B, m, n..)."""
+    m, n = u.shape[1], u.shape[-1] // 2
+    vals = u[..., n:]
+    if m == 2:      # zero-padded over k_1; irfft pads k_2 to M/2 + 1 itself
+        dense = np.zeros(vals.shape[:2] + (M, n + 1), dtype=complex)
+        dense[:, :, np.arange(-n, n + 1) % M] = vals
+        vals = np.fft.ifft(dense, axis=2, norm="forward")
+    vals = np.fft.irfft(vals, n=M, axis=-1, norm="forward")
+    # 1/2 sum_k |c_k - conj(c_{-k})| bounds |Im u| on the real grid
+    mirror = u[(Ellipsis,) + (slice(None, None, -1),) * m].conj()
+    defect = 0.5 * np.abs(u - mirror).reshape(len(u), m, -1).sum(axis=2)
+    size = np.maximum(1.0, np.abs(vals).reshape(len(u), -1).max(axis=1))
+    if (defect.max(axis=1) > 1e-9 * size).any():
+        raise RealityDefect("perturbation is not real on the real grid")
+    return _grid_axes(M, m) + vals
+
+
+def compose(g, perturb, *,
             order: int | None = None,
             oversample: int = OVERSAMPLE,
             tol_trunc: float = TOL_TRUNC,
             outer_scale: float | None = None,
-            inner_scale: float | None = None) -> FourierMap:
-    """Truncated expansion of x -> g(x + perturb(x)).
+            inner_scale: float | None = None):
+    """Truncated expansion of x -> g(x + perturb(x)): the one composition.
 
-    When ``outer_scale``/``inner_scale`` are given, the certified imaginary
-    reach of ``id + perturb`` from the inner strip must stay inside the
-    outer strip where the majorants of ``g`` are quoted; otherwise
-    DomainEscape is raised.  ``g`` may be a MapStack; then every map is
-    composed and fitted in one batch and the coefficient array returned.
+    Either real map may be a MapStack, composed map by map (a single map
+    broadcasts); then the coefficient array (B,) + (2N+1,)*m + (ncomp,) is
+    returned, else a FourierMap.  u = perturb, cut to order N, is
+    synthesised on the oversampled real grid by inverse FFTs (RealityDefect
+    unless it is real), g is summed there on its support band |k_i| <= K by
+    the real-point Horner pass of ``eval_series``, and ``fit_grid`` fits
+    the values back (TruncationBudgetExceeded), one ``node_chunks`` chunk
+    of maps at a time.  With ``outer_scale``/``inner_scale`` the certified
+    imaginary reach of every id + u from the inner strip must stay inside
+    the outer strip where g's majorants are quoted (else DomainEscape).
     """
-    if perturb.ncomp != g.m or perturb.m != g.m:
+    m = g.m
+    if perturb.ncomp != m or perturb.m != m:
         raise ValueError("perturbation must be a self-map displacement")
     if outer_scale is not None:
         eps_in = inner_scale if inner_scale is not None else outer_scale / 2.0
-        reach = imag_reach(perturb, eps_in)
+        reach = float(np.max(imag_reach(perturb, eps_in)))
         if reach > outer_scale * (1 + 1e-12):
             raise DomainEscape(
                 f"imaginary reach {reach:.6g} exceeds outer strip {outer_scale:.6g}")
     n_out = g.order if order is None else order
     M = oversample * (2 * n_out + 1)
-    pts = _grid_points(M, g.m)
-    u = perturb.with_order(min(perturb.order, n_out))
-    u_vals = u.eval(pts)
-    if u.imag_bound() > 1e-9 * max(1.0, float(np.abs(u_vals).max())):
-        raise RealityDefect("perturbation is not real on the real grid")
-    vals = g.eval(pts + u_vals)
-    shape = vals.shape[:-2] + (M,) * g.m + (g.ncomp,)
-    return fit_grid(vals.reshape(shape), n_out, g.m, tol_trunc, context="compose")
+    u = np.moveaxis(_stack_coeffs(perturb, n_out), -1, 1)
+    # g's band cube as (B, k_1, ncomp[, k_2]), rows 0 <= k_1 <= K, k_1 > 0 doubled
+    c, n = _stack_coeffs(g, g.order), g.order
+    K = _support_band(c)
+    band = np.moveaxis(c[(slice(None), slice(n, n + K + 1))
+                         + (slice(n - K, n + K + 1),) * (m - 1)], -1, 2).copy()
+    band[:, 1:] *= 2.0
+    out = []
+    for s in node_chunks(max(len(u), len(band)), M ** m):
+        y = _positions(u[s] if len(u) > 1 else u, M)
+        vals = _series_sum(band[s] if len(band) > 1 else band,
+                           _unit_circle(y.reshape(len(y), m, -1)), real=True)
+        vals = vals.reshape((len(vals), g.ncomp) + (M,) * m)
+        out.append(fit_grid(np.moveaxis(vals, 1, -1), n_out, m, tol_trunc,
+                            context="compose"))
+    out = np.concatenate(out)
+    stack = isinstance(g, MapStack) or isinstance(perturb, MapStack)
+    return out if stack else FourierMap(out[0], check=False)
 
 
 def multiply(f: FourierMap, g: FourierMap, *, order: int | None = None,
@@ -623,7 +674,7 @@ def multiply(f: FourierMap, g: FourierMap, *, order: int | None = None,
         raise ValueError("component counts are not broadcastable")
     n_exact = f.order + g.order
     M = 2 * n_exact + 2
-    pts = _grid_points(M, f.m)
+    pts = _grid_axes(M, f.m).reshape(f.m, -1).T
     vals = f.eval(pts) * g.eval(pts)
     n_out = max(f.order, g.order) if order is None else order
     ncomp = max(f.ncomp, g.ncomp)

@@ -36,8 +36,8 @@ import numpy as np
 from .errors import InvertibilityLost
 from .flow import (AdmissibleField, FlowPath, MAX_STEP, TOL_POINTWISE,
                    TOL_SOLVE, invert_at_point, solve_flow)
-from .fourier import (FourierMap, MapStack, fit_grid, jacobian, majorants,
-                      node_chunks, sampling_grid, strip_norms)
+from .fourier import (FourierMap, MapStack, compose, fit_grid, jacobian,
+                      majorants, node_chunks, sampling_grid, strip_norms)
 from .timepaths import (FIT_NODES, TimeDependentField, _GL4_W, _GL4_X,
                         _embed, fit_poly3, integrate_primitive, piece_values)
 
@@ -70,9 +70,7 @@ class AnalyticDiffeo:
         mu = strip_norms(u, eps).mu
         if mu < 1.0:
             return cls(u, eps, mu)
-        probe = cls(u, eps, mu, inverse_residual=np.inf)
-        inv = invert_diffeo(probe, certify_result=False)
-        resid = composition_residual(probe, inv)
+        resid = float(_invert_stack(u.coeffs[None])[1][0])
         if resid <= TOL_INVERSE:
             return cls(u, eps, mu, inverse_residual=resid)
         raise InvertibilityLost(
@@ -109,41 +107,54 @@ class AnalyticDiffeo:
         return float(det.min())
 
 
-def composition_residual(phi: AnalyticDiffeo, psi: AnalyticDiffeo,
-                         n_probe: int = 257) -> float:
-    """sup-sampled |phi(psi(x)) - x| on an off-grid probe set."""
-    pts = _probe_points(phi.m, n_probe)
-    return float(np.abs(phi(psi(pts)) - pts).max())
-
-
 def compose_diffeo(phi: AnalyticDiffeo, psi: AnalyticDiffeo) -> AnalyticDiffeo:
     """(id+u) o (id+v) = id + (v + u o (id+v)); certificate recomputed."""
-    from .fourier import compose as _compose
-    eps = min(phi.eps, psi.eps)
-    order = max(phi.order, psi.order)
-    w = psi.u.with_order(order) + _compose(phi.u.with_order(order), psi.u,
-                                           order=order,
-                                           outer_scale=2 * eps,
-                                           inner_scale=eps)
+    eps, order = min(phi.eps, psi.eps), max(phi.order, psi.order)
+    w = psi.u.with_order(order) + compose(phi.u, psi.u, order=order,
+                                          outer_scale=2 * eps, inner_scale=eps)
     return AnalyticDiffeo.certify(w, eps)
 
 
-def invert_diffeo(phi: AnalyticDiffeo, certify_result: bool = True,
-                  tol: float = 1e-13) -> AnalyticDiffeo:
+def invert_diffeo(phi: AnalyticDiffeo, tol: float = 1e-13) -> AnalyticDiffeo:
     """id + v with (id+u) o (id+v) = id, by pointwise displacement inversion."""
-    m, order = phi.m, phi.order
+    v, mu, resid = _certified_inverses(phi.u.coeffs[None], phi.eps, tol)
+    return AnalyticDiffeo(FourierMap(v[0], check=False), phi.eps, mu[0],
+                          inverse_residual=float(resid[0]))
+
+
+def _certify_maps(u: np.ndarray, eps: float) -> np.ndarray:
+    """mu_eps per map of a stack; maps with mu_eps >= 1 go through certify."""
+    mu = majorants(u, u.ndim - 2, eps)[1]
+    for i in np.flatnonzero(mu >= 1.0):
+        AnalyticDiffeo.certify(FourierMap(u[i], check=False), eps)
+    return mu
+
+
+def _invert_stack(u: np.ndarray, tol: float = 1e-13):
+    """(v, residuals): (id + u_t) o (id + v_t) = id for a stack u, by one
+    ``invert_at_point`` on the sampling grid and one batched ``fit_grid``
+    per chunk of maps, and sup |(id + u_t)((id + v_t)(x)) - x| per map over
+    an off-grid probe set."""
+    m, order = u.ndim - 2, u.shape[1] // 2
     M, pts = sampling_grid(order, m)
-    y = invert_at_point(phi.u, pts, tol=tol)
-    v_vals = (y - pts).reshape((M,) * m + (m,))
-    v = fit_grid(v_vals, order, m, tol_trunc=1e-8, context="inversion")
-    if not certify_result:
-        return AnalyticDiffeo(v, phi.eps, strip_norms(v, phi.eps).mu)
-    inv = AnalyticDiffeo.certify(v, phi.eps)
-    resid = composition_residual(phi, inv)
-    if resid > TOL_INVERSE:
+    v = np.concatenate([fit_grid(
+        (invert_at_point(MapStack(u[c]), pts, tol=tol) - pts).reshape(
+            (-1,) + (M,) * m + (m,)), order, m, tol_trunc=1e-8,
+        context="inversion") for c in node_chunks(len(u), len(pts))])
+    probe = _probe_points(m, 257)
+    y = probe + MapStack(v).eval(probe)
+    y = y + MapStack(u).eval(y)
+    return v, np.abs(y - probe).reshape(len(u), -1).max(axis=1)
+
+
+def _certified_inverses(u: np.ndarray, eps: float, tol: float = 1e-13):
+    """(v, mu_eps(v), residuals) of ``_invert_stack``, each inverse certified."""
+    v, resid = _invert_stack(u, tol)
+    mu = _certify_maps(v, eps)
+    if resid.max() > TOL_INVERSE:
         raise InvertibilityLost(
-            f"inverse residual {resid:.3e} exceeds {TOL_INVERSE:.1e}")
-    return AnalyticDiffeo(inv.u, inv.eps, inv.mu, inverse_residual=resid)
+            f"inverse residual {resid.max():.3e} exceeds {TOL_INVERSE:.1e}")
+    return v, mu, resid
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +201,8 @@ class EvolutionResult:
     """Group-valued evolution of a field, as snapshots over the solver grid.
 
     side = "right": eta(t) = zeta(t), the solved flow of gamma itself.
-    side = "left":  eta(t) = zeta_{-gamma}(t)^{-1}, inverted per snapshot.
+    side = "left":  eta(t) = zeta_{-gamma}(t)^{-1}, all snapshots inverted
+    as one stack.
     """
 
     def __init__(self, side: str, source: AdmissibleField, flow: FlowPath,
@@ -209,9 +221,9 @@ class EvolutionResult:
             if self.side == "right":
                 self._snapshots = list(self.flow.snapshots)
             else:
-                self._snapshots = [
-                    invert_diffeo(AnalyticDiffeo.certify(u, self.eps)).u
-                    for u in self.flow.snapshots]
+                self._snapshots = [FourierMap(v, check=False) for v in
+                                   self._left_inverses(np.stack(
+                                       [u.coeffs for u in self.flow.snapshots]))]
         return self._snapshots
 
     @property
@@ -223,10 +235,8 @@ class EvolutionResult:
         return self.flow.m
 
     def map_at(self, t: float) -> AnalyticDiffeo:
-        if self.side == "right":
-            return AnalyticDiffeo.certify(self.flow.u_at(t), self.eps)
-        inner = AnalyticDiffeo.certify(self.flow.u_at(t), self.eps)
-        return invert_diffeo(inner)
+        phi = AnalyticDiffeo.certify(self.flow.u_at(t), self.eps)
+        return phi if self.side == "right" else invert_diffeo(phi)
 
     def eval_at(self, t: float, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=complex)
@@ -238,6 +248,11 @@ class EvolutionResult:
         if self.side == "right":
             return pts + u.eval(pts)
         return invert_at_point(u, pts)
+
+    def _left_inverses(self, u: np.ndarray) -> np.ndarray:
+        """eta = zeta^{-1} for a stack of flow maps zeta = id + u, each certified."""
+        _certify_maps(u, self.eps)
+        return _certified_inverses(u, self.eps)[0]
 
     def snapshot_map(self, j: int) -> AnalyticDiffeo:
         return AnalyticDiffeo.certify(self.snapshots[j], self.eps)
@@ -266,9 +281,7 @@ class EvolutionResult:
         if self.side == "right":
             rhs = g.eval(self.eval_many(times, pts))
         else:
-            eta_u = np.stack([invert_diffeo(AnalyticDiffeo.certify(
-                FourierMap(u, check=False), self.eps)).u.coeffs
-                for u in self.flow.u_at_many(times)])
+            eta_u = self._left_inverses(self.flow.u_at_many(times))
             J = AnalyticDiffeo(MapStack(eta_u), self.eps, 0.0).jacobian_values(pts)
             rhs = np.einsum("...ij,...j->...i", J, g.eval(pts))
         return float(np.abs(dpath - rhs).max())

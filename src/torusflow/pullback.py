@@ -29,10 +29,10 @@ import numpy as np
 
 from .flow import AdmissibleField, FlowPath, solve_flow
 from .fourier import (FourierMap, MapStack, TWO_PI, compose, fit_grid,
-                      jacobian, lattice_modes, majorants, node_chunks,
+                      jacobian, lattice_modes, node_chunks,
                       sampling_grid)
-from .group import (AnalyticDiffeo, _field_nu_integral, compose_diffeo,
-                    invert_diffeo)
+from .group import (AnalyticDiffeo, _certify_maps, _field_nu_integral,
+                    compose_diffeo, evol_right, flow_two_param, invert_diffeo)
 
 #: tolerance for matrix-vs-direct-composition agreement
 TOL_PB = 1e-9
@@ -43,9 +43,7 @@ def pullback_apply(phi: AnalyticDiffeo, f: FourierMap,
     """f o phi, truncated to the ambient order; linear in f."""
     if f.ncomp != 1:
         raise ValueError("pullback acts on scalar functions")
-    order = max(phi.order, f.order)
-    return compose(f.with_order(order), phi.u, order=order,
-                   tol_trunc=tol_trunc)
+    return compose(f, phi.u, order=max(phi.order, f.order), tol_trunc=tol_trunc)
 
 
 class PullbackMatrix:
@@ -130,8 +128,6 @@ def pullback_matrix(phi: AnalyticDiffeo, K: int,
     K must not exceed the ambient truncation order: beyond it the column
     spectra cannot be represented.
     """
-    if K > phi.order:
-        raise ValueError("window exceeds the ambient truncation order")
     A = _pullback_windows(phi.u.coeffs[None], K)[0]
     A.source = phi
     return A
@@ -144,6 +140,8 @@ def _pullback_windows(u: np.ndarray, K: int) -> list:
     the real grid and fitted in batches (complex values, full spectrum).
     """
     m, order = u.ndim - 2, u.shape[1] // 2
+    if K > order:
+        raise ValueError("window exceeds the ambient truncation order")
     modes = lattice_modes(K, m)
     M, pts = sampling_grid(order, m)
     idx = (slice(None),) + tuple(np.array(modes).T + order)
@@ -218,8 +216,7 @@ def _two_param_maps(flow: FlowPath, times, base_inv: AnalyticDiffeo | None,
         maps.append(v.coeffs + compose(MapStack(maps[0]), v, order=v.order,
                                        outer_scale=2 * eps, inner_scale=eps))
     for u in maps:      # zeta(t), then the composite
-        for i in np.flatnonzero(majorants(u, flow.m, eps)[1] >= 1.0):
-            AnalyticDiffeo.certify(FourierMap(u[i], check=False), eps)
+        _certify_maps(u, eps)
     return maps[-1]
 
 
@@ -292,27 +289,9 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
 def cocycle_matrix_defect(gamma: AdmissibleField, t: float, s: float,
                           t0: float, K: int, K_inner: int | None = None,
                           leak_tol: float = 1e-10) -> float:
-    """(Fl_{t,s} o Fl_{s,t0})^* vs (Fl_{s,t0})^* (Fl_{t,s})^* on the interior."""
-    flow = solve_flow(gamma)
-    eps = gamma.eps
-
-    def leg(tb, ta):
-        head = AnalyticDiffeo.certify(flow.u_at(tb), eps)
-        if ta == 0.0:
-            return head
-        base = invert_diffeo(AnalyticDiffeo.certify(flow.u_at(ta), eps))
-        return compose_diffeo(head, base)
-
-    A_ts = pullback_matrix(leg(t, s), K)
-    A_st0 = pullback_matrix(leg(s, t0), K)
-    A_tt0 = pullback_matrix(compose_diffeo(leg(t, s), leg(s, t0)), K)
-    if K_inner is None:
-        K_inner = min(A.certified_interior(leak_tol)
-                      for A in (A_ts, A_st0, A_tt0))
-        if K_inner < 1:
-            raise ValueError(
-                "no certified interior shell: enlarge K or shrink the field")
-    prod = A_st0.matrix @ A_ts.matrix
-    inner = A_tt0.interior_indices(K_inner)
-    sub = np.ix_(inner, inner)
-    return float(np.abs(A_tt0.matrix[sub] - prod[sub]).max())
+    """(Fl_{t,s} o Fl_{s,t0})^* vs (Fl_{s,t0})^* (Fl_{t,s})^* on the interior:
+    the contravariance defect of the two legs."""
+    evol = evol_right(gamma)
+    return contravariance_defect(flow_two_param(evol, t, s),
+                                 flow_two_param(evol, s, t0), K, K_inner,
+                                 leak_tol)

@@ -9,12 +9,13 @@ call (the sampling grid, the one evaluator and the one fitter).
 
 import numpy as np
 
-from torusflow.errors import ContractionStall
+from torusflow.errors import ContractionStall, InvertibilityLost
 from torusflow.flow import invert_at_point, solve_flow
-from torusflow.fourier import (TWO_PI, FourierMap, fit_grid, jacobian,
-                               multiply, sampling_grid, strip_norms)
-from torusflow.group import (AnalyticDiffeo, _adjoint_inverse_values,
-                             _adjoint_values, compose_diffeo, invert_diffeo)
+from torusflow.fourier import (TWO_PI, FourierMap, MapStack, fit_grid,
+                               jacobian, multiply, sampling_grid, strip_norms)
+from torusflow.group import (TOL_INVERSE, AnalyticDiffeo,
+                             _adjoint_inverse_values, _adjoint_values,
+                             _probe_points, compose_diffeo, invert_diffeo)
 from torusflow.pullback import pullback_apply, pullback_matrix
 from torusflow.timepaths import (ACPath, FIT_NODES, TimeDependentField,
                                  _GL4_W, _GL4_X, _poly_eval, fit_poly3)
@@ -103,6 +104,46 @@ def verify_rows(candidate, gamma, probes):
         resid = np.abs(traj[j] - probes - increments[j]).max(axis=-1)
         rows += [(p, float(t), float(r)) for p, r in enumerate(resid)]
     return rows
+
+
+def _invert_diffeo(phi):
+    """The inverse perturbation of one certified map: inversion on the
+    sampling grid, fit, certificate and composition residual."""
+    m, order = phi.m, phi.order
+    M, pts = sampling_grid(order, m)
+    y = invert_at_point(phi.u, pts, tol=1e-13)
+    v = fit_grid((y - pts).reshape((M,) * m + (m,)), order, m,
+                 tol_trunc=1e-8, context="inversion")
+    inv = AnalyticDiffeo.certify(v, phi.eps)
+    probe = _probe_points(m, 257)
+    resid = float(np.abs(phi(inv(probe)) - probe).max())
+    if resid > TOL_INVERSE:
+        raise InvertibilityLost(f"inverse residual {resid:.3e}")
+    return v
+
+
+def left_snapshots(evol):
+    """The snapshots of a left evolution, one inversion per grid time."""
+    return [_invert_diffeo(AnalyticDiffeo.certify(u, evol.eps))
+            for u in evol.flow.snapshots]
+
+
+def left_derivative_residual(evol, n_probe=16,
+                             times=(0.21337, 0.517, 0.8123), fd_step=1e-3):
+    """derivative_residual of a left evolution, one inversion per time."""
+    pts = _probe_points(evol.m, n_probe)
+    times = np.asarray(times)
+    stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * fd_step)
+    offsets = np.array([-2, -1, 1, 2]) * fd_step
+    vals = evol.eval_many((times[:, None] + offsets).ravel(), pts)
+    dpath = np.tensordot(vals.reshape((len(times), 4) + pts.shape),
+                         stencil, axes=(1, 0))
+    eta_u = np.stack([_invert_diffeo(AnalyticDiffeo.certify(
+        evol.flow.u_at(t), evol.eps)).coeffs for t in times])
+    J = AnalyticDiffeo(MapStack(eta_u), evol.eps, 0.0).jacobian_values(pts)
+    g = MapStack(evol.source.field.values_at(times))
+    rhs = np.einsum("...ij,...j->...i", J, g.eval(pts))
+    return float(np.abs(dpath - rhs).max())
 
 
 def field_nu_integral(gamma, a, b):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusflow.cli import _certify, main
+from torusflow.cli import _certify, main, validate_scenario
 from torusflow.flow import solve_flow
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -235,3 +235,65 @@ def test_limits_fields_checked_up_front(tmp_path, capsys):
         assert run(["limits", scenario, "--out", tmp_path / "out"]) == 2, key
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out" / "continuity.csv").exists()
+
+
+def _rejected(tmp_path, capsys, kind, message, **fields):
+    """The scenario exits 2 with ``message``, before any output is made."""
+    scenario = _scenario(tmp_path, kind=kind, **fields)
+    assert run([kind, scenario, "--out", tmp_path / "out"]) == 2, fields
+    assert message in capsys.readouterr().err, fields
+    assert not (tmp_path / "out").exists()
+
+
+_SINE = {"type": "sine", "amplitude": 0.02}
+_SOLVE = {"order": 16, "m": 1, "eps": 0.05}
+
+
+def test_scale_below_twice_eps_exit_two(tmp_path, capsys):
+    for bad in (0.06, 0.0999, 0, -0.2, "0.2", True):
+        _rejected(tmp_path, capsys, "solve", "scale must be a number >= 2 eps",
+                  field=_SINE, scale=bad, **_SOLVE)
+
+
+def test_sine_cosine_mode_shape_exit_two(tmp_path, capsys):
+    for m, bad in ((1, 0), (1, 1.5), (1, "1"), (1, True), (1, [1, 0]),
+                   (2, 1), (2, [1]), (2, [1, 0.5]), (2, [0, 0]), (2, None)):
+        for kind in ("sine", "cosine"):
+            _rejected(tmp_path, capsys, "solve", f"{kind} modes must",
+                      field={**_SINE, "type": kind, "mode": bad},
+                      **{**_SOLVE, "m": m, "order": 4})
+    # an m = 2 field spec takes no default mode
+    _rejected(tmp_path, capsys, "solve", "sine modes must be integer pairs",
+              field=_SINE, **{**_SOLVE, "m": 2, "order": 4})
+
+
+def test_modes_beyond_order_exit_two(tmp_path, capsys):
+    coeffs = {"type": "coeffs", "modes": [[1, 0.01, 0.0], [17, 0.01, 0.0]]}
+    for m, field in ((1, {**_SINE, "mode": 17}), (1, {**_SINE, "mode": -17}),
+                     (2, {**_SINE, "mode": [9, -8]}), (1, coeffs),
+                     (2, {"type": "coeffs", "modes": [[[16, 1], 0.01, 0.0]]}),
+                     (1, {"type": "step", "grid": [0, 0.5, 1],
+                          "values": [_SINE, coeffs]})):
+        _rejected(tmp_path, capsys, "solve", "||k||_1 <= order = 16",
+                  field=field, **{**_SOLVE, "m": m})
+    _rejected(tmp_path, capsys, "trotter", "w: cosine modes", order=8,
+              v=_SINE, w={**_SINE, "type": "cosine", "mode": 9})
+
+
+def test_pullback_window_exit_two(tmp_path, capsys):
+    for bad in (0, -1, 17, 2.5, True, "8"):
+        _rejected(tmp_path, capsys, "pullback", "pullback K must be an integer",
+                  field=_SINE, K=bad, **_SOLVE)
+
+
+def test_trotter_ladder_exit_two(tmp_path, capsys):
+    for bad in ([8, 12], [3], [0, 8], [], "8", [8, True], [8.0]):
+        _rejected(tmp_path, capsys, "trotter",
+                  "trotter ladder entries must be powers of two",
+                  order=16, v=_SINE, w=_SINE, ladder=bad)
+
+
+def test_shipped_scenarios_validate():
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = json.loads(path.read_text())
+        assert validate_scenario(scenario, scenario["kind"]) is None, path.name

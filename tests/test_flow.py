@@ -12,8 +12,10 @@ from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
                        TimeGrid, identity_path, param_lipschitz_check,
                        picard_step, pointwise_solution,
                        restriction_consistency, solve_flow)
-from torusflow.fourier import TOL_TRUNC, _real_horner, _tail_ratio
-from torusflow.flow import _PicardSweep, contraction_certificate_ok
+from torusflow.fourier import (TOL_TRUNC, _real_horner, _support_band,
+                               _tail_ratio, sampling_grid)
+from torusflow.flow import contraction_certificate_ok
+from torusflow.timepaths import FIT_NODES, piece_values
 
 from _reference_sweep import reference_sweep
 from conftest import EPS, cosine_map, probe_points, random_admissible, sine_map
@@ -126,7 +128,8 @@ def test_sweep_matches_compose_reference(name):
     gamma = AdmissibleField.certify(make(), EPS)
     path = identity_path(gamma, max_step)
     gam = gamma.field.on_grid(path.grid)
-    assert _PicardSweep(gamma, path.grid, TOL_TRUNC).band == band
+    assert _support_band(piece_values(
+        gam.pieces, *path.grid.nodes(FIT_NODES)[:2])) == band
     for _ in range(2):  # from the identity path, then from a quartic iterate
         want_snaps, want_pieces = reference_sweep(gam, path, EPS, TOL_TRUNC)
         path = picard_step(gamma, path)
@@ -209,24 +212,20 @@ def test_sweep_matches_reference_random_m2(seed, order, data):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_half_spectrum_tail_ratio_matches_full(m):
-    field = (TimeDependentField.constant(sine_map(0.02, order=8), 0.2)
-             if m == 1 else _coupled_m2_field(8))
-    gamma = AdmissibleField.certify(field, EPS)
-    sweep = _PicardSweep(gamma, gamma.field.grid, TOL_TRUNC)
+    M, _ = sampling_grid(8, m)     # the grid of compose at order 8
     rng = np.random.default_rng(m)
     axes = tuple(range(-m, 0))
     # per node: smooth modes |k| <= 3 plus white noise of three sizes
-    x = np.arange(sweep.M) / sweep.M
+    x = np.arange(M) / M
     smooth = np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x)
-    noise = rng.normal(size=(3, m) + (sweep.M,) * m)
-    vals = smooth.reshape((sweep.M,) + (1,) * (m - 1)) + np.array(
+    noise = rng.normal(size=(3, m) + (M,) * m)
+    vals = smooth.reshape((M,) + (1,) * (m - 1)) + np.array(
         [1e-14, 1e-6, 1.0]).reshape((3,) + (1,) * (m + 1)) * noise
     full = np.abs(np.fft.fftn(vals, axes=axes, norm="forward")).max(axis=1)
-    kf = np.abs(np.fft.fftfreq(sweep.M, d=1.0 / sweep.M))
+    kf = np.abs(np.fft.fftfreq(M, d=1.0 / M))
     outside = sum(np.ix_(*[kf] * m)) > 8
     want = full[:, outside].sum(axis=1) / full.reshape(3, -1).sum(axis=1)
-    got = _tail_ratio(np.fft.rfftn(vals, axes=axes, norm="forward"),
-                      sweep.M, m, 8)
+    got = _tail_ratio(np.fft.rfftn(vals, axes=axes, norm="forward"), M, m, 8)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
     assert want[0] < 1e-9 < want[1] < want[2]
 

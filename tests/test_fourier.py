@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from torusflow import (FourierMap, RealityDefect, TruncationBudgetExceeded,
                        compose, jacobian, multiply, restrict, strip_norms)
-from torusflow.fourier import cauchy_gain, imag_reach
+from torusflow.fourier import MapStack, cauchy_gain, imag_reach
 
+from _reference_sweep import compose as reference_compose
 from conftest import cosine_map, random_real_map, sine_map
 
 
@@ -195,6 +196,51 @@ def test_compose_against_direct_evaluation():
     x = rng.uniform(0, 1, 64)[:, None].astype(complex)
     direct = g.eval(x + u.eval(x))
     assert np.abs(comp.eval(x) - direct).max() < 1e-11
+
+
+def _random_maps(rng, count, m, order, band, ncomp, size):
+    """``count`` real maps of order N with decaying modes |k_i| <= band."""
+    k = np.abs(np.arange(-band, band + 1))
+    decay = np.exp(-0.7 * (k if m == 1 else k[:, None] + k))[..., None]
+    maps = []
+    for _ in range(count):
+        c = rng.normal(size=(2 * band + 1,) * m + (ncomp,)) \
+            + 1j * rng.normal(size=(2 * band + 1,) * m + (ncomp,))
+        cube = np.zeros((2 * order + 1,) * m + (ncomp,), dtype=complex)
+        cube[(slice(order - band, order + band + 1),) * m] = size * decay * 0.5 * (
+            c + c[(slice(None, None, -1),) * m].conj())
+        maps.append(FourierMap(cube))
+    return maps
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([1, 2]),
+       stacks=st.sampled_from(["map-map", "stack-map", "map-stack",
+                               "stack-stack"]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_compose_stack_contract_matches_reference(seed, m, stacks, data):
+    """compose on FourierMaps and MapStacks, each map against the Horner
+    reference; the orders of g and of u fall below and above the output's."""
+    n_out = data.draw(st.integers(1, 10 if m == 1 else 5))
+    n_g, n_u = (data.draw(st.integers(1, n_out + 3)) for _ in range(2))
+    band = data.draw(st.integers(0, n_g))
+    rng = np.random.default_rng(seed)
+    gs = _random_maps(rng, 3 if stacks.startswith("stack") else 1, m, n_g,
+                      band, data.draw(st.sampled_from([1, m])), 1.0)
+    us = _random_maps(rng, 3 if stacks.endswith("stack") else 1, m, n_u,
+                      data.draw(st.integers(0, n_u)), m, 0.002)
+    g = MapStack(np.stack([f.coeffs for f in gs])) if len(gs) > 1 else gs[0]
+    u = MapStack(np.stack([f.coeffs for f in us])) if len(us) > 1 else us[0]
+    got = compose(g, u, order=n_out, tol_trunc=1.0, outer_scale=0.2,
+                  inner_scale=0.05)
+    want = np.stack([reference_compose(
+        gs[i % len(gs)], us[i % len(us)], order=n_out, tol_trunc=1.0,
+        outer_scale=0.2, inner_scale=0.05).coeffs
+        for i in range(max(len(gs), len(us)))])
+    if stacks == "map-map":
+        assert isinstance(got, FourierMap)
+        got = got.coeffs[None]
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13
 
 
 # -- restriction ---------------------------------------------------------------

@@ -146,6 +146,17 @@ def test_path_translation_diagonal_phases():
     assert np.abs(rep.matrices[j].matrix - want).max() < 1e-12
 
 
+def test_path_window_capped_by_order():
+    # the same check as pullback_matrix's, not an IndexError in the windows
+    g8 = AdmissibleField.certify(
+        TimeDependentField.constant(sine_map(0.02, order=8), 0.2), EPS)
+    phi = AnalyticDiffeo.certify(sine_map(0.02, order=8), EPS)
+    for call in (lambda: pullback_matrix(phi, 12),
+                 lambda: pullback_path(g8, 0.0, K=12)):
+        with pytest.raises(ValueError, match="exceeds the ambient truncation"):
+            call()
+
+
 def test_path_ac_and_transport(gam):
     rep = pullback_path(gam, 0.0, 8, n_transport_times=3)
     assert rep.ac_ok

@@ -57,6 +57,15 @@ def _close(got, want):
     return np.abs(np.asarray(got) - np.asarray(want)).max() <= TOL
 
 
+def test_left_snapshots_match_snapshot_loop(fields):
+    evol = evol_left(fields[0])
+    got = np.stack([u.coeffs for u in evol.snapshots])
+    want = np.stack([u.coeffs for u in ref.left_snapshots(evol)])
+    assert np.abs(got - want).max() <= 1e-12
+    assert abs(evol.derivative_residual()
+               - ref.left_derivative_residual(evol)) <= 1e-12
+
+
 def test_odot_matches_node_loop(fields):
     gamma, eta = fields
     got = odot(gamma, eta)
