@@ -76,14 +76,7 @@ class LocalAddition:
     def __call__(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        out = z + w
-        for p, coeff in self.terms:
-            mono = np.ones(w.shape[:-1], dtype=complex)
-            for axis, q in enumerate(p):
-                if q:
-                    mono = mono * w[..., axis] ** q
-            out = out + coeff.eval(z) * mono[..., None]
-        return out
+        return z + w + self.higher_terms([c.eval(z) for _, c in self.terms], w)
 
     def higher_terms(self, z_vals_list, w: np.ndarray) -> np.ndarray:
         """sum_p C_p(z) w^p from pre-evaluated coefficient values."""
@@ -288,15 +281,14 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert,
     times = np.concatenate([ts, flow.grid.nodes(FIT_NODES)[2]])
     fits = np.concatenate([chart_vectors(times[c])
                            for c in node_chunks(len(times), len(pts))])
-    values = [FourierMap(c, check=False) for c in fits[:len(ts)]]
     J, Q = len(ts) - 1, len(FIT_NODES)
     val_poly = fit_poly3(fits[len(ts):]).reshape(J, Q, -1)
     der_poly = (np.arange(1, Q)[:, None] * val_poly[:, 1:]
                 / np.diff(ts)[:, None, None])
-    pieces = list(der_poly.reshape((J, Q - 1) + fits.shape[1:]))
+    pieces = der_poly.reshape((J, Q - 1) + fits.shape[1:])
     scale = gamma.field.scale if gamma is not None else cert.eps
     derivative = TimeDependentField(flow.grid, pieces, scale)
-    return ACPath(flow.grid, values, derivative, tol=tol_chain)
+    return ACPath(flow.grid, fits[:len(ts)], derivative, tol=tol_chain)
 
 
 def chart_roundtrip_defect(flow, alpha: LocalAddition, path: ACPath,
@@ -309,6 +301,6 @@ def chart_roundtrip_defect(flow, alpha: LocalAddition, path: ACPath,
         g = np.arange(int(np.sqrt(n_probe))) / int(np.sqrt(n_probe))
         pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
         pts = pts.astype(complex)
-    w = MapStack(np.stack([v.coeffs for v in path.values])).eval(pts)
+    w = path.values.eval(pts)
     zeta = pts + MapStack(flow.u_at_many(flow.grid.floats)).eval(pts)
     return float(np.abs(alpha(pts, w) - zeta).max())

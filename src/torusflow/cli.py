@@ -154,7 +154,7 @@ def run_solve(scenario: dict, out: Path, checks: list) -> None:
     gamma = _certify(scenario)
     path = solve_flow(gamma, tol_solve=tol)
     write_csv(out / "iteration_log.csv", ("step", "sup_diff", "ratio"),
-              path.iteration_log_rows())
+              path.iteration_log)
     write_csv(out / "norms.csv", ("eps", "nu", "beta", "tail_ratio"),
               [strip_norms(u, gamma.eps).as_row() for u in path.snapshots])
     (out / "flow.json").write_text(_flow_json(path.to_json()))
@@ -321,10 +321,13 @@ RUNNERS = {
 }
 
 
+def _number(value) -> bool:
+    """A JSON number; booleans and numeric strings are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _positive_number(value) -> bool:
-    """A JSON number above zero; booleans and numeric strings are not numbers."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and value > 0)
+    return _number(value) and value > 0
 
 
 def _integer(value) -> bool:
@@ -332,13 +335,20 @@ def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _mode_problem(spec, m: int, order: int) -> str | None:
+def _spec_problem(spec, m: int, order: int) -> str | None:
     """Why a map or field spec (``step`` values included) holds a mode that
-    is no lattice index k with ||k||_1 <= order, nonzero for sine/cosine."""
+    is no lattice index k with ||k||_1 <= order, nonzero for sine/cosine,
+    or a constant value that is no list of m numbers."""
     kind = spec.get("type") if isinstance(spec, dict) else None
     if kind == "step":
-        return next(filter(None, (_mode_problem(v, m, order)
+        return next(filter(None, (_spec_problem(v, m, order)
                                   for v in spec.get("values", []))), None)
+    if kind == "constant":
+        value = spec.get("value")
+        if isinstance(value, list) and len(value) == m and all(
+                map(_number, value)):
+            return None
+        return f"constant value must be a list of m = {m} numbers, got {value!r}"
     if kind in ("sine", "cosine"):
         entries, low = [spec.get("mode", 1)], 1
     elif kind == "coeffs":      # [k, re, im] entries
@@ -379,7 +389,7 @@ def validate_scenario(scenario: dict, kind: str) -> str | None:
             _positive_number(scale) and scale >= 2 * eps):
         return f"scale must be a number >= 2 eps = {2 * eps:g}, got {scale!r}"
     for key in ("field", "v", "w"):
-        problem = _mode_problem(scenario.get(key), m, order)
+        problem = _spec_problem(scenario.get(key), m, order)
         if problem:
             return f"{key}: {problem}"
     K = scenario.get("K", 8)

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
                      NonContraction)
 from .fourier import (TOL_TRUNC, FourierMap, MapStack, compose, imag_reach,
-                      strip_norms, strip_weights)
+                      majorants)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
                         _GL4_W, _GL4_X, fit_poly3, piece_values)
 
@@ -107,9 +107,10 @@ class AdmissibleField:
 class FlowPath:
     """Solution path zeta(t) = id + u(t) of the flow integral equation.
 
-    ``snapshots`` hold u at the grid times (u(0) = 0) and ``pieces`` the
-    local polynomial of u on each interval, so zeta can be evaluated at
-    any t in [0, 1].  ``iteration_log`` rows are (step, sup_diff, ratio).
+    ``snapshots`` hold u at the grid times (u(0) = 0) as a MapStack and
+    ``pieces`` the local polynomial of u on each interval as one array
+    (intervals, degree + 1) + map shape, so zeta can be evaluated at any t
+    in [0, 1].  ``iteration_log`` rows are (step, sup_diff, ratio).
     """
 
     def __init__(self, grid: TimeGrid, eps: float, snapshots, pieces,
@@ -117,14 +118,13 @@ class FlowPath:
                  iteration_log=None, residual: float = np.nan):
         self.grid = grid
         self.eps = float(eps)
-        self.snapshots = list(snapshots)
-        self.pieces = list(pieces)
+        self.snapshots = MapStack(snapshots)
+        self.pieces = np.asarray(pieces, dtype=complex)
         self.source = source
         self.iteration_log = list(iteration_log or [])
         self.residual = residual
-        first = self.snapshots[0]
-        self.m = first.m
-        self.order = first.order
+        self.m = self.snapshots.m
+        self.order = self.snapshots.order
 
     def u_at_many(self, times) -> np.ndarray:
         """Coefficients of u at many times, with a leading time axis."""
@@ -139,14 +139,15 @@ class FlowPath:
         return pts + self.u_at(t).eval(pts)
 
     def sup_distance(self, other: "FlowPath", eps: float | None = None) -> float:
+        """max over grid times of nu_eps(u(t) - u_other(t))."""
         eps = eps if eps is not None else self.eps
-        return max(strip_norms(a - b, eps).nu
-                   for a, b in zip(self.snapshots, other.snapshots))
+        return _sup_distance(self.snapshots.coeffs, other.snapshots.coeffs,
+                             eps)
 
     def imag_reach_max(self, start_width: float | None = None) -> float:
         """Certified bound on ||Im zeta(t)(z)|| over starts ||Im z|| <= start_width."""
         w = self.eps / 2 if start_width is None else start_width
-        return max(imag_reach(u, w) for u in self.snapshots)
+        return float(imag_reach(self.snapshots, w).max())
 
     def check_strip_invariant(self) -> bool:
         """Flows started in the half strip stay strictly inside the full strip."""
@@ -157,23 +158,24 @@ class FlowPath:
         return {
             "eps": self.eps,
             "grid": [str(b) for b in self.grid.breakpoints],
-            "snapshots": [_modes_to_json(u.coeffs, self.m, self.order)
-                          for u in self.snapshots],
+            "snapshots": [_modes_to_json(u, self.m, self.order)
+                          for u in self.snapshots.coeffs],
             "residual": self.residual,
         }
 
-    def iteration_log_rows(self):
-        return [(step, diff, ratio) for step, diff, ratio in self.iteration_log]
+
+def _sup_distance(a: np.ndarray, b: np.ndarray, eps: float) -> float:
+    """max over a stack axis of nu_eps(a_t - b_t)."""
+    return float(majorants(a - b, a.ndim - 2, eps)[0].max())
 
 
 def identity_path(gamma: AdmissibleField,
                   max_step: Fraction = MAX_STEP) -> FlowPath:
     grid = gamma.field.grid.refined(max_step)
     f = gamma.field
-    zero = FourierMap.zero(f.order, f.m, f.ncomp)
-    snaps = [zero] * len(grid)
-    pieces = [zero.coeffs[None, ...]] * (len(grid) - 1)
-    return FlowPath(grid, gamma.eps, snaps, pieces, source=gamma)
+    shape = (2 * f.order + 1,) * f.m + (f.ncomp,)
+    return FlowPath(grid, gamma.eps, np.zeros((len(grid),) + shape, complex),
+                    np.zeros((len(grid) - 1, 1) + shape, complex), source=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +204,7 @@ class _PicardSweep:
         self.field = MapStack(piece_values(gam.pieces, *self.nodes))
 
     def run(self, pieces):
-        """New (snapshots, pieces) from the pieces of a candidate path."""
+        """New (snapshots, pieces) arrays from the pieces of a candidate path."""
         kept = compose(self.field, MapStack(piece_values(pieces, *self.nodes)),
                        order=self.n, tol_trunc=self.tol_trunc,
                        outer_scale=2 * self.eps, inner_scale=self.eps)
@@ -218,8 +220,7 @@ class _PicardSweep:
         snaps = np.zeros((J + 1, poly.shape[2]), dtype=complex)
         np.cumsum(anti.sum(axis=1), axis=0, out=snaps[1:])
         anti[:, 0] = snaps[:-1]
-        return ([FourierMap(c.reshape(shape), check=False) for c in snaps],
-                list(anti.reshape((J, Q + 1) + shape)))
+        return snaps.reshape((J + 1,) + shape), anti.reshape((J, Q + 1) + shape)
 
 
 def picard_step(gamma: AdmissibleField, path: FlowPath,
@@ -258,47 +259,34 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
     theta = gamma.theta_hat
     path = start if start is not None else identity_path(gamma, max_step)
     target = tol_solve * (1 - theta)
-    w = strip_weights(path.order, path.m, gamma.eps)[0]
     sweep = _PicardSweep(gamma, path.grid, TOL_TRUNC)
-
-    def _diff(snaps_a, snaps_b) -> float:
-        """max over grid times of nu_eps(a - b)."""
-        d = np.abs(np.stack([a.coeffs for a in snaps_a])
-                   - np.stack([b.coeffs for b in snaps_b])).max(axis=-1)
-        return float((d * w).reshape(len(d), -1).sum(axis=1).max())
-
-    if fixed_iters is not None:
-        log = []
-        for step in range(1, fixed_iters + 1):
-            snaps, pieces = sweep.run(path.pieces)
-            log.append((step, _diff(snaps, path.snapshots), float("nan")))
-            path = FlowPath(path.grid, gamma.eps, snaps, pieces, source=gamma)
-        return FlowPath(path.grid, gamma.eps, path.snapshots, path.pieces,
-                        source=gamma, iteration_log=log, residual=log[-1][1])
-
-    prev_diff = None
-    log = []
-    for step in range(1, max_iter + 1):
-        snaps, pieces = sweep.run(path.pieces)
-        diff = _diff(snaps, path.snapshots)
+    pinned = fixed_iters is not None
+    snaps, pieces = path.snapshots.coeffs, path.pieces
+    log, prev_diff = [], None
+    for step in range(1, (fixed_iters if pinned else max_iter) + 1):
+        new_snaps, pieces = sweep.run(pieces)
+        diff = _sup_distance(new_snaps, snaps, gamma.eps)
+        snaps = new_snaps
         ratio = diff / prev_diff if prev_diff else float("nan")
         log.append((step, diff, ratio))
+        if pinned:
+            continue
         noise_floor = 64 * np.finfo(float).eps * max(
-            1.0, max(float(np.abs(s.coeffs).max()) for s in snaps))
+            1.0, float(np.abs(snaps).max()))
         if prev_diff is not None and diff > prev_diff and diff > 16 * noise_floor:
             raise NonContraction(
                 f"observed ratio {ratio:.3f} >= 1 at step {step} "
                 f"(certificate theta_hat = {theta:.3f})")
-        path = FlowPath(path.grid, gamma.eps, snaps, pieces, source=gamma)
         if diff <= max(target, noise_floor):
             break
         prev_diff = diff
     else:
-        raise ContractionStall(f"no convergence within {max_iter} iterations")
-    snaps, _ = sweep.run(path.pieces)
-    residual = _diff(snaps, path.snapshots)
-    return FlowPath(path.grid, gamma.eps, path.snapshots, path.pieces,
-                    source=gamma, iteration_log=log, residual=residual)
+        if not pinned:
+            raise ContractionStall(f"no convergence within {max_iter} iterations")
+    residual = log[-1][1] if pinned else _sup_distance(
+        sweep.run(pieces)[0], snaps, gamma.eps)
+    return FlowPath(path.grid, gamma.eps, snaps, pieces, source=gamma,
+                    iteration_log=log, residual=residual)
 
 
 def contraction_certificate_ok(path: FlowPath, slack: float = 0.05) -> bool:
@@ -466,7 +454,7 @@ def restriction_consistency(gamma: AdmissibleField, delta: float,
                                       gamma.chart_delta0, gamma.for_chart)
     p_eps = solve_flow(gamma, tol_solve)
     p_delta = solve_flow(g_delta, tol_solve)
-    worst = max(float(np.abs(a.coeffs - b.coeffs).max())
-                for a, b in zip(p_eps.snapshots, p_delta.snapshots))
+    worst = float(np.abs(p_eps.snapshots.coeffs
+                         - p_delta.snapshots.coeffs).max())
     return RestrictionReport(eps=gamma.eps, delta=delta, discrepancy=worst,
                              tol=10 * tol_solve)

@@ -34,6 +34,7 @@ tolerances.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iter_product
@@ -277,19 +278,33 @@ class FourierMap:
 class MapStack:
     """Maps on T^m stacked along a leading axis, one per time node.
 
-    ``coeffs`` has shape (T,) + (2N+1,)*m + (ncomp,).  ``eval`` runs the
-    shared kernel once for all maps, map t at row t of the points (T, P, m)
-    or at shared points (P, m); a stack stands in for a FourierMap in
-    ``jacobian``, ``invert_at_point`` and ``AnalyticDiffeo`` evaluations.
+    ``coeffs`` has shape (T,) + (2N+1,)*m + (ncomp,); every path of maps
+    over a time grid is stored this way.  It is built from that array, from
+    another stack, or from a sequence of FourierMaps of one order.
+    ``stack[t]`` is map t as a FourierMap, so a stack iterates as its maps.
+    ``eval`` runs the shared kernel once for all maps, map t at row t of the
+    points (T, P, m) or at shared points (P, m); a stack stands in for a
+    FourierMap in ``jacobian``, ``invert_at_point`` and ``AnalyticDiffeo``
+    evaluations.
     """
 
     __slots__ = ("coeffs", "m", "order", "ncomp")
 
-    def __init__(self, coeffs: np.ndarray):
+    def __init__(self, coeffs):
+        if isinstance(coeffs, MapStack):
+            coeffs = coeffs.coeffs
+        elif not isinstance(coeffs, np.ndarray):
+            coeffs = np.array([f.coeffs for f in coeffs], dtype=complex)
         self.coeffs = coeffs
         self.m = coeffs.ndim - 2
         self.order = coeffs.shape[1] // 2
         self.ncomp = coeffs.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __getitem__(self, t: int) -> FourierMap:
+        return FourierMap(self.coeffs[operator.index(t)], check=False)
 
     def eval(self, z) -> np.ndarray:
         z = np.asarray(z)

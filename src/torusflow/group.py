@@ -210,20 +210,17 @@ class EvolutionResult:
         self.side = side
         self.source = source
         self.flow = flow
-        self._snapshots = list(snapshots) if snapshots is not None else None
+        self._snapshots = None if snapshots is None else MapStack(snapshots)
         self.grid = flow.grid
         self.eps = flow.eps
 
     @property
-    def snapshots(self):
+    def snapshots(self) -> MapStack:
         """Perturbations of eta at the grid times; left sides invert lazily."""
         if self._snapshots is None:
-            if self.side == "right":
-                self._snapshots = list(self.flow.snapshots)
-            else:
-                self._snapshots = [FourierMap(v, check=False) for v in
-                                   self._left_inverses(np.stack(
-                                       [u.coeffs for u in self.flow.snapshots]))]
+            self._snapshots = (self.flow.snapshots if self.side == "right" else
+                               MapStack(self._left_inverses(
+                                   self.flow.snapshots.coeffs)))
         return self._snapshots
 
     @property
@@ -292,8 +289,8 @@ class EvolutionResult:
             "side": self.side,
             "eps": self.eps,
             "grid": [str(b) for b in self.grid.breakpoints],
-            "snapshots": [_modes_to_json(u.coeffs, self.m, u.order)
-                          for u in self.snapshots],
+            "snapshots": [_modes_to_json(u, self.m, self.order)
+                          for u in self.snapshots.coeffs],
         }
 
 
@@ -551,8 +548,7 @@ def verify_evolution_pointwise(candidate: EvolutionResult,
     grid = candidate.grid
     ts = grid.floats
     m = candidate.m
-    traj = probes + MapStack(np.stack([u.coeffs for u in candidate.snapshots])
-                             ).eval(probes)
+    traj = probes + candidate.snapshots.eval(probes)
 
     # every Gauss node of every interval at once
     j, tau, s = grid.nodes(_GL4_X)

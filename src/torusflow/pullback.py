@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TruncationBudgetExceeded
 from .flow import AdmissibleField, FlowPath, solve_flow
 from .fourier import (FourierMap, MapStack, TWO_PI, compose, fit_grid,
                       jacobian, lattice_modes, node_chunks,
@@ -172,8 +173,8 @@ def contravariance_defect(phi: AnalyticDiffeo, psi: AnalyticDiffeo, K: int,
     if K_inner is None:
         K_inner = min(A.certified_interior(leak_tol)
                       for A in (A_phi, A_psi, A_comp))
-        if K_inner < 1:
-            raise ValueError(
+        if K_inner < 1:     # column mass lost beyond the window: a tail
+            raise TruncationBudgetExceeded(
                 "no certified interior shell: enlarge K or shrink the maps")
     inner = A_comp.interior_indices(K_inner)
     sub = np.ix_(inner, inner)

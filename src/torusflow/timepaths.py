@@ -21,8 +21,8 @@ from math import comb
 import numpy as np
 
 from .errors import DomainEscape, ScaleMismatch
-from .fourier import (TOL_REALITY, FourierMap, compose, fit_grid, imag_reach,
-                      jacobian, majorants, sampling_grid)
+from .fourier import (TOL_REALITY, FourierMap, MapStack, compose, fit_grid,
+                      imag_reach, jacobian, majorants, sampling_grid)
 
 #: relative tolerance for the ACPath self-verification (closed-form integrals)
 TOL_INT = 1e-12
@@ -108,11 +108,6 @@ class TimeGrid:
         return TimeGrid(tuple(pts))
 
 
-def _poly_eval(poly: np.ndarray, tau: float) -> np.ndarray:
-    """Evaluate sum_d poly[d] tau^d; poly has the degree axis first."""
-    return piece_values([poly], [0], [tau])[0]
-
-
 def piece_values(pieces, j, tau) -> np.ndarray:
     """Row i is piece j[i] at local time tau[i]: the time-axis primitive.
 
@@ -140,14 +135,6 @@ def _poly_reparam(poly: np.ndarray, a: float, b: float) -> np.ndarray:
     for d in range(deg + 1):
         for e in range(d + 1):
             out[e] += poly[d] * comb(d, e) * (a ** (d - e)) * (b ** e)
-    return out
-
-
-def _poly_antiderivative(poly: np.ndarray, h: float) -> np.ndarray:
-    """tau -> h * int_0^tau p; one degree higher, zero constant term."""
-    out = np.zeros((poly.shape[0] + 1,) + poly.shape[1:], dtype=complex)
-    for d in range(poly.shape[0]):
-        out[d + 1] = poly[d] * (h / (d + 1))
     return out
 
 
@@ -408,47 +395,46 @@ def _piece_from_json(data: dict, m: int, order: int, ncomp: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class ACPath:
-    """Primitive of a TimeDependentField: snapshots plus the derivative class."""
+    """Primitive of a TimeDependentField: snapshots plus the derivative class.
+
+    ``values`` holds the snapshots at the breakpoints as a MapStack.
+    """
 
     def __init__(self, grid: TimeGrid, values, derivative: TimeDependentField,
                  tol: float = TOL_INT, check: bool = True):
         self.grid = grid
-        self.values = list(values)
+        self.values = MapStack(values)
         self.derivative = derivative
         if len(self.values) != len(grid):
             raise ValueError("need one snapshot per breakpoint")
         if check:
             defect = self.integral_defect()
-            scale = max(1.0, max(float(np.abs(v.coeffs).max()) for v in self.values))
+            scale = max(1.0, float(np.abs(self.values.coeffs).max()))
             if defect > tol * scale:
                 raise ValueError(f"integral identity violated (defect {defect:.3e})")
 
     def integral_defect(self) -> float:
         """Max coefficient defect of values[j+1] = values[j] + int over the piece."""
-        worst = 0.0
-        steps = [float(s) for s in self.grid.steps]
         der = self.derivative.on_grid(self.grid)
-        for j in range(len(self.grid) - 1):
-            inc = _poly_eval(_poly_antiderivative(der.pieces[j], steps[j]), 1.0)
-            lhs = self.values[j + 1].coeffs
-            rhs = self.values[j].with_order(self.values[j + 1].order).coeffs + \
-                _embed(inc[None], self.values[j + 1].order, der.m)[0]
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-        return worst
+        inc = _piece_integrals(der, np.arange(len(der.pieces)), 1.0)
+        v = self.values.coeffs
+        return float(np.abs(v[1:] - (v[:-1] + _embed(
+            inc, self.values.order, der.m))).max())
+
+    def values_at(self, times) -> np.ndarray:
+        """Coefficients at many times, with a leading time axis."""
+        j, tau = self.grid.locate(times)
+        return self.values.coeffs[j] + _piece_integrals(
+            self.derivative.on_grid(self.grid), j, tau)
 
     def value_at(self, t: float) -> FourierMap:
-        der = self.derivative
-        j, tau = self.grid.locate(t)
-        h = self.grid.floats[j + 1] - self.grid.floats[j]
-        dg = der.on_grid(self.grid) if der.grid.breakpoints != self.grid.breakpoints else der
-        inc = _poly_eval(_poly_antiderivative(dg.pieces[j], h), tau)
-        return self.values[j] + FourierMap(inc, check=False)
+        return FourierMap(self.values_at([t])[0], check=False)
 
     def to_json(self) -> dict:
         return {
             "grid": [str(b) for b in self.grid.breakpoints],
-            "values": [_modes_to_json(v.coeffs, self.derivative.m, v.order)
-                       for v in self.values],
+            "values": [_modes_to_json(v, self.derivative.m, self.values.order)
+                       for v in self.values.coeffs],
             "derivative": self.derivative.to_json(),
         }
 
@@ -456,20 +442,27 @@ class ACPath:
     def from_json(cls, data: dict) -> "ACPath":
         der = TimeDependentField.from_json(data["derivative"])
         grid = TimeGrid(tuple(Fraction(b) for b in data["grid"]))
-        values = [FourierMap(_modes_from_json(v, der.m, der.order, der.ncomp))
-                  for v in data["values"]]
+        values = (FourierMap(_modes_from_json(v, der.m, der.order, der.ncomp))
+                  for v in data["values"])
         return cls(grid, values, der)
+
+
+def _piece_integrals(field: TimeDependentField, j, tau) -> np.ndarray:
+    """h_j int_0^tau of piece j of ``field`` at each (j, tau), in closed form:
+    the antiderivative pieces (one degree higher, zero constant term) summed
+    by ``piece_values``."""
+    anti = []
+    for piece, h in zip(field.pieces, field.grid.steps):
+        scale = (float(h) / np.arange(1, len(piece) + 1)).reshape(
+            (-1,) + (1,) * (piece.ndim - 1))
+        anti.append(np.concatenate([np.zeros_like(piece[:1]), piece * scale]))
+    return piece_values(anti, j, tau)
 
 
 def integrate_primitive(gamma: TimeDependentField) -> ACPath:
     """Coefficient-wise primitive with value 0 at t = 0 (closed form)."""
-    steps = [float(s) for s in gamma.grid.steps]
-    acc = FourierMap.zero(gamma.order, gamma.m, gamma.ncomp)
-    values = [acc]
-    for j, piece in enumerate(gamma.pieces):
-        inc = _poly_eval(_poly_antiderivative(piece, steps[j]), 1.0)
-        acc = acc + FourierMap(inc, check=False)
-        values.append(acc)
+    inc = _piece_integrals(gamma, np.arange(len(gamma.pieces)), 1.0)
+    values = np.cumsum(np.concatenate([np.zeros_like(inc[:1]), inc]), axis=0)
     return ACPath(gamma.grid, values, gamma, tol=TOL_INT)
 
 
@@ -568,20 +561,22 @@ def ac_postcompose(path: ACPath, rule: SuperpositionRule,
     """
     grid = path.grid.refined(max_step) if not rule.is_affine else path.grid
     der = path.derivative.on_grid(grid)
-    values = [path.value_at(float(t)) if t not in path.grid.breakpoints
-              else path.values[path.grid.breakpoints.index(t)]
-              for t in grid.breakpoints]
-    for v in values:
-        if not rule.domain_ok(v):
-            raise DomainEscape("path leaves the domain of the postcomposition rule")
-    new_values = [rule.value(v) for v in values]
+    # the path at the new breakpoints, the stored snapshots where they exist
+    values = path.values_at(grid.floats)
+    values[np.isin(grid.floats, path.grid.floats)] = path.values.coeffs
+    values = MapStack(values)
+    if not all(rule.domain_ok(v) for v in values):
+        raise DomainEscape("path leaves the domain of the postcomposition rule")
+    new_values = (rule.value(v) for v in values)
     if rule.is_affine:
-        new_pieces = [np.stack([rule.differential(None, FourierMap(c, check=False)).coeffs
-                                for c in piece]) for piece in der.pieces]
+        new_pieces = [MapStack(rule.differential(None, c)
+                               for c in MapStack(piece)).coeffs
+                      for piece in der.pieces]
         new_der = TimeDependentField(grid, new_pieces, path.derivative.scale)
         return ACPath(grid, new_values, new_der, tol=TOL_INT)
-    samples = [rule.differential(path.value_at(t), der.value_at(t)).coeffs
-               for t in grid.nodes(FIT_NODES)[2]]
-    new_der = TimeDependentField(grid, list(fit_poly3(np.stack(samples))),
+    nodes = grid.nodes(FIT_NODES)[2]
+    samples = MapStack(rule.differential(u, v) for u, v in zip(
+        MapStack(path.values_at(nodes)), MapStack(der.values_at(nodes))))
+    new_der = TimeDependentField(grid, fit_poly3(samples.coeffs),
                                  path.derivative.scale)
     return ACPath(grid, new_values, new_der, tol=tol_chain)

@@ -5,6 +5,10 @@ now runs batched over all nodes at once.  They are kept as differential
 oracles: every batched path must reproduce its loop to rounding.  The only
 changes against their first form are the names of the shared helpers they
 call (the sampling grid, the one evaluator and the one fitter).
+
+The snapshot walks at the end (distances, reaches, primitives and the
+integral identity) are the forms of paths stored as lists of FourierMaps;
+their stack versions must equal them exactly.
 """
 
 import numpy as np
@@ -12,14 +16,29 @@ import numpy as np
 from torusflow.errors import ContractionStall, InvertibilityLost
 from torusflow.flow import invert_at_point, solve_flow
 from torusflow.fourier import (TWO_PI, FourierMap, MapStack, fit_grid,
-                               jacobian, multiply, sampling_grid, strip_norms)
+                               imag_reach, jacobian, multiply, sampling_grid,
+                               strip_norms, strip_weights)
 from torusflow.group import (TOL_INVERSE, AnalyticDiffeo,
                              _adjoint_inverse_values, _adjoint_values,
                              _probe_points, compose_diffeo, invert_diffeo)
 from torusflow.pullback import pullback_apply, pullback_matrix
 from torusflow.timepaths import (ACPath, FIT_NODES, TimeDependentField,
-                                 _GL4_W, _GL4_X, _poly_eval, fit_poly3)
+                                 _GL4_W, _GL4_X, _embed, fit_poly3,
+                                 piece_values)
 from torusflow.charts import TOL_INVERT
+
+
+def _poly_eval(poly, tau):
+    """Evaluate sum_d poly[d] tau^d; poly has the degree axis first."""
+    return piece_values([poly], [0], [tau])[0]
+
+
+def _poly_antiderivative(poly, h):
+    """tau -> h * int_0^tau p; one degree higher, zero constant term."""
+    out = np.zeros((poly.shape[0] + 1,) + poly.shape[1:], dtype=complex)
+    for d in range(poly.shape[0]):
+        out[d + 1] = poly[d] * (h / (d + 1))
+    return out
 
 
 def _at(pieces, j, tau):
@@ -297,3 +316,55 @@ def lp_norm(field, p, kind, eps):
             vals = np.array([seminorm(j, t) for t in _GL4_X])
             total += steps[j] * float(_GL4_W @ (vals if p == 1 else vals**2))
     return total if p == 1 else float(np.sqrt(total))
+
+
+# ---------------------------------------------------------------------------
+# snapshot walks
+# ---------------------------------------------------------------------------
+
+def sup_distance(path, other, eps):
+    return max(strip_norms(a - b, eps).nu
+               for a, b in zip(path.snapshots, other.snapshots))
+
+
+def imag_reach_max(path, start_width):
+    return max(imag_reach(u, start_width) for u in path.snapshots)
+
+
+def restriction_discrepancy(p_eps, p_delta):
+    return max(float(np.abs(a.coeffs - b.coeffs).max())
+               for a, b in zip(p_eps.snapshots, p_delta.snapshots))
+
+
+def step_distance(snaps_a, snaps_b, eps):
+    """solve_flow's stopping distance: max over grid times of nu_eps(a - b)."""
+    a0 = snaps_a[0]
+    w = strip_weights(a0.order, a0.m, eps)[0]
+    return max(float((np.abs(a.coeffs - b.coeffs).max(axis=-1) * w).sum())
+               for a, b in zip(snaps_a, snaps_b))
+
+
+def integrate_primitive_values(gamma):
+    """The snapshots of integrate_primitive, one piece at a time."""
+    steps = [float(s) for s in gamma.grid.steps]
+    acc = FourierMap.zero(gamma.order, gamma.m, gamma.ncomp)
+    values = [acc]
+    for j, piece in enumerate(gamma.pieces):
+        inc = _poly_eval(_poly_antiderivative(piece, steps[j]), 1.0)
+        acc = acc + FourierMap(inc, check=False)
+        values.append(acc)
+    return values
+
+
+def integral_defect(path):
+    """ACPath.integral_defect, one interval at a time."""
+    worst = 0.0
+    steps = [float(s) for s in path.grid.steps]
+    der = path.derivative.on_grid(path.grid)
+    for j in range(len(path.grid) - 1):
+        inc = _poly_eval(_poly_antiderivative(der.pieces[j], steps[j]), 1.0)
+        lhs = path.values[j + 1].coeffs
+        rhs = path.values[j].with_order(path.values[j + 1].order).coeffs + \
+            _embed(inc[None], path.values[j + 1].order, der.m)[0]
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst

@@ -15,8 +15,9 @@ import numpy as np
 from torusflow.errors import DomainEscape, RealityDefect
 from torusflow.fourier import (OVERSAMPLE, TOL_TRUNC, FourierMap, _grid_axes,
                                fit_grid, imag_reach)
-from torusflow.timepaths import (FIT_NODES, _FIT_VANDER_INV,
-                                 _poly_antiderivative, _poly_eval)
+from torusflow.timepaths import FIT_NODES, _FIT_VANDER_INV
+
+from _reference_loops import _poly_antiderivative, _poly_eval
 
 
 def compose(g, perturb, *, order=None, oversample=OVERSAMPLE,

@@ -280,6 +280,29 @@ def test_modes_beyond_order_exit_two(tmp_path, capsys):
               v=_SINE, w={**_SINE, "type": "cosine", "mode": 9})
 
 
+def test_constant_value_shape_exit_two(tmp_path, capsys):
+    for m, bad in ((2, [0.01]), (1, "abc"), (1, 0.01), (1, []), (1, [True]),
+                   (1, ["0.1"]), (2, [0.01, None]), (1, None)):
+        _rejected(tmp_path, capsys, "solve",
+                  f"constant value must be a list of m = {m} numbers",
+                  field={"type": "constant", "value": bad},
+                  **{**_SOLVE, "m": m})
+    _rejected(tmp_path, capsys, "solve", "constant value must be a list",
+              field={"type": "step", "grid": [0, 0.5, 1],
+                     "values": [_SINE, {"type": "constant", "value": 1}]},
+              **_SOLVE)
+    _rejected(tmp_path, capsys, "trotter", "w: constant value", order=8,
+              v=_SINE, w={"type": "constant", "value": [0.01, 0.0]})
+
+
+def test_no_certified_interior_exit_one(tmp_path, capsys):
+    # a window of 2 shells leaks beyond its edge: a numerical outcome
+    base = json.loads((SCENARIOS / "pullback_sine.json").read_text())
+    scenario = _scenario(tmp_path, **{**base, "K": 1})
+    assert run(["pullback", scenario, "--out", tmp_path / "out"]) == 1
+    assert "no certified interior shell" in capsys.readouterr().err
+
+
 def test_pullback_window_exit_two(tmp_path, capsys):
     for bad in (0, -1, 17, 2.5, True, "8"):
         _rejected(tmp_path, capsys, "pullback", "pullback K must be an integer",

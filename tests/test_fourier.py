@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusflow import (FourierMap, RealityDefect, TruncationBudgetExceeded,
-                       compose, jacobian, multiply, restrict, strip_norms)
+from torusflow import (FlowPath, FourierMap, RealityDefect, TimeGrid,
+                       TruncationBudgetExceeded, compose, jacobian, multiply,
+                       restrict, strip_norms)
 from torusflow.fourier import MapStack, cauchy_gain, imag_reach
 
 from _reference_sweep import compose as reference_compose
@@ -358,3 +359,29 @@ def test_nu_submultiplicative_hypothesis(c, scale):
     eps = 0.07
     assert strip_norms(prod, eps).nu <= \
         strip_norms(f, eps).nu * strip_norms(g, eps).nu + 1e-12
+
+
+def test_map_stack_indexing_and_iteration():
+    maps = [sine_map(0.01 * (i + 1), 8, mode=i + 1) for i in range(3)]
+    stack = MapStack(maps)
+    assert len(stack) == 3 and stack.coeffs.shape == (3, 17, 1)
+    assert (stack.m, stack.order, stack.ncomp) == (1, 8, 1)
+    for got, want in zip(stack, maps):
+        assert isinstance(got, FourierMap)
+        assert np.array_equal(got.coeffs, want.coeffs)
+    assert len(list(stack)) == 3
+    assert np.array_equal(stack[-1].coeffs, maps[-1].coeffs)
+    assert stack[np.int64(1)].order == 8
+    with pytest.raises(IndexError):
+        stack[3]
+    with pytest.raises(TypeError):
+        stack[0:2]
+    assert MapStack(stack).coeffs is stack.coeffs
+    assert MapStack(stack.coeffs).coeffs is stack.coeffs
+    assert np.array_equal(MapStack(iter(maps)).coeffs, stack.coeffs)
+    flat = MapStack([FourierMap.constant([0.1, -0.2], 4, m=2)] * 2)
+    assert flat.coeffs.shape == (2, 9, 9, 2) and flat[1].m == 2
+    path = FlowPath(TimeGrid.uniform(2), 0.05, maps,
+                    [f.coeffs[None] for f in maps[:2]])
+    assert isinstance(path.snapshots, MapStack) and path.order == 8
+    assert path.pieces.shape == (2, 1, 17, 1)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from torusflow import (AdmissibleField, AnalyticDiffeo, FourierMap,
-                       TimeDependentField, cocycle_matrix_defect,
+                       TimeDependentField, TorusflowError,
+                       TruncationBudgetExceeded, cocycle_matrix_defect,
                        compose_diffeo, contravariance_defect, pullback_apply,
                        pullback_matrix)
 from torusflow.flow import solve_flow as _solve
@@ -113,6 +114,14 @@ def test_contravariance_certified_interior():
     psi = AnalyticDiffeo.certify(
         FourierMap.from_modes({1: [0.008j], 2: [0.003]}, ORDER), EPS)
     assert contravariance_defect(phi, psi, 16) <= 1e-8
+
+
+def test_no_certified_interior_is_a_truncation_fault():
+    phi = AnalyticDiffeo.certify(sine_map(0.01, ORDER), EPS)
+    psi = AnalyticDiffeo.certify(FourierMap.constant([0.3], ORDER), EPS)
+    with pytest.raises(TorusflowError, match="no certified interior") as err:
+        contravariance_defect(phi, psi, 2)
+    assert isinstance(err.value, TruncationBudgetExceeded)
 
 
 def test_certified_interior_shrinks_with_amplitude():

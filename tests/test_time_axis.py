@@ -11,11 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusflow import (AdmissibleField, FourierMap, LocalAddition,
+from torusflow import (ACPath, AdmissibleField, FourierMap, LocalAddition,
                        TimeDependentField, TimeGrid, evol_left, evol_right,
-                       find_delta0, flow_to_chart, odot, pointwise_solution,
-                       pullback_path, solve_flow, verify_evolution_pointwise)
-from torusflow.flow import MAX_STEP
+                       find_delta0, flow_to_chart, identity_path,
+                       integrate_primitive, odot, picard_step,
+                       pointwise_solution, pullback_path, solve_flow,
+                       verify_evolution_pointwise)
+from torusflow.flow import MAX_STEP, restriction_consistency
 from torusflow.group import _field_nu_integral, ad_transport_integral
 
 import _reference_loops as ref
@@ -158,3 +160,43 @@ def test_pullback_path_matches_node_loop(fields, t0):
     assert [r[:2] for r in rep.transport_rows] == [r[:2] for r in transport_rows]
     assert _close([r[2] for r in rep.transport_rows],
                   [r[2] for r in transport_rows])
+
+
+def test_stack_forms_equal_snapshot_walks(fields):
+    """Paths stored as one array give exactly the numbers of the walks over
+    their snapshots: the solver's step distances (tolerance and pinned
+    sweeps), sup distances, reaches, the restriction discrepancy, closed-form
+    primitives (pieces of mixed degree) and the integral defect."""
+    gamma, eta = fields
+    solved, pinned = solve_flow(gamma), solve_flow(gamma, fixed_iters=3)
+    for path in (solved, pinned):
+        it = identity_path(gamma)
+        for step, diff, ratio in path.iteration_log:
+            nxt = picard_step(gamma, it)
+            assert diff == ref.step_distance(nxt.snapshots, it.snapshots, EPS)
+            it = nxt
+        assert np.array_equal(path.snapshots.coeffs, it.snapshots.coeffs)
+        assert np.array_equal(path.pieces, it.pieces)
+    assert np.isnan([r for *_, r in pinned.iteration_log]).all()
+    assert pinned.residual == pinned.iteration_log[-1][1]
+    assert solved.residual == ref.step_distance(
+        picard_step(gamma, solved).snapshots, solved.snapshots, EPS)
+
+    assert solved.sup_distance(pinned) == ref.sup_distance(solved, pinned, EPS)
+    assert solved.imag_reach_max() == ref.imag_reach_max(solved, EPS / 2)
+    g_delta = AdmissibleField.certify(gamma.field, EPS / 2)
+    assert restriction_consistency(gamma, EPS / 2).discrepancy == \
+        ref.restriction_discrepancy(solved, solve_flow(g_delta))
+
+    f = gamma.field
+    mixed = TimeDependentField(f.grid, [f.pieces[0], np.concatenate(
+        [f.pieces[1], 0.5 * f.pieces[1], -0.25 * f.pieces[1]])], f.scale)
+    for field in (f, eta.field, mixed):
+        prim = integrate_primitive(field)
+        want = np.stack([v.coeffs for v in ref.integrate_primitive_values(field)])
+        assert np.array_equal(prim.values.coeffs, want)
+        off = ACPath(prim.grid, prim.values.coeffs * (1 + 1e-3),
+                     prim.derivative, check=False)
+        for path in (prim, off):
+            assert path.integral_defect() == ref.integral_defect(path)
+        assert off.integral_defect() > 0
