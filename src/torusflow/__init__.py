@@ -6,9 +6,9 @@ from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
                      EmptyLevel, InvertibilityLost, NoPositiveRadius,
                      NonContraction, OutOfRange, RealityDefect,
                      ScaleMismatch, TorusflowError, TruncationBudgetExceeded)
-from .fourier import (FourierMap, JacobianField, NormReport, StripScale,
-                      compose, imag_reach, jacobian, multiply, restrict,
-                      strip_norms)
+from .fourier import (FourierMap, JacobianField, MapStack, NormReport,
+                      StripScale, compose, imag_reach, jacobian, multiply,
+                      restrict, strip_norms)
 from .timepaths import (ACPath, AffineRule, IdentityRule,
                         SelfCompositionRule, TimeDependentField, TimeGrid,
                         ac_postcompose, integrate_primitive)

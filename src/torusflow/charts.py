@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall,
                      NoPositiveRadius, OutOfRange)
-from .fourier import (FourierMap, MapStack, fit_grid, node_chunks,
-                      nu_per_component, sampling_grid)
+from .fourier import (FourierMap, MapStack, _modes_from_json, _modes_to_json,
+                      fit_grid, node_chunks, nu_per_component, sampling_grid)
 from .timepaths import ACPath, FIT_NODES, TimeDependentField, fit_poly3
 
 #: residual target for the displacement inversion
@@ -109,16 +109,13 @@ class LocalAddition:
 
     def defect_majorant(self, eps: float, delta: float) -> float:
         """Analytic bound on h over ||Im z|| <= eps, ||w|| <= delta."""
-        bound = 0.0
         per_row = np.zeros(self.m)
         for p, coeff in self.terms:
             nu_i = nu_per_component(coeff, eps)
             per_row = per_row + nu_i * sum(p) * delta ** (sum(p) - 1)
-        bound = float(per_row.max()) if self.terms else 0.0
-        return bound
+        return float(per_row.max()) if self.terms else 0.0
 
     def to_json(self) -> dict:
-        from .timepaths import _modes_to_json
         return {
             "m": self.m,
             "order": self.order,
@@ -129,7 +126,6 @@ class LocalAddition:
 
     @classmethod
     def from_json(cls, data: dict) -> "LocalAddition":
-        from .timepaths import _modes_from_json
         m, order = data["m"], data["order"]
         terms = []
         for t in data["terms"]:

@@ -253,13 +253,8 @@ def run_limits(scenario: dict, out: Path, checks: list) -> None:
     eps_target = float(scenario.get("eps_target", 0.05))
     rng = np.random.default_rng(scenario.get("seed", 0))
     levels = make_levels(eps_top, radii, order)
-    map_kind = scenario.get("map", "square")
-    if map_kind == "square":
-        f = PointwiseSquareMap()
-    elif map_kind == "linear":
-        f = LinearScaleMap(np.full(2 * order + 1, 0.9, dtype=complex))
-    else:
-        raise ValueError(f"unknown harness map {map_kind!r}")
+    f = (PointwiseSquareMap() if scenario.get("map", "square") == "square"
+         else LinearScaleMap(np.full(2 * order + 1, 0.9, dtype=complex)))
     p_eps = levels[-1].eps
     certs = f.lipschitz_certs(levels, p_eps)
     rep = verify_continuity_estimate(f, levels, certs, p_eps, eps_target,
@@ -335,14 +330,25 @@ def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _spec_problem(spec, m: int, order: int) -> str | None:
-    """Why a map or field spec (``step`` values included) holds a mode that
-    is no lattice index k with ||k||_1 <= order, nonzero for sine/cosine,
-    or a constant value that is no list of m numbers."""
+def _spec_problem(spec, m: int, order: int, field: bool = False) -> str | None:
+    """Why a map or field spec (``step`` values included) cannot be built:
+    an unknown type, a step grid that is no rational grid from 0 to 1 or
+    values not one map per interval, an amplitude that is no number, a mode
+    that is no lattice index k with ||k||_1 <= order, nonzero for
+    sine/cosine, or a constant value that is no list of m numbers."""
     kind = spec.get("type") if isinstance(spec, dict) else None
-    if kind == "step":
+    if spec is None or kind == "zero" or (field and kind == "random"):
+        return None
+    if kind == "step" and field:
+        grid, values = spec.get("grid"), spec.get("values")
+        try:
+            TimeGrid(tuple(map(Fraction, grid)))
+        except (ArithmeticError, IndexError, TypeError, ValueError) as exc:
+            return f"step grid {grid!r}: {exc}"
+        if not (isinstance(values, list) and len(values) == len(grid) - 1):
+            return "step values must be a list of one map per grid interval"
         return next(filter(None, (_spec_problem(v, m, order)
-                                  for v in spec.get("values", []))), None)
+                                  for v in values)), None)
     if kind == "constant":
         value = spec.get("value")
         if isinstance(value, list) and len(value) == m and all(
@@ -350,14 +356,16 @@ def _spec_problem(spec, m: int, order: int) -> str | None:
             return None
         return f"constant value must be a list of m = {m} numbers, got {value!r}"
     if kind in ("sine", "cosine"):
+        if not _number(spec.get("amplitude")):
+            return f"{kind} amplitude must be a number, got {spec.get('amplitude')!r}"
         entries, low = [spec.get("mode", 1)], 1
     elif kind == "coeffs":      # [k, re, im] entries
-        entries, low = spec.get("modes", []), 0
+        entries, low = spec.get("modes"), 0
     else:
-        return None
-    for entry in entries:
-        k = entry if low else (entry[0] if isinstance(entry, list)
-                               and len(entry) == 3 else None)
+        return f"unknown map spec type {kind!r}"
+    for entry in entries if isinstance(entries, list) else [entries]:
+        k = entry if low else (entry[0] if isinstance(entry, list) and len(
+            entry) == 3 and all(map(_number, entry[1:])) else None)
         pair = (isinstance(k, (list, tuple)) and len(k) == 2
                 and all(map(_integer, k)))
         l1 = (abs(k) if m == 1 and _integer(k) else
@@ -389,7 +397,7 @@ def validate_scenario(scenario: dict, kind: str) -> str | None:
             _positive_number(scale) and scale >= 2 * eps):
         return f"scale must be a number >= 2 eps = {2 * eps:g}, got {scale!r}"
     for key in ("field", "v", "w"):
-        problem = _spec_problem(scenario.get(key), m, order)
+        problem = _spec_problem(scenario.get(key), m, order, key == "field")
         if problem:
             return f"{key}: {problem}"
     K = scenario.get("K", 8)
@@ -414,6 +422,8 @@ def validate_scenario(scenario: dict, kind: str) -> str | None:
         if not (_integer(count) and count >= 1):
             return f"{kind} {key} must be an integer >= 1, got {count!r}"
     if kind == "limits":
+        if scenario.get("map", "square") not in ("square", "linear"):
+            return f"unknown harness map {scenario['map']!r}"
         if scenario.get("order", 16) < MAX_MODE:
             return f"limits order must be >= {MAX_MODE} (the ball maps' modes)"
         radii = scenario.get("radii", [0.5])

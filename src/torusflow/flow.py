@@ -42,10 +42,11 @@ import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
                      NonContraction)
-from .fourier import (TOL_TRUNC, FourierMap, MapStack, compose, imag_reach,
-                      majorants)
+from .fourier import (TOL_TRUNC, FourierMap, MapStack, _modes_to_json,
+                      compose, imag_reach, majorants)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
-                        _GL4_W, _GL4_X, fit_poly3, piece_values)
+                        _GL4_W, _GL4_X, _antiderivative, fit_poly3,
+                        piece_values)
 
 #: default solver tolerance, measured in nu_eps of snapshot differences
 TOL_SOLVE = 1e-10
@@ -154,7 +155,6 @@ class FlowPath:
         return self.imag_reach_max(self.eps / 2) < self.eps
 
     def to_json(self) -> dict:
-        from .timepaths import _modes_to_json
         return {
             "eps": self.eps,
             "grid": [str(b) for b in self.grid.breakpoints],
@@ -213,11 +213,9 @@ class _PicardSweep:
     def _integrate(self, kept: np.ndarray):
         """Fit a cubic per interval through the node values and integrate it."""
         J, Q, shape = len(self.h), len(FIT_NODES), kept.shape[1:]
-        poly = fit_poly3(kept).reshape(J, Q, -1)
         # tau -> h_j * int_0^tau p_j, then shifted by the snapshot at t_j
-        anti = np.zeros((J, Q + 1, poly.shape[2]), dtype=complex)
-        anti[:, 1:] = poly * (self.h[:, None] / np.arange(1, Q + 1))[..., None]
-        snaps = np.zeros((J + 1, poly.shape[2]), dtype=complex)
+        anti = _antiderivative(fit_poly3(kept).reshape(J, Q, -1), self.h)
+        snaps = np.zeros((J + 1, anti.shape[2]), dtype=complex)
         np.cumsum(anti.sum(axis=1), axis=0, out=snaps[1:])
         anti[:, 0] = snaps[:-1]
         return snaps.reshape((J + 1,) + shape), anti.reshape((J, Q + 1) + shape)

@@ -37,7 +37,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _iter_product
 
 import numpy as np
 
@@ -211,17 +210,14 @@ class FourierMap:
 
     def with_order(self, order: int) -> "FourierMap":
         """Re-embed (or truncate) into the centered cube of another order."""
-        if order == self.order:
+        off = order - self.order
+        if off == 0:
             return self
-        out = FourierMap.zero(order, self.m, self.ncomp)
-        off = abs(order - self.order)
-        if order > self.order:
-            sl = tuple(slice(off, off + 2 * self.order + 1) for _ in range(self.m))
-            out.coeffs[sl + (slice(None),)] = self.coeffs
-        else:
-            sl = tuple(slice(off, off + 2 * order + 1) for _ in range(self.m))
-            out.coeffs[...] = self.coeffs[sl + (slice(None),)]
-        return FourierMap(out.coeffs, check=False)
+        if off > 0:
+            return FourierMap(np.pad(self.coeffs, [(off, off)] * self.m
+                                     + [(0, 0)]), check=False)
+        return FourierMap(self.coeffs[(slice(-off, off),) * self.m].copy(),
+                          check=False)
 
     # -- linear structure -----------------------------------------------
 
@@ -309,6 +305,36 @@ class MapStack:
     def eval(self, z) -> np.ndarray:
         z = np.asarray(z)
         return eval_series(self.coeffs, z if z.ndim == 3 else z[None])
+
+
+def _modes_to_json(coeffs: np.ndarray, m: int, order: int) -> list:
+    """Nonzero rows of a coefficient cube, in index order, as JSON entries.
+
+    An entry is [k, re, im] for one component and [k, [[re, im], ..]] for
+    several; k is an int for m = 1 and a list for m = 2.
+    """
+    idx = np.argwhere(np.any(coeffs, axis=-1))
+    keys = (idx - order).tolist()
+    if m == 1:
+        keys = [k[0] for k in keys]
+    rows = coeffs[tuple(idx.T)]
+    pairs = np.stack([rows.real, rows.imag], axis=-1).tolist()
+    if coeffs.shape[-1] == 1:
+        return [[k, *p[0]] for k, p in zip(keys, pairs)]
+    return [[k, p] for k, p in zip(keys, pairs)]
+
+
+def _modes_from_json(entries: list, m: int, order: int, ncomp: int) -> np.ndarray:
+    out = np.zeros((2 * order + 1,) * m + (ncomp,), dtype=complex)
+    for entry in entries:
+        key = entry[0]
+        k = (key,) if m == 1 else tuple(key)
+        idx = tuple(ki + order for ki in k)
+        if ncomp == 1:
+            out[idx + (0,)] = entry[1] + 1j * entry[2]
+        else:
+            out[idx] = [re + 1j * im for re, im in entry[1]]
+    return out
 
 
 def _common_order(a: FourierMap, b: FourierMap):
@@ -792,11 +818,6 @@ def jacobian(f) -> JacobianField:
 
 
 def lattice_modes(order: int, m: int):
-    """All lattice indices with ||k||_1 <= order, as tuples."""
-    if m == 1:
-        return [(k,) for k in range(-order, order + 1)]
-    out = []
-    for k1, k2 in _iter_product(range(-order, order + 1), repeat=2):
-        if abs(k1) + abs(k2) <= order:
-            out.append((k1, k2))
-    return out
+    """All lattice indices with ||k||_1 <= order, as tuples in index order."""
+    return list(map(tuple, (np.argwhere(_k_l1(order, m) <= order)
+                            - order).tolist()))

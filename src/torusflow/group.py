@@ -36,8 +36,9 @@ import numpy as np
 from .errors import InvertibilityLost
 from .flow import (AdmissibleField, FlowPath, MAX_STEP, TOL_POINTWISE,
                    TOL_SOLVE, invert_at_point, solve_flow)
-from .fourier import (FourierMap, MapStack, compose, fit_grid, jacobian,
-                      majorants, node_chunks, sampling_grid, strip_norms)
+from .fourier import (FourierMap, MapStack, _modes_to_json, compose, fit_grid,
+                      jacobian, majorants, node_chunks, sampling_grid,
+                      strip_norms)
 from .timepaths import (FIT_NODES, TimeDependentField, _GL4_W, _GL4_X,
                         _embed, fit_poly3, integrate_primitive, piece_values)
 
@@ -94,8 +95,7 @@ class AnalyticDiffeo:
         return pts + self.u.eval(pts)
 
     def jacobian_values(self, pts: np.ndarray) -> np.ndarray:
-        J = jacobian(self.u).eval(pts)
-        return J + np.eye(self.m)[None, ...]
+        return _jacobian_values(self.u, pts)
 
     def min_real_jacobian(self, samples: int = 256) -> float:
         """min over sampled real points of the Jacobian determinant."""
@@ -105,6 +105,11 @@ class AnalyticDiffeo:
             return float(J[..., 0, 0].real.min())
         det = (J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]).real
         return float(det.min())
+
+
+def _jacobian_values(u, pts: np.ndarray) -> np.ndarray:
+    """D(id + u) at points; u is a displacement FourierMap or a MapStack."""
+    return jacobian(u).eval(pts) + np.eye(u.m)[None, ...]
 
 
 def compose_diffeo(phi: AnalyticDiffeo, psi: AnalyticDiffeo) -> AnalyticDiffeo:
@@ -161,23 +166,21 @@ def _certified_inverses(u: np.ndarray, eps: float, tol: float = 1e-13):
 # adjoint action
 # ---------------------------------------------------------------------------
 
-def _adjoint_values(phi: AnalyticDiffeo, X: FourierMap,
-                    pts: np.ndarray) -> np.ndarray:
-    """(Ad(phi) X)(x) = D phi(phi^{-1}(x)) . X(phi^{-1}(x)).
+def _adjoint_values(u, X: FourierMap, pts: np.ndarray) -> np.ndarray:
+    """(Ad(phi) X)(x) = D phi(phi^{-1}(x)) . X(phi^{-1}(x)), phi = id + u.
 
-    ``phi.u`` and ``X`` may be MapStacks, taken node by node.
+    ``u`` and ``X`` may be MapStacks, taken node by node.
     """
-    y = invert_at_point(phi.u, pts)
-    J = phi.jacobian_values(y)
-    return np.einsum("...ij,...j->...i", J, X.eval(y))
+    y = invert_at_point(u, pts)
+    return np.einsum("...ij,...j->...i", _jacobian_values(u, y), X.eval(y))
 
 
-def _adjoint_inverse_values(phi: AnalyticDiffeo, X: FourierMap,
-                            pts: np.ndarray) -> np.ndarray:
-    """(Ad(phi)^{-1} X)(x) = [D phi(x)]^{-1} . X(phi(x))."""
-    J = phi.jacobian_values(pts)
-    vals = X.eval(phi(pts))
-    if phi.m == 1:
+def _adjoint_inverse_values(u, X: FourierMap, pts: np.ndarray) -> np.ndarray:
+    """(Ad(phi)^{-1} X)(x) = [D phi(x)]^{-1} . X(phi(x)), phi = id + u."""
+    J = _jacobian_values(u, pts)
+    z = np.asarray(pts, dtype=complex)      # as AnalyticDiffeo.__call__ takes them
+    vals = X.eval(z + u.eval(z))
+    if u.m == 1:
         return vals / J[..., 0, 0][..., None]
     return np.linalg.solve(J, vals[..., None])[..., 0]
 
@@ -188,7 +191,7 @@ def adjoint(phi: AnalyticDiffeo, X: FourierMap,
     m, order = phi.m, max(phi.order, X.order)
     M, pts = sampling_grid(order, m)
     vals = (_adjoint_inverse_values if inverse else _adjoint_values)(
-        phi, X.with_order(order) if X.order != order else X, pts)
+        phi.u, X.with_order(order) if X.order != order else X, pts)
     return fit_grid(vals.reshape((M,) * m + (m,)), order, m,
                     tol_trunc=1e-7, context="adjoint")
 
@@ -279,12 +282,11 @@ class EvolutionResult:
             rhs = g.eval(self.eval_many(times, pts))
         else:
             eta_u = self._left_inverses(self.flow.u_at_many(times))
-            J = AnalyticDiffeo(MapStack(eta_u), self.eps, 0.0).jacobian_values(pts)
+            J = _jacobian_values(MapStack(eta_u), pts)
             rhs = np.einsum("...ij,...j->...i", J, g.eval(pts))
         return float(np.abs(dpath - rhs).max())
 
     def to_json(self) -> dict:
-        from .timepaths import _modes_to_json
         return {
             "side": self.side,
             "eps": self.eps,
@@ -356,10 +358,10 @@ def odot(gamma: AdmissibleField, eta: AdmissibleField,
 
     Ad values are sampled at the collocation nodes of the merged grid,
     all nodes in batched inversions and fits (chunks of nodes bound the
-    memory), and re-fitted as cubic pieces; the left evolution of the result composes pointwise with that
-    of eta.  The flow of -eta is solved, so Evol(eta)(s) is the inverse of
-    its maps zeta(s) and Ad(Evol(eta)(s))^{-1} = Ad(zeta(s)) needs pointwise
-    inversion only.
+    memory), and re-fitted as cubic pieces; the left evolution of the
+    result composes pointwise with that of eta.  The flow of -eta is
+    solved, so Evol(eta)(s) is the inverse of its maps zeta(s) and
+    Ad(Evol(eta)(s))^{-1} = Ad(zeta(s)) needs pointwise inversion only.
     """
     eta_flow = solve_flow(eta.negated(), tol_solve)
     grid = gamma.field.grid.merged(eta.field.grid).refined(MAX_STEP)
@@ -368,14 +370,13 @@ def odot(gamma: AdmissibleField, eta: AdmissibleField,
     j, tau, s = grid.nodes(FIT_NODES)
     u = eta_flow.u_at_many(s)
     g = piece_values(gamma.field.on_grid(grid).pieces, j, tau)
-    ad = np.concatenate([fit_grid(_adjoint_values(
-        AnalyticDiffeo(MapStack(u[c]), eta_flow.eps, 0.0), MapStack(g[c]), pts)
+    ad = np.concatenate([fit_grid(_adjoint_values(MapStack(u[c]), MapStack(g[c]), pts)
         .reshape((-1,) + (M,) * m + (m,)), order, m, tol_trunc=1e-7,
         context="odot") for c in node_chunks(len(s), len(pts))])
     n = max(order, eta.field.order)
     samples = _embed(ad, n, m) + _embed(
         piece_values(eta.field.on_grid(grid).pieces, j, tau), n, m)
-    return TimeDependentField(grid, list(fit_poly3(samples)), gamma.field.scale)
+    return TimeDependentField(grid, fit_poly3(samples), gamma.field.scale)
 
 
 def ad_transport_integral(eta: AdmissibleField, gamma_field: TimeDependentField,
@@ -398,8 +399,7 @@ def ad_transport_integral(eta: AdmissibleField, gamma_field: TimeDependentField,
     tau = (s - ts[j][:, None]) / (ts[j + 1] - ts[j])[:, None]
     u = eta_flow.u_at_many(s.ravel())
     g = piece_values(gam.pieces, np.repeat(j, len(_GL4_X)), tau.ravel())
-    vals = np.concatenate([_adjoint_inverse_values(
-        AnalyticDiffeo(MapStack(u[c]), eta_flow.eps, 0.0), MapStack(g[c]), pts)
+    vals = np.concatenate([_adjoint_inverse_values(MapStack(u[c]), MapStack(g[c]), pts)
         for c in node_chunks(len(u), len(pts))]).reshape(len(j), len(_GL4_X), -1)
     integ = (b - a)[:, None] * np.tensordot(vals, _GL4_W, axes=(1, 0))
     fits = fit_grid(integ.reshape((len(j),) + (M,) * m + (m,)), order, m,
@@ -558,8 +558,7 @@ def verify_evolution_pointwise(candidate: EvolutionResult,
     else:
         # one inversion per node: eta(s)(x) = zeta(s)^{-1}(x)
         u = MapStack(candidate.flow.u_at_many(s))
-        Jz = AnalyticDiffeo(u, candidate.eps, 0.0).jacobian_values(
-            invert_at_point(u, probes))
+        Jz = _jacobian_values(u, invert_at_point(u, probes))
         g_vals = g.eval(probes)
         node_vals = (g_vals / Jz[..., 0, 0][..., None] if m == 1
                      else np.linalg.solve(Jz, g_vals[..., None])[..., 0])
@@ -569,12 +568,11 @@ def verify_evolution_pointwise(candidate: EvolutionResult,
     increments = np.zeros_like(traj)
     np.cumsum(steps, axis=0, out=increments[1:])
 
-    rows = []
-    worst = 0.0
-    for t, resid in zip(ts, np.abs(traj - probes - increments).max(axis=-1)):
-        rows.extend((p, float(t), float(r)) for p, r in enumerate(resid))
-        worst = max(worst, float(resid.max()))
-    return VerificationReport(rows=rows, max_residual=worst, tol=tol_pointwise)
+    resid = np.abs(traj - probes - increments).max(axis=-1)
+    rows = [(p, float(t), float(r)) for t, row in zip(ts, resid)
+            for p, r in enumerate(row)]
+    return VerificationReport(rows=rows, max_residual=max(0.0, float(resid.max())),
+                              tol=tol_pointwise)
 
 
 def ac_modulus_check(evol: EvolutionResult, n_pairs: int = 16,

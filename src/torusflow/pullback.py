@@ -81,14 +81,9 @@ class PullbackMatrix:
     def reality_defect(self) -> float:
         """A[-j, -k] = conj(A[j, k]) across the window."""
         index = {k: i for i, k in enumerate(self.modes)}
-        worst = 0.0
-        for k, i in index.items():
-            for j, r in index.items():
-                nk = tuple(-q for q in k)
-                nj = tuple(-q for q in j)
-                worst = max(worst, abs(self.matrix[index[nj], index[nk]]
-                                       - np.conj(self.matrix[r, i])))
-        return worst
+        neg = [index[tuple(-q for q in k)] for k in self.modes]
+        return float(np.abs(self.matrix[np.ix_(neg, neg)]
+                            - self.matrix.conj()).max())
 
     def interior_indices(self, K_inner: int) -> list:
         return [i for i, k in enumerate(self.modes)
@@ -101,17 +96,9 @@ class PullbackMatrix:
         column and row indices lie in this shell; outside it the through-
         the-edge paths the window discards are no longer negligible.
         """
-        shells = {}
-        for i, k in enumerate(self.modes):
-            s = sum(abs(q) for q in k)
-            shells[s] = max(shells.get(s, 0.0), float(self.column_leakage[i]))
-        good = -1
-        for s in range(self.K + 1):
-            if shells.get(s, 0.0) <= leak_tol:
-                good = s
-            else:
-                break
-        return good
+        shell = np.abs(np.array(self.modes)).sum(axis=1)
+        bad = shell[~(np.asarray(self.column_leakage) <= leak_tol)]
+        return int(bad.min()) - 1 if bad.size else self.K
 
     def to_rows(self):
         rows = []

@@ -5,7 +5,10 @@ rational breakpoint grid with one polynomial piece per interval: on
 [t_j, t_{j+1}] the field is sum_d c_{j,d} tau^d with FourierMap-valued
 coefficients and the local variable tau = (t - t_j) / (t_{j+1} - t_j),
 degree <= 3.  Such step/polynomial representatives are dense in L^p and
-make every time integral closed-form.
+make every time integral closed-form.  The pieces form one array
+(J, D + 1) + (2N+1,)*m + (ncomp,), as ``FlowPath.pieces`` do (D the
+highest degree, lower-degree pieces zero-padded), so every operation on a
+field is an array expression over its pieces.
 
 Absolutely continuous paths are primitives of such fields: snapshots at
 the breakpoints plus the derivative field, with the integral identity
@@ -21,8 +24,9 @@ from math import comb
 import numpy as np
 
 from .errors import DomainEscape, ScaleMismatch
-from .fourier import (TOL_REALITY, FourierMap, MapStack, compose, fit_grid,
-                      imag_reach, jacobian, majorants, sampling_grid)
+from .fourier import (TOL_REALITY, FourierMap, MapStack, _modes_from_json,
+                      _modes_to_json, compose, fit_grid, imag_reach, jacobian,
+                      majorants, node_chunks, sampling_grid)
 
 #: relative tolerance for the ACPath self-verification (closed-form integrals)
 TOL_INT = 1e-12
@@ -108,33 +112,50 @@ class TimeGrid:
         return TimeGrid(tuple(pts))
 
 
-def piece_values(pieces, j, tau) -> np.ndarray:
+def piece_values(pieces: np.ndarray, j, tau) -> np.ndarray:
     """Row i is piece j[i] at local time tau[i]: the time-axis primitive.
 
-    Returns one coefficient array with a leading time axis, each row the
-    Horner sum over the degree axis of its piece.
+    ``pieces`` has shape (J, D + 1) + map shape; returns one coefficient
+    array with a leading time axis, each row the Horner sum over the degree
+    axis of its piece.
     """
-    j = np.asarray(j, dtype=int).ravel()
-    used, row = np.unique(j, return_inverse=True)
-    deg = max(pieces[i].shape[0] for i in used)
-    stacked = np.zeros((deg, len(used)) + pieces[0].shape[1:], dtype=complex)
-    for r, i in enumerate(used):
-        stacked[:pieces[i].shape[0], r] = pieces[i]
-    tau = np.reshape(tau, (-1,) + (1,) * (stacked.ndim - 2))
-    out = stacked[deg - 1][row]
-    for d in range(deg - 2, -1, -1):
+    j, top = np.asarray(j, dtype=int).ravel(), pieces.shape[1] - 1
+    tau = np.reshape(tau, (-1,) + (1,) * (pieces.ndim - 2))
+    out = pieces[j, top]
+    for d in range(top - 1, -1, -1):
         out *= tau
-        out += stacked[d][row]
+        out += pieces[j, d]
     return out
 
 
-def _poly_reparam(poly: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Coefficients of p(a + b*tau) from those of p(tau)."""
-    deg = poly.shape[0] - 1
-    out = np.zeros_like(poly)
+def _poly_reparam(pieces: np.ndarray, a, b) -> np.ndarray:
+    """Coefficients of p_j(a_j + b_j tau) from those of the pieces p_j(tau);
+    a and b are scalars or hold one value per piece."""
+    shape, deg = (-1,) + (1,) * (pieces.ndim - 2), pieces.shape[1] - 1
+    a, b = np.reshape(a, shape), np.reshape(b, shape)
+    out = np.zeros_like(pieces)
     for d in range(deg + 1):
         for e in range(d + 1):
-            out[e] += poly[d] * comb(d, e) * (a ** (d - e)) * (b ** e)
+            out[:, e] += pieces[:, d] * comb(d, e) * (a ** (d - e)) * (b ** e)
+    return out
+
+
+def _antiderivative(pieces: np.ndarray, h) -> np.ndarray:
+    """tau -> h_j int_0^tau p_j of every piece, in closed form: one degree
+    higher, zero constant term; ``h`` holds one length per piece."""
+    scale = h[:, None] / np.arange(1, pieces.shape[1] + 1)
+    return np.concatenate([np.zeros_like(pieces[:, :1]), pieces * scale.reshape(
+        scale.shape + (1,) * (pieces.ndim - 2))], axis=1)
+
+
+def _piece_array(pieces) -> np.ndarray:
+    """Pieces as one array (J, D + 1) + map shape: an array as it is, a list
+    of pieces of mixed degree zero-padded to the highest degree D."""
+    if isinstance(pieces, np.ndarray):
+        return pieces.astype(complex, copy=False)
+    rows, degrees = np.concatenate(pieces), np.array(list(map(len, pieces)))
+    out = np.zeros((len(degrees), degrees.max()) + rows.shape[1:], dtype=complex)
+    out[np.arange(degrees.max()) < degrees[:, None]] = rows
     return out
 
 
@@ -152,29 +173,27 @@ def fit_poly3(samples: np.ndarray) -> np.ndarray:
 class TimeDependentField:
     """Piecewise-polynomial path of FourierMaps on [0, 1].
 
-    ``scale`` records the strip half-width up to which norms of this field
-    may be quoted; requesting a wider strip raises ScaleMismatch.
+    ``pieces`` is one array (J, D + 1) + (2N+1,)*m + (ncomp,); the
+    constructor also takes a list of pieces of mixed degree and zero-pads
+    it.  ``scale`` records the strip half-width up to which norms of this
+    field may be quoted; requesting a wider strip raises ScaleMismatch.
     """
 
     def __init__(self, grid: TimeGrid, pieces, scale: float):
         if len(pieces) != len(grid) - 1:
             raise ValueError("need one piece per interval")
         self.grid = grid
-        self.pieces = [np.asarray(p, dtype=complex) for p in pieces]
-        degs = {p.shape[0] - 1 for p in self.pieces}
-        if max(degs) > MAX_DEGREE:
+        self.pieces = _piece_array(pieces)
+        if self.pieces.shape[1] - 1 > MAX_DEGREE:
             raise ValueError(f"piece degree exceeds {MAX_DEGREE}")
-        shapes = {p.shape[1:] for p in self.pieces}
-        if len(shapes) != 1:
-            raise ValueError("pieces must share one truncation order")
-        shape = shapes.pop()
+        shape = self.pieces.shape[2:]
         self.m = len(shape) - 1
         self.order = shape[0] // 2
         self.ncomp = shape[-1]
         self.scale = float(scale)
         # every coefficient row must be Hermitian for the field to be real at
         # every time, not only at the end of its interval
-        rows = np.concatenate(self.pieces)
+        rows = self.pieces.reshape((-1,) + shape)
         mirror = rows[(slice(None),) + (slice(None, None, -1),) * self.m]
         defect = np.abs(mirror - rows.conj()).reshape(len(rows), -1).max(axis=1)
         size = np.abs(rows).reshape(len(rows), -1).max(axis=1)
@@ -201,8 +220,7 @@ class TimeDependentField:
         grid = TimeGrid.uniform(n_pieces)
         vals = np.array([profile(t) for t in grid.nodes(FIT_NODES)[2]], dtype=float)
         polys = fit_poly3(vals[:, None])        # scalar cubics
-        return cls(grid, [p.reshape((4,) + (1,) * (f.m + 1)) * f.coeffs[None, ...]
-                          for p in polys], scale)
+        return cls(grid, polys.reshape((-1, 4) + (1,) * (f.m + 1)) * f.coeffs, scale)
 
     # -- evaluation -------------------------------------------------------
 
@@ -218,27 +236,20 @@ class TimeDependentField:
     def on_grid(self, grid: TimeGrid) -> "TimeDependentField":
         """Re-express on a refinement of (or merge with) the own grid."""
         grid = self.grid.merged(grid)
-        own = self.grid.floats
         js, starts = self.grid.locate(grid.floats[:-1])
-        pieces = [_poly_reparam(self.pieces[j], aa, float(step) / (own[j + 1] - own[j]))
-                  for j, aa, step in zip(js, starts, grid.steps)]
-        return TimeDependentField(grid, pieces, self.scale)
+        widths = np.array(grid.steps, dtype=float) / np.diff(self.grid.floats)[js]
+        return TimeDependentField(
+            grid, _poly_reparam(self.pieces[js], starts, widths), self.scale)
 
     def _binary(self, other: "TimeDependentField", sign: float) -> "TimeDependentField":
         if (self.m, self.ncomp) != (other.m, other.ncomp):
             raise ValueError("incompatible fields")
-        grid = self.grid.merged(other.grid)
-        a, b = self.on_grid(grid), other.on_grid(grid)
-        pieces = []
-        for pa, pb in zip(a.pieces, b.pieces):
-            deg = max(pa.shape[0], pb.shape[0])
-            order = max(self.order, other.order)
-            shape = (deg,) + (2 * order + 1,) * self.m + (self.ncomp,)
-            out = np.zeros(shape, dtype=complex)
-            out[: pa.shape[0]] += _embed(pa, order, self.m)
-            out[: pb.shape[0]] += sign * _embed(pb, order, self.m)
-            pieces.append(out)
-        return TimeDependentField(grid, pieces, min(self.scale, other.scale))
+        grid, order = self.grid.merged(other.grid), max(self.order, other.order)
+        a, b = (_embed(f.on_grid(grid).pieces, order, self.m) for f in (self, other))
+        out = np.zeros((len(a), max(a.shape[1], b.shape[1])) + a.shape[2:], complex)
+        out[:, :a.shape[1]] += a
+        out[:, :b.shape[1]] += sign * b
+        return TimeDependentField(grid, out, min(self.scale, other.scale))
 
     def __add__(self, other):
         return self._binary(other, +1.0)
@@ -247,19 +258,18 @@ class TimeDependentField:
         return self._binary(other, -1.0)
 
     def __neg__(self):
-        return TimeDependentField(self.grid, [-p for p in self.pieces], self.scale)
+        return TimeDependentField(self.grid, -self.pieces, self.scale)
 
     def __mul__(self, scalar):
-        s = float(scalar)
-        return TimeDependentField(self.grid, [s * p for p in self.pieces], self.scale)
+        return TimeDependentField(self.grid, float(scalar) * self.pieces, self.scale)
 
     __rmul__ = __mul__
 
     def time_reversed(self) -> "TimeDependentField":
         """The field t -> value(1 - t), pieces reparametrized exactly."""
         bp = tuple(1 - b for b in reversed(self.grid.breakpoints))
-        pieces = [_poly_reparam(p, 1.0, -1.0) for p in reversed(self.pieces)]
-        return TimeDependentField(TimeGrid(bp), pieces, self.scale)
+        return TimeDependentField(
+            TimeGrid(bp), _poly_reparam(self.pieces[::-1], 1.0, -1.0), self.scale)
 
     def restricted_rescaled(self, t_end: Fraction) -> "TimeDependentField":
         """The field s -> t_end * value(t_end * s) on [0, 1].
@@ -272,12 +282,11 @@ class TimeDependentField:
             raise ValueError("t_end must lie in (0, 1]")
         keep = [b for b in self.grid.breakpoints if b < t_end]
         bp = tuple(b / t_end for b in keep) + (Fraction(1),)
-        own = self.grid.floats
         js, starts = self.grid.locate([float(a) for a in keep])
-        steps = [b - a for a, b in zip(keep, keep[1:] + [t_end])]
-        pieces = [float(t_end) * _poly_reparam(
-            self.pieces[j], aa, float(step) / (own[j + 1] - own[j]))
-            for j, aa, step in zip(js, starts, steps)]
+        widths = np.array([b - a for a, b in zip(keep, keep[1:] + [t_end])],
+                          dtype=float)
+        pieces = float(t_end) * _poly_reparam(
+            self.pieces[js], starts, widths / np.diff(self.grid.floats)[js])
         return TimeDependentField(TimeGrid(bp), pieces, self.scale)
 
     # -- norms --------------------------------------------------------------
@@ -285,10 +294,10 @@ class TimeDependentField:
     def lp_norm(self, p, kind: str, eps: float) -> float:
         """Exact L^p norm of t -> seminorm(field(t)) for p in {1, 2, inf}.
 
-        Piecewise-constant pieces contribute closed-form terms; polynomial
-        pieces are integrated by Gauss quadrature exact to their degree
-        (p = inf uses dense sampling including the endpoints).  All nodes
-        are evaluated at once.
+        Pieces constant in time contribute their value at tau = 0 alone;
+        polynomial pieces are integrated by Gauss quadrature exact to their
+        degree (p = inf uses dense sampling including the endpoints).  All
+        nodes of all pieces are evaluated at once.
         """
         if kind not in ("nu", "beta"):
             raise ValueError("seminorm selector must be 'nu' or 'beta'")
@@ -298,21 +307,19 @@ class TimeDependentField:
         if p not in (1, 2, np.inf, "inf"):
             raise ValueError("p must be 1, 2 or inf")
         sup = p in (np.inf, "inf")
-        taus, weights = _GL4_X, _GL4_W
-        if sup:
-            taus = np.concatenate(
-                [[0.0, 1.0], 0.5 - 0.5 * np.cos(np.pi * np.arange(1, 64) / 64)])
-            weights = np.ones_like(taus)
-        nodes = [(i, t, q) for i, piece in enumerate(self.pieces) for t, q in
-                 (zip(taus, weights) if len(piece) > 1 else [(0.0, 1.0)])]
-        j, tau, w = (np.array(col) for col in zip(*nodes))
+        taus = np.concatenate([[0.0, 1.0], 0.5 - 0.5 * np.cos(
+            np.pi * np.arange(1, 64) / 64)]) if sup else np.append(0.0, _GL4_X)
+        j, tau, _ = self.grid.nodes(taus)
         nu, mu = majorants(piece_values(self.pieces, j, tau), self.m, eps)
         vals = nu if kind == "nu" else np.maximum(nu, mu)
         if sup:
             return float(vals.max())
-        per_piece = np.zeros(len(self.pieces))
-        np.add.at(per_piece, j, w * (vals if p == 1 else vals**2))
-        total = float(np.dot([float(s) for s in self.grid.steps], per_piece))
+        # a constant piece weighs its value at tau = 0 alone
+        poly = self.pieces[:, 1:].reshape(len(self.pieces), -1).any(axis=1)
+        w = np.where(poly[:, None], np.append(0.0, _GL4_W), np.eye(1, len(taus)))
+        per_piece = np.zeros(len(w))
+        np.add.at(per_piece, j, w.ravel() * (vals if p == 1 else vals**2))
+        total = float(np.dot(np.array(self.grid.steps, dtype=float), per_piece))
         return total if p == 1 else float(np.sqrt(total))
 
     # -- serialization --------------------------------------------------------
@@ -335,50 +342,16 @@ class TimeDependentField:
         return cls(grid, pieces, data["scale"])
 
 
-def _embed(piece: np.ndarray, order: int, m: int) -> np.ndarray:
-    own = piece.shape[1] // 2
-    if own == order:
-        return piece
-    off = order - own
-    shape = (piece.shape[0],) + (2 * order + 1,) * m + piece.shape[-1:]
-    out = np.zeros(shape, dtype=complex)
-    sl = (slice(None),) + tuple(slice(off, off + 2 * own + 1) for _ in range(m))
-    out[sl + (slice(None),)] = piece
-    return out
-
-
-def _modes_to_json(coeffs: np.ndarray, m: int, order: int) -> list:
-    """Nonzero rows of a coefficient cube, in index order, as JSON entries.
-
-    An entry is [k, re, im] for one component and [k, [[re, im], ..]] for
-    several; k is an int for m = 1 and a list for m = 2.
-    """
-    idx = np.argwhere(np.any(coeffs, axis=-1))
-    keys = (idx - order).tolist()
-    if m == 1:
-        keys = [k[0] for k in keys]
-    rows = coeffs[tuple(idx.T)]
-    pairs = np.stack([rows.real, rows.imag], axis=-1).tolist()
-    if coeffs.shape[-1] == 1:
-        return [[k, *p[0]] for k, p in zip(keys, pairs)]
-    return [[k, p] for k, p in zip(keys, pairs)]
-
-
-def _modes_from_json(entries: list, m: int, order: int, ncomp: int) -> np.ndarray:
-    out = np.zeros((2 * order + 1,) * m + (ncomp,), dtype=complex)
-    for entry in entries:
-        key = entry[0]
-        k = (key,) if m == 1 else tuple(key)
-        idx = tuple(ki + order for ki in k)
-        if ncomp == 1:
-            out[idx + (0,)] = entry[1] + 1j * entry[2]
-        else:
-            out[idx] = [re + 1j * im for re, im in entry[1]]
-    return out
+def _embed(coeffs: np.ndarray, order: int, m: int) -> np.ndarray:
+    """Coefficient cubes (..,) + (2n+1,)*m + (ncomp,) zero-padded to order N."""
+    off = order - coeffs.shape[-2] // 2
+    return np.pad(coeffs, [(0, 0)] * (coeffs.ndim - m - 1) + [(off, off)] * m
+                  + [(0, 0)]) if off else coeffs
 
 
 def _piece_to_json(piece: np.ndarray, m: int, order: int) -> dict:
-    if piece.shape[0] == 1:
+    """A piece with no nonzero row above degree 0 is written "constant"."""
+    if not piece[1:].any():
         return {"kind": "constant", "coeffs": _modes_to_json(piece[0], m, order)}
     return {"kind": "poly",
             "coeffs": [_modes_to_json(c, m, order) for c in piece]}
@@ -397,7 +370,9 @@ def _piece_from_json(data: dict, m: int, order: int, ncomp: int) -> np.ndarray:
 class ACPath:
     """Primitive of a TimeDependentField: snapshots plus the derivative class.
 
-    ``values`` holds the snapshots at the breakpoints as a MapStack.
+    ``values`` holds the snapshots at the breakpoints as a MapStack.  The
+    derivative may live on a finer grid than the snapshots: its pieces are
+    then summed per interval of the path.
     """
 
     def __init__(self, grid: TimeGrid, values, derivative: TimeDependentField,
@@ -413,19 +388,31 @@ class ACPath:
             if defect > tol * scale:
                 raise ValueError(f"integral identity violated (defect {defect:.3e})")
 
-    def integral_defect(self) -> float:
-        """Max coefficient defect of values[j+1] = values[j] + int over the piece."""
+    def _increments(self):
+        """The derivative on the merged grid, the path interval of each of
+        its pieces and the integral of each piece over its interval."""
         der = self.derivative.on_grid(self.grid)
-        inc = _piece_integrals(der, np.arange(len(der.pieces)), 1.0)
+        owner = self.grid.locate(der.grid.floats[:-1])[0]
+        return der, owner, _piece_integrals(der, np.arange(len(owner)), 1.0)
+
+    def integral_defect(self) -> float:
+        """Max coefficient defect of values[j+1] = values[j] + int over interval j."""
+        der, owner, inc = self._increments()
         v = self.values.coeffs
+        inc = np.add.reduceat(inc, np.searchsorted(owner, np.arange(len(v) - 1)))
         return float(np.abs(v[1:] - (v[:-1] + _embed(
             inc, self.values.order, der.m))).max())
 
     def values_at(self, times) -> np.ndarray:
         """Coefficients at many times, with a leading time axis."""
-        j, tau = self.grid.locate(times)
-        return self.values.coeffs[j] + _piece_integrals(
-            self.derivative.on_grid(self.grid), j, tau)
+        der, owner, inc = self._increments()
+        k, tau = der.grid.locate(times)
+        start = self.values.coeffs[owner[k]]
+        if len(owner) >= len(self.grid):
+            # plus the integrals of the pieces of the interval before piece k
+            before = np.cumsum(inc, axis=0) - inc
+            start = start + (before - before[np.searchsorted(owner, owner)])[k]
+        return start + _piece_integrals(der, k, tau)
 
     def value_at(self, t: float) -> FourierMap:
         return FourierMap(self.values_at([t])[0], check=False)
@@ -449,14 +436,9 @@ class ACPath:
 
 def _piece_integrals(field: TimeDependentField, j, tau) -> np.ndarray:
     """h_j int_0^tau of piece j of ``field`` at each (j, tau), in closed form:
-    the antiderivative pieces (one degree higher, zero constant term) summed
-    by ``piece_values``."""
-    anti = []
-    for piece, h in zip(field.pieces, field.grid.steps):
-        scale = (float(h) / np.arange(1, len(piece) + 1)).reshape(
-            (-1,) + (1,) * (piece.ndim - 1))
-        anti.append(np.concatenate([np.zeros_like(piece[:1]), piece * scale]))
-    return piece_values(anti, j, tau)
+    the antiderivative pieces summed by ``piece_values``."""
+    return piece_values(_antiderivative(
+        field.pieces, np.array(field.grid.steps, dtype=float)), j, tau)
 
 
 def integrate_primitive(gamma: TimeDependentField) -> ACPath:
@@ -471,18 +453,19 @@ def integrate_primitive(gamma: TimeDependentField) -> ACPath:
 # ---------------------------------------------------------------------------
 
 class SuperpositionRule:
-    """An analytic map on perturbations, with its directional derivative."""
+    """An analytic map on perturbations, with its directional derivative;
+    the methods take MapStacks and answer for every map at once."""
 
     is_affine = False
 
-    def value(self, u: FourierMap) -> FourierMap:
+    def value(self, u: MapStack) -> MapStack:
         raise NotImplementedError
 
-    def differential(self, u: FourierMap, v: FourierMap) -> FourierMap:
+    def differential(self, u: MapStack, v: MapStack) -> MapStack:
         raise NotImplementedError
 
-    def domain_ok(self, u: FourierMap) -> bool:
-        return True
+    def domain_ok(self, u: MapStack) -> np.ndarray:
+        return np.ones(len(u), dtype=bool)
 
 
 class IdentityRule(SuperpositionRule):
@@ -505,11 +488,14 @@ class AffineRule(SuperpositionRule):
         self.b = b
 
     def value(self, u):
-        out = self.a * u
-        return out if self.b is None else out + self.b
+        out = self.a * u.coeffs
+        if self.b is None:
+            return MapStack(out)
+        n = max(u.order, self.b.order)
+        return MapStack(_embed(out, n, u.m) + _embed(self.b.coeffs, n, u.m))
 
     def differential(self, u, v):
-        return self.a * v
+        return MapStack(self.a * v.coeffs)
 
 
 class SelfCompositionRule(SuperpositionRule):
@@ -528,25 +514,25 @@ class SelfCompositionRule(SuperpositionRule):
         return imag_reach(u, self.inner_scale) <= self.outer_scale
 
     def value(self, u):
-        return u + compose(u, u, outer_scale=self.outer_scale,
-                           inner_scale=self.inner_scale)
+        return MapStack(u.coeffs + compose(u, u, outer_scale=self.outer_scale,
+                                           inner_scale=self.inner_scale))
 
     def differential(self, u, v):
-        term1 = v + compose(v, u)
-        J = jacobian(u)
-        shifted = _jacobian_compose_apply(J, u, v)
-        return term1 + shifted
+        return MapStack(v.coeffs + compose(v, u) + _jacobian_compose_apply(u, v))
 
 
-def _jacobian_compose_apply(J, u: FourierMap, v: FourierMap) -> FourierMap:
-    """(J o (id+u)) . v re-expanded as a FourierMap (sampled product)."""
+def _jacobian_compose_apply(u: MapStack, v: MapStack) -> np.ndarray:
+    """(Du o (id+u)) . v of every map, re-expanded (sampled product)."""
     n = u.order
     M, pts = sampling_grid(n, u.m)
-    Jv = J.eval(pts + u.eval(pts))
-    vv = v.eval(pts)
-    out = np.einsum("pij,pj->pi", Jv, vv)
-    return fit_grid(out.reshape((M,) * u.m + (u.m,)), n, u.m,
-                    tol_trunc=1e-7, context="jacobian product")
+    out = []
+    for c in node_chunks(len(u), len(pts)):
+        uc = MapStack(u.coeffs[c])
+        Jv = jacobian(uc).eval(pts + uc.eval(pts))
+        prod = np.einsum("...ij,...j->...i", Jv, MapStack(v.coeffs[c]).eval(pts))
+        out.append(fit_grid(prod.reshape((-1,) + (M,) * u.m + (u.m,)), n, u.m,
+                            tol_trunc=1e-7, context="jacobian product"))
+    return np.concatenate(out)
 
 
 def ac_postcompose(path: ACPath, rule: SuperpositionRule,
@@ -554,10 +540,11 @@ def ac_postcompose(path: ACPath, rule: SuperpositionRule,
                    max_step=Fraction(1, 64)) -> ACPath:
     """Compose an AC path with an analytic rule; derivative by the chain rule.
 
-    For affine rules the result is exact in coefficient arithmetic.  For
-    nonlinear rules the derivative t -> df(path(t), path'(t)) is re-fitted
-    as a cubic on a refined grid and the integral identity is re-verified
-    within ``tol_chain``.
+    Each rule method is called once, on the stack of all maps.  For affine
+    rules the result is exact in coefficient arithmetic.  For nonlinear
+    rules the derivative t -> df(path(t), path'(t)) is re-fitted as a cubic
+    on a refined grid and the integral identity is re-verified within
+    ``tol_chain``.
     """
     grid = path.grid.refined(max_step) if not rule.is_affine else path.grid
     der = path.derivative.on_grid(grid)
@@ -565,18 +552,17 @@ def ac_postcompose(path: ACPath, rule: SuperpositionRule,
     values = path.values_at(grid.floats)
     values[np.isin(grid.floats, path.grid.floats)] = path.values.coeffs
     values = MapStack(values)
-    if not all(rule.domain_ok(v) for v in values):
+    if not np.all(rule.domain_ok(values)):
         raise DomainEscape("path leaves the domain of the postcomposition rule")
-    new_values = (rule.value(v) for v in values)
-    if rule.is_affine:
-        new_pieces = [MapStack(rule.differential(None, c)
-                               for c in MapStack(piece)).coeffs
-                      for piece in der.pieces]
-        new_der = TimeDependentField(grid, new_pieces, path.derivative.scale)
+    new_values = rule.value(values)
+    if rule.is_affine:      # the rule maps every coefficient row of der
+        rows = rule.differential(None, MapStack(der.pieces.reshape(
+            (-1,) + der.pieces.shape[2:]))).coeffs.reshape(der.pieces.shape)
+        new_der = TimeDependentField(grid, rows, path.derivative.scale)
         return ACPath(grid, new_values, new_der, tol=TOL_INT)
     nodes = grid.nodes(FIT_NODES)[2]
-    samples = MapStack(rule.differential(u, v) for u, v in zip(
-        MapStack(path.values_at(nodes)), MapStack(der.values_at(nodes))))
+    samples = rule.differential(MapStack(path.values_at(nodes)),
+                                MapStack(der.values_at(nodes)))
     new_der = TimeDependentField(grid, fit_poly3(samples.coeffs),
                                  path.derivative.scale)
     return ACPath(grid, new_values, new_der, tol=tol_chain)

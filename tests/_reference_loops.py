@@ -6,23 +6,33 @@ oracles: every batched path must reproduce its loop to rounding.  The only
 changes against their first form are the names of the shared helpers they
 call (the sampling grid, the one evaluator and the one fitter).
 
-The snapshot walks at the end (distances, reaches, primitives and the
-integral identity) are the forms of paths stored as lists of FourierMaps;
-their stack versions must equal them exactly.
+The per-piece field algebra (re-expression on a grid, sums, reversal,
+restriction, L^p norms, closed-form integrals), the per-map
+postcomposition with its rules, and the snapshot walks at the end
+(distances, reaches, primitives and the integral identity) are the forms
+of fields stored as lists of pieces of mixed degree and of paths stored
+as lists of FourierMaps; their array versions must equal them exactly
+(self-composition to rounding).
 """
+
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 
-from torusflow.errors import ContractionStall, InvertibilityLost
+from torusflow.errors import ContractionStall, DomainEscape, InvertibilityLost
 from torusflow.flow import invert_at_point, solve_flow
-from torusflow.fourier import (TWO_PI, FourierMap, MapStack, fit_grid,
-                               imag_reach, jacobian, multiply, sampling_grid,
-                               strip_norms, strip_weights)
+from torusflow.fourier import (TWO_PI, FourierMap, MapStack, compose,
+                               fit_grid, imag_reach, jacobian, majorants,
+                               multiply,
+                               sampling_grid, strip_norms, strip_weights)
 from torusflow.group import (TOL_INVERSE, AnalyticDiffeo,
                              _adjoint_inverse_values, _adjoint_values,
-                             _probe_points, compose_diffeo, invert_diffeo)
+                             _jacobian_values, _probe_points, compose_diffeo,
+                             invert_diffeo)
 from torusflow.pullback import pullback_apply, pullback_matrix
-from torusflow.timepaths import (ACPath, FIT_NODES, TimeDependentField,
+from torusflow.timepaths import (ACPath, FIT_NODES, AffineRule, IdentityRule,
+                                 SelfCompositionRule, TimeDependentField,
                                  _GL4_W, _GL4_X, _embed, fit_poly3,
                                  piece_values)
 from torusflow.charts import TOL_INVERT
@@ -30,7 +40,7 @@ from torusflow.charts import TOL_INVERT
 
 def _poly_eval(poly, tau):
     """Evaluate sum_d poly[d] tau^d; poly has the degree axis first."""
-    return piece_values([poly], [0], [tau])[0]
+    return piece_values(poly[None], [0], [tau])[0]
 
 
 def _poly_antiderivative(poly, h):
@@ -57,8 +67,7 @@ def odot(gamma, eta, grid, tol_solve=1e-10):
         samples = []
         for tau in FIT_NODES:
             s = ts[j] + (ts[j + 1] - ts[j]) * tau
-            zeta = AnalyticDiffeo(eta_flow.u_at(s), eta_flow.eps, 0.0)
-            vals = _adjoint_values(zeta, _at(gam.pieces, j, tau), pts)
+            vals = _adjoint_values(eta_flow.u_at(s), _at(gam.pieces, j, tau), pts)
             ad_map = fit_grid(vals.reshape((M,) * m + (m,)), order, m,
                               tol_trunc=1e-7, context="odot")
             samples.append((ad_map + _at(eta_on.pieces, j, tau)).coeffs)
@@ -82,9 +91,8 @@ def ad_transport_integral(eta, gamma_field, t, tol_solve=1e-10):
         node_vals = []
         for tau in _GL4_X:
             s = a + (b - a) * tau
-            zeta = AnalyticDiffeo(eta_flow.u_at(s), eta_flow.eps, 0.0)
             node_vals.append(_adjoint_inverse_values(
-                zeta, _at(gam.pieces, j, (s - ts[j]) / h_full), pts))
+                eta_flow.u_at(s), _at(gam.pieces, j, (s - ts[j]) / h_full), pts))
         integ = (b - a) * np.tensordot(_GL4_W, np.array(node_vals), axes=(0, 0))
         acc = acc + fit_grid(integ.reshape((M,) * m + (m,)), order, m,
                              tol_trunc=1e-6, context="transport integral")
@@ -109,8 +117,8 @@ def verify_rows(candidate, gamma, probes):
             if candidate.side == "right":
                 node_vals.append(g_s.eval(candidate.eval_at(s, probes)))
             else:
-                inner = AnalyticDiffeo(candidate.flow.u_at(s), candidate.eps, 0.0)
-                Jz = inner.jacobian_values(candidate.eval_at(s, probes))
+                Jz = _jacobian_values(candidate.flow.u_at(s),
+                                      candidate.eval_at(s, probes))
                 g_vals = g_s.eval(probes)
                 if candidate.m == 1:
                     node_vals.append(g_vals / Jz[..., 0, 0][..., None])
@@ -159,7 +167,7 @@ def left_derivative_residual(evol, n_probe=16,
                          stencil, axes=(1, 0))
     eta_u = np.stack([_invert_diffeo(AnalyticDiffeo.certify(
         evol.flow.u_at(t), evol.eps)).coeffs for t in times])
-    J = AnalyticDiffeo(MapStack(eta_u), evol.eps, 0.0).jacobian_values(pts)
+    J = _jacobian_values(MapStack(eta_u), pts)
     g = MapStack(evol.source.field.values_at(times))
     rhs = np.einsum("...ij,...j->...i", J, g.eval(pts))
     return float(np.abs(dpath - rhs).max())
@@ -300,15 +308,16 @@ def lp_norm(field, p, kind, eps):
         return rep.nu if kind == "nu" else rep.beta
 
     steps = [float(s) for s in field.grid.steps]
+    pieces = _trimmed(field)
     if p in (np.inf, "inf"):
         worst = 0.0
-        for j, piece in enumerate(field.pieces):
+        for j, piece in enumerate(pieces):
             taus = [0.0] if piece.shape[0] == 1 else np.concatenate(
                 [[0.0, 1.0], 0.5 - 0.5 * np.cos(np.pi * np.arange(1, 64) / 64)])
             worst = max(worst, max(seminorm(j, t) for t in taus))
         return worst
     total = 0.0
-    for j, piece in enumerate(field.pieces):
+    for j, piece in enumerate(pieces):
         if piece.shape[0] == 1:
             s = seminorm(j, 0.0)
             total += steps[j] * (s if p == 1 else s * s)
@@ -316,6 +325,154 @@ def lp_norm(field, p, kind, eps):
             vals = np.array([seminorm(j, t) for t in _GL4_X])
             total += steps[j] * float(_GL4_W @ (vals if p == 1 else vals**2))
     return total if p == 1 else float(np.sqrt(total))
+
+
+def lp_norm_nodes(field, p, kind, eps):
+    """lp_norm with its node table built piece by piece: one node (tau 0,
+    weight 1) per constant piece, all quadrature nodes per other piece."""
+    sup = p in (np.inf, "inf")
+    taus, weights = _GL4_X, _GL4_W
+    if sup:
+        taus = np.concatenate(
+            [[0.0, 1.0], 0.5 - 0.5 * np.cos(np.pi * np.arange(1, 64) / 64)])
+        weights = np.ones_like(taus)
+    nodes = [(i, t, q) for i, piece in enumerate(_trimmed(field)) for t, q in
+             (zip(taus, weights) if len(piece) > 1 else [(0.0, 1.0)])]
+    j, tau, w = (np.array(col) for col in zip(*nodes))
+    nu, mu = majorants(piece_values(field.pieces, j, tau), field.m, eps)
+    vals = nu if kind == "nu" else np.maximum(nu, mu)
+    if sup:
+        return float(vals.max())
+    per_piece = np.zeros(len(field.pieces))
+    np.add.at(per_piece, j, w * (vals if p == 1 else vals**2))
+    total = float(np.dot([float(s) for s in field.grid.steps], per_piece))
+    return total if p == 1 else float(np.sqrt(total))
+
+
+# ---------------------------------------------------------------------------
+# per-piece field algebra
+# ---------------------------------------------------------------------------
+
+def _trimmed(field):
+    """The pieces of a field as a list, each cut to its own degree (its
+    highest nonzero row): the list of mixed degree the field was built from."""
+    out = []
+    for piece in field.pieces:
+        rows = np.flatnonzero(piece.reshape(len(piece), -1).any(axis=1))
+        out.append(piece[:rows[-1] + 1 if len(rows) else 1])
+    return out
+
+
+def _poly_reparam(poly, a, b):
+    """Coefficients of p(a + b*tau) from those of p(tau)."""
+    deg = poly.shape[0] - 1
+    out = np.zeros_like(poly)
+    for d in range(deg + 1):
+        for e in range(d + 1):
+            out[e] += poly[d] * comb(d, e) * (a ** (d - e)) * (b ** e)
+    return out
+
+
+def on_grid(field, grid):
+    """(grid, pieces) of the field re-expressed on the merged grid."""
+    grid = field.grid.merged(grid)
+    own, pieces = field.grid.floats, _trimmed(field)
+    js, starts = field.grid.locate(grid.floats[:-1])
+    return grid, [_poly_reparam(pieces[j], aa, float(step) / (own[j + 1] - own[j]))
+                  for j, aa, step in zip(js, starts, grid.steps)]
+
+
+def binary(f, g, sign):
+    """(grid, pieces) of f + sign * g, piece by piece."""
+    grid = f.grid.merged(g.grid)
+    order = max(f.order, g.order)
+    pieces = []
+    for pa, pb in zip(on_grid(f, grid)[1], on_grid(g, grid)[1]):
+        shape = (max(len(pa), len(pb)),) + (2 * order + 1,) * f.m + (f.ncomp,)
+        out = np.zeros(shape, dtype=complex)
+        out[: pa.shape[0]] += _embed(pa, order, f.m)
+        out[: pb.shape[0]] += sign * _embed(pb, order, f.m)
+        pieces.append(out)
+    return grid, pieces
+
+
+def time_reversed(field):
+    return [_poly_reparam(p, 1.0, -1.0) for p in reversed(_trimmed(field))]
+
+
+def restricted_rescaled(field, t_end):
+    keep = [b for b in field.grid.breakpoints if b < t_end]
+    own, pieces = field.grid.floats, _trimmed(field)
+    js, starts = field.grid.locate([float(a) for a in keep])
+    steps = [b - a for a, b in zip(keep, keep[1:] + [t_end])]
+    return [float(t_end) * _poly_reparam(
+        pieces[j], aa, float(step) / (own[j + 1] - own[j]))
+        for j, aa, step in zip(js, starts, steps)]
+
+
+def piece_integrals(field, j, tau):
+    """h_j int_0^tau of piece j at each (j, tau), one antiderivative each."""
+    steps, pieces = [float(s) for s in field.grid.steps], _trimmed(field)
+    return np.array([_poly_eval(_poly_antiderivative(pieces[i], steps[i]), t)
+                     for i, t in zip(j, tau)])
+
+
+# ---------------------------------------------------------------------------
+# per-map postcomposition
+# ---------------------------------------------------------------------------
+
+def _rule_domain_ok(rule, u):
+    if isinstance(rule, SelfCompositionRule):
+        return imag_reach(u, rule.inner_scale) <= rule.outer_scale
+    return True
+
+
+def _rule_value(rule, u):
+    if isinstance(rule, IdentityRule):
+        return u
+    if isinstance(rule, AffineRule):
+        out = rule.a * u
+        return out if rule.b is None else out + rule.b
+    return u + compose(u, u, outer_scale=rule.outer_scale,
+                       inner_scale=rule.inner_scale)
+
+
+def _rule_differential(rule, u, v):
+    if isinstance(rule, IdentityRule):
+        return v
+    if isinstance(rule, AffineRule):
+        return rule.a * v
+    n = u.order
+    M, pts = sampling_grid(n, u.m)
+    Jv = jacobian(u).eval(pts + u.eval(pts))
+    out = np.einsum("pij,pj->pi", Jv, v.eval(pts))
+    shifted = fit_grid(out.reshape((M,) * u.m + (u.m,)), n, u.m,
+                       tol_trunc=1e-7, context="jacobian product")
+    return v + compose(v, u) + shifted
+
+
+def ac_postcompose(path, rule, tol_chain=1e-8, max_step=Fraction(1, 64)):
+    """ac_postcompose with every rule method called once per map."""
+    grid = path.grid.refined(max_step) if not rule.is_affine else path.grid
+    der = path.derivative.on_grid(grid)
+    values = path.values_at(grid.floats)
+    values[np.isin(grid.floats, path.grid.floats)] = path.values.coeffs
+    values = MapStack(values)
+    if not all(_rule_domain_ok(rule, v) for v in values):
+        raise DomainEscape("path leaves the domain of the postcomposition rule")
+    new_values = [_rule_value(rule, v) for v in values]
+    if rule.is_affine:
+        new_pieces = [MapStack(_rule_differential(rule, None, c)
+                               for c in MapStack(piece)).coeffs
+                      for piece in _trimmed(der)]
+        new_der = TimeDependentField(grid, new_pieces, path.derivative.scale)
+        return ACPath(grid, new_values, new_der)
+    nodes = grid.nodes(FIT_NODES)[2]
+    samples = MapStack(_rule_differential(rule, u, v) for u, v in zip(
+        MapStack(path.values_at(nodes)), MapStack(der.values_at(nodes))))
+    new_der = TimeDependentField(grid, fit_poly3(samples.coeffs),
+                                 path.derivative.scale)
+    return ACPath(grid, new_values, new_der, tol=tol_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +514,16 @@ def integrate_primitive_values(gamma):
 
 
 def integral_defect(path):
-    """ACPath.integral_defect, one interval at a time."""
+    """ACPath.integral_defect, one interval at a time; the derivative's
+    pieces inside an interval of the path are summed."""
     worst = 0.0
-    steps = [float(s) for s in path.grid.steps]
     der = path.derivative.on_grid(path.grid)
+    steps = [float(s) for s in der.grid.steps]
+    owner = path.grid.locate(der.grid.floats[:-1])[0]
     for j in range(len(path.grid) - 1):
-        inc = _poly_eval(_poly_antiderivative(der.pieces[j], steps[j]), 1.0)
+        inc = 0
+        for k in np.flatnonzero(owner == j):
+            inc = inc + _poly_eval(_poly_antiderivative(der.pieces[k], steps[k]), 1.0)
         lhs = path.values[j + 1].coeffs
         rhs = path.values[j].with_order(path.values[j + 1].order).coeffs + \
             _embed(inc[None], path.values[j + 1].order, der.m)[0]

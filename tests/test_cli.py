@@ -295,6 +295,27 @@ def test_constant_value_shape_exit_two(tmp_path, capsys):
               v=_SINE, w={"type": "constant", "value": [0.01, 0.0]})
 
 
+def test_unbuildable_specs_exit_two(tmp_path, capsys):
+    step = {"type": "step", "grid": [0, 0.5, 1], "values": [_SINE, _SINE]}
+    for field, message in (
+            ({**step, "grid": [0, 0.5, 0.5, 1], "values": [_SINE] * 3},
+             "breakpoints must be strictly increasing"),
+            ({**step, "grid": [0, 0.25, 0.5, 1]},
+             "step values must be a list of one map per grid interval"),
+            ({"type": "sine", "mode": 1}, "sine amplitude must be a number"),
+            ({**_SINE, "amplitude": "x"}, "sine amplitude must be a number"),
+            ({"type": "cubic"}, "unknown map spec type 'cubic'"),
+            ({**step, "values": [_SINE, {"type": "cubic"}]},
+             "unknown map spec type 'cubic'")):
+        _rejected(tmp_path, capsys, "solve", message, field=field, **_SOLVE)
+    _rejected(tmp_path, capsys, "trotter", "v: unknown map spec type 'step'",
+              order=8, v=step, w=_SINE)
+    base = json.loads((SCENARIOS / "limits_square.json").read_text())
+    del base["kind"]
+    _rejected(tmp_path, capsys, "limits", "unknown harness map 'cubic'",
+              **{**base, "map": "cubic"})
+
+
 def test_no_certified_interior_exit_one(tmp_path, capsys):
     # a window of 2 shells leaks beyond its edge: a numerical outcome
     base = json.loads((SCENARIOS / "pullback_sine.json").read_text())

@@ -11,14 +11,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusflow import (ACPath, AdmissibleField, FourierMap, LocalAddition,
-                       TimeDependentField, TimeGrid, evol_left, evol_right,
-                       find_delta0, flow_to_chart, identity_path,
-                       integrate_primitive, odot, picard_step,
+from torusflow import (ACPath, AdmissibleField, AffineRule, FourierMap,
+                       IdentityRule, LocalAddition, SelfCompositionRule,
+                       TimeDependentField, TimeGrid, ac_postcompose,
+                       evol_left, evol_right, find_delta0, flow_to_chart,
+                       identity_path, integrate_primitive, odot, picard_step,
                        pointwise_solution, pullback_path, solve_flow,
                        verify_evolution_pointwise)
 from torusflow.flow import MAX_STEP, restriction_consistency
 from torusflow.group import _field_nu_integral, ad_transport_integral
+from torusflow.timepaths import _piece_integrals
 
 import _reference_loops as ref
 from conftest import EPS, cosine_map, sine_map
@@ -200,3 +202,54 @@ def test_stack_forms_equal_snapshot_walks(fields):
         for path in (prim, off):
             assert path.integral_defect() == ref.integral_defect(path)
         assert off.integral_defect() > 0
+
+
+def _same(got, pieces):
+    """The pieces array equals the per-piece list, each piece zero-padded."""
+    want = np.zeros_like(got)
+    for j, piece in enumerate(pieces):
+        want[j, :len(piece)] = piece
+    return len(got) == len(pieces) and np.array_equal(got, want)
+
+
+def test_array_forms_equal_piece_loops(fields):
+    """The field algebra on the pieces array and the postcomposition on
+    whole stacks equal their per-piece and per-map forms exactly, for
+    fields of one degree and of mixed degree (self-composition to 1e-13)."""
+    gamma, eta = fields
+    f = gamma.field
+    mixed = TimeDependentField(f.grid, [f.pieces[0], np.stack(
+        [f.pieces[1, 0], -0.5 * f.pieces[1, 0], 0.25 * f.pieces[0, 0]])], f.scale)
+    assert mixed.pieces.shape[1] == 3
+    fine = TimeGrid((0, Fraction(1, 5), Fraction(1, 2), Fraction(7, 8), 1))
+    b = (cosine_map(0.01, f.order, mode=2) if f.m == 1
+         else _m2_map(f.order, 1e-4, 5e-5))
+    for field in (f, eta.field, mixed):
+        got, (grid, want) = field.on_grid(fine), ref.on_grid(field, fine)
+        assert got.grid == grid and _same(got.pieces, want)
+        for other, sign in ((eta.field, 1.0), (mixed, -1.0)):
+            got = field + other if sign > 0 else field - other
+            grid, want = ref.binary(field, other, sign)
+            assert got.grid == grid and _same(got.pieces, want)
+        assert _same(field.time_reversed().pieces, ref.time_reversed(field))
+        for t_end in (Fraction(3, 8), Fraction(5, 7)):
+            assert _same(field.restricted_rescaled(t_end).pieces,
+                         ref.restricted_rescaled(field, t_end))
+        for p in (1, 2, "inf"):
+            for kind in ("nu", "beta"):
+                assert field.lp_norm(p, kind, 2 * EPS) == \
+                    ref.lp_norm_nodes(field, p, kind, 2 * EPS)
+        j = np.array([0, 1, 1, len(field.pieces) - 1, 0])
+        tau = np.array([0.0, 0.3, 1.0, 0.7, 1.0])
+        assert np.array_equal(_piece_integrals(field, j, tau),
+                              ref.piece_integrals(field, j, tau))
+        path = integrate_primitive(field)
+        for rule in (IdentityRule(), AffineRule(0.5, b)):
+            got, want = ac_postcompose(path, rule), ref.ac_postcompose(path, rule)
+            assert np.array_equal(got.values.coeffs, want.values.coeffs)
+            assert np.array_equal(got.derivative.pieces, want.derivative.pieces)
+    rule = SelfCompositionRule(inner_scale=EPS, outer_scale=4 * EPS)
+    path = integrate_primitive(mixed)
+    got, want = ac_postcompose(path, rule), ref.ac_postcompose(path, rule)
+    assert _close(got.values.coeffs, want.values.coeffs)
+    assert _close(got.derivative.pieces, want.derivative.pieces)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from torusflow import (ACPath, AffineRule, FourierMap, IdentityRule,
-                       ScaleMismatch, SelfCompositionRule, TimeDependentField,
+                       MapStack, ScaleMismatch, SelfCompositionRule, TimeDependentField,
                        TimeGrid, ac_postcompose, integrate_primitive)
 from torusflow.errors import DomainEscape
-from torusflow.timepaths import _modes_to_json
+from torusflow.fourier import _modes_to_json
 
-from conftest import random_real_map, sine_map
+from conftest import cosine_map, random_real_map, sine_map
 
 
 def linear_in_time(c: FourierMap, scale=0.2) -> TimeDependentField:
@@ -152,8 +152,14 @@ def test_serialization_roundtrip():
     piece = np.stack([c.coeffs, 0.5 * c.coeffs])
     f = TimeDependentField(TimeGrid((0, Fraction(2, 7), 1)),
                            [piece, c.coeffs[None]], 0.2)
-    g = TimeDependentField.from_json(f.to_json())
+    data = f.to_json()
+    # the degree-0 piece, zero-padded to degree 1, is still written "constant"
+    assert [p["kind"] for p in data["pieces"]] == ["poly", "constant"]
+    assert len(data["pieces"][0]["coeffs"]) == 2
+    g = TimeDependentField.from_json(json.loads(json.dumps(data)))
     assert g.grid.breakpoints == f.grid.breakpoints
+    assert np.array_equal(g.pieces, f.pieces)
+    assert g.to_json() == data
     for t in (0.1, 0.5, 0.9):
         assert np.abs(g.value_at(t).coeffs - f.value_at(t).coeffs).max() < 1e-15
 
@@ -232,8 +238,8 @@ def test_postcompose_self_composition_chain_rule():
     assert out.integral_defect() < 1e-8
     h = 1e-4
     for t in (0.33, 0.71):
-        fplus = rule.value(path.value_at(t + h))
-        fminus = rule.value(path.value_at(t - h))
+        # the rule answers for a stack of maps, here the stack t - h, t + h
+        fminus, fplus = rule.value(MapStack(path.values_at([t - h, t + h])))
         fd = (1.0 / (2 * h)) * (fplus - fminus)
         got = out.derivative.value_at(t)
         assert np.abs(fd.coeffs - got.coeffs).max() < 1e-6
@@ -245,6 +251,20 @@ def test_postcompose_domain_escape():
     path = integrate_primitive(big)
     with pytest.raises(DomainEscape):
         ac_postcompose(path, rule)
+
+
+def test_acpath_with_a_derivative_on_a_finer_grid():
+    # a one-interval path whose derivative steps at t = 1/2: the merged
+    # pieces are summed per interval of the path
+    halves = TimeGrid((0, Fraction(1, 2), 1))
+    fine = TimeDependentField.step(
+        halves, [sine_map(0.05, 8), cosine_map(0.04, 8, mode=2)], 0.2)
+    exact = integrate_primitive(fine)
+    path = ACPath(TimeGrid.uniform(1),
+                  [FourierMap.zero(8, 1, 1), exact.value_at(1.0)], fine)
+    assert path.integral_defect() <= 1e-15
+    times = np.linspace(0.0, 1.0, 17)
+    assert np.abs(path.values_at(times) - exact.values_at(times)).max() <= 1e-15
 
 
 def test_acpath_invariant_validation():
