@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torusflow.cli import _certify, main, validate_scenario
+from torusflow import cli
+from torusflow.cli import ScenarioError, _certify, main, parse_scenario
+from torusflow.errors import TruncationBudgetExceeded
 from torusflow.flow import solve_flow
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -60,7 +63,7 @@ def test_sine_benchmark_reproduces_closed_form(sine_benchmark_out):
 
 def test_flow_json_loads_as_the_indented_layout(sine_benchmark_out):
     scenario = json.loads((SCENARIOS / "sine_benchmark.json").read_text())
-    path = solve_flow(_certify(scenario), tol_solve=1e-10)
+    path = solve_flow(_certify(parse_scenario(scenario, "solve")), tol_solve=1e-10)
     indented = json.dumps(path.to_json(), indent=1)
     text = (sine_benchmark_out / "flow.json").read_text()
     assert json.loads(text) == json.loads(indented)
@@ -237,10 +240,11 @@ def test_limits_fields_checked_up_front(tmp_path, capsys):
         assert not (tmp_path / "out" / "continuity.csv").exists()
 
 
-def _rejected(tmp_path, capsys, kind, message, **fields):
-    """The scenario exits 2 with ``message``, before any output is made."""
+def _rejected(tmp_path, capsys, kind, message, *argv, **fields):
+    """The scenario exits 2 with ``message``, before any output is made;
+    ``argv`` are extra command-line arguments."""
     scenario = _scenario(tmp_path, kind=kind, **fields)
-    assert run([kind, scenario, "--out", tmp_path / "out"]) == 2, fields
+    assert run([kind, scenario, "--out", tmp_path / "out", *argv]) == 2, fields
     assert message in capsys.readouterr().err, fields
     assert not (tmp_path / "out").exists()
 
@@ -340,4 +344,133 @@ def test_trotter_ladder_exit_two(tmp_path, capsys):
 def test_shipped_scenarios_validate():
     for path in sorted(SCENARIOS.glob("*.json")):
         scenario = json.loads(path.read_text())
-        assert validate_scenario(scenario, scenario["kind"]) is None, path.name
+        assert parse_scenario(scenario, scenario["kind"]).kind == scenario["kind"], path.name
+
+
+def test_seed_delta0_budget_checked_up_front(tmp_path, capsys):
+    base = json.loads((SCENARIOS / "sine_benchmark.json").read_text())
+    del base["kind"], base["tolerances"]
+    random = {"type": "random", "budget": 0.3}
+    _rejected(tmp_path, capsys, "verify", "verify seed must be a non-negative "
+              "integer", **{**base, "seed": "x"})
+    _rejected(tmp_path, capsys, "solve", "solve seed must be a non-negative "
+              "integer", **{**base, "seed": "x", "field": random})
+    _rejected(tmp_path, capsys, "solve", "delta0 must be a positive number",
+              **{**base, "delta0": "x", "for_chart": True})
+    _rejected(tmp_path, capsys, "solve", "positive budget",
+              **{**base, "field": {**random, "budget": "x"}})
+
+
+def test_escaping_inputs_exit_two(tmp_path, capsys):
+    for t0 in ("x", 5, -0.5):
+        _rejected(tmp_path, capsys, "pullback", "t0 must be a number in [0, 1]",
+                  field=_SINE, t0=t0, **_SOLVE)
+    _rejected(tmp_path, capsys, "sweep", "budgets must be a non-empty list",
+              count=1, seed=1, budgets=["a"], **_SOLVE)
+    _rejected(tmp_path, capsys, "solve", "seed must be a non-negative integer",
+              field=_SINE, seed=-1, **_SOLVE)
+    # a random field has modes up to 4
+    _rejected(tmp_path, capsys, "sweep", "order must be an integer >= 1 (>= 4 "
+              "in sweeps)", count=1, seed=1, order=3, eps=0.05)
+    _rejected(tmp_path, capsys, "solve", "at order >= 4", seed=1,
+              field={"type": "random"}, **{**_SOLVE, "order": 3})
+    _rejected(tmp_path, capsys, "solve", "seed must be a non-negative integer",
+              "--seed", "-1", field=_SINE, **_SOLVE)
+    _rejected(tmp_path, capsys, "solve", "coeffs mode k = 0 must be real",
+              field={"type": "coeffs", "modes": [[0, 0.01, 0.02]]}, **_SOLVE)
+    _rejected(tmp_path, capsys, "solve", "sine amplitude must be a number",
+              field={**_SINE, "amplitude": float("nan")}, **_SOLVE)
+    _rejected(tmp_path, capsys, "solve", "eps must be a positive number",
+              field=_SINE, **{**_SOLVE, "eps": float("inf")})
+    _rejected(tmp_path, capsys, "solve", "for_chart must be true or false",
+              field=_SINE, for_chart="no", **_SOLVE)
+    scenario = tmp_path / "array.json"
+    scenario.write_text(json.dumps([{"kind": "solve", "field": _SINE}]))
+    assert run(["solve", scenario, "--out", tmp_path / "out"]) == 2
+    assert "JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unread_fields_warn(tmp_path, capsys):
+    scenario = _scenario(tmp_path, kind="solve", field={"type": "zero"},
+                         epss=0.1, tolerances={"tol_pointwise": 1e-8}, **_SOLVE)
+    assert run(["solve", scenario, "--out", tmp_path / "out"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["torusflow: warning: solve scenarios do not read epss, "
+                   "tolerances.tol_pointwise"]
+    tols = {"tol_solve": 1e-10}
+    sweep = parse_scenario({"kind": "sweep", "seed": 1, "scale": 0.2}, "sweep")
+    assert sweep.ignored == ("scale",) and sweep.scale == 0.2
+    for kind in ("verify", "pullback"):
+        s = parse_scenario({"kind": kind, "seed": 0, "field": _SINE,
+                            "tolerances": tols}, kind)
+        assert s.ignored == ("tolerances.tol_solve",), kind
+    assert parse_scenario({"kind": "trotter", "v": _SINE, "w": _SINE,
+                           "out": "o", "seed": 3}, "trotter").ignored == ()
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = json.loads(path.read_text())
+        assert parse_scenario(scenario, scenario["kind"]).ignored == (), path.name
+
+
+def test_numerical_fault_exits_one(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise TruncationBudgetExceeded("tail above budget")
+    monkeypatch.setattr(cli, "solve_flow", refuse)
+    assert run(["solve", SCENARIOS / "zero_field.json", "--out", tmp_path]) == 1
+    assert "run failed: tail above budget" in capsys.readouterr().err
+
+
+def test_unexpected_exception_propagates(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not an invalid scenario")
+    monkeypatch.setattr(cli, "solve_flow", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run(["solve", SCENARIOS / "zero_field.json", "--out", tmp_path])
+
+
+#: The shipped scenarios, and scenarios that reach the other spec types.
+_BASES = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))] + [
+    {"kind": "solve", "order": 8, "m": 1, "eps": 0.05, "seed": 0,
+     "field": {"type": "step", "grid": ["0", "1/2", 1], "values": [
+         {"type": "coeffs", "modes": [[1, 0.01, 0.0], [0, 0.02, 0]]},
+         {"type": "constant", "value": [0.01]}]}},
+    {"kind": "verify", "order": 8, "m": 2, "eps": 0.05, "seed": 0,
+     "field": {"type": "coeffs", "modes": [[[1, 0], 0.01, 0.0]]}, "delta0": 1.0,
+     "for_chart": True, "tolerances": {"tol_pointwise": 1e-8}},
+    {"kind": "pullback", "order": 8, "seed": 1, "t0": 0.5, "K": 4,
+     "field": {"type": "random", "budget": 0.2}},
+    {"kind": "sweep", "count": 2, "seed": 1, "budgets": [0.1, 0.2]},
+]
+_BAD = st.sampled_from(["x", None, float("nan"), float("inf"), -float("inf"),
+                        -1, -0.5, [], {}, True, False])
+
+
+def _paths(value, path=()):
+    """Every path to a value nested in ``value``."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_returns_a_record_or_scenario_error(data):
+    base = data.draw(st.sampled_from(_BASES))
+    raw = json.loads(json.dumps(base))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(raw))))
+        *head, key = path
+        parent = raw
+        for k in head:
+            parent = parent[k]
+        old = parent[key]
+        negated = -old if isinstance(old, (int, float)) and not isinstance(
+            old, bool) else -1
+        parent[key] = data.draw(st.one_of(_BAD, st.just(negated)))
+    try:
+        record = parse_scenario(raw, base["kind"])
+    except ScenarioError:
+        return
+    assert record.kind == base["kind"]
