@@ -188,9 +188,9 @@ FIELDS = {
               _MAPS: (int, 32, lambda v, s: v >= (RANDOM_MODES if s["kind"] == "sweep"
                                                   else 1),
                       f"must be an integer >= 1 (>= {RANDOM_MODES} in sweeps)")},
-    "m": {("sweep", "limits"): (int, 1, lambda v, s: v == 1, "must be 1: sweeps "
-                                "and limits scenarios run on T^1 (m = 1)"),
-          _FLOWS + ("trotter",): (int, 1, lambda v, s: v in (1, 2), "must be 1 or 2")},
+    "m": {KINDS: (int, 1, lambda v, s: v == 1 or v == 2 and s["kind"] not in (
+        "sweep", "limits"), "must be 1 or 2; sweeps and limits scenarios run on "
+        "T^1 (m = 1)")},
     "eps": {_MAPS: (float, 0.05, *_POSITIVE),
             ("limits",): (float, None, lambda v, s: False,
                           "must be left out in limits scenarios")},
@@ -486,9 +486,10 @@ def main(argv=None) -> int:
     manifest = {"scenario": raw, "version": __version__, "seed": scenario.seed,
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    summary = {"kind": args.kind, "checks": [
-        {"name": n, "value": v, "tol": t, "pass": bool(p)} for n, v, t, p in checks],
-        "pass": all(p for *_, p in checks)}
+    summary = {"kind": args.kind,
+               "checks": [{"name": n, "value": v, "tol": t, "pass": bool(p)}
+                          for n, v, t, p in checks],
+               "pass": all(p for *_, p in checks)}
     (out / "summary.json").write_text(json.dumps(summary, indent=1))
     for name, value, tol, ok in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {value:.6g} "

@@ -474,3 +474,11 @@ def test_parse_returns_a_record_or_scenario_error(data):
     except ScenarioError:
         return
     assert record.kind == base["kind"]
+
+
+def test_readme_lists_every_field():
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    table = readme[readme.index("| field | kinds"):].split("\n\n")[0]
+    names = {name.split(".")[-1] for row in table.splitlines()[2:]
+             for name in row.split("|")[1].replace("`", "").replace(",", " ").split()}
+    assert names == {"kind", *cli.FIELDS}
