@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall,
                      NoPositiveRadius, OutOfRange)
-from .fourier import (FourierMap, MapStack, _modes_from_json, _modes_to_json,
-                      fit_grid, node_chunks, nu_per_component, sampling_grid)
+from .fourier import (FourierMap, _modes_from_json, _modes_to_json, fit_grid,
+                      node_chunks, nu_per_component, sampling_grid)
 from .timepaths import ACPath, FIT_NODES, TimeDependentField, fit_poly3
 
 #: residual target for the displacement inversion
@@ -258,7 +258,7 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert,
 
     def chart_vectors(times) -> np.ndarray:
         """Fitted w(t) at a chunk of times, alpha(x, w) = x + u(t)(x)."""
-        u_vals = MapStack(flow.u_at_many(times)).eval(pts)
+        u_vals = flow.u_at_many(times).eval(pts)
         w = u_vals.copy()
         live = np.arange(0 if alpha.flat else len(w))
         for _ in range(200):
@@ -270,7 +270,7 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert,
         if len(live):
             raise ContractionStall("pointwise chart inversion did not converge")
         return fit_grid(w.reshape((len(times),) + (M,) * m + (m,)), order, m,
-                        tol_trunc=1e-8, context="chart re-expansion")
+                        tol_trunc=1e-8, context="chart re-expansion").coeffs
 
     # the grid times, then the collocation nodes of every interval
     ts = flow.grid.floats
@@ -298,5 +298,5 @@ def chart_roundtrip_defect(flow, alpha: LocalAddition, path: ACPath,
         pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
         pts = pts.astype(complex)
     w = path.values.eval(pts)
-    zeta = pts + MapStack(flow.u_at_many(flow.grid.floats)).eval(pts)
+    zeta = pts + flow.u_at_many(flow.grid.floats).eval(pts)
     return float(np.abs(alpha(pts, w) - zeta).max())

@@ -26,7 +26,8 @@ class NonContraction(TorusflowError):
 
 
 class OutOfRange(TorusflowError):
-    """An inversion target violates the distance precondition."""
+    """An inversion target violates the distance precondition, or a norm
+    is not finite (its strip weights overflow)."""
 
 
 class ContractionStall(TorusflowError):

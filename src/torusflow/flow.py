@@ -29,8 +29,8 @@ strip into the doubled strip where the field's majorants are certified
 its coefficients), and that the spectral tail discarded by truncation stays
 within budget (TruncationBudgetExceeded).  The nodes come from the
 time-axis primitive ``piece_values``, which ``FlowPath.u_at_many`` also
-serves.  ``invert_at_point`` solves x + u(x) = y for one map or a whole
-MapStack at once.
+serves.  ``invert_at_point`` solves x + u(x) = y for every map of a
+FourierMap of any batch shape at once.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
-                     NonContraction)
-from .fourier import (TOL_TRUNC, FourierMap, MapStack, _modes_to_json,
+                     NonContraction, OutOfRange)
+from .fourier import (TOL_TRUNC, FourierMap, MapStack, _modes_to_json, _wrap,
                       compose, imag_reach, majorants)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
                         _GL4_W, _GL4_X, _antiderivative, fit_poly3,
@@ -82,6 +82,11 @@ class AdmissibleField:
                 for_chart: bool = False) -> "AdmissibleField":
         l1_beta = field.lp_norm(1, "beta", 2 * eps)
         l1_nu = field.lp_norm(1, "nu", 2 * eps)
+        # an overflowing strip weight is a numerical fault, not a verdict
+        for name, norm in (("beta", l1_beta), ("nu", l1_nu)):
+            if not np.isfinite(norm):
+                raise OutOfRange(f"L1 {name} norm {norm:.6g} at width "
+                                 f"{2 * eps:.6g} is not finite")
         if not l1_beta < BETA_BOUND:
             raise AdmissibilityViolation(
                 f"L1 beta norm {l1_beta:.6g} at width {2 * eps:.6g} is not "
@@ -119,7 +124,7 @@ class FlowPath:
                  iteration_log=None, residual: float = np.nan):
         self.grid = grid
         self.eps = float(eps)
-        self.snapshots = MapStack(snapshots)
+        self.snapshots = MapStack(snapshots, check=False)
         self.pieces = np.asarray(pieces, dtype=complex)
         self.source = source
         self.iteration_log = list(iteration_log or [])
@@ -127,12 +132,12 @@ class FlowPath:
         self.m = self.snapshots.m
         self.order = self.snapshots.order
 
-    def u_at_many(self, times) -> np.ndarray:
-        """Coefficients of u at many times, with a leading time axis."""
-        return piece_values(self.pieces, *self.grid.locate(times))
+    def u_at_many(self, times) -> MapStack:
+        """u at many times, as one stack."""
+        return _wrap(piece_values(self.pieces, *self.grid.locate(times)), self.m)
 
     def u_at(self, t: float) -> FourierMap:
-        return FourierMap(self.u_at_many([t])[0], check=False)
+        return self.u_at_many([t])[0]
 
     def eval_points(self, t: float, pts: np.ndarray) -> np.ndarray:
         """zeta(t) applied to points of shape (..., m)."""
@@ -201,14 +206,14 @@ class _PicardSweep:
         self.eps, self.tol_trunc, self.n = gamma.eps, tol_trunc, gam.order
         self.h = np.diff(grid.floats)
         self.nodes = grid.nodes(FIT_NODES)[:2]
-        self.field = MapStack(piece_values(gam.pieces, *self.nodes))
+        self.field = _wrap(piece_values(gam.pieces, *self.nodes), gam.m)
 
     def run(self, pieces):
         """New (snapshots, pieces) arrays from the pieces of a candidate path."""
-        kept = compose(self.field, MapStack(piece_values(pieces, *self.nodes)),
-                       order=self.n, tol_trunc=self.tol_trunc,
+        u = _wrap(piece_values(pieces, *self.nodes), self.field.m)
+        kept = compose(self.field, u, order=self.n, tol_trunc=self.tol_trunc,
                        outer_scale=2 * self.eps, inner_scale=self.eps)
-        return self._integrate(kept)
+        return self._integrate(kept.coeffs)
 
     def _integrate(self, kept: np.ndarray):
         """Fit a cubic per interval through the node values and integrate it."""
@@ -345,39 +350,37 @@ class Trajectory:
         return self.max_residual <= self.tol
 
 
-def invert_at_point(u, y: np.ndarray, tol: float = 1e-13,
+def invert_at_point(u: FourierMap, y: np.ndarray, tol: float = 1e-13,
                     max_iter: int = 200,
                     fixed_iters: int | None = None) -> np.ndarray:
     """Solve x + u(x) = y pointwise by the displacement contraction.
 
-    ``u`` is a FourierMap, or a MapStack solved at once: map t against row
-    t of ``y`` (shape (T, P, m), or (P, m) shared by all).  Each map stops
-    on its own test, max |step| <= tol over its points, so a stack gives
-    what each map gives alone.  With ``fixed_iters`` the iteration count is
-    pinned (no stopping test), which keeps the result a smooth function of
-    parameters; used by the finite-difference derivative probes.
+    Every map of ``u`` is solved at once, at its own points y (batch +
+    (P, m)) or at points (..., m) shared by all, as ``u.eval`` takes them;
+    x has the shape of ``u.eval(y)``.  Each map stops on its own test, max
+    |step| <= tol over its points, so a batch gives what each map gives
+    alone.  With ``fixed_iters`` the iteration count is pinned (no stopping
+    test), which keeps the result a smooth function of parameters; used by
+    the finite-difference derivative probes.
     """
-    y = np.asarray(y)
-    shape = y.shape
-    if isinstance(u, MapStack):
-        stack, y = u, np.broadcast_to(y, (len(u.coeffs),) + y.shape[-2:])
-    else:
-        stack, y = MapStack(u.coeffs[None]), y.reshape(1, -1, u.m)
+    y, lead = u._points(np.asarray(y))
+    stack = u.flat()
+    y = np.broadcast_to(y, (len(stack),) + y.shape[1:])
     x = y.copy()
     if fixed_iters is not None:
         for _ in range(fixed_iters):
             x = y - stack.eval(x)
-        return x if stack is u else x.reshape(shape)
-    live, maps = np.arange(len(stack.coeffs)), stack
+        return x.reshape(lead + (u.m,))
+    live, maps = np.arange(len(stack)), stack
     for _ in range(max_iter):
         step = y[live] - x[live] - maps.eval(x[live])
         x[live] += step
         done = np.abs(step).reshape(len(live), -1).max(axis=1) <= tol
         if done.all():
-            return x if stack is u else x.reshape(shape)
+            return x.reshape(lead + (u.m,))
         if done.any():
             live = live[~done]
-            maps = MapStack(stack.coeffs[live])
+            maps = _wrap(stack.coeffs[live], u.m)
     raise ContractionStall("pointwise inversion did not converge")
 
 
@@ -400,7 +403,7 @@ def pointwise_solution(flow: FlowPath, t0: float, y0,
     else:
         base = invert_at_point(flow.u_at(t0), y0)
     ts = flow.grid.floats
-    pts = base + MapStack(flow.u_at_many(ts)).eval(base[None, :])[:, 0]
+    pts = base + flow.u_at_many(ts).eval(base)
     gam = gamma.field.on_grid(flow.grid)
     # Gauss nodes of every interval, then of [t_{j0}, t0] inside interval j0
     j0 = flow.grid.interval_of(t0)
@@ -408,9 +411,9 @@ def pointwise_solution(flow: FlowPath, t0: float, y0,
     a, b = ts[j], np.append(ts[1:], t0)
     s = a[:, None] + (b - a)[:, None] * _GL4_X
     tau = (s - ts[j][:, None]) / (ts[j + 1] - ts[j])[:, None]
-    y_s = base + MapStack(flow.u_at_many(s.ravel())).eval(base[None, :])[:, 0]
-    g_vals = MapStack(piece_values(gam.pieces, np.repeat(j, 4), tau.ravel())
-                      ).eval(y_s[:, None, :])[:, 0]
+    y_s = base + flow.u_at_many(s.ravel()).eval(base)
+    g_vals = _wrap(piece_values(gam.pieces, np.repeat(j, 4), tau.ravel()),
+                   gam.m).eval(y_s[:, None, :])[:, 0]
     pieces = (b - a)[:, None] * np.tensordot(
         g_vals.reshape(len(j), 4, -1), _GL4_W, axes=(1, 0))
     cumulative = np.zeros_like(pts)

@@ -20,9 +20,11 @@ inf-operator norm of the Jacobian, so ``beta`` is a computable stand-in
 for a BC^1-type norm: it is a Lipschitz constant for ``f`` on the strip
 and controls imaginary growth via ``||Im f(x+iy)|| <= mu_eps(f) ||y||``.
 
+A ``FourierMap`` carries a batch shape in front of its coefficient cube:
+() for one map, (T,) for a ``MapStack`` (a path of maps over a time grid).
 One kernel, ``eval_series``, evaluates every series: a Horner pass over
 the powers of w = e^{2 pi i z_1}, batched over a leading axis of maps and
-points (``MapStack`` holds maps stacked along a time axis).  At real points
+points.  At real points
 a real map needs only the rows k_1 >= 0, doubled for k_1 > 0; at complex
 points a two-sided pass in w and 1/w runs over all rows.  One fitter,
 ``fit_grid``, takes grid values to a truncated lattice, batched likewise:
@@ -114,48 +116,57 @@ class StripScale:
 
 
 class FourierMap:
-    """A truncated Fourier series C^m -> C^c with real symmetry.
+    """Truncated Fourier series C^m -> C^c with real symmetry, one or a batch.
 
     Parameters
     ----------
-    coeffs : ndarray, shape (2N+1,)*m + (ncomp,)
-        Centered coefficient cube; index i along a lattice axis holds the
-        mode k = i - N.  Entries with ||k||_1 > N must vanish.
+    coeffs : ndarray, shape batch + (2N+1,)*m + (ncomp,)
+        Centered coefficient cubes; index i along a lattice axis holds the
+        mode k = i - N.  Entries with ||k||_1 > N are zeroed.  The batch
+        shape is () here and (T,) for ``MapStack``.
     check : bool
-        Verify the reality constraint c_{-k} = conj(c_k) on construction.
+        Verify the reality constraint c_{-k} = conj(c_k) of every map.
+
+    The algebra and ``eval`` work map by map over any batch shape (a sum
+    broadcasts a map against a stack).  Kernels return maps made by
+    ``_wrap``, which skips the constructor's checks.
     """
 
-    __slots__ = ("coeffs", "m", "order", "ncomp")
+    __slots__ = ("coeffs", "m", "order", "ncomp", "batch")
+
+    #: leading axes of a constructor's array that are batch axes
+    _batch_ndim = 0
 
     def __init__(self, coeffs: np.ndarray, check: bool = True):
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim < 2:
+        cube = coeffs.shape[self._batch_ndim:-1]
+        if coeffs.ndim < self._batch_ndim + 2:
             raise ValueError("coeffs must have a trailing component axis")
-        m = coeffs.ndim - 1
+        m = len(cube)
         if m not in (1, 2):
             raise ValueError("domain dimension must be 1 or 2")
-        size = coeffs.shape[0]
-        if size % 2 != 1 or any(s != size for s in coeffs.shape[:-1]):
+        if cube[0] % 2 != 1 or any(s != cube[0] for s in cube):
             raise ValueError("coefficient cube must be (2N+1,)*m")
-        order = size // 2
         if m == 2:      # zero the corners ||k||_1 > N (none exist for m = 1)
+            order = cube[0] // 2
             coeffs = np.where(_k_l1(order, m)[..., None] > order, 0.0, coeffs)
+        self._set(coeffs, m)
+        if check:
+            self.check_real()
+
+    def _set(self, coeffs: np.ndarray, m: int) -> None:
         self.coeffs = coeffs
         self.m = m
-        self.order = order
+        self.order = coeffs.shape[-2] // 2
         self.ncomp = coeffs.shape[-1]
-        if check:
-            defect = self.reality_defect()
-            if defect > TOL_REALITY * max(1.0, float(np.abs(coeffs).max())):
-                raise ValueError(f"reality constraint violated (defect {defect:.3e})")
+        self.batch = coeffs.shape[:coeffs.ndim - m - 1]
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, order: int, m: int = 1, ncomp: int | None = None) -> "FourierMap":
         ncomp = m if ncomp is None else ncomp
-        shape = (2 * order + 1,) * m + (ncomp,)
-        return cls(np.zeros(shape, dtype=complex), check=False)
+        return _wrap(np.zeros((2 * order + 1,) * m + (ncomp,), dtype=complex), m)
 
     @classmethod
     def constant(cls, value, order: int, m: int = 1) -> "FourierMap":
@@ -186,27 +197,50 @@ class FourierMap:
 
     # -- bookkeeping ----------------------------------------------------
 
-    def _flipped(self) -> np.ndarray:
-        sl = (slice(None, None, -1),) * self.m + (slice(None),)
-        return self.coeffs[sl]
+    def flat(self) -> "MapStack":
+        """The maps with the batch flattened to one axis (one map: a stack
+        of one), as the kernels walk them."""
+        return _wrap(self.coeffs.reshape(
+            (-1,) + self.coeffs.shape[len(self.batch):]), self.m)
 
-    def reality_defect(self) -> float:
-        return float(np.abs(self._flipped() - np.conj(self.coeffs)).max())
+    def chunks(self, points: int) -> list:
+        """Stacks of consecutive maps of the flattened batch, each about
+        ``_CHUNK_POINTS`` points at ``points`` points per map."""
+        c = self.flat().coeffs
+        return [_wrap(c[s], self.m) for s in node_chunks(len(c), points)]
 
-    def imag_bound(self) -> float:
-        """1/2 sum_k |c_k - conj(c_{-k})|, a bound on |Im f| at real points."""
-        return 0.5 * float(np.abs(self._flipped() - np.conj(self.coeffs)).sum(
-            axis=tuple(range(self.m))).max())
+    def _mirror_defect(self) -> np.ndarray:
+        """|c_k - conj(c_{-k})| per coefficient."""
+        flip = (Ellipsis,) + (slice(None, None, -1),) * self.m + (slice(None),)
+        return np.abs(self.coeffs[flip] - np.conj(self.coeffs))
+
+    def reality_defect(self) -> np.ndarray:
+        """max_{k, i} |c_{k,i} - conj(c_{-k,i})| per map."""
+        return self._mirror_defect().max(axis=tuple(range(-self.m - 1, 0)))
+
+    def check_real(self) -> None:
+        """ValueError unless every map is Hermitian to TOL_REALITY, relative."""
+        defect = self.reality_defect()
+        size = np.abs(self.coeffs).max(axis=tuple(range(-self.m - 1, 0)))
+        if np.any(defect > TOL_REALITY * np.maximum(1.0, size)):
+            raise ValueError(
+                f"reality constraint violated (defect {np.max(defect):.3e})")
+
+    def imag_bound(self) -> np.ndarray:
+        """1/2 sum_k |c_k - conj(c_{-k})| per map: |Im f| at real points."""
+        return 0.5 * self._mirror_defect().sum(
+            axis=tuple(range(-self.m - 1, -1))).max(axis=-1)
 
     def copy(self) -> "FourierMap":
-        return FourierMap(self.coeffs.copy(), check=False)
+        return _wrap(self.coeffs.copy(), self.m)
 
     def mode(self, k) -> np.ndarray:
         kk = (k,) if np.isscalar(k) else tuple(k)
-        return self.coeffs[tuple(ki + self.order for ki in kk)]
+        return self.coeffs[(Ellipsis,) + tuple(ki + self.order for ki in kk)
+                           + (slice(None),)]
 
     def constant_part(self) -> np.ndarray:
-        return self.coeffs[(self.order,) * self.m]
+        return self.coeffs[(Ellipsis,) + (self.order,) * self.m + (slice(None),)]
 
     def with_order(self, order: int) -> "FourierMap":
         """Re-embed (or truncate) into the centered cube of another order."""
@@ -214,97 +248,112 @@ class FourierMap:
         if off == 0:
             return self
         if off > 0:
-            return FourierMap(np.pad(self.coeffs, [(off, off)] * self.m
-                                     + [(0, 0)]), check=False)
-        return FourierMap(self.coeffs[(slice(-off, off),) * self.m].copy(),
-                          check=False)
+            return _wrap(np.pad(self.coeffs, [(0, 0)] * len(self.batch)
+                                + [(off, off)] * self.m + [(0, 0)]), self.m)
+        c = self.coeffs[(Ellipsis,) + (slice(-off, off),) * self.m + (slice(None),)]
+        return _wrap(c.copy() if self.m == 1 else np.where(
+            _k_l1(order, 2)[..., None] > order, 0, c), self.m)
 
     # -- linear structure -----------------------------------------------
 
     def __add__(self, other: "FourierMap") -> "FourierMap":
         a, b = _common_order(self, other)
-        return FourierMap(a.coeffs + b.coeffs, check=False)
+        return _wrap(a.coeffs + b.coeffs, self.m)
 
     def __sub__(self, other: "FourierMap") -> "FourierMap":
         a, b = _common_order(self, other)
-        return FourierMap(a.coeffs - b.coeffs, check=False)
+        return _wrap(a.coeffs - b.coeffs, self.m)
 
     def __mul__(self, scalar) -> "FourierMap":
-        return FourierMap(self.coeffs * float(scalar), check=False)
+        return _wrap(self.coeffs * float(scalar), self.m)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "FourierMap":
-        return FourierMap(-self.coeffs, check=False)
+        return _wrap(-self.coeffs, self.m)
 
     # -- evaluation -----------------------------------------------------
+
+    def _points(self, z: np.ndarray):
+        """Points z as an array (B or 1, P, m) against the flattened batch,
+        and the leading shape of their values.  z holds points per map,
+        batch + (P, m), or points (..., m) shared by every map."""
+        own = z.ndim == len(self.batch) + 2
+        lead = self.batch + z.shape[len(self.batch) if own else 0:-1]
+        pts = z.reshape((-1, z.shape[-2], self.m) if own else (1, -1, self.m))
+        return pts, lead
 
     def eval(self, z) -> np.ndarray:
         """Evaluate at points z of shape (..., m) (or scalar, m=1).
 
-        Real points give real values (the map is real); complex points,
-        such as strip probes, give complex values.
+        A batch of maps takes points per map, batch + (P, m), or shared
+        points; one ``eval_series`` call serves every map.  Real points give
+        real values (the maps are real); complex points, such as strip
+        probes, give complex values.
         """
         z = np.asarray(z)
-        scalar_in = False
-        if self.m == 1 and (z.ndim == 0 or z.shape[-1] != 1):
+        scalar_in = self.m == 1 and (z.ndim == 0 or z.shape[-1] != 1)
+        if scalar_in:
             z = z.reshape(z.shape + (1,))
-            scalar_in = True
-        vals = eval_series(self.coeffs[None], z.reshape(1, -1, self.m))
-        vals = vals.reshape(z.shape[:-1] + (self.ncomp,))
+        pts, lead = self._points(z)
+        vals = eval_series(self.flat().coeffs, pts).reshape(lead + (self.ncomp,))
         if scalar_in and self.ncomp == 1:
             return vals[..., 0]
         return vals
 
     def eval_real(self, x) -> np.ndarray:
-        """Evaluate at real points, checking that the map is real there.
+        """Evaluate at real points, checking that the maps are real there.
 
         1/2 sum_k |c_k - conj(c_{-k})| bounds the imaginary residue at real
         points; it is a reality defect and must stay below 1e-10 relative
         to the map size.
         """
         vals = self.eval(np.asarray(x, dtype=float))
-        resid = self.imag_bound()
+        resid = float(np.max(self.imag_bound()))
         scale = max(1.0, float(np.abs(vals).max())) if vals.size else 1.0
         if resid > 1e-10 * scale:
             raise RealityDefect(f"imaginary residue {resid:.3e} at real points")
         return vals
 
 
-class MapStack:
-    """Maps on T^m stacked along a leading axis, one per time node.
+class MapStack(FourierMap):
+    """FourierMaps of one order stacked along a leading axis: batch shape (T,).
 
-    ``coeffs`` has shape (T,) + (2N+1,)*m + (ncomp,); every path of maps
-    over a time grid is stored this way.  It is built from that array, from
-    another stack, or from a sequence of FourierMaps of one order.
-    ``stack[t]`` is map t as a FourierMap, so a stack iterates as its maps.
-    ``eval`` runs the shared kernel once for all maps, map t at row t of the
-    points (T, P, m) or at shared points (P, m); a stack stands in for a
-    FourierMap in ``jacobian``, ``invert_at_point`` and ``AnalyticDiffeo``
-    evaluations.
+    Every path of maps over a time grid is one.  Built from the array
+    (T,) + (2N+1,)*m + (ncomp,), a sequence of maps or a map (a stack
+    shares its coefficients, other batches are flattened); ``stack[t]`` is
+    map t, so a stack iterates as its maps.
     """
 
-    __slots__ = ("coeffs", "m", "order", "ncomp")
+    __slots__ = ()
+    _batch_ndim = 1
 
-    def __init__(self, coeffs):
-        if isinstance(coeffs, MapStack):
-            coeffs = coeffs.coeffs
-        elif not isinstance(coeffs, np.ndarray):
-            coeffs = np.array([f.coeffs for f in coeffs], dtype=complex)
-        self.coeffs = coeffs
-        self.m = coeffs.ndim - 2
-        self.order = coeffs.shape[1] // 2
-        self.ncomp = coeffs.shape[-1]
+    def __init__(self, maps, check: bool = True):
+        if isinstance(maps, FourierMap):
+            maps = maps.coeffs if len(maps.batch) == 1 else maps.flat().coeffs
+        elif not isinstance(maps, np.ndarray):
+            maps = [f.coeffs for f in maps]
+        super().__init__(maps, check)
 
     def __len__(self) -> int:
         return len(self.coeffs)
 
     def __getitem__(self, t: int) -> FourierMap:
-        return FourierMap(self.coeffs[operator.index(t)], check=False)
+        return _wrap(self.coeffs[operator.index(t)], self.m)
 
-    def eval(self, z) -> np.ndarray:
-        z = np.asarray(z)
-        return eval_series(self.coeffs, z if z.ndim == 3 else z[None])
+
+def _wrap(coeffs: np.ndarray, m: int) -> FourierMap:
+    """A kernel's output cubes batch + (2N+1,)*m + (ncomp,) as a map of that
+    batch shape (a MapStack for (T,)), without the constructor's checks."""
+    f = object.__new__(MapStack if coeffs.ndim == m + 2 else FourierMap)
+    f._set(coeffs, m)
+    return f
+
+
+def joined(parts, batch: tuple) -> FourierMap:
+    """Stacks cut by ``FourierMap.chunks`` joined back into batch ``batch``."""
+    c = np.concatenate([p.coeffs for p in parts])
+    return _wrap(c.reshape(batch + c.shape[1:]), parts[0].m)
 
 
 def _modes_to_json(coeffs: np.ndarray, m: int, order: int) -> list:
@@ -509,22 +558,20 @@ def _majorant_terms(coeffs: np.ndarray, m: int, eps: float):
 def nu_per_component(f: FourierMap, eps: float) -> np.ndarray:
     """Component-wise sup-majorants sum_k |c_{k,i}| e^{2 pi ||k||_1 eps}."""
     w = strip_weights(f.order, f.m, eps)[0]
-    return (np.abs(f.coeffs) * w[..., None]).sum(axis=tuple(range(f.m)))
+    return (np.abs(f.coeffs) * w[..., None]).sum(axis=tuple(range(-f.m - 1, -1)))
 
 
-def imag_reach(u, eps_in: float):
-    """Certified bound on ||Im(z + u(z))||_inf over the strip ||Im z|| <= eps_in.
+def imag_reach(u: FourierMap, eps_in: float) -> np.ndarray:
+    """Certified bound on ||Im(z + u(z))||_inf over the strip ||Im z|| <= eps_in,
+    one per map of u (a float for a single map).
 
     Two valid majorant bounds are combined: the oscillating sup bound
     nu(u - u_0) (the real constant part cannot move the strip) and the
-    mean-value bound eps_in * mu(u); the smaller one is used.  For a
-    MapStack the bound of every map is returned.
+    mean-value bound eps_in * mu(u); the smaller one is used.
     """
     nu, mu = majorants(u.coeffs, u.m, eps_in)
-    nu_osc = nu - np.abs(u.coeffs[(Ellipsis,) + (u.order,) * u.m + (slice(None),)]
-                         ).max(axis=-1)
-    reach = eps_in + np.minimum(nu_osc, eps_in * mu)
-    return reach if isinstance(u, MapStack) else float(reach)
+    nu_osc = nu - np.abs(u.constant_part()).max(axis=-1)
+    return eps_in + np.minimum(nu_osc, eps_in * mu)
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +627,18 @@ def _tail_ratio(spec: np.ndarray, M: int, m: int, order: int) -> np.ndarray:
 
 
 def fit_grid(values: np.ndarray, order: int, m: int,
-             tol_trunc: float = TOL_TRUNC, context: str = "fit"):
+             tol_trunc: float = TOL_TRUNC, context: str = "fit") -> FourierMap:
     """Fourier-fit values on the uniform real grid (j/M)_j, truncated to order N.
 
-    ``values`` has shape ([B,] (M,)*m, ncomp); a batch gives the array
-    (B,) + (2N+1,)*m + (ncomp,), else a FourierMap.  Real values go by
-    ``rfftn`` to the half spectrum k_m >= 0, mirrored back by
-    c_{-k} = conj(c_k); complex values by a full ``fftn``.  Raises
-    TruncationBudgetExceeded when, for any batch entry, the relative l1
-    mass of the modes ||k||_1 > N exceeds ``tol_trunc``.
+    ``values`` has shape batch + (M,)*m + (ncomp,); the fit is a map of
+    that batch shape.  Real values go by ``rfftn`` to the half spectrum
+    k_m >= 0, mirrored back by c_{-k} = conj(c_k); complex values by a full
+    ``fftn``.  Raises TruncationBudgetExceeded when, for any map, the
+    relative l1 mass of the modes ||k||_1 > N exceeds ``tol_trunc``.
     """
-    batched = values.ndim == m + 2
+    batch = values.shape[:values.ndim - m - 1]
     # component first, grid axes last: the transforms run on contiguous lines
-    vals = (values if batched else values[None]).transpose(
+    vals = values.reshape((-1,) + values.shape[len(batch):]).transpose(
         (0, m + 1) + tuple(range(1, m + 1)))
     M, n = vals.shape[-1], order
     real = not np.iscomplexobj(vals)
@@ -614,7 +660,7 @@ def fit_grid(values: np.ndarray, order: int, m: int,
         kept = spec[..., k] if m == 1 else spec[:, :, k[:, None], k]
     kept *= _spectrum_weights(M, m, n, real)[2]
     kept = kept.transpose((0,) + tuple(range(2, m + 2)) + (1,))
-    return kept if batched else FourierMap(kept[0], check=False)
+    return _wrap(kept.reshape(batch + kept.shape[1:]), m)
 
 
 def _support_band(c: np.ndarray) -> int:
@@ -623,19 +669,10 @@ def _support_band(c: np.ndarray) -> int:
     return int(np.abs(k).max()) if k.size else 0
 
 
-def _stack_coeffs(f, order: int) -> np.ndarray:
-    """The coefficients of a map or MapStack with a stack axis, cut to at
-    most ``order`` (the corners ||k||_1 > order zeroed)."""
-    c = f.coeffs if isinstance(f, MapStack) else f.coeffs[None]
-    off = max(f.order - order, 0)
-    c = c[(slice(None),) + (slice(off, c.shape[1] - off),) * f.m]
-    return c if f.m == 1 or not off else np.where(
-        _k_l1(order, 2)[..., None] > order, 0, c)
-
-
-def _positions(u: np.ndarray, M: int) -> np.ndarray:
+def _positions(u: np.ndarray, M: int, imag_bound: np.ndarray) -> np.ndarray:
     """x + u(x) on the grid of M points per axis, shape (B, m, M..), from
-    the columns k_m >= 0 of the Hermitian u, shape (B, m, n..)."""
+    the columns k_m >= 0 of the Hermitian u, shape (B, m, n..), whose
+    ``imag_bound`` (B,) bounds |Im u| on the real grid."""
     m, n = u.shape[1], u.shape[-1] // 2
     vals = u[..., n:]
     if m == 2:      # zero-padded over k_1; irfft pads k_2 to M/2 + 1 itself
@@ -643,11 +680,8 @@ def _positions(u: np.ndarray, M: int) -> np.ndarray:
         dense[:, :, np.arange(-n, n + 1) % M] = vals
         vals = np.fft.ifft(dense, axis=2, norm="forward")
     vals = np.fft.irfft(vals, n=M, axis=-1, norm="forward")
-    # 1/2 sum_k |c_k - conj(c_{-k})| bounds |Im u| on the real grid
-    mirror = u[(Ellipsis,) + (slice(None, None, -1),) * m].conj()
-    defect = 0.5 * np.abs(u - mirror).reshape(len(u), m, -1).sum(axis=2)
     size = np.maximum(1.0, np.abs(vals).reshape(len(u), -1).max(axis=1))
-    if (defect.max(axis=1) > 1e-9 * size).any():
+    if (imag_bound > 1e-9 * size).any():
         raise RealityDefect("perturbation is not real on the real grid")
     return _grid_axes(M, m) + vals
 
@@ -660,9 +694,9 @@ def compose(g, perturb, *,
             inner_scale: float | None = None):
     """Truncated expansion of x -> g(x + perturb(x)): the one composition.
 
-    Either real map may be a MapStack, composed map by map (a single map
-    broadcasts); then the coefficient array (B,) + (2N+1,)*m + (ncomp,) is
-    returned, else a FourierMap.  u = perturb, cut to order N, is
+    The real maps are composed map by map; their batch shapes broadcast (a
+    single map against a stack) and give the batch of the result.  u =
+    perturb, cut to order N, is
     synthesised on the oversampled real grid by inverse FFTs (RealityDefect
     unless it is real), g is summed there on its support band |k_i| <= K by
     the real-point Horner pass of ``eval_series``, and ``fit_grid`` fits
@@ -682,24 +716,24 @@ def compose(g, perturb, *,
                 f"imaginary reach {reach:.6g} exceeds outer strip {outer_scale:.6g}")
     n_out = g.order if order is None else order
     M = oversample * (2 * n_out + 1)
-    u = np.moveaxis(_stack_coeffs(perturb, n_out), -1, 1)
+    u = (perturb.with_order(n_out) if perturb.order > n_out else perturb).flat()
+    bound, u = u.imag_bound(), np.moveaxis(u.coeffs, -1, 1)
     # g's band cube as (B, k_1, ncomp[, k_2]), rows 0 <= k_1 <= K, k_1 > 0 doubled
-    c, n = _stack_coeffs(g, g.order), g.order
+    c, n = g.flat().coeffs, g.order
     K = _support_band(c)
     band = np.moveaxis(c[(slice(None), slice(n, n + K + 1))
                          + (slice(n - K, n + K + 1),) * (m - 1)], -1, 2).copy()
     band[:, 1:] *= 2.0
     out = []
     for s in node_chunks(max(len(u), len(band)), M ** m):
-        y = _positions(u[s] if len(u) > 1 else u, M)
+        y = _positions(u[s] if len(u) > 1 else u, M,
+                       bound[s] if len(u) > 1 else bound)
         vals = _series_sum(band[s] if len(band) > 1 else band,
                            _unit_circle(y.reshape(len(y), m, -1)), real=True)
         vals = vals.reshape((len(vals), g.ncomp) + (M,) * m)
         out.append(fit_grid(np.moveaxis(vals, 1, -1), n_out, m, tol_trunc,
                             context="compose"))
-    out = np.concatenate(out)
-    stack = isinstance(g, MapStack) or isinstance(perturb, MapStack)
-    return out if stack else FourierMap(out[0], check=False)
+    return joined(out, np.broadcast_shapes(g.batch, perturb.batch))
 
 
 def multiply(f: FourierMap, g: FourierMap, *, order: int | None = None,
@@ -786,8 +820,8 @@ def cauchy_gain(from_eps: float, to_eps: float, order: int | None = None) -> flo
 class JacobianField:
     """Matrix of partial derivatives of a FourierMap, entry (i, j) = d_i f / d x_j.
 
-    Stored as one centered coefficient cube with trailing axes (ncomp, m),
-    after an optional leading stack axis (the Jacobians of a MapStack).
+    Stored as the map's batch shape, its centered coefficient cube and the
+    trailing axes (ncomp, m); it evaluates as the map does.
     """
 
     __slots__ = ("coeffs", "m", "order", "ncomp")
@@ -800,16 +834,15 @@ class JacobianField:
 
     def eval(self, z) -> np.ndarray:
         flat = self.coeffs.reshape(self.coeffs.shape[:-2] + (self.ncomp * self.m,))
-        stack = self.coeffs.ndim == self.m + 3
-        vals = (MapStack(flat) if stack else FourierMap(flat, check=False)).eval(z)
+        vals = _wrap(flat, self.m).eval(z)
         return vals.reshape(vals.shape[:-1] + (self.ncomp, self.m))
 
     def entry(self, i: int, j: int) -> FourierMap:
-        return FourierMap(self.coeffs[..., i, j][..., None], check=False)
+        return _wrap(self.coeffs[..., i, j][..., None], self.m)
 
 
-def jacobian(f) -> JacobianField:
-    """Entry (i, j) has coefficients 2 pi i k_j (c_k)_i; f may be a MapStack."""
+def jacobian(f: FourierMap) -> JacobianField:
+    """Entry (i, j) has coefficients 2 pi i k_j (c_k)_i, for every map of f."""
     k = TWO_PI * 1j * _k_axis(f.order)
     if f.m == 1:
         return JacobianField(f.coeffs[..., None] * k[:, None, None])

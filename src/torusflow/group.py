@@ -23,7 +23,8 @@ limit, and pointwise evolution recognition are all exposed as checkable
 reports with explicit tolerances.  The time integrals behind them (⊙, the
 transport integral, evolution checks) evaluate all their time nodes at
 once: the flow's maps at every node form one MapStack, inverted in one
-``invert_at_point`` call and fitted back in one batched ``fit_grid``.
+``invert_at_point`` call and fitted back in one batched ``fit_grid``; a
+single map goes through the same helpers as a stack of one.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 from .errors import InvertibilityLost
 from .flow import (AdmissibleField, FlowPath, MAX_STEP, TOL_POINTWISE,
                    TOL_SOLVE, invert_at_point, solve_flow)
-from .fourier import (FourierMap, MapStack, _modes_to_json, compose, fit_grid,
-                      jacobian, majorants, node_chunks, sampling_grid,
+from .fourier import (FourierMap, MapStack, _modes_to_json, _wrap, compose,
+                      fit_grid, jacobian, joined, majorants, sampling_grid,
                       strip_norms)
 from .timepaths import (FIT_NODES, TimeDependentField, _GL4_W, _GL4_X,
                         _embed, fit_poly3, integrate_primitive, piece_values)
@@ -71,7 +72,7 @@ class AnalyticDiffeo:
         mu = strip_norms(u, eps).mu
         if mu < 1.0:
             return cls(u, eps, mu)
-        resid = float(_invert_stack(u.coeffs[None])[1][0])
+        resid = float(_invert_stack(u)[1])
         if resid <= TOL_INVERSE:
             return cls(u, eps, mu, inverse_residual=resid)
         raise InvertibilityLost(
@@ -108,7 +109,7 @@ class AnalyticDiffeo:
 
 
 def _jacobian_values(u, pts: np.ndarray) -> np.ndarray:
-    """D(id + u) at points; u is a displacement FourierMap or a MapStack."""
+    """D(id + u) at points, for every map of the displacement u."""
     return jacobian(u).eval(pts) + np.eye(u.m)[None, ...]
 
 
@@ -122,37 +123,37 @@ def compose_diffeo(phi: AnalyticDiffeo, psi: AnalyticDiffeo) -> AnalyticDiffeo:
 
 def invert_diffeo(phi: AnalyticDiffeo, tol: float = 1e-13) -> AnalyticDiffeo:
     """id + v with (id+u) o (id+v) = id, by pointwise displacement inversion."""
-    v, mu, resid = _certified_inverses(phi.u.coeffs[None], phi.eps, tol)
-    return AnalyticDiffeo(FourierMap(v[0], check=False), phi.eps, mu[0],
-                          inverse_residual=float(resid[0]))
+    v, mu, resid = _certified_inverses(phi.u, phi.eps, tol)
+    return AnalyticDiffeo(v, phi.eps, mu, inverse_residual=float(resid))
 
 
-def _certify_maps(u: np.ndarray, eps: float) -> np.ndarray:
-    """mu_eps per map of a stack; maps with mu_eps >= 1 go through certify."""
-    mu = majorants(u, u.ndim - 2, eps)[1]
+def _certify_maps(u: FourierMap, eps: float) -> np.ndarray:
+    """mu_eps per map of u; maps with mu_eps >= 1 go through certify."""
+    mu = majorants(u.coeffs, u.m, eps)[1]
+    maps = u.flat()
     for i in np.flatnonzero(mu >= 1.0):
-        AnalyticDiffeo.certify(FourierMap(u[i], check=False), eps)
+        AnalyticDiffeo.certify(maps[i], eps)
     return mu
 
 
-def _invert_stack(u: np.ndarray, tol: float = 1e-13):
-    """(v, residuals): (id + u_t) o (id + v_t) = id for a stack u, by one
-    ``invert_at_point`` on the sampling grid and one batched ``fit_grid``
-    per chunk of maps, and sup |(id + u_t)((id + v_t)(x)) - x| per map over
-    an off-grid probe set."""
-    m, order = u.ndim - 2, u.shape[1] // 2
+def _invert_stack(u: FourierMap, tol: float = 1e-13):
+    """(v, residuals): (id + u_t) o (id + v_t) = id for every map of u, by
+    one ``invert_at_point`` on the sampling grid and one batched
+    ``fit_grid`` per chunk of maps, and sup |(id + u_t)((id + v_t)(x)) - x|
+    per map over an off-grid probe set."""
+    m, order = u.m, u.order
     M, pts = sampling_grid(order, m)
-    v = np.concatenate([fit_grid(
-        (invert_at_point(MapStack(u[c]), pts, tol=tol) - pts).reshape(
-            (-1,) + (M,) * m + (m,)), order, m, tol_trunc=1e-8,
-        context="inversion") for c in node_chunks(len(u), len(pts))])
+    v = joined([fit_grid(
+        (invert_at_point(c, pts, tol=tol) - pts).reshape(
+            c.batch + (M,) * m + (m,)), order, m, tol_trunc=1e-8,
+        context="inversion") for c in u.chunks(len(pts))], u.batch)
     probe = _probe_points(m, 257)
-    y = probe + MapStack(v).eval(probe)
-    y = y + MapStack(u).eval(y)
-    return v, np.abs(y - probe).reshape(len(u), -1).max(axis=1)
+    y = probe + v.eval(probe)
+    y = y + u.eval(y)
+    return v, np.abs(y - probe).reshape(u.batch + (-1,)).max(axis=-1)
 
 
-def _certified_inverses(u: np.ndarray, eps: float, tol: float = 1e-13):
+def _certified_inverses(u: FourierMap, eps: float, tol: float = 1e-13):
     """(v, mu_eps(v), residuals) of ``_invert_stack``, each inverse certified."""
     v, resid = _invert_stack(u, tol)
     mu = _certify_maps(v, eps)
@@ -169,7 +170,7 @@ def _certified_inverses(u: np.ndarray, eps: float, tol: float = 1e-13):
 def _adjoint_values(u, X: FourierMap, pts: np.ndarray) -> np.ndarray:
     """(Ad(phi) X)(x) = D phi(phi^{-1}(x)) . X(phi^{-1}(x)), phi = id + u.
 
-    ``u`` and ``X`` may be MapStacks, taken node by node.
+    ``u`` and ``X`` may be stacks, taken node by node.
     """
     y = invert_at_point(u, pts)
     return np.einsum("...ij,...j->...i", _jacobian_values(u, y), X.eval(y))
@@ -213,7 +214,8 @@ class EvolutionResult:
         self.side = side
         self.source = source
         self.flow = flow
-        self._snapshots = None if snapshots is None else MapStack(snapshots)
+        self._snapshots = (None if snapshots is None
+                           else MapStack(snapshots, check=False))
         self.grid = flow.grid
         self.eps = flow.eps
 
@@ -221,9 +223,8 @@ class EvolutionResult:
     def snapshots(self) -> MapStack:
         """Perturbations of eta at the grid times; left sides invert lazily."""
         if self._snapshots is None:
-            self._snapshots = (self.flow.snapshots if self.side == "right" else
-                               MapStack(self._left_inverses(
-                                   self.flow.snapshots.coeffs)))
+            self._snapshots = (self.flow.snapshots if self.side == "right"
+                               else self._left_inverses(self.flow.snapshots))
         return self._snapshots
 
     @property
@@ -244,12 +245,12 @@ class EvolutionResult:
 
     def eval_many(self, times, pts: np.ndarray) -> np.ndarray:
         """eta(t)(x) at points (P, m) for many times, shape (T, P, m)."""
-        u = MapStack(self.flow.u_at_many(times))
+        u = self.flow.u_at_many(times)
         if self.side == "right":
             return pts + u.eval(pts)
         return invert_at_point(u, pts)
 
-    def _left_inverses(self, u: np.ndarray) -> np.ndarray:
+    def _left_inverses(self, u: MapStack) -> MapStack:
         """eta = zeta^{-1} for a stack of flow maps zeta = id + u, each certified."""
         _certify_maps(u, self.eps)
         return _certified_inverses(u, self.eps)[0]
@@ -277,12 +278,12 @@ class EvolutionResult:
         vals = self.eval_many((times[:, None] + offsets).ravel(), pts)
         dpath = np.tensordot(vals.reshape((len(times), 4) + pts.shape),
                              stencil, axes=(1, 0))
-        g = MapStack(gamma.field.values_at(times))
+        g = _wrap(gamma.field.values_at(times), self.m)
         if self.side == "right":
             rhs = g.eval(self.eval_many(times, pts))
         else:
             eta_u = self._left_inverses(self.flow.u_at_many(times))
-            J = _jacobian_values(MapStack(eta_u), pts)
+            J = _jacobian_values(eta_u, pts)
             rhs = np.einsum("...ij,...j->...i", J, g.eval(pts))
         return float(np.abs(dpath - rhs).max())
 
@@ -369,12 +370,12 @@ def odot(gamma: AdmissibleField, eta: AdmissibleField,
     M, pts = sampling_grid(order, m)
     j, tau, s = grid.nodes(FIT_NODES)
     u = eta_flow.u_at_many(s)
-    g = piece_values(gamma.field.on_grid(grid).pieces, j, tau)
-    ad = np.concatenate([fit_grid(_adjoint_values(MapStack(u[c]), MapStack(g[c]), pts)
-        .reshape((-1,) + (M,) * m + (m,)), order, m, tol_trunc=1e-7,
-        context="odot") for c in node_chunks(len(s), len(pts))])
+    g = _wrap(piece_values(gamma.field.on_grid(grid).pieces, j, tau), m)
+    ad = joined([fit_grid(_adjoint_values(uc, gc, pts).reshape(
+        uc.batch + (M,) * m + (m,)), order, m, tol_trunc=1e-7, context="odot")
+        for uc, gc in zip(u.chunks(len(pts)), g.chunks(len(pts)))], u.batch)
     n = max(order, eta.field.order)
-    samples = _embed(ad, n, m) + _embed(
+    samples = _embed(ad.coeffs, n, m) + _embed(
         piece_values(eta.field.on_grid(grid).pieces, j, tau), n, m)
     return TimeDependentField(grid, fit_poly3(samples), gamma.field.scale)
 
@@ -398,13 +399,13 @@ def ad_transport_integral(eta: AdmissibleField, gamma_field: TimeDependentField,
     s = a[:, None] + (b - a)[:, None] * _GL4_X
     tau = (s - ts[j][:, None]) / (ts[j + 1] - ts[j])[:, None]
     u = eta_flow.u_at_many(s.ravel())
-    g = piece_values(gam.pieces, np.repeat(j, len(_GL4_X)), tau.ravel())
-    vals = np.concatenate([_adjoint_inverse_values(MapStack(u[c]), MapStack(g[c]), pts)
-        for c in node_chunks(len(u), len(pts))]).reshape(len(j), len(_GL4_X), -1)
+    g = _wrap(piece_values(gam.pieces, np.repeat(j, len(_GL4_X)), tau.ravel()), m)
+    vals = np.concatenate([_adjoint_inverse_values(uc, gc, pts) for uc, gc in zip(
+        u.chunks(len(pts)), g.chunks(len(pts)))]).reshape(len(j), len(_GL4_X), -1)
     integ = (b - a)[:, None] * np.tensordot(vals, _GL4_W, axes=(1, 0))
     fits = fit_grid(integ.reshape((len(j),) + (M,) * m + (m,)), order, m,
                     tol_trunc=1e-6, context="transport integral")
-    return FourierMap(fits.sum(axis=0), check=False)
+    return _wrap(fits.coeffs.sum(axis=0), m)
 
 
 @dataclass
@@ -552,12 +553,12 @@ def verify_evolution_pointwise(candidate: EvolutionResult,
 
     # every Gauss node of every interval at once
     j, tau, s = grid.nodes(_GL4_X)
-    g = MapStack(piece_values(gamma.field.on_grid(grid).pieces, j, tau))
+    g = _wrap(piece_values(gamma.field.on_grid(grid).pieces, j, tau), m)
     if candidate.side == "right":
         node_vals = g.eval(candidate.eval_many(s, probes))
     else:
         # one inversion per node: eta(s)(x) = zeta(s)^{-1}(x)
-        u = MapStack(candidate.flow.u_at_many(s))
+        u = candidate.flow.u_at_many(s)
         Jz = _jacobian_values(u, invert_at_point(u, probes))
         g_vals = g.eval(probes)
         node_vals = (g_vals / Jz[..., 0, 0][..., None] if m == 1

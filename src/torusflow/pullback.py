@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import TruncationBudgetExceeded
 from .flow import AdmissibleField, FlowPath, solve_flow
-from .fourier import (FourierMap, MapStack, TWO_PI, compose, fit_grid,
-                      jacobian, lattice_modes, node_chunks,
-                      sampling_grid)
+from .fourier import (FourierMap, TWO_PI, _wrap, compose, fit_grid, jacobian,
+                      lattice_modes, sampling_grid)
 from .group import (AnalyticDiffeo, _certify_maps, _field_nu_integral,
                     compose_diffeo, evol_right, flow_two_param, invert_diffeo)
 
@@ -70,13 +69,10 @@ class PullbackMatrix:
 
     def apply(self, f: FourierMap) -> FourierMap:
         """Matrix action on the coefficient vector of a test function."""
-        vec = np.array([f.mode(k)[0] for k in self.modes])
-        out = self.matrix @ vec
-        g = FourierMap.zero(f.order, f.m, 1)
-        for k, val in zip(self.modes, out):
-            idx = tuple(q + f.order for q in k)
-            g.coeffs[idx + (0,)] = val
-        return FourierMap(g.coeffs, check=False)
+        idx = tuple(np.array(self.modes).T + f.order) + (0,)
+        out = np.zeros((2 * f.order + 1,) * f.m + (1,), dtype=complex)
+        out[idx] = self.matrix @ f.coeffs[idx]
+        return _wrap(out, f.m)
 
     def reality_defect(self) -> float:
         """A[-j, -k] = conj(A[j, k]) across the window."""
@@ -116,34 +112,36 @@ def pullback_matrix(phi: AnalyticDiffeo, K: int,
     K must not exceed the ambient truncation order: beyond it the column
     spectra cannot be represented.
     """
-    A = _pullback_windows(phi.u.coeffs[None], K)[0]
-    A.source = phi
-    return A
+    return PullbackMatrix(*_pullback_windows(phi.u, K), source=phi)
 
 
-def _pullback_windows(u: np.ndarray, K: int) -> list:
-    """PullbackMatrix of id + u_t for each displacement of a stack u.
+def _pullback_windows(u: FourierMap, K: int):
+    """Window modes, matrices and column leakages of id + u_t for every
+    displacement of u: the matrices have shape batch + (W, W), the
+    leakages batch + (W,), W the number of window modes.
 
     The basis exponentials e_k o (id + u_t) of every map are sampled on
     the real grid and fitted in batches (complex values, full spectrum).
     """
-    m, order = u.ndim - 2, u.shape[1] // 2
+    m, order = u.m, u.order
     if K > order:
         raise ValueError("window exceeds the ambient truncation order")
     modes = lattice_modes(K, m)
     M, pts = sampling_grid(order, m)
     idx = (slice(None),) + tuple(np.array(modes).T + order)
-    out = []
-    for s in node_chunks(len(u), len(pts) * len(modes)):
-        args = pts + MapStack(u[s]).eval(pts)
+    mats, leaks = [], []
+    for c in u.chunks(len(pts) * len(modes)):
+        args = pts + c.eval(pts)
         vals = np.exp(TWO_PI * 1j * (args @ np.array(modes).T))
         comp = fit_grid(vals.reshape((len(args),) + (M,) * m + (len(modes),)),
-                        order, m, tol_trunc=np.inf, context="pullback column")
-        mats = comp[idx]
-        leak = (np.abs(comp).reshape(len(comp), -1, len(modes)).sum(axis=1)
-                - np.abs(mats).sum(axis=1))
-        out += [PullbackMatrix(modes, a, lk) for a, lk in zip(mats, leak)]
-    return out
+                        order, m, tol_trunc=np.inf,
+                        context="pullback column").coeffs
+        mats.append(comp[idx])
+        leaks.append(np.abs(comp).reshape(len(comp), -1, len(modes)).sum(axis=1)
+                     - np.abs(mats[-1]).sum(axis=1))
+    W = len(modes)
+    return (modes, np.concatenate(mats).reshape(u.batch + (W, W)),
+            np.concatenate(leaks).reshape(u.batch + (W,)))
 
 
 def contravariance_defect(phi: AnalyticDiffeo, psi: AnalyticDiffeo, K: int,
@@ -195,14 +193,14 @@ class PullbackPathReport:
 
 
 def _two_param_maps(flow: FlowPath, times, base_inv: AnalyticDiffeo | None,
-                    eps: float) -> np.ndarray:
+                    eps: float) -> FourierMap:
     """Displacements of Fl_{t, t0} = zeta(t) o zeta(t0)^{-1} at many times,
     each map certified as AnalyticDiffeo.certify does it."""
     maps = [flow.u_at_many(times)]
     if base_inv is not None:
         v = base_inv.u
-        maps.append(v.coeffs + compose(MapStack(maps[0]), v, order=v.order,
-                                       outer_scale=2 * eps, inner_scale=eps))
+        maps.append(v + compose(maps[0], v, order=v.order,
+                                outer_scale=2 * eps, inner_scale=eps))
     for u in maps:      # zeta(t), then the composite
         _certify_maps(u, eps)
     return maps[-1]
@@ -229,7 +227,9 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
     if t0 != 0.0:
         base_inv = invert_diffeo(AnalyticDiffeo.certify(flow.u_at(t0), eps))
     ts = flow.grid.floats
-    mats = _pullback_windows(_two_param_maps(flow, ts, base_inv, eps), K)
+    modes, windows, leaks = _pullback_windows(
+        _two_param_maps(flow, ts, base_inv, eps), K)
+    mats = [PullbackMatrix(modes, a, lk) for a, lk in zip(windows, leaks)]
     bounds = TWO_PI * max(K, 1) * _field_nu_integral(gamma, ts[:-1], ts[1:])
     ac_rows = []
     for j, bound in enumerate(bounds):
@@ -251,17 +251,17 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
     times = (sample_times[:, None] + np.append(offsets, 0.0)).ravel()
     order = max(order, max(f.order for f in test_functions))
     M, pts = sampling_grid(order, m)
-    args = pts + MapStack(_two_param_maps(flow, times, base_inv, eps)).eval(pts)
+    args = pts + _two_param_maps(flow, times, base_inv, eps).eval(pts)
     args = args.reshape(len(sample_times), len(offsets) + 1, -1, m)
     # gamma(t) . grad f at the mapped points of the time itself
-    g_mid = MapStack(gamma.field.values_at(sample_times)).eval(args[:, -1])
+    g_mid = _wrap(gamma.field.values_at(sample_times), m).eval(args[:, -1])
     transport_rows = []
     for fi, f in enumerate(test_functions):
         # f o Fl at the stencil times, then (gamma . grad f) o Fl at the time
         rhs = (jacobian(f).eval(args[:, -1])[..., 0, :] * g_mid).sum(axis=-1)
         vals = np.concatenate([f.eval(args[:, :-1]), rhs[:, None, :, None]], axis=1)
-        fits = fit_grid(vals.reshape((-1,) + (M,) * m + (1,)), order, m,
-                        tol_trunc=1e-6, context="transport").reshape(
+        fits = fit_grid(vals.reshape(vals.shape[:2] + (M,) * m + (1,)), order, m,
+                        tol_trunc=1e-6, context="transport").coeffs.reshape(
                             vals.shape[:2] + (-1,))
         lhs = fits[:, 0] * stencil[0]
         for i in range(1, len(offsets)):

@@ -24,9 +24,9 @@ from math import comb
 import numpy as np
 
 from .errors import DomainEscape, ScaleMismatch
-from .fourier import (TOL_REALITY, FourierMap, MapStack, _modes_from_json,
-                      _modes_to_json, compose, fit_grid, imag_reach, jacobian,
-                      majorants, node_chunks, sampling_grid)
+from .fourier import (FourierMap, MapStack, _modes_from_json,
+                      _modes_to_json, _wrap, compose, fit_grid, imag_reach,
+                      jacobian, joined, majorants, sampling_grid)
 
 #: relative tolerance for the ACPath self-verification (closed-form integrals)
 TOL_INT = 1e-12
@@ -193,13 +193,7 @@ class TimeDependentField:
         self.scale = float(scale)
         # every coefficient row must be Hermitian for the field to be real at
         # every time, not only at the end of its interval
-        rows = self.pieces.reshape((-1,) + shape)
-        mirror = rows[(slice(None),) + (slice(None, None, -1),) * self.m]
-        defect = np.abs(mirror - rows.conj()).reshape(len(rows), -1).max(axis=1)
-        size = np.abs(rows).reshape(len(rows), -1).max(axis=1)
-        if (defect > TOL_REALITY * np.maximum(1.0, size)).any():
-            raise ValueError(
-                f"reality constraint violated (defect {defect.max():.3e})")
+        _wrap(self.pieces, self.m).check_real()
 
     # -- constructors -----------------------------------------------------
 
@@ -229,7 +223,7 @@ class TimeDependentField:
         return piece_values(self.pieces, *self.grid.locate(times))
 
     def value_at(self, t: float) -> FourierMap:
-        return FourierMap(self.values_at([t])[0], check=False)
+        return _wrap(self.values_at([t])[0], self.m)
 
     # -- algebra ------------------------------------------------------------
 
@@ -378,7 +372,7 @@ class ACPath:
     def __init__(self, grid: TimeGrid, values, derivative: TimeDependentField,
                  tol: float = TOL_INT, check: bool = True):
         self.grid = grid
-        self.values = MapStack(values)
+        self.values = MapStack(values, check=False)
         self.derivative = derivative
         if len(self.values) != len(grid):
             raise ValueError("need one snapshot per breakpoint")
@@ -415,7 +409,7 @@ class ACPath:
         return start + _piece_integrals(der, k, tau)
 
     def value_at(self, t: float) -> FourierMap:
-        return FourierMap(self.values_at([t])[0], check=False)
+        return _wrap(self.values_at([t])[0], self.derivative.m)
 
     def to_json(self) -> dict:
         return {
@@ -454,7 +448,8 @@ def integrate_primitive(gamma: TimeDependentField) -> ACPath:
 
 class SuperpositionRule:
     """An analytic map on perturbations, with its directional derivative;
-    the methods take MapStacks and answer for every map at once."""
+    the methods take maps with a batch axis (MapStacks, or the rows of a
+    field's pieces for affine rules) and answer for every map at once."""
 
     is_affine = False
 
@@ -488,14 +483,10 @@ class AffineRule(SuperpositionRule):
         self.b = b
 
     def value(self, u):
-        out = self.a * u.coeffs
-        if self.b is None:
-            return MapStack(out)
-        n = max(u.order, self.b.order)
-        return MapStack(_embed(out, n, u.m) + _embed(self.b.coeffs, n, u.m))
+        return self.a * u if self.b is None else self.a * u + self.b
 
     def differential(self, u, v):
-        return MapStack(self.a * v.coeffs)
+        return self.a * v
 
 
 class SelfCompositionRule(SuperpositionRule):
@@ -514,25 +505,24 @@ class SelfCompositionRule(SuperpositionRule):
         return imag_reach(u, self.inner_scale) <= self.outer_scale
 
     def value(self, u):
-        return MapStack(u.coeffs + compose(u, u, outer_scale=self.outer_scale,
-                                           inner_scale=self.inner_scale))
+        return u + compose(u, u, outer_scale=self.outer_scale,
+                           inner_scale=self.inner_scale)
 
     def differential(self, u, v):
-        return MapStack(v.coeffs + compose(v, u) + _jacobian_compose_apply(u, v))
+        return v + compose(v, u) + _jacobian_compose_apply(u, v)
 
 
-def _jacobian_compose_apply(u: MapStack, v: MapStack) -> np.ndarray:
+def _jacobian_compose_apply(u: MapStack, v: MapStack) -> MapStack:
     """(Du o (id+u)) . v of every map, re-expanded (sampled product)."""
     n = u.order
     M, pts = sampling_grid(n, u.m)
     out = []
-    for c in node_chunks(len(u), len(pts)):
-        uc = MapStack(u.coeffs[c])
+    for uc, vc in zip(u.chunks(len(pts)), v.chunks(len(pts))):
         Jv = jacobian(uc).eval(pts + uc.eval(pts))
-        prod = np.einsum("...ij,...j->...i", Jv, MapStack(v.coeffs[c]).eval(pts))
-        out.append(fit_grid(prod.reshape((-1,) + (M,) * u.m + (u.m,)), n, u.m,
-                            tol_trunc=1e-7, context="jacobian product"))
-    return np.concatenate(out)
+        prod = np.einsum("...ij,...j->...i", Jv, vc.eval(pts))
+        out.append(fit_grid(prod.reshape(uc.batch + (M,) * u.m + (u.m,)), n,
+                            u.m, tol_trunc=1e-7, context="jacobian product"))
+    return joined(out, u.batch)
 
 
 def ac_postcompose(path: ACPath, rule: SuperpositionRule,
@@ -551,18 +541,17 @@ def ac_postcompose(path: ACPath, rule: SuperpositionRule,
     # the path at the new breakpoints, the stored snapshots where they exist
     values = path.values_at(grid.floats)
     values[np.isin(grid.floats, path.grid.floats)] = path.values.coeffs
-    values = MapStack(values)
+    values = _wrap(values, der.m)
     if not np.all(rule.domain_ok(values)):
         raise DomainEscape("path leaves the domain of the postcomposition rule")
     new_values = rule.value(values)
     if rule.is_affine:      # the rule maps every coefficient row of der
-        rows = rule.differential(None, MapStack(der.pieces.reshape(
-            (-1,) + der.pieces.shape[2:]))).coeffs.reshape(der.pieces.shape)
+        rows = rule.differential(None, _wrap(der.pieces, der.m)).coeffs
         new_der = TimeDependentField(grid, rows, path.derivative.scale)
         return ACPath(grid, new_values, new_der, tol=TOL_INT)
     nodes = grid.nodes(FIT_NODES)[2]
-    samples = rule.differential(MapStack(path.values_at(nodes)),
-                                MapStack(der.values_at(nodes)))
+    samples = rule.differential(_wrap(path.values_at(nodes), der.m),
+                                _wrap(der.values_at(nodes), der.m))
     new_der = TimeDependentField(grid, fit_poly3(samples.coeffs),
                                  path.derivative.scale)
     return ACPath(grid, new_values, new_der, tol=tol_chain)

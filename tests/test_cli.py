@@ -420,6 +420,17 @@ def test_numerical_fault_exits_one(tmp_path, monkeypatch, capsys):
     assert "run failed: tail above budget" in capsys.readouterr().err
 
 
+def test_non_finite_norm_exits_one(tmp_path, capsys):
+    # the strip weights overflow at width 32: a fault, not a rejection
+    base = json.loads((SCENARIOS / "sine_benchmark.json").read_text())
+    scenario = _scenario(tmp_path, **{**base, "eps": 16})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["solve", scenario, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "run failed: L1 beta norm nan at width 32 is not finite" in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_unexpected_exception_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("a bug, not an invalid scenario")

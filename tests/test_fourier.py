@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from torusflow import (FlowPath, FourierMap, RealityDefect, TimeGrid,
                        TruncationBudgetExceeded, compose, jacobian, multiply,
                        restrict, strip_norms)
+from torusflow.flow import invert_at_point
 from torusflow.fourier import MapStack, cauchy_gain, imag_reach
 
 from _reference_sweep import compose as reference_compose
@@ -237,11 +238,68 @@ def test_compose_stack_contract_matches_reference(seed, m, stacks, data):
         gs[i % len(gs)], us[i % len(us)], order=n_out, tol_trunc=1.0,
         outer_scale=0.2, inner_scale=0.05).coeffs
         for i in range(max(len(gs), len(us)))])
-    if stacks == "map-map":
-        assert isinstance(got, FourierMap)
-        got = got.coeffs[None]
+    assert isinstance(got, FourierMap)
+    assert got.batch == (() if stacks == "map-map" else (len(want),))
+    got = got.flat().coeffs
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([1, 2]),
+       count=st.integers(1, 4), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_stack_operations_equal_their_maps_row_by_row(seed, m, count, data):
+    """The algebra, the reality measures and the evaluation kernels on a
+    MapStack (batch shape (T,)) equal, row by row and bit for bit, the same
+    operation on its maps (batch shape ()); a map broadcasts against a stack."""
+    order = data.draw(st.integers(1, 8 if m == 1 else 4))
+    band = data.draw(st.integers(0, order))
+    rng = np.random.default_rng(seed)
+    maps, others = (_random_maps(rng, count, m, order, band, m, 0.01)
+                    for _ in range(2))
+    single = _random_maps(rng, 1, m, order, band, m, 0.01)[0]
+    stack, other = MapStack(maps), MapStack(others)
+    dust = 1e-3 * rng.normal(size=stack.coeffs.shape)
+    raw = MapStack(stack.coeffs + dust, check=False)    # not Hermitian
+    x = rng.uniform(0.0, 1.0, (count, 7, m))
+    shared = rng.uniform(0.0, 1.0, (5, m))
+    probes = shared + 1j * rng.uniform(-0.05, 0.05, shared.shape)
+    algebra = {
+        "+": (stack + other, [f + g for f, g in zip(maps, others)]),
+        "-": (stack - other, [f - g for f, g in zip(maps, others)]),
+        "map + stack": (single + stack, [single + f for f in maps]),
+        "stack - map": (stack - single, [f - single for f in maps]),
+        "*": (2.5 * stack, [2.5 * f for f in maps]),
+        "order up": (stack.with_order(order + 2),
+                     [f.with_order(order + 2) for f in maps]),
+        "order down": (stack.with_order(order - 1),
+                       [f.with_order(order - 1) for f in maps]),
+    }
+    for name, (got, want) in algebra.items():
+        assert isinstance(got, MapStack) and len(got) == count, name
+        for g, w in zip(got, want):
+            assert g.batch == w.batch == (), name
+            assert np.array_equal(g.coeffs, w.coeffs), name
+    values = {
+        "reality_defect": (raw.reality_defect(),
+                           [f.reality_defect() for f in raw]),
+        "imag_bound": (raw.imag_bound(), [f.imag_bound() for f in raw]),
+        "eval": (stack.eval(x), [f.eval(p) for f, p in zip(maps, x)]),
+        "eval shared": (stack.eval(shared), [f.eval(shared) for f in maps]),
+        "eval complex": (stack.eval(probes), [f.eval(probes) for f in maps]),
+        "imag_reach": (imag_reach(stack, 0.05),
+                       [imag_reach(f, 0.05) for f in maps]),
+        "jacobian": (jacobian(stack).eval(x),
+                     [jacobian(f).eval(p) for f, p in zip(maps, x)]),
+        "invert": (invert_at_point(stack, x),
+                   [invert_at_point(f, p) for f, p in zip(maps, x)]),
+        "invert shared": (invert_at_point(stack, shared),
+                          [invert_at_point(f, shared) for f in maps]),
+    }
+    for name, (got, want) in values.items():
+        assert got.shape == (count,) + np.shape(want[0]), name
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), name
 
 
 # -- restriction ---------------------------------------------------------------
@@ -385,3 +443,20 @@ def test_map_stack_indexing_and_iteration():
                     [f.coeffs[None] for f in maps[:2]])
     assert isinstance(path.snapshots, MapStack) and path.order == 8
     assert path.pieces.shape == (2, 1, 17, 1)
+
+
+def test_map_stack_checked_as_fourier_map_checks_one_map():
+    with pytest.raises(ValueError, match="cube"):
+        MapStack(np.zeros((3, 4, 1)))           # an even cube
+    with pytest.raises(ValueError, match="cube"):
+        MapStack(np.zeros((3, 5, 3, 2)))        # not square
+    one_sided = np.zeros((3, 17, 1), dtype=complex)
+    one_sided[:, 9] = 0.5                       # k = 1 without k = -1
+    with pytest.raises(ValueError, match="reality"):
+        MapStack(one_sided)
+    with pytest.raises(ValueError, match="reality"):
+        FourierMap(one_sided[0])
+    corners = MapStack(np.ones((2, 5, 5, 2)))   # m = 2, order 2
+    assert not corners.coeffs[:, 0, 0].any() and corners.coeffs[:, 2, 2].all()
+    one = MapStack(FourierMap.constant([0.1, -0.2], 4, m=2))
+    assert (one.batch, one.m, one.order) == ((1,), 2, 4)

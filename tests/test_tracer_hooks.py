@@ -1,0 +1,64 @@
+"""The benchmark tracer's hooks still find the layers they trace.
+
+``perfbench/tracing.py`` patches the package from outside by name, so a
+renamed or moved layer would silently drop out of ``--trace 1`` runs.  This
+test installs the tracer around a small solve and an inversion, and checks
+that the kernels recorded calls and that uninstalling restores every
+attribute it patched.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import torusflow.cli  # noqa: F401  (loads every module the tracer patches)
+from torusflow import AdmissibleField, TimeDependentField
+from torusflow.flow import solve_flow
+from torusflow.group import AnalyticDiffeo, invert_diffeo
+
+from conftest import EPS, sine_map
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    return tracing
+
+
+def _package_attributes(traced: dict) -> dict:
+    """Every module attribute of the package and every traced method."""
+    state = {(name, attr): value for name, mod in list(sys.modules.items())
+             if name == "torusflow" or name.startswith("torusflow.")
+             for attr, value in vars(mod).items()}
+    for module, names in traced.items():
+        for name in names:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                cls = getattr(sys.modules[f"torusflow.{module}"], cls_name)
+                state[(f"{module}.{cls_name}", meth)] = cls.__dict__[meth]
+    return state
+
+
+def test_tracer_records_kernels_and_restores_the_package(tracing):
+    before = _package_attributes(tracing.TRACED)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        gamma = AdmissibleField.certify(
+            TimeDependentField.constant(sine_map(0.02, 16), scale=4 * EPS), EPS)
+        path = solve_flow(gamma)
+        invert_diffeo(AnalyticDiffeo.certify(path.snapshots[-1], EPS))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    for key in ("fourier.compose", "fourier.FourierMap.eval",
+                "fourier.fit_grid", "flow.invert_at_point"):
+        assert metrics[f"{key}.calls"] > 0, key
+    assert metrics["fourier.FourierMap.eval.mode_evals"] > 0
+    after = _package_attributes(tracing.TRACED)
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
