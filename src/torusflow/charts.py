@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall,
                      NoPositiveRadius, OutOfRange)
-from .fourier import (FourierMap, _modes_from_json, _modes_to_json, fit_grid,
-                      node_chunks, nu_per_component, sampling_grid)
+from .fourier import (FourierMap, _modes_from_json, _modes_to_json, fit_sampled,
+                      nu_per_component)
 from .timepaths import ACPath, FIT_NODES, TimeDependentField, fit_poly3
 
 #: residual target for the displacement inversion
@@ -252,13 +252,12 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert,
         raise AdmissibilityViolation(
             f"flow displacement bound {2 * gamma.l1_nu:.6g} reaches "
             f"delta0/2 = {cert.delta0 / 2:.6g}")
-    m, order = flow.m, flow.order
-    M, pts = sampling_grid(order, m)
-    z_vals = [coeff.eval(pts) for _, coeff in alpha.terms]
 
-    def chart_vectors(times) -> np.ndarray:
-        """Fitted w(t) at a chunk of times, alpha(x, w) = x + u(t)(x)."""
-        u_vals = flow.u_at_many(times).eval(pts)
+    def chart_vectors(x, u) -> np.ndarray:
+        """w(t) at the grid points x for a chunk of maps u(t):
+        alpha(x, w) = x + u(t)(x)."""
+        z_vals = [coeff.eval(x) for _, coeff in alpha.terms]
+        u_vals = u.eval(x)
         w = u_vals.copy()
         live = np.arange(0 if alpha.flat else len(w))
         for _ in range(200):
@@ -269,14 +268,13 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert,
             live = live[np.abs(res).reshape(len(live), -1).max(axis=1) > TOL_INVERT]
         if len(live):
             raise ContractionStall("pointwise chart inversion did not converge")
-        return fit_grid(w.reshape((len(times),) + (M,) * m + (m,)), order, m,
-                        tol_trunc=1e-8, context="chart re-expansion").coeffs
+        return w
 
     # the grid times, then the collocation nodes of every interval
     ts = flow.grid.floats
     times = np.concatenate([ts, flow.grid.nodes(FIT_NODES)[2]])
-    fits = np.concatenate([chart_vectors(times[c])
-                           for c in node_chunks(len(times), len(pts))])
+    fits = fit_sampled(chart_vectors, [flow.u_at_many(times)], flow.order,
+                       tol_trunc=1e-8, context="chart re-expansion").coeffs
     J, Q = len(ts) - 1, len(FIT_NODES)
     val_poly = fit_poly3(fits[len(ts):]).reshape(J, Q, -1)
     der_poly = (np.arange(1, Q)[:, None] * val_poly[:, 1:]

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from collections import namedtuple
@@ -369,6 +370,8 @@ def run_sweep(s: Scenario, out: Path, checks: list, workers: int = 1) -> None:
     budgets = [s.budgets[i % len(s.budgets)] if s.budgets
                else float(rng.uniform(0.1, 0.42)) for i in range(s.count)]
     item = partial(_sweep_item, s)
+    # a forked pool starts all its workers at the first submit
+    workers = min(workers, s.count, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(item, range(s.count), budgets))

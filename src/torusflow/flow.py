@@ -132,8 +132,8 @@ class FlowPath:
         self.m = self.snapshots.m
         self.order = self.snapshots.order
 
-    def u_at_many(self, times) -> MapStack:
-        """u at many times, as one stack."""
+    def u_at_many(self, times) -> FourierMap:
+        """u at many times, as maps of the batch shape of ``times``."""
         return _wrap(piece_values(self.pieces, *self.grid.locate(times)), self.m)
 
     def u_at(self, t: float) -> FourierMap:

@@ -31,7 +31,8 @@ points a two-sided pass in w and 1/w runs over all rows.  One fitter,
 ``rfftn`` to the Hermitian half spectrum for real values, ``fftn`` for
 complex ones, and a check of the discarded relative tail mass against a
 budget, so aliasing in compositions g(x + u(x)) stays far below solver
-tolerances.
+tolerances.  One sampler, ``fit_sampled``, picks the grid and the memory
+chunks for every fit outside ``compose`` and ``multiply``.
 """
 
 from __future__ import annotations
@@ -203,12 +204,6 @@ class FourierMap:
         return _wrap(self.coeffs.reshape(
             (-1,) + self.coeffs.shape[len(self.batch):]), self.m)
 
-    def chunks(self, points: int) -> list:
-        """Stacks of consecutive maps of the flattened batch, each about
-        ``_CHUNK_POINTS`` points at ``points`` points per map."""
-        c = self.flat().coeffs
-        return [_wrap(c[s], self.m) for s in node_chunks(len(c), points)]
-
     def _mirror_defect(self) -> np.ndarray:
         """|c_k - conj(c_{-k})| per coefficient."""
         flip = (Ellipsis,) + (slice(None, None, -1),) * self.m + (slice(None),)
@@ -348,12 +343,6 @@ def _wrap(coeffs: np.ndarray, m: int) -> FourierMap:
     f = object.__new__(MapStack if coeffs.ndim == m + 2 else FourierMap)
     f._set(coeffs, m)
     return f
-
-
-def joined(parts, batch: tuple) -> FourierMap:
-    """Stacks cut by ``FourierMap.chunks`` joined back into batch ``batch``."""
-    c = np.concatenate([p.coeffs for p in parts])
-    return _wrap(c.reshape(batch + c.shape[1:]), parts[0].m)
 
 
 def _modes_to_json(coeffs: np.ndarray, m: int, order: int) -> list:
@@ -663,6 +652,29 @@ def fit_grid(values: np.ndarray, order: int, m: int,
     return _wrap(kept.reshape(batch + kept.shape[1:]), m)
 
 
+def fit_sampled(sample, maps, order: int, *, tol_trunc: float, context: str,
+                width: int = 1) -> FourierMap:
+    """The order-N fit of ``sample`` on the ``sampling_grid`` points x,
+    shape (M^m, m): the one sampler besides ``compose`` and ``multiply``.
+
+    The ``maps`` are cut along their shared first batch axis into
+    ``node_chunks`` of about ``_CHUNK_POINTS`` points at ``width`` values
+    per point (a single map is one chunk).  ``sample(x, *chunk)`` returns
+    values of shape batch + (M^m, ncomp).  The chunks' fits are joined in C
+    order, so the chunk size changes no bit of a later reduction.
+    """
+    m, lead = maps[0].m, maps[0].batch
+    M, x = sampling_grid(order, m)
+    cuts = (node_chunks(lead[0], len(x) * width * int(np.prod(lead[1:])))
+            if lead else [Ellipsis])
+    fits = []
+    for s in cuts:
+        vals = sample(x, *[_wrap(f.coeffs[s], m) for f in maps])
+        vals = vals.reshape(vals.shape[:-2] + (M,) * m + vals.shape[-1:])
+        fits.append(fit_grid(vals, order, m, tol_trunc, context).coeffs)
+    return _wrap(np.ascontiguousarray(np.concatenate(fits)), m)
+
+
 def _support_band(c: np.ndarray) -> int:
     """The least K with every nonzero mode of a stack c in |k_i| <= K."""
     k = np.argwhere(c.any(axis=(0, -1))) - c.shape[1] // 2
@@ -732,8 +744,9 @@ def compose(g, perturb, *,
                            _unit_circle(y.reshape(len(y), m, -1)), real=True)
         vals = vals.reshape((len(vals), g.ncomp) + (M,) * m)
         out.append(fit_grid(np.moveaxis(vals, 1, -1), n_out, m, tol_trunc,
-                            context="compose"))
-    return joined(out, np.broadcast_shapes(g.batch, perturb.batch))
+                            context="compose").coeffs)
+    return _wrap(np.concatenate(out).reshape(np.broadcast_shapes(
+        g.batch, perturb.batch) + out[0].shape[1:]), m)
 
 
 def multiply(f: FourierMap, g: FourierMap, *, order: int | None = None,

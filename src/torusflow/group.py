@@ -22,9 +22,9 @@ derivatives of Evol at zero and at a base field, the Trotter product
 limit, and pointwise evolution recognition are all exposed as checkable
 reports with explicit tolerances.  The time integrals behind them (⊙, the
 transport integral, evolution checks) evaluate all their time nodes at
-once: the flow's maps at every node form one MapStack, inverted in one
-``invert_at_point`` call and fitted back in one batched ``fit_grid``; a
-single map goes through the same helpers as a stack of one.
+once: the flow's maps at every node form one batch, inverted in one
+``invert_at_point`` call; every grid fit samples through the one sampler
+``fit_sampled``, and a single map goes through it as a stack does.
 """
 
 from __future__ import annotations
@@ -38,13 +38,15 @@ from .errors import InvertibilityLost
 from .flow import (AdmissibleField, FlowPath, MAX_STEP, TOL_POINTWISE,
                    TOL_SOLVE, invert_at_point, solve_flow)
 from .fourier import (FourierMap, MapStack, _modes_to_json, _wrap, compose,
-                      fit_grid, jacobian, joined, majorants, sampling_grid,
-                      strip_norms)
+                      fit_sampled, jacobian, majorants, strip_norms)
 from .timepaths import (FIT_NODES, TimeDependentField, _GL4_W, _GL4_X,
                         _embed, fit_poly3, integrate_primitive, piece_values)
 
 #: sup-sampled residual bound for verified inverses
 TOL_INVERSE = 1e-10
+#: 4th-order central difference: weights per 12 h and offsets per step h
+_FD4_W = np.array([1.0, -8.0, 8.0, -1.0])
+_FD4_X = np.array([-2, -1, 1, 2])
 
 
 def _probe_points(m: int, n: int = 64) -> np.ndarray:
@@ -138,16 +140,12 @@ def _certify_maps(u: FourierMap, eps: float) -> np.ndarray:
 
 def _invert_stack(u: FourierMap, tol: float = 1e-13):
     """(v, residuals): (id + u_t) o (id + v_t) = id for every map of u, by
-    one ``invert_at_point`` on the sampling grid and one batched
-    ``fit_grid`` per chunk of maps, and sup |(id + u_t)((id + v_t)(x)) - x|
-    per map over an off-grid probe set."""
-    m, order = u.m, u.order
-    M, pts = sampling_grid(order, m)
-    v = joined([fit_grid(
-        (invert_at_point(c, pts, tol=tol) - pts).reshape(
-            c.batch + (M,) * m + (m,)), order, m, tol_trunc=1e-8,
-        context="inversion") for c in u.chunks(len(pts))], u.batch)
-    probe = _probe_points(m, 257)
+    ``invert_at_point`` on the sampling grid and one batched fit per chunk
+    of maps, and sup |(id + u_t)((id + v_t)(x)) - x| per map over an
+    off-grid probe set."""
+    v = fit_sampled(lambda x, c: invert_at_point(c, x, tol=tol) - x, [u],
+                    u.order, tol_trunc=1e-8, context="inversion")
+    probe = _probe_points(u.m, 257)
     y = probe + v.eval(probe)
     y = y + u.eval(y)
     return v, np.abs(y - probe).reshape(u.batch + (-1,)).max(axis=-1)
@@ -180,8 +178,12 @@ def _adjoint_inverse_values(u, X: FourierMap, pts: np.ndarray) -> np.ndarray:
     """(Ad(phi)^{-1} X)(x) = [D phi(x)]^{-1} . X(phi(x)), phi = id + u."""
     J = _jacobian_values(u, pts)
     z = np.asarray(pts, dtype=complex)      # as AnalyticDiffeo.__call__ takes them
-    vals = X.eval(z + u.eval(z))
-    if u.m == 1:
+    return _jacobian_solve(J, X.eval(z + u.eval(z)))
+
+
+def _jacobian_solve(J: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """J^{-1} . vals per point: a division for m = 1, a solve for m = 2."""
+    if J.shape[-1] == 1:
         return vals / J[..., 0, 0][..., None]
     return np.linalg.solve(J, vals[..., None])[..., 0]
 
@@ -189,12 +191,11 @@ def _adjoint_inverse_values(u, X: FourierMap, pts: np.ndarray) -> np.ndarray:
 def adjoint(phi: AnalyticDiffeo, X: FourierMap,
             inverse: bool = False) -> FourierMap:
     """Pushforward of a vector field, truncated back to the ambient order."""
-    m, order = phi.m, max(phi.order, X.order)
-    M, pts = sampling_grid(order, m)
-    vals = (_adjoint_inverse_values if inverse else _adjoint_values)(
-        phi.u, X.with_order(order) if X.order != order else X, pts)
-    return fit_grid(vals.reshape((M,) * m + (m,)), order, m,
-                    tol_trunc=1e-7, context="adjoint")
+    order = max(phi.order, X.order)
+    values = _adjoint_inverse_values if inverse else _adjoint_values
+    return fit_sampled(lambda x, u, Y: values(u, Y, x),
+                       [phi.u, X.with_order(order)], order, tol_trunc=1e-7,
+                       context="adjoint")
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +274,8 @@ class EvolutionResult:
         if times is None:
             times = [0.21337, 0.517, 0.8123]
         times = np.asarray(times)
-        stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * fd_step)
-        offsets = np.array([-2, -1, 1, 2]) * fd_step
+        stencil = _FD4_W / (12.0 * fd_step)
+        offsets = _FD4_X * fd_step
         vals = self.eval_many((times[:, None] + offsets).ravel(), pts)
         dpath = np.tensordot(vals.reshape((len(times), 4) + pts.shape),
                              stencil, axes=(1, 0))
@@ -367,13 +368,11 @@ def odot(gamma: AdmissibleField, eta: AdmissibleField,
     eta_flow = solve_flow(eta.negated(), tol_solve)
     grid = gamma.field.grid.merged(eta.field.grid).refined(MAX_STEP)
     m, order = gamma.field.m, gamma.field.order
-    M, pts = sampling_grid(order, m)
     j, tau, s = grid.nodes(FIT_NODES)
-    u = eta_flow.u_at_many(s)
     g = _wrap(piece_values(gamma.field.on_grid(grid).pieces, j, tau), m)
-    ad = joined([fit_grid(_adjoint_values(uc, gc, pts).reshape(
-        uc.batch + (M,) * m + (m,)), order, m, tol_trunc=1e-7, context="odot")
-        for uc, gc in zip(u.chunks(len(pts)), g.chunks(len(pts)))], u.batch)
+    ad = fit_sampled(lambda x, uc, gc: _adjoint_values(uc, gc, x),
+                     [eta_flow.u_at_many(s), g], order, tol_trunc=1e-7,
+                     context="odot")
     n = max(order, eta.field.order)
     samples = _embed(ad.coeffs, n, m) + _embed(
         piece_values(eta.field.on_grid(grid).pieces, j, tau), n, m)
@@ -384,27 +383,24 @@ def ad_transport_integral(eta: AdmissibleField, gamma_field: TimeDependentField,
                           t: float, tol_solve: float = TOL_SOLVE) -> FourierMap:
     """W(t) = int_0^t Ad(Evol(eta)(s)) gamma(s) ds, by collocation quadrature.
 
-    Gauss nodes of every interval up to t are evaluated in one batch and
-    each interval's integral is fitted back in one batched fit.
+    The Gauss nodes of every interval up to t form one batch (interval,
+    node), their weights folded into the field values; each interval's sum
+    over its nodes is fitted back in one batched fit.
     """
     eta_flow = solve_flow(eta.negated(), tol_solve)
     ts = eta_flow.grid.floats
     m, order = gamma_field.m, gamma_field.order
-    M, pts = sampling_grid(order, m)
-    gam = gamma_field.on_grid(eta_flow.grid)
     j = np.flatnonzero(ts[:-1] < t)
     if not len(j):
         return FourierMap.zero(order, m, m)
     a, b = ts[j], np.minimum(ts[j + 1], t)
     s = a[:, None] + (b - a)[:, None] * _GL4_X
-    tau = (s - ts[j][:, None]) / (ts[j + 1] - ts[j])[:, None]
-    u = eta_flow.u_at_many(s.ravel())
-    g = _wrap(piece_values(gam.pieces, np.repeat(j, len(_GL4_X)), tau.ravel()), m)
-    vals = np.concatenate([_adjoint_inverse_values(uc, gc, pts) for uc, gc in zip(
-        u.chunks(len(pts)), g.chunks(len(pts)))]).reshape(len(j), len(_GL4_X), -1)
-    integ = (b - a)[:, None] * np.tensordot(vals, _GL4_W, axes=(1, 0))
-    fits = fit_grid(integ.reshape((len(j),) + (M,) * m + (m,)), order, m,
-                    tol_trunc=1e-6, context="transport integral")
+    g = gamma_field.on_grid(eta_flow.grid).values_at(s)
+    weights = ((b - a)[:, None] * _GL4_W).reshape(s.shape + (1,) * (m + 1))
+    fits = fit_sampled(
+        lambda x, uc, gc: _adjoint_inverse_values(uc, gc, x).sum(axis=1),
+        [eta_flow.u_at_many(s), _wrap(weights * g, m)], order, tol_trunc=1e-6,
+        context="transport integral")
     return _wrap(fits.coeffs.sum(axis=0), m)
 
 
@@ -437,16 +433,15 @@ def derivative_at_zero(gamma: AdmissibleField, t: float,
     field, while the signal itself lives on a handful of low modes.
     """
     primitive = integrate_primitive(gamma.field).value_at(t)
-    m, order = gamma.field.m, gamma.field.order
+    order = gamma.field.order
     window = min(window, order)
-    M, pts = sampling_grid(order, m)
 
     def chart_image(tau: float) -> FourierMap:
         scaled = gamma.scaled(tau)
         flow = solve_flow(scaled.negated(), fixed_iters=12)
-        y = invert_at_point(flow.u_at(t), pts, fixed_iters=100)
-        return fit_grid((y - pts).reshape((M,) * m + (m,)), order, m,
-                        tol_trunc=1e-6, context="chart image")
+        return fit_sampled(
+            lambda x, u: invert_at_point(u, x, fixed_iters=100) - x,
+            [flow.u_at(t)], order, tol_trunc=1e-6, context="chart image")
 
     def discrepancy(step: float) -> float:
         fd = (1.0 / (2 * step)) * (chart_image(step) - chart_image(-step))
@@ -560,9 +555,7 @@ def verify_evolution_pointwise(candidate: EvolutionResult,
         # one inversion per node: eta(s)(x) = zeta(s)^{-1}(x)
         u = candidate.flow.u_at_many(s)
         Jz = _jacobian_values(u, invert_at_point(u, probes))
-        g_vals = g.eval(probes)
-        node_vals = (g_vals / Jz[..., 0, 0][..., None] if m == 1
-                     else np.linalg.solve(Jz, g_vals[..., None])[..., 0])
+        node_vals = _jacobian_solve(Jz, g.eval(probes))
     steps = np.diff(ts)[:, None, None] * np.tensordot(
         node_vals.reshape((len(ts) - 1, len(_GL4_X)) + probes.shape),
         _GL4_W, axes=(1, 0))

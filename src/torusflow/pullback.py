@@ -29,10 +29,11 @@ import numpy as np
 
 from .errors import TruncationBudgetExceeded
 from .flow import AdmissibleField, FlowPath, solve_flow
-from .fourier import (FourierMap, TWO_PI, _wrap, compose, fit_grid, jacobian,
-                      lattice_modes, sampling_grid)
-from .group import (AnalyticDiffeo, _certify_maps, _field_nu_integral,
-                    compose_diffeo, evol_right, flow_two_param, invert_diffeo)
+from .fourier import (FourierMap, TWO_PI, _wrap, compose, fit_sampled, jacobian,
+                      lattice_modes)
+from .group import (_FD4_W, _FD4_X, AnalyticDiffeo, _certify_maps,
+                    _field_nu_integral, compose_diffeo, evol_right,
+                    flow_two_param, invert_diffeo)
 
 #: tolerance for matrix-vs-direct-composition agreement
 TOL_PB = 1e-9
@@ -127,21 +128,14 @@ def _pullback_windows(u: FourierMap, K: int):
     if K > order:
         raise ValueError("window exceeds the ambient truncation order")
     modes = lattice_modes(K, m)
-    M, pts = sampling_grid(order, m)
-    idx = (slice(None),) + tuple(np.array(modes).T + order)
-    mats, leaks = [], []
-    for c in u.chunks(len(pts) * len(modes)):
-        args = pts + c.eval(pts)
-        vals = np.exp(TWO_PI * 1j * (args @ np.array(modes).T))
-        comp = fit_grid(vals.reshape((len(args),) + (M,) * m + (len(modes),)),
-                        order, m, tol_trunc=np.inf,
-                        context="pullback column").coeffs
-        mats.append(comp[idx])
-        leaks.append(np.abs(comp).reshape(len(comp), -1, len(modes)).sum(axis=1)
-                     - np.abs(mats[-1]).sum(axis=1))
-    W = len(modes)
-    return (modes, np.concatenate(mats).reshape(u.batch + (W, W)),
-            np.concatenate(leaks).reshape(u.batch + (W,)))
+    k, W = np.array(modes).T, len(modes)
+    comp = fit_sampled(lambda x, c: np.exp(TWO_PI * 1j * ((x + c.eval(x)) @ k)),
+                       [u], order, tol_trunc=np.inf, context="pullback column",
+                       width=W).flat().coeffs
+    mats = comp[(slice(None),) + tuple(k + order)]
+    leaks = (np.abs(comp).reshape(len(comp), -1, W).sum(axis=1)
+             - np.abs(mats).sum(axis=1))
+    return modes, mats.reshape(u.batch + (W, W)), leaks.reshape(u.batch + (W,))
 
 
 def contravariance_defect(phi: AnalyticDiffeo, psi: AnalyticDiffeo, K: int,
@@ -245,30 +239,33 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
                                   else {(1, 1): [-0.25j]}, order, m=m, ncomp=1),
         ]
     sample_times = np.linspace(0.15, 0.85, n_transport_times)
-    stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * fd_step)
-    offsets = np.array([-2, -1, 1, 2]) * fd_step
+    stencil = _FD4_W / (12.0 * fd_step)
+    offsets = _FD4_X * fd_step
     # per sample time: the four stencil maps, then the map at the time itself
-    times = (sample_times[:, None] + np.append(offsets, 0.0)).ravel()
+    maps = _two_param_maps(flow, sample_times[:, None] + np.append(offsets, 0.0),
+                           base_inv, eps)
     order = max(order, max(f.order for f in test_functions))
-    M, pts = sampling_grid(order, m)
-    args = pts + _two_param_maps(flow, times, base_inv, eps).eval(pts)
-    args = args.reshape(len(sample_times), len(offsets) + 1, -1, m)
-    # gamma(t) . grad f at the mapped points of the time itself
-    g_mid = _wrap(gamma.field.values_at(sample_times), m).eval(args[:, -1])
-    transport_rows = []
-    for fi, f in enumerate(test_functions):
-        # f o Fl at the stencil times, then (gamma . grad f) o Fl at the time
-        rhs = (jacobian(f).eval(args[:, -1])[..., 0, :] * g_mid).sum(axis=-1)
-        vals = np.concatenate([f.eval(args[:, :-1]), rhs[:, None, :, None]], axis=1)
-        fits = fit_grid(vals.reshape(vals.shape[:2] + (M,) * m + (1,)), order, m,
-                        tol_trunc=1e-6, context="transport").coeffs.reshape(
-                            vals.shape[:2] + (-1,))
-        lhs = fits[:, 0] * stencil[0]
-        for i in range(1, len(offsets)):
-            lhs = lhs + stencil[i] * fits[:, i]
-        transport_rows += [(float(t), fi, float(d)) for t, d in
-                           zip(sample_times, np.abs(lhs - fits[:, -1]).max(axis=1))]
-    transport_rows.sort(key=lambda row: (row[0], row[1]))
+
+    def sample(x, c, g):
+        """f o Fl at the stencil times, then (gamma . grad f) o Fl at the
+        time itself, each test function f on an axis after the times."""
+        args = x + c.eval(x)
+        g_mid = g.eval(args[:, -1])
+        return np.stack([np.concatenate([
+            f.eval(args[:, :-1]),
+            (jacobian(f).eval(args[:, -1])[..., 0, :] * g_mid).sum(
+                axis=-1)[:, None, :, None]], axis=1)
+            for f in test_functions], axis=2)
+
+    fits = fit_sampled(sample, [maps, _wrap(gamma.field.values_at(sample_times), m)],
+                       order, tol_trunc=1e-6, context="transport").coeffs
+    fits = fits.reshape(maps.batch + (len(test_functions), -1))
+    lhs = fits[:, 0] * stencil[0]
+    for i in range(1, len(offsets)):
+        lhs = lhs + stencil[i] * fits[:, i]
+    transport_rows = [(float(t), fi, float(d)) for t, row in zip(
+        sample_times, np.abs(lhs - fits[:, -1]).max(axis=-1))
+        for fi, d in enumerate(row)]
     return PullbackPathReport(times=ts, matrices=mats, ac_rows=ac_rows,
                               transport_rows=transport_rows,
                               transport_tol=transport_tol)

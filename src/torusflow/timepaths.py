@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import DomainEscape, ScaleMismatch
 from .fourier import (FourierMap, MapStack, _modes_from_json,
-                      _modes_to_json, _wrap, compose, fit_grid, imag_reach,
-                      jacobian, joined, majorants, sampling_grid)
+                      _modes_to_json, _wrap, compose, fit_sampled,
+                      imag_reach, jacobian, majorants)
 
 #: relative tolerance for the ACPath self-verification (closed-form integrals)
 TOL_INT = 1e-12
@@ -113,19 +113,20 @@ class TimeGrid:
 
 
 def piece_values(pieces: np.ndarray, j, tau) -> np.ndarray:
-    """Row i is piece j[i] at local time tau[i]: the time-axis primitive.
+    """Entry i is piece j[i] at local time tau[i]: the time-axis primitive.
 
     ``pieces`` has shape (J, D + 1) + map shape; returns one coefficient
-    array with a leading time axis, each row the Horner sum over the degree
-    axis of its piece.
+    array with the leading axes of j, each entry the Horner sum over the
+    degree axis of its piece.
     """
-    j, top = np.asarray(j, dtype=int).ravel(), pieces.shape[1] - 1
+    lead, top = np.shape(j), pieces.shape[1] - 1
+    j = np.asarray(j, dtype=int).ravel()
     tau = np.reshape(tau, (-1,) + (1,) * (pieces.ndim - 2))
     out = pieces[j, top]
     for d in range(top - 1, -1, -1):
         out *= tau
         out += pieces[j, d]
-    return out
+    return out.reshape(lead + out.shape[1:])
 
 
 def _poly_reparam(pieces: np.ndarray, a, b) -> np.ndarray:
@@ -219,7 +220,7 @@ class TimeDependentField:
     # -- evaluation -------------------------------------------------------
 
     def values_at(self, times) -> np.ndarray:
-        """Coefficients at many times, with a leading time axis."""
+        """Coefficients at many times, with the leading axes of ``times``."""
         return piece_values(self.pieces, *self.grid.locate(times))
 
     def value_at(self, t: float) -> FourierMap:
@@ -514,15 +515,10 @@ class SelfCompositionRule(SuperpositionRule):
 
 def _jacobian_compose_apply(u: MapStack, v: MapStack) -> MapStack:
     """(Du o (id+u)) . v of every map, re-expanded (sampled product)."""
-    n = u.order
-    M, pts = sampling_grid(n, u.m)
-    out = []
-    for uc, vc in zip(u.chunks(len(pts)), v.chunks(len(pts))):
-        Jv = jacobian(uc).eval(pts + uc.eval(pts))
-        prod = np.einsum("...ij,...j->...i", Jv, vc.eval(pts))
-        out.append(fit_grid(prod.reshape(uc.batch + (M,) * u.m + (u.m,)), n,
-                            u.m, tol_trunc=1e-7, context="jacobian product"))
-    return joined(out, u.batch)
+    return fit_sampled(
+        lambda x, uc, vc: np.einsum("...ij,...j->...i",
+                                    jacobian(uc).eval(x + uc.eval(x)), vc.eval(x)),
+        [u, v], u.order, tol_trunc=1e-7, context="jacobian product")
 
 
 def ac_postcompose(path: ACPath, rule: SuperpositionRule,

@@ -105,6 +105,39 @@ def test_sweep_determinism_across_workers(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+def test_sweep_pool_is_capped(tmp_path, monkeypatch):
+    """--workers asks for at most one worker per item and per CPU; a pool of
+    one runs serially, and the rows are those of --workers 1."""
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    scenario = tmp_path / "sweep.json"
+    scenario.write_text(json.dumps({"kind": "sweep", "count": 3, "order": 32,
+                                    "eps": 0.05, "seed": 7}))
+    assert run(["sweep", scenario, "--out", tmp_path / "serial"]) == 0
+    want = (tmp_path / "serial" / "sweep.csv").read_bytes()
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    for cpus, expect in ((8, [3]), (2, [2]), (1, [])):
+        seen.clear()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert run(["sweep", scenario, "--out", out, "--workers", 64]) == 0
+        assert seen == expect
+        assert (out / "sweep.csv").read_bytes() == want
+
+
 def test_verify_scenario(tmp_path):
     scenario = tmp_path / "verify.json"
     base = json.loads((SCENARIOS / "sine_benchmark.json").read_text())

@@ -1,5 +1,8 @@
 """Strip-space arithmetic: evaluation, majorants, composition, restriction."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +11,9 @@ from torusflow import (FlowPath, FourierMap, RealityDefect, TimeGrid,
                        TruncationBudgetExceeded, compose, jacobian, multiply,
                        restrict, strip_norms)
 from torusflow.flow import invert_at_point
-from torusflow.fourier import MapStack, cauchy_gain, imag_reach
+from torusflow import fourier
+from torusflow.fourier import (TWO_PI, MapStack, _wrap, cauchy_gain, fit_sampled,
+                               imag_reach, lattice_modes, sampling_grid)
 
 from _reference_sweep import compose as reference_compose
 from conftest import cosine_map, random_real_map, sine_map
@@ -460,3 +465,67 @@ def test_map_stack_checked_as_fourier_map_checks_one_map():
     assert not corners.coeffs[:, 0, 0].any() and corners.coeffs[:, 2, 2].all()
     one = MapStack(FourierMap.constant([0.1, -0.2], 4, m=2))
     assert (one.batch, one.m, one.order) == ((1,), 2, 4)
+
+
+# -- the sampler -------------------------------------------------------------
+
+def _real_maps(rng, batch, order, m):
+    """Random real maps T^m -> R^m of a batch shape (Hermitian coefficients)."""
+    c = rng.normal(size=batch + (2 * order + 1,) * m + (m,)) * (1 + 1j)
+    flip = (Ellipsis,) + (slice(None, None, -1),) * m + (slice(None),)
+    return _wrap(0.5 * (c + np.conj(c[flip])), m)
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (5, 4)], ids=["one", "T", "J4"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_fit_sampled_is_chunk_invariant(batch, m, kind):
+    """Cut into three or more chunks, the fit equals the one-chunk fit bit
+    for bit; two maps are cut at the same boundaries.  Complex values hold
+    several values per point (a chunk width above 1)."""
+    order = 3 if m == 1 else 2
+    rng = np.random.default_rng(len(batch) + 10 * m)
+    f, g = _real_maps(rng, batch, order, m), _real_maps(rng, batch, order, m)
+    k = np.array(lattice_modes(1, m)).T
+    width = 1 if kind == "real" else k.shape[1]
+    calls = []
+
+    def sample(x, fc, gc):
+        calls.append(fc.batch)
+        if kind == "real":
+            return fc.eval(x) * gc.eval(x)[..., :1]
+        return np.exp(TWO_PI * 1j * ((x + fc.eval(x)) @ k)) * gc.eval(x)[..., :1]
+
+    def fit(chunk_points):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fourier, "_CHUNK_POINTS", chunk_points)
+            return fit_sampled(sample, [f, g], 2 * order, tol_trunc=np.inf,
+                               context="test", width=width).coeffs
+
+    one = fit(2 ** 40)
+    assert len(calls) == 1 and one.shape[:len(batch)] == batch
+    M = sampling_grid(2 * order, m)[0]
+    # two entries of the first batch axis per chunk
+    many = fit(2 * M ** m * width * int(np.prod(batch[1:])))
+    assert len(calls) >= (3 if batch else 1)
+    assert np.array_equal(many, one)
+    if not batch:   # a single map is fitted as sampled
+        vals = sample(sampling_grid(2 * order, m)[1], f, g)
+        want = fourier.fit_grid(vals.reshape((M,) * m + vals.shape[-1:]),
+                                2 * order, m, np.inf)
+        assert np.array_equal(one, want.coeffs)
+
+
+def test_grid_fits_live_in_fourier_only():
+    """Only fourier.py picks a sampling grid or calls the grid fitter; every
+    other module samples through fit_sampled."""
+    src = Path(fourier.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) for a in n.names}
+        used = names & {"sampling_grid", "fit_grid"}
+        assert not used or path.name == "fourier.py", (path.name, used)

@@ -18,6 +18,7 @@ from torusflow import (ACPath, AdmissibleField, AffineRule, FourierMap,
                        identity_path, integrate_primitive, odot, picard_step,
                        pointwise_solution, pullback_path, solve_flow,
                        verify_evolution_pointwise)
+from torusflow import fourier
 from torusflow.flow import MAX_STEP, restriction_consistency
 from torusflow.group import _field_nu_integral, ad_transport_integral
 from torusflow.timepaths import _piece_integrals
@@ -84,6 +85,17 @@ def test_ad_transport_integral_matches_node_loop(fields):
     for t in (0.0, 0.6):
         assert _close(ad_transport_integral(eta, gamma.field, t).coeffs,
                       ref.ad_transport_integral(eta, gamma.field, t).coeffs)
+
+
+def test_ad_transport_integral_is_chunk_invariant(fields):
+    """One interval per memory chunk changes no bit of the integral: the
+    sampler joins its chunk fits in one memory layout."""
+    gamma, eta = fields
+    want = ad_transport_integral(eta, gamma.field, 0.6).coeffs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fourier, "_CHUNK_POINTS", 1)
+        got = ad_transport_integral(eta, gamma.field, 0.6).coeffs
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
