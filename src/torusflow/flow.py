@@ -29,8 +29,9 @@ strip into the doubled strip where the field's majorants are certified
 its coefficients), and that the spectral tail discarded by truncation stays
 within budget (TruncationBudgetExceeded).  The nodes come from the
 time-axis primitive ``piece_values``, which ``FlowPath.u_at_many`` also
-serves.  ``invert_at_point`` solves x + u(x) = y for every map of a
-FourierMap of any batch shape at once.
+serves; ``pointwise_solution`` integrates by ``TimeGrid.quadrature``.
+``invert_at_point`` solves x + u(x) = y for every map of a FourierMap of
+any batch shape at once.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
 from .fourier import (TOL_TRUNC, FourierMap, MapStack, _modes_to_json, _wrap,
                       compose, imag_reach, majorants)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
-                        _GL4_W, _GL4_X, _antiderivative, fit_poly3,
-                        piece_values)
+                        _antiderivative, fit_poly3, piece_values)
 
 #: default solver tolerance, measured in nu_eps of snapshot differences
 TOL_SOLVE = 1e-10
@@ -393,34 +393,28 @@ def pointwise_solution(flow: FlowPath, t0: float, y0,
     along the stored path; the path and the field are evaluated at all
     quadrature nodes at once.
     """
-    gamma = flow.source
     y0 = np.atleast_1d(np.asarray(y0, dtype=complex))
+    if y0.shape != (flow.m,):
+        raise ValueError(f"y0 must be one point of T^{flow.m}")
     if np.abs(y0.imag).max() > flow.eps / 2 + 1e-15:
         raise DomainEscape(
             f"start point leaves the half-width-{flow.eps / 2:.6g} region")
-    if t0 == 0.0:
-        base = y0
-    else:
-        base = invert_at_point(flow.u_at(t0), y0)
+    base = y0 if t0 == 0.0 else invert_at_point(flow.u_at(t0), y0)
     ts = flow.grid.floats
     pts = base + flow.u_at_many(ts).eval(base)
-    gam = gamma.field.on_grid(flow.grid)
-    # Gauss nodes of every interval, then of [t_{j0}, t0] inside interval j0
+    # every grid interval, then [t_{j0}, t0]: one overlap per owner at most
     j0 = flow.grid.interval_of(t0)
-    j = np.append(np.arange(len(ts) - 1), j0)
-    a, b = ts[j], np.append(ts[1:], t0)
-    s = a[:, None] + (b - a)[:, None] * _GL4_X
-    tau = (s - ts[j][:, None]) / (ts[j + 1] - ts[j])[:, None]
-    y_s = base + flow.u_at_many(s.ravel()).eval(base)
-    g_vals = _wrap(piece_values(gam.pieces, np.repeat(j, 4), tau.ravel()),
-                   gam.m).eval(y_s[:, None, :])[:, 0]
-    pieces = (b - a)[:, None] * np.tensordot(
-        g_vals.reshape(len(j), 4, -1), _GL4_W, axes=(1, 0))
+    i, s, w = flow.grid.quadrature(np.append(ts[:-1], ts[j0]),
+                                   np.append(ts[1:], t0))
+    y_s = base + flow.u_at_many(s).eval(base)
+    g_vals = _wrap(flow.source.field.values_at(s), flow.m).eval(
+        y_s[..., None, :])[..., 0, :]
+    pieces = np.zeros((len(ts), flow.m), dtype=complex)
+    pieces[i] = (w[..., None] * g_vals).sum(axis=1)
     cumulative = np.zeros_like(pts)
     np.cumsum(pieces[:-1], axis=0, out=cumulative[1:])
-    at_t0 = cumulative[j0] + (pieces[-1] if t0 > ts[j0] else 0.0)
-    residuals = np.abs(pts - y0[None, :]
-                       - (cumulative - at_t0[None, :])).max(axis=1)
+    residuals = np.abs(pts - y0[None, :] - (
+        cumulative - (cumulative[j0] + pieces[-1])[None, :])).max(axis=1)
     return Trajectory(times=ts, points=pts, residuals=residuals,
                       tol=tol_pointwise)
 

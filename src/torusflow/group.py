@@ -20,11 +20,12 @@ makes the left evolution a homomorphism into pointwise composition:
 Evol(gamma ⊙ eta)(t) = Evol(gamma)(t) o Evol(eta)(t).  The directional
 derivatives of Evol at zero and at a base field, the Trotter product
 limit, and pointwise evolution recognition are all exposed as checkable
-reports with explicit tolerances.  The time integrals behind them (⊙, the
-transport integral, evolution checks) evaluate all their time nodes at
-once: the flow's maps at every node form one batch, inverted in one
-``invert_at_point`` call; every grid fit samples through the one sampler
-``fit_sampled``, and a single map goes through it as a stack does.
+reports with explicit tolerances.  Their time integrals take Gauss nodes
+and weights from ``TimeGrid.quadrature``, and every time node, ⊙'s too,
+is read at once (``values_at``): the flow's maps at every node form one
+batch, inverted in one ``invert_at_point`` call; every grid fit samples
+through the one sampler ``fit_sampled``, and a single map goes through
+it as a stack does.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .flow import (AdmissibleField, FlowPath, MAX_STEP, TOL_POINTWISE,
                    TOL_SOLVE, invert_at_point, solve_flow)
 from .fourier import (FourierMap, MapStack, _modes_to_json, _wrap, compose,
                       fit_sampled, jacobian, majorants, strip_norms)
-from .timepaths import (FIT_NODES, TimeDependentField, _GL4_W, _GL4_X,
-                        _embed, fit_poly3, integrate_primitive, piece_values)
+from .timepaths import (FIT_NODES, TimeDependentField, _embed, fit_poly3,
+                        integrate_primitive)
 
 #: sup-sampled residual bound for verified inverses
 TOL_INVERSE = 1e-10
@@ -368,14 +369,13 @@ def odot(gamma: AdmissibleField, eta: AdmissibleField,
     eta_flow = solve_flow(eta.negated(), tol_solve)
     grid = gamma.field.grid.merged(eta.field.grid).refined(MAX_STEP)
     m, order = gamma.field.m, gamma.field.order
-    j, tau, s = grid.nodes(FIT_NODES)
-    g = _wrap(piece_values(gamma.field.on_grid(grid).pieces, j, tau), m)
+    s = grid.nodes(FIT_NODES)[2]
+    g = _wrap(gamma.field.values_at(s), m)
     ad = fit_sampled(lambda x, uc, gc: _adjoint_values(uc, gc, x),
                      [eta_flow.u_at_many(s), g], order, tol_trunc=1e-7,
                      context="odot")
     n = max(order, eta.field.order)
-    samples = _embed(ad.coeffs, n, m) + _embed(
-        piece_values(eta.field.on_grid(grid).pieces, j, tau), n, m)
+    samples = _embed(ad.coeffs, n, m) + _embed(eta.field.values_at(s), n, m)
     return TimeDependentField(grid, fit_poly3(samples), gamma.field.scale)
 
 
@@ -388,18 +388,14 @@ def ad_transport_integral(eta: AdmissibleField, gamma_field: TimeDependentField,
     over its nodes is fitted back in one batched fit.
     """
     eta_flow = solve_flow(eta.negated(), tol_solve)
-    ts = eta_flow.grid.floats
     m, order = gamma_field.m, gamma_field.order
-    j = np.flatnonzero(ts[:-1] < t)
-    if not len(j):
+    _, s, w = eta_flow.grid.quadrature(0.0, t)
+    if not len(s):
         return FourierMap.zero(order, m, m)
-    a, b = ts[j], np.minimum(ts[j + 1], t)
-    s = a[:, None] + (b - a)[:, None] * _GL4_X
-    g = gamma_field.on_grid(eta_flow.grid).values_at(s)
-    weights = ((b - a)[:, None] * _GL4_W).reshape(s.shape + (1,) * (m + 1))
+    g = w.reshape(w.shape + (1,) * (m + 1)) * gamma_field.values_at(s)
     fits = fit_sampled(
         lambda x, uc, gc: _adjoint_inverse_values(uc, gc, x).sum(axis=1),
-        [eta_flow.u_at_many(s), _wrap(weights * g, m)], order, tol_trunc=1e-6,
+        [eta_flow.u_at_many(s), _wrap(g, m)], order, tol_trunc=1e-6,
         context="transport integral")
     return _wrap(fits.coeffs.sum(axis=0), m)
 
@@ -547,8 +543,8 @@ def verify_evolution_pointwise(candidate: EvolutionResult,
     traj = probes + candidate.snapshots.eval(probes)
 
     # every Gauss node of every interval at once
-    j, tau, s = grid.nodes(_GL4_X)
-    g = _wrap(piece_values(gamma.field.on_grid(grid).pieces, j, tau), m)
+    _, s, w = grid.quadrature(ts[:-1], ts[1:])
+    g = _wrap(gamma.field.values_at(s), m)
     if candidate.side == "right":
         node_vals = g.eval(candidate.eval_many(s, probes))
     else:
@@ -556,9 +552,7 @@ def verify_evolution_pointwise(candidate: EvolutionResult,
         u = candidate.flow.u_at_many(s)
         Jz = _jacobian_values(u, invert_at_point(u, probes))
         node_vals = _jacobian_solve(Jz, g.eval(probes))
-    steps = np.diff(ts)[:, None, None] * np.tensordot(
-        node_vals.reshape((len(ts) - 1, len(_GL4_X)) + probes.shape),
-        _GL4_W, axes=(1, 0))
+    steps = (w[..., None, None] * node_vals).sum(axis=1)
     increments = np.zeros_like(traj)
     np.cumsum(steps, axis=0, out=increments[1:])
 
@@ -594,18 +588,11 @@ def ac_modulus_check(evol: EvolutionResult, n_pairs: int = 16,
 def _field_nu_integral(gamma: AdmissibleField, a, b) -> np.ndarray:
     """int_{a_i}^{b_i} nu_{2 eps}(gamma(s)) ds for arrays of bounds a, b.
 
-    4-point Gauss on each overlap of [a_i, b_i] with a field piece, exact
-    for the cubic pieces; all nodes are evaluated at once.
+    ``TimeGrid.quadrature`` on the field's own grid, exact for its cubic
+    pieces; all nodes are evaluated at once.
     """
     gam = gamma.field
-    ts = gam.grid.floats
-    a, b = np.atleast_1d(a)[:, None], np.atleast_1d(b)[:, None]
-    lo, hi = np.maximum(a, ts[:-1]), np.minimum(b, ts[1:])
-    i, j = np.nonzero(hi > lo)
-    lo, hi = lo[i, j], hi[i, j]
-    s = lo[:, None] + (hi - lo)[:, None] * _GL4_X
-    tau = (s - ts[j][:, None]) / (ts[j + 1] - ts[j])[:, None]
-    nu, _ = majorants(piece_values(gam.pieces, np.repeat(j, len(_GL4_X)),
-                                   tau.ravel()), gam.m, 2 * gamma.eps)
-    part = ((hi - lo)[:, None] * _GL4_W * nu.reshape(len(j), -1)).sum(axis=1)
-    return np.bincount(i, weights=part, minlength=len(a))
+    i, s, w = gam.grid.quadrature(a, b)
+    nu, _ = majorants(gam.values_at(s), gam.m, 2 * gamma.eps)
+    return np.bincount(i, weights=(w * nu).sum(axis=1),
+                       minlength=np.size(a))

@@ -65,9 +65,6 @@ class PullbackMatrix:
         self.source = source
         self.K = max(sum(abs(q) for q in k) for k in self.modes)
 
-    def __matmul__(self, other: "PullbackMatrix") -> np.ndarray:
-        return self.matrix @ other.matrix
-
     def apply(self, f: FourierMap) -> FourierMap:
         """Matrix action on the coefficient vector of a test function."""
         idx = tuple(np.array(self.modes).T + f.order) + (0,)

@@ -85,11 +85,22 @@ class TimeGrid:
 
     def locate(self, times):
         """Interval index j (as in ``interval_of``) and local variable tau
-        = (t - t_j) / (t_{j+1} - t_j) of each time."""
+        = (t - t_j) / (t_{j+1} - t_j) of each time in [0, 1]."""
         ts = self.floats
-        t = np.asarray(times, dtype=float)
+        t = _unit_times(times)
         j = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
         return j, (t - ts[j]) / (ts[j + 1] - ts[j])
+
+    def quadrature(self, a, b):
+        """4-point Gauss-Legendre rule on every overlap of [a_i, b_i] with a
+        grid interval, exact for cubic pieces: the owner i of each overlap,
+        and its node times and weights, each of shape (overlaps, 4)."""
+        ts = self.floats
+        a, b = (_unit_times(np.atleast_1d(x))[:, None] for x in (a, b))
+        lo, hi = np.maximum(a, ts[:-1]), np.minimum(b, ts[1:])
+        i, j = np.nonzero(hi > lo)
+        lo, h = lo[i, j][:, None], (hi - lo)[i, j][:, None]
+        return i, lo + h * _GL4_X, h * _GL4_W
 
     def nodes(self, taus):
         """(j, tau, t) of the local nodes ``taus`` in every interval, in order."""
@@ -110,6 +121,14 @@ class TimeGrid:
             pts.extend(a + (b - a) * Fraction(i, n) for i in range(n))
         pts.append(Fraction(1))
         return TimeGrid(tuple(pts))
+
+
+def _unit_times(times) -> np.ndarray:
+    """Times as a float array; each must lie in [0, 1]."""
+    t = np.asarray(times, dtype=float)
+    if not np.all((t >= 0) & (t <= 1)):
+        raise ValueError("times must lie in [0, 1]")
+    return t
 
 
 def piece_values(pieces: np.ndarray, j, tau) -> np.ndarray:

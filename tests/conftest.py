@@ -1,10 +1,13 @@
 """Shared fixtures: canonical test fields and seeded random factories."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torusflow
 from torusflow import AdmissibleField, FourierMap, TimeDependentField, TimeGrid
 
 EPS = 0.05
@@ -64,3 +67,14 @@ def sine_gamma():
 def sine_flow(sine_gamma):
     from torusflow import solve_flow
     return solve_flow(sine_gamma)
+
+
+def src_module_names():
+    """(file name, names it uses or imports) of every module of the package."""
+    for path in sorted(Path(torusflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) for a in n.names}
+        yield path.name, names

@@ -384,6 +384,40 @@ def test_pointwise_domain_escape(sine_flow):
         pointwise_solution(sine_flow, 0.0, [0.3 + 0.9j * EPS])
 
 
+def test_times_outside_unit_interval_rejected(sine_flow, sine_gamma):
+    """The end pieces are not extrapolated: times outside [0, 1] raise."""
+    for t in (1.5, -0.3):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            sine_flow.u_at(t)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            sine_gamma.field.values_at([0.5, t])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            pointwise_solution(sine_flow, t, [0.3])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            sine_flow.grid.quadrature(0.0, t)
+    for t, k in ((0.0, 0), (1.0, -1)):
+        assert np.abs(sine_flow.u_at(t).coeffs
+                      - sine_flow.snapshots[k].coeffs).max() <= 1e-15
+        assert sine_gamma.field.values_at([t]).shape[0] == 1
+        assert pointwise_solution(sine_flow, t, [0.3]).ok
+
+
+def test_pointwise_takes_one_start_point(sine_flow):
+    """Only one point of T^m starts a trajectory, a scalar when m = 1."""
+    for y0 in ([0.3, 0.7], [[0.3], [0.7]]):
+        with pytest.raises(ValueError, match="one point"):
+            pointwise_solution(sine_flow, 0.0, y0)
+    assert pointwise_solution(sine_flow, 0.0, 0.3).ok
+    f = FourierMap.from_modes({(0, 1): [-0.01j, 0.0], (1, 0): [0.0, 0.01]},
+                              8, m=2)
+    flow2 = solve_flow(AdmissibleField.certify(
+        TimeDependentField.constant(f, 0.2), EPS), max_step=Fraction(1, 8))
+    for y0 in (0.3, [0.3, 0.7, 0.1], [[0.3, 0.7], [0.1, 0.2]]):
+        with pytest.raises(ValueError, match="one point"):
+            pointwise_solution(flow2, 0.0, y0)
+    assert pointwise_solution(flow2, 0.0, [0.3, 0.7]).ok
+
+
 # -- restriction consistency ------------------------------------------------------------
 
 def test_restriction_zero_and_constant():

@@ -1,8 +1,5 @@
 """Strip-space arithmetic: evaluation, majorants, composition, restriction."""
 
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +13,7 @@ from torusflow.fourier import (TWO_PI, MapStack, _wrap, cauchy_gain, fit_sampled
                                imag_reach, lattice_modes, sampling_grid)
 
 from _reference_sweep import compose as reference_compose
-from conftest import cosine_map, random_real_map, sine_map
+from conftest import cosine_map, random_real_map, sine_map, src_module_names
 
 
 def strip_sample_points(order, m, eps, n_real=64, n_imag=8, rng=None):
@@ -520,12 +517,6 @@ def test_fit_sampled_is_chunk_invariant(batch, m, kind):
 def test_grid_fits_live_in_fourier_only():
     """Only fourier.py picks a sampling grid or calls the grid fitter; every
     other module samples through fit_sampled."""
-    src = Path(fourier.__file__).parent
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-        names |= {a.name for n in ast.walk(tree)
-                  if isinstance(n, ast.ImportFrom) for a in n.names}
+    for name, names in src_module_names():
         used = names & {"sampling_grid", "fit_grid"}
-        assert not used or path.name == "fourier.py", (path.name, used)
+        assert not used or name == "fourier.py", (name, used)

@@ -131,7 +131,7 @@ def test_pointwise_solution_matches_node_loop(fields):
     gamma, _ = fields
     flow = solve_flow(gamma)
     y0 = np.full(gamma.field.m, 0.37)
-    for t0 in (0.0, 0.41):
+    for t0 in (0.0, 0.41, 0.5):     # 0.5: a solver breakpoint
         traj = pointwise_solution(flow, t0, y0)
         pts, resid = ref.pointwise_solution(flow, t0, y0)
         assert _close(traj.points, pts) and _close(traj.residuals, resid)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusflow import (ACPath, AffineRule, FourierMap, IdentityRule,
                        MapStack, ScaleMismatch, SelfCompositionRule, TimeDependentField,
@@ -12,7 +13,7 @@ from torusflow import (ACPath, AffineRule, FourierMap, IdentityRule,
 from torusflow.errors import DomainEscape
 from torusflow.fourier import _modes_to_json
 
-from conftest import cosine_map, random_real_map, sine_map
+from conftest import cosine_map, random_real_map, sine_map, src_module_names
 
 
 def linear_in_time(c: FourierMap, scale=0.2) -> TimeDependentField:
@@ -34,6 +35,36 @@ def test_grid_refine_and_merge():
     assert max(g.steps) <= Fraction(1, 4)
     merged = g.merged(TimeGrid.uniform(5))
     assert set(TimeGrid.uniform(5).breakpoints) <= set(merged.breakpoints)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_quadrature_weights_and_exactness(data):
+    """Per owner the weights sum to b - a and t^7 integrates exactly, on
+    random grids and intervals: empty ones, endpoints on breakpoints and
+    [0, 1] included."""
+    inner = data.draw(st.sets(st.fractions(0, 1, max_denominator=64), max_size=12))
+    grid = TimeGrid((0,) + tuple(sorted(inner - {0, 1})) + (1,))
+    ends = st.one_of(st.sampled_from(list(grid.floats)), st.floats(0, 1))
+    pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=6))
+    bp = float(grid.breakpoints[len(grid) // 2])
+    a = np.array([min(p) for p in pairs] + [0.0, 0.3, bp])
+    b = np.array([max(p) for p in pairs] + [1.0, 0.3, bp])
+    i, s, w = grid.quadrature(a, b)
+    assert s.shape == w.shape == (len(i), 4)
+
+    def per_owner(values):
+        return np.bincount(i, weights=(w * values).sum(axis=1), minlength=len(a))
+    assert np.abs(per_owner(1.0) - (b - a)).max() <= 1e-15
+    assert np.abs(per_owner(s ** 7) - (b ** 8 - a ** 8) / 8).max() <= 1e-15
+
+
+def test_gauss_rule_lives_in_timepaths_only():
+    """Only timepaths.py names the Gauss-Legendre table; every other module
+    integrates in time through TimeGrid.quadrature."""
+    for name, names in src_module_names():
+        used = names & {"_GL4_X", "_GL4_W"}
+        assert not used or name == "timepaths.py", (name, used)
 
 
 def test_field_rows_must_be_real_at_every_time():
