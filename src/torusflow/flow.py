@@ -27,9 +27,9 @@ collocation node; it checks, at every node, that id + u maps the working
 strip into the doubled strip where the field's majorants are certified
 (DomainEscape), that u is real on the real grid (RealityDefect, read from
 its coefficients), and that the spectral tail discarded by truncation stays
-within budget (TruncationBudgetExceeded).  The nodes come from the
-time-axis primitive ``piece_values``, which ``FlowPath.u_at_many`` also
-serves; ``pointwise_solution`` integrates by ``TimeGrid.quadrature``.
+within budget (TruncationBudgetExceeded).  The field is read by time at
+the nodes, as maps, so the solver grid must hold its breakpoints, and u
+by ``piece_values``; ``pointwise_solution`` uses ``TimeGrid.quadrature``.
 ``invert_at_point`` solves x + u(x) = y for every map of a FourierMap of
 any batch shape at once.
 """
@@ -46,7 +46,7 @@ from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
 from .fourier import (TOL_TRUNC, FourierMap, MapStack, _modes_to_json, _wrap,
                       compose, imag_reach, majorants)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
-                        _antiderivative, fit_poly3, piece_values)
+                        _antiderivative, fit_poly3, piece_values, read_pieces)
 
 #: default solver tolerance, measured in nu_eps of snapshot differences
 TOL_SOLVE = 1e-10
@@ -134,10 +134,10 @@ class FlowPath:
 
     def u_at_many(self, times) -> FourierMap:
         """u at many times, as maps of the batch shape of ``times``."""
-        return _wrap(piece_values(self.pieces, *self.grid.locate(times)), self.m)
+        return read_pieces(self.pieces, self.grid, times, self.m)
 
     def u_at(self, t: float) -> FourierMap:
-        return self.u_at_many([t])[0]
+        return self.u_at_many(t)
 
     def eval_points(self, t: float, pts: np.ndarray) -> np.ndarray:
         """zeta(t) applied to points of shape (..., m)."""
@@ -190,23 +190,26 @@ def identity_path(gamma: AdmissibleField,
 class _PicardSweep:
     """The integral-equation map on one solver grid, for m in {1, 2}.
 
-    Built once per solve from the field at the 4 collocation nodes of every
-    interval.  A sweep evaluates u at the same nodes, composes the field
-    with id + u node by node in one ``compose`` call, which checks the
-    reach from the working strip into the doubled strip, the reality of u
-    and the truncation tail at every node, and fits and integrates one
-    cubic per interval in closed form.
+    Built once per solve from the field, read by time at the 4 collocation
+    nodes of every interval of a grid that holds its breakpoints (else a
+    cubic is fitted across a jump).  A sweep evaluates u at the same nodes,
+    composes the field with id + u node by node in one ``compose`` call,
+    which checks the reach from the working strip into the doubled strip,
+    the reality of u and the truncation tail at every node, and fits and
+    integrates one cubic per interval in closed form.
     """
 
     def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
                  tol_trunc: float):
-        gam = gamma.field.on_grid(grid)
+        gam = gamma.field
         if gam.ncomp != gam.m:
             raise ValueError("the field must be a self-map displacement field")
+        if not set(gam.grid.breakpoints) <= set(grid.breakpoints):
+            raise ValueError("the path grid lacks breakpoints of the field grid")
         self.eps, self.tol_trunc, self.n = gamma.eps, tol_trunc, gam.order
         self.h = np.diff(grid.floats)
-        self.nodes = grid.nodes(FIT_NODES)[:2]
-        self.field = _wrap(piece_values(gam.pieces, *self.nodes), gam.m)
+        j, tau, t = grid.nodes(FIT_NODES)
+        self.nodes, self.field = (j, tau), gam.values_at(t)
 
     def run(self, pieces):
         """New (snapshots, pieces) arrays from the pieces of a candidate path."""
@@ -407,8 +410,7 @@ def pointwise_solution(flow: FlowPath, t0: float, y0,
     i, s, w = flow.grid.quadrature(np.append(ts[:-1], ts[j0]),
                                    np.append(ts[1:], t0))
     y_s = base + flow.u_at_many(s).eval(base)
-    g_vals = _wrap(flow.source.field.values_at(s), flow.m).eval(
-        y_s[..., None, :])[..., 0, :]
+    g_vals = flow.source.field.values_at(s).eval(y_s[..., None, :])[..., 0, :]
     pieces = np.zeros((len(ts), flow.m), dtype=complex)
     pieces[i] = (w[..., None] * g_vals).sum(axis=1)
     cumulative = np.zeros_like(pts)

@@ -22,10 +22,11 @@ derivatives of Evol at zero and at a base field, the Trotter product
 limit, and pointwise evolution recognition are all exposed as checkable
 reports with explicit tolerances.  Their time integrals take Gauss nodes
 and weights from ``TimeGrid.quadrature``, and every time node, ⊙'s too,
-is read at once (``values_at``): the flow's maps at every node form one
-batch, inverted in one ``invert_at_point`` call; every grid fit samples
-through the one sampler ``fit_sampled``, and a single map goes through
-it as a stack does.
+is read at once by time: ``values_at`` and ``u_at_many`` return maps of
+the batch shape of the times, so the field's and the flow's maps at every
+node are one batch each, added as maps, inverted in one
+``invert_at_point`` call and sampled by the one sampler ``fit_sampled``,
+through which a single map goes as a stack does.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .flow import (AdmissibleField, FlowPath, MAX_STEP, TOL_POINTWISE,
                    TOL_SOLVE, invert_at_point, solve_flow)
 from .fourier import (FourierMap, MapStack, _modes_to_json, _wrap, compose,
                       fit_sampled, jacobian, majorants, strip_norms)
-from .timepaths import (FIT_NODES, TimeDependentField, _embed, fit_poly3,
+from .timepaths import (FIT_NODES, TimeDependentField, fit_poly3,
                         integrate_primitive)
 
 #: sup-sampled residual bound for verified inverses
@@ -280,7 +281,7 @@ class EvolutionResult:
         vals = self.eval_many((times[:, None] + offsets).ravel(), pts)
         dpath = np.tensordot(vals.reshape((len(times), 4) + pts.shape),
                              stencil, axes=(1, 0))
-        g = _wrap(gamma.field.values_at(times), self.m)
+        g = gamma.field.values_at(times)
         if self.side == "right":
             rhs = g.eval(self.eval_many(times, pts))
         else:
@@ -368,14 +369,11 @@ def odot(gamma: AdmissibleField, eta: AdmissibleField,
     """
     eta_flow = solve_flow(eta.negated(), tol_solve)
     grid = gamma.field.grid.merged(eta.field.grid).refined(MAX_STEP)
-    m, order = gamma.field.m, gamma.field.order
     s = grid.nodes(FIT_NODES)[2]
-    g = _wrap(gamma.field.values_at(s), m)
     ad = fit_sampled(lambda x, uc, gc: _adjoint_values(uc, gc, x),
-                     [eta_flow.u_at_many(s), g], order, tol_trunc=1e-7,
-                     context="odot")
-    n = max(order, eta.field.order)
-    samples = _embed(ad.coeffs, n, m) + _embed(eta.field.values_at(s), n, m)
+                     [eta_flow.u_at_many(s), gamma.field.values_at(s)],
+                     gamma.field.order, tol_trunc=1e-7, context="odot")
+    samples = (ad + eta.field.values_at(s)).coeffs
     return TimeDependentField(grid, fit_poly3(samples), gamma.field.scale)
 
 
@@ -383,16 +381,18 @@ def ad_transport_integral(eta: AdmissibleField, gamma_field: TimeDependentField,
                           t: float, tol_solve: float = TOL_SOLVE) -> FourierMap:
     """W(t) = int_0^t Ad(Evol(eta)(s)) gamma(s) ds, by collocation quadrature.
 
-    The Gauss nodes of every interval up to t form one batch (interval,
+    The Gauss nodes of every interval up to t, on the solver grid of eta
+    merged with the grid of gamma (a breakpoint of gamma inside a Gauss
+    interval would integrate across a jump), form one batch (interval,
     node), their weights folded into the field values; each interval's sum
     over its nodes is fitted back in one batched fit.
     """
     eta_flow = solve_flow(eta.negated(), tol_solve)
     m, order = gamma_field.m, gamma_field.order
-    _, s, w = eta_flow.grid.quadrature(0.0, t)
+    _, s, w = eta_flow.grid.merged(gamma_field.grid).quadrature(0.0, t)
     if not len(s):
         return FourierMap.zero(order, m, m)
-    g = w.reshape(w.shape + (1,) * (m + 1)) * gamma_field.values_at(s)
+    g = w.reshape(w.shape + (1,) * (m + 1)) * gamma_field.values_at(s).coeffs
     fits = fit_sampled(
         lambda x, uc, gc: _adjoint_inverse_values(uc, gc, x).sum(axis=1),
         [eta_flow.u_at_many(s), _wrap(g, m)], order, tol_trunc=1e-6,
@@ -539,12 +539,11 @@ def verify_evolution_pointwise(candidate: EvolutionResult,
         probes = probes[:, None]
     grid = candidate.grid
     ts = grid.floats
-    m = candidate.m
     traj = probes + candidate.snapshots.eval(probes)
 
     # every Gauss node of every interval at once
     _, s, w = grid.quadrature(ts[:-1], ts[1:])
-    g = _wrap(gamma.field.values_at(s), m)
+    g = gamma.field.values_at(s)
     if candidate.side == "right":
         node_vals = g.eval(candidate.eval_many(s, probes))
     else:
@@ -593,6 +592,6 @@ def _field_nu_integral(gamma: AdmissibleField, a, b) -> np.ndarray:
     """
     gam = gamma.field
     i, s, w = gam.grid.quadrature(a, b)
-    nu, _ = majorants(gam.values_at(s), gam.m, 2 * gamma.eps)
+    nu, _ = majorants(gam.values_at(s).coeffs, gam.m, 2 * gamma.eps)
     return np.bincount(i, weights=(w * nu).sum(axis=1),
                        minlength=np.size(a))

@@ -254,7 +254,7 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
                 axis=-1)[:, None, :, None]], axis=1)
             for f in test_functions], axis=2)
 
-    fits = fit_sampled(sample, [maps, _wrap(gamma.field.values_at(sample_times), m)],
+    fits = fit_sampled(sample, [maps, gamma.field.values_at(sample_times)],
                        order, tol_trunc=1e-6, context="transport").coeffs
     fits = fits.reshape(maps.batch + (len(test_functions), -1))
     lhs = fits[:, 0] * stencil[0]

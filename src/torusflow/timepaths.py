@@ -148,6 +148,12 @@ def piece_values(pieces: np.ndarray, j, tau) -> np.ndarray:
     return out.reshape(lead + out.shape[1:])
 
 
+def read_pieces(pieces: np.ndarray, grid: TimeGrid, times, m: int) -> FourierMap:
+    """The path with ``pieces`` on ``grid`` at many times in [0, 1], as
+    maps of the batch shape of ``times``: the one reader of the time axis."""
+    return _wrap(piece_values(pieces, *grid.locate(times)), m)
+
+
 def _poly_reparam(pieces: np.ndarray, a, b) -> np.ndarray:
     """Coefficients of p_j(a_j + b_j tau) from those of the pieces p_j(tau);
     a and b are scalars or hold one value per piece."""
@@ -238,12 +244,12 @@ class TimeDependentField:
 
     # -- evaluation -------------------------------------------------------
 
-    def values_at(self, times) -> np.ndarray:
-        """Coefficients at many times, with the leading axes of ``times``."""
-        return piece_values(self.pieces, *self.grid.locate(times))
+    def values_at(self, times) -> FourierMap:
+        """The field at many times, as maps of the batch shape of ``times``."""
+        return read_pieces(self.pieces, self.grid, times, self.m)
 
     def value_at(self, t: float) -> FourierMap:
-        return _wrap(self.values_at([t])[0], self.m)
+        return self.values_at(t)
 
     # -- algebra ------------------------------------------------------------
 
@@ -385,8 +391,10 @@ class ACPath:
     """Primitive of a TimeDependentField: snapshots plus the derivative class.
 
     ``values`` holds the snapshots at the breakpoints as a MapStack.  The
-    derivative may live on a finer grid than the snapshots: its pieces are
-    then summed per interval of the path.
+    primitive is built once, as ``pieces`` on the derivative's merged grid
+    ``piece_grid`` at the snapshots' order: a piece's constant term is the
+    snapshot of its path interval plus the integrals of the earlier pieces
+    in that interval (the layout of ``FlowPath.pieces``).
     """
 
     def __init__(self, grid: TimeGrid, values, derivative: TimeDependentField,
@@ -396,40 +404,29 @@ class ACPath:
         self.derivative = derivative
         if len(self.values) != len(grid):
             raise ValueError("need one snapshot per breakpoint")
-        if check:
-            defect = self.integral_defect()
-            scale = max(1.0, float(np.abs(self.values.coeffs).max()))
-            if defect > tol * scale:
-                raise ValueError(f"integral identity violated (defect {defect:.3e})")
-
-    def _increments(self):
-        """The derivative on the merged grid, the path interval of each of
-        its pieces and the integral of each piece over its interval."""
-        der = self.derivative.on_grid(self.grid)
-        owner = self.grid.locate(der.grid.floats[:-1])[0]
-        return der, owner, _piece_integrals(der, np.arange(len(owner)), 1.0)
+        der = derivative.on_grid(grid)
+        owner = grid.locate(der.grid.floats[:-1])[0]
+        v, h = self.values.coeffs, np.array(der.grid.steps, dtype=float)
+        pieces = _embed(_antiderivative(der.pieces, h), self.values.order, der.m)
+        inc = piece_values(pieces, np.arange(len(owner)), 1.0)
+        before = np.cumsum(inc, axis=0) - inc
+        pieces[:, 0] = v[owner] + (before - before[np.searchsorted(owner, owner)])
+        self.pieces, self.piece_grid = pieces, der.grid
+        ends = np.add.reduceat(inc, np.searchsorted(owner, np.arange(len(v) - 1)))
+        self._defect = defect = float(np.abs(v[1:] - (v[:-1] + ends)).max())
+        if check and defect > tol * max(1.0, float(np.abs(v).max())):
+            raise ValueError(f"integral identity violated (defect {defect:.3e})")
 
     def integral_defect(self) -> float:
         """Max coefficient defect of values[j+1] = values[j] + int over interval j."""
-        der, owner, inc = self._increments()
-        v = self.values.coeffs
-        inc = np.add.reduceat(inc, np.searchsorted(owner, np.arange(len(v) - 1)))
-        return float(np.abs(v[1:] - (v[:-1] + _embed(
-            inc, self.values.order, der.m))).max())
+        return self._defect
 
-    def values_at(self, times) -> np.ndarray:
-        """Coefficients at many times, with a leading time axis."""
-        der, owner, inc = self._increments()
-        k, tau = der.grid.locate(times)
-        start = self.values.coeffs[owner[k]]
-        if len(owner) >= len(self.grid):
-            # plus the integrals of the pieces of the interval before piece k
-            before = np.cumsum(inc, axis=0) - inc
-            start = start + (before - before[np.searchsorted(owner, owner)])[k]
-        return start + _piece_integrals(der, k, tau)
+    def values_at(self, times) -> FourierMap:
+        """The path at many times, as maps of the batch shape of ``times``."""
+        return read_pieces(self.pieces, self.piece_grid, times, self.derivative.m)
 
     def value_at(self, t: float) -> FourierMap:
-        return _wrap(self.values_at([t])[0], self.derivative.m)
+        return self.values_at(t)
 
     def to_json(self) -> dict:
         return {
@@ -555,8 +552,7 @@ def ac_postcompose(path: ACPath, rule: SuperpositionRule,
     der = path.derivative.on_grid(grid)
     # the path at the new breakpoints, the stored snapshots where they exist
     values = path.values_at(grid.floats)
-    values[np.isin(grid.floats, path.grid.floats)] = path.values.coeffs
-    values = _wrap(values, der.m)
+    values.coeffs[np.isin(grid.floats, path.grid.floats)] = path.values.coeffs
     if not np.all(rule.domain_ok(values)):
         raise DomainEscape("path leaves the domain of the postcomposition rule")
     new_values = rule.value(values)
@@ -565,8 +561,7 @@ def ac_postcompose(path: ACPath, rule: SuperpositionRule,
         new_der = TimeDependentField(grid, rows, path.derivative.scale)
         return ACPath(grid, new_values, new_der, tol=TOL_INT)
     nodes = grid.nodes(FIT_NODES)[2]
-    samples = rule.differential(_wrap(path.values_at(nodes), der.m),
-                                _wrap(der.values_at(nodes), der.m))
+    samples = rule.differential(path.values_at(nodes), der.values_at(nodes))
     new_der = TimeDependentField(grid, fit_poly3(samples.coeffs),
                                  path.derivative.scale)
     return ACPath(grid, new_values, new_der, tol=tol_chain)

@@ -12,7 +12,9 @@ postcomposition with its rules, and the snapshot walks at the end
 (distances, reaches, primitives and the integral identity) are the forms
 of fields stored as lists of pieces of mixed degree and of paths stored
 as lists of FourierMaps; their array versions must equal them exactly
-(self-composition to rounding).
+(self-composition to rounding).  ``ac_values_at`` reads an ACPath by
+re-integrating its derivative on every call; the primitive that ACPath
+keeps as pieces must read the same bits.
 """
 
 from fractions import Fraction
@@ -33,8 +35,8 @@ from torusflow.group import (TOL_INVERSE, AnalyticDiffeo,
 from torusflow.pullback import pullback_apply, pullback_matrix
 from torusflow.timepaths import (ACPath, FIT_NODES, AffineRule, IdentityRule,
                                  SelfCompositionRule, TimeDependentField,
-                                 _GL4_W, _GL4_X, _embed, fit_poly3,
-                                 piece_values)
+                                 _GL4_W, _GL4_X, _embed, _piece_integrals,
+                                 fit_poly3, piece_values)
 from torusflow.charts import TOL_INVERT
 
 
@@ -77,7 +79,7 @@ def odot(gamma, eta, grid, tol_solve=1e-10):
 
 def ad_transport_integral(eta, gamma_field, t, tol_solve=1e-10):
     eta_flow = solve_flow(eta.negated(), tol_solve)
-    grid = eta_flow.grid
+    grid = eta_flow.grid.merged(gamma_field.grid)
     m, order = gamma_field.m, gamma_field.order
     M, pts = sampling_grid(order, m)
     gam = gamma_field.on_grid(grid)
@@ -455,7 +457,7 @@ def ac_postcompose(path, rule, tol_chain=1e-8, max_step=Fraction(1, 64)):
     """ac_postcompose with every rule method called once per map."""
     grid = path.grid.refined(max_step) if not rule.is_affine else path.grid
     der = path.derivative.on_grid(grid)
-    values = path.values_at(grid.floats)
+    values = path.values_at(grid.floats).coeffs
     values[np.isin(grid.floats, path.grid.floats)] = path.values.coeffs
     values = MapStack(values)
     if not all(_rule_domain_ok(rule, v) for v in values):
@@ -511,6 +513,21 @@ def integrate_primitive_values(gamma):
         acc = acc + FourierMap(inc, check=False)
         values.append(acc)
     return values
+
+
+def ac_values_at(path, times):
+    """ACPath.values_at as coefficients, re-integrating on every call: the
+    derivative on the merged grid, each time's snapshot plus the integrals
+    of the earlier pieces of its path interval plus its own partial one."""
+    der = path.derivative.on_grid(path.grid)
+    owner = path.grid.locate(der.grid.floats[:-1])[0]
+    inc = _piece_integrals(der, np.arange(len(owner)), 1.0)
+    k, tau = der.grid.locate(times)
+    start = path.values.coeffs[owner[k]]
+    if len(owner) >= len(path.grid):
+        before = np.cumsum(inc, axis=0) - inc
+        start = start + (before - before[np.searchsorted(owner, owner)])[k]
+    return start + _piece_integrals(der, k, tau)
 
 
 def integral_defect(path):

@@ -398,7 +398,7 @@ def test_times_outside_unit_interval_rejected(sine_flow, sine_gamma):
     for t, k in ((0.0, 0), (1.0, -1)):
         assert np.abs(sine_flow.u_at(t).coeffs
                       - sine_flow.snapshots[k].coeffs).max() <= 1e-15
-        assert sine_gamma.field.values_at([t]).shape[0] == 1
+        assert sine_gamma.field.values_at([t]).batch == (1,)
         assert pointwise_solution(sine_flow, t, [0.3]).ok
 
 
@@ -416,6 +416,30 @@ def test_pointwise_takes_one_start_point(sine_flow):
         with pytest.raises(ValueError, match="one point"):
             pointwise_solution(flow2, 0.0, y0)
     assert pointwise_solution(flow2, 0.0, [0.3, 0.7]).ok
+
+
+def test_sweep_rejects_a_path_grid_without_the_field_breakpoints():
+    """A start path whose grid misses a breakpoint of the field would fit
+    its cubics across the field's jumps; both entry points of the sweep
+    refuse it, and a grid that holds the breakpoints solves as the default."""
+    thirds = TimeGrid((0, Fraction(1, 3), Fraction(2, 3), 1))
+    gamma = AdmissibleField.certify(TimeDependentField.step(
+        thirds, [sine_map(0.02, 16), cosine_map(0.02, 16),
+                 sine_map(0.01, 16, mode=2)], 0.2), EPS)
+
+    def zero_path(grid):
+        shape = (33, 1)
+        return FlowPath(grid, EPS, np.zeros((len(grid),) + shape, complex),
+                        np.zeros((len(grid) - 1, 1) + shape, complex))
+
+    coarse = TimeGrid.uniform(8)
+    with pytest.raises(ValueError, match="path grid"):
+        solve_flow(gamma, start=zero_path(coarse))
+    with pytest.raises(ValueError, match="path grid"):
+        picard_step(gamma, zero_path(coarse))
+    want = solve_flow(gamma).u_at(1.0).coeffs
+    got = solve_flow(gamma, start=zero_path(coarse.merged(thirds)))
+    assert np.abs(got.u_at(1.0).coeffs - want).max() <= 1e-13
 
 
 # -- restriction consistency ------------------------------------------------------------

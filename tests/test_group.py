@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from torusflow import (AdmissibleField, AnalyticDiffeo, FourierMap,
-                       TimeDependentField, adjoint, compose_diffeo,
+                       TimeDependentField, TimeGrid, adjoint, compose_diffeo,
                        derivative_at_eta, derivative_at_zero, evol_left,
                        evol_left_by_reversal, evol_right, exp_field,
                        flow_two_param, invert_diffeo, odot, solve_flow,
                        trotter_curve, verify_evolution_pointwise)
-from torusflow.group import _probe_points, ac_modulus_check
+from torusflow.group import (_probe_points, ac_modulus_check,
+                             ad_transport_integral)
 
 from conftest import EPS, ORDER, random_real_map, sine_map, cosine_map
 
@@ -281,6 +282,19 @@ def test_derivative_at_zero_sine_richardson():
     rep = derivative_at_zero(gamma, 1.0, 1e-3)
     assert rep.discrepancy <= 1e-6
     assert 0.2 <= rep.richardson_ratio <= 0.3
+
+
+def test_ad_transport_integral_does_not_integrate_across_a_jump():
+    """W(t) does not depend on whether eta's grid holds gamma's jump: the
+    Gauss intervals are cut at the breakpoints of both fields."""
+    jump = TimeGrid((0, Fraction(1, 3), 1))
+    gamma = TimeDependentField.step(
+        jump, [sine_map(0.02, 16), cosine_map(0.02, 16)], 0.2)
+    W = [ad_transport_integral(AdmissibleField.certify(
+        TimeDependentField.constant(sine_map(0.01, 16), 0.2, grid), EPS),
+        gamma, 0.6).coeffs for grid in (TimeGrid.uniform(1), jump)]
+    assert np.abs(W[0]).max() > 1e-3
+    assert np.abs(W[0] - W[1]).max() <= 1e-15
 
 
 def test_derivative_at_eta_gamma_zero(eta):

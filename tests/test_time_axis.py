@@ -216,6 +216,42 @@ def test_stack_forms_equal_snapshot_walks(fields):
         assert off.integral_defect() > 0
 
 
+def _ac_paths(gamma, eta):
+    """Paths of every layout: primitives of a step field, a cubic field and
+    a mixed-degree field, a one-interval path over the step field's finer
+    grid, and a self-composed path on the refined grid."""
+    f = gamma.field
+    mixed = TimeDependentField(f.grid, [f.pieces[0], np.concatenate(
+        [f.pieces[1], 0.5 * f.pieces[1], -0.25 * f.pieces[1]])], f.scale)
+    paths = [integrate_primitive(g) for g in (f, eta.field, mixed)]
+    zero = FourierMap.zero(f.order, f.m, f.ncomp)
+    paths.append(ACPath(TimeGrid.uniform(1),
+                        [zero, paths[0].values[-1]], f))
+    paths.append(ac_postcompose(paths[0], SelfCompositionRule(
+        inner_scale=EPS, outer_scale=4 * EPS)))
+    return paths
+
+
+def test_acpath_reader_equals_the_reintegrating_reader(fields):
+    """The primitive an ACPath keeps as pieces reads the bits of the reader
+    that re-integrates its derivative on every call, at times given as a
+    1-D and as a 2-D array, and every path type reads maps of the batch
+    shape of the times."""
+    gamma, eta = fields
+    times = np.concatenate([np.linspace(0.0, 1.0, 9), [0.3, 0.375, 0.99]])
+    for path in _ac_paths(gamma, eta):
+        for t in (times, times.reshape(3, 4)):
+            got = path.values_at(t)
+            assert isinstance(got, FourierMap) and got.batch == t.shape
+            assert np.array_equal(got.coeffs, ref.ac_values_at(path, t))
+    flow = solve_flow(gamma, fixed_iters=1)
+    for t in (0.3, times, times.reshape(3, 4)):
+        for read in (gamma.field.values_at, flow.u_at_many,
+                     integrate_primitive(gamma.field).values_at):
+            got = read(t)
+            assert isinstance(got, FourierMap) and got.batch == np.shape(t)
+
+
 def _same(got, pieces):
     """The pieces array equals the per-piece list, each piece zero-padded."""
     want = np.zeros_like(got)

@@ -67,6 +67,14 @@ def test_gauss_rule_lives_in_timepaths_only():
         assert not used or name == "timepaths.py", (name, used)
 
 
+def test_time_axis_readers_leave_group_pullback_and_charts():
+    """group.py, pullback.py and charts.py read paths by time, as maps:
+    they name neither the piece evaluator nor the order padding."""
+    for name, names in src_module_names():
+        if name in ("group.py", "pullback.py", "charts.py"):
+            assert not names & {"piece_values", "_embed"}, name
+
+
 def test_field_rows_must_be_real_at_every_time():
     x = sine_map(0.02, order=4).coeffs.copy()
     x[5] += 0.01                # mode 1 without its conjugate mode -1
@@ -260,6 +268,19 @@ def test_postcompose_affine_offset_exact():
     assert np.abs(out.value_at(t).coeffs - want).max() < 1e-15
 
 
+def test_postcompose_offset_of_a_higher_order_is_readable():
+    """Snapshots of a higher order than the derivative are read at their
+    own order: 0.5 * primitive + b, b of order 32 over a field of order 16."""
+    b = cosine_map(0.01, 32, mode=20)
+    path = integrate_primitive(
+        TimeDependentField.constant(sine_map(0.05, 16), 0.2))
+    out = ac_postcompose(path, AffineRule(0.5, b))
+    assert out.values.order == 32 and out.derivative.order == 16
+    for t in (0.0, 0.17, 0.4, 0.9, 1.0):
+        want = 0.5 * path.value_at(t).with_order(32).coeffs + b.coeffs
+        assert np.abs(out.value_at(t).coeffs - want).max() < 1e-15
+
+
 def test_postcompose_self_composition_chain_rule():
     # chain-rule derivative against centered differences of composed values
     rule = SelfCompositionRule(inner_scale=0.05, outer_scale=0.2)
@@ -295,7 +316,8 @@ def test_acpath_with_a_derivative_on_a_finer_grid():
                   [FourierMap.zero(8, 1, 1), exact.value_at(1.0)], fine)
     assert path.integral_defect() <= 1e-15
     times = np.linspace(0.0, 1.0, 17)
-    assert np.abs(path.values_at(times) - exact.values_at(times)).max() <= 1e-15
+    assert np.abs(path.values_at(times).coeffs
+                  - exact.values_at(times).coeffs).max() <= 1e-15
 
 
 def test_acpath_invariant_validation():
