@@ -253,10 +253,13 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert,
             f"flow displacement bound {2 * gamma.l1_nu:.6g} reaches "
             f"delta0/2 = {cert.delta0 / 2:.6g}")
 
+    z_vals = []     # the terms of alpha on the grid, the same for every chunk
+
     def chart_vectors(x, u) -> np.ndarray:
         """w(t) at the grid points x for a chunk of maps u(t):
         alpha(x, w) = x + u(t)(x)."""
-        z_vals = [coeff.eval(x) for _, coeff in alpha.terms]
+        if not z_vals:
+            z_vals.extend(coeff.eval(x) for _, coeff in alpha.terms)
         u_vals = u.eval(x)
         w = u_vals.copy()
         live = np.arange(0 if alpha.flat else len(w))

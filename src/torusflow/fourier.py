@@ -30,16 +30,26 @@ points a two-sided pass in w and 1/w runs over all rows.  One fitter,
 ``fit_grid``, takes grid values to a truncated lattice, batched likewise:
 ``rfftn`` to the Hermitian half spectrum for real values, ``fftn`` for
 complex ones, and a check of the discarded relative tail mass against a
-budget, so aliasing in compositions g(x + u(x)) stays far below solver
-tolerances.  One sampler, ``fit_sampled``, picks the grid and the memory
+budget.  One sampler, ``fit_sampled``, picks the grid and the memory
 chunks for every fit outside ``compose`` and ``multiply``.
+
+``compose`` sizes its own grid from a certified bound.  The composite
+h = g(z + u(z)) of two trigonometric polynomials is entire, so Cauchy's
+estimate on the strip ||Im z|| <= rho bounds |h_k| by
+nu_{r(rho)}(g) e^{-2 pi rho ||k||_1}, with r(rho) = ``imag_reach(u, rho)``.
+Summed over the modes ||k||_1 >= M/2 that a grid of M points aliases onto
+the kept lattice, and minimised over a fixed set of rho, this is
+``aliasing_bound`` (the trapezoidal-rule aliasing estimate for periodic
+analytic functions: Trefethen & Weideman, SIAM Review 56, 2014, section 3).
+The grid is the least FFT-friendly M at which the bound is at rounding
+level, and the bound enters the truncation gate.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -47,7 +57,8 @@ from .errors import DomainEscape, RealityDefect, TruncationBudgetExceeded
 
 TWO_PI = 2.0 * np.pi
 
-#: oversampling factor of the sampling grids (composition, fits, inversion)
+#: oversampling factor of the sampling grids (fits, inversion) and of the
+#: largest composition grid
 OVERSAMPLE = 4
 #: default budget for the relative spectral tail discarded by truncation
 TOL_TRUNC = 1e-9
@@ -587,8 +598,9 @@ def sampling_grid(order: int, m: int):
 
 @lru_cache(maxsize=64)
 def _spectrum_weights(M: int, m: int, order: int, half: bool):
-    """l1 weights of the spectrum entries, those weights beyond order N
-    (both flattened), and 1 on the lattice ||k||_1 <= N, 0 on its corners.
+    """l1 weights of the spectrum entries, those weights beyond order N,
+    those on the window N < ||k||_1 < M/2 (all flattened), and 1 on the
+    lattice ||k||_1 <= N, 0 on its corners.
 
     For a half spectrum (columns 0 <= k_m <= M/2) the columns
     0 < k_m < M/2 stand for two modes.  Read-only.
@@ -598,32 +610,43 @@ def _spectrum_weights(M: int, m: int, order: int, half: bool):
     weight = np.where((cols > 0) & (2 * cols < M), 2.0, 1.0) if half \
         else np.ones(M)
     l1 = cols if m == 1 else k[:, None] + cols
-    weight = np.broadcast_to(weight, l1.shape).ravel()
-    tail = np.where(l1.ravel() > order, weight, 0.0)
+    weight, l1 = np.broadcast_to(weight, l1.shape).ravel(), l1.ravel()
+    tail = np.where(l1 > order, weight, 0.0)
+    window = np.where(2 * l1 < M, tail, 0.0)
     inside = (_k_l1(order, m) <= order).astype(float)
-    weight.flags.writeable = tail.flags.writeable = inside.flags.writeable = False
-    return weight, tail, inside
+    for a in (weight, tail, window, inside):
+        a.flags.writeable = False
+    return weight, tail, window, inside
 
 
-def _tail_ratio(spec: np.ndarray, M: int, m: int, order: int) -> np.ndarray:
+def _tail_ratio(spec: np.ndarray, M: int, m: int, order: int,
+                alias: np.ndarray | None = None) -> np.ndarray:
     """Per batch entry, the l1 share of the modes ||k||_1 > N of a spectrum
-    (B, ncomp, M..), last axis M/2 + 1 for a half spectrum."""
-    weight, tail, _ = _spectrum_weights(M, m, order, spec.shape[-1] != M)
+    (B, ncomp, M..), last axis M/2 + 1 for a half spectrum.  With ``alias``
+    the tail is the window N < ||k||_1 < M/2 plus twice that bound."""
+    weight, tail, window, _ = _spectrum_weights(M, m, order,
+                                                spec.shape[-1] != M)
     amp = np.abs(spec).max(axis=1).reshape(len(spec), -1)
     total = amp @ weight
-    return np.divide(amp @ tail, total, out=np.zeros_like(total),
-                     where=total > 0)
+    mass = amp @ tail if alias is None else amp @ window + 2.0 * alias
+    return np.divide(mass, total, out=np.zeros_like(total), where=total > 0)
 
 
 def fit_grid(values: np.ndarray, order: int, m: int,
-             tol_trunc: float = TOL_TRUNC, context: str = "fit") -> FourierMap:
+             tol_trunc: float = TOL_TRUNC, context: str = "fit",
+             alias: np.ndarray | None = None) -> FourierMap:
     """Fourier-fit values on the uniform real grid (j/M)_j, truncated to order N.
 
     ``values`` has shape batch + (M,)*m + (ncomp,); the fit is a map of
     that batch shape.  Real values go by ``rfftn`` to the half spectrum
     k_m >= 0, mirrored back by c_{-k} = conj(c_k); complex values by a full
     ``fftn``.  Raises TruncationBudgetExceeded when, for any map, the
-    relative l1 mass of the modes ||k||_1 > N exceeds ``tol_trunc``.
+    relative l1 mass of the modes ||k||_1 > N exceeds ``tol_trunc``.  That
+    mass is the observed one on the grid's M^m modes, or, given ``alias``
+    (per map, a bound on the mass at ||k||_1 >= M/2 of the sampled
+    function), the observed mass on N < ||k||_1 < M/2 plus twice the bound:
+    an alias lands once in the observed box, where it may both distort the
+    window and be missing from it.
     """
     batch = values.shape[:values.ndim - m - 1]
     # component first, grid axes last: the transforms run on contiguous lines
@@ -633,7 +656,7 @@ def fit_grid(values: np.ndarray, order: int, m: int,
     real = not np.iscomplexobj(vals)
     spec = (np.fft.rfftn if real else np.fft.fftn)(
         vals, axes=tuple(range(-m, 0)), norm="forward")
-    ratio = _tail_ratio(spec, M, m, n)
+    ratio = _tail_ratio(spec, M, m, n, alias)
     if ratio.max() > tol_trunc:
         raise TruncationBudgetExceeded(
             f"{context}: discarded tail ratio {ratio.max():.3e} > {tol_trunc:.1e}")
@@ -647,7 +670,7 @@ def fit_grid(values: np.ndarray, order: int, m: int,
                              + (slice(n, 0, -1),)].conj()
     else:
         kept = spec[..., k] if m == 1 else spec[:, :, k[:, None], k]
-    kept *= _spectrum_weights(M, m, n, real)[2]
+    kept *= _spectrum_weights(M, m, n, real)[3]
     kept = kept.transpose((0,) + tuple(range(2, m + 2)) + (1,))
     return _wrap(kept.reshape(batch + kept.shape[1:]), m)
 
@@ -698,6 +721,118 @@ def _positions(u: np.ndarray, M: int, imag_bound: np.ndarray) -> np.ndarray:
     return _grid_axes(M, m) + vals
 
 
+#: strip half-widths rho of the Cauchy estimates on a composite's modes,
+#: 1/80 .. 1.6 in steps of sqrt(2) (steps of 2 cost one grid size in two
+#: at m = 2); the wide ones serve a perturbation near zero
+_ALIAS_RHO = 0.0125 * 2.0 ** (np.arange(15) / 2)
+
+
+@lru_cache(maxsize=64)
+def _fft_sizes(lo: int, hi: int) -> np.ndarray:
+    """The even 5-smooth grid sizes M in [lo, hi], ascending."""
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+    return np.array([M for M in range(lo + lo % 2, hi + 1, 2) if smooth(M)])
+
+
+@lru_cache(maxsize=64)
+def _alias_weights(order: int, m: int):
+    """The candidate rho whose weights stay finite at order N, the lattice
+    weights (L, R) of nu_rho and mu_rho, and the (L, N + 1) map from the
+    lattice to its l1 shells.  Read-only."""
+    l1 = _k_l1(order, m).ravel()
+    rho = _ALIAS_RHO[TWO_PI * _ALIAS_RHO * max(order, 1) <= 600.0]
+    w = np.exp(TWO_PI * np.outer(l1, rho))
+    dw = TWO_PI * l1[:, None] * w
+    shells = (l1[:, None] == np.arange(order + 1)).astype(float)
+    for a in (rho, w, dw, shells):
+        a.flags.writeable = False
+    return rho, w, dw, shells
+
+
+def aliasing_bound(g: FourierMap, u: FourierMap, sizes) -> np.ndarray:
+    """Certified bound on sum_{||k||_1 >= M/2} max_i |h_{k,i}|, the modes of
+    h = g o (id + u) that a grid of M points per axis aliases, per map of
+    the flattened broadcast batch and per M in ``sizes``: shape (B, sizes).
+
+    h is entire.  On the strip ||Im z|| <= rho, id + u reaches at most
+    r(rho) = imag_reach(u, rho), so |h| <= S(rho) = nu_{r(rho)}(g) and
+    Cauchy's estimate gives |h_k| <= S(rho) q^{||k||_1}, q = e^{-2 pi rho}.
+    Summed over the 2 (m = 1) or 4s (m = 2, shell s) modes of each shell
+    ||k||_1 = s >= L = M/2 this is 2 q^L / (1 - q), respectively
+    4 q^L (L - (L - 1) q) / (1 - q)^2; the bound is the least over the
+    candidate rho.
+    """
+    log_s, log_t = _alias_logs(_shell_amplitudes(g), u, sizes)
+    return np.exp((log_s[:, None] + log_t).min(axis=-1))
+
+
+def _alias_logs(amp: np.ndarray, u: FourierMap, sizes):
+    """log S(rho) per map, (B, R), and the log shell sums per size, (sizes,
+    R), of ``aliasing_bound``, from g's ``_shell_amplitudes``.  The reach
+    for every rho is one product of |u| against the lattice weights, and S
+    one Horner pass over the shells in e^{-2 pi r}, scaled so that nothing
+    overflows."""
+    m, uc = u.m, u.flat().coeffs
+    rho, w, dw, _ = _alias_weights(u.order, m)
+    au = [np.abs(uc[..., i]).reshape(len(uc), -1) for i in range(m)]
+    nu = reduce(np.maximum, au) @ w
+    mu = reduce(np.maximum, [a @ dw for a in au])
+    osc = nu - np.abs(u.flat().constant_part()).max(axis=-1)[:, None]
+    reach = rho + np.minimum(osc, rho * mu)         # imag_reach(u, rho)
+    top = int(np.flatnonzero(amp.any(axis=0)).max(initial=0))
+    # nu_r(g) = e^{2 pi r top} sum_s amp_s y^{top - s}, y = e^{-2 pi r}
+    y = np.exp(-TWO_PI * reach)
+    acc = amp[:, 0, None] * np.ones_like(y)
+    for s in range(1, top + 1):
+        acc *= y
+        acc += amp[:, s, None]
+    with np.errstate(divide="ignore"):
+        log_s = np.log(acc) + (TWO_PI * top * reach if top else 0.0)
+    L, q = np.asarray(sizes, dtype=float)[:, None] / 2.0, np.exp(-TWO_PI * rho)
+    log_t = -TWO_PI * rho * L - m * np.log1p(-q) + (
+        np.log(2.0) if m == 1 else np.log(4.0 * (L - (L - 1.0) * q)))
+    return log_s, log_t
+
+
+def _shell_amplitudes(f: FourierMap) -> np.ndarray:
+    """sum_{||k||_1 = s} max_i |c_{k,i}| for the shells s = 0..N, per map of
+    the flattened batch: nu_eps(f) = sum_s amp_s e^{2 pi s eps}."""
+    c = f.flat().coeffs
+    # one component at a time: numpy's max over a short last axis is slow
+    amp = reduce(np.maximum, (np.abs(c[..., i]) for i in range(f.ncomp)))
+    return amp.reshape(len(c), -1) @ _alias_weights(f.order, f.m)[3]
+
+
+def composition_grid(g: FourierMap, u: FourierMap, order: int, cap: int):
+    """The grid size M of a composition and the aliasing bound there.
+
+    M is the least even 5-smooth size in [2N + 2, cap] whose
+    ``aliasing_bound`` is at most machine epsilon times nu_0(g) for every
+    map; there the aliases are as small as the FFT's rounding.  Without
+    one, M is ``cap`` and the bound None (the fit gates on the observed
+    spectrum alone).
+    """
+    sizes = _fft_sizes(2 * order + 2, cap)
+    if not len(sizes):
+        return cap, None
+    amp = _shell_amplitudes(g)
+    log_s, log_t = _alias_logs(amp, u, sizes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack = np.log(np.finfo(float).eps * amp.sum(axis=1))[:, None] - log_s
+    slack[log_s == -np.inf] = np.inf        # g = 0: nothing aliases
+    # per map and rho the first size whose shell sum fits; log_t falls with M
+    first = np.min([np.searchsorted(-log_t[:, r], -slack[:, r])
+                    for r in range(log_t.shape[1])], axis=0)
+    j = int(first.max())
+    if j == len(sizes):
+        return cap, None
+    return int(sizes[j]), np.exp((log_s + log_t[j]).min(axis=1))
+
+
 def compose(g, perturb, *,
             order: int | None = None,
             oversample: int = OVERSAMPLE,
@@ -708,14 +843,22 @@ def compose(g, perturb, *,
 
     The real maps are composed map by map; their batch shapes broadcast (a
     single map against a stack) and give the batch of the result.  u =
-    perturb, cut to order N, is
-    synthesised on the oversampled real grid by inverse FFTs (RealityDefect
-    unless it is real), g is summed there on its support band |k_i| <= K by
-    the real-point Horner pass of ``eval_series``, and ``fit_grid`` fits
-    the values back (TruncationBudgetExceeded), one ``node_chunks`` chunk
-    of maps at a time.  With ``outer_scale``/``inner_scale`` the certified
-    imaginary reach of every id + u from the inner strip must stay inside
-    the outer strip where g's majorants are quoted (else DomainEscape).
+    perturb, cut to order N, is synthesised on a real grid of M points per
+    axis by inverse FFTs (RealityDefect unless it is real), g is summed
+    there on its support band |k_i| <= K by the real-point Horner pass of
+    ``eval_series``, and ``fit_grid`` fits the values back, one
+    ``node_chunks`` chunk of maps at a time.
+
+    M comes from ``composition_grid``: the least even 5-smooth size from
+    2N + 2 up to ``oversample`` (2N + 1), the cap, at which the certified
+    ``aliasing_bound`` B on the modes ||k||_1 >= M/2 of the composite is at
+    rounding level.  The truncation gate (TruncationBudgetExceeded) then
+    reads the observed tail on N < ||k||_1 < M/2 plus 2B against
+    ``tol_trunc``, which is at least the true tail.  If no size qualifies,
+    M is the cap and the gate reads the observed tail alone.  With
+    ``outer_scale``/``inner_scale`` the certified imaginary reach of every
+    id + u from the inner strip must stay inside the outer strip where g's
+    majorants are quoted (else DomainEscape).
     """
     m = g.m
     if perturb.ncomp != m or perturb.m != m:
@@ -727,8 +870,8 @@ def compose(g, perturb, *,
             raise DomainEscape(
                 f"imaginary reach {reach:.6g} exceeds outer strip {outer_scale:.6g}")
     n_out = g.order if order is None else order
-    M = oversample * (2 * n_out + 1)
     u = (perturb.with_order(n_out) if perturb.order > n_out else perturb).flat()
+    M, alias = composition_grid(g, u, n_out, oversample * (2 * n_out + 1))
     bound, u = u.imag_bound(), np.moveaxis(u.coeffs, -1, 1)
     # g's band cube as (B, k_1, ncomp[, k_2]), rows 0 <= k_1 <= K, k_1 > 0 doubled
     c, n = g.flat().coeffs, g.order
@@ -744,7 +887,8 @@ def compose(g, perturb, *,
                            _unit_circle(y.reshape(len(y), m, -1)), real=True)
         vals = vals.reshape((len(vals), g.ncomp) + (M,) * m)
         out.append(fit_grid(np.moveaxis(vals, 1, -1), n_out, m, tol_trunc,
-                            context="compose").coeffs)
+                            "compose", alias if alias is None else alias[s]
+                            ).coeffs)
     return _wrap(np.concatenate(out).reshape(np.broadcast_shapes(
         g.batch, perturb.batch) + out[0].shape[1:]), m)
 

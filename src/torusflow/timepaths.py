@@ -404,6 +404,10 @@ class ACPath:
         self.derivative = derivative
         if len(self.values) != len(grid):
             raise ValueError("need one snapshot per breakpoint")
+        if self.values.order < derivative.order:
+            raise ValueError(
+                f"snapshots of order {self.values.order} are below the "
+                f"derivative's order {derivative.order}")
         der = derivative.on_grid(grid)
         owner = grid.locate(der.grid.floats[:-1])[0]
         v, h = self.values.coeffs, np.array(der.grid.steps, dtype=float)

@@ -212,7 +212,7 @@ def test_sweep_matches_reference_random_m2(seed, order, data):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_half_spectrum_tail_ratio_matches_full(m):
-    M, _ = sampling_grid(8, m)     # the grid of compose at order 8
+    M, _ = sampling_grid(8, m)     # the cap of the compose grid at order 8
     rng = np.random.default_rng(m)
     axes = tuple(range(-m, 0))
     # per node: smooth modes |k| <= 3 plus white noise of three sizes

@@ -175,6 +175,86 @@ def test_compose_truncation_budget_raises():
         compose(g, big, tol_trunc=1e-9)
 
 
+def _full_spectrum(g, u, M):
+    """The spectrum of h = g o (id + u) sampled on the grid of M points per
+    axis, per map, over the whole M^m box, by direct evaluation."""
+    m = g.m
+    x = fourier._grid_axes(M, m).reshape(m, -1).T
+    vals = g.eval(x + u.eval(x)).reshape(g.batch + (M,) * m + (g.ncomp,))
+    return np.fft.fftn(vals, axes=tuple(range(1, m + 1)), norm="forward")
+
+
+def _on_first_axis(f: FourierMap, ncomp: int) -> MapStack:
+    """An m = 1 stack as an m = 2 stack constant in x_2 (the components
+    after the first zero)."""
+    n = f.order
+    c = np.zeros(f.batch + (2 * n + 1,) * 2 + (ncomp,), dtype=complex)
+    c[:, :, n, :f.ncomp] = f.coeffs
+    return MapStack(c)
+
+
+@pytest.mark.parametrize("m, order, axis", [(1, 8, False), (2, 5, False),
+                                            (2, 8, True)])
+def test_aliasing_bound_covers_the_measured_aliasing(m, order, axis):
+    """At every grid size up to the cap, the bound is at least the error of
+    the kept coefficients of a fit there, against a fit at 8 (2N + 1), and
+    at least the true mass of the modes ||k||_1 >= M/2.  With ``axis`` the
+    m = 1 stacks run as m = 2 stacks constant in x_2, where the m = 2 shell
+    sum is close to tight."""
+    rng = np.random.default_rng(40 + m)
+    g, u = (MapStack(_random_maps(rng, 4, 1 if axis else m, order, order,
+                                  1 if axis else m, size))
+            for size in (1.0, 0.02))
+    if axis:
+        g, u = _on_first_axis(g, 1), _on_first_axis(u, 2)
+    sizes = fourier._fft_sizes(2 * order + 2, 4 * (2 * order + 1))
+    bound = fourier.aliasing_bound(g, u, sizes)
+    # rounding of the reference spectrum and of the fits
+    dust = 1e3 * np.finfo(float).eps * fourier._shell_amplitudes(g).sum(axis=1)
+    M_ref = 8 * (2 * order + 1)
+    amp = np.abs(_full_spectrum(g, u, M_ref)).max(axis=-1)
+    l1 = sum(np.ix_(*[np.abs(np.fft.fftfreq(M_ref, 1.0 / M_ref))] * m))
+    lattice = fourier._k_l1(order, m) <= order
+
+    def kept(spec, M):      # the lattice ||k||_1 <= N of a spectrum on M^m
+        k = np.arange(-order, order + 1) % M
+        c = spec[(slice(None),) + ((k,) if m == 1 else (k[:, None], k))]
+        return np.where(lattice[..., None], c, 0.0)
+
+    ref = kept(_full_spectrum(g, u, M_ref), M_ref)
+    for M, b in zip(sizes, bound.T):
+        beyond = amp[:, l1 >= M / 2].sum(axis=1)
+        err = np.abs(kept(_full_spectrum(g, u, M), M) - ref).max(axis=-1)
+        err = err.reshape(len(err), -1).sum(axis=1)
+        assert (beyond <= b + dust).all(), (M, beyond, b)
+        assert (err <= b + dust).all(), (M, err, b)
+    # the smallest grids alias far above rounding, so the check has teeth
+    assert (bound[:, 0] > 1e6 * dust).all()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_composition_grid_never_exceeds_the_cap(m):
+    rng = np.random.default_rng(9 + m)
+    order = 6
+    g = MapStack(_random_maps(rng, 3, m, order, 2, m, 1.0))
+    tol = np.finfo(float).eps * fourier._shell_amplitudes(g).sum(axis=1)
+    for size in (0.0, 0.01, 0.1, 1.0):
+        u = MapStack(_random_maps(rng, 3, m, order, order, m, size))
+        for oversample in (1, 2, 4):
+            cap = oversample * (2 * order + 1)
+            M, alias = fourier.composition_grid(g, u, order, cap)
+            assert M <= cap
+            if alias is None:
+                assert M == cap
+            else:
+                assert M >= 2 * order + 2 and M % 2 == 0
+                assert (alias <= tol).all()
+        if size == 0.0:     # g itself, of band 2: the least size serves
+            assert M == fourier._fft_sizes(2 * order + 2, cap)[0]
+        if size == 1.0:     # no size is at rounding level: the cap
+            assert alias is None
+
+
 def _one_sided(order=16):
     """Mode 1 without its conjugate mode -1: complex on the real grid."""
     f = FourierMap.zero(order, 1, 1)
@@ -202,10 +282,11 @@ def test_compose_against_direct_evaluation():
     assert np.abs(comp.eval(x) - direct).max() < 1e-11
 
 
-def _random_maps(rng, count, m, order, band, ncomp, size):
-    """``count`` real maps of order N with decaying modes |k_i| <= band."""
+def _random_maps(rng, count, m, order, band, ncomp, size, rate=0.7):
+    """``count`` real maps of order N with modes |k_i| <= band decaying like
+    e^{-rate ||k||_1}."""
     k = np.abs(np.arange(-band, band + 1))
-    decay = np.exp(-0.7 * (k if m == 1 else k[:, None] + k))[..., None]
+    decay = np.exp(-rate * (k if m == 1 else k[:, None] + k))[..., None]
     maps = []
     for _ in range(count):
         c = rng.normal(size=(2 * band + 1,) * m + (ncomp,)) \

@@ -328,3 +328,11 @@ def test_acpath_invariant_validation():
     wrong[-1] = wrong[-1] + c
     with pytest.raises(ValueError):
         ACPath(good.grid, wrong, gamma)
+
+
+def test_acpath_rejects_snapshots_below_the_derivative_order():
+    f = TimeDependentField.constant(sine_map(0.05, 16), 0.2)
+    p = integrate_primitive(f)
+    with pytest.raises(ValueError, match="order 8 are below the derivative's "
+                                         "order 16"):
+        ACPath(p.grid, [v.with_order(8) for v in p.values], f)
