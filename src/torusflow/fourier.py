@@ -42,7 +42,11 @@ the kept lattice, and minimised over a fixed set of rho, this is
 ``aliasing_bound`` (the trapezoidal-rule aliasing estimate for periodic
 analytic functions: Trefethen & Weideman, SIAM Review 56, 2014, section 3).
 The grid is the least FFT-friendly M at which the bound is at rounding
-level, and the bound enters the truncation gate.
+level, and the bound enters the truncation gate.  What ``compose`` fits is
+the change h - g, summed by ``_shift_sum`` without subtracting values of
+g, with g's coefficients added to its spectrum: the FFT's rounding then
+scales with |h - g| rather than with |g|, which the strip weights
+e^{2 pi eps ||k||_1} of the top modes would otherwise magnify.
 """
 
 from __future__ import annotations
@@ -80,9 +84,12 @@ def _k_l1(order: int, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def strip_weights(order: int, m: int, eps: float):
-    """Read-only weights e^{2 pi ||k||_1 eps} and 2 pi ||k||_1 e^{..} of nu, mu."""
+def strip_weights(order: int, m: int, eps):
+    """Read-only weights e^{2 pi ||k||_1 eps} and 2 pi ||k||_1 e^{..} of nu,
+    mu on the lattice cube; for a tuple of R widths eps, with a last axis R."""
     l1 = _k_l1(order, m)
+    if isinstance(eps, tuple):
+        l1, eps = l1[..., None], np.asarray(eps)
     w = np.exp(TWO_PI * eps * l1)
     dw = TWO_PI * l1 * w
     w.flags.writeable = dw.flags.writeable = False
@@ -537,13 +544,24 @@ def strip_norms(f: FourierMap, eps: float) -> NormReport:
     return NormReport(eps=eps, nu=nu, mu=mu, beta=max(nu, mu), tail_ratio=tail_ratio)
 
 
-def majorants(coeffs: np.ndarray, m: int, eps: float):
+def majorants(coeffs: np.ndarray, m: int, eps):
     """(nu_eps, mu_eps) of coefficient cubes ([B,] (2N+1,)*m, ncomp).
 
-    With a leading batch axis both are arrays with one entry per cube.
+    With a leading batch axis both are arrays with one entry per cube; for
+    a tuple of R widths eps both gain a last axis of R.
     """
-    terms, mu = _majorant_terms(coeffs, m, eps)
-    return terms.sum(axis=tuple(range(-m, 0))), mu
+    if not isinstance(eps, tuple):
+        terms, mu = _majorant_terms(coeffs, m, eps)
+        return terms.sum(axis=tuple(range(-m, 0))), mu
+    # one product per component against the (L, R) weights: memory B R,
+    # not B L R, and no max over a short last axis, which numpy does slowly
+    w, dw = strip_weights(coeffs.shape[-2] // 2, m, eps)
+    lattice = coeffs.shape[:coeffs.ndim - m - 1] + (-1,)
+    absc = [np.abs(coeffs[..., i]).reshape(lattice)
+            for i in range(coeffs.shape[-1])]
+    nu = reduce(np.maximum, absc) @ w.reshape(-1, len(eps))
+    mu = reduce(np.maximum, [a @ dw.reshape(-1, len(eps)) for a in absc])
+    return nu, mu
 
 
 def _majorant_terms(coeffs: np.ndarray, m: int, eps: float):
@@ -563,15 +581,17 @@ def nu_per_component(f: FourierMap, eps: float) -> np.ndarray:
 
 def imag_reach(u: FourierMap, eps_in: float) -> np.ndarray:
     """Certified bound on ||Im(z + u(z))||_inf over the strip ||Im z|| <= eps_in,
-    one per map of u (a float for a single map).
+    one per map of u (a float for a single map); for a tuple of R widths
+    eps_in, with a last axis of R.
 
     Two valid majorant bounds are combined: the oscillating sup bound
     nu(u - u_0) (the real constant part cannot move the strip) and the
     mean-value bound eps_in * mu(u); the smaller one is used.
     """
     nu, mu = majorants(u.coeffs, u.m, eps_in)
-    nu_osc = nu - np.abs(u.constant_part()).max(axis=-1)
-    return eps_in + np.minimum(nu_osc, eps_in * mu)
+    eps, const = np.asarray(eps_in), np.abs(u.constant_part()).max(axis=-1)
+    nu_osc = nu - (const[..., None] if eps.ndim else const)
+    return eps + np.minimum(nu_osc, eps * mu)
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +639,22 @@ def _spectrum_weights(M: int, m: int, order: int, half: bool):
     return weight, tail, window, inside
 
 
+@lru_cache(maxsize=64)
+def _sample_index(order: int, M: int, m: int, cols: int):
+    """Where the grid samples of each mode of the lattice of order N
+    (flattened) land in a spectrum of M points per axis that keeps ``cols``
+    columns on its last axis: the flat targets, the modes that land on a
+    kept column (k_m mod M < cols), and whether two of them share a target
+    (N >= M/2).  Read-only."""
+    k = _k_axis(order) % M
+    col = k if m == 1 else np.broadcast_to(k, (len(k), len(k)))
+    flat = (col if m == 1 else k[:, None] * cols + col).ravel()
+    keep = (col < cols).ravel()
+    tgt, src = flat[keep], np.flatnonzero(keep)
+    tgt.flags.writeable = src.flags.writeable = False
+    return tgt, src, bool(np.bincount(tgt).max(initial=0) > 1)
+
+
 def _tail_ratio(spec: np.ndarray, M: int, m: int, order: int,
                 alias: np.ndarray | None = None) -> np.ndarray:
     """Per batch entry, the l1 share of the modes ||k||_1 > N of a spectrum
@@ -634,7 +670,8 @@ def _tail_ratio(spec: np.ndarray, M: int, m: int, order: int,
 
 def fit_grid(values: np.ndarray, order: int, m: int,
              tol_trunc: float = TOL_TRUNC, context: str = "fit",
-             alias: np.ndarray | None = None) -> FourierMap:
+             alias: np.ndarray | None = None,
+             base: np.ndarray | None = None) -> FourierMap:
     """Fourier-fit values on the uniform real grid (j/M)_j, truncated to order N.
 
     ``values`` has shape batch + (M,)*m + (ncomp,); the fit is a map of
@@ -646,7 +683,11 @@ def fit_grid(values: np.ndarray, order: int, m: int,
     (per map, a bound on the mass at ||k||_1 >= M/2 of the sampled
     function), the observed mass on N < ||k||_1 < M/2 plus twice the bound:
     an alias lands once in the observed box, where it may both distort the
-    window and be missing from it.
+    window and be missing from it.  A ratio that is not finite fails too.
+
+    ``base``, coefficients (B or 1,) + lattice + (ncomp,) over the
+    flattened batch, is a map whose grid samples were taken out of the
+    values: its samples' spectrum is added back before the gate and the cut.
     """
     batch = values.shape[:values.ndim - m - 1]
     # component first, grid axes last: the transforms run on contiguous lines
@@ -656,8 +697,18 @@ def fit_grid(values: np.ndarray, order: int, m: int,
     real = not np.iscomplexobj(vals)
     spec = (np.fft.rfftn if real else np.fft.fftn)(
         vals, axes=tuple(range(-m, 0)), norm="forward")
+    if base is not None:
+        tgt, src, shared = _sample_index(base.shape[-2] // 2, M, m,
+                                         spec.shape[-1])
+        flat = spec.reshape(spec.shape[:2] + (-1,))
+        add = np.moveaxis(base.reshape(len(base), -1, base.shape[-1]),
+                          -1, 1)[..., src]
+        if shared:      # only np.add.at sums repeated targets
+            np.add.at(flat, (Ellipsis, tgt), add)
+        else:
+            flat[..., tgt] += add
     ratio = _tail_ratio(spec, M, m, n, alias)
-    if ratio.max() > tol_trunc:
+    if not ratio.max() <= tol_trunc:
         raise TruncationBudgetExceeded(
             f"{context}: discarded tail ratio {ratio.max():.3e} > {tol_trunc:.1e}")
     k = _k_axis(n) % M
@@ -704,9 +755,9 @@ def _support_band(c: np.ndarray) -> int:
     return int(np.abs(k).max()) if k.size else 0
 
 
-def _positions(u: np.ndarray, M: int, imag_bound: np.ndarray) -> np.ndarray:
-    """x + u(x) on the grid of M points per axis, shape (B, m, M..), from
-    the columns k_m >= 0 of the Hermitian u, shape (B, m, n..), whose
+def _grid_values(u: np.ndarray, M: int, imag_bound: np.ndarray) -> np.ndarray:
+    """u on the grid of M points per axis, shape (B, m, M^m), from the
+    columns k_m >= 0 of the Hermitian u, shape (B, m, n..), whose
     ``imag_bound`` (B,) bounds |Im u| on the real grid."""
     m, n = u.shape[1], u.shape[-1] // 2
     vals = u[..., n:]
@@ -714,11 +765,84 @@ def _positions(u: np.ndarray, M: int, imag_bound: np.ndarray) -> np.ndarray:
         dense = np.zeros(vals.shape[:2] + (M, n + 1), dtype=complex)
         dense[:, :, np.arange(-n, n + 1) % M] = vals
         vals = np.fft.ifft(dense, axis=2, norm="forward")
-    vals = np.fft.irfft(vals, n=M, axis=-1, norm="forward")
-    size = np.maximum(1.0, np.abs(vals).reshape(len(u), -1).max(axis=1))
+    vals = np.fft.irfft(vals, n=M, axis=-1, norm="forward").reshape(len(u), m, -1)
+    size = np.maximum(1.0, np.abs(vals).max(axis=(1, 2)))
     if (imag_bound > 1e-9 * size).any():
         raise RealityDefect("perturbation is not real on the real grid")
-    return _grid_axes(M, m) + vals
+    return vals
+
+
+def _circle_m1(z: np.ndarray) -> np.ndarray:
+    """e^{2 pi i z} - 1 at real z without cancellation:
+    -2 sin^2(pi z) + i sin(2 pi z)."""
+    e = np.empty(z.shape, dtype=complex)
+    np.sin(np.pi * z, out=e.real)
+    np.square(e.real, out=e.real)
+    e.real *= -2.0
+    np.sin(TWO_PI * z, out=e.imag)
+    return e
+
+
+@lru_cache(maxsize=64)
+def _grid_roots(M: int, K: int) -> np.ndarray:
+    """a^k, a = e^{2 pi i x}, for k = -K..K (rows) at the grid points
+    x = j/M (columns), the argument reduced exactly.  Read-only."""
+    a = _unit_circle(np.outer(_k_axis(K), np.arange(M)) % M / M)
+    a.flags.writeable = False
+    return a
+
+
+def _shift_sum(c: np.ndarray, e: np.ndarray, M: int) -> np.ndarray:
+    """g(x + u(x)) - g(x) on the grid of M points per axis, shape
+    (B, ncomp, M^m), from g's band c, laid out as the real rows of
+    ``_series_sum``, and e = e^{2 pi i u(x)} - 1, shape (B, m, M^m).
+
+    With a = e^{2 pi i x} and w = a (1 + e), the Horner passes over k_1 for
+    g(x + u), p_j = C_j + w_1 p_{j+1}, and for g(x) differ by
+    d_j = D_j + a_1 (e_1 p_{j+1} + d_{j+1}).  C_j is row j summed over k_2
+    at w_2, and D_j its change from a_2: row j against a_2^k E_k, with
+    E_k = (1 + e_2)^k - 1 = E_{k-1} + e_2 (1 + E_{k-1}).  No step subtracts
+    values of g, so the rounding scales with the difference, not with g.
+    """
+    m, K = e.shape[1], c.shape[1] - 1
+    B, a = max(len(c), len(e)), _grid_roots(M, 1)[2]
+    if m == 1:
+        row, D = c[..., None], None     # row j at a_2: the coefficient c_j
+    else:
+        b, rows, ncomp, cols = c.shape
+        k2, e2 = cols // 2, e[:, 1]
+        q = np.empty((len(e), cols, e.shape[-1]), dtype=complex)
+        q[:, k2] = 0.0
+        for k in range(k2 + 1, cols):
+            np.multiply(e2, q[:, k - 1], out=q[:, k])
+            q[:, k] += e2
+            q[:, k] += q[:, k - 1]
+        a2 = _grid_roots(M, k2)
+        q.reshape(len(e), cols, M, M)[:, k2 + 1:] *= a2[k2 + 1:, None]
+        np.conjugate(q[:, :k2:-1], out=q[:, :k2])
+        flat = c.reshape(b, rows * ncomp, cols)
+        D = (flat @ q).reshape(B, rows, ncomp, -1)
+        del q
+        row = (flat @ a2).reshape(b, rows, ncomp, 1, M)     # x_2 runs fastest
+        a = np.repeat(a, M)
+    ae = a * e[:, :1]
+    w = ae + a
+    # p_j = C_j + w_1 p_{j+1} with C_j = row_j + D_j; d as above
+    p = np.zeros((B, c.shape[2], e.shape[-1]), dtype=complex)
+    grid = p.reshape(p.shape[:2] + (M,) * m)
+    d = p.copy() if D is None else D[:, K].copy()
+    if D is not None:
+        p += D[:, K]
+    grid += row[:, K]
+    for j in range(K - 1, -1, -1):
+        d *= a
+        d += ae * p
+        p *= w
+        if D is not None:
+            d += D[:, j]
+            p += D[:, j]
+        grid += row[:, j]
+    return np.ascontiguousarray(d.real)
 
 
 #: strip half-widths rho of the Cauchy estimates on a composite's modes,
@@ -739,18 +863,30 @@ def _fft_sizes(lo: int, hi: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _alias_weights(order: int, m: int):
-    """The candidate rho whose weights stay finite at order N, the lattice
-    weights (L, R) of nu_rho and mu_rho, and the (L, N + 1) map from the
-    lattice to its l1 shells.  Read-only."""
+def _alias_rho(order: int, m: int) -> tuple:
+    """The candidate rho at which the strip weights e^{2 pi rho ||k||_1} of
+    the lattice of order N stay finite, up to its corner ||k||_1 = m N."""
+    return tuple(float(r) for r in _ALIAS_RHO
+                 if TWO_PI * r * m * max(order, 1) <= 600.0)
+
+
+@lru_cache(maxsize=64)
+def _shells(order: int, m: int) -> np.ndarray:
+    """The (L, m N + 1) map from the flattened lattice of order N onto its
+    l1 shells ||k||_1 = s, corners included.  Read-only."""
     l1 = _k_l1(order, m).ravel()
-    rho = _ALIAS_RHO[TWO_PI * _ALIAS_RHO * max(order, 1) <= 600.0]
-    w = np.exp(TWO_PI * np.outer(l1, rho))
-    dw = TWO_PI * l1[:, None] * w
-    shells = (l1[:, None] == np.arange(order + 1)).astype(float)
-    for a in (rho, w, dw, shells):
-        a.flags.writeable = False
-    return rho, w, dw, shells
+    shells = (l1[:, None] == np.arange(m * order + 1)).astype(float)
+    shells.flags.writeable = False
+    return shells
+
+
+def _shell_amplitudes(f: FourierMap) -> np.ndarray:
+    """sum_{||k||_1 = s} max_i |c_{k,i}| for the shells s = 0..m N, per map
+    of the flattened batch: nu_eps(f) = sum_s amp_s e^{2 pi s eps}."""
+    c = f.flat().coeffs
+    # one component at a time: numpy's max over a short last axis is slow
+    amp = reduce(np.maximum, (np.abs(c[..., i]) for i in range(f.ncomp)))
+    return amp.reshape(len(c), -1) @ _shells(f.order, f.m)
 
 
 def aliasing_bound(g: FourierMap, u: FourierMap, sizes) -> np.ndarray:
@@ -766,23 +902,23 @@ def aliasing_bound(g: FourierMap, u: FourierMap, sizes) -> np.ndarray:
     4 q^L (L - (L - 1) q) / (1 - q)^2; the bound is the least over the
     candidate rho.
     """
-    log_s, log_t = _alias_logs(_shell_amplitudes(g), u, sizes)
-    return np.exp((log_s[:, None] + log_t).min(axis=-1))
+    return _least_over_rho(*_alias_logs(_shell_amplitudes(g), u, sizes))
+
+
+def _least_over_rho(log_s: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+    """The bound min_rho S(rho) T(rho) per map and size, (B, sizes), from
+    log S (B, R) and the log shell sums log T (sizes, R); rho runs first,
+    since numpy's min over a short last axis is slow."""
+    return np.exp((log_s.T[:, :, None] + log_t.T[:, None]).min(axis=0))
 
 
 def _alias_logs(amp: np.ndarray, u: FourierMap, sizes):
-    """log S(rho) per map, (B, R), and the log shell sums per size, (sizes,
-    R), of ``aliasing_bound``, from g's ``_shell_amplitudes``.  The reach
-    for every rho is one product of |u| against the lattice weights, and S
-    one Horner pass over the shells in e^{-2 pi r}, scaled so that nothing
-    overflows."""
-    m, uc = u.m, u.flat().coeffs
-    rho, w, dw, _ = _alias_weights(u.order, m)
-    au = [np.abs(uc[..., i]).reshape(len(uc), -1) for i in range(m)]
-    nu = reduce(np.maximum, au) @ w
-    mu = reduce(np.maximum, [a @ dw for a in au])
-    osc = nu - np.abs(u.flat().constant_part()).max(axis=-1)[:, None]
-    reach = rho + np.minimum(osc, rho * mu)         # imag_reach(u, rho)
+    """log S(rho) per map, (B, R), and the log shell sums per size,
+    (sizes, R), of ``aliasing_bound``, from g's ``_shell_amplitudes``.  The
+    reach is one ``imag_reach`` over all rho, and S one Horner pass over
+    the shells in e^{-2 pi r}, scaled so that nothing overflows."""
+    m, rho = u.m, _alias_rho(u.order, u.m)
+    reach = imag_reach(u.flat(), rho)
     top = int(np.flatnonzero(amp.any(axis=0)).max(initial=0))
     # nu_r(g) = e^{2 pi r top} sum_s amp_s y^{top - s}, y = e^{-2 pi r}
     y = np.exp(-TWO_PI * reach)
@@ -792,19 +928,12 @@ def _alias_logs(amp: np.ndarray, u: FourierMap, sizes):
         acc += amp[:, s, None]
     with np.errstate(divide="ignore"):
         log_s = np.log(acc) + (TWO_PI * top * reach if top else 0.0)
-    L, q = np.asarray(sizes, dtype=float)[:, None] / 2.0, np.exp(-TWO_PI * rho)
+    L = np.asarray(sizes, dtype=float)[:, None] / 2.0
+    rho = np.asarray(rho)
+    q = np.exp(-TWO_PI * rho)
     log_t = -TWO_PI * rho * L - m * np.log1p(-q) + (
         np.log(2.0) if m == 1 else np.log(4.0 * (L - (L - 1.0) * q)))
     return log_s, log_t
-
-
-def _shell_amplitudes(f: FourierMap) -> np.ndarray:
-    """sum_{||k||_1 = s} max_i |c_{k,i}| for the shells s = 0..N, per map of
-    the flattened batch: nu_eps(f) = sum_s amp_s e^{2 pi s eps}."""
-    c = f.flat().coeffs
-    # one component at a time: numpy's max over a short last axis is slow
-    amp = reduce(np.maximum, (np.abs(c[..., i]) for i in range(f.ncomp)))
-    return amp.reshape(len(c), -1) @ _alias_weights(f.order, f.m)[3]
 
 
 def composition_grid(g: FourierMap, u: FourierMap, order: int, cap: int):
@@ -813,8 +942,8 @@ def composition_grid(g: FourierMap, u: FourierMap, order: int, cap: int):
     M is the least even 5-smooth size in [2N + 2, cap] whose
     ``aliasing_bound`` is at most machine epsilon times nu_0(g) for every
     map; there the aliases are as small as the FFT's rounding.  Without
-    one, M is ``cap`` and the bound None (the fit gates on the observed
-    spectrum alone).
+    one (a bound that is not finite never qualifies), M is ``cap`` and the
+    bound None: the fit gates on the observed spectrum alone.
     """
     sizes = _fft_sizes(2 * order + 2, cap)
     if not len(sizes):
@@ -824,13 +953,14 @@ def composition_grid(g: FourierMap, u: FourierMap, order: int, cap: int):
     with np.errstate(divide="ignore", invalid="ignore"):
         slack = np.log(np.finfo(float).eps * amp.sum(axis=1))[:, None] - log_s
     slack[log_s == -np.inf] = np.inf        # g = 0: nothing aliases
-    # per map and rho the first size whose shell sum fits; log_t falls with M
+    # per map and rho the first size whose shell sum fits (log T falls with
+    # M; a NaN slack fits none), the least over rho, the largest over maps
     first = np.min([np.searchsorted(-log_t[:, r], -slack[:, r])
                     for r in range(log_t.shape[1])], axis=0)
     j = int(first.max())
     if j == len(sizes):
         return cap, None
-    return int(sizes[j]), np.exp((log_s + log_t[j]).min(axis=1))
+    return int(sizes[j]), _least_over_rho(log_s, log_t[j:j + 1])[:, 0]
 
 
 def compose(g, perturb, *,
@@ -844,10 +974,12 @@ def compose(g, perturb, *,
     The real maps are composed map by map; their batch shapes broadcast (a
     single map against a stack) and give the batch of the result.  u =
     perturb, cut to order N, is synthesised on a real grid of M points per
-    axis by inverse FFTs (RealityDefect unless it is real), g is summed
-    there on its support band |k_i| <= K by the real-point Horner pass of
-    ``eval_series``, and ``fit_grid`` fits the values back, one
-    ``node_chunks`` chunk of maps at a time.
+    axis by inverse FFTs (RealityDefect unless it is real).  There
+    ``_shift_sum`` sums the difference g(x + u(x)) - g(x) over g's support
+    band |k_i| <= K by Horner passes that never subtract values of g, and
+    ``fit_grid`` fits it with g's own coefficients added to its spectrum,
+    one ``node_chunks`` chunk of maps at a time.  The FFT's rounding thus
+    scales with the change u makes, not with g.
 
     M comes from ``composition_grid``: the least even 5-smooth size from
     2N + 2 up to ``oversample`` (2N + 1), the cap, at which the certified
@@ -881,14 +1013,13 @@ def compose(g, perturb, *,
     band[:, 1:] *= 2.0
     out = []
     for s in node_chunks(max(len(u), len(band)), M ** m):
-        y = _positions(u[s] if len(u) > 1 else u, M,
-                       bound[s] if len(u) > 1 else bound)
-        vals = _series_sum(band[s] if len(band) > 1 else band,
-                           _unit_circle(y.reshape(len(y), m, -1)), real=True)
+        e = _circle_m1(_grid_values(u[s] if len(u) > 1 else u, M,
+                                    bound[s] if len(u) > 1 else bound))
+        vals = _shift_sum(band[s] if len(band) > 1 else band, e, M)
         vals = vals.reshape((len(vals), g.ncomp) + (M,) * m)
         out.append(fit_grid(np.moveaxis(vals, 1, -1), n_out, m, tol_trunc,
-                            "compose", alias if alias is None else alias[s]
-                            ).coeffs)
+                            "compose", alias if alias is None else alias[s],
+                            c[s] if len(c) > 1 else c).coeffs)
     return _wrap(np.concatenate(out).reshape(np.broadcast_shapes(
         g.batch, perturb.batch) + out[0].shape[1:]), m)
 

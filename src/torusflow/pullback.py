@@ -242,26 +242,30 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
     maps = _two_param_maps(flow, sample_times[:, None] + np.append(offsets, 0.0),
                            base_inv, eps)
     order = max(order, max(f.order for f in test_functions))
+    # f o Fl at the stencil times by compose, whose rounding scales with
+    # f o Fl - f: the difference quotient then amplifies no rounding of f
+    around = _wrap(maps.coeffs[:, :-1], m)
+    pulled = np.stack([compose(f, around, order=order, tol_trunc=1e-6).coeffs
+                       for f in test_functions], axis=2)
+    pulled = pulled.reshape(pulled.shape[:3] + (-1,))
 
     def sample(x, c, g):
-        """f o Fl at the stencil times, then (gamma . grad f) o Fl at the
-        time itself, each test function f on an axis after the times."""
+        """(gamma . grad f) o Fl at the sample times, each test function f
+        on an axis after the times."""
         args = x + c.eval(x)
-        g_mid = g.eval(args[:, -1])
-        return np.stack([np.concatenate([
-            f.eval(args[:, :-1]),
-            (jacobian(f).eval(args[:, -1])[..., 0, :] * g_mid).sum(
-                axis=-1)[:, None, :, None]], axis=1)
-            for f in test_functions], axis=2)
+        g_mid = g.eval(args)
+        return np.stack([(jacobian(f).eval(args)[..., 0, :] * g_mid).sum(
+            axis=-1)[..., None] for f in test_functions], axis=1)
 
-    fits = fit_sampled(sample, [maps, gamma.field.values_at(sample_times)],
-                       order, tol_trunc=1e-6, context="transport").coeffs
-    fits = fits.reshape(maps.batch + (len(test_functions), -1))
-    lhs = fits[:, 0] * stencil[0]
+    rhs = fit_sampled(sample, [_wrap(maps.coeffs[:, -1], m),
+                               gamma.field.values_at(sample_times)],
+                      order, tol_trunc=1e-6, context="transport").coeffs
+    rhs = rhs.reshape(rhs.shape[:2] + (-1,))
+    lhs = pulled[:, 0] * stencil[0]
     for i in range(1, len(offsets)):
-        lhs = lhs + stencil[i] * fits[:, i]
+        lhs = lhs + stencil[i] * pulled[:, i]
     transport_rows = [(float(t), fi, float(d)) for t, row in zip(
-        sample_times, np.abs(lhs - fits[:, -1]).max(axis=-1))
+        sample_times, np.abs(lhs - rhs).max(axis=-1))
         for fi, d in enumerate(row)]
     return PullbackPathReport(times=ts, matrices=mats, ac_rows=ac_rows,
                               transport_rows=transport_rows,

@@ -287,6 +287,19 @@ def test_contraction_certificate(sine_flow, sine_gamma):
     assert sine_flow.residual <= 1e-10
 
 
+@pytest.mark.parametrize("budget", [0.15, 0.25, 0.35, 0.45])
+def test_order_64_sine_solves_pass_the_contraction_certificate(budget):
+    """At N = 64 nu_eps weighs the top modes by e^{2 pi eps 64} = 5.4e8.
+    Rounding in the fit of g o (id + u) at the size of g then read as
+    sweep steps near the stopping target and broke the observed ratios;
+    fitted as the difference from g, it stays below the target."""
+    a = budget / (2 * np.pi * np.exp(2 * np.pi * 2 * EPS))
+    gamma = AdmissibleField.certify(TimeDependentField.constant(
+        sine_map(a, order=64), 4 * EPS), EPS)
+    path = solve_flow(gamma)
+    assert contraction_certificate_ok(path), path.iteration_log
+
+
 def test_solver_uniqueness_from_different_starts(sine_gamma):
     p1 = solve_flow(sine_gamma)
     warm = picard_step(sine_gamma, identity_path(sine_gamma))

@@ -232,10 +232,12 @@ def test_aliasing_bound_covers_the_measured_aliasing(m, order, axis):
     assert (bound[:, 0] > 1e6 * dust).all()
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_composition_grid_never_exceeds_the_cap(m):
+@pytest.mark.parametrize("m, order", [(1, 6), (2, 6), (2, 40)])
+def test_composition_grid_never_exceeds_the_cap(m, order):
+    """At m = 2, N = 40 the lattice corners reach ||k||_1 = 80: every
+    candidate rho keeps e^{2 pi rho 80} finite there, since an infinite
+    weight times a zero coefficient would make the bound NaN."""
     rng = np.random.default_rng(9 + m)
-    order = 6
     g = MapStack(_random_maps(rng, 3, m, order, 2, m, 1.0))
     tol = np.finfo(float).eps * fourier._shell_amplitudes(g).sum(axis=1)
     for size in (0.0, 0.01, 0.1, 1.0):
@@ -253,6 +255,33 @@ def test_composition_grid_never_exceeds_the_cap(m):
             assert M == fourier._fft_sizes(2 * order + 2, cap)[0]
         if size == 1.0:     # no size is at rounding level: the cap
             assert alias is None
+
+
+def test_fit_grid_gate_fails_on_a_bound_that_is_not_finite():
+    x = np.arange(16) / 16
+    vals = np.cos(TWO_PI * x)[None, :, None]
+    fourier.fit_grid(vals, 4, 1, alias=np.array([0.0]))
+    with pytest.raises(TruncationBudgetExceeded, match="nan"):
+        fourier.fit_grid(vals, 4, 1, alias=np.array([np.nan]))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_compose_rounding_scales_with_the_change(m):
+    """compose fits g o (id + u) - g and adds g's coefficients back, so its
+    rounding scales with the change u makes, not with g.  Under a shift by
+    1e-7 the composite has no modes outside g's band, and every coefficient
+    is exact to a few ulps of itself plus rounding of the change."""
+    rng = np.random.default_rng(14 + m)
+    order, delta = 12, 1e-7
+    g = _random_maps(rng, 1, m, order, 4, m, 1.0)[0]
+    k = fourier._k_axis(order)
+    phase = TWO_PI * delta * (k if m == 1 else k[:, None] + k)
+    shift = -2.0 * np.sin(phase / 2) ** 2 + 1j * np.sin(phase)
+    want = g.coeffs + g.coeffs * shift[..., None]
+    got = compose(g, FourierMap.constant([delta] * m, order, m)).coeffs
+    tol = 4 * np.finfo(float).eps * (
+        np.abs(want) + 1e3 * delta * np.abs(g.coeffs).sum())
+    assert (np.abs(got - want) <= tol).all()
 
 
 def _one_sided(order=16):
@@ -282,11 +311,10 @@ def test_compose_against_direct_evaluation():
     assert np.abs(comp.eval(x) - direct).max() < 1e-11
 
 
-def _random_maps(rng, count, m, order, band, ncomp, size, rate=0.7):
-    """``count`` real maps of order N with modes |k_i| <= band decaying like
-    e^{-rate ||k||_1}."""
+def _random_maps(rng, count, m, order, band, ncomp, size):
+    """``count`` real maps of order N with decaying modes |k_i| <= band."""
     k = np.abs(np.arange(-band, band + 1))
-    decay = np.exp(-rate * (k if m == 1 else k[:, None] + k))[..., None]
+    decay = np.exp(-0.7 * (k if m == 1 else k[:, None] + k))[..., None]
     maps = []
     for _ in range(count):
         c = rng.normal(size=(2 * band + 1,) * m + (ncomp,)) \
