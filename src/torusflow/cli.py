@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .errors import AdmissibilityViolation, TorusflowError
-from .flow import (AdmissibleField, contraction_certificate_ok,
-                   restriction_consistency, solve_flow)
+from .flow import (RATIO_SLACK, AdmissibleField, contraction_certificate_ok,
+                   max_contraction_ratio, restriction_consistency, solve_flow)
 from .fourier import FourierMap, strip_norms
 from .group import (AnalyticDiffeo, ac_modulus_check, evol_right,
                     trotter_curve, verify_evolution_pointwise)
@@ -321,8 +321,8 @@ def run_solve(s: Scenario, out: Path, checks: list) -> None:
     (out / "flow.json").write_text(_flow_json(path.to_json()))
     checks.append(("residual", path.residual, s.tol_solve,
                    path.residual <= s.tol_solve))
-    checks.append(("contraction_ratios", gamma.theta_hat + 0.05, 0.55,
-                   contraction_certificate_ok(path)))
+    checks.append(("contraction_ratios", max_contraction_ratio(path),
+                   gamma.theta_hat + RATIO_SLACK, contraction_certificate_ok(path)))
     reach = path.imag_reach_max(gamma.eps / 2)
     checks.append(("strip_invariant", reach, gamma.eps, reach < gamma.eps))
     end = AnalyticDiffeo.certify(path.snapshots[-1], gamma.eps)
@@ -358,9 +358,7 @@ def _sweep_item(s: Scenario, index: int, budget: float) -> tuple:
                                     scale=s.scale, eps=s.eps)
     gamma = AdmissibleField.certify(field, s.eps)
     path = solve_flow(gamma, tol_solve=s.tol_solve)
-    ratios = [r for _, d, r in path.iteration_log[1:]
-              if np.isfinite(r) and d > 1e-13]
-    return (index, gamma.theta_hat, max(ratios) if ratios else 0.0,
+    return (index, gamma.theta_hat, max_contraction_ratio(path),
             path.residual, path.imag_reach_max(s.eps / 2),
             contraction_certificate_ok(path))
 

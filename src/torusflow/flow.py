@@ -12,13 +12,26 @@ constant bounded by the certificate
 
 Iterating P from the identity path converges geometrically to the unique
 solution ``zeta``; the perturbations ``u(t) = zeta(t) - id`` are stored as
-snapshots on a refined time grid together with one polynomial piece per
-interval (the integral of a cubic collocation fit of s -> gamma(s) o
-zeta(s), so time integration is closed-form).  The iteration log records
-the observed sup-distances and their ratios, which must respect the
-certified contraction factor; two solved parameter values can never drift
-apart by more than twice their L^1 distance, which is checked by
+snapshots on a time grid together with one polynomial piece per interval
+(the integral of a cubic collocation fit of s -> gamma(s) o zeta(s), so
+time integration is closed-form).  The iteration log records the observed
+sup-distances and their ratios, which must respect the certified
+contraction factor; two solved parameter values can never drift apart by
+more than twice their L^1 distance, which is checked by
 ``param_lipschitz_check``.
+
+The reported ``residual`` bounds the distance to the exact flow, not only
+to the discrete fixed point.  After the iteration stops, one defect pass
+integrates gamma o zeta of the next-to-last iterate with the 4-point
+Gauss-Legendre rule of ``TimeGrid.quadrature`` (exact to degree 7, where
+the cubic collocation is exact to degree 3); its difference from the last
+iterate at the grid times is the defect D, and the a posteriori form of
+Banach's fixed-point theorem bounds the distance to the solution by
+(last step + D) / (1 - theta_hat).  The grid follows the one grid policy
+of ``TimeGrid``: it starts from the field's breakpoints (refined to
+``max_step`` when one is given) and halves, solving again from the path
+it has, each interval whose share of D exceeds its share of the budget
+tol_solve (1 - theta_hat), never below ``STEP_FLOOR``.
 
 One sweep engine applies P for m = 1 and m = 2 alike; ``solve_flow`` and
 ``picard_step`` both call it.  A sweep is one call of ``fourier.compose``,
@@ -37,7 +50,6 @@ any batch shape at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,7 +58,8 @@ from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
 from .fourier import (TOL_TRUNC, FourierMap, MapStack, _modes_to_json, _wrap,
                       compose, imag_reach, majorants)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
-                        _antiderivative, fit_poly3, piece_values, read_pieces)
+                        _antiderivative, fit_poly3, piece_values, pieces_on,
+                        read_pieces)
 
 #: default solver tolerance, measured in nu_eps of snapshot differences
 TOL_SOLVE = 1e-10
@@ -54,8 +67,6 @@ TOL_SOLVE = 1e-10
 TOL_SLACK = 1e-6
 #: default tolerance for pointwise trajectory residuals
 TOL_POINTWISE = 1e-8
-#: solver grids are refined to at most this step
-MAX_STEP = Fraction(1, 64)
 #: admissibility thresholds
 BETA_BOUND = 0.5
 
@@ -116,7 +127,9 @@ class FlowPath:
     ``snapshots`` hold u at the grid times (u(0) = 0) as a MapStack and
     ``pieces`` the local polynomial of u on each interval as one array
     (intervals, degree + 1) + map shape, so zeta can be evaluated at any t
-    in [0, 1].  ``iteration_log`` rows are (step, sup_diff, ratio).
+    in [0, 1].  ``iteration_log`` rows are (step, sup_diff, ratio);
+    ``residual`` bounds the nu_eps distance to the exact flow at the grid
+    times (the last step of a pinned solve).
     """
 
     def __init__(self, grid: TimeGrid, eps: float, snapshots, pieces,
@@ -145,7 +158,10 @@ class FlowPath:
         return pts + self.u_at(t).eval(pts)
 
     def sup_distance(self, other: "FlowPath", eps: float | None = None) -> float:
-        """max over grid times of nu_eps(u(t) - u_other(t))."""
+        """max over grid times of nu_eps(u(t) - u_other(t)); both paths
+        must be on one grid (``solve_flow(grid=...)``)."""
+        if other.grid != self.grid:
+            raise ValueError("the paths are on different grids")
         eps = eps if eps is not None else self.eps
         return _sup_distance(self.snapshots.coeffs, other.snapshots.coeffs,
                              eps)
@@ -174,10 +190,12 @@ def _sup_distance(a: np.ndarray, b: np.ndarray, eps: float) -> float:
     return float(majorants(a - b, a.ndim - 2, eps)[0].max())
 
 
-def identity_path(gamma: AdmissibleField,
-                  max_step: Fraction = MAX_STEP) -> FlowPath:
-    grid = gamma.field.grid.refined(max_step)
+def identity_path(gamma: AdmissibleField, max_step=1,
+                  grid: TimeGrid | None = None) -> FlowPath:
+    """The path u = 0 on ``grid``, by default on the solver's start grid:
+    the field's breakpoints, refined to ``max_step``."""
     f = gamma.field
+    grid = grid if grid is not None else f.grid.refined(max_step)
     shape = (2 * f.order + 1,) * f.m + (f.ncomp,)
     return FlowPath(grid, gamma.eps, np.zeros((len(grid),) + shape, complex),
                     np.zeros((len(grid) - 1, 1) + shape, complex), source=gamma)
@@ -190,13 +208,14 @@ def identity_path(gamma: AdmissibleField,
 class _PicardSweep:
     """The integral-equation map on one solver grid, for m in {1, 2}.
 
-    Built once per solve from the field, read by time at the 4 collocation
+    Built once per grid from the field, read by time at the 4 collocation
     nodes of every interval of a grid that holds its breakpoints (else a
     cubic is fitted across a jump).  A sweep evaluates u at the same nodes,
     composes the field with id + u node by node in one ``compose`` call,
     which checks the reach from the working strip into the doubled strip,
     the reality of u and the truncation tail at every node, and fits and
-    integrates one cubic per interval in closed form.
+    integrates one cubic per interval in closed form.  ``defect`` measures
+    the sweep against the exact map by one more ``compose``.
     """
 
     def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
@@ -206,17 +225,22 @@ class _PicardSweep:
             raise ValueError("the field must be a self-map displacement field")
         if not set(gam.grid.breakpoints) <= set(grid.breakpoints):
             raise ValueError("the path grid lacks breakpoints of the field grid")
-        self.eps, self.tol_trunc, self.n = gamma.eps, tol_trunc, gam.order
+        self.gamma, self.grid, self.tol_trunc = gamma, grid, tol_trunc
         self.h = np.diff(grid.floats)
         j, tau, t = grid.nodes(FIT_NODES)
         self.nodes, self.field = (j, tau), gam.values_at(t)
 
+    def _compose(self, field: FourierMap, pieces, j, tau) -> np.ndarray:
+        """gamma o (id + u) at the nodes (j, tau), u read from ``pieces``."""
+        u = _wrap(piece_values(pieces, j, tau), field.m)
+        eps = self.gamma.eps
+        return compose(field, u, order=self.gamma.field.order,
+                       tol_trunc=self.tol_trunc, outer_scale=2 * eps,
+                       inner_scale=eps).coeffs
+
     def run(self, pieces):
         """New (snapshots, pieces) arrays from the pieces of a candidate path."""
-        u = _wrap(piece_values(pieces, *self.nodes), self.field.m)
-        kept = compose(self.field, u, order=self.n, tol_trunc=self.tol_trunc,
-                       outer_scale=2 * self.eps, inner_scale=self.eps)
-        return self._integrate(kept.coeffs)
+        return self._integrate(self._compose(self.field, pieces, *self.nodes))
 
     def _integrate(self, kept: np.ndarray):
         """Fit a cubic per interval through the node values and integrate it."""
@@ -227,6 +251,27 @@ class _PicardSweep:
         np.cumsum(anti.sum(axis=1), axis=0, out=snaps[1:])
         anti[:, 0] = snaps[:-1]
         return snaps.reshape((J + 1,) + shape), anti.reshape((J, Q + 1) + shape)
+
+    def defect(self, pieces, snaps):
+        """(local, D): the defect of ``snaps``, the sweep of ``pieces``,
+        against the exact integral of the field along ``pieces``.
+
+        The Gauss-Legendre rule of ``TimeGrid.quadrature`` integrates
+        gamma o (id + u) over every interval from one ``compose`` at its
+        nodes.  ``local`` holds nu_eps of each interval's increment minus
+        that integral, D the sup over grid times of nu_eps of their sums.
+        """
+        ts = self.grid.floats
+        _, t, w = self.grid.quadrature(ts[:-1], ts[1:])
+        j, tau = self.grid.locate(t.ravel())
+        vals = self._compose(self.gamma.field.values_at(t.ravel()), pieces,
+                             j, tau)
+        vals = vals.reshape(t.shape + vals.shape[1:])
+        exact = (w.reshape(w.shape + (1,) * (vals.ndim - 2)) * vals).sum(axis=1)
+        err = np.diff(snaps, axis=0) - exact
+        m, eps = err.ndim - 2, self.gamma.eps
+        local = majorants(err, m, eps)[0]
+        return local, float(majorants(np.cumsum(err, axis=0), m, eps)[0].max())
 
 
 def picard_step(gamma: AdmissibleField, path: FlowPath,
@@ -247,64 +292,117 @@ def picard_step(gamma: AdmissibleField, path: FlowPath,
 # ---------------------------------------------------------------------------
 
 def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
-               max_step: Fraction = MAX_STEP, max_iter: int = 200,
+               max_step=1, max_iter: int = 200,
                start: FlowPath | None = None,
-               fixed_iters: int | None = None) -> FlowPath:
+               fixed_iters: int | None = None,
+               grid: TimeGrid | None = None) -> FlowPath:
     """Iterate the integral-equation map from the identity path to its fixed point.
 
-    Stops when successive sup-distances (nu_eps over grid times) drop below
-    ``tol_solve * (1 - theta_hat)``, which bounds the distance to the fixed
-    point by ``tol_solve``.  Logged ratios above 1 raise NonContraction: the
-    certificate guarantees observed ratios below theta_hat in exact
-    arithmetic, so growth signals a certificate or truncation bug.
+    Sweeps stop when successive sup-distances (nu_eps over grid times) drop
+    below ``tol_solve * (1 - theta_hat)``; a defect pass then bounds the
+    distance to the exact flow by (last step + D) / (1 - theta_hat), which
+    ``residual`` reports.  Only while that bound exceeds ``tol_solve`` does
+    the solve go on: it halves the intervals whose defect exceeds their
+    share of the budget and solves again from the path it has, or sweeps
+    again when D leaves room; a bound still above ``tol_solve`` at the
+    grid floor is reported as it is.  Growing sweep distances raise
+    NonContraction: the certificate guarantees observed ratios below
+    theta_hat in exact arithmetic, so growth signals a certificate or
+    truncation bug.  But few long intervals average the rounding of their
+    nodes less, so on a grid that may still be halved a sweep that grows
+    or breaks the ratio certificate is not kept, and the defect pass of
+    the last kept sweep decides where to halve.  The log holds the kept
+    sweeps; the first sweep on each grid logs no ratio.
 
-    ``fixed_iters`` pins the sweep count (no stopping or growth test):
-    derivative probes need the solution to vary smoothly with parameters,
-    which tolerance-based stopping would break.
+    The grid starts from the field's breakpoints refined to ``max_step``,
+    or from the grid of ``start``.  A given ``grid`` is kept as it is: the
+    two solves of a pair that compares snapshots or differences take the
+    grid of the first.  ``fixed_iters`` pins the sweep count (no stopping,
+    growth test, defect pass or refinement): derivative probes need the
+    solution to vary smoothly with parameters, which tolerance-based
+    stopping would break; ``residual`` is then the last step.
     """
     theta = gamma.theta_hat
-    path = start if start is not None else identity_path(gamma, max_step)
     target = tol_solve * (1 - theta)
-    sweep = _PicardSweep(gamma, path.grid, TOL_TRUNC)
-    pinned = fixed_iters is not None
-    snaps, pieces = path.snapshots.coeffs, path.pieces
-    log, prev_diff = [], None
-    for step in range(1, (fixed_iters if pinned else max_iter) + 1):
-        new_snaps, pieces = sweep.run(pieces)
-        diff = _sup_distance(new_snaps, snaps, gamma.eps)
-        snaps = new_snaps
-        ratio = diff / prev_diff if prev_diff else float("nan")
-        log.append((step, diff, ratio))
-        if pinned:
-            continue
-        noise_floor = 64 * np.finfo(float).eps * max(
-            1.0, float(np.abs(snaps).max()))
-        if prev_diff is not None and diff > prev_diff and diff > 16 * noise_floor:
-            raise NonContraction(
-                f"observed ratio {ratio:.3f} >= 1 at step {step} "
-                f"(certificate theta_hat = {theta:.3f})")
-        if diff <= max(target, noise_floor):
+    if start is None:
+        start = identity_path(gamma, max_step, grid)
+    elif grid is not None and start.grid != grid:
+        raise ValueError("the start path is not on the given grid")
+    pinned, refine = fixed_iters is not None, grid is None and fixed_iters is None
+    grid, snaps, pieces = start.grid, start.snapshots.coeffs, start.pieces
+    sweep = _PicardSweep(gamma, grid, TOL_TRUNC)
+    # step: the last kept sweep's distance on this grid, inp: its input;
+    # a grid is settled once no stall there could be mended by halving it
+    log, step, goal, settled = [], None, target, not refine
+    while True:
+        stalled = False
+        for _ in range(fixed_iters if pinned else max_iter - len(log)):
+            new_snaps, new_pieces = sweep.run(pieces)
+            diff = _sup_distance(new_snaps, snaps, gamma.eps)
+            ratio = diff / step if step and not pinned else float("nan")
+            noise_floor = 64 * np.finfo(float).eps * max(
+                1.0, float(np.abs(new_snaps).max()))
+            if not pinned and step is not None:
+                grew = diff > step and diff > 16 * noise_floor
+                if not settled and (grew or _breaks_ratio(diff, ratio, theta)):
+                    stalled = True      # not kept: halving may mend it
+                    break
+                if grew:
+                    raise NonContraction(
+                        f"observed ratio {ratio:.3f} >= 1 at step "
+                        f"{len(log) + 1} (certificate theta_hat = {theta:.3f})")
+            inp, snaps, pieces, step = pieces, new_snaps, new_pieces, diff
+            log.append((len(log) + 1, diff, ratio))
+            if not pinned and diff <= max(goal, noise_floor):
+                break
+        else:
+            if not pinned:
+                raise ContractionStall(
+                    f"no convergence within {max_iter} iterations")
+            return FlowPath(grid, gamma.eps, snaps, pieces, source=gamma,
+                            iteration_log=log, residual=step)
+        local, defect = sweep.defect(inp, snaps)
+        residual = (step + defect) / (1 - theta)
+        if residual <= tol_solve:
             break
-        prev_diff = diff
-    else:
-        if not pinned:
-            raise ContractionStall(f"no convergence within {max_iter} iterations")
-    residual = log[-1][1] if pinned else _sup_distance(
-        sweep.run(pieces)[0], snaps, gamma.eps)
-    return FlowPath(path.grid, gamma.eps, snaps, pieces, source=gamma,
+        finer = grid.halved(local / (sweep.h * target)) if refine else grid
+        if finer != grid:       # solve again from the path, re-expressed
+            pieces = pieces_on(pieces, grid, finer)
+            snaps = np.concatenate([pieces[:, 0], snaps[-1:]])
+            grid, step, goal = finer, None, target
+            sweep = _PicardSweep(gamma, grid, TOL_TRUNC)
+        elif stalled:           # sweep on as the grid is
+            settled = True
+        elif defect < target and step > max(target - defect, noise_floor):
+            goal = target - defect
+        else:
+            break
+    return FlowPath(grid, gamma.eps, snaps, pieces, source=gamma,
                     iteration_log=log, residual=residual)
 
 
-def contraction_certificate_ok(path: FlowPath, slack: float = 0.05) -> bool:
+#: logged steps at or below this size are rounding: their ratios say nothing
+RATIO_FLOOR = 1e3 * np.finfo(float).eps
+#: the contraction certificate's slack over theta_hat
+RATIO_SLACK = 0.05
+
+
+def _breaks_ratio(diff: float, ratio: float, theta: float) -> bool:
+    """An observed ratio above theta_hat + slack, on a step above the floor."""
+    return diff > RATIO_FLOOR and np.isfinite(ratio) and ratio > theta + RATIO_SLACK
+
+
+def max_contraction_ratio(path: FlowPath) -> float:
+    """The largest logged ratio from step 2 onward on a step above the
+    rounding floor (0 when there is none): what the certificate tests."""
+    return max((ratio for _, diff, ratio in path.iteration_log[1:]
+                if diff > RATIO_FLOOR and np.isfinite(ratio)), default=0.0)
+
+
+def contraction_certificate_ok(path: FlowPath,
+                               slack: float = RATIO_SLACK) -> bool:
     """Logged ratios from step 2 onward stay below theta_hat + slack."""
-    theta = path.source.theta_hat
-    floor = 1e3 * np.finfo(float).eps
-    for step, diff, ratio in path.iteration_log[1:]:
-        if diff <= floor:
-            continue
-        if np.isfinite(ratio) and ratio > theta + slack:
-            return False
-    return True
+    return max_contraction_ratio(path) <= path.source.theta_hat + slack
 
 
 @dataclass(frozen=True)
@@ -323,10 +421,13 @@ def param_lipschitz_check(g1: AdmissibleField, g2: AdmissibleField,
     """Observed flow distance against twice the L^1 field distance."""
     if abs(g1.eps - g2.eps) > 1e-15:
         raise ValueError("fields must share the working half-width")
-    # the same certified fields, re-expressed on one grid so snapshots align
+    # the same certified fields, re-expressed on one grid so snapshots
+    # align, both solved from the identity on the grid of a solve of the
+    # first: equal fields give equal paths
     grid = g1.field.grid.merged(g2.field.grid)
-    p1, p2 = (solve_flow(replace(g, field=g.field.on_grid(grid)), tol_solve)
-              for g in (g1, g2))
+    g1, g2 = (replace(g, field=g.field.on_grid(grid)) for g in (g1, g2))
+    grid = solve_flow(g1, tol_solve).grid
+    p1, p2 = (solve_flow(g, tol_solve, grid=grid) for g in (g1, g2))
     sup = p1.sup_distance(p2, g1.eps)
     l1 = (g2.field - g1.field).lp_norm(1, "nu", 2 * g1.eps)
     ratio = 0.0 if sup == 0 else (np.inf if l1 == 0 else sup / l1)
@@ -443,14 +544,15 @@ def restriction_consistency(gamma: AdmissibleField, delta: float,
 
     Restriction does not change Fourier data, only the scale at which the
     certificates are quoted, so the two perturbation paths must agree to
-    solver tolerance.
+    solver tolerance.  The solve at delta takes the grid of the solve at
+    eps, so the snapshots compare time by time.
     """
     if not 0 < delta < gamma.eps:
         raise ValueError("need 0 < delta < eps")
     g_delta = AdmissibleField.certify(gamma.field, delta,
                                       gamma.chart_delta0, gamma.for_chart)
     p_eps = solve_flow(gamma, tol_solve)
-    p_delta = solve_flow(g_delta, tol_solve)
+    p_delta = solve_flow(g_delta, tol_solve, grid=p_eps.grid)
     worst = float(np.abs(p_eps.snapshots.coeffs
                          - p_delta.snapshots.coeffs).max())
     return RestrictionReport(eps=gamma.eps, delta=delta, discrepancy=worst,

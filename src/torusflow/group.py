@@ -37,8 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvertibilityLost
-from .flow import (AdmissibleField, FlowPath, MAX_STEP, TOL_POINTWISE,
-                   TOL_SOLVE, invert_at_point, solve_flow)
+from .flow import (AdmissibleField, FlowPath, TOL_POINTWISE, TOL_SOLVE,
+                   invert_at_point, solve_flow)
 from .fourier import (FourierMap, MapStack, _modes_to_json, _wrap, compose,
                       fit_sampled, jacobian, majorants, strip_norms)
 from .timepaths import (FIT_NODES, TimeDependentField, fit_poly3,
@@ -360,15 +360,18 @@ def odot(gamma: AdmissibleField, eta: AdmissibleField,
          tol_solve: float = TOL_SOLVE) -> TimeDependentField:
     """The field product (gamma ⊙ eta)(t) = Ad(Evol(eta)(t))^{-1} gamma(t) + eta(t).
 
-    Ad values are sampled at the collocation nodes of the merged grid,
-    all nodes in batched inversions and fits (chunks of nodes bound the
-    memory), and re-fitted as cubic pieces; the left evolution of the
-    result composes pointwise with that of eta.  The flow of -eta is
-    solved, so Evol(eta)(s) is the inverse of its maps zeta(s) and
-    Ad(Evol(eta)(s))^{-1} = Ad(zeta(s)) needs pointwise inversion only.
+    Ad values are sampled at the collocation nodes of the solver grid of
+    the flow, merged with the grid of gamma, all nodes in batched
+    inversions and fits (chunks of nodes bound the memory), and re-fitted
+    as cubic pieces; the left evolution of the result composes pointwise
+    with that of eta.  The flow of -eta is solved, so Evol(eta)(s) is the
+    inverse of its maps zeta(s) and Ad(Evol(eta)(s))^{-1} = Ad(zeta(s))
+    needs pointwise inversion only.  The grid policy sized that grid from
+    the defect of the cubic collocation of the flow, which Ad(zeta(s))
+    shares.
     """
     eta_flow = solve_flow(eta.negated(), tol_solve)
-    grid = gamma.field.grid.merged(eta.field.grid).refined(MAX_STEP)
+    grid = eta_flow.grid.merged(gamma.field.grid)
     s = grid.nodes(FIT_NODES)[2]
     ad = fit_sampled(lambda x, uc, gc: _adjoint_values(uc, gc, x),
                      [eta_flow.u_at_many(s), gamma.field.values_at(s)],
@@ -420,21 +423,24 @@ def derivative_at_zero(gamma: AdmissibleField, t: float,
     the integral of the field up to t; second-order in tau_step.
 
     Solver sweeps and pointwise inversions run with pinned iteration
-    counts so the chart image is a smooth function of tau and the finite
-    difference is not polluted by stopping noise.  The nu report compares
-    the two sides on the mode window ||k||_1 <= window: under the
-    exponential majorant weights, the white rounding dust that any float
-    pipeline leaves on far modes (~1e-17 per coefficient, amplified by
-    1/tau) would otherwise swamp the tau^2 signal of every admissible
-    field, while the signal itself lives on a handful of low modes.
+    counts, on the grid of one solve of the field itself, so the chart
+    image is a smooth function of tau and the finite difference is not
+    polluted by stopping noise or by grids adapted per tau.  The nu
+    report compares the two sides on the mode window ||k||_1 <= window:
+    under the exponential majorant weights, the white rounding dust that
+    any float pipeline leaves on far modes (~1e-17 per coefficient,
+    amplified by 1/tau) would otherwise swamp the tau^2 signal of every
+    admissible field, while the signal itself lives on a handful of low
+    modes.
     """
     primitive = integrate_primitive(gamma.field).value_at(t)
     order = gamma.field.order
     window = min(window, order)
+    grid = solve_flow(gamma.negated()).grid
 
     def chart_image(tau: float) -> FourierMap:
         scaled = gamma.scaled(tau)
-        flow = solve_flow(scaled.negated(), fixed_iters=12)
+        flow = solve_flow(scaled.negated(), fixed_iters=12, grid=grid)
         return fit_sampled(
             lambda x, u: invert_at_point(u, x, fixed_iters=100) - x,
             [flow.u_at(t)], order, tol_trunc=1e-6, context="chart image")
@@ -454,20 +460,22 @@ def derivative_at_eta(eta: AdmissibleField, gamma: AdmissibleField, t: float,
 
     Compares the central difference of Evol(eta + tau gamma)(t) against
     W(t) o Evol(eta)(t) with W(t) = int_0^t Ad(Evol(eta)(s)) gamma(s) ds.
+    The solves at eta +- tau gamma take the grid of the solve at eta, on
+    the merged grid of both fields.
     """
     pts = _probe_points(gamma.field.m, n_probe)
 
-    def left_eval(field: TimeDependentField) -> np.ndarray:
+    def left_eval(field: TimeDependentField, grid=None):
         adm = AdmissibleField.certify(field, gamma.eps)
-        flow = solve_flow(adm.negated(), tol_solve=1e-15)
-        return invert_at_point(flow.u_at(t), pts)
+        flow = solve_flow(adm.negated(), tol_solve=1e-15, grid=grid)
+        return flow.grid, invert_at_point(flow.u_at(t), pts)
 
-    up = left_eval(eta.field + tau_step * gamma.field)
-    dn = left_eval(eta.field - tau_step * gamma.field)
+    grid, eta_pts = left_eval(eta.field.on_grid(gamma.field.grid))
+    up = left_eval(eta.field + tau_step * gamma.field, grid)[1]
+    dn = left_eval(eta.field - tau_step * gamma.field, grid)[1]
     fd = (up - dn) / (2 * tau_step)
 
     W = ad_transport_integral(eta, gamma.field, t, tol_solve=1e-13)
-    eta_pts = left_eval(eta.field)
     formula = W.eval(eta_pts)
     return float(np.abs(fd - formula).max())
 
@@ -564,24 +572,19 @@ def verify_evolution_pointwise(candidate: EvolutionResult,
 
 def ac_modulus_check(evol: EvolutionResult, n_pairs: int = 16,
                      n_probe: int = 64):
-    """Snapshot increments against the integral bound of the field size.
+    """Increments of the evolution against the integral bound of the field size.
 
-    For dyadic pairs (t_a, t_b): sup-sampled |eta(t_b)(x) - eta(t_a)(x)|
-    must not exceed int_{t_a}^{t_b} nu_{2 eps}(gamma(s)) ds.
+    For the pairs (t_a, t_b) of ``n_pairs`` + 1 uniform times, read by time
+    whatever the solver grid: sup-sampled |eta(t_b)(x) - eta(t_a)(x)| must
+    not exceed int_{t_a}^{t_b} nu_{2 eps}(gamma(s)) ds.
     """
-    gamma = evol.source
     pts = _probe_points(evol.m, n_probe)
-    ts = evol.grid.floats
-    idx = np.linspace(0, len(ts) - 1, n_pairs + 1).astype(int)
-    pairs = [(a, b) for a, b in zip(idx, idx[1:]) if a != b]
-    vals = dict(zip(idx, evol.eval_many(ts[idx], pts)))
-    subs = _field_nu_integral(gamma, ts[[a for a, _ in pairs]],
-                              ts[[b for _, b in pairs]])
-    rows = []
-    for (a, b), sub in zip(pairs, subs):
-        lhs = float(np.abs(vals[b] - vals[a]).max())
-        rows.append((ts[a], ts[b], lhs, sub, lhs <= sub * (1 + 1e-9)))
-    return rows
+    ts = np.linspace(0.0, 1.0, n_pairs + 1)
+    vals = evol.eval_many(ts, pts)
+    subs = _field_nu_integral(evol.source, ts[:-1], ts[1:])
+    lhs = np.abs(np.diff(vals, axis=0)).reshape(n_pairs, -1).max(axis=1)
+    return [(a, b, float(d), sub, d <= sub * (1 + 1e-9))
+            for a, b, d, sub in zip(ts[:-1], ts[1:], lhs, subs)]
 
 
 def _field_nu_integral(gamma: AdmissibleField, a, b) -> np.ndarray:

@@ -34,6 +34,8 @@ TOL_INT = 1e-12
 TOL_CHAIN = 1e-8
 #: maximum degree of a field piece
 MAX_DEGREE = 3
+#: the grid policy halves no interval below this step
+STEP_FLOOR = 1 / 64
 
 # 4-point Gauss-Legendre nodes/weights on [0, 1]: exact for degree <= 7
 _GL4_X = 0.5 + 0.5 * np.array([-0.8611363115940526, -0.3399810435848563,
@@ -113,7 +115,11 @@ class TimeGrid:
         pts = sorted(set(self.breakpoints) | set(other.breakpoints))
         return TimeGrid(tuple(pts))
 
+    # -- the grid policy: start from the breakpoints, refined to a cap, and
+    # halve where a measured defect asks for it, never below STEP_FLOOR --
+
     def refined(self, max_step) -> "TimeGrid":
+        """Every interval cut into equal parts of at most ``max_step``."""
         max_step = Fraction(max_step)
         pts = []
         for a, b in zip(self.breakpoints, self.breakpoints[1:]):
@@ -121,6 +127,30 @@ class TimeGrid:
             pts.extend(a + (b - a) * Fraction(i, n) for i in range(n))
         pts.append(Fraction(1))
         return TimeGrid(tuple(pts))
+
+    def halved(self, excess) -> "TimeGrid":
+        """Each interval whose defect is ``excess`` > 1 times its share of
+        the budget halved as often as ``_halvings`` asks, but not below
+        STEP_FLOOR; the grid itself when no interval is cut."""
+        pts = []
+        for a, b, k in zip(self.breakpoints, self.breakpoints[1:],
+                           _halvings(excess).tolist()):
+            while k and (b - a) / 2 ** k < STEP_FLOOR:
+                k -= 1
+            pts.extend(a + (b - a) * Fraction(i, 2 ** k) for i in range(2 ** k))
+        pts.append(Fraction(1))
+        return self if len(pts) == len(self) else TimeGrid(tuple(pts))
+
+
+def _halvings(excess) -> np.ndarray:
+    """How often to halve each interval whose defect is ``excess`` times its
+    share of the budget: none within the share, else as often as brings
+    the defect to half its share, as it falls 16-fold per halving (the
+    cubic collocation is of fourth order)."""
+    excess = np.asarray(excess, dtype=float)
+    with np.errstate(divide="ignore"):
+        k = np.ceil(np.log2(2 * excess) / 4)
+    return np.where(excess > 1, k, 0).astype(int)
 
 
 def _unit_times(times) -> np.ndarray:
@@ -164,6 +194,14 @@ def _poly_reparam(pieces: np.ndarray, a, b) -> np.ndarray:
         for e in range(d + 1):
             out[:, e] += pieces[:, d] * comb(d, e) * (a ** (d - e)) * (b ** e)
     return out
+
+
+def pieces_on(pieces: np.ndarray, grid: TimeGrid, finer: TimeGrid) -> np.ndarray:
+    """The pieces on ``grid`` re-expressed exactly on every interval of
+    ``finer``, a refinement of ``grid``."""
+    js, starts = grid.locate(finer.floats[:-1])
+    widths = np.array(finer.steps, dtype=float) / np.diff(grid.floats)[js]
+    return _poly_reparam(pieces[js], starts, widths)
 
 
 def _antiderivative(pieces: np.ndarray, h) -> np.ndarray:
@@ -256,10 +294,8 @@ class TimeDependentField:
     def on_grid(self, grid: TimeGrid) -> "TimeDependentField":
         """Re-express on a refinement of (or merge with) the own grid."""
         grid = self.grid.merged(grid)
-        js, starts = self.grid.locate(grid.floats[:-1])
-        widths = np.array(grid.steps, dtype=float) / np.diff(self.grid.floats)[js]
         return TimeDependentField(
-            grid, _poly_reparam(self.pieces[js], starts, widths), self.scale)
+            grid, pieces_on(self.pieces, self.grid, grid), self.scale)
 
     def _binary(self, other: "TimeDependentField", sign: float) -> "TimeDependentField":
         if (self.m, self.ncomp) != (other.m, other.ncomp):
@@ -417,13 +453,18 @@ class ACPath:
         pieces[:, 0] = v[owner] + (before - before[np.searchsorted(owner, owner)])
         self.pieces, self.piece_grid = pieces, der.grid
         ends = np.add.reduceat(inc, np.searchsorted(owner, np.arange(len(v) - 1)))
-        self._defect = defect = float(np.abs(v[1:] - (v[:-1] + ends)).max())
-        if check and defect > tol * max(1.0, float(np.abs(v).max())):
-            raise ValueError(f"integral identity violated (defect {defect:.3e})")
+        # per path interval j: the max coefficient defect of values[j+1] =
+        # values[j] + int over interval j, and the bound each must meet
+        self.defects = np.abs(v[1:] - (v[:-1] + ends)).reshape(
+            len(v) - 1, -1).max(axis=1)
+        self.defect_tol = tol * max(1.0, float(np.abs(v).max()))
+        if check and self.integral_defect() > self.defect_tol:
+            raise ValueError(
+                f"integral identity violated (defect {self.integral_defect():.3e})")
 
     def integral_defect(self) -> float:
         """Max coefficient defect of values[j+1] = values[j] + int over interval j."""
-        return self._defect
+        return float(self.defects.max())
 
     def values_at(self, times) -> FourierMap:
         """The path at many times, as maps of the batch shape of ``times``."""
@@ -542,30 +583,42 @@ def _jacobian_compose_apply(u: MapStack, v: MapStack) -> MapStack:
 
 
 def ac_postcompose(path: ACPath, rule: SuperpositionRule,
-                   tol_chain: float = TOL_CHAIN,
-                   max_step=Fraction(1, 64)) -> ACPath:
+                   tol_chain: float = TOL_CHAIN, max_step=1) -> ACPath:
     """Compose an AC path with an analytic rule; derivative by the chain rule.
 
-    Each rule method is called once, on the stack of all maps.  For affine
-    rules the result is exact in coefficient arithmetic.  For nonlinear
-    rules the derivative t -> df(path(t), path'(t)) is re-fitted as a cubic
-    on a refined grid and the integral identity is re-verified within
-    ``tol_chain``.
+    Each rule method is called once per grid, on the stack of all maps.
+    For affine rules the result is exact in coefficient arithmetic.  For
+    nonlinear rules the derivative t -> df(path(t), path'(t)) is re-fitted
+    as a cubic per interval of a grid from the grid policy: the path's
+    breakpoints refined to ``max_step``, with every interval whose integral
+    identity misses ``tol_chain`` halved until none does or the floor is
+    reached; the identity is then re-verified within ``tol_chain``.
     """
-    grid = path.grid.refined(max_step) if not rule.is_affine else path.grid
-    der = path.derivative.on_grid(grid)
-    # the path at the new breakpoints, the stored snapshots where they exist
+    if rule.is_affine:      # the rule maps every coefficient row of der
+        der = path.derivative.on_grid(path.grid)
+        rows = rule.differential(None, _wrap(der.pieces, der.m)).coeffs
+        return ACPath(path.grid, _postcompose_values(path, path.grid, rule),
+                      TimeDependentField(path.grid, rows, der.scale), tol=TOL_INT)
+    grid = path.grid.refined(max_step)
+    while True:
+        values = _postcompose_values(path, grid, rule)
+        der = path.derivative.on_grid(grid)
+        nodes = grid.nodes(FIT_NODES)[2]
+        samples = rule.differential(path.values_at(nodes), der.values_at(nodes))
+        out = ACPath(grid, values, TimeDependentField(
+            grid, fit_poly3(samples.coeffs), der.scale), tol=tol_chain, check=False)
+        finer = grid.halved(out.defects / out.defect_tol)
+        if finer == grid:
+            return ACPath(grid, out.values, out.derivative, tol=tol_chain)
+        grid = finer
+
+
+def _postcompose_values(path: ACPath, grid: TimeGrid,
+                        rule: SuperpositionRule) -> MapStack:
+    """The rule applied to the path at the breakpoints of ``grid``, the
+    stored snapshots where they exist."""
     values = path.values_at(grid.floats)
     values.coeffs[np.isin(grid.floats, path.grid.floats)] = path.values.coeffs
     if not np.all(rule.domain_ok(values)):
         raise DomainEscape("path leaves the domain of the postcomposition rule")
-    new_values = rule.value(values)
-    if rule.is_affine:      # the rule maps every coefficient row of der
-        rows = rule.differential(None, _wrap(der.pieces, der.m)).coeffs
-        new_der = TimeDependentField(grid, rows, path.derivative.scale)
-        return ACPath(grid, new_values, new_der, tol=TOL_INT)
-    nodes = grid.nodes(FIT_NODES)[2]
-    samples = rule.differential(path.values_at(nodes), der.values_at(nodes))
-    new_der = TimeDependentField(grid, fit_poly3(samples.coeffs),
-                                 path.derivative.scale)
-    return ACPath(grid, new_values, new_der, tol=tol_chain)
+    return rule.value(values)

@@ -17,7 +17,6 @@ re-integrating its derivative on every call; the primitive that ACPath
 keeps as pieces must read the same bits.
 """
 
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -453,9 +452,10 @@ def _rule_differential(rule, u, v):
     return v + compose(v, u) + shifted
 
 
-def ac_postcompose(path, rule, tol_chain=1e-8, max_step=Fraction(1, 64)):
-    """ac_postcompose with every rule method called once per map."""
-    grid = path.grid.refined(max_step) if not rule.is_affine else path.grid
+def ac_postcompose(path, rule, tol_chain=1e-8, grid=None):
+    """ac_postcompose with every rule method called once per map, on
+    ``grid``, the grid the library chose (for affine rules the path's)."""
+    grid = path.grid if rule.is_affine else grid
     der = path.derivative.on_grid(grid)
     values = path.values_at(grid.floats).coeffs
     values[np.isin(grid.floats, path.grid.floats)] = path.values.coeffs
@@ -493,6 +493,26 @@ def imag_reach_max(path, start_width):
 def restriction_discrepancy(p_eps, p_delta):
     return max(float(np.abs(a.coeffs - b.coeffs).max())
                for a, b in zip(p_eps.snapshots, p_delta.snapshots))
+
+
+def defect_bound(gamma, inp, out, step):
+    """solve_flow's residual (step + D) / (1 - theta_hat) for the sweep
+    ``out`` of the path ``inp``: D is the sup over grid times of nu_eps of
+    the summed differences between the snapshot increments of ``out`` and
+    the 4-point Gauss-Legendre integrals of gamma o (id + u_inp), one
+    compose per node."""
+    ts, eps, acc, D = out.grid.floats, gamma.eps, 0.0, 0.0
+    for j in range(len(ts) - 1):
+        h = ts[j + 1] - ts[j]
+        exact = 0.0
+        for x, w in zip(_GL4_X, _GL4_W):
+            g = gamma.field.value_at(ts[j] + h * x)
+            exact = exact + h * w * compose(
+                g, inp.u_at(ts[j] + h * x), order=g.order,
+                outer_scale=2 * eps, inner_scale=eps).coeffs
+        acc = acc + out.snapshots.coeffs[j + 1] - out.snapshots.coeffs[j] - exact
+        D = max(D, strip_norms(FourierMap(acc), eps).nu)
+    return (step + D) / (1 - gamma.theta_hat)
 
 
 def step_distance(snaps_a, snaps_b, eps):

@@ -188,10 +188,10 @@ def test_chart_relatedness_under_half_translation(chart_flow):
     path = flow_to_chart(chart_flow, alpha, cert)
     k = np.arange(-32, 33)
     phase = np.exp(1j * np.pi * k)[:, None]
-    for j in (0, 16, 64):
-        u = chart_flow.snapshots[j]
+    for t in (0.0, 0.25, 1.0):
+        u = chart_flow.u_at(t)
         # conjugated flow perturbation: u2(x) = u(x + 1/2)
         u2 = FourierMap(u.coeffs * phase)
-        w = path.values[j]
+        w = path.value_at(t)
         w2_expected = FourierMap(w.coeffs * phase)
         assert np.abs(u2.coeffs - w2_expected.coeffs).max() <= 1e-10

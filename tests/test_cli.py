@@ -61,6 +61,23 @@ def test_sine_benchmark_reproduces_closed_form(sine_benchmark_out):
     assert abs(val.real - want) < 1e-8
 
 
+def test_solve_rows_pass_on_their_value_against_their_tol(sine_benchmark_out):
+    """Each solve row passes exactly when its value is within its tol; the
+    contraction row reports the largest observed ratio against theta_hat +
+    0.05, the bound contraction_certificate_ok tests."""
+    checks = json.loads((sine_benchmark_out / "summary.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == [
+        "residual", "contraction_ratios", "strip_invariant", "endpoint_mu"]
+    for c in checks:
+        assert c["pass"] == (c["value"] <= c["tol"]), c
+    scenario = json.loads((SCENARIOS / "sine_benchmark.json").read_text())
+    gamma = _certify(parse_scenario(scenario, "solve"))
+    ratios = [float(r.split(",")[2]) for r in (
+        sine_benchmark_out / "iteration_log.csv").read_text().splitlines()[2:]]
+    assert checks[1]["value"] == max(r for r in ratios if r == r)
+    assert checks[1]["tol"] == gamma.theta_hat + 0.05
+
+
 def test_flow_json_loads_as_the_indented_layout(sine_benchmark_out):
     scenario = json.loads((SCENARIOS / "sine_benchmark.json").read_text())
     path = solve_flow(_certify(parse_scenario(scenario, "solve")), tol_solve=1e-10)
@@ -198,10 +215,10 @@ def test_random_field_budget_at_scenario_eps(tmp_path):
                          seed=3, field={"type": "random", "budget": 0.3})
     assert run(["solve", scenario, "--out", tmp_path / "out"]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    # the contraction_ratios check quotes theta_hat + 0.05
+    # the contraction_ratios check quotes theta_hat + 0.05 as its tol
     ratios = next(c for c in summary["checks"]
                   if c["name"] == "contraction_ratios")
-    assert abs(ratios["value"] - 0.35) < 1e-12
+    assert abs(ratios["tol"] - 0.35) < 1e-12
 
 
 def test_random_field_rejects_m2(tmp_path, capsys):

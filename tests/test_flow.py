@@ -12,8 +12,9 @@ from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
                        TimeGrid, identity_path, param_lipschitz_check,
                        picard_step, pointwise_solution,
                        restriction_consistency, solve_flow)
+from torusflow import flow as flow_module
 from torusflow.fourier import (TOL_TRUNC, _real_horner, _support_band,
-                               _tail_ratio, sampling_grid)
+                               _tail_ratio, sampling_grid, strip_norms)
 from torusflow.flow import contraction_certificate_ok
 from torusflow.timepaths import FIT_NODES, piece_values
 
@@ -323,8 +324,7 @@ def test_strip_invariant_certificate(sine_flow):
 def test_imaginary_growth_sampled(sine_flow):
     rng = np.random.default_rng(5)
     starts = rng.uniform(0, 1, 100) + 1j * rng.uniform(-EPS / 2, EPS / 2, 100)
-    ts = sine_flow.grid.floats
-    for t in ts[:: len(ts) // 8]:
+    for t in np.linspace(0.0, 1.0, 9):
         vals = sine_flow.eval_points(t, starts[:, None])
         assert np.abs(vals.imag).max() < EPS
 
@@ -434,7 +434,8 @@ def test_pointwise_takes_one_start_point(sine_flow):
 def test_sweep_rejects_a_path_grid_without_the_field_breakpoints():
     """A start path whose grid misses a breakpoint of the field would fit
     its cubics across the field's jumps; both entry points of the sweep
-    refuse it, and a grid that holds the breakpoints solves as the default."""
+    refuse it, and a grid that holds the breakpoints solves as the fine
+    start grid of 1/64 steps does."""
     thirds = TimeGrid((0, Fraction(1, 3), Fraction(2, 3), 1))
     gamma = AdmissibleField.certify(TimeDependentField.step(
         thirds, [sine_map(0.02, 16), cosine_map(0.02, 16),
@@ -450,7 +451,7 @@ def test_sweep_rejects_a_path_grid_without_the_field_breakpoints():
         solve_flow(gamma, start=zero_path(coarse))
     with pytest.raises(ValueError, match="path grid"):
         picard_step(gamma, zero_path(coarse))
-    want = solve_flow(gamma).u_at(1.0).coeffs
+    want = solve_flow(gamma, max_step=Fraction(1, 64)).u_at(1.0).coeffs
     got = solve_flow(gamma, start=zero_path(coarse.merged(thirds)))
     assert np.abs(got.u_at(1.0).coeffs - want).max() <= 1e-13
 
@@ -470,6 +471,82 @@ def test_restriction_sine_benchmark(sine_gamma):
     rep = restriction_consistency(sine_gamma, EPS / 2)
     assert rep.discrepancy <= 1e-9
     assert rep.ok
+
+
+def test_paired_solves_share_the_grid_of_their_base_solve(monkeypatch):
+    """The solves of a pair compare snapshots element by element, so each
+    pair runs on the grid of its base solve, also where the second solve
+    would adapt differently on its own: at eps the field below needs two
+    intervals, at eps/2 one, and at a quarter of its amplitude one."""
+    gamma = AdmissibleField.certify(
+        TimeDependentField.constant(sine_map(0.012), 4 * EPS), EPS)
+    g_delta = AdmissibleField.certify(gamma.field, EPS / 2)
+    weak = gamma.scaled(0.25)
+    alone = [solve_flow(g).grid for g in (gamma, g_delta, weak)]
+    assert alone[0] != alone[1] and alone[0] != alone[2]
+    grids = []
+
+    def spy(*args, **kwargs):
+        path = solve_flow(*args, **kwargs)
+        grids.append(path.grid)
+        return path
+
+    monkeypatch.setattr(flow_module, "solve_flow", spy)
+    assert restriction_consistency(gamma, EPS / 2).ok
+    assert grids == [alone[0]] * 2
+    grids.clear()
+    assert param_lipschitz_check(gamma, weak).ok()
+    assert grids == [alone[0]] * 3
+    with pytest.raises(ValueError, match="different grids"):
+        solve_flow(gamma).sup_distance(solve_flow(weak))
+
+
+# -- the time discretization and the grid policy ----------------------------------
+
+def _closed_form_u(t, a=0.02, order=32, M=256):
+    """Coefficients of u(t) = zeta(t) - id for a sin(2 pi x), from the
+    closed form on M points (its modes fall as 0.063^|k|)."""
+    x = np.arange(M) / M
+    c = np.fft.fft(tangent_oracle(x, t, a) - x) / M
+    k = np.arange(-order, order + 1)
+    return c[k % M][:, None]
+
+
+@pytest.mark.parametrize("step", [1, Fraction(1, 2), Fraction(1, 4),
+                                  Fraction(1, 16)])
+def test_residual_bounds_the_error_of_the_time_discretization(sine_gamma, step):
+    """nu_eps(u(1) - exact u(1)) stays below the reported residual: on the
+    grid the solve chose from ``step`` (within tol_solve), and on the
+    uniform grid of that step kept as it is, where the collocation defect
+    dominates (at step 1 u(1) is 5e-10 off, so the bound exceeds tol_solve
+    and says so)."""
+    exact = _closed_form_u(1.0)
+    kept = solve_flow(sine_gamma, grid=TimeGrid.uniform(int(1 / step)))
+    chosen = solve_flow(sine_gamma, max_step=step)
+    assert chosen.residual <= 1e-10
+    for path in (kept, chosen):
+        err = strip_norms(FourierMap(path.snapshots.coeffs[-1] - exact), EPS).nu
+        assert err <= path.residual, (len(path.grid), err, path.residual)
+    if step == 1:
+        assert kept.residual > 1e-10
+
+
+def test_grid_policy_halves_by_the_excess_down_to_the_floor():
+    """An interval over its share is halved as often as a 16-fold fall of
+    its defect per halving takes to reach half its share; none is cut below
+    1/64, and a solve whose bound stays above tol_solve there says so."""
+    grid = TimeGrid((0, Fraction(3, 8), 1))
+    assert grid.halved([0.5, 1.0]) is grid
+    assert grid.halved([0.5, 2.0]) == TimeGrid((0, Fraction(3, 8),
+                                                Fraction(11, 16), 1))
+    assert grid.halved([20.0, 0.0]) == TimeGrid(
+        (0, Fraction(3, 32), Fraction(3, 16), Fraction(9, 32), Fraction(3, 8), 1))
+    assert TimeGrid.uniform(32).halved(np.full(32, 1e9)) == TimeGrid.uniform(64)
+    assert TimeGrid.uniform(64).halved(np.full(64, 1e9)) == TimeGrid.uniform(64)
+    gamma = AdmissibleField.certify(
+        TimeDependentField.constant(sine_map(0.02), 4 * EPS), EPS)
+    path = solve_flow(gamma, tol_solve=1e-15)
+    assert path.grid == TimeGrid.uniform(64) and path.residual > 1e-15
 
 
 # -- two-dimensional torus ----------------------------------------------------------------

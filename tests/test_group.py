@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusflow import (AdmissibleField, AnalyticDiffeo, FourierMap,
-                       TimeDependentField, TimeGrid, adjoint, compose_diffeo,
-                       derivative_at_eta, derivative_at_zero, evol_left,
-                       evol_left_by_reversal, evol_right, exp_field,
-                       flow_two_param, invert_diffeo, odot, solve_flow,
-                       trotter_curve, verify_evolution_pointwise)
+from torusflow import (AdmissibleField, AnalyticDiffeo, EvolutionResult,
+                       FourierMap, TimeDependentField, TimeGrid, adjoint,
+                       compose_diffeo, derivative_at_eta, derivative_at_zero,
+                       evol_left, evol_left_by_reversal, evol_right,
+                       exp_field, flow_two_param, invert_diffeo, odot,
+                       solve_flow, trotter_curve, verify_evolution_pointwise)
+from torusflow import group as group_module
 from torusflow.group import (_probe_points, ac_modulus_check,
                              ad_transport_integral)
 
@@ -105,7 +106,8 @@ def test_evol_right_agrees_with_pointwise(gam, right_evo):
     pts = _probe_points(1, 16)
     for p in pts[:, 0]:
         traj = pointwise_solution(right_evo.flow, 0.0, [p])
-        for j in (16, 48, 64):
+        # the first grid time at or after each of 1/4, 3/4 and 1
+        for j in np.searchsorted(traj.times, (0.25, 0.75, 1.0)):
             t = traj.times[j]
             val = right_evo.eval_at(t, np.array([[p]]))[0, 0]
             assert abs(val - traj.points[j, 0]) < 1e-8
@@ -168,8 +170,8 @@ def test_two_param_cocycle(right_evo):
 
 
 def test_flow_maps_carry_diffeo_certificates(right_evo):
-    for j in (16, 32, 64):
-        phi = right_evo.snapshot_map(j)
+    for t in (0.25, 0.5, 1.0):
+        phi = right_evo.map_at(t)
         assert phi.mu < 1.0
         assert invert_diffeo(phi).inverse_residual <= 1e-10
         assert phi.min_real_jacobian() >= 1 - phi.mu > 0
@@ -178,6 +180,21 @@ def test_flow_maps_carry_diffeo_certificates(right_evo):
 def test_ac_modulus_shadow(right_evo):
     rows = ac_modulus_check(right_evo)
     assert all(ok for *_, ok in rows)
+
+
+def test_ac_modulus_check_reads_sixteen_pairs_on_any_grid(gam):
+    """The pairs are 17 uniform times read by time, so a solver grid of
+    one interval checks as many pairs as one of 64."""
+    rows = [ac_modulus_check(EvolutionResult(
+        "right", gam, solve_flow(gam, grid=TimeGrid.uniform(n))))
+        for n in (1, 4, 64)]
+    times = np.linspace(0.0, 1.0, 17)
+    for got in rows:
+        assert len(got) == 16 and all(ok for *_, ok in got)
+        assert np.array_equal([r[:2] for r in got],
+                              np.stack([times[:-1], times[1:]], axis=1))
+    assert np.abs(np.array([r[2:4] for r in rows[0]], dtype=float)
+                  - np.array([r[2:4] for r in rows[2]], dtype=float)).max() < 1e-9
 
 
 # -- adjoint --------------------------------------------------------------------------
@@ -286,13 +303,15 @@ def test_derivative_at_zero_sine_richardson():
 
 def test_ad_transport_integral_does_not_integrate_across_a_jump():
     """W(t) does not depend on whether eta's grid holds gamma's jump: the
-    Gauss intervals are cut at the breakpoints of both fields."""
+    Gauss intervals are cut at the breakpoints of both fields.  The flows
+    of eta are solved far below the compared difference."""
     jump = TimeGrid((0, Fraction(1, 3), 1))
     gamma = TimeDependentField.step(
         jump, [sine_map(0.02, 16), cosine_map(0.02, 16)], 0.2)
     W = [ad_transport_integral(AdmissibleField.certify(
         TimeDependentField.constant(sine_map(0.01, 16), 0.2, grid), EPS),
-        gamma, 0.6).coeffs for grid in (TimeGrid.uniform(1), jump)]
+        gamma, 0.6, tol_solve=1e-13).coeffs
+        for grid in (TimeGrid.uniform(1), jump)]
     assert np.abs(W[0]).max() > 1e-3
     assert np.abs(W[0] - W[1]).max() <= 1e-15
 
@@ -304,6 +323,32 @@ def test_derivative_at_eta_gamma_zero(eta):
 
 def test_derivative_at_eta_sine_pair(gam, eta):
     assert derivative_at_eta(eta, gam, 0.6, 1e-3) <= 1e-5
+
+
+def test_derivative_probes_solve_on_the_grid_of_their_base_solve(
+        monkeypatch, gam, eta):
+    """The finite differences take the solves at +-tau on one grid: that of
+    a solve of the field itself (derivative_at_zero, whose pinned solves
+    would otherwise run on the field's one interval) or of the base eta
+    (derivative_at_eta)."""
+    solves = []
+
+    def spy(gamma, *args, **kwargs):
+        path = solve_flow(gamma, *args, **kwargs)
+        solves.append((kwargs.get("fixed_iters"), kwargs.get("grid"), path.grid))
+        return path
+
+    monkeypatch.setattr(group_module, "solve_flow", spy)
+    wide = AdmissibleField.certify(
+        TimeDependentField.constant(sine_map(0.04), 0.2), EPS)
+    derivative_at_zero(wide, 1.0, 1e-3)
+    (_, _, base), *pinned = solves
+    assert base != wide.field.grid and len(pinned) == 4
+    assert all(n == 12 and given == got == base for n, given, got in pinned)
+    solves.clear()
+    derivative_at_eta(eta, gam, 0.6, 1e-3)
+    (_, _, base), up, dn, _ = solves
+    assert up[1] == up[2] == base and dn[1] == dn[2] == base
 
 
 def test_derivative_at_eta_reduces_at_zero_base(gam):

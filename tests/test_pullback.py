@@ -180,10 +180,12 @@ def test_smooth_parameter_shadow(gam):
     # central differences of the operators in the field direction: O(tau^2)
     direction = TimeDependentField.constant(cosine_map(0.01), 0.2)
     t = 0.5
+    grid = _solve(gam).grid     # every tau on the grid of the base solve
 
     def matrix_at(tau):
         field = gam.field + tau * direction
-        flow = _solve(AdmissibleField.certify(field, EPS), fixed_iters=14)
+        flow = _solve(AdmissibleField.certify(field, EPS), fixed_iters=14,
+                      grid=grid)
         phi = AnalyticDiffeo.certify(flow.u_at(t), EPS)
         return pullback_matrix(phi, 6).matrix
 

@@ -19,7 +19,7 @@ from torusflow import (ACPath, AdmissibleField, AffineRule, FourierMap,
                        pointwise_solution, pullback_path, solve_flow,
                        verify_evolution_pointwise)
 from torusflow import fourier
-from torusflow.flow import MAX_STEP, restriction_consistency
+from torusflow.flow import restriction_consistency
 from torusflow.group import _field_nu_integral, ad_transport_integral
 from torusflow.timepaths import _piece_integrals
 
@@ -74,8 +74,8 @@ def test_left_snapshots_match_snapshot_loop(fields):
 def test_odot_matches_node_loop(fields):
     gamma, eta = fields
     got = odot(gamma, eta)
-    want = ref.odot(gamma, eta, gamma.field.grid.merged(eta.field.grid)
-                    .refined(MAX_STEP))
+    want = ref.odot(gamma, eta, solve_flow(eta.negated()).grid
+                    .merged(gamma.field.grid))
     assert got.grid == want.grid
     assert _close(np.stack(got.pieces), np.stack(want.pieces))
 
@@ -179,28 +179,32 @@ def test_pullback_path_matches_node_loop(fields, t0):
 def test_stack_forms_equal_snapshot_walks(fields):
     """Paths stored as one array give exactly the numbers of the walks over
     their snapshots: the solver's step distances (tolerance and pinned
-    sweeps), sup distances, reaches, the restriction discrepancy, closed-form
-    primitives (pieces of mixed degree) and the integral defect."""
+    sweeps, on the grid of a solve), its defect bound (to rounding), sup
+    distances, reaches, the restriction discrepancy, closed-form primitives
+    (pieces of mixed degree) and the integral defect."""
     gamma, eta = fields
-    solved, pinned = solve_flow(gamma), solve_flow(gamma, fixed_iters=3)
+    adaptive = solve_flow(gamma)
+    solved, pinned = (solve_flow(gamma, grid=adaptive.grid),
+                      solve_flow(gamma, fixed_iters=3, grid=adaptive.grid))
     for path in (solved, pinned):
-        it = identity_path(gamma)
+        it = identity_path(gamma, grid=adaptive.grid)
         for step, diff, ratio in path.iteration_log:
-            nxt = picard_step(gamma, it)
-            assert diff == ref.step_distance(nxt.snapshots, it.snapshots, EPS)
-            it = nxt
+            prev, it = it, picard_step(gamma, it)
+            assert diff == ref.step_distance(it.snapshots, prev.snapshots, EPS)
         assert np.array_equal(path.snapshots.coeffs, it.snapshots.coeffs)
         assert np.array_equal(path.pieces, it.pieces)
+        if path is solved:
+            assert _close(solved.residual, ref.defect_bound(
+                gamma, prev, solved, solved.iteration_log[-1][1]))
     assert np.isnan([r for *_, r in pinned.iteration_log]).all()
     assert pinned.residual == pinned.iteration_log[-1][1]
-    assert solved.residual == ref.step_distance(
-        picard_step(gamma, solved).snapshots, solved.snapshots, EPS)
 
     assert solved.sup_distance(pinned) == ref.sup_distance(solved, pinned, EPS)
     assert solved.imag_reach_max() == ref.imag_reach_max(solved, EPS / 2)
     g_delta = AdmissibleField.certify(gamma.field, EPS / 2)
     assert restriction_consistency(gamma, EPS / 2).discrepancy == \
-        ref.restriction_discrepancy(solved, solve_flow(g_delta))
+        ref.restriction_discrepancy(
+            adaptive, solve_flow(g_delta, grid=adaptive.grid))
 
     f = gamma.field
     mixed = TimeDependentField(f.grid, [f.pieces[0], np.concatenate(
@@ -298,6 +302,7 @@ def test_array_forms_equal_piece_loops(fields):
             assert np.array_equal(got.derivative.pieces, want.derivative.pieces)
     rule = SelfCompositionRule(inner_scale=EPS, outer_scale=4 * EPS)
     path = integrate_primitive(mixed)
-    got, want = ac_postcompose(path, rule), ref.ac_postcompose(path, rule)
+    got = ac_postcompose(path, rule)
+    want = ref.ac_postcompose(path, rule, grid=got.grid)
     assert _close(got.values.coeffs, want.values.coeffs)
     assert _close(got.derivative.pieces, want.derivative.pieces)

@@ -1,12 +1,15 @@
 """Time-grid fields: L^p seminorms, primitives, chain-rule postcomposition."""
 
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torusflow
 from torusflow import (ACPath, AffineRule, FourierMap, IdentityRule,
                        MapStack, ScaleMismatch, SelfCompositionRule, TimeDependentField,
                        TimeGrid, ac_postcompose, integrate_primitive)
@@ -28,6 +31,25 @@ def test_grid_validation():
         TimeGrid((0, Fraction(1, 2), Fraction(1, 2), 1))
     with pytest.raises(ValueError):
         TimeGrid((0, Fraction(1, 2)))
+
+
+def test_one_grid_policy_sizes_every_solver_grid():
+    """No module fixes a time step of its own: no Fraction(1, 64) and no
+    MAX_STEP anywhere in the package, ``refined`` takes only a caller's
+    ``max_step`` cap, and only timepaths.py, which holds the grid policy,
+    names its floor."""
+    for path in sorted(Path(torusflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = (path.name, getattr(node, "lineno", None))
+            name = getattr(node, "id", getattr(node, "attr", None))
+            assert name != "MAX_STEP", where
+            assert name != "STEP_FLOOR" or path.name == "timepaths.py", where
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            args = [getattr(a, "value", getattr(a, "id", None)) for a in node.args]
+            assert not (called == "Fraction" and args == [1, 64]), where
+            assert called != "refined" or args == ["max_step"], where
 
 
 def test_grid_refine_and_merge():
