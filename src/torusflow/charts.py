@@ -290,7 +290,8 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert,
 
 def chart_roundtrip_defect(flow, alpha: LocalAddition, path: ACPath,
                            n_probe: int = 64) -> float:
-    """sup over probe points and grid times of |alpha(x, w(t)(x)) - zeta(t)(x)|."""
+    """sup over probe points and times of |alpha(x, w(t)(x)) - zeta(t)(x)|,
+    at the grid times and the collocation nodes inside every interval."""
     m = flow.m
     if m == 1:
         pts = (np.arange(n_probe) / n_probe)[:, None].astype(complex)
@@ -298,6 +299,7 @@ def chart_roundtrip_defect(flow, alpha: LocalAddition, path: ACPath,
         g = np.arange(int(np.sqrt(n_probe))) / int(np.sqrt(n_probe))
         pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
         pts = pts.astype(complex)
-    w = path.values.eval(pts)
-    zeta = pts + flow.u_at_many(flow.grid.floats).eval(pts)
+    times = np.concatenate([flow.grid.floats, flow.grid.nodes(FIT_NODES)[2]])
+    w = path.values_at(times).eval(pts)
+    zeta = pts + flow.u_at_many(times).eval(pts)
     return float(np.abs(alpha(pts, w) - zeta).max())

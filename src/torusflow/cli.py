@@ -316,6 +316,8 @@ def run_solve(s: Scenario, out: Path, checks: list) -> None:
     path = solve_flow(gamma, tol_solve=s.tol_solve)
     write_csv(out / "iteration_log.csv", ("step", "sup_diff", "ratio"),
               path.iteration_log)
+    write_csv(out / "discarded_sweeps.csv",
+              ("step", "sup_diff", "ratio", "rounding"), path.discarded)
     write_csv(out / "norms.csv", ("eps", "nu", "beta", "tail_ratio"),
               [strip_norms(u, gamma.eps).as_row() for u in path.snapshots])
     (out / "flow.json").write_text(_flow_json(path.to_json()))

@@ -20,18 +20,21 @@ contraction factor; two solved parameter values can never drift apart by
 more than twice their L^1 distance, which is checked by
 ``param_lipschitz_check``.
 
-The reported ``residual`` bounds the distance to the exact flow, not only
-to the discrete fixed point.  After the iteration stops, one defect pass
-integrates gamma o zeta of the next-to-last iterate with the 4-point
-Gauss-Legendre rule of ``TimeGrid.quadrature`` (exact to degree 7, where
-the cubic collocation is exact to degree 3); its difference from the last
-iterate at the grid times is the defect D, and the a posteriori form of
-Banach's fixed-point theorem bounds the distance to the solution by
-(last step + D) / (1 - theta_hat).  The grid follows the one grid policy
-of ``TimeGrid``: it starts from the field's breakpoints (refined to
-``max_step`` when one is given) and halves, solving again from the path
-it has, each interval whose share of D exceeds its share of the budget
-tol_solve (1 - theta_hat), never below ``STEP_FLOOR``.
+The reported ``residual`` estimates the distance to the exact flow at all
+times, not only to the discrete fixed point.  After the iteration stops,
+one defect pass evaluates gamma o zeta of the next-to-last iterate at the
+nodes of the 4-point Gauss-Legendre rule of ``TimeGrid.quadrature`` (exact
+to degree 7, where the cubic collocation is exact to degree 3); against
+the cubic the last sweep fitted it gives the defect D over whole
+intervals, and the a posteriori form of Banach's fixed-point theorem
+bounds the distance to the solution by (last step + D) / (1 - theta_hat).
+It is a bound up to the error of the rule on an integrand that is not a
+polynomial, and of taking the last step at the grid times and the Gauss
+nodes.  The grid follows the one grid policy of ``TimeGrid``: it starts
+from the field's breakpoints (refined to ``max_step`` when one is given)
+and halves, solving again from the path it has, each interval whose
+share of D exceeds its share of the budget tol_solve (1 - theta_hat),
+never below ``STEP_FLOOR``.
 
 One sweep engine applies P for m = 1 and m = 2 alike; ``solve_flow`` and
 ``picard_step`` both call it.  A sweep is one call of ``fourier.compose``,
@@ -127,14 +130,17 @@ class FlowPath:
     ``snapshots`` hold u at the grid times (u(0) = 0) as a MapStack and
     ``pieces`` the local polynomial of u on each interval as one array
     (intervals, degree + 1) + map shape, so zeta can be evaluated at any t
-    in [0, 1].  ``iteration_log`` rows are (step, sup_diff, ratio);
-    ``residual`` bounds the nu_eps distance to the exact flow at the grid
-    times (the last step of a pinned solve).
+    in [0, 1].  ``iteration_log`` rows are (step, sup_diff, ratio) of the
+    kept sweeps, ``discarded`` rows (step, sup_diff, ratio, rounding) of
+    the sweeps the solver did not keep, with their measured rounding
+    level; ``residual`` estimates the nu_eps distance to the exact flow
+    over all times (the last step of a pinned solve).
     """
 
     def __init__(self, grid: TimeGrid, eps: float, snapshots, pieces,
                  source: AdmissibleField | None = None,
-                 iteration_log=None, residual: float = np.nan):
+                 iteration_log=None, residual: float = np.nan,
+                 discarded=None):
         self.grid = grid
         self.eps = float(eps)
         self.snapshots = MapStack(snapshots, check=False)
@@ -142,6 +148,7 @@ class FlowPath:
         self.source = source
         self.iteration_log = list(iteration_log or [])
         self.residual = residual
+        self.discarded = list(discarded or [])
         self.m = self.snapshots.m
         self.order = self.snapshots.order
 
@@ -167,9 +174,12 @@ class FlowPath:
                              eps)
 
     def imag_reach_max(self, start_width: float | None = None) -> float:
-        """Certified bound on ||Im zeta(t)(z)|| over starts ||Im z|| <= start_width."""
+        """Certified bound on ||Im zeta(t)(z)|| over starts ||Im z|| <=
+        start_width and all t in [0, 1]: the majorants of the coefficients
+        sum_d |c_{j,d}| bound those of piece j at every tau in [0, 1]."""
         w = self.eps / 2 if start_width is None else start_width
-        return float(imag_reach(self.snapshots, w).max())
+        bound = _wrap(np.abs(self.pieces).sum(axis=1), self.m)
+        return float(imag_reach(bound, w).max())
 
     def check_strip_invariant(self) -> bool:
         """Flows started in the half strip stay strictly inside the full strip."""
@@ -215,7 +225,8 @@ class _PicardSweep:
     which checks the reach from the working strip into the doubled strip,
     the reality of u and the truncation tail at every node, and fits and
     integrates one cubic per interval in closed form.  ``defect`` measures
-    the sweep against the exact map by one more ``compose``.
+    the sweep against the exact map by one more ``compose``, ``rounding``
+    its rounding level by one more sweep.
     """
 
     def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
@@ -230,17 +241,17 @@ class _PicardSweep:
         j, tau, t = grid.nodes(FIT_NODES)
         self.nodes, self.field = (j, tau), gam.values_at(t)
 
-    def _compose(self, field: FourierMap, pieces, j, tau) -> np.ndarray:
-        """gamma o (id + u) at the nodes (j, tau), u read from ``pieces``."""
-        u = _wrap(piece_values(pieces, j, tau), field.m)
+    def _compose(self, field: FourierMap, u: np.ndarray) -> np.ndarray:
+        """gamma o (id + u) node by node, for the field and u at the nodes."""
         eps = self.gamma.eps
-        return compose(field, u, order=self.gamma.field.order,
+        return compose(field, _wrap(u, field.m), order=self.gamma.field.order,
                        tol_trunc=self.tol_trunc, outer_scale=2 * eps,
                        inner_scale=eps).coeffs
 
     def run(self, pieces):
         """New (snapshots, pieces) arrays from the pieces of a candidate path."""
-        return self._integrate(self._compose(self.field, pieces, *self.nodes))
+        return self._integrate(self._compose(
+            self.field, piece_values(pieces, *self.nodes)))
 
     def _integrate(self, kept: np.ndarray):
         """Fit a cubic per interval through the node values and integrate it."""
@@ -252,26 +263,54 @@ class _PicardSweep:
         anti[:, 0] = snaps[:-1]
         return snaps.reshape((J + 1,) + shape), anti.reshape((J, Q + 1) + shape)
 
-    def defect(self, pieces, snaps):
-        """(local, D): the defect of ``snaps``, the sweep of ``pieces``,
-        against the exact integral of the field along ``pieces``.
+    def defect(self, pieces, out):
+        """(local, D, step): the defect of ``out``, the pieces of the sweep
+        of ``pieces``, against the exact integral of the field along
+        ``pieces``, and the step between the two paths inside the intervals.
 
-        The Gauss-Legendre rule of ``TimeGrid.quadrature`` integrates
-        gamma o (id + u) over every interval from one ``compose`` at its
-        nodes.  ``local`` holds nu_eps of each interval's increment minus
-        that integral, D the sup over grid times of nu_eps of their sums.
+        One ``compose`` gives gamma o (id + u) at the 4 Gauss-Legendre
+        nodes of ``TimeGrid.quadrature`` on every interval; r is its
+        difference from the cubic that the sweep fitted there.  ``local``
+        holds h_j sum_q w_q nu_eps(r_q), the rule's value of the integral
+        of nu_eps(r) over interval j, which bounds nu_eps of the defect
+        gathered inside that interval at every time in it; D is the max
+        over intervals of nu_eps of the defect summed up to t_j plus
+        ``local``, the sup over all times in [0, 1].  ``step`` is the max
+        of nu_eps(out - u) at the same nodes.
         """
         ts = self.grid.floats
         _, t, w = self.grid.quadrature(ts[:-1], ts[1:])
         j, tau = self.grid.locate(t.ravel())
-        vals = self._compose(self.gamma.field.values_at(t.ravel()), pieces,
-                             j, tau)
-        vals = vals.reshape(t.shape + vals.shape[1:])
-        exact = (w.reshape(w.shape + (1,) * (vals.ndim - 2)) * vals).sum(axis=1)
-        err = np.diff(snaps, axis=0) - exact
-        m, eps = err.ndim - 2, self.gamma.eps
-        local = majorants(err, m, eps)[0]
-        return local, float(majorants(np.cumsum(err, axis=0), m, eps)[0].max())
+        u = piece_values(pieces, j, tau)
+        vals = self._compose(self.gamma.field.values_at(t.ravel()), u)
+        r = vals - piece_values(_derivative(out, self.h), j, tau)
+        r = r.reshape(t.shape + r.shape[1:])
+        m, eps = r.ndim - 3, self.gamma.eps
+        local = (w * _nu(r, m, eps)).sum(axis=1)
+        err = (w.reshape(w.shape + (1,) * (m + 1)) * r).sum(axis=1)
+        before = np.cumsum(err, axis=0) - err
+        D = float((_nu(before, m, eps) + local).max())
+        return local, D, float(_nu(piece_values(out, j, tau) - u, m, eps).max())
+
+    def rounding(self, pieces, snaps) -> float:
+        """The measured rounding level of ``snaps``, the sweep of
+        ``pieces``: its sup distance to the sweep of the pieces scaled by
+        1 + 2^-40, which draws fresh rounding and moves the exact result
+        by less than theta_hat 2^-40 times the size of u."""
+        again = self.run(pieces * (1 + 2.0 ** -40))[0]
+        return _sup_distance(again, snaps, self.gamma.eps)
+
+
+def _nu(coeffs: np.ndarray, m: int, eps: float) -> np.ndarray:
+    """nu_eps of every map of a batch, by the matrix products of the
+    width-tuple form of ``majorants``, many times faster on small maps."""
+    return majorants(coeffs, m, (eps,))[0][..., 0]
+
+
+def _derivative(pieces: np.ndarray, h) -> np.ndarray:
+    """d/dt of every piece in tau = (t - t_j) / h_j: one degree lower."""
+    scale = np.arange(1, pieces.shape[1]) / h[:, None]
+    return pieces[:, 1:] * scale.reshape(scale.shape + (1,) * (pieces.ndim - 2))
 
 
 def picard_step(gamma: AdmissibleField, path: FlowPath,
@@ -299,20 +338,24 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
     """Iterate the integral-equation map from the identity path to its fixed point.
 
     Sweeps stop when successive sup-distances (nu_eps over grid times) drop
-    below ``tol_solve * (1 - theta_hat)``; a defect pass then bounds the
-    distance to the exact flow by (last step + D) / (1 - theta_hat), which
-    ``residual`` reports.  Only while that bound exceeds ``tol_solve`` does
-    the solve go on: it halves the intervals whose defect exceeds their
-    share of the budget and solves again from the path it has, or sweeps
-    again when D leaves room; a bound still above ``tol_solve`` at the
-    grid floor is reported as it is.  Growing sweep distances raise
-    NonContraction: the certificate guarantees observed ratios below
-    theta_hat in exact arithmetic, so growth signals a certificate or
-    truncation bug.  But few long intervals average the rounding of their
-    nodes less, so on a grid that may still be halved a sweep that grows
-    or breaks the ratio certificate is not kept, and the defect pass of
-    the last kept sweep decides where to halve.  The log holds the kept
-    sweeps; the first sweep on each grid logs no ratio.
+    below ``tol_solve * (1 - theta_hat)``; a defect pass then estimates the
+    distance to the exact flow over all times by (last step + D) /
+    (1 - theta_hat), which ``residual`` reports (D as in
+    ``_PicardSweep.defect``, the last step at the grid times and at the
+    Gauss nodes).  Only while that estimate exceeds ``tol_solve`` does the
+    solve go on: it halves the intervals whose defect exceeds their share
+    of the budget and solves again from the path it has, or sweeps again
+    when D leaves room; an estimate still above ``tol_solve`` at the grid
+    floor is reported as it is.  Growing sweep distances raise NonContraction: the
+    certificate guarantees observed ratios below theta_hat in exact
+    arithmetic, so growth signals a certificate or truncation bug.  But few
+    long intervals average the rounding of their nodes less, so on a grid
+    that may still be halved a sweep that grows or breaks the ratio
+    certificate is not kept: it goes to ``discarded`` with its measured
+    rounding level, where ``contraction_certificate_ok`` still reads it,
+    and the defect pass of the last kept sweep decides where to halve.
+    The log holds the kept sweeps; the first sweep on each grid logs no
+    ratio.
 
     The grid starts from the field's breakpoints refined to ``max_step``,
     or from the grid of ``start``.  A given ``grid`` is kept as it is: the
@@ -333,7 +376,7 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
     sweep = _PicardSweep(gamma, grid, TOL_TRUNC)
     # step: the last kept sweep's distance on this grid, inp: its input;
     # a grid is settled once no stall there could be mended by halving it
-    log, step, goal, settled = [], None, target, not refine
+    log, discarded, step, goal, settled = [], [], None, target, not refine
     while True:
         stalled = False
         for _ in range(fixed_iters if pinned else max_iter - len(log)):
@@ -345,7 +388,10 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
             if not pinned and step is not None:
                 grew = diff > step and diff > 16 * noise_floor
                 if not settled and (grew or _breaks_ratio(diff, ratio, theta)):
-                    stalled = True      # not kept: halving may mend it
+                    # not kept: halving may mend it
+                    discarded.append((len(log) + 1, diff, ratio,
+                                      sweep.rounding(pieces, new_snaps)))
+                    stalled = True
                     break
                 if grew:
                     raise NonContraction(
@@ -361,8 +407,9 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
                     f"no convergence within {max_iter} iterations")
             return FlowPath(grid, gamma.eps, snaps, pieces, source=gamma,
                             iteration_log=log, residual=step)
-        local, defect = sweep.defect(inp, snaps)
-        residual = (step + defect) / (1 - theta)
+        local, defect, inside = sweep.defect(inp, pieces)
+        last = max(step, inside)    # the step inside the intervals too
+        residual = (last + defect) / (1 - theta)
         if residual <= tol_solve:
             break
         finer = grid.halved(local / (sweep.h * target)) if refine else grid
@@ -373,35 +420,53 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
             sweep = _PicardSweep(gamma, grid, TOL_TRUNC)
         elif stalled:           # sweep on as the grid is
             settled = True
-        elif defect < target and step > max(target - defect, noise_floor):
-            goal = target - defect
+        elif defect < target and last > max(target - defect, noise_floor):
+            # the grid-time step that brings the last step within the room
+            goal = (target - defect) * step / last
         else:
             break
     return FlowPath(grid, gamma.eps, snaps, pieces, source=gamma,
-                    iteration_log=log, residual=residual)
+                    iteration_log=log, residual=residual, discarded=discarded)
 
 
 #: logged steps at or below this size are rounding: their ratios say nothing
 RATIO_FLOOR = 1e3 * np.finfo(float).eps
 #: the contraction certificate's slack over theta_hat
 RATIO_SLACK = 0.05
+#: a discarded sweep's step may exceed theta_hat times the step before it
+#: by this many measured rounding levels: the two sweeps it compares each
+#: carry their own rounding
+ROUNDING_SPAN = 2.0
+
+
+def _counted(diff: float, ratio: float) -> bool:
+    """Whether an observed ratio speaks: finite, on a step above the floor."""
+    return diff > RATIO_FLOOR and np.isfinite(ratio)
 
 
 def _breaks_ratio(diff: float, ratio: float, theta: float) -> bool:
-    """An observed ratio above theta_hat + slack, on a step above the floor."""
-    return diff > RATIO_FLOOR and np.isfinite(ratio) and ratio > theta + RATIO_SLACK
+    """An observed ratio that speaks and exceeds theta_hat + slack."""
+    return _counted(diff, ratio) and ratio > theta + RATIO_SLACK
 
 
 def max_contraction_ratio(path: FlowPath) -> float:
-    """The largest logged ratio from step 2 onward on a step above the
-    rounding floor (0 when there is none): what the certificate tests."""
-    return max((ratio for _, diff, ratio in path.iteration_log[1:]
-                if diff > RATIO_FLOOR and np.isfinite(ratio)), default=0.0)
+    """The largest observed ratio that the certificate tests (0 when there
+    is none): logged ones from step 2 onward, and those of discarded sweeps
+    whose step exceeds theta_hat times the step before it by more than
+    ROUNDING_SPAN times their measured rounding, which rounding cannot
+    explain."""
+    rows = [(diff, ratio) for _, diff, ratio in path.iteration_log[1:]]
+    if path.discarded:
+        theta = path.source.theta_hat
+        rows += [(diff, ratio) for _, diff, ratio, noise in path.discarded
+                 if diff - theta * diff / ratio > ROUNDING_SPAN * noise]
+    return max((ratio for diff, ratio in rows if _counted(diff, ratio)),
+               default=0.0)
 
 
 def contraction_certificate_ok(path: FlowPath,
                                slack: float = RATIO_SLACK) -> bool:
-    """Logged ratios from step 2 onward stay below theta_hat + slack."""
+    """Observed ratios (``max_contraction_ratio``) stay below theta_hat + slack."""
     return max_contraction_ratio(path) <= path.source.theta_hat + slack
 
 

@@ -37,6 +37,9 @@ from .group import (_FD4_W, _FD4_X, AnalyticDiffeo, _certify_maps,
 
 #: tolerance for matrix-vs-direct-composition agreement
 TOL_PB = 1e-9
+#: pullback_path's AC check compares neighbours of this many + 1 uniform
+#: times on any solver grid: a wider pair passes wherever its narrow ones do
+AC_PAIRS = 64
 
 
 def pullback_apply(phi: AnalyticDiffeo, f: FourierMap,
@@ -201,15 +204,16 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
                   test_functions=None, n_transport_times: int = 5,
                   transport_tol: float = 1e-7,
                   fd_step: float = 1e-3) -> PullbackPathReport:
-    """Matrices of (Fl_{t, t0})^* along the solver grid, with AC evidence.
+    """Matrices of (Fl_{t, t0})^* at AC_PAIRS + 1 uniform times, read by
+    time whatever the solver grid, with AC evidence.
 
-    (i) entrywise increments are checked against 2 pi K times the integral
-    of nu(gamma) over each increment (the entry derivative is a coefficient
-    of the pullback of gamma . grad e_k, bounded by the field size times
-    the mode frequency);
+    (i) entrywise increments between neighbouring times are checked against
+    2 pi K times the integral of nu(gamma) over each increment (the entry
+    derivative is a coefficient of the pullback of gamma . grad e_k,
+    bounded by the field size times the mode frequency);
     (ii) the transport identity is checked at interior sample times with a
     4th-order central difference in t against (Fl)^* (gamma . grad f) for a
-    basket of test functions.  The maps at all grid times, and at all
+    basket of test functions.  The maps at all uniform times, and at all
     stencil times, are built, certified and pulled back as one batch each.
     """
     flow = solve_flow(gamma)
@@ -217,7 +221,7 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
     base_inv = None
     if t0 != 0.0:
         base_inv = invert_diffeo(AnalyticDiffeo.certify(flow.u_at(t0), eps))
-    ts = flow.grid.floats
+    ts = np.linspace(0.0, 1.0, AC_PAIRS + 1)
     modes, windows, leaks = _pullback_windows(
         _two_param_maps(flow, ts, base_inv, eps), K)
     mats = [PullbackMatrix(modes, a, lk) for a, lk in zip(windows, leaks)]

@@ -583,23 +583,23 @@ def _jacobian_compose_apply(u: MapStack, v: MapStack) -> MapStack:
 
 
 def ac_postcompose(path: ACPath, rule: SuperpositionRule,
-                   tol_chain: float = TOL_CHAIN, max_step=1) -> ACPath:
+                   tol_chain: float = TOL_CHAIN) -> ACPath:
     """Compose an AC path with an analytic rule; derivative by the chain rule.
 
     Each rule method is called once per grid, on the stack of all maps.
     For affine rules the result is exact in coefficient arithmetic.  For
     nonlinear rules the derivative t -> df(path(t), path'(t)) is re-fitted
     as a cubic per interval of a grid from the grid policy: the path's
-    breakpoints refined to ``max_step``, with every interval whose integral
-    identity misses ``tol_chain`` halved until none does or the floor is
-    reached; the identity is then re-verified within ``tol_chain``.
+    breakpoints, with every interval whose integral identity misses
+    ``tol_chain`` halved until none does or the floor is reached; the
+    identity is then re-verified within ``tol_chain``.
     """
     if rule.is_affine:      # the rule maps every coefficient row of der
         der = path.derivative.on_grid(path.grid)
         rows = rule.differential(None, _wrap(der.pieces, der.m)).coeffs
         return ACPath(path.grid, _postcompose_values(path, path.grid, rule),
                       TimeDependentField(path.grid, rows, der.scale), tol=TOL_INT)
-    grid = path.grid.refined(max_step)
+    grid = path.grid
     while True:
         values = _postcompose_values(path, grid, rule)
         der = path.derivative.on_grid(grid)

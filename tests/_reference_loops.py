@@ -269,14 +269,14 @@ def _grad_dot(gamma_map, f):
 
 
 def pullback_path(gamma, t0, K, test_functions, n_transport_times=5,
-                  fd_step=1e-3):
+                  fd_step=1e-3, n_pairs=64):
     """(matrices, ac_rows, transport_rows) of pullback_path, map by map."""
     flow = solve_flow(gamma)
     eps = gamma.eps
     base_inv = None
     if t0 != 0.0:
         base_inv = invert_diffeo(AnalyticDiffeo.certify(flow.u_at(t0), eps))
-    ts = flow.grid.floats
+    ts = [j / n_pairs for j in range(n_pairs + 1)]
     mats = [pullback_matrix(_two_param_map(flow, t, base_inv, eps), K)
             for t in ts]
     ac_rows = []
@@ -487,7 +487,10 @@ def sup_distance(path, other, eps):
 
 
 def imag_reach_max(path, start_width):
-    return max(imag_reach(u, start_width) for u in path.snapshots)
+    """The reach of every interval's piece over tau in [0, 1], bounded by
+    the reach of the map of coefficients sum_d |c_d|."""
+    return max(imag_reach(FourierMap(sum(np.abs(c) for c in piece), check=False),
+                          start_width) for piece in path.pieces)
 
 
 def restriction_discrepancy(p_eps, p_delta):
@@ -496,23 +499,34 @@ def restriction_discrepancy(p_eps, p_delta):
 
 
 def defect_bound(gamma, inp, out, step):
-    """solve_flow's residual (step + D) / (1 - theta_hat) for the sweep
-    ``out`` of the path ``inp``: D is the sup over grid times of nu_eps of
-    the summed differences between the snapshot increments of ``out`` and
-    the 4-point Gauss-Legendre integrals of gamma o (id + u_inp), one
-    compose per node."""
+    """solve_flow's residual (step' + D) / (1 - theta_hat) for the sweep
+    ``out`` of the path ``inp``, one compose per node.  At each Gauss node
+    of interval j, r = gamma o (id + u_inp) minus the derivative of out's
+    piece; D is the max over j of nu_eps of the defect h sum w (p - r)
+    summed over the intervals before j, plus h_j sum_q w_q nu_eps(r_q).
+    step' is the largest of ``step`` and nu_eps(out - inp) at the Gauss
+    nodes."""
     ts, eps, acc, D = out.grid.floats, gamma.eps, 0.0, 0.0
+    nodes = step
     for j in range(len(ts) - 1):
         h = ts[j + 1] - ts[j]
-        exact = 0.0
+        d_out = np.stack([d * c for d, c in enumerate(out.pieces[j])][1:]) / h
+        err, local = 0.0, 0.0
         for x, w in zip(_GL4_X, _GL4_W):
             g = gamma.field.value_at(ts[j] + h * x)
-            exact = exact + h * w * compose(
-                g, inp.u_at(ts[j] + h * x), order=g.order,
-                outer_scale=2 * eps, inner_scale=eps).coeffs
-        acc = acc + out.snapshots.coeffs[j + 1] - out.snapshots.coeffs[j] - exact
-        D = max(D, strip_norms(FourierMap(acc), eps).nu)
-    return (step + D) / (1 - gamma.theta_hat)
+            r = compose(g, inp.u_at(ts[j] + h * x), order=g.order,
+                        outer_scale=2 * eps, inner_scale=eps).coeffs \
+                - _poly_eval(d_out, x)
+            err = err - h * w * r
+            local += h * w * strip_norms(FourierMap(r, check=False), eps).nu
+        before = strip_norms(FourierMap(acc, check=False), eps).nu if j else 0.0
+        D = max(D, before + local)
+        acc = acc + err
+        for x in _GL4_X:
+            t = ts[j] + h * x
+            nodes = max(nodes, strip_norms(FourierMap(
+                (out.u_at(t) - inp.u_at(t)).coeffs, check=False), eps).nu)
+    return (nodes + D) / (1 - gamma.theta_hat)
 
 
 def step_distance(snaps_a, snaps_b, eps):

@@ -26,6 +26,8 @@ def test_zero_field_solve(tmp_path):
     assert summary["pass"]
     assert (tmp_path / "flow.json").exists()
     assert (tmp_path / "iteration_log.csv").exists()
+    assert (tmp_path / "discarded_sweeps.csv").read_text().splitlines() == [
+        "step,sup_diff,ratio,rounding"]
     assert (tmp_path / "norms.csv").exists()
 
 

@@ -15,7 +15,8 @@ from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
 from torusflow import flow as flow_module
 from torusflow.fourier import (TOL_TRUNC, _real_horner, _support_band,
                                _tail_ratio, sampling_grid, strip_norms)
-from torusflow.flow import contraction_certificate_ok
+from torusflow.flow import (RATIO_SLACK, contraction_certificate_ok,
+                            max_contraction_ratio)
 from torusflow.timepaths import FIT_NODES, piece_values
 
 from _reference_sweep import reference_sweep
@@ -301,6 +302,24 @@ def test_order_64_sine_solves_pass_the_contraction_certificate(budget):
     assert contraction_certificate_ok(path), path.iteration_log
 
 
+def test_discarded_sweeps_are_logged_and_read_by_the_certificate():
+    """A sweep that breaks the ratio certificate on a grid that can still be
+    halved is not kept, but ``discarded`` logs it with its measured
+    rounding level, and the certificate excuses it only while its excess
+    over theta_hat times the step before it is within ROUNDING_SPAN of
+    those levels: without them it counts, and fails."""
+    a = 0.45 / (2 * np.pi * np.exp(2 * np.pi * 2 * EPS))
+    gamma = AdmissibleField.certify(TimeDependentField.constant(
+        sine_map(a, order=64), 4 * EPS), EPS)
+    path = solve_flow(gamma)
+    assert path.discarded and contraction_certificate_ok(path)
+    for _, diff, ratio, noise in path.discarded:
+        assert ratio > gamma.theta_hat + RATIO_SLACK and noise > 0
+    path.discarded = [row[:3] + (0.0,) for row in path.discarded]
+    assert max_contraction_ratio(path) == max(r for _, _, r, _ in path.discarded)
+    assert not contraction_certificate_ok(path)
+
+
 def test_solver_uniqueness_from_different_starts(sine_gamma):
     p1 = solve_flow(sine_gamma)
     warm = picard_step(sine_gamma, identity_path(sine_gamma))
@@ -476,10 +495,10 @@ def test_restriction_sine_benchmark(sine_gamma):
 def test_paired_solves_share_the_grid_of_their_base_solve(monkeypatch):
     """The solves of a pair compare snapshots element by element, so each
     pair runs on the grid of its base solve, also where the second solve
-    would adapt differently on its own: at eps the field below needs two
-    intervals, at eps/2 one, and at a quarter of its amplitude one."""
+    would adapt differently on its own: at eps the field below needs four
+    intervals, at eps/2 two, and at a quarter of its amplitude one."""
     gamma = AdmissibleField.certify(
-        TimeDependentField.constant(sine_map(0.012), 4 * EPS), EPS)
+        TimeDependentField.constant(sine_map(0.013), 4 * EPS), EPS)
     g_delta = AdmissibleField.certify(gamma.field, EPS / 2)
     weak = gamma.scaled(0.25)
     alone = [solve_flow(g).grid for g in (gamma, g_delta, weak)]
@@ -515,18 +534,20 @@ def _closed_form_u(t, a=0.02, order=32, M=256):
 @pytest.mark.parametrize("step", [1, Fraction(1, 2), Fraction(1, 4),
                                   Fraction(1, 16)])
 def test_residual_bounds_the_error_of_the_time_discretization(sine_gamma, step):
-    """nu_eps(u(1) - exact u(1)) stays below the reported residual: on the
+    """nu_eps(u(t) - exact u(t)) stays below the reported residual at
+    times inside the intervals as at their ends: on the
     grid the solve chose from ``step`` (within tol_solve), and on the
     uniform grid of that step kept as it is, where the collocation defect
     dominates (at step 1 u(1) is 5e-10 off, so the bound exceeds tol_solve
     and says so)."""
-    exact = _closed_form_u(1.0)
     kept = solve_flow(sine_gamma, grid=TimeGrid.uniform(int(1 / step)))
     chosen = solve_flow(sine_gamma, max_step=step)
     assert chosen.residual <= 1e-10
     for path in (kept, chosen):
-        err = strip_norms(FourierMap(path.snapshots.coeffs[-1] - exact), EPS).nu
-        assert err <= path.residual, (len(path.grid), err, path.residual)
+        for t in np.linspace(0.0, 1.0, 33):     # inside the intervals too
+            err = strip_norms(FourierMap(path.u_at(t).coeffs
+                                         - _closed_form_u(t)), EPS).nu
+            assert err <= path.residual, (len(path.grid), t, err, path.residual)
     if step == 1:
         assert kept.residual > 1e-10
 

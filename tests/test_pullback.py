@@ -172,6 +172,23 @@ def test_path_ac_and_transport(gam):
     assert rep.max_transport_residual <= 1e-7
 
 
+def test_path_ac_pairs_do_not_depend_on_the_solver_grid(gam, monkeypatch):
+    """The AC check compares 64 pairs of width 1/64 on any solver grid, so
+    a coarse grid cannot widen its pairs and weaken it."""
+    from torusflow import pullback as pullback_module
+    from torusflow.timepaths import TimeGrid
+    rows = {}
+    for n in (1, 4, 64):
+        monkeypatch.setattr(pullback_module, "solve_flow",
+                            lambda g, n=n: _solve(g, grid=TimeGrid.uniform(n)))
+        rows[n] = pullback_path(gam, 0.0, 8, n_transport_times=2).ac_rows
+    for n in (1, 4, 64):
+        assert len(rows[n]) == 64 and all(r[4] for r in rows[n])
+        assert [r[:2] for r in rows[n]] == [(j / 64, (j + 1) / 64)
+                                            for j in range(64)]
+        assert [r[3] for r in rows[n]] == [r[3] for r in rows[64]]
+
+
 def test_path_cocycle_matrices(gam):
     assert cocycle_matrix_defect(gam, 0.9, 0.5, 0.2, 16) <= 1e-8
 

@@ -36,8 +36,8 @@ def test_grid_validation():
 def test_one_grid_policy_sizes_every_solver_grid():
     """No module fixes a time step of its own: no Fraction(1, 64) and no
     MAX_STEP anywhere in the package, ``refined`` takes only a caller's
-    ``max_step`` cap, and only timepaths.py, which holds the grid policy,
-    names its floor."""
+    ``max_step`` cap (the solver's start grid), and only timepaths.py,
+    which holds the grid policy, names its floor."""
     for path in sorted(Path(torusflow.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             where = (path.name, getattr(node, "lineno", None))
