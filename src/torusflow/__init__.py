@@ -2,10 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
-                     EmptyLevel, InvertibilityLost, NoPositiveRadius,
-                     NonContraction, OutOfRange, RealityDefect,
-                     ScaleMismatch, TorusflowError, TruncationBudgetExceeded)
+from .errors import (AdmissibilityViolation, Check, ContractionStall,
+                     DomainEscape, EmptyLevel, InvertibilityLost,
+                     NoPositiveRadius, NonContraction, OutOfRange,
+                     RealityDefect, ScaleMismatch, TorusflowError,
+                     TruncationBudgetExceeded)
 from .fourier import (FourierMap, JacobianField, MapStack, NormReport,
                       StripScale, compose, imag_reach, jacobian, multiply,
                       restrict, strip_norms)
@@ -14,7 +15,7 @@ from .timepaths import (ACPath, AffineRule, IdentityRule,
                         ac_postcompose, integrate_primitive)
 from .flow import (AdmissibleField, FlowPath, identity_path,
                    param_lipschitz_check, picard_step, pointwise_solution,
-                   restriction_consistency, solve_flow)
+                   restriction_consistency, solve_checks, solve_flow)
 from .charts import (InverseChartCert, LocalAddition, chart_roundtrip_defect,
                      find_delta0, flow_to_chart, invert_local)
 from .group import (AnalyticDiffeo, EvolutionResult, adjoint, compose_diffeo,

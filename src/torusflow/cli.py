@@ -29,15 +29,15 @@ import numpy as np
 
 from . import __version__
 from .errors import AdmissibilityViolation, TorusflowError
-from .flow import (RATIO_SLACK, AdmissibleField, contraction_certificate_ok,
-                   max_contraction_ratio, restriction_consistency, solve_flow)
+from .flow import (AdmissibleField, contraction_check, restriction_consistency,
+                   solve_checks, solve_flow, sweep_check)
 from .fourier import FourierMap, strip_norms
-from .group import (AnalyticDiffeo, ac_modulus_check, evol_right,
-                    trotter_curve, verify_evolution_pointwise)
+from .group import (AnalyticDiffeo, ac_check, ac_modulus_check, evol_right,
+                    trotter_checks, trotter_curve, verify_evolution_pointwise)
 from .limits import (MAX_MODE, LinearScaleMap, PointwiseSquareMap,
                      cauchy_bound_check, make_levels, third_ball_lipschitz,
                      verify_continuity_estimate)
-from .pullback import contravariance_defect, pullback_apply, pullback_path
+from .pullback import operator_checks, pullback_path
 from .timepaths import TimeDependentField, TimeGrid
 
 KINDS = ("solve", "verify", "sweep", "trotter", "limits", "pullback")
@@ -311,6 +311,10 @@ def _flow_json(data: dict) -> str:
                                for k in data) + "\n}"
 
 
+#: the columns of ``ac_modulus.csv``
+AC_HEADER = ("t_a", "t_b", "increment", "bound", "pass")
+
+
 def run_solve(s: Scenario, out: Path, checks: list) -> None:
     gamma = _certify(s)
     path = solve_flow(gamma, tol_solve=s.tol_solve)
@@ -321,21 +325,7 @@ def run_solve(s: Scenario, out: Path, checks: list) -> None:
     write_csv(out / "norms.csv", ("eps", "nu", "beta", "tail_ratio"),
               [strip_norms(u, gamma.eps).as_row() for u in path.snapshots])
     (out / "flow.json").write_text(_flow_json(path.to_json()))
-    checks.append(("residual", path.residual, s.tol_solve,
-                   path.residual <= s.tol_solve))
-    checks.append(("contraction_ratios", max_contraction_ratio(path),
-                   gamma.theta_hat + RATIO_SLACK, contraction_certificate_ok(path)))
-    reach = path.imag_reach_max(gamma.eps / 2)
-    checks.append(("strip_invariant", reach, gamma.eps, reach < gamma.eps))
-    end = AnalyticDiffeo.certify(path.snapshots[-1], gamma.eps)
-    checks.append(("endpoint_mu", end.mu, 1.0, end.mu < 1.0))
-
-
-def _ac_modulus(out: Path, name: str, rows, ok: bool) -> tuple:
-    """Write ``ac_modulus.csv`` and return its check."""
-    write_csv(out / "ac_modulus.csv",
-              ("t_a", "t_b", "increment", "bound", "pass"), rows)
-    return (name, max(r[2] for r in rows), max(r[3] for r in rows), ok)
+    checks += solve_checks(path, s.tol_solve)
 
 
 def run_verify(s: Scenario, out: Path, checks: list) -> None:
@@ -345,13 +335,11 @@ def run_verify(s: Scenario, out: Path, checks: list) -> None:
     rep = verify_evolution_pointwise(evol, gamma, probes, s.tol_pointwise)
     write_csv(out / "pointwise_residuals.csv", ("probe", "time", "residual"),
               rep.rows)
-    checks.append(("pointwise_residual", rep.max_residual, s.tol_pointwise,
-                   rep.passed))
-    rrep = restriction_consistency(gamma, gamma.eps / 2)
-    checks.append(("restriction", rrep.discrepancy, rrep.tol, rrep.ok))
     ac_rows = ac_modulus_check(evol)
-    checks.append(_ac_modulus(out, "ac_modulus", ac_rows,
-                              all(r[4] for r in ac_rows)))
+    write_csv(out / "ac_modulus.csv", AC_HEADER, ac_rows)
+    checks += (*solve_checks(evol.flow), rep.check,
+               restriction_consistency(gamma, gamma.eps / 2).check,
+               ac_check("ac_modulus", ac_rows))
 
 
 def _sweep_item(s: Scenario, index: int, budget: float) -> tuple:
@@ -360,9 +348,9 @@ def _sweep_item(s: Scenario, index: int, budget: float) -> tuple:
                                     scale=s.scale, eps=s.eps)
     gamma = AdmissibleField.certify(field, s.eps)
     path = solve_flow(gamma, tol_solve=s.tol_solve)
-    return (index, gamma.theta_hat, max_contraction_ratio(path),
-            path.residual, path.imag_reach_max(s.eps / 2),
-            contraction_certificate_ok(path))
+    check = contraction_check(path)
+    return (index, gamma.theta_hat, check.value, path.residual,
+            path.imag_reach_max(s.eps / 2), check.ok), check
 
 
 def run_sweep(s: Scenario, out: Path, checks: list, workers: int = 1) -> None:
@@ -374,26 +362,19 @@ def run_sweep(s: Scenario, out: Path, checks: list, workers: int = 1) -> None:
     workers = min(workers, s.count, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(item, range(s.count), budgets))
+            items = list(ex.map(item, range(s.count), budgets))
     else:
-        rows = list(map(item, range(s.count), budgets))
+        items = list(map(item, range(s.count), budgets))
     write_csv(out / "sweep.csv",
               ("index", "theta_hat", "max_ratio", "residual", "reach", "ok"),
-              rows)
-    worst = max(r[2] for r in rows)
-    checks.append(("sweep_contraction", worst, 0.55,
-                   all(r[5] for r in rows) and worst <= 0.55))
+              [row for row, _ in items])
+    checks.append(sweep_check([check for _, check in items]))
 
 
 def run_trotter(s: Scenario, out: Path, checks: list) -> None:
     curve = trotter_curve(s.v, s.w, s.eps, n_values=s.ladder)
     write_csv(out / "trotter.csv", ("n", "distance"), curve)
-    ds = [d for _, d in curve]
-    ratios = [ds[i + 1] / ds[i] for i in range(len(ds) - 1) if ds[i] > 0]
-    checks.append(("trotter_ratio_window", max(ratios, default=0.0), 0.65,
-                   all(0.35 <= r <= 0.65 for r in ratios)))
-    checks.append(("trotter_decade", ds[-1], ds[0] / 10,
-                   ds[-1] <= ds[0] / 10 or ds[0] == 0))
+    checks += trotter_checks(curve)
 
 
 def run_limits(s: Scenario, out: Path, checks: list) -> None:
@@ -406,13 +387,9 @@ def run_limits(s: Scenario, out: Path, checks: list) -> None:
     write_csv(out / "continuity.csv",
               ("sample_id", "depth", "telescoped_bound", "observed_p", "pass"),
               rep.rows)
-    checks.append(("continuity_violations", rep.violations, 0,
-                   rep.violations == 0))
     top = (levels[0], levels[0].eps, s.ratio_samples, rng)
-    cb = cauchy_bound_check(s.map, *top)
-    tb = third_ball_lipschitz(s.map, *top)
-    checks.append(("cauchy_ratio", cb.max_ratio, 1.001, cb.ok()))
-    checks.append(("third_ball_ratio", tb.max_ratio, 1.001, tb.ok()))
+    checks += (rep.check, cauchy_bound_check(s.map, *top).check,
+               third_ball_lipschitz(s.map, *top).check)
 
 
 def run_pullback(s: Scenario, out: Path, checks: list) -> None:
@@ -420,24 +397,13 @@ def run_pullback(s: Scenario, out: Path, checks: list) -> None:
     rep = pullback_path(gamma, s.t0, s.K)
     write_csv(out / "pullback_matrix.csv", ("j", "k", "re", "im"),
               rep.matrices[-1].to_rows())
-    checks.append(_ac_modulus(out, "pullback_ac", rep.ac_rows, rep.ac_ok))
+    write_csv(out / "ac_modulus.csv", AC_HEADER, rep.ac_rows)
     write_csv(out / "transport.csv", ("time", "test_fn", "residual"),
               rep.transport_rows)
-    checks.append(("transport_residual", rep.max_transport_residual,
-                   rep.transport_tol, rep.transport_ok))
-    order, m = s.order, s.m
     phi = AnalyticDiffeo.certify(gamma.field.value_at(0.0) * 0.5, gamma.eps)
-    psi = AnalyticDiffeo.certify(FourierMap.constant([0.3] * m, order, m),
+    psi = AnalyticDiffeo.certify(FourierMap.constant([0.3] * s.m, s.order, s.m),
                                  gamma.eps)
-    d = contravariance_defect(phi, psi, min(2 * s.K, order))
-    checks.append(("contravariance", d, 1e-8, d <= 1e-8))
-    f_test = FourierMap.from_modes({(1, 0)[:m]: [0.4]}, order, m=m, ncomp=1)
-    g_test = FourierMap.from_modes({((2,), (0, 1))[m - 1]: [-0.2j]}, order,
-                                   m=m, ncomp=1)
-    pull = partial(pullback_apply, phi, tol_trunc=1e-5)
-    lin = pull(f_test + 2.0 * g_test) - (pull(f_test) + 2.0 * pull(g_test))
-    lin_defect = float(np.abs(lin.coeffs).max())
-    checks.append(("linearity", lin_defect, 1e-12, lin_defect <= 1e-12))
+    checks += rep.checks + operator_checks(phi, psi, min(2 * s.K, s.order))
 
 
 RUNNERS = {"solve": run_solve, "verify": run_verify, "sweep": run_sweep,
@@ -489,14 +455,14 @@ def main(argv=None) -> int:
     manifest = {"scenario": raw, "version": __version__, "seed": scenario.seed,
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    summary = {"kind": args.kind,
-               "checks": [{"name": n, "value": v, "tol": t, "pass": bool(p)}
-                          for n, v, t, p in checks],
-               "pass": all(p for *_, p in checks)}
+    rows = [{"name": c.name, "value": c.value, "tol": c.bound,
+             "sense": "<" if c.strict else "<=", "pass": c.ok} for c in checks]
+    summary = {"kind": args.kind, "checks": rows,
+               "pass": all(r["pass"] for r in rows)}
     (out / "summary.json").write_text(json.dumps(summary, indent=1))
-    for name, value, tol, ok in checks:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {value:.6g} "
-              f"(tol {tol:.6g})")
+    for r in rows:
+        print(f"[{'PASS' if r['pass'] else 'FAIL'}] {r['name']}: "
+              f"{r['value']:.6g} {r['sense']} {r['tol']:.6g}")
     return 0 if summary["pass"] else 1
 
 

@@ -1,4 +1,31 @@
-"""Exception types shared across the engine."""
+"""Exception types and the check record shared across the engine."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class Check:
+    """``value`` against ``bound``: it passes at value < bound if ``strict``,
+    else at value <= bound (a NaN value fails); nothing else decides a pass."""
+
+    name: str
+    value: float
+    bound: float
+    strict: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.value < self.bound if self.strict
+                    else self.value <= self.bound)
+
+    @classmethod
+    def worst(cls, name: str, pairs, limit: float = 1.0) -> "Check":
+        """Many (value, bound) pairs as one check: their largest value /
+        bound (0 where the value is 0) against ``limit``."""
+        ratios = [0.0 if v == 0 else v / b if b else np.inf for v, b in pairs]
+        return cls(name, float(np.max(ratios, initial=0.0)), limit)
 
 
 class TorusflowError(Exception):

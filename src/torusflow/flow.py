@@ -56,10 +56,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (AdmissibilityViolation, ContractionStall, DomainEscape,
-                     NonContraction, OutOfRange)
+from .errors import (AdmissibilityViolation, Check, ContractionStall,
+                     DomainEscape, NonContraction, OutOfRange)
 from .fourier import (TOL_TRUNC, FourierMap, MapStack, _modes_to_json, _wrap,
-                      compose, imag_reach, majorants)
+                      compose, imag_reach, majorants, strip_norms)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
                         _antiderivative, fit_poly3, piece_values, pieces_on,
                         read_pieces)
@@ -181,9 +181,13 @@ class FlowPath:
         bound = _wrap(np.abs(self.pieces).sum(axis=1), self.m)
         return float(imag_reach(bound, w).max())
 
-    def check_strip_invariant(self) -> bool:
+    def strip_check(self) -> Check:
         """Flows started in the half strip stay strictly inside the full strip."""
-        return self.imag_reach_max(self.eps / 2) < self.eps
+        return Check("strip_invariant", self.imag_reach_max(self.eps / 2),
+                     self.eps, strict=True)
+
+    def check_strip_invariant(self) -> bool:
+        return self.strip_check().ok
 
     def to_json(self) -> dict:
         return {
@@ -352,7 +356,7 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
     long intervals average the rounding of their nodes less, so on a grid
     that may still be halved a sweep that grows or breaks the ratio
     certificate is not kept: it goes to ``discarded`` with its measured
-    rounding level, where ``contraction_certificate_ok`` still reads it,
+    rounding level, where ``contraction_check`` still reads it,
     and the defect pass of the last kept sweep decides where to halve.
     The log holds the kept sweeps; the first sweep on each grid logs no
     ratio.
@@ -464,10 +468,29 @@ def max_contraction_ratio(path: FlowPath) -> float:
                default=0.0)
 
 
-def contraction_certificate_ok(path: FlowPath,
-                               slack: float = RATIO_SLACK) -> bool:
-    """Observed ratios (``max_contraction_ratio``) stay below theta_hat + slack."""
-    return max_contraction_ratio(path) <= path.source.theta_hat + slack
+def contraction_check(path: FlowPath) -> Check:
+    """``max_contraction_ratio`` against theta_hat + RATIO_SLACK."""
+    return Check("contraction_ratios", max_contraction_ratio(path),
+                 path.source.theta_hat + RATIO_SLACK)
+
+
+def contraction_certificate_ok(path: FlowPath) -> bool:
+    return contraction_check(path).ok
+
+
+def solve_checks(path: FlowPath, tol_solve: float = TOL_SOLVE) -> tuple:
+    """The residual, contraction, strip and endpoint checks of a solved
+    path; mu_eps(u(1)) < 1 certifies the endpoint map invertible."""
+    end = strip_norms(path.snapshots[-1], path.eps).mu
+    return (Check("residual", path.residual, tol_solve), contraction_check(path),
+            path.strip_check(), Check("endpoint_mu", end, 1.0, strict=True))
+
+
+def sweep_check(checks) -> Check:
+    """The contraction checks of many solves as one; theta_hat < 1/2 keeps
+    every ratio of a passing sweep below 0.55."""
+    return Check.worst("sweep_contraction",
+                       [(c.value, c.bound) for c in checks])
 
 
 @dataclass(frozen=True)
@@ -477,8 +500,9 @@ class LipschitzReport:
     ratio: float
     bound: float = 2.0
 
-    def ok(self, slack: float = TOL_SLACK) -> bool:
-        return self.ratio <= self.bound + slack
+    @property
+    def check(self) -> Check:
+        return Check("param_lipschitz", self.ratio, self.bound + TOL_SLACK)
 
 
 def param_lipschitz_check(g1: AdmissibleField, g2: AdmissibleField,
@@ -515,8 +539,8 @@ class Trajectory:
         return float(self.residuals.max())
 
     @property
-    def ok(self) -> bool:
-        return self.max_residual <= self.tol
+    def check(self) -> Check:
+        return Check("pointwise_trajectory", self.max_residual, self.tol)
 
 
 def invert_at_point(u: FourierMap, y: np.ndarray, tol: float = 1e-13,
@@ -599,8 +623,8 @@ class RestrictionReport:
     tol: float
 
     @property
-    def ok(self) -> bool:
-        return self.discrepancy <= self.tol
+    def check(self) -> Check:
+        return Check("restriction", self.discrepancy, self.tol)
 
 
 def restriction_consistency(gamma: AdmissibleField, delta: float,

@@ -314,20 +314,6 @@ class FourierMap:
             return vals[..., 0]
         return vals
 
-    def eval_real(self, x) -> np.ndarray:
-        """Evaluate at real points, checking that the maps are real there.
-
-        1/2 sum_k |c_k - conj(c_{-k})| bounds the imaginary residue at real
-        points; it is a reality defect and must stay below 1e-10 relative
-        to the map size.
-        """
-        vals = self.eval(np.asarray(x, dtype=float))
-        resid = float(np.max(self.imag_bound()))
-        scale = max(1.0, float(np.abs(vals).max())) if vals.size else 1.0
-        if resid > 1e-10 * scale:
-            raise RealityDefect(f"imaginary residue {resid:.3e} at real points")
-        return vals
-
 
 class MapStack(FourierMap):
     """FourierMaps of one order stacked along a leading axis: batch shape (T,).

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvertibilityLost
+from .errors import Check, InvertibilityLost
 from .flow import (AdmissibleField, FlowPath, TOL_POINTWISE, TOL_SOLVE,
                    invert_at_point, solve_flow)
 from .fourier import (FourierMap, MapStack, _modes_to_json, _wrap, compose,
@@ -46,6 +46,10 @@ from .timepaths import (FIT_NODES, TimeDependentField, fit_poly3,
 
 #: sup-sampled residual bound for verified inverses
 TOL_INVERSE = 1e-10
+#: an AC pair passes while its increment / bound stays within this limit
+AC_LIMIT = 1 + 1e-9
+#: the Trotter distance falls by a ratio in this window from one n to the next
+TROTTER_WINDOW = (0.35, 0.65)
 #: 4th-order central difference: weights per 12 h and offsets per step h
 _FD4_W = np.array([1.0, -8.0, 8.0, -1.0])
 _FD4_X = np.array([-2, -1, 1, 2])
@@ -515,6 +519,18 @@ def trotter_curve(v: FourierMap, w: FourierMap, eps: float,
     return out
 
 
+def trotter_checks(curve) -> tuple:
+    """Every ratio r of neighbouring distances (after a nonzero one) in
+    TROTTER_WINDOW, as the worst of r / high and low / r against 1, and a
+    tenfold fall of the distance over the curve."""
+    ds = [d for _, d in curve]
+    low, high = TROTTER_WINDOW
+    ratios = [b / a for a, b in zip(ds, ds[1:]) if a > 0]
+    window = [(r, high) for r in ratios] + [(low, r) for r in ratios]
+    return (Check.worst("trotter_ratio_window", window),
+            Check("trotter_decade", ds[-1], ds[0] / 10))
+
+
 # ---------------------------------------------------------------------------
 # pointwise evolution recognition
 # ---------------------------------------------------------------------------
@@ -526,8 +542,8 @@ class VerificationReport:
     tol: float
 
     @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
+    def check(self) -> Check:
+        return Check("pointwise_residual", self.max_residual, self.tol)
 
 
 def verify_evolution_pointwise(candidate: EvolutionResult,
@@ -583,8 +599,21 @@ def ac_modulus_check(evol: EvolutionResult, n_pairs: int = 16,
     vals = evol.eval_many(ts, pts)
     subs = _field_nu_integral(evol.source, ts[:-1], ts[1:])
     lhs = np.abs(np.diff(vals, axis=0)).reshape(n_pairs, -1).max(axis=1)
-    return [(a, b, float(d), sub, d <= sub * (1 + 1e-9))
-            for a, b, d, sub in zip(ts[:-1], ts[1:], lhs, subs)]
+    return ac_rows(ts, lhs, subs)
+
+
+def ac_rows(ts, increments, bounds) -> list:
+    """Rows (t_a, t_b, increment, bound, pass) of the pairs of neighbouring
+    times ``ts``; each pair passes on its own ``ac_check``."""
+    rows = [(a, b, float(d), float(sub))
+            for a, b, d, sub in zip(ts[:-1], ts[1:], increments, bounds)]
+    return [r + (ac_check("", [r]).ok,) for r in rows]
+
+
+def ac_check(name: str, rows) -> Check:
+    """AC rows as one check: the largest increment / bound (0 where the
+    increment is 0) against AC_LIMIT."""
+    return Check.worst(name, [r[2:4] for r in rows], AC_LIMIT)
 
 
 def _field_nu_integral(gamma: AdmissibleField, a, b) -> np.ndarray:

@@ -33,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyLevel
+from .errors import Check, EmptyLevel
 from .fourier import FourierMap, node_chunks, strip_norms, strip_weights
 
-#: slack for the Cauchy / third-ball ratio contracts
-RATIO_SLACK = 1e-3
+#: slack over 1 for the Cauchy / third-ball ratio contracts
+CAUCHY_SLACK = 1e-3
 #: a random ball map carries the modes |k| <= MAX_MODE
 MAX_MODE = 6
 
@@ -247,8 +247,8 @@ class ContinuityReport:
         return max((r[3] for r in self.rows), default=0.0)
 
     @property
-    def ok(self) -> bool:
-        return self.violations == 0
+    def check(self) -> Check:
+        return Check("continuity_violations", self.violations, 0)
 
 
 def verify_continuity_estimate(f: ScaleMap, levels, certs, p_eps: float,
@@ -289,14 +289,16 @@ def verify_continuity_estimate(f: ScaleMap, levels, certs, p_eps: float,
 
 @dataclass
 class RatioSweep:
+    name: str
     ratios: np.ndarray
 
     @property
     def max_ratio(self) -> float:
         return float(self.ratios.max()) if self.ratios.size else 0.0
 
-    def ok(self, slack: float = RATIO_SLACK) -> bool:
-        return self.max_ratio <= 1.0 + slack
+    @property
+    def check(self) -> Check:
+        return Check(self.name, self.max_ratio, 1.0 + CAUCHY_SLACK)
 
 
 def cauchy_bound_check(f: ScaleMap, level: ScaleLevel, p_eps: float,
@@ -316,7 +318,7 @@ def cauchy_bound_check(f: ScaleMap, level: ScaleLevel, p_eps: float,
               - f.apply(v + (-fd_step) * w)) * (1.0 / (2 * fd_step))
         ratios.append(_nu(df, p_eps)
                       / (M * (3.0 * _nu(w, level.eps) / level.radius)))
-    return RatioSweep(np.concatenate(ratios))
+    return RatioSweep("cauchy_ratio", np.concatenate(ratios))
 
 
 def third_ball_lipschitz(f: ScaleMap, level: ScaleLevel, p_eps: float,
@@ -330,4 +332,4 @@ def third_ball_lipschitz(f: ScaleMap, level: ScaleLevel, p_eps: float,
         num = _nu(f.apply(w) - f.apply(v), p_eps)
         den = M * 3.0 * _nu(w - v, level.eps) / level.radius
         ratios.append(num[den > 0] / den[den > 0])
-    return RatioSweep(np.concatenate(ratios))
+    return RatioSweep("third_ball_ratio", np.concatenate(ratios))

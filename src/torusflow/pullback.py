@@ -24,19 +24,23 @@ below any tolerance of interest (the leakage per column is reported).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import TruncationBudgetExceeded
-from .flow import AdmissibleField, FlowPath, solve_flow
+from .errors import Check, TruncationBudgetExceeded
+from .flow import AdmissibleField, FlowPath, solve_checks, solve_flow
 from .fourier import (FourierMap, TWO_PI, _wrap, compose, fit_sampled, jacobian,
                       lattice_modes)
 from .group import (_FD4_W, _FD4_X, AnalyticDiffeo, _certify_maps,
-                    _field_nu_integral, compose_diffeo, evol_right,
-                    flow_two_param, invert_diffeo)
+                    _field_nu_integral, ac_check, ac_rows, compose_diffeo,
+                    evol_right, flow_two_param, invert_diffeo)
 
 #: tolerance for matrix-vs-direct-composition agreement
 TOL_PB = 1e-9
+#: bounds of ``operator_checks``: the contravariance and linearity defects
+TOL_CONTRAVARIANCE = 1e-8
+TOL_LINEARITY = 1e-12
 #: pullback_path's AC check compares neighbours of this many + 1 uniform
 #: times on any solver grid: a wider pair passes wherever its narrow ones do
 AC_PAIRS = 64
@@ -138,6 +142,21 @@ def _pullback_windows(u: FourierMap, K: int):
     return modes, mats.reshape(u.batch + (W, W)), leaks.reshape(u.batch + (W,))
 
 
+def operator_checks(phi: AnalyticDiffeo, psi: AnalyticDiffeo, K: int) -> tuple:
+    """The checks of the operators of two diffeos: the contravariance defect
+    of phi, psi on the K window, and the linearity defect of the pullback by
+    phi on two test functions, f + 2 g against f and g pulled back apart."""
+    m, order = phi.m, phi.order
+    f = FourierMap.from_modes({(1, 0)[:m]: [0.4]}, order, m=m, ncomp=1)
+    g = FourierMap.from_modes({((2,), (0, 1))[m - 1]: [-0.2j]}, order, m=m,
+                              ncomp=1)
+    pull = partial(pullback_apply, phi, tol_trunc=1e-5)
+    lin = pull(f + 2.0 * g) - (pull(f) + 2.0 * pull(g))
+    return (Check("contravariance", contravariance_defect(phi, psi, K),
+                  TOL_CONTRAVARIANCE),
+            Check("linearity", float(np.abs(lin.coeffs).max()), TOL_LINEARITY))
+
+
 def contravariance_defect(phi: AnalyticDiffeo, psi: AnalyticDiffeo, K: int,
                           K_inner: int | None = None,
                           leak_tol: float = 1e-10) -> float:
@@ -169,21 +188,15 @@ def contravariance_defect(phi: AnalyticDiffeo, psi: AnalyticDiffeo, K: int,
 class PullbackPathReport:
     times: np.ndarray
     matrices: list
-    ac_rows: list          # (t_a, t_b, max entry increment, bound, ok)
+    ac_rows: list          # (t_a, t_b, max entry increment, bound, pass)
     transport_rows: list   # (time, test index, residual)
-    transport_tol: float
+    flow_checks: tuple     # ``solve_checks`` of the solved flow
+    ac_check: Check
+    transport_check: Check
 
     @property
-    def ac_ok(self) -> bool:
-        return all(ok for *_, ok in self.ac_rows)
-
-    @property
-    def max_transport_residual(self) -> float:
-        return max((r for *_, r in self.transport_rows), default=0.0)
-
-    @property
-    def transport_ok(self) -> bool:
-        return self.max_transport_residual <= self.transport_tol
+    def checks(self) -> tuple:
+        return self.flow_checks + (self.ac_check, self.transport_check)
 
 
 def _two_param_maps(flow: FlowPath, times, base_inv: AnalyticDiffeo | None,
@@ -226,10 +239,7 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
         _two_param_maps(flow, ts, base_inv, eps), K)
     mats = [PullbackMatrix(modes, a, lk) for a, lk in zip(windows, leaks)]
     bounds = TWO_PI * max(K, 1) * _field_nu_integral(gamma, ts[:-1], ts[1:])
-    ac_rows = []
-    for j, bound in enumerate(bounds):
-        inc = float(np.abs(mats[j + 1].matrix - mats[j].matrix).max())
-        ac_rows.append((ts[j], ts[j + 1], inc, bound, inc <= bound * (1 + 1e-9)))
+    rows = ac_rows(ts, np.abs(np.diff(windows, axis=0)).max(axis=(1, 2)), bounds)
 
     m, order = gamma.field.m, gamma.field.order
     if test_functions is None:
@@ -271,9 +281,11 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
     transport_rows = [(float(t), fi, float(d)) for t, row in zip(
         sample_times, np.abs(lhs - rhs).max(axis=-1))
         for fi, d in enumerate(row)]
-    return PullbackPathReport(times=ts, matrices=mats, ac_rows=ac_rows,
-                              transport_rows=transport_rows,
-                              transport_tol=transport_tol)
+    worst = max((r for *_, r in transport_rows), default=0.0)
+    return PullbackPathReport(
+        times=ts, matrices=mats, ac_rows=rows, transport_rows=transport_rows,
+        flow_checks=solve_checks(flow), ac_check=ac_check("pullback_ac", rows),
+        transport_check=Check("transport_residual", worst, transport_tol))
 
 
 def cocycle_matrix_defect(gamma: AdmissibleField, t: float, s: float,

@@ -125,7 +125,7 @@ def cauchy_bound_check(f, level, p_eps, n_samples, rng, fd_step=1e-5):
         df = _fd_directional(f, v, w, fd_step)
         minkowski = 3.0 * level.q(w) / level.radius
         ratios.append(strip_norms(df, p_eps).nu / (M * minkowski))
-    return RatioSweep(np.array(ratios))
+    return RatioSweep("cauchy_ratio", np.array(ratios))
 
 
 def third_ball_lipschitz(f, level, p_eps, n_samples, rng):
@@ -140,4 +140,4 @@ def third_ball_lipschitz(f, level, p_eps, n_samples, rng):
         den = M * 3.0 * level.q(w - v) / level.radius
         if den > 0:
             ratios.append(num / den)
-    return RatioSweep(np.array(ratios))
+    return RatioSweep("third_ball_ratio", np.array(ratios))

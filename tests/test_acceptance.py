@@ -255,7 +255,7 @@ def test_criterion_15_cauchy_and_third_ball():
     tb = third_ball_lipschitz(square, levels[0], levels[0].eps, 1000, rng)
     worst = max(cb.max_ratio, tb.max_ratio)
     report(15, "Cauchy and third-ball ratios", worst, 1 + 1e-3,
-           cb.ok() and tb.ok())
+           cb.check.ok and tb.check.ok)
 
 
 def test_criterion_16_pullback_layer(sine_gamma):
@@ -271,7 +271,7 @@ def test_criterion_16_pullback_layer(sine_gamma):
     contra = contravariance_defect(phi, psi, 16)
     rep = pullback_path(sine_gamma, 0.0, 8, n_transport_times=3)
     ok = (lin_defect <= 1e-12 and contra <= 1e-8
-          and rep.max_transport_residual <= 1e-7 and rep.ac_ok)
+          and rep.transport_check.value <= 1e-7 and rep.ac_check.ok)
     print(f"          linearity {lin_defect:.2e}, contravariance "
-          f"{contra:.2e}, transport {rep.max_transport_residual:.2e}")
+          f"{contra:.2e}, transport {rep.transport_check.value:.2e}")
     report(16, "pullback layer", contra, 1e-8, ok)

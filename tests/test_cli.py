@@ -1,6 +1,7 @@
 """Scenario runner: exit codes, artifacts, determinism."""
 
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from torusflow import cli
 from torusflow.cli import ScenarioError, _certify, main, parse_scenario
-from torusflow.errors import TruncationBudgetExceeded
+from torusflow.errors import Check, TruncationBudgetExceeded
 from torusflow.flow import solve_flow
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+#: a summary row passes on its value against its tol under its sense
+SENSES = {"<": operator.lt, "<=": operator.le}
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _passes(row) -> bool:
+    return SENSES[row["sense"]](row["value"], row["tol"])
 
 
 def test_zero_field_solve(tmp_path):
@@ -41,10 +48,59 @@ def test_inadmissible_exit_code_names_bound(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def sine_benchmark_out(tmp_path_factory):
-    out = tmp_path_factory.mktemp("sine_benchmark")
-    assert run(["solve", SCENARIOS / "sine_benchmark.json", "--out", out]) == 0
-    return out
+def shipped(tmp_path_factory):
+    """Every shipped scenario run once, and sine_benchmark run as a verify
+    scenario (``verify_sine``): name -> (kind, exit code, out directory)."""
+    runs = {}
+    scenarios = {p.stem: json.loads(p.read_text())
+                 for p in sorted(SCENARIOS.glob("*.json"))}
+    scenarios["verify_sine"] = {**scenarios["sine_benchmark"], "kind": "verify"}
+    for name, raw in scenarios.items():
+        out = tmp_path_factory.mktemp(name)
+        path = out / "scenario.json"
+        path.write_text(json.dumps(raw))
+        runs[name] = (raw["kind"], run([raw["kind"], path, "--out", out]), out)
+    return runs
+
+
+def _summary(out: Path) -> dict:
+    return json.loads((out / "summary.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def sine_benchmark_out(shipped):
+    assert shipped["sine_benchmark"][1] == 0
+    return shipped["sine_benchmark"][2]
+
+
+def test_shipped_rows_pass_on_their_value_against_their_tol(shipped):
+    """The shipped scenarios keep their exit codes, and every row of every
+    summary passes exactly when its value is within its tol under its
+    sense."""
+    for name, (_, code, out) in shipped.items():
+        assert code == (3 if name == "inadmissible" else 0), name
+        summary = _summary(out)
+        checks = summary.get("checks", [])
+        assert (name == "inadmissible") == ("rejected" in summary)
+        for c in checks:
+            assert c["pass"] == _passes(c), (name, c)
+        assert summary["pass"] == (bool(checks) and all(
+            c["pass"] for c in checks)), name
+
+
+def test_readme_lists_every_row(shipped):
+    """The README's table of summary rows names, per kind, the rows the
+    runners emit and their senses."""
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    table = readme[readme.index("| kinds | row |"):].split("\n\n")[0]
+    documented = set()
+    for line in table.splitlines()[2:]:
+        kinds, row, *_, sense = (c.strip().strip("`")
+                                 for c in line.split("|")[1:-1])
+        documented |= {(kind, row, sense) for kind in kinds.split(", ")}
+    emitted = {(kind, c["name"], c["sense"]) for kind, _, out in shipped.values()
+               for c in _summary(out).get("checks", [])}
+    assert documented == emitted
 
 
 def test_sine_benchmark_reproduces_closed_form(sine_benchmark_out):
@@ -70,8 +126,9 @@ def test_solve_rows_pass_on_their_value_against_their_tol(sine_benchmark_out):
     checks = json.loads((sine_benchmark_out / "summary.json").read_text())["checks"]
     assert [c["name"] for c in checks] == [
         "residual", "contraction_ratios", "strip_invariant", "endpoint_mu"]
+    assert [c["sense"] for c in checks] == ["<=", "<=", "<", "<"]
     for c in checks:
-        assert c["pass"] == (c["value"] <= c["tol"]), c
+        assert c["pass"] == _passes(c), c
     scenario = json.loads((SCENARIOS / "sine_benchmark.json").read_text())
     gamma = _certify(parse_scenario(scenario, "solve"))
     ratios = [float(r.split(",")[2]) for r in (
@@ -157,15 +214,21 @@ def test_sweep_pool_is_capped(tmp_path, monkeypatch):
         assert (out / "sweep.csv").read_bytes() == want
 
 
-def test_verify_scenario(tmp_path):
-    scenario = tmp_path / "verify.json"
-    base = json.loads((SCENARIOS / "sine_benchmark.json").read_text())
-    base["kind"] = "verify"
-    scenario.write_text(json.dumps(base))
-    code = run(["verify", scenario, "--out", tmp_path / "v"])
+def test_verify_scenario(shipped):
+    _, code, out = shipped["verify_sine"]
     assert code == 0
-    assert (tmp_path / "v" / "pointwise_residuals.csv").exists()
-    assert (tmp_path / "v" / "ac_modulus.csv").exists()
+    assert (out / "pointwise_residuals.csv").exists()
+    assert (out / "ac_modulus.csv").exists()
+
+
+def test_verify_reports_the_solve_checks_of_its_flow(shipped):
+    """verify reports the four solve checks of the flow it solved, with the
+    values of a solve of the same field at the default tol_solve."""
+    checks = _summary(shipped["verify_sine"][2])["checks"]
+    solve = _summary(shipped["sine_benchmark"][2])["checks"]
+    assert [c["name"] for c in checks] == [c["name"] for c in solve] + [
+        "pointwise_residual", "restriction", "ac_modulus"]
+    assert checks[:4] == solve
 
 
 def test_limits_scenario(tmp_path):
@@ -181,11 +244,9 @@ def test_limits_scenario(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def pullback_out(tmp_path_factory):
-    out = tmp_path_factory.mktemp("pullback_sine")
-    assert run(["pullback", SCENARIOS / "pullback_sine.json",
-                "--out", out]) == 0
-    return out
+def pullback_out(shipped):
+    assert shipped["pullback_sine"][1] == 0
+    return shipped["pullback_sine"][2]
 
 
 def test_pullback_scenario(pullback_out):
@@ -210,6 +271,71 @@ def _scenario(tmp_path, **fields):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(fields))
     return path
+
+
+def test_check_pass_follows_from_value_and_bound():
+    """A check passes on value <= bound, or value < bound if strict; NaN
+    fails.  Many (value, bound) pairs read as one check by their worst
+    value / bound, 0 where the value is 0, so a zero bound fails only a
+    nonzero value."""
+    assert Check("a", 1.0, 1.0).ok and not Check("a", 1.0, 1.0, strict=True).ok
+    assert not Check("a", float("nan"), 1.0).ok
+    pairs = [(0.0, 0.0), (1.0, 4.0), (3.0, 2.0)]
+    assert Check.worst("w", pairs) == Check("w", 1.5, 1.0)
+    assert Check.worst("w", pairs[:2], 0.5) == Check("w", 0.25, 0.5)
+    assert Check.worst("w", [(1e-300, 0.0)]).value == np.inf
+    assert not Check.worst("w", [(float("nan"), 1.0), pairs[1]]).ok
+    assert Check.worst("w", []) == Check("w", 0.0, 1.0)
+
+
+def _row(out: Path, name: str) -> dict:
+    return next(c for c in _summary(out)["checks"] if c["name"] == name)
+
+
+def test_trotter_window_row_reports_a_ratio_below_the_window(tmp_path,
+                                                               monkeypatch):
+    """A ratio below 0.35 fails the window, and the row's value shows it:
+    0.35 / 0.3 against 1, where the largest ratio, 0.5, is inside."""
+    curve = [(8, 1.0), (16, 0.5), (32, 0.15), (64, 0.075)]
+    monkeypatch.setattr(cli, "trotter_curve", lambda *args, **kw: curve)
+    scenario = _scenario(tmp_path, **json.loads(
+        (SCENARIOS / "trotter_pair.json").read_text()))
+    assert run(["trotter", scenario, "--out", tmp_path / "out"]) == 1
+    row = _row(tmp_path / "out", "trotter_ratio_window")
+    assert not row["pass"] and row["value"] > row["tol"]
+    assert row["value"] == pytest.approx(0.35 / 0.3)
+
+
+def test_sweep_row_reports_an_item_over_its_certificate(tmp_path, monkeypatch):
+    """An item whose observed ratio breaks its own theta_hat + 0.05 fails
+    the sweep, and the row's value shows it, though the ratio stays below
+    0.55."""
+    def solve(gamma, **kw):
+        path = solve_flow(gamma, **kw)
+        path.iteration_log.append((99, 1e-3, gamma.theta_hat + 0.1))
+        return path
+
+    monkeypatch.setattr(cli, "solve_flow", solve)
+    scenario = _scenario(tmp_path, kind="sweep", count=1, order=16,
+                         budgets=[0.2], seed=7)
+    assert run(["sweep", scenario, "--out", tmp_path / "out"]) == 1
+    row = _row(tmp_path / "out", "sweep_contraction")
+    assert not row["pass"] and row["value"] > row["tol"]
+    assert row["value"] == pytest.approx(0.3 / 0.25)
+
+
+def test_ac_row_reports_a_failing_pair(tmp_path, monkeypatch):
+    """A pair whose increment exceeds its own bound fails the AC check, and
+    the row's value shows it, though the largest increment stays below the
+    largest bound."""
+    rows = [(0.0, 0.5, 0.2, 0.1, False), (0.5, 1.0, 0.3, 1.0, True)]
+    monkeypatch.setattr(cli, "ac_modulus_check", lambda evol: rows)
+    scenario = _scenario(tmp_path, kind="verify", order=16, seed=1,
+                         field={"type": "sine", "amplitude": 0.02})
+    assert run(["verify", scenario, "--out", tmp_path / "out"]) == 1
+    row = _row(tmp_path / "out", "ac_modulus")
+    assert not row["pass"] and row["value"] > row["tol"]
+    assert row["value"] == pytest.approx(2.0)
 
 
 def test_random_field_budget_at_scenario_eps(tmp_path):

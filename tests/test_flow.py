@@ -362,7 +362,7 @@ def test_lipschitz_translation_pair():
         TimeDependentField.constant(FourierMap.constant([0.1], 32), 0.2), EPS)
     rep = param_lipschitz_check(zero, c)
     assert rep.ratio == pytest.approx(1.0, abs=1e-9)
-    assert rep.ok()
+    assert rep.check.ok
 
 
 def test_lipschitz_random_pairs():
@@ -400,7 +400,7 @@ def test_pointwise_against_rk_oracle(sine_flow):
                     method="DOP853", rtol=1e-10, atol=1e-12,
                     t_eval=traj.times)
     assert np.abs(traj.points[:, 0].real - sol.y[0]).max() <= 1e-8
-    assert traj.ok
+    assert traj.check.ok
 
 
 def test_pointwise_nonzero_base_time(sine_flow):
@@ -431,7 +431,7 @@ def test_times_outside_unit_interval_rejected(sine_flow, sine_gamma):
         assert np.abs(sine_flow.u_at(t).coeffs
                       - sine_flow.snapshots[k].coeffs).max() <= 1e-15
         assert sine_gamma.field.values_at([t]).batch == (1,)
-        assert pointwise_solution(sine_flow, t, [0.3]).ok
+        assert pointwise_solution(sine_flow, t, [0.3]).check.ok
 
 
 def test_pointwise_takes_one_start_point(sine_flow):
@@ -439,7 +439,7 @@ def test_pointwise_takes_one_start_point(sine_flow):
     for y0 in ([0.3, 0.7], [[0.3], [0.7]]):
         with pytest.raises(ValueError, match="one point"):
             pointwise_solution(sine_flow, 0.0, y0)
-    assert pointwise_solution(sine_flow, 0.0, 0.3).ok
+    assert pointwise_solution(sine_flow, 0.0, 0.3).check.ok
     f = FourierMap.from_modes({(0, 1): [-0.01j, 0.0], (1, 0): [0.0, 0.01]},
                               8, m=2)
     flow2 = solve_flow(AdmissibleField.certify(
@@ -447,7 +447,7 @@ def test_pointwise_takes_one_start_point(sine_flow):
     for y0 in (0.3, [0.3, 0.7, 0.1], [[0.3, 0.7], [0.1, 0.2]]):
         with pytest.raises(ValueError, match="one point"):
             pointwise_solution(flow2, 0.0, y0)
-    assert pointwise_solution(flow2, 0.0, [0.3, 0.7]).ok
+    assert pointwise_solution(flow2, 0.0, [0.3, 0.7]).check.ok
 
 
 def test_sweep_rejects_a_path_grid_without_the_field_breakpoints():
@@ -489,7 +489,7 @@ def test_restriction_zero_and_constant():
 def test_restriction_sine_benchmark(sine_gamma):
     rep = restriction_consistency(sine_gamma, EPS / 2)
     assert rep.discrepancy <= 1e-9
-    assert rep.ok
+    assert rep.check.ok
 
 
 def test_paired_solves_share_the_grid_of_their_base_solve(monkeypatch):
@@ -511,10 +511,10 @@ def test_paired_solves_share_the_grid_of_their_base_solve(monkeypatch):
         return path
 
     monkeypatch.setattr(flow_module, "solve_flow", spy)
-    assert restriction_consistency(gamma, EPS / 2).ok
+    assert restriction_consistency(gamma, EPS / 2).check.ok
     assert grids == [alone[0]] * 2
     grids.clear()
-    assert param_lipschitz_check(gamma, weak).ok()
+    assert param_lipschitz_check(gamma, weak).check.ok
     assert grids == [alone[0]] * 3
     with pytest.raises(ValueError, match="different grids"):
         solve_flow(gamma).sup_distance(solve_flow(weak))
@@ -592,5 +592,5 @@ def test_solve_m2_against_rk_oracle():
     got = path.eval_points(1.0, np.array([[0.3 + 0j, 0.7 + 0j]]))[0]
     assert np.abs(got.real - sol.y[:, -1]).max() <= 1e-9
     traj = pointwise_solution(path, 0.0, [0.3, 0.7])
-    assert traj.ok
+    assert traj.check.ok
     assert path.check_strip_invariant()

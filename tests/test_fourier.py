@@ -296,11 +296,6 @@ def test_compose_rejects_non_real_perturbation():
         compose(sine_map(0.02, 16), _one_sided())
 
 
-def test_eval_real_rejects_imaginary_residue():
-    with pytest.raises(RealityDefect, match="imaginary residue"):
-        _one_sided().eval_real(np.linspace(0, 1, 8)[:, None])
-
-
 def test_compose_against_direct_evaluation():
     rng = np.random.default_rng(8)
     g = random_real_map(rng, order=24)

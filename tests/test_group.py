@@ -392,13 +392,13 @@ def test_exp_field_is_time_one_flow(gam):
 def test_verify_pointwise_self_consistency(gam, right_evo):
     probes = (np.arange(8) + 0.37) / 8
     rep = verify_evolution_pointwise(right_evo, gam, probes)
-    assert rep.passed
+    assert rep.check.ok
 
 
 def test_verify_pointwise_left_side(gam):
     probes = (np.arange(6) + 0.21) / 6
     rep = verify_evolution_pointwise(evol_left(gam), gam, probes)
-    assert rep.passed
+    assert rep.check.ok
 
 
 def test_verify_pointwise_identity_fails(gam, right_evo):
@@ -408,7 +408,7 @@ def test_verify_pointwise_identity_fails(gam, right_evo):
                            * len(right_evo.grid))
     probes = (np.arange(4) + 0.3) / 4
     rep = verify_evolution_pointwise(fake, gam, probes)
-    assert not rep.passed
+    assert not rep.check.ok
     # residual at t=1 is about the size of the integral of the field
     assert rep.max_residual > 1e-3
 
@@ -441,6 +441,6 @@ def test_verify_pointwise_fault_localized(gam, right_evo):
     faulty = EvolutionResult("right", gam, right_evo.flow, tampered)
     probes = (np.arange(4) + 0.3) / 4
     rep = verify_evolution_pointwise(faulty, gam, probes)
-    assert not rep.passed
+    assert not rep.check.ok
     bad_times = sorted({t for _, t, r in rep.rows if r > 1e-8})
     assert bad_times == [right_evo.grid.floats[j0]]

@@ -101,7 +101,7 @@ def test_continuity_constant_map(levels):
 def test_cauchy_ratio_square(levels, square):
     sweep = cauchy_bound_check(square, levels[0], levels[0].eps, 300,
                                np.random.default_rng(7))
-    assert sweep.ok()
+    assert sweep.check.ok
     assert sweep.max_ratio > 0
 
 
@@ -109,7 +109,7 @@ def test_cauchy_ratio_linear_homogeneity(levels):
     lin = LinearScaleMap(np.full(33, 1.0, dtype=complex))
     sweep = cauchy_bound_check(lin, levels[0], levels[0].eps, 200,
                                np.random.default_rng(8))
-    assert sweep.ok()
+    assert sweep.check.ok
 
 
 def test_cauchy_ratio_constant_zero(levels):
@@ -122,9 +122,9 @@ def test_cauchy_ratio_constant_zero(levels):
 def test_third_ball_trio(levels, square):
     rng = np.random.default_rng(10)
     assert third_ball_lipschitz(square, levels[0], levels[0].eps, 300,
-                                rng).ok()
+                                rng).check.ok
     lin = LinearScaleMap(np.full(33, 1.0, dtype=complex))
-    assert third_ball_lipschitz(lin, levels[0], levels[0].eps, 200, rng).ok()
+    assert third_ball_lipschitz(lin, levels[0], levels[0].eps, 200, rng).check.ok
     const = ConstantScaleMap(FourierMap.from_modes({1: [0.2]}, 16, ncomp=1))
     assert third_ball_lipschitz(const, levels[0], levels[0].eps, 50,
                                 rng).max_ratio == 0.0
@@ -176,7 +176,7 @@ def test_batched_harness_matches_reference(name, order, seed):
             f, levels[0], levels[0].eps, 40, np.random.default_rng(seed),
             fd_step) for mod in (limits, ref))
         _close(got.ratios, want.ratios, rtol)
-        assert got.ok() == want.ok()
+        assert got.check.ok == want.check.ok
     got, want = (mod.third_ball_lipschitz(
         f, levels[0], levels[0].eps, 40, np.random.default_rng(seed))
         for mod in (limits, ref))

@@ -141,7 +141,7 @@ def test_path_zero_field_constant_identity():
     worst = max(np.abs(m.matrix - np.eye(len(m.modes))).max()
                 for m in rep.matrices)
     assert worst < 1e-13
-    assert rep.ac_ok
+    assert rep.ac_check.ok
 
 
 def test_path_translation_diagonal_phases():
@@ -168,8 +168,8 @@ def test_path_window_capped_by_order():
 
 def test_path_ac_and_transport(gam):
     rep = pullback_path(gam, 0.0, 8, n_transport_times=3)
-    assert rep.ac_ok
-    assert rep.max_transport_residual <= 1e-7
+    assert rep.ac_check.ok
+    assert rep.transport_check.value <= 1e-7
 
 
 def test_path_ac_pairs_do_not_depend_on_the_solver_grid(gam, monkeypatch):

@@ -107,7 +107,7 @@ def test_verify_pointwise_matches_node_loop(fields, side):
     want = ref.verify_rows(evol, gamma, probes)
     assert [r[:2] for r in rep.rows] == [r[:2] for r in want]
     assert _close([r[2] for r in rep.rows], [r[2] for r in want])
-    assert rep.passed
+    assert rep.check.ok
 
 
 def test_field_nu_integral_matches_node_loop(fields):
@@ -135,7 +135,7 @@ def test_pointwise_solution_matches_node_loop(fields):
         traj = pointwise_solution(flow, t0, y0)
         pts, resid = ref.pointwise_solution(flow, t0, y0)
         assert _close(traj.points, pts) and _close(traj.residuals, resid)
-        assert traj.ok
+        assert traj.check.ok
 
 
 def test_flow_to_chart_matches_node_loop(fields):
