@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (AdmissibilityViolation, ContractionStall,
                      NoPositiveRadius, OutOfRange)
 from .fourier import (FourierMap, _modes_from_json, _modes_to_json, fit_sampled,
-                      nu_per_component)
+                      majorants)
 from .timepaths import ACPath, FIT_NODES, TimeDependentField, fit_poly3
 
 #: residual target for the displacement inversion
@@ -111,7 +111,9 @@ class LocalAddition:
         """Analytic bound on h over ||Im z|| <= eps, ||w|| <= delta."""
         per_row = np.zeros(self.m)
         for p, coeff in self.terms:
-            nu_i = nu_per_component(coeff, eps)
+            # each component as its own map: sum_k |c_{k,i}| e^{2 pi ||k||_1 eps}
+            nu_i = majorants(np.moveaxis(coeff.coeffs, -1, 0)[..., None],
+                             coeff.m, eps)[0]
             per_row = per_row + nu_i * sum(p) * delta ** (sum(p) - 1)
         return float(per_row.max()) if self.terms else 0.0
 

@@ -338,7 +338,7 @@ def run_verify(s: Scenario, out: Path, checks: list) -> None:
     ac_rows = ac_modulus_check(evol)
     write_csv(out / "ac_modulus.csv", AC_HEADER, ac_rows)
     checks += (*solve_checks(evol.flow), rep.check,
-               restriction_consistency(gamma, gamma.eps / 2).check,
+               restriction_consistency(evol.flow, gamma.eps / 2).check,
                ac_check("ac_modulus", ac_rows))
 
 

@@ -59,7 +59,7 @@ import numpy as np
 from .errors import (AdmissibilityViolation, Check, ContractionStall,
                      DomainEscape, NonContraction, OutOfRange)
 from .fourier import (TOL_TRUNC, FourierMap, MapStack, _modes_to_json, _wrap,
-                      compose, imag_reach, majorants, strip_norms)
+                      compose, imag_reach, majorants)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
                         _antiderivative, fit_poly3, piece_values, pieces_on,
                         read_pieces)
@@ -290,11 +290,11 @@ class _PicardSweep:
         r = vals - piece_values(_derivative(out, self.h), j, tau)
         r = r.reshape(t.shape + r.shape[1:])
         m, eps = r.ndim - 3, self.gamma.eps
-        local = (w * _nu(r, m, eps)).sum(axis=1)
+        local = (w * majorants(r, m, eps)[0]).sum(axis=1)
         err = (w.reshape(w.shape + (1,) * (m + 1)) * r).sum(axis=1)
         before = np.cumsum(err, axis=0) - err
-        D = float((_nu(before, m, eps) + local).max())
-        return local, D, float(_nu(piece_values(out, j, tau) - u, m, eps).max())
+        D = float((majorants(before, m, eps)[0] + local).max())
+        return local, D, _sup_distance(piece_values(out, j, tau), u, eps)
 
     def rounding(self, pieces, snaps) -> float:
         """The measured rounding level of ``snaps``, the sweep of
@@ -303,12 +303,6 @@ class _PicardSweep:
         by less than theta_hat 2^-40 times the size of u."""
         again = self.run(pieces * (1 + 2.0 ** -40))[0]
         return _sup_distance(again, snaps, self.gamma.eps)
-
-
-def _nu(coeffs: np.ndarray, m: int, eps: float) -> np.ndarray:
-    """nu_eps of every map of a batch, by the matrix products of the
-    width-tuple form of ``majorants``, many times faster on small maps."""
-    return majorants(coeffs, m, (eps,))[0][..., 0]
 
 
 def _derivative(pieces: np.ndarray, h) -> np.ndarray:
@@ -481,7 +475,7 @@ def contraction_certificate_ok(path: FlowPath) -> bool:
 def solve_checks(path: FlowPath, tol_solve: float = TOL_SOLVE) -> tuple:
     """The residual, contraction, strip and endpoint checks of a solved
     path; mu_eps(u(1)) < 1 certifies the endpoint map invertible."""
-    end = strip_norms(path.snapshots[-1], path.eps).mu
+    end = float(majorants(path.snapshots.coeffs[-1], path.m, path.eps)[1])
     return (Check("residual", path.residual, tol_solve), contraction_check(path),
             path.strip_check(), Check("endpoint_mu", end, 1.0, strict=True))
 
@@ -627,20 +621,21 @@ class RestrictionReport:
         return Check("restriction", self.discrepancy, self.tol)
 
 
-def restriction_consistency(gamma: AdmissibleField, delta: float,
+def restriction_consistency(p_eps: FlowPath, delta: float,
                             tol_solve: float = TOL_SOLVE) -> RestrictionReport:
-    """Solve at eps and at delta < eps with identical truncation; compare.
+    """Solve the field of ``p_eps``, a path solved at eps, at delta < eps
+    with identical truncation; compare.
 
     Restriction does not change Fourier data, only the scale at which the
     certificates are quoted, so the two perturbation paths must agree to
-    solver tolerance.  The solve at delta takes the grid of the solve at
-    eps, so the snapshots compare time by time.
+    solver tolerance.  The solve at delta takes the grid of ``p_eps``, so
+    the snapshots compare time by time.
     """
+    gamma = p_eps.source
     if not 0 < delta < gamma.eps:
         raise ValueError("need 0 < delta < eps")
     g_delta = AdmissibleField.certify(gamma.field, delta,
                                       gamma.chart_delta0, gamma.for_chart)
-    p_eps = solve_flow(gamma, tol_solve)
     p_delta = solve_flow(g_delta, tol_solve, grid=p_eps.grid)
     worst = float(np.abs(p_eps.snapshots.coeffs
                          - p_delta.snapshots.coeffs).max())

@@ -19,6 +19,11 @@ the supremum norm of ``f`` on the strip and ``mu`` dominates the
 inf-operator norm of the Jacobian, so ``beta`` is a computable stand-in
 for a BC^1-type norm: it is a Lipschitz constant for ``f`` on the strip
 and controls imaginary growth via ``||Im f(x+iy)|| <= mu_eps(f) ||y||``.
+One kernel, ``majorants``, weights coefficients by ``strip_weights``: nu
+and mu are one dot product per map, per component and per width over the
+flattened lattice, in one fixed order, and the widths (a float or an
+array) broadcast against the batch by numpy's rules.  A map therefore gets
+the same bits alone and in a batch, at one width and at many.
 
 A ``FourierMap`` carries a batch shape in front of its coefficient cube:
 () for one map, (T,) for a ``MapStack`` (a path of maps over a time grid).
@@ -84,16 +89,22 @@ def _k_l1(order: int, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def strip_weights(order: int, m: int, eps):
-    """Read-only weights e^{2 pi ||k||_1 eps} and 2 pi ||k||_1 e^{..} of nu,
-    mu on the lattice cube; for a tuple of R widths eps, with a last axis R."""
-    l1 = _k_l1(order, m)
-    if isinstance(eps, tuple):
-        l1, eps = l1[..., None], np.asarray(eps)
-    w = np.exp(TWO_PI * eps * l1)
+def _weight_table(order: int, m: int, widths: tuple):
+    """The (R, L) weights of ``strip_weights`` for R widths.  Read-only."""
+    l1 = _k_l1(order, m).ravel()
+    w = np.exp(TWO_PI * np.array(widths)[:, None] * l1)
     dw = TWO_PI * l1 * w
     w.flags.writeable = dw.flags.writeable = False
     return w, dw
+
+
+def strip_weights(order: int, m: int, eps):
+    """Read-only weights e^{2 pi ||k||_1 eps} and 2 pi ||k||_1 e^{..} of nu,
+    mu over the flattened lattice cube of L modes, shape np.shape(eps) + (L,)
+    for a width or an array of widths eps."""
+    w, dw = _weight_table(order, m, tuple(np.ravel(eps).tolist()))
+    shape = np.shape(eps) + (-1,)
+    return w.reshape(shape), dw.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -523,61 +534,46 @@ def strip_norms(f: FourierMap, eps: float) -> NormReport:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    terms, mu = _majorant_terms(f.coeffs, f.m, eps)
-    nu, mu = float(terms.sum()), float(mu)
-    tail = _k_l1(f.order, f.m) > f.order / 2
-    tail_ratio = float(terms[tail].sum() / nu) if nu > 0 else 0.0
+    tail = (_k_l1(f.order, f.m) > f.order / 2)[..., None]
+    (nu, nu_tail), (mu, _) = majorants(
+        np.stack([f.coeffs, np.where(tail, f.coeffs, 0)]), f.m, eps)
+    nu, mu = float(nu), float(mu)
+    tail_ratio = float(nu_tail / nu) if nu > 0 else 0.0
     return NormReport(eps=eps, nu=nu, mu=mu, beta=max(nu, mu), tail_ratio=tail_ratio)
 
 
 def majorants(coeffs: np.ndarray, m: int, eps):
-    """(nu_eps, mu_eps) of coefficient cubes ([B,] (2N+1,)*m, ncomp).
+    """(nu_eps, mu_eps) of coefficient cubes batch + (2N+1,)*m + (ncomp,).
 
-    With a leading batch axis both are arrays with one entry per cube; for
-    a tuple of R widths eps both gain a last axis of R.
+    The widths eps, a float or an array, broadcast against the batch by
+    numpy's rules: both results have the shape
+    np.broadcast_shapes(batch, np.shape(eps)), so a batch (B, 1) against
+    R widths gives (B, R).  Every entry is one ``np.vecdot`` over the
+    flattened lattice per component, in one fixed order, so a map gets the
+    same bits alone, in any batch and at any layout of the widths.
     """
-    if not isinstance(eps, tuple):
-        terms, mu = _majorant_terms(coeffs, m, eps)
-        return terms.sum(axis=tuple(range(-m, 0))), mu
-    # one product per component against the (L, R) weights: memory B R,
-    # not B L R, and no max over a short last axis, which numpy does slowly
     w, dw = strip_weights(coeffs.shape[-2] // 2, m, eps)
     lattice = coeffs.shape[:coeffs.ndim - m - 1] + (-1,)
+    # one component at a time: numpy's max over a short last axis is slow
     absc = [np.abs(coeffs[..., i]).reshape(lattice)
             for i in range(coeffs.shape[-1])]
-    nu = reduce(np.maximum, absc) @ w.reshape(-1, len(eps))
-    mu = reduce(np.maximum, [a @ dw.reshape(-1, len(eps)) for a in absc])
+    nu = np.vecdot(reduce(np.maximum, absc), w)
+    mu = reduce(np.maximum, [np.vecdot(a, dw) for a in absc])
     return nu, mu
 
 
-def _majorant_terms(coeffs: np.ndarray, m: int, eps: float):
-    """Per mode max_i |c_{k,i}| e^{2 pi ||k||_1 eps} (nu sums them), and mu."""
-    w, dw = strip_weights(coeffs.shape[-2] // 2, m, eps)
-    absc = np.abs(coeffs)
-    lattice = tuple(range(-m - 1, -1))
-    mu = (absc * dw[..., None]).sum(axis=lattice).max(axis=-1)
-    return absc.max(axis=-1) * w, mu
-
-
-def nu_per_component(f: FourierMap, eps: float) -> np.ndarray:
-    """Component-wise sup-majorants sum_k |c_{k,i}| e^{2 pi ||k||_1 eps}."""
-    w = strip_weights(f.order, f.m, eps)[0]
-    return (np.abs(f.coeffs) * w[..., None]).sum(axis=tuple(range(-f.m - 1, -1)))
-
-
-def imag_reach(u: FourierMap, eps_in: float) -> np.ndarray:
+def imag_reach(u: FourierMap, eps_in) -> np.ndarray:
     """Certified bound on ||Im(z + u(z))||_inf over the strip ||Im z|| <= eps_in,
-    one per map of u (a float for a single map); for a tuple of R widths
-    eps_in, with a last axis of R.
+    per map of u and per width: the widths broadcast against the batch as
+    in ``majorants`` (a float for one map at one width).
 
     Two valid majorant bounds are combined: the oscillating sup bound
     nu(u - u_0) (the real constant part cannot move the strip) and the
     mean-value bound eps_in * mu(u); the smaller one is used.
     """
     nu, mu = majorants(u.coeffs, u.m, eps_in)
-    eps, const = np.asarray(eps_in), np.abs(u.constant_part()).max(axis=-1)
-    nu_osc = nu - (const[..., None] if eps.ndim else const)
-    return eps + np.minimum(nu_osc, eps * mu)
+    const = np.abs(u.constant_part()).max(axis=-1)
+    return eps_in + np.minimum(nu - const, eps_in * mu)
 
 
 # ---------------------------------------------------------------------------
@@ -849,11 +845,13 @@ def _fft_sizes(lo: int, hi: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _alias_rho(order: int, m: int) -> tuple:
+def _alias_rho(order: int, m: int) -> np.ndarray:
     """The candidate rho at which the strip weights e^{2 pi rho ||k||_1} of
-    the lattice of order N stay finite, up to its corner ||k||_1 = m N."""
-    return tuple(float(r) for r in _ALIAS_RHO
-                 if TWO_PI * r * m * max(order, 1) <= 600.0)
+    the lattice of order N stay finite, up to its corner ||k||_1 = m N.
+    Read-only."""
+    rho = _ALIAS_RHO[TWO_PI * _ALIAS_RHO * m * max(order, 1) <= 600.0]
+    rho.flags.writeable = False
+    return rho
 
 
 @lru_cache(maxsize=64)
@@ -901,10 +899,11 @@ def _least_over_rho(log_s: np.ndarray, log_t: np.ndarray) -> np.ndarray:
 def _alias_logs(amp: np.ndarray, u: FourierMap, sizes):
     """log S(rho) per map, (B, R), and the log shell sums per size,
     (sizes, R), of ``aliasing_bound``, from g's ``_shell_amplitudes``.  The
-    reach is one ``imag_reach`` over all rho, and S one Horner pass over
-    the shells in e^{-2 pi r}, scaled so that nothing overflows."""
+    reach is one ``imag_reach`` of the maps as a batch (B, 1) against the
+    R widths rho, and S one Horner pass over the shells in e^{-2 pi r},
+    scaled so that nothing overflows."""
     m, rho = u.m, _alias_rho(u.order, u.m)
-    reach = imag_reach(u.flat(), rho)
+    reach = imag_reach(_wrap(u.flat().coeffs[:, None], m), rho)
     top = int(np.flatnonzero(amp.any(axis=0)).max(initial=0))
     # nu_r(g) = e^{2 pi r top} sum_s amp_s y^{top - s}, y = e^{-2 pi r}
     y = np.exp(-TWO_PI * reach)
@@ -915,7 +914,6 @@ def _alias_logs(amp: np.ndarray, u: FourierMap, sizes):
     with np.errstate(divide="ignore"):
         log_s = np.log(acc) + (TWO_PI * top * reach if top else 0.0)
     L = np.asarray(sizes, dtype=float)[:, None] / 2.0
-    rho = np.asarray(rho)
     q = np.exp(-TWO_PI * rho)
     log_t = -TWO_PI * rho * L - m * np.log1p(-q) + (
         np.log(2.0) if m == 1 else np.log(4.0 * (L - (L - 1.0) * q)))

@@ -77,7 +77,7 @@ class AnalyticDiffeo:
 
     @classmethod
     def certify(cls, u: FourierMap, eps: float) -> "AnalyticDiffeo":
-        mu = strip_norms(u, eps).mu
+        mu = float(majorants(u.coeffs, u.m, eps)[1])
         if mu < 1.0:
             return cls(u, eps, mu)
         resid = float(_invert_stack(u)[1])

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Check, EmptyLevel
-from .fourier import FourierMap, node_chunks, strip_norms, strip_weights
+from .fourier import FourierMap, majorants, node_chunks, strip_norms
 
 #: slack over 1 for the Cauchy / third-ball ratio contracts
 CAUCHY_SLACK = 1e-3
@@ -148,12 +148,6 @@ class PointwiseSquareMap(ScaleMap):
         return level.radius**2
 
 
-def _nu(c: np.ndarray, eps) -> np.ndarray:
-    """nu_eps of the maps in c (n, [levels,] 2N+1), eps one width per level."""
-    return (np.abs(c) * np.array([strip_weights(c.shape[-1] // 2, 1, e)[0]
-                                  for e in np.atleast_1d(eps)])).sum(axis=-1)
-
-
 def _ball_maps(rng, count: int, order: int, bounds, eps, scale):
     """Blocks (n, len(bounds), 2N+1) of ``count`` draws of real maps on T^1.
     Per map, in stream order: t = rng.uniform(*bounds[j]), then 2 MAX_MODE
@@ -173,7 +167,7 @@ def _ball_maps(rng, count: int, order: int, bounds, eps, scale):
         c[..., order + 1:order + MAX_MODE + 1] = v
         c[..., order - MAX_MODE:order] = np.conj(v[..., ::-1])
         c[..., order] = d[..., -1]
-        nu = _nu(c, eps)
+        nu = majorants(c[..., None], 1, eps)[0]
         c[nu == 0, order] = 1.0
         nu[nu == 0] = 1.0
         yield c * (u * scale[0] / scale[1] / nu)[..., None]
@@ -212,7 +206,7 @@ def _telescoping(levels, certs, eps_target: float, rng, depth: int, count):
     eps = [lv.eps for lv in levels[:depth]]
     for parts in _ball_maps(rng, count, levels[0].order,
                             [(0.05, 0.99)] * depth, eps, (np.array(caps), 1.0)):
-        yield parts, _nu(parts, eps)
+        yield parts, majorants(parts[..., None], 1, eps)[0]
 
 
 def build_neighborhood(levels, certs, eps_target: float,
@@ -267,11 +261,12 @@ def verify_continuity_estimate(f: ScaleMap, levels, certs, p_eps: float,
         n = len(parts)
         sums = np.cumsum(np.pad(parts, ((0, 0), (1, 0), (0, 0))), axis=1)
         images = f.apply(sums)          # f(y_0 = 0), f(y_1), ..., f(y)
-        steps = _nu(np.diff(images, axis=1), p_eps)
+        steps = majorants(np.diff(images, axis=1)[..., None], 1, p_eps)[0]
         telescoped = np.cumsum(steps, axis=1)[:, -1]
-        observed = _nu(images[:, -1] - images[:, 0], p_eps)
+        observed = majorants((images[:, -1] - images[:, 0])[..., None], 1,
+                             p_eps)[0]
         link = np.array([cert.constant for cert in certs]) * q
-        bad = ((_nu(sums[:, 1:], [lv.eps for lv in levels])
+        bad = ((majorants(sums[:, 1:, :, None], 1, [lv.eps for lv in levels])[0]
                 >= [lv.radius for lv in levels]).any(axis=1)
                | (steps > link * (1 + 1e-9) + 1e-15).any(axis=1)
                | (link > link_caps * (1 + 1e-9)).any(axis=1)
@@ -316,8 +311,9 @@ def cauchy_bound_check(f: ScaleMap, level: ScaleLevel, p_eps: float,
         v, w = c[:, 0], c[:, 1]
         df = (f.apply(v + fd_step * w)
               - f.apply(v + (-fd_step) * w)) * (1.0 / (2 * fd_step))
-        ratios.append(_nu(df, p_eps)
-                      / (M * (3.0 * _nu(w, level.eps) / level.radius)))
+        num = majorants(df[..., None], 1, p_eps)[0]
+        q_w = majorants(w[..., None], 1, level.eps)[0]
+        ratios.append(num / (M * (3.0 * q_w / level.radius)))
     return RatioSweep("cauchy_ratio", np.concatenate(ratios))
 
 
@@ -329,7 +325,8 @@ def third_ball_lipschitz(f: ScaleMap, level: ScaleLevel, p_eps: float,
     for c in _ball_maps(rng, n_samples, level.order, [(0.02, 0.99)] * 2,
                         level.eps, (level.radius, 3.0)):
         v, w = c[:, 0], c[:, 1]
-        num = _nu(f.apply(w) - f.apply(v), p_eps)
-        den = M * 3.0 * _nu(w - v, level.eps) / level.radius
+        num = majorants((f.apply(w) - f.apply(v))[..., None], 1, p_eps)[0]
+        q_wv = majorants((w - v)[..., None], 1, level.eps)[0]
+        den = M * 3.0 * q_wv / level.radius
         ratios.append(num[den > 0] / den[den > 0])
     return RatioSweep("third_ball_ratio", np.concatenate(ratios))

@@ -530,10 +530,11 @@ def defect_bound(gamma, inp, out, step):
 
 
 def step_distance(snaps_a, snaps_b, eps):
-    """solve_flow's stopping distance: max over grid times of nu_eps(a - b)."""
+    """solve_flow's stopping distance: max over grid times of nu_eps(a - b),
+    each one dot product over the flattened lattice, the kernel's order."""
     a0 = snaps_a[0]
     w = strip_weights(a0.order, a0.m, eps)[0]
-    return max(float((np.abs(a.coeffs - b.coeffs).max(axis=-1) * w).sum())
+    return max(float(np.dot(np.abs(a.coeffs - b.coeffs).max(axis=-1).ravel(), w))
                for a, b in zip(snaps_a, snaps_b))
 
 

@@ -86,8 +86,8 @@ def test_criterion_03_closed_form_flow(sine_flow):
     report(3, "tangent closed form", err, 1e-8, err <= 1e-8)
 
 
-def test_criterion_04_restriction_consistency(sine_gamma):
-    rep = restriction_consistency(sine_gamma, EPS / 2)
+def test_criterion_04_restriction_consistency(sine_flow):
+    rep = restriction_consistency(sine_flow, EPS / 2)
     report(4, "restriction consistency", rep.discrepancy, 1e-9,
            rep.discrepancy <= 1e-9)
 

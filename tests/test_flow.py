@@ -480,14 +480,14 @@ def test_sweep_rejects_a_path_grid_without_the_field_breakpoints():
 def test_restriction_zero_and_constant():
     zero = AdmissibleField.certify(
         TimeDependentField.constant(FourierMap.zero(32, 1, 1), 0.2), EPS)
-    assert restriction_consistency(zero, EPS / 2).discrepancy == 0
+    assert restriction_consistency(solve_flow(zero), EPS / 2).discrepancy == 0
     const = AdmissibleField.certify(
         TimeDependentField.constant(FourierMap.constant([0.1], 32), 0.2), EPS)
-    assert restriction_consistency(const, EPS / 2).discrepancy == 0
+    assert restriction_consistency(solve_flow(const), EPS / 2).discrepancy == 0
 
 
-def test_restriction_sine_benchmark(sine_gamma):
-    rep = restriction_consistency(sine_gamma, EPS / 2)
+def test_restriction_sine_benchmark(sine_flow):
+    rep = restriction_consistency(sine_flow, EPS / 2)
     assert rep.discrepancy <= 1e-9
     assert rep.check.ok
 
@@ -511,7 +511,8 @@ def test_paired_solves_share_the_grid_of_their_base_solve(monkeypatch):
         return path
 
     monkeypatch.setattr(flow_module, "solve_flow", spy)
-    assert restriction_consistency(gamma, EPS / 2).check.ok
+    assert restriction_consistency(flow_module.solve_flow(gamma),
+                                   EPS / 2).check.ok
     assert grids == [alone[0]] * 2
     grids.clear()
     assert param_lipschitz_check(gamma, weak).check.ok

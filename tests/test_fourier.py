@@ -408,6 +408,36 @@ def test_stack_operations_equal_their_maps_row_by_row(seed, m, count, data):
             assert np.array_equal(g, w), name
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([1, 2]),
+       count=st.integers(1, 4), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_widths_broadcast_against_the_batch_map_by_map(seed, m, count, data):
+    """``majorants`` and ``imag_reach`` broadcast an array of widths against
+    the batch: an outer layout, maps (B, 1) against widths (R,), and a
+    per-level one, maps (n, L) against one width per level (L,), give at
+    every entry, bit for bit, the map alone at its width as a float."""
+    order = data.draw(st.integers(1, 8 if m == 1 else 4))
+    band = data.draw(st.integers(0, order))
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.01, 0.3, 3)
+    maps = _random_maps(rng, count, m, order, band, m, 0.01)
+    per_level = _random_maps(rng, count * len(widths), m, order, band, m, 0.01)
+    outer = _wrap(MapStack(maps).coeffs[:, None], m)
+    levels = _wrap(MapStack(per_level).coeffs.reshape(
+        (count, len(widths)) + maps[0].coeffs.shape), m)
+    for f, pick in ((outer, lambda i, r: maps[i]),
+                    (levels, lambda i, r: per_level[len(widths) * i + r])):
+        nu, mu = fourier.majorants(f.coeffs, m, widths)
+        reach = imag_reach(f, widths)
+        assert nu.shape == mu.shape == reach.shape == (count, len(widths))
+        for i in range(count):
+            for r, eps in enumerate(widths.tolist()):
+                alone = pick(i, r)
+                want_nu, want_mu = fourier.majorants(alone.coeffs, m, eps)
+                assert nu[i, r] == want_nu and mu[i, r] == want_mu
+                assert reach[i, r] == imag_reach(alone, eps)
+
+
 # -- restriction ---------------------------------------------------------------
 
 def test_restrict_monotone():
@@ -624,3 +654,10 @@ def test_grid_fits_live_in_fourier_only():
     for name, names in src_module_names():
         used = names & {"sampling_grid", "fit_grid"}
         assert not used or name == "fourier.py", (name, used)
+
+
+def test_strip_weights_live_in_fourier_only():
+    """Only fourier.py weights coefficients by the strip weights; every
+    other module reads nu and mu from majorants."""
+    for name, names in src_module_names():
+        assert "strip_weights" not in names or name == "fourier.py", name

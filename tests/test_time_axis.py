@@ -203,7 +203,7 @@ def test_stack_forms_equal_snapshot_walks(fields):
     assert solved.sup_distance(pinned) == ref.sup_distance(solved, pinned, EPS)
     assert solved.imag_reach_max() == ref.imag_reach_max(solved, EPS / 2)
     g_delta = AdmissibleField.certify(gamma.field, EPS / 2)
-    assert restriction_consistency(gamma, EPS / 2).discrepancy == \
+    assert restriction_consistency(adaptive, EPS / 2).discrepancy == \
         ref.restriction_discrepancy(
             adaptive, solve_flow(g_delta, grid=adaptive.grid))
 
