@@ -29,10 +29,13 @@ from .errors import (AdmissibilityViolation, ContractionStall,
                      NoPositiveRadius, OutOfRange)
 from .fourier import (FourierMap, _modes_from_json, _modes_to_json, fit_sampled,
                       majorants)
-from .timepaths import ACPath, FIT_NODES, TimeDependentField, fit_poly3
+from .timepaths import (ACPath, FIT_NODES, TOL_CHAIN, TimeDependentField,
+                        _derivative, fit_poly3)
 
 #: residual target for the displacement inversion
 TOL_INVERT = 1e-12
+#: the displacement inversion gives up after this many steps
+MAX_INVERT_STEPS = 200
 #: geometric search lattice for the certified radius: ratio 2^(1/64)
 GRID_RATIO_LOG2 = 1.0 / 64.0
 GRID_LOG2_MIN = -40.0
@@ -195,13 +198,11 @@ class InversionResult:
 
 
 def invert_local(alpha: LocalAddition, cert: InverseChartCert,
-                 z, target, delta: float | None = None,
-                 tol: float = TOL_INVERT, max_iter: int = 200,
-                 full: bool = False):
+                 z, target, delta: float | None = None, full: bool = False):
     """Solve alpha(z, w) = target by the displacement contraction.
 
     Requires ||target - z|| < delta/2 with delta <= delta0; the result
-    satisfies ||w|| < delta and the residual is driven below ``tol``.
+    satisfies ||w|| < delta and the residual is driven below TOL_INVERT.
     Vectorized over leading axes of ``z`` and ``target``.
     """
     delta = cert.delta0 if delta is None else delta
@@ -221,33 +222,33 @@ def invert_local(alpha: LocalAddition, cert: InverseChartCert,
     w = np.zeros_like(target)
     residuals = []
     r_prev = None
-    for step in range(max_iter):
+    for step in range(MAX_INVERT_STEPS):
         res_vec = target - z - w - alpha.higher_terms(z_vals, w)
         r = float(np.abs(res_vec).max())
         residuals.append(r)
-        if r <= tol:
+        if r <= TOL_INVERT:
             return InversionResult(w, residuals, step) if full else w
-        if r_prev is not None and r > 0.95 * r_prev and r > 1e3 * tol:
+        if r_prev is not None and r > 0.95 * r_prev and r > 1e3 * TOL_INVERT:
             raise ContractionStall(
                 f"residual stalled at {r:.3e} (factor {r / r_prev:.3f})")
         w = w + res_vec
         r_prev = r
-    raise ContractionStall(f"no convergence in {max_iter} displacement steps")
+    raise ContractionStall(
+        f"no convergence in {MAX_INVERT_STEPS} displacement steps")
 
 
 # ---------------------------------------------------------------------------
 # chart transport of flows
 # ---------------------------------------------------------------------------
 
-def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert,
-                  tol_chain: float = 1e-8) -> ACPath:
+def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert) -> ACPath:
     """Chart vectors w(t) with alpha(x, w(t)(x)) = zeta(t)(x) pointwise.
 
     The flow displacement must stay below delta0/2, which the chart
     admissibility certificate (L^1 nu norm < delta0/4 and the solver's
     parameter-Lipschitz constant 2) guarantees.  Snapshots are re-expanded
     on the sampling grid; the derivative is a cubic re-fit per interval and
-    the path invariant is re-verified within ``tol_chain``.
+    the path invariant is re-verified within TOL_CHAIN.
     """
     gamma = flow.source
     if gamma is not None and 2 * gamma.l1_nu >= cert.delta0 / 2:
@@ -265,7 +266,7 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert,
         u_vals = u.eval(x)
         w = u_vals.copy()
         live = np.arange(0 if alpha.flat else len(w))
-        for _ in range(200):
+        for _ in range(MAX_INVERT_STEPS):
             if not len(live):
                 break
             res = u_vals[live] - w[live] - alpha.higher_terms(z_vals, w[live])
@@ -280,25 +281,20 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert,
     times = np.concatenate([ts, flow.grid.nodes(FIT_NODES)[2]])
     fits = fit_sampled(chart_vectors, [flow.u_at_many(times)], flow.order,
                        tol_trunc=1e-8, context="chart re-expansion").coeffs
-    J, Q = len(ts) - 1, len(FIT_NODES)
-    val_poly = fit_poly3(fits[len(ts):]).reshape(J, Q, -1)
-    der_poly = (np.arange(1, Q)[:, None] * val_poly[:, 1:]
-                / np.diff(ts)[:, None, None])
-    pieces = der_poly.reshape((J, Q - 1) + fits.shape[1:])
+    pieces = _derivative(fit_poly3(fits[len(ts):]), np.diff(ts))
     scale = gamma.field.scale if gamma is not None else cert.eps
     derivative = TimeDependentField(flow.grid, pieces, scale)
-    return ACPath(flow.grid, fits[:len(ts)], derivative, tol=tol_chain)
+    return ACPath(flow.grid, fits[:len(ts)], derivative, tol=TOL_CHAIN)
 
 
-def chart_roundtrip_defect(flow, alpha: LocalAddition, path: ACPath,
-                           n_probe: int = 64) -> float:
-    """sup over probe points and times of |alpha(x, w(t)(x)) - zeta(t)(x)|,
-    at the grid times and the collocation nodes inside every interval."""
-    m = flow.m
-    if m == 1:
-        pts = (np.arange(n_probe) / n_probe)[:, None].astype(complex)
+def chart_roundtrip_defect(flow, alpha: LocalAddition, path: ACPath) -> float:
+    """sup over 64 probe points and the times of |alpha(x, w(t)(x)) -
+    zeta(t)(x)|, at the grid times and the collocation nodes inside every
+    interval."""
+    if flow.m == 1:
+        pts = (np.arange(64) / 64)[:, None].astype(complex)
     else:
-        g = np.arange(int(np.sqrt(n_probe))) / int(np.sqrt(n_probe))
+        g = np.arange(8) / 8
         pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
         pts = pts.astype(complex)
     times = np.concatenate([flow.grid.floats, flow.grid.nodes(FIT_NODES)[2]])

@@ -61,8 +61,8 @@ from .errors import (AdmissibilityViolation, Check, ContractionStall,
 from .fourier import (TOL_TRUNC, FourierMap, MapStack, _modes_to_json, _wrap,
                       compose, imag_reach, majorants)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
-                        _antiderivative, fit_poly3, piece_values, pieces_on,
-                        read_pieces)
+                        _antiderivative, _derivative, fit_poly3, piece_values,
+                        pieces_on, read_pieces)
 
 #: default solver tolerance, measured in nu_eps of snapshot differences
 TOL_SOLVE = 1e-10
@@ -72,6 +72,10 @@ TOL_SLACK = 1e-6
 TOL_POINTWISE = 1e-8
 #: admissibility thresholds
 BETA_BOUND = 0.5
+#: ``invert_at_point`` stops a map once no step at its points exceeds this
+TOL_POINT_STEP = 1e-13
+#: ``invert_at_point`` gives up after this many steps
+MAX_POINT_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -305,12 +309,6 @@ class _PicardSweep:
         return _sup_distance(again, snaps, self.gamma.eps)
 
 
-def _derivative(pieces: np.ndarray, h) -> np.ndarray:
-    """d/dt of every piece in tau = (t - t_j) / h_j: one degree lower."""
-    scale = np.arange(1, pieces.shape[1]) / h[:, None]
-    return pieces[:, 1:] * scale.reshape(scale.shape + (1,) * (pieces.ndim - 2))
-
-
 def picard_step(gamma: AdmissibleField, path: FlowPath,
                 tol_trunc: float = TOL_TRUNC) -> FlowPath:
     """One application of the integral-equation map to a candidate path.
@@ -365,25 +363,34 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
     """
     theta = gamma.theta_hat
     target = tol_solve * (1 - theta)
+    refine = grid is None
     if start is None:
         start = identity_path(gamma, max_step, grid)
     elif grid is not None and start.grid != grid:
         raise ValueError("the start path is not on the given grid")
-    pinned, refine = fixed_iters is not None, grid is None and fixed_iters is None
     grid, snaps, pieces = start.grid, start.snapshots.coeffs, start.pieces
     sweep = _PicardSweep(gamma, grid, TOL_TRUNC)
+    if fixed_iters is not None:
+        log, step = [], None
+        for _ in range(fixed_iters):
+            new_snaps, pieces = sweep.run(pieces)
+            step = _sup_distance(new_snaps, snaps, gamma.eps)
+            snaps = new_snaps
+            log.append((len(log) + 1, step, float("nan")))
+        return FlowPath(grid, gamma.eps, snaps, pieces, source=gamma,
+                        iteration_log=log, residual=step)
     # step: the last kept sweep's distance on this grid, inp: its input;
     # a grid is settled once no stall there could be mended by halving it
     log, discarded, step, goal, settled = [], [], None, target, not refine
     while True:
         stalled = False
-        for _ in range(fixed_iters if pinned else max_iter - len(log)):
+        for _ in range(max_iter - len(log)):
             new_snaps, new_pieces = sweep.run(pieces)
             diff = _sup_distance(new_snaps, snaps, gamma.eps)
-            ratio = diff / step if step and not pinned else float("nan")
+            ratio = diff / step if step else float("nan")
             noise_floor = 64 * np.finfo(float).eps * max(
                 1.0, float(np.abs(new_snaps).max()))
-            if not pinned and step is not None:
+            if step is not None:
                 grew = diff > step and diff > 16 * noise_floor
                 if not settled and (grew or _breaks_ratio(diff, ratio, theta)):
                     # not kept: halving may mend it
@@ -397,16 +404,14 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
                         f"{len(log) + 1} (certificate theta_hat = {theta:.3f})")
             inp, snaps, pieces, step = pieces, new_snaps, new_pieces, diff
             log.append((len(log) + 1, diff, ratio))
-            if not pinned and diff <= max(goal, noise_floor):
+            if diff <= max(goal, noise_floor):
                 break
         else:
-            if not pinned:
-                raise ContractionStall(
-                    f"no convergence within {max_iter} iterations")
-            return FlowPath(grid, gamma.eps, snaps, pieces, source=gamma,
-                            iteration_log=log, residual=step)
+            raise ContractionStall(
+                f"no convergence within {max_iter} iterations")
         local, defect, inside = sweep.defect(inp, pieces)
-        last = max(step, inside)    # the step inside the intervals too
+        # the step inside the intervals too; a NaN reaches the residual
+        last = float(np.max([step, inside]))
         residual = (last + defect) / (1 - theta)
         if residual <= tol_solve:
             break
@@ -499,8 +504,8 @@ class LipschitzReport:
         return Check("param_lipschitz", self.ratio, self.bound + TOL_SLACK)
 
 
-def param_lipschitz_check(g1: AdmissibleField, g2: AdmissibleField,
-                          tol_solve: float = TOL_SOLVE) -> LipschitzReport:
+def param_lipschitz_check(g1: AdmissibleField,
+                          g2: AdmissibleField) -> LipschitzReport:
     """Observed flow distance against twice the L^1 field distance."""
     if abs(g1.eps - g2.eps) > 1e-15:
         raise ValueError("fields must share the working half-width")
@@ -509,8 +514,8 @@ def param_lipschitz_check(g1: AdmissibleField, g2: AdmissibleField,
     # first: equal fields give equal paths
     grid = g1.field.grid.merged(g2.field.grid)
     g1, g2 = (replace(g, field=g.field.on_grid(grid)) for g in (g1, g2))
-    grid = solve_flow(g1, tol_solve).grid
-    p1, p2 = (solve_flow(g, tol_solve, grid=grid) for g in (g1, g2))
+    grid = solve_flow(g1).grid
+    p1, p2 = (solve_flow(g, grid=grid) for g in (g1, g2))
     sup = p1.sup_distance(p2, g1.eps)
     l1 = (g2.field - g1.field).lp_norm(1, "nu", 2 * g1.eps)
     ratio = 0.0 if sup == 0 else (np.inf if l1 == 0 else sup / l1)
@@ -537,18 +542,17 @@ class Trajectory:
         return Check("pointwise_trajectory", self.max_residual, self.tol)
 
 
-def invert_at_point(u: FourierMap, y: np.ndarray, tol: float = 1e-13,
-                    max_iter: int = 200,
+def invert_at_point(u: FourierMap, y: np.ndarray,
                     fixed_iters: int | None = None) -> np.ndarray:
     """Solve x + u(x) = y pointwise by the displacement contraction.
 
     Every map of ``u`` is solved at once, at its own points y (batch +
     (P, m)) or at points (..., m) shared by all, as ``u.eval`` takes them;
     x has the shape of ``u.eval(y)``.  Each map stops on its own test, max
-    |step| <= tol over its points, so a batch gives what each map gives
-    alone.  With ``fixed_iters`` the iteration count is pinned (no stopping
-    test), which keeps the result a smooth function of parameters; used by
-    the finite-difference derivative probes.
+    |step| <= TOL_POINT_STEP over its points, so a batch gives what each
+    map gives alone.  With ``fixed_iters`` the iteration count is pinned
+    (no stopping test), which keeps the result a smooth function of
+    parameters; used by the finite-difference derivative probes.
     """
     y, lead = u._points(np.asarray(y))
     stack = u.flat()
@@ -559,10 +563,10 @@ def invert_at_point(u: FourierMap, y: np.ndarray, tol: float = 1e-13,
             x = y - stack.eval(x)
         return x.reshape(lead + (u.m,))
     live, maps = np.arange(len(stack)), stack
-    for _ in range(max_iter):
+    for _ in range(MAX_POINT_STEPS):
         step = y[live] - x[live] - maps.eval(x[live])
         x[live] += step
-        done = np.abs(step).reshape(len(live), -1).max(axis=1) <= tol
+        done = np.abs(step).reshape(len(live), -1).max(axis=1) <= TOL_POINT_STEP
         if done.all():
             return x.reshape(lead + (u.m,))
         if done.any():
@@ -571,8 +575,7 @@ def invert_at_point(u: FourierMap, y: np.ndarray, tol: float = 1e-13,
     raise ContractionStall("pointwise inversion did not converge")
 
 
-def pointwise_solution(flow: FlowPath, t0: float, y0,
-                       tol_pointwise: float = TOL_POINTWISE) -> Trajectory:
+def pointwise_solution(flow: FlowPath, t0: float, y0) -> Trajectory:
     """Trajectory t -> Fl_{t, t0}(y0) with its integral-equation residuals.
 
     The residual at each grid time re-checks the scalar Caratheodory
@@ -602,7 +605,7 @@ def pointwise_solution(flow: FlowPath, t0: float, y0,
     residuals = np.abs(pts - y0[None, :] - (
         cumulative - (cumulative[j0] + pieces[-1])[None, :])).max(axis=1)
     return Trajectory(times=ts, points=pts, residuals=residuals,
-                      tol=tol_pointwise)
+                      tol=TOL_POINTWISE)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +624,7 @@ class RestrictionReport:
         return Check("restriction", self.discrepancy, self.tol)
 
 
-def restriction_consistency(p_eps: FlowPath, delta: float,
-                            tol_solve: float = TOL_SOLVE) -> RestrictionReport:
+def restriction_consistency(p_eps: FlowPath, delta: float) -> RestrictionReport:
     """Solve the field of ``p_eps``, a path solved at eps, at delta < eps
     with identical truncation; compare.
 
@@ -636,8 +638,8 @@ def restriction_consistency(p_eps: FlowPath, delta: float,
         raise ValueError("need 0 < delta < eps")
     g_delta = AdmissibleField.certify(gamma.field, delta,
                                       gamma.chart_delta0, gamma.for_chart)
-    p_delta = solve_flow(g_delta, tol_solve, grid=p_eps.grid)
+    p_delta = solve_flow(g_delta, grid=p_eps.grid)
     worst = float(np.abs(p_eps.snapshots.coeffs
                          - p_delta.snapshots.coeffs).max())
     return RestrictionReport(eps=gamma.eps, delta=delta, discrepancy=worst,
-                             tol=10 * tol_solve)
+                             tol=10 * TOL_SOLVE)

@@ -135,8 +135,9 @@ class StripScale:
             raise ValueError("strip half-widths must be strictly decreasing")
 
     @classmethod
-    def geometric(cls, top: float, levels: int, ratio: float = 0.5) -> "StripScale":
-        return cls(tuple(top * ratio**j for j in range(levels)))
+    def geometric(cls, top: float, levels: int) -> "StripScale":
+        """``levels`` half-widths from ``top``, each half the one before."""
+        return cls(tuple(top * 0.5**j for j in range(levels)))
 
     def __len__(self):
         return len(self.halfwidths)
@@ -208,21 +209,20 @@ class FourierMap:
 
     @classmethod
     def from_modes(cls, modes: dict, order: int, m: int = 1,
-                   ncomp: int | None = None, hermitize: bool = True) -> "FourierMap":
+                   ncomp: int | None = None) -> "FourierMap":
         """Build from {k: value} entries; k is an int (m=1) or tuple.
 
-        With ``hermitize`` the conjugate modes are filled in automatically,
-        so passing only k with positive leading entry yields a real map.
+        The conjugate modes are filled in automatically, so passing only k
+        with positive leading entry yields a real map.
         """
         ncomp = m if ncomp is None else ncomp
         f = cls.zero(order, m, ncomp=ncomp)
         for k, val in modes.items():
             kk = (k,) if np.isscalar(k) else tuple(k)
             idx = tuple(ki + order for ki in kk)
+            nidx = tuple(-ki + order for ki in kk)
             f.coeffs[idx] = np.asarray(val, dtype=complex)
-            if hermitize:
-                nidx = tuple(-ki + order for ki in kk)
-                f.coeffs[nidx] = np.conj(np.asarray(val, dtype=complex))
+            f.coeffs[nidx] = np.conj(np.asarray(val, dtype=complex))
         return cls(f.coeffs)
 
     # -- bookkeeping ----------------------------------------------------

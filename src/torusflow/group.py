@@ -39,8 +39,8 @@ import numpy as np
 from .errors import Check, InvertibilityLost
 from .flow import (AdmissibleField, FlowPath, TOL_POINTWISE, TOL_SOLVE,
                    invert_at_point, solve_flow)
-from .fourier import (FourierMap, MapStack, _modes_to_json, _wrap, compose,
-                      fit_sampled, jacobian, majorants, strip_norms)
+from .fourier import (FourierMap, MapStack, _wrap, compose, fit_sampled,
+                      jacobian, majorants, strip_norms)
 from .timepaths import (FIT_NODES, TimeDependentField, fit_poly3,
                         integrate_primitive)
 
@@ -53,6 +53,10 @@ TROTTER_WINDOW = (0.35, 0.65)
 #: 4th-order central difference: weights per 12 h and offsets per step h
 _FD4_W = np.array([1.0, -8.0, 8.0, -1.0])
 _FD4_X = np.array([-2, -1, 1, 2])
+#: the step of every finite difference: the 4th-order time derivatives of
+#: ``derivative_residual`` and ``pullback_path``, and the central
+#: difference in tau of both derivative probes
+FD_STEP = 1e-3
 
 
 def _probe_points(m: int, n: int = 64) -> np.ndarray:
@@ -106,9 +110,9 @@ class AnalyticDiffeo:
     def jacobian_values(self, pts: np.ndarray) -> np.ndarray:
         return _jacobian_values(self.u, pts)
 
-    def min_real_jacobian(self, samples: int = 256) -> float:
-        """min over sampled real points of the Jacobian determinant."""
-        pts = _probe_points(self.m, samples)
+    def min_real_jacobian(self) -> float:
+        """min over 256 sampled real points of the Jacobian determinant."""
+        pts = _probe_points(self.m, 256)
         J = self.jacobian_values(pts)
         if self.m == 1:
             return float(J[..., 0, 0].real.min())
@@ -129,9 +133,9 @@ def compose_diffeo(phi: AnalyticDiffeo, psi: AnalyticDiffeo) -> AnalyticDiffeo:
     return AnalyticDiffeo.certify(w, eps)
 
 
-def invert_diffeo(phi: AnalyticDiffeo, tol: float = 1e-13) -> AnalyticDiffeo:
+def invert_diffeo(phi: AnalyticDiffeo) -> AnalyticDiffeo:
     """id + v with (id+u) o (id+v) = id, by pointwise displacement inversion."""
-    v, mu, resid = _certified_inverses(phi.u, phi.eps, tol)
+    v, mu, resid = _certified_inverses(phi.u, phi.eps)
     return AnalyticDiffeo(v, phi.eps, mu, inverse_residual=float(resid))
 
 
@@ -144,12 +148,12 @@ def _certify_maps(u: FourierMap, eps: float) -> np.ndarray:
     return mu
 
 
-def _invert_stack(u: FourierMap, tol: float = 1e-13):
+def _invert_stack(u: FourierMap):
     """(v, residuals): (id + u_t) o (id + v_t) = id for every map of u, by
     ``invert_at_point`` on the sampling grid and one batched fit per chunk
     of maps, and sup |(id + u_t)((id + v_t)(x)) - x| per map over an
     off-grid probe set."""
-    v = fit_sampled(lambda x, c: invert_at_point(c, x, tol=tol) - x, [u],
+    v = fit_sampled(lambda x, c: invert_at_point(c, x) - x, [u],
                     u.order, tol_trunc=1e-8, context="inversion")
     probe = _probe_points(u.m, 257)
     y = probe + v.eval(probe)
@@ -157,9 +161,9 @@ def _invert_stack(u: FourierMap, tol: float = 1e-13):
     return v, np.abs(y - probe).reshape(u.batch + (-1,)).max(axis=-1)
 
 
-def _certified_inverses(u: FourierMap, eps: float, tol: float = 1e-13):
+def _certified_inverses(u: FourierMap, eps: float):
     """(v, mu_eps(v), residuals) of ``_invert_stack``, each inverse certified."""
-    v, resid = _invert_stack(u, tol)
+    v, resid = _invert_stack(u)
     mu = _certify_maps(v, eps)
     if resid.max() > TOL_INVERSE:
         raise InvertibilityLost(
@@ -265,23 +269,21 @@ class EvolutionResult:
     def snapshot_map(self, j: int) -> AnalyticDiffeo:
         return AnalyticDiffeo.certify(self.snapshots[j], self.eps)
 
-    def derivative_residual(self, n_probe: int = 16, times=None,
-                            fd_step: float = 1e-3) -> float:
-        """Max defect of the side's derivative identity at probe points.
+    def derivative_residual(self) -> float:
+        """Max defect of the side's derivative identity at 16 probe points
+        and three interior times.
 
         right: d/dt eta(t)(x) = gamma(t)(eta(t)(x));
         left:  d/dt eta(t)(x) = (D eta(t))(x) . gamma(t)(x).
-        The time derivative is a 4th-order central difference of the
-        evaluated path, so the residual isolates the convention, not the
-        interpolation.
+        The time derivative is a 4th-order central difference of step
+        FD_STEP of the evaluated path, so the residual isolates the
+        convention, not the interpolation.
         """
-        pts = _probe_points(self.m, n_probe)
+        pts = _probe_points(self.m, 16)
         gamma = self.source
-        if times is None:
-            times = [0.21337, 0.517, 0.8123]
-        times = np.asarray(times)
-        stencil = _FD4_W / (12.0 * fd_step)
-        offsets = _FD4_X * fd_step
+        times = np.array([0.21337, 0.517, 0.8123])
+        stencil = _FD4_W / (12.0 * FD_STEP)
+        offsets = _FD4_X * FD_STEP
         vals = self.eval_many((times[:, None] + offsets).ravel(), pts)
         dpath = np.tensordot(vals.reshape((len(times), 4) + pts.shape),
                              stencil, axes=(1, 0))
@@ -294,36 +296,25 @@ class EvolutionResult:
             rhs = np.einsum("...ij,...j->...i", J, g.eval(pts))
         return float(np.abs(dpath - rhs).max())
 
-    def to_json(self) -> dict:
-        return {
-            "side": self.side,
-            "eps": self.eps,
-            "grid": [str(b) for b in self.grid.breakpoints],
-            "snapshots": [_modes_to_json(u, self.m, self.order)
-                          for u in self.snapshots.coeffs],
-        }
 
-
-def evol_right(gamma: AdmissibleField,
-               tol_solve: float = TOL_SOLVE) -> EvolutionResult:
+def evol_right(gamma: AdmissibleField) -> EvolutionResult:
     """The flow of the field IS its right evolution."""
-    flow = solve_flow(gamma, tol_solve)
+    flow = solve_flow(gamma)
     return EvolutionResult("right", gamma, flow, flow.snapshots)
 
 
-def evol_left(gamma: AdmissibleField,
-              tol_solve: float = TOL_SOLVE) -> EvolutionResult:
+def evol_left(gamma: AdmissibleField) -> EvolutionResult:
     """Pointwise inverse of the right evolution of the negated field.
 
     Snapshot maps are inverted lazily: evaluation at points only needs the
     displacement contraction, not the re-expanded inverse coefficients.
     """
-    flow = solve_flow(gamma.negated(), tol_solve)
+    flow = solve_flow(gamma.negated())
     return EvolutionResult("left", gamma, flow)
 
 
-def evol_left_by_reversal(gamma: AdmissibleField, t: Fraction,
-                          tol_solve: float = TOL_SOLVE) -> AnalyticDiffeo:
+def evol_left_by_reversal(gamma: AdmissibleField,
+                          t: Fraction) -> AnalyticDiffeo:
     """Independent construction of Evol(gamma)(t) by time reversal.
 
     The left evolution at time t equals the right evolution, at time 1, of
@@ -339,7 +330,7 @@ def evol_left_by_reversal(gamma: AdmissibleField, t: Fraction,
     reversed_field = restricted.time_reversed()
     adm = AdmissibleField.certify(reversed_field, gamma.eps,
                                   gamma.chart_delta0, gamma.for_chart)
-    flow = solve_flow(adm, tol_solve)
+    flow = solve_flow(adm)
     return AnalyticDiffeo.certify(flow.snapshots[-1], gamma.eps)
 
 
@@ -360,8 +351,7 @@ def flow_two_param(evol: EvolutionResult, t: float, t0: float) -> AnalyticDiffeo
 # the product on fields and the derivative formulas
 # ---------------------------------------------------------------------------
 
-def odot(gamma: AdmissibleField, eta: AdmissibleField,
-         tol_solve: float = TOL_SOLVE) -> TimeDependentField:
+def odot(gamma: AdmissibleField, eta: AdmissibleField) -> TimeDependentField:
     """The field product (gamma ⊙ eta)(t) = Ad(Evol(eta)(t))^{-1} gamma(t) + eta(t).
 
     Ad values are sampled at the collocation nodes of the solver grid of
@@ -374,7 +364,7 @@ def odot(gamma: AdmissibleField, eta: AdmissibleField,
     the defect of the cubic collocation of the flow, which Ad(zeta(s))
     shares.
     """
-    eta_flow = solve_flow(eta.negated(), tol_solve)
+    eta_flow = solve_flow(eta.negated())
     grid = eta_flow.grid.merged(gamma.field.grid)
     s = grid.nodes(FIT_NODES)[2]
     ad = fit_sampled(lambda x, uc, gc: _adjoint_values(uc, gc, x),
@@ -420,17 +410,16 @@ class DerivativeReport:
         return self.discrepancy_half / self.discrepancy
 
 
-def derivative_at_zero(gamma: AdmissibleField, t: float,
-                       tau_step: float = 1e-3,
-                       window: int = 8) -> DerivativeReport:
+def derivative_at_zero(gamma: AdmissibleField, t: float) -> DerivativeReport:
     """Central difference of the chart image of Evol(tau gamma)(t) against
-    the integral of the field up to t; second-order in tau_step.
+    the integral of the field up to t, at the steps FD_STEP and FD_STEP / 2;
+    second-order in the step.
 
     Solver sweeps and pointwise inversions run with pinned iteration
     counts, on the grid of one solve of the field itself, so the chart
     image is a smooth function of tau and the finite difference is not
     polluted by stopping noise or by grids adapted per tau.  The nu
-    report compares the two sides on the mode window ||k||_1 <= window:
+    report compares the two sides on the mode window ||k||_1 <= 8:
     under the exponential majorant weights, the white rounding dust that
     any float pipeline leaves on far modes (~1e-17 per coefficient,
     amplified by 1/tau) would otherwise swamp the tau^2 signal of every
@@ -439,7 +428,7 @@ def derivative_at_zero(gamma: AdmissibleField, t: float,
     """
     primitive = integrate_primitive(gamma.field).value_at(t)
     order = gamma.field.order
-    window = min(window, order)
+    window = min(8, order)
     grid = solve_flow(gamma.negated()).grid
 
     def chart_image(tau: float) -> FourierMap:
@@ -453,21 +442,22 @@ def derivative_at_zero(gamma: AdmissibleField, t: float,
         fd = (1.0 / (2 * step)) * (chart_image(step) - chart_image(-step))
         return strip_norms((fd - primitive).with_order(window), gamma.eps).nu
 
-    return DerivativeReport(tau=tau_step,
-                            discrepancy=discrepancy(tau_step),
-                            discrepancy_half=discrepancy(tau_step / 2))
+    return DerivativeReport(tau=FD_STEP,
+                            discrepancy=discrepancy(FD_STEP),
+                            discrepancy_half=discrepancy(FD_STEP / 2))
 
 
-def derivative_at_eta(eta: AdmissibleField, gamma: AdmissibleField, t: float,
-                      tau_step: float = 1e-3, n_probe: int = 32) -> float:
+def derivative_at_eta(eta: AdmissibleField, gamma: AdmissibleField,
+                      t: float) -> float:
     """Probe-point defect of the directional derivative of Evol at eta.
 
-    Compares the central difference of Evol(eta + tau gamma)(t) against
-    W(t) o Evol(eta)(t) with W(t) = int_0^t Ad(Evol(eta)(s)) gamma(s) ds.
+    Compares, at 32 probe points, the central difference of step FD_STEP
+    in tau of Evol(eta + tau gamma)(t) against W(t) o Evol(eta)(t) with
+    W(t) = int_0^t Ad(Evol(eta)(s)) gamma(s) ds.
     The solves at eta +- tau gamma take the grid of the solve at eta, on
     the merged grid of both fields.
     """
-    pts = _probe_points(gamma.field.m, n_probe)
+    pts = _probe_points(gamma.field.m, 32)
 
     def left_eval(field: TimeDependentField, grid=None):
         adm = AdmissibleField.certify(field, gamma.eps)
@@ -475,9 +465,9 @@ def derivative_at_eta(eta: AdmissibleField, gamma: AdmissibleField, t: float,
         return flow.grid, invert_at_point(flow.u_at(t), pts)
 
     grid, eta_pts = left_eval(eta.field.on_grid(gamma.field.grid))
-    up = left_eval(eta.field + tau_step * gamma.field, grid)[1]
-    dn = left_eval(eta.field - tau_step * gamma.field, grid)[1]
-    fd = (up - dn) / (2 * tau_step)
+    up = left_eval(eta.field + FD_STEP * gamma.field, grid)[1]
+    dn = left_eval(eta.field - FD_STEP * gamma.field, grid)[1]
+    fd = (up - dn) / (2 * FD_STEP)
 
     W = ad_transport_integral(eta, gamma.field, t, tol_solve=1e-13)
     formula = W.eval(eta_pts)
@@ -488,22 +478,22 @@ def derivative_at_eta(eta: AdmissibleField, gamma: AdmissibleField, t: float,
 # Trotter product
 # ---------------------------------------------------------------------------
 
-def exp_field(X: FourierMap, eps: float,
-              tol_solve: float = TOL_SOLVE) -> AnalyticDiffeo:
+def exp_field(X: FourierMap, eps: float) -> AnalyticDiffeo:
     """Time-1 flow of the autonomous field X (no splitting shortcuts)."""
     adm = AdmissibleField.certify(
         TimeDependentField.constant(X, scale=4 * eps), eps)
-    flow = solve_flow(adm, tol_solve)
+    flow = solve_flow(adm)
     return AnalyticDiffeo.certify(flow.snapshots[-1], eps)
 
 
 def trotter_curve(v: FourierMap, w: FourierMap, eps: float,
-                  n_values=(8, 16, 32, 64, 128), n_probe: int = 64):
-    """d(n) = sup-sampled distance of (exp(v/n) exp(w/n))^n from exp(v+w).
+                  n_values=(8, 16, 32, 64, 128)):
+    """d(n) = distance of (exp(v/n) exp(w/n))^n from exp(v+w), sampled at
+    64 probe points.
 
     Dyadic n are reached by repeated squaring of the single-step map.
     """
-    pts = _probe_points(v.m, n_probe)
+    pts = _probe_points(v.m, 64)
     target = exp_field(v + w, eps)(pts)
     out = []
     for n in n_values:
@@ -582,23 +572,24 @@ def verify_evolution_pointwise(candidate: EvolutionResult,
     resid = np.abs(traj - probes - increments).max(axis=-1)
     rows = [(p, float(t), float(r)) for t, row in zip(ts, resid)
             for p, r in enumerate(row)]
-    return VerificationReport(rows=rows, max_residual=max(0.0, float(resid.max())),
+    # a NaN residual reaches the check, which fails it
+    return VerificationReport(rows=rows,
+                              max_residual=float(resid.max(initial=0.0)),
                               tol=tol_pointwise)
 
 
-def ac_modulus_check(evol: EvolutionResult, n_pairs: int = 16,
-                     n_probe: int = 64):
+def ac_modulus_check(evol: EvolutionResult):
     """Increments of the evolution against the integral bound of the field size.
 
-    For the pairs (t_a, t_b) of ``n_pairs`` + 1 uniform times, read by time
-    whatever the solver grid: sup-sampled |eta(t_b)(x) - eta(t_a)(x)| must
-    not exceed int_{t_a}^{t_b} nu_{2 eps}(gamma(s)) ds.
+    For the 16 pairs (t_a, t_b) of 17 uniform times, read by time whatever
+    the solver grid: |eta(t_b)(x) - eta(t_a)(x)|, sampled at 64 probe
+    points, must not exceed int_{t_a}^{t_b} nu_{2 eps}(gamma(s)) ds.
     """
-    pts = _probe_points(evol.m, n_probe)
-    ts = np.linspace(0.0, 1.0, n_pairs + 1)
+    pts = _probe_points(evol.m, 64)
+    ts = np.linspace(0.0, 1.0, 17)
     vals = evol.eval_many(ts, pts)
     subs = _field_nu_integral(evol.source, ts[:-1], ts[1:])
-    lhs = np.abs(np.diff(vals, axis=0)).reshape(n_pairs, -1).max(axis=1)
+    lhs = np.abs(np.diff(vals, axis=0)).reshape(len(ts) - 1, -1).max(axis=1)
     return ac_rows(ts, lhs, subs)
 
 

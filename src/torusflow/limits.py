@@ -55,13 +55,13 @@ class ScaleLevel:
         return strip_norms(f, self.eps).nu
 
 
-def make_levels(eps_top: float, radii, order: int,
-                ratio: float = 0.5) -> list:
-    """Geometric ladder of levels; radii must be nondecreasing."""
+def make_levels(eps_top: float, radii, order: int) -> list:
+    """Geometric ladder of levels, each half-width half the one before;
+    radii must be nondecreasing."""
     radii = list(radii)
     if any(a > b for a, b in zip(radii, radii[1:])):
         raise ValueError("ball radii must be nondecreasing along the scale")
-    return [ScaleLevel(index=n + 1, eps=eps_top * ratio**n, order=order,
+    return [ScaleLevel(index=n + 1, eps=eps_top * 0.5**n, order=order,
                        radius=float(r)) for n, r in enumerate(radii)]
 
 
@@ -210,14 +210,15 @@ def _telescoping(levels, certs, eps_target: float, rng, depth: int, count):
 
 
 def build_neighborhood(levels, certs, eps_target: float,
-                       rng: np.random.Generator, depth: int | None = None):
-    """Generator of telescoping samples y = sum z_k with bookkeeping.
+                       rng: np.random.Generator):
+    """Generator of telescoping samples y = sum z_k, one part per level,
+    with bookkeeping.
 
     z_k is drawn inside both the Lipschitz-weighted ball (q'_k = L_k q_k
     below eps 2^{-k}) and the shrunken level ball 2^{-k} U_k; the partial
     sums stay in U_k by convexity, which the caller re-asserts.
     """
-    depth = len(levels) if depth is None else depth
+    depth = len(levels)
     zero = FourierMap.zero(levels[0].order, 1, 1)
     while True:
         parts, q = next(_telescoping(levels, certs, eps_target, rng, depth, 1))

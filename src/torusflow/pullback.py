@@ -32,7 +32,7 @@ from .errors import Check, TruncationBudgetExceeded
 from .flow import AdmissibleField, FlowPath, solve_checks, solve_flow
 from .fourier import (FourierMap, TWO_PI, _wrap, compose, fit_sampled, jacobian,
                       lattice_modes)
-from .group import (_FD4_W, _FD4_X, AnalyticDiffeo, _certify_maps,
+from .group import (_FD4_W, _FD4_X, FD_STEP, AnalyticDiffeo, _certify_maps,
                     _field_nu_integral, ac_check, ac_rows, compose_diffeo,
                     evol_right, flow_two_param, invert_diffeo)
 
@@ -41,6 +41,8 @@ TOL_PB = 1e-9
 #: bounds of ``operator_checks``: the contravariance and linearity defects
 TOL_CONTRAVARIANCE = 1e-8
 TOL_LINEARITY = 1e-12
+#: bound of ``pullback_path``'s transport residual
+TOL_TRANSPORT = 1e-7
 #: pullback_path's AC check compares neighbours of this many + 1 uniform
 #: times on any solver grid: a wider pair passes wherever its narrow ones do
 AC_PAIRS = 64
@@ -110,8 +112,7 @@ class PullbackMatrix:
         return rows
 
 
-def pullback_matrix(phi: AnalyticDiffeo, K: int,
-                    tol_trunc: float = 1e-6) -> PullbackMatrix:
+def pullback_matrix(phi: AnalyticDiffeo, K: int) -> PullbackMatrix:
     """Columns are pullbacks of basis exponentials; leakage recorded per column.
 
     K must not exceed the ambient truncation order: beyond it the column
@@ -157,23 +158,20 @@ def operator_checks(phi: AnalyticDiffeo, psi: AnalyticDiffeo, K: int) -> tuple:
             Check("linearity", float(np.abs(lin.coeffs).max()), TOL_LINEARITY))
 
 
-def contravariance_defect(phi: AnalyticDiffeo, psi: AnalyticDiffeo, K: int,
-                          K_inner: int | None = None,
-                          leak_tol: float = 1e-10) -> float:
+def contravariance_defect(phi: AnalyticDiffeo, psi: AnalyticDiffeo,
+                          K: int) -> float:
     """max interior-entry defect of M(phi o psi) vs M(psi) M(phi).
 
     The interior shell is certified from the measured column leakage of
-    all three matrices unless ``K_inner`` is forced.
+    all three matrices.
     """
     A_phi = pullback_matrix(phi, K)
     A_psi = pullback_matrix(psi, K)
     A_comp = pullback_matrix(compose_diffeo(phi, psi), K)
-    if K_inner is None:
-        K_inner = min(A.certified_interior(leak_tol)
-                      for A in (A_phi, A_psi, A_comp))
-        if K_inner < 1:     # column mass lost beyond the window: a tail
-            raise TruncationBudgetExceeded(
-                "no certified interior shell: enlarge K or shrink the maps")
+    K_inner = min(A.certified_interior() for A in (A_phi, A_psi, A_comp))
+    if K_inner < 1:     # column mass lost beyond the window: a tail
+        raise TruncationBudgetExceeded(
+            "no certified interior shell: enlarge K or shrink the maps")
     inner = A_comp.interior_indices(K_inner)
     sub = np.ix_(inner, inner)
     prod = A_psi.matrix @ A_phi.matrix
@@ -214,9 +212,8 @@ def _two_param_maps(flow: FlowPath, times, base_inv: AnalyticDiffeo | None,
 
 
 def pullback_path(gamma: AdmissibleField, t0: float, K: int,
-                  test_functions=None, n_transport_times: int = 5,
-                  transport_tol: float = 1e-7,
-                  fd_step: float = 1e-3) -> PullbackPathReport:
+                  test_functions=None,
+                  n_transport_times: int = 5) -> PullbackPathReport:
     """Matrices of (Fl_{t, t0})^* at AC_PAIRS + 1 uniform times, read by
     time whatever the solver grid, with AC evidence.
 
@@ -225,8 +222,9 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
     derivative is a coefficient of the pullback of gamma . grad e_k,
     bounded by the field size times the mode frequency);
     (ii) the transport identity is checked at interior sample times with a
-    4th-order central difference in t against (Fl)^* (gamma . grad f) for a
-    basket of test functions.  The maps at all uniform times, and at all
+    4th-order central difference of step FD_STEP in t against
+    (Fl)^* (gamma . grad f) for a basket of test functions, within
+    TOL_TRANSPORT.  The maps at all uniform times, and at all
     stencil times, are built, certified and pulled back as one batch each.
     """
     flow = solve_flow(gamma)
@@ -250,8 +248,8 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
                                   else {(1, 1): [-0.25j]}, order, m=m, ncomp=1),
         ]
     sample_times = np.linspace(0.15, 0.85, n_transport_times)
-    stencil = _FD4_W / (12.0 * fd_step)
-    offsets = _FD4_X * fd_step
+    stencil = _FD4_W / (12.0 * FD_STEP)
+    offsets = _FD4_X * FD_STEP
     # per sample time: the four stencil maps, then the map at the time itself
     maps = _two_param_maps(flow, sample_times[:, None] + np.append(offsets, 0.0),
                            base_inv, eps)
@@ -278,22 +276,20 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
     lhs = pulled[:, 0] * stencil[0]
     for i in range(1, len(offsets)):
         lhs = lhs + stencil[i] * pulled[:, i]
+    resid = np.abs(lhs - rhs).max(axis=-1)
     transport_rows = [(float(t), fi, float(d)) for t, row in zip(
-        sample_times, np.abs(lhs - rhs).max(axis=-1))
-        for fi, d in enumerate(row)]
-    worst = max((r for *_, r in transport_rows), default=0.0)
+        sample_times, resid) for fi, d in enumerate(row)]
+    worst = float(resid.max(initial=0.0))     # a NaN fails the check
     return PullbackPathReport(
         times=ts, matrices=mats, ac_rows=rows, transport_rows=transport_rows,
         flow_checks=solve_checks(flow), ac_check=ac_check("pullback_ac", rows),
-        transport_check=Check("transport_residual", worst, transport_tol))
+        transport_check=Check("transport_residual", worst, TOL_TRANSPORT))
 
 
 def cocycle_matrix_defect(gamma: AdmissibleField, t: float, s: float,
-                          t0: float, K: int, K_inner: int | None = None,
-                          leak_tol: float = 1e-10) -> float:
+                          t0: float, K: int) -> float:
     """(Fl_{t,s} o Fl_{s,t0})^* vs (Fl_{s,t0})^* (Fl_{t,s})^* on the interior:
     the contravariance defect of the two legs."""
     evol = evol_right(gamma)
     return contravariance_defect(flow_two_param(evol, t, s),
-                                 flow_two_param(evol, s, t0), K, K_inner,
-                                 leak_tol)
+                                 flow_two_param(evol, s, t0), K)

@@ -212,6 +212,13 @@ def _antiderivative(pieces: np.ndarray, h) -> np.ndarray:
         scale.shape + (1,) * (pieces.ndim - 2))], axis=1)
 
 
+def _derivative(pieces: np.ndarray, h) -> np.ndarray:
+    """d/dt of every piece in tau = (t - t_j) / h_j: one degree lower;
+    ``h`` holds one length per piece."""
+    scale = np.arange(1, pieces.shape[1]) / h[:, None]
+    return pieces[:, 1:] * scale.reshape(scale.shape + (1,) * (pieces.ndim - 2))
+
+
 def _piece_array(pieces) -> np.ndarray:
     """Pieces as one array (J, D + 1) + map shape: an array as it is, a list
     of pieces of mixed degree zero-padded to the highest degree D."""
@@ -582,8 +589,7 @@ def _jacobian_compose_apply(u: MapStack, v: MapStack) -> MapStack:
         [u, v], u.order, tol_trunc=1e-7, context="jacobian product")
 
 
-def ac_postcompose(path: ACPath, rule: SuperpositionRule,
-                   tol_chain: float = TOL_CHAIN) -> ACPath:
+def ac_postcompose(path: ACPath, rule: SuperpositionRule) -> ACPath:
     """Compose an AC path with an analytic rule; derivative by the chain rule.
 
     Each rule method is called once per grid, on the stack of all maps.
@@ -591,8 +597,8 @@ def ac_postcompose(path: ACPath, rule: SuperpositionRule,
     nonlinear rules the derivative t -> df(path(t), path'(t)) is re-fitted
     as a cubic per interval of a grid from the grid policy: the path's
     breakpoints, with every interval whose integral identity misses
-    ``tol_chain`` halved until none does or the floor is reached; the
-    identity is then re-verified within ``tol_chain``.
+    TOL_CHAIN halved until none does or the floor is reached; the
+    identity is then re-verified within TOL_CHAIN.
     """
     if rule.is_affine:      # the rule maps every coefficient row of der
         der = path.derivative.on_grid(path.grid)
@@ -606,10 +612,10 @@ def ac_postcompose(path: ACPath, rule: SuperpositionRule,
         nodes = grid.nodes(FIT_NODES)[2]
         samples = rule.differential(path.values_at(nodes), der.values_at(nodes))
         out = ACPath(grid, values, TimeDependentField(
-            grid, fit_poly3(samples.coeffs), der.scale), tol=tol_chain, check=False)
+            grid, fit_poly3(samples.coeffs), der.scale), tol=TOL_CHAIN, check=False)
         finer = grid.halved(out.defects / out.defect_tol)
         if finer == grid:
-            return ACPath(grid, out.values, out.derivative, tol=tol_chain)
+            return ACPath(grid, out.values, out.derivative, tol=TOL_CHAIN)
         grid = finer
 
 

@@ -139,7 +139,7 @@ def _invert_diffeo(phi):
     sampling grid, fit, certificate and composition residual."""
     m, order = phi.m, phi.order
     M, pts = sampling_grid(order, m)
-    y = invert_at_point(phi.u, pts, tol=1e-13)
+    y = invert_at_point(phi.u, pts)
     v = fit_grid((y - pts).reshape((M,) * m + (m,)), order, m,
                  tol_trunc=1e-8, context="inversion")
     inv = AnalyticDiffeo.certify(v, phi.eps)

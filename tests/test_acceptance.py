@@ -166,7 +166,7 @@ def test_criterion_08_flow_maps_are_certified_diffeos():
 def test_criterion_09_derivative_formula_at_zero():
     gamma = AdmissibleField.certify(
         TimeDependentField.constant(sine_map(0.04), 0.2), EPS)
-    rep = derivative_at_zero(gamma, 1.0, 1e-3)
+    rep = derivative_at_zero(gamma, 1.0)
     ok = rep.discrepancy <= 1e-6 and 0.2 <= rep.richardson_ratio <= 0.3
     print(f"          richardson ratio {rep.richardson_ratio:.4f}")
     report(9, "derivative at zero", rep.discrepancy, 1e-6, ok)
@@ -181,7 +181,7 @@ def test_criterion_10_derivative_at_base_field():
                        float(rng.uniform(0.1, 0.3)))
         gam = budgeted(cosine_map(1.0, mode=int(mode_g)),
                        float(rng.uniform(0.1, 0.3)))
-        worst = max(worst, derivative_at_eta(eta, gam, 0.6, 1e-3))
+        worst = max(worst, derivative_at_eta(eta, gam, 0.6))
     report(10, "derivative at base field", worst, 1e-5, worst <= 1e-5)
 
 

@@ -296,7 +296,7 @@ def test_derivative_at_zero_translation_exact():
 def test_derivative_at_zero_sine_richardson():
     gamma = AdmissibleField.certify(
         TimeDependentField.constant(sine_map(0.04), 0.2), EPS)
-    rep = derivative_at_zero(gamma, 1.0, 1e-3)
+    rep = derivative_at_zero(gamma, 1.0)
     assert rep.discrepancy <= 1e-6
     assert 0.2 <= rep.richardson_ratio <= 0.3
 
@@ -322,7 +322,7 @@ def test_derivative_at_eta_gamma_zero(eta):
 
 
 def test_derivative_at_eta_sine_pair(gam, eta):
-    assert derivative_at_eta(eta, gam, 0.6, 1e-3) <= 1e-5
+    assert derivative_at_eta(eta, gam, 0.6) <= 1e-5
 
 
 def test_derivative_probes_solve_on_the_grid_of_their_base_solve(
@@ -341,19 +341,19 @@ def test_derivative_probes_solve_on_the_grid_of_their_base_solve(
     monkeypatch.setattr(group_module, "solve_flow", spy)
     wide = AdmissibleField.certify(
         TimeDependentField.constant(sine_map(0.04), 0.2), EPS)
-    derivative_at_zero(wide, 1.0, 1e-3)
+    derivative_at_zero(wide, 1.0)
     (_, _, base), *pinned = solves
     assert base != wide.field.grid and len(pinned) == 4
     assert all(n == 12 and given == got == base for n, given, got in pinned)
     solves.clear()
-    derivative_at_eta(eta, gam, 0.6, 1e-3)
+    derivative_at_eta(eta, gam, 0.6)
     (_, _, base), up, dn, _ = solves
     assert up[1] == up[2] == base and dn[1] == dn[2] == base
 
 
 def test_derivative_at_eta_reduces_at_zero_base(gam):
     # with eta = 0 the formula collapses to the primitive of gamma
-    d = derivative_at_eta(zero_field(), gam, 0.7, 1e-3)
+    d = derivative_at_eta(zero_field(), gam, 0.7)
     assert d <= 1e-6
 
 
@@ -444,3 +444,12 @@ def test_verify_pointwise_fault_localized(gam, right_evo):
     assert not rep.check.ok
     bad_times = sorted({t for _, t, r in rep.rows if r > 1e-8})
     assert bad_times == [right_evo.grid.floats[j0]]
+
+
+def test_verify_pointwise_nan_snapshot_fails(gam, right_evo):
+    snaps = right_evo.snapshots.coeffs.copy()
+    snaps[len(snaps) // 2, ORDER + 1, 0] = np.nan
+    faulty = EvolutionResult("right", gam, right_evo.flow, snaps)
+    rep = verify_evolution_pointwise(faulty, gam, (np.arange(4) + 0.3) / 4)
+    assert np.isnan(rep.max_residual)
+    assert not rep.check.ok
