@@ -92,24 +92,6 @@ class LocalAddition:
             out = out + cv * mono[..., None]
         return out
 
-    def fiber_jacobian_defect(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """h(z, w) = ||d_w alpha - id||_op at each point (max-norm rows)."""
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        rows = np.zeros(w.shape[:-1] + (self.m, self.m), dtype=complex)
-        for p, coeff in self.terms:
-            cv = coeff.eval(z)
-            for j, q in enumerate(p):
-                if not q:
-                    continue
-                mono = np.ones(w.shape[:-1], dtype=complex) * q
-                for axis, r in enumerate(p):
-                    e = r - 1 if axis == j else r
-                    if e:
-                        mono = mono * w[..., axis] ** e
-                rows[..., :, j] += cv * mono[..., None]
-        return np.abs(rows).sum(axis=-1).max(axis=-1)
-
     def defect_majorant(self, eps: float, delta: float) -> float:
         """Analytic bound on h over ||Im z|| <= eps, ||w|| <= delta."""
         per_row = np.zeros(self.m)
@@ -189,12 +171,6 @@ class InversionResult:
     w: np.ndarray
     residuals: list
     steps: int
-
-    @property
-    def step_factors(self) -> np.ndarray:
-        r = np.asarray(self.residuals)
-        good = r[:-1] > 0
-        return r[1:][good] / r[:-1][good]
 
 
 def invert_local(alpha: LocalAddition, cert: InverseChartCert,

@@ -58,8 +58,9 @@ import numpy as np
 
 from .errors import (AdmissibilityViolation, Check, ContractionStall,
                      DomainEscape, NonContraction, OutOfRange)
-from .fourier import (TOL_TRUNC, FourierMap, MapStack, _modes_to_json, _wrap,
-                      compose, imag_reach, majorants)
+from .fourier import (OVERSAMPLE, TOL_TRUNC, CompositionPlan, FourierMap,
+                      MapStack, _modes_to_json, _wrap, compose, imag_reach,
+                      majorants)
 from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
                         _antiderivative, _derivative, fit_poly3, piece_values,
                         pieces_on, read_pieces)
@@ -163,11 +164,6 @@ class FlowPath:
     def u_at(self, t: float) -> FourierMap:
         return self.u_at_many(t)
 
-    def eval_points(self, t: float, pts: np.ndarray) -> np.ndarray:
-        """zeta(t) applied to points of shape (..., m)."""
-        pts = np.asarray(pts, dtype=complex)
-        return pts + self.u_at(t).eval(pts)
-
     def sup_distance(self, other: "FlowPath", eps: float | None = None) -> float:
         """max over grid times of nu_eps(u(t) - u_other(t)); both paths
         must be on one grid (``solve_flow(grid=...)``)."""
@@ -228,13 +224,15 @@ class _PicardSweep:
 
     Built once per grid from the field, read by time at the 4 collocation
     nodes of every interval of a grid that holds its breakpoints (else a
-    cubic is fitted across a jump).  A sweep evaluates u at the same nodes,
-    composes the field with id + u node by node in one ``compose`` call,
-    which checks the reach from the working strip into the doubled strip,
-    the reality of u and the truncation tail at every node, and fits and
-    integrates one cubic per interval in closed form.  ``defect`` measures
-    the sweep against the exact map by one more ``compose``, ``rounding``
-    its rounding level by one more sweep.
+    cubic is fitted across a jump), with one ``CompositionPlan`` of that
+    field stack.  A sweep evaluates u at the same nodes, composes the field
+    with id + u node by node in one ``compose`` call, which checks the
+    reach from the working strip into the doubled strip, the reality of u
+    and the truncation tail at every node, and fits and integrates one
+    cubic per interval in closed form.  ``defect`` measures the sweep
+    against the exact map by one more ``compose`` at the Gauss nodes, whose
+    field stack and plan it builds once; ``rounding`` measures its rounding
+    level by one more sweep.
     """
 
     def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
@@ -248,18 +246,24 @@ class _PicardSweep:
         self.h = np.diff(grid.floats)
         j, tau, t = grid.nodes(FIT_NODES)
         self.nodes, self.field = (j, tau), gam.values_at(t)
+        self.plan = self._plan(self.field)
+        self.gauss = None       # the defect pass's nodes, weights and plan
 
-    def _compose(self, field: FourierMap, u: np.ndarray) -> np.ndarray:
-        """gamma o (id + u) node by node, for the field and u at the nodes."""
+    def _plan(self, field: FourierMap) -> CompositionPlan:
+        order = self.gamma.field.order
+        return CompositionPlan(field, order, OVERSAMPLE * (2 * order + 1))
+
+    def _compose(self, plan: CompositionPlan, u: np.ndarray) -> np.ndarray:
+        """gamma o (id + u) node by node, for u at the nodes of the plan's
+        field stack."""
         eps = self.gamma.eps
-        return compose(field, _wrap(u, field.m), order=self.gamma.field.order,
-                       tol_trunc=self.tol_trunc, outer_scale=2 * eps,
-                       inner_scale=eps).coeffs
+        return compose(plan, _wrap(u, plan.m), tol_trunc=self.tol_trunc,
+                       outer_scale=2 * eps, inner_scale=eps).coeffs
 
     def run(self, pieces):
         """New (snapshots, pieces) arrays from the pieces of a candidate path."""
         return self._integrate(self._compose(
-            self.field, piece_values(pieces, *self.nodes)))
+            self.plan, piece_values(pieces, *self.nodes)))
 
     def _integrate(self, kept: np.ndarray):
         """Fit a cubic per interval through the node values and integrate it."""
@@ -286,13 +290,16 @@ class _PicardSweep:
         ``local``, the sup over all times in [0, 1].  ``step`` is the max
         of nu_eps(out - u) at the same nodes.
         """
-        ts = self.grid.floats
-        _, t, w = self.grid.quadrature(ts[:-1], ts[1:])
-        j, tau = self.grid.locate(t.ravel())
+        if self.gauss is None:
+            ts = self.grid.floats
+            _, t, w = self.grid.quadrature(ts[:-1], ts[1:])
+            plan = self._plan(self.gamma.field.values_at(t.ravel()))
+            self.gauss = (t.shape, w, self.grid.locate(t.ravel()), plan)
+        shape, w, (j, tau), plan = self.gauss
         u = piece_values(pieces, j, tau)
-        vals = self._compose(self.gamma.field.values_at(t.ravel()), u)
+        vals = self._compose(plan, u)
         r = vals - piece_values(_derivative(out, self.h), j, tau)
-        r = r.reshape(t.shape + r.shape[1:])
+        r = r.reshape(shape + r.shape[1:])
         m, eps = r.ndim - 3, self.gamma.eps
         local = (w * majorants(r, m, eps)[0]).sum(axis=1)
         err = (w.reshape(w.shape + (1,) * (m + 1)) * r).sum(axis=1)

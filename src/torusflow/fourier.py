@@ -38,27 +38,35 @@ complex ones, and a check of the discarded relative tail mass against a
 budget.  One sampler, ``fit_sampled``, picks the grid and the memory
 chunks for every fit outside ``compose`` and ``multiply``.
 
-``compose`` sizes its own grid from a certified bound.  The composite
+``compose`` sizes its own grid from certified bounds.  The composite
 h = g(z + u(z)) of two trigonometric polynomials is entire, so Cauchy's
-estimate on the strip ||Im z|| <= rho bounds |h_k| by
-nu_{r(rho)}(g) e^{-2 pi rho ||k||_1}, with r(rho) = ``imag_reach(u, rho)``.
-Summed over the modes ||k||_1 >= M/2 that a grid of M points aliases onto
-the kept lattice, and minimised over a fixed set of rho, this is
-``aliasing_bound`` (the trapezoidal-rule aliasing estimate for periodic
-analytic functions: Trefethen & Weideman, SIAM Review 56, 2014, section 3).
-The grid is the least FFT-friendly M at which the bound is at rounding
-level, and the bound enters the truncation gate.  What ``compose`` fits is
-the change h - g, summed by ``_shift_sum`` without subtracting values of
-g, with g's coefficients added to its spectrum: the FFT's rounding then
-scales with |h - g| rather than with |g|, which the strip weights
-e^{2 pi eps ||k||_1} of the top modes would otherwise magnify.
+estimate on the strips |Im z_i| <= rho_i, one width per axis, bounds
+|h_k| for k != 0 by sup |h - g_0| prod_i e^{-2 pi rho_i |k_i|}, and the
+reach of id + u bounds that sup from g's coefficients.  A grid of M points
+per axis observes the modes in the box |k_i| < M/2; of those outside it,
+only the ones with some |k_i| >= M - N alias onto the kept lattice
+||k||_1 <= N.  ``CompositionPlan.aliasing_bound`` bounds both sets,
+least over a fixed set of widths (the trapezoidal-rule aliasing estimate
+for periodic analytic functions: Trefethen & Weideman, SIAM Review 56,
+2014, section 3).  The grid is the least FFT-friendly M at which the
+aliases onto the lattice are at rounding level and the unobserved modes
+take a small share of the truncation budget; their bound enters the
+truncation gate.  A ``CompositionPlan`` holds what this needs of g, so a
+solver grid that composes one field stack on every sweep builds it once.
+What ``compose`` fits is the change h - g, summed by ``_shift_sum``
+without subtracting values of g, with g's coefficients added to its
+spectrum: the FFT's rounding then scales with |h - g| rather than with
+|g|, which the strip weights e^{2 pi eps ||k||_1} of the top modes would
+otherwise magnify.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -600,9 +608,8 @@ def sampling_grid(order: int, m: int):
 
 @lru_cache(maxsize=64)
 def _spectrum_weights(M: int, m: int, order: int, half: bool):
-    """l1 weights of the spectrum entries, those weights beyond order N,
-    those on the window N < ||k||_1 < M/2 (all flattened), and 1 on the
-    lattice ||k||_1 <= N, 0 on its corners.
+    """l1 weights of the spectrum entries, those weights beyond order N
+    (both flattened), and 1 on the lattice ||k||_1 <= N, 0 on its corners.
 
     For a half spectrum (columns 0 <= k_m <= M/2) the columns
     0 < k_m < M/2 stand for two modes.  Read-only.
@@ -614,11 +621,10 @@ def _spectrum_weights(M: int, m: int, order: int, half: bool):
     l1 = cols if m == 1 else k[:, None] + cols
     weight, l1 = np.broadcast_to(weight, l1.shape).ravel(), l1.ravel()
     tail = np.where(l1 > order, weight, 0.0)
-    window = np.where(2 * l1 < M, tail, 0.0)
     inside = (_k_l1(order, m) <= order).astype(float)
-    for a in (weight, tail, window, inside):
+    for a in (weight, tail, inside):
         a.flags.writeable = False
-    return weight, tail, window, inside
+    return weight, tail, inside
 
 
 @lru_cache(maxsize=64)
@@ -640,13 +646,12 @@ def _sample_index(order: int, M: int, m: int, cols: int):
 def _tail_ratio(spec: np.ndarray, M: int, m: int, order: int,
                 alias: np.ndarray | None = None) -> np.ndarray:
     """Per batch entry, the l1 share of the modes ||k||_1 > N of a spectrum
-    (B, ncomp, M..), last axis M/2 + 1 for a half spectrum.  With ``alias``
-    the tail is the window N < ||k||_1 < M/2 plus twice that bound."""
-    weight, tail, window, _ = _spectrum_weights(M, m, order,
-                                                spec.shape[-1] != M)
+    (B, ncomp, M..), last axis M/2 + 1 for a half spectrum, plus twice the
+    bound ``alias`` on the modes the grid does not observe, if given."""
+    weight, tail, _ = _spectrum_weights(M, m, order, spec.shape[-1] != M)
     amp = np.abs(spec).max(axis=1).reshape(len(spec), -1)
     total = amp @ weight
-    mass = amp @ tail if alias is None else amp @ window + 2.0 * alias
+    mass = amp @ tail + (0.0 if alias is None else 2.0 * alias)
     return np.divide(mass, total, out=np.zeros_like(total), where=total > 0)
 
 
@@ -661,11 +666,11 @@ def fit_grid(values: np.ndarray, order: int, m: int,
     k_m >= 0, mirrored back by c_{-k} = conj(c_k); complex values by a full
     ``fftn``.  Raises TruncationBudgetExceeded when, for any map, the
     relative l1 mass of the modes ||k||_1 > N exceeds ``tol_trunc``.  That
-    mass is the observed one on the grid's M^m modes, or, given ``alias``
-    (per map, a bound on the mass at ||k||_1 >= M/2 of the sampled
-    function), the observed mass on N < ||k||_1 < M/2 plus twice the bound:
-    an alias lands once in the observed box, where it may both distort the
-    window and be missing from it.  A ratio that is not finite fails too.
+    mass is the observed one on the grid's M^m modes, plus, given ``alias``
+    (per map, a bound on the mass of the sampled function's modes outside
+    the box |k_i| < M/2 that the grid observes), twice the bound: such a
+    mode is missing from the box, and its alias lands once in it, where it
+    may hide the mode it lands on.  A ratio that is not finite fails too.
 
     ``base``, coefficients (B or 1,) + lattice + (ncomp,) over the
     flattened batch, is a map whose grid samples were taken out of the
@@ -703,7 +708,7 @@ def fit_grid(values: np.ndarray, order: int, m: int,
                              + (slice(n, 0, -1),)].conj()
     else:
         kept = spec[..., k] if m == 1 else spec[:, :, k[:, None], k]
-    kept *= _spectrum_weights(M, m, n, real)[3]
+    kept *= _spectrum_weights(M, m, n, real)[2]
     kept = kept.transpose((0,) + tuple(range(2, m + 2)) + (1,))
     return _wrap(kept.reshape(batch + kept.shape[1:]), m)
 
@@ -828,9 +833,13 @@ def _shift_sum(c: np.ndarray, e: np.ndarray, M: int) -> np.ndarray:
 
 
 #: strip half-widths rho of the Cauchy estimates on a composite's modes,
-#: 1/80 .. 1.6 in steps of sqrt(2) (steps of 2 cost one grid size in two
-#: at m = 2); the wide ones serve a perturbation near zero
-_ALIAS_RHO = 0.0125 * 2.0 ** (np.arange(15) / 2)
+#: 1/80 .. 1.6 in steps of 2^(1/4); the wide ones serve a perturbation
+#: near zero
+_ALIAS_RHO = 0.0125 * 2.0 ** (np.arange(29) / 4)
+#: the share of the truncation budget that the bound on the unobserved
+#: modes may take at the grid ``composition_grid`` picks
+ALIAS_SHARE = 1e-2
+_LOG_EPS = math.log(np.finfo(float).eps)
 
 
 @lru_cache(maxsize=64)
@@ -844,107 +853,229 @@ def _fft_sizes(lo: int, hi: int) -> np.ndarray:
     return np.array([M for M in range(lo + lo % 2, hi + 1, 2) if smooth(M)])
 
 
+class _Widths(NamedTuple):
+    """The widths of the Cauchy estimates for perturbations of one order N,
+    read-only: P width pairs, one width per axis (every pair of candidates
+    for m = 2)."""
+
+    #: the pairs (P, m)
+    width: np.ndarray
+    #: sinh and cosh of 2 pi rho |k| over the axis of order N, (2N + 1, R)
+    sinh: np.ndarray
+    cosh: np.ndarray
+    #: per pair and axis d, the rate 2 pi rho_d at which the estimate of
+    #: the modes |k_d| >= L falls with L, and the log of the rest of it,
+    #: log 2 / (1 - q_d) + sum_{d' != d} log (1 + q_{d'}) / (1 - q_{d'}),
+    #: q = e^{-2 pi rho}
+    rate: np.ndarray
+    rest: np.ndarray
+    #: per pair the largest weight on the lattice, e^{2 pi N max_i rho_i},
+    #: (P, 1)
+    top: np.ndarray
+
+
 @lru_cache(maxsize=64)
-def _alias_rho(order: int, m: int) -> np.ndarray:
-    """The candidate rho at which the strip weights e^{2 pi rho ||k||_1} of
-    the lattice of order N stay finite, up to its corner ||k||_1 = m N.
-    Read-only."""
+def _alias_widths(order: int, m: int) -> _Widths:
+    """The ``_Widths`` of order N: the candidates rho at which e^{2 pi rho
+    m N} is finite, so that every weight on the cube of order N is."""
     rho = _ALIAS_RHO[TWO_PI * _ALIAS_RHO * m * max(order, 1) <= 600.0]
-    rho.flags.writeable = False
-    return rho
+    width = rho[np.indices((len(rho),) * m).reshape(m, -1).T]
+    w = TWO_PI * np.abs(_k_axis(order))[:, None] * rho
+    q = np.exp(-TWO_PI * width)
+    both = np.log1p(q) - np.log1p(-q)
+    rest = np.log(2.0) - np.log1p(-q) + both.sum(axis=1, keepdims=True) - both
+    table = _Widths(width, np.sinh(w), np.cosh(w), TWO_PI * width, rest,
+                    np.exp(TWO_PI * order * width.max(axis=1, keepdims=True)))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _log_t(widths: _Widths, L: np.ndarray) -> np.ndarray:
+    """log T_d(L) = log (2 q_d^L / (1 - q_d) prod_{j != d} (1 + q_j) /
+    (1 - q_j)), the Cauchy estimate's sum over the modes |k_d| >= L per unit
+    of S, per width pair, axis d and L: (P, m) + L.shape."""
+    extra = (None,) * np.ndim(L)
+    return widths.rest[(Ellipsis,) + extra] - widths.rate[
+        (Ellipsis,) + extra] * L
 
 
 @lru_cache(maxsize=64)
-def _shells(order: int, m: int) -> np.ndarray:
-    """The (L, m N + 1) map from the flattened lattice of order N onto its
-    l1 shells ||k||_1 = s, corners included.  Read-only."""
-    l1 = _k_l1(order, m).ravel()
-    shells = (l1[:, None] == np.arange(m * order + 1)).astype(float)
-    shells.flags.writeable = False
-    return shells
-
-
-def _shell_amplitudes(f: FourierMap) -> np.ndarray:
-    """sum_{||k||_1 = s} max_i |c_{k,i}| for the shells s = 0..m N, per map
-    of the flattened batch: nu_eps(f) = sum_s amp_s e^{2 pi s eps}."""
-    c = f.flat().coeffs
-    # one component at a time: numpy's max over a short last axis is slow
-    amp = reduce(np.maximum, (np.abs(c[..., i]) for i in range(f.ncomp)))
-    return amp.reshape(len(c), -1) @ _shells(f.order, f.m)
-
-
-def aliasing_bound(g: FourierMap, u: FourierMap, sizes) -> np.ndarray:
-    """Certified bound on sum_{||k||_1 >= M/2} max_i |h_{k,i}|, the modes of
-    h = g o (id + u) that a grid of M points per axis aliases, per map of
-    the flattened broadcast batch and per M in ``sizes``: shape (B, sizes).
-
-    h is entire.  On the strip ||Im z|| <= rho, id + u reaches at most
-    r(rho) = imag_reach(u, rho), so |h| <= S(rho) = nu_{r(rho)}(g) and
-    Cauchy's estimate gives |h_k| <= S(rho) q^{||k||_1}, q = e^{-2 pi rho}.
-    Summed over the 2 (m = 1) or 4s (m = 2, shell s) modes of each shell
-    ||k||_1 = s >= L = M/2 this is 2 q^L / (1 - q), respectively
-    4 q^L (L - (L - 1) q) / (1 - q)^2; the bound is the least over the
-    candidate rho.
-    """
-    return _least_over_rho(*_alias_logs(_shell_amplitudes(g), u, sizes))
-
-
-def _least_over_rho(log_s: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-    """The bound min_rho S(rho) T(rho) per map and size, (B, sizes), from
-    log S (B, R) and the log shell sums log T (sizes, R); rho runs first,
-    since numpy's min over a short last axis is slow."""
-    return np.exp((log_s.T[:, :, None] + log_t.T[:, None]).min(axis=0))
-
-
-def _alias_logs(amp: np.ndarray, u: FourierMap, sizes):
-    """log S(rho) per map, (B, R), and the log shell sums per size,
-    (sizes, R), of ``aliasing_bound``, from g's ``_shell_amplitudes``.  The
-    reach is one ``imag_reach`` of the maps as a batch (B, 1) against the
-    R widths rho, and S one Horner pass over the shells in e^{-2 pi r},
-    scaled so that nothing overflows."""
-    m, rho = u.m, _alias_rho(u.order, u.m)
-    reach = imag_reach(_wrap(u.flat().coeffs[:, None], m), rho)
-    top = int(np.flatnonzero(amp.any(axis=0)).max(initial=0))
-    # nu_r(g) = e^{2 pi r top} sum_s amp_s y^{top - s}, y = e^{-2 pi r}
-    y = np.exp(-TWO_PI * reach)
-    acc = amp[:, 0, None] * np.ones_like(y)
-    for s in range(1, top + 1):
-        acc *= y
-        acc += amp[:, s, None]
-    with np.errstate(divide="ignore"):
-        log_s = np.log(acc) + (TWO_PI * top * reach if top else 0.0)
-    L = np.asarray(sizes, dtype=float)[:, None] / 2.0
-    q = np.exp(-TWO_PI * rho)
-    log_t = -TWO_PI * rho * L - m * np.log1p(-q) + (
-        np.log(2.0) if m == 1 else np.log(4.0 * (L - (L - 1.0) * q)))
-    return log_s, log_t
-
-
-def composition_grid(g: FourierMap, u: FourierMap, order: int, cap: int):
-    """The grid size M of a composition and the aliasing bound there.
-
-    M is the least even 5-smooth size in [2N + 2, cap] whose
-    ``aliasing_bound`` is at most machine epsilon times nu_0(g) for every
-    map; there the aliases are as small as the FFT's rounding.  Without
-    one (a bound that is not finite never qualifies), M is ``cap`` and the
-    bound None: the fit gates on the observed spectrum alone.
-    """
+def _grid_log_t(order_u: int, m: int, order: int, cap: int) -> np.ndarray:
+    """``_log_t`` of the two sets of ``CompositionPlan.aliasing_bound`` at
+    every candidate grid size, L = M - N and M/2: (P, m, 2, sizes), for
+    perturbations of order ``order_u``.  Read-only."""
     sizes = _fft_sizes(2 * order + 2, cap)
-    if not len(sizes):
-        return cap, None
-    amp = _shell_amplitudes(g)
-    log_s, log_t = _alias_logs(amp, u, sizes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slack = np.log(np.finfo(float).eps * amp.sum(axis=1))[:, None] - log_s
-    slack[log_s == -np.inf] = np.inf        # g = 0: nothing aliases
-    # per map and rho the first size whose shell sum fits (log T falls with
-    # M; a NaN slack fits none), the least over rho, the largest over maps
-    first = np.min([np.searchsorted(-log_t[:, r], -slack[:, r])
-                    for r in range(log_t.shape[1])], axis=0)
-    j = int(first.max())
-    if j == len(sizes):
-        return cap, None
-    return int(sizes[j]), _least_over_rho(log_s, log_t[j:j + 1])[:, 0]
+    t = _log_t(_alias_widths(order_u, m), np.stack([sizes - order, sizes / 2]))
+    t.flags.writeable = False
+    return t
+
+
+def _alias_reach(a: np.ndarray, imag: float, widths: _Widths) -> np.ndarray:
+    """Bounds on |Im(z_i + u_i(z))| over the strips |Im z_j| <= rho_j, per
+    width pair and axis i, (P, m), for every map u whose coefficients are
+    at most ``a`` in modulus, a cube (2N+1,)*m + (m,), and whose mirror
+    defect is at most ``imag``.
+
+    The modes k and -k of a real map pair up to give |Im u_i| <= sum_k
+    |c_{k,i}| sinh(2 pi sum_j rho_j |k_j|), which factors over the axes as
+    sinh(a + b) = sinh a cosh b + cosh a sinh b; a departure from reality
+    adds its mirror defect at the largest weight.
+    """
+    sinh, cosh, m = widths.sinh, widths.cosh, a.shape[-1]
+    if m == 1:
+        e = (a[:, 0] @ sinh)[:, None]
+    else:
+        a = a.transpose(2, 0, 1)
+        e = (sinh.T @ a @ cosh + cosh.T @ a @ sinh).reshape(m, -1).T
+    return widths.width + e + widths.top * imag
+
+
+class CompositionPlan:
+    """What ``compose`` needs of the outer maps g, built once while they
+    stay fixed: a solver grid composes one field stack on every sweep.
+
+    The plan holds g's band cube |k_i| <= K as ``_shift_sum`` reads it,
+    nu_0(g) per map, the largest over the maps of max_i |g_{k,i}| / nu_0(g)
+    on the modes k != 0 of the band, summed over the modes of one |k|, and
+    the grid sizes up to ``cap``.
+    """
+
+    def __init__(self, g: FourierMap, order: int, cap: int):
+        m, c, n = g.m, g.flat().coeffs, g.order
+        self.source, self.order, self.cap, self.m, self.coeffs = (
+            g, order, cap, m, c)
+        self.K = K = _support_band(c)
+        cube = (slice(n - K, n + K + 1),) * m
+        # the band's rows 0 <= k_1 <= K, k_1 > 0 doubled, as
+        # (B, k_1, ncomp[, k_2])
+        self.band = np.moveaxis(c[(slice(None), slice(n, n + K + 1))
+                                  + cube[1:]], -1, 2).copy()
+        self.band[:, 1:] *= 2.0
+        amp = np.abs(c[(slice(None),) + cube]).max(axis=-1)
+        self.nu0 = amp.reshape(len(c), -1).sum(axis=1)
+        lead = (-1,) + (1,) * m
+        amp = np.divide(amp, self.nu0.reshape(lead), out=np.zeros_like(amp),
+                        where=self.nu0.reshape(lead) > 0).max(axis=0).ravel()
+        # summed over the modes of one |k|, kept where positive for k != 0
+        k = np.abs(np.indices((2 * K + 1,) * m).reshape(m, -1) - K)
+        amp = np.bincount(np.ravel_multi_index(k, (K + 1,) * m), amp,
+                          (K + 1) ** m)
+        amp[0] = 0.0
+        self.two_pi_k = TWO_PI * np.indices((K + 1,) * m).reshape(m, -1)[
+            :, amp > 0]
+        self.amp = amp[amp > 0]
+        # one term (a field of one mode |k|) needs no scaled sum
+        self.log_amp = math.log(self.amp[0]) if len(self.amp) == 1 else None
+        self.sizes = _fft_sizes(2 * order + 2, cap)
+
+    def _log_sup(self, a: np.ndarray, imag: np.ndarray,
+                 widths: _Widths) -> np.ndarray:
+        """log of a bound on |h - g_0| / nu_0(g) per width pair, for every
+        map of h = g o (id + u) with u as ``_alias_reach`` takes it (``imag``
+        per map): where |Im(z_i + u_i)| <= R_i, |h - g_0| <= sum_{k != 0}
+        |g_k| prod_i e^{2 pi |k_i| R_i}, summed scaled by its largest term."""
+        x = _alias_reach(a, np.maximum.reduce(imag), widths) @ self.two_pi_k
+        if len(self.amp) == 1:
+            return x[:, 0] + self.log_amp
+        top = np.maximum.reduce(x, axis=1)
+        return top + np.log(np.exp(x - top[:, None]) @ self.amp)
+
+    @staticmethod
+    def _log_bound(log_s: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+        """log of bounds on sum_{||k||_inf >= L} max_i |h_{k,i}| / nu_0(g)
+        from log S per width pair (P,) and ``_log_t`` (P, m, ...): over
+        each axis d, Cauchy's estimate summed over the modes |k_d| >= L,
+        the least over the pairs, summed over the axes."""
+        extra = (None,) * (log_t.ndim - 1)
+        return np.logaddexp.reduce(np.minimum.reduce(
+            log_s[(slice(None),) + extra] + log_t, axis=0), axis=0)
+
+    def aliasing_bound(self, u: FourierMap, imag: np.ndarray, sizes) -> tuple:
+        """Certified bounds, per map of g and per grid size M in ``sizes``,
+        (B, sizes) each, for every map of the stack u (mirror defects
+        ``imag``), on two sets of modes of the composite h = g o (id + u)
+        that a grid of M points per axis does not resolve: those that can
+        alias onto the kept lattice ||k||_1 <= N, all in ||k||_inf >= M - N,
+        and the unobserved ones, ||k||_inf >= M/2, outside the box
+        |k_i| < M/2 that the grid observes.
+
+        h is entire.  On the strips |Im z_j| <= rho_j, id + u reaches at
+        most R_i in axis i, so |h - g_0| <= S(rho) nu_0(g), and Cauchy's
+        estimate gives |h_k| <= S(rho) nu_0(g) prod_j q_j^{|k_j|},
+        q_j = e^{-2 pi rho_j}, for k != 0.  The modes |k_d| >= L sum to
+        2 q_d^L / (1 - q_d) prod_{j != d} (1 + q_j) / (1 - q_j) times that;
+        the bound is their least over the width pairs, summed over the axes
+        d (the trapezoidal-rule aliasing estimate for periodic analytic
+        functions: Trefethen & Weideman, SIAM Review 56, 2014, section 3).
+        S takes the largest coefficients of all maps, so one estimate
+        serves the stacks, scaled by each map's nu_0(g).  A constant g
+        gives a constant h: nothing aliases.
+        """
+        sizes = np.asarray(sizes, dtype=float)
+        if self.K == 0:
+            return (np.zeros((len(self.nu0), len(sizes))),) * 2
+        widths = _alias_widths(u.order, self.m)
+        log_s = self._log_sup(np.maximum.reduce(np.abs(u.coeffs)), imag,
+                              widths)
+        with np.errstate(over="ignore"):
+            return tuple(self.nu0[:, None] * np.exp(self._log_bound(
+                log_s, _log_t(widths, L)))
+                for L in (sizes - self.order, sizes / 2))
+
+    def composition_grid(self, u: FourierMap, imag: np.ndarray,
+                         tol_trunc: float):
+        """The grid size M of a composition with the stack u (mirror
+        defects ``imag``), and per map of g the bound on the unobserved
+        modes there.
+
+        M is the least even 5-smooth size in [2N + 2, cap] at which
+        ``aliasing_bound`` keeps the modes that can alias onto the kept
+        lattice at machine epsilon times nu_0(g), as small as the FFT's
+        rounding, and twice the unobserved ones at ``ALIAS_SHARE`` of
+        ``tol_trunc`` times nu_0(g).  Every call searches every width at
+        every size.  Without a size (a bound that is not finite never
+        qualifies), M is ``cap`` and the bound None: the fit gates on the
+        observed spectrum alone.  If h = g, nothing aliases and the least
+        size serves.
+        """
+        if not len(self.sizes):
+            return self.cap, None
+        a = np.maximum.reduce(np.abs(u.coeffs))
+        if self.K == 0 or (2 * self.K < self.sizes[0]
+                           and not np.maximum.reduce(a, axis=None)):
+            # h = g (constant g, or u = 0): its modes |k_i| <= K are observed
+            # and alias nowhere
+            return int(self.sizes[0]), np.zeros_like(self.nu0)
+        log_s = self._log_sup(a, imag, _alias_widths(u.order, self.m))
+        # both sets' bounds at every size; the first size where both hold
+        log_b = self._log_bound(log_s, _grid_log_t(u.order, self.m,
+                                                   self.order, self.cap))
+        log_tau = np.array([_LOG_EPS, math.log(0.5 * ALIAS_SHARE * tol_trunc)])
+        ok = np.logical_and.reduce(log_b <= log_tau[:, None])
+        j = int(ok.argmax())
+        if not ok[j]:
+            return self.cap, None
+        return int(self.sizes[j]), self.nu0 * math.exp(log_b[1, j])
+
+    def compose(self, u: FourierMap, tol_trunc: float) -> np.ndarray:
+        """g o (id + u) for the stack u, as coefficients (B,) + lattice +
+        (ncomp,) of order N over the broadcast batch, on the grid of
+        ``composition_grid``, one ``node_chunks`` chunk of maps at a time."""
+        imag, uc = u.imag_bound(), np.moveaxis(u.coeffs, -1, 1)
+        M, alias = self.composition_grid(u, imag, tol_trunc)
+        m, band, c = self.m, self.band, self.coeffs
+        out = []
+        for s in node_chunks(max(len(uc), len(band)), M ** m):
+            e = _circle_m1(_grid_values(uc[s] if len(uc) > 1 else uc, M,
+                                        imag[s] if len(uc) > 1 else imag))
+            vals = _shift_sum(band[s] if len(band) > 1 else band, e, M)
+            vals = vals.reshape((len(vals), c.shape[-1]) + (M,) * m)
+            out.append(fit_grid(np.moveaxis(vals, 1, -1), self.order, m,
+                                tol_trunc, "compose", alias if alias is None
+                                or len(alias) == 1 else alias[s],
+                                c[s] if len(c) > 1 else c).coeffs)
+        return np.concatenate(out)
 
 
 def compose(g, perturb, *,
@@ -961,20 +1092,23 @@ def compose(g, perturb, *,
     axis by inverse FFTs (RealityDefect unless it is real).  There
     ``_shift_sum`` sums the difference g(x + u(x)) - g(x) over g's support
     band |k_i| <= K by Horner passes that never subtract values of g, and
-    ``fit_grid`` fits it with g's own coefficients added to its spectrum,
-    one ``node_chunks`` chunk of maps at a time.  The FFT's rounding thus
-    scales with the change u makes, not with g.
+    ``fit_grid`` fits it with g's own coefficients added to its spectrum.
+    The FFT's rounding thus scales with the change u makes, not with g.
 
-    M comes from ``composition_grid``: the least even 5-smooth size from
-    2N + 2 up to ``oversample`` (2N + 1), the cap, at which the certified
-    ``aliasing_bound`` B on the modes ||k||_1 >= M/2 of the composite is at
-    rounding level.  The truncation gate (TruncationBudgetExceeded) then
-    reads the observed tail on N < ||k||_1 < M/2 plus 2B against
-    ``tol_trunc``, which is at least the true tail.  If no size qualifies,
-    M is the cap and the gate reads the observed tail alone.  With
-    ``outer_scale``/``inner_scale`` the certified imaginary reach of every
-    id + u from the inner strip must stay inside the outer strip where g's
-    majorants are quoted (else DomainEscape).
+    M comes from ``CompositionPlan.composition_grid``, between 2N + 2 and
+    the cap ``oversample`` (2N + 1).  Two sets of the composite's modes
+    are bounded there: those that alias onto the kept lattice, at rounding
+    level, and those outside the box |k_i| < M/2 that the grid observes,
+    within a small share of the budget.  The truncation gate
+    (TruncationBudgetExceeded) reads the observed tail ||k||_1 > N plus
+    twice the second bound against ``tol_trunc``, which is at least the
+    true tail.  If no size qualifies, M is the cap and the gate reads the
+    observed tail alone.  ``g`` may be a ``CompositionPlan`` of the outer
+    maps, which carries g's side from call to call and brings its own order
+    and cap; otherwise the call builds its own.  With ``outer_scale`` /
+    ``inner_scale`` the certified imaginary reach of every id + u from the
+    inner strip must stay inside the outer strip where g's majorants are
+    quoted (else DomainEscape).
     """
     m = g.m
     if perturb.ncomp != m or perturb.m != m:
@@ -985,27 +1119,16 @@ def compose(g, perturb, *,
         if reach > outer_scale * (1 + 1e-12):
             raise DomainEscape(
                 f"imaginary reach {reach:.6g} exceeds outer strip {outer_scale:.6g}")
-    n_out = g.order if order is None else order
+    plan = g
+    if not isinstance(g, CompositionPlan):
+        n_out = g.order if order is None else order
+        plan = CompositionPlan(g, n_out, oversample * (2 * n_out + 1))
+    n_out = plan.order
     u = (perturb.with_order(n_out) if perturb.order > n_out else perturb).flat()
-    M, alias = composition_grid(g, u, n_out, oversample * (2 * n_out + 1))
-    bound, u = u.imag_bound(), np.moveaxis(u.coeffs, -1, 1)
-    # g's band cube as (B, k_1, ncomp[, k_2]), rows 0 <= k_1 <= K, k_1 > 0 doubled
-    c, n = g.flat().coeffs, g.order
-    K = _support_band(c)
-    band = np.moveaxis(c[(slice(None), slice(n, n + K + 1))
-                         + (slice(n - K, n + K + 1),) * (m - 1)], -1, 2).copy()
-    band[:, 1:] *= 2.0
-    out = []
-    for s in node_chunks(max(len(u), len(band)), M ** m):
-        e = _circle_m1(_grid_values(u[s] if len(u) > 1 else u, M,
-                                    bound[s] if len(u) > 1 else bound))
-        vals = _shift_sum(band[s] if len(band) > 1 else band, e, M)
-        vals = vals.reshape((len(vals), g.ncomp) + (M,) * m)
-        out.append(fit_grid(np.moveaxis(vals, 1, -1), n_out, m, tol_trunc,
-                            "compose", alias if alias is None else alias[s],
-                            c[s] if len(c) > 1 else c).coeffs)
-    return _wrap(np.concatenate(out).reshape(np.broadcast_shapes(
-        g.batch, perturb.batch) + out[0].shape[1:]), m)
+    out = plan.compose(u, tol_trunc)
+    return _wrap(out.reshape(np.broadcast_shapes(plan.source.batch,
+                                                 perturb.batch)
+                             + out.shape[1:]), m)
 
 
 def multiply(f: FourierMap, g: FourierMap, *, order: int | None = None,

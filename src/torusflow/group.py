@@ -110,15 +110,6 @@ class AnalyticDiffeo:
     def jacobian_values(self, pts: np.ndarray) -> np.ndarray:
         return _jacobian_values(self.u, pts)
 
-    def min_real_jacobian(self) -> float:
-        """min over 256 sampled real points of the Jacobian determinant."""
-        pts = _probe_points(self.m, 256)
-        J = self.jacobian_values(pts)
-        if self.m == 1:
-            return float(J[..., 0, 0].real.min())
-        det = (J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]).real
-        return float(det.min())
-
 
 def _jacobian_values(u, pts: np.ndarray) -> np.ndarray:
     """D(id + u) at points, for every map of the displacement u."""
@@ -246,10 +237,6 @@ class EvolutionResult:
     def m(self) -> int:
         return self.flow.m
 
-    def map_at(self, t: float) -> AnalyticDiffeo:
-        phi = AnalyticDiffeo.certify(self.flow.u_at(t), self.eps)
-        return phi if self.side == "right" else invert_diffeo(phi)
-
     def eval_at(self, t: float, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=complex)
         return self.eval_many([t], pts.reshape(-1, self.m))[0].reshape(pts.shape)
@@ -265,9 +252,6 @@ class EvolutionResult:
         """eta = zeta^{-1} for a stack of flow maps zeta = id + u, each certified."""
         _certify_maps(u, self.eps)
         return _certified_inverses(u, self.eps)[0]
-
-    def snapshot_map(self, j: int) -> AnalyticDiffeo:
-        return AnalyticDiffeo.certify(self.snapshots[j], self.eps)
 
     def derivative_residual(self) -> float:
         """Max defect of the side's derivative identity at 16 probe points
@@ -402,12 +386,6 @@ class DerivativeReport:
     tau: float
     discrepancy: float
     discrepancy_half: float
-
-    @property
-    def richardson_ratio(self) -> float:
-        if self.discrepancy == 0:
-            return 0.0
-        return self.discrepancy_half / self.discrepancy
 
 
 def derivative_at_zero(gamma: AdmissibleField, t: float) -> DerivativeReport:

@@ -104,22 +104,6 @@ class LinearScaleMap(ScaleMap):
         return level.radius
 
 
-class ConstantScaleMap(ScaleMap):
-    def __init__(self, value: FourierMap):
-        self.value = value
-
-    def apply(self, c):
-        value = self.value.coeffs[:, 0]
-        return np.broadcast_to(value, c.shape[:-1] + value.shape)
-
-    def lipschitz_certs(self, levels, p_eps):
-        return [LevelLipschitzCert(lv.index, 0.0, "constant map")
-                for lv in levels]
-
-    def sup_bound(self, level, p_eps):
-        return strip_norms(self.value, p_eps).nu
-
-
 class PointwiseSquareMap(ScaleMap):
     """u -> u*u (exact convolution); Lipschitz by nu-submultiplicativity.
 
@@ -236,10 +220,6 @@ class ContinuityReport:
     rows: list        # (sample, depth, telescoped, observed, ok)
     eps_target: float
     violations: int
-
-    @property
-    def max_observed(self) -> float:
-        return max((r[3] for r in self.rows), default=0.0)
 
     @property
     def check(self) -> Check:

@@ -43,6 +43,8 @@ TOL_CONTRAVARIANCE = 1e-8
 TOL_LINEARITY = 1e-12
 #: bound of ``pullback_path``'s transport residual
 TOL_TRANSPORT = 1e-7
+#: largest leakage of a column inside the certified interior shell
+TOL_LEAK = 1e-10
 #: pullback_path's AC check compares neighbours of this many + 1 uniform
 #: times on any solver grid: a wider pair passes wherever its narrow ones do
 AC_PAIRS = 64
@@ -92,15 +94,15 @@ class PullbackMatrix:
         return [i for i, k in enumerate(self.modes)
                 if sum(abs(q) for q in k) <= K_inner]
 
-    def certified_interior(self, leak_tol: float = 1e-10) -> int:
-        """Largest shell whose columns all leak less than ``leak_tol``.
+    def certified_interior(self) -> int:
+        """Largest shell whose columns all leak at most ``TOL_LEAK``.
 
         Windowed products are exact (to the tolerance) on entries whose
         column and row indices lie in this shell; outside it the through-
         the-edge paths the window discards are no longer negligible.
         """
         shell = np.abs(np.array(self.modes)).sum(axis=1)
-        bad = shell[~(np.asarray(self.column_leakage) <= leak_tol)]
+        bad = shell[~(np.asarray(self.column_leakage) <= TOL_LEAK)]
         return int(bad.min()) - 1 if bad.size else self.K
 
     def to_rows(self):

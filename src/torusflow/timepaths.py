@@ -278,15 +278,6 @@ class TimeDependentField:
     def step(cls, grid: TimeGrid, values, scale: float) -> "TimeDependentField":
         return cls(grid, [v.coeffs[None, ...] for v in values], scale)
 
-    @classmethod
-    def from_profile(cls, f: FourierMap, profile, scale: float,
-                     n_pieces: int = 64) -> "TimeDependentField":
-        """Field t -> profile(t) * f with a cubic fit of the scalar profile."""
-        grid = TimeGrid.uniform(n_pieces)
-        vals = np.array([profile(t) for t in grid.nodes(FIT_NODES)[2]], dtype=float)
-        polys = fit_poly3(vals[:, None])        # scalar cubics
-        return cls(grid, polys.reshape((-1, 4) + (1,) * (f.m + 1)) * f.coeffs, scale)
-
     # -- evaluation -------------------------------------------------------
 
     def values_at(self, times) -> FourierMap:

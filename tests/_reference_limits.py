@@ -11,9 +11,11 @@ import numpy as np
 
 from torusflow.errors import EmptyLevel
 from torusflow.fourier import FourierMap, strip_norms
-from torusflow.limits import (ConstantScaleMap, ContinuityReport,
-                              LinearScaleMap, NeighborhoodSample,
-                              PointwiseSquareMap, RatioSweep)
+from torusflow.limits import (ContinuityReport, LinearScaleMap,
+                              NeighborhoodSample, PointwiseSquareMap,
+                              RatioSweep)
+
+from _readings import ConstantScaleMap
 
 
 def _apply(f, u: FourierMap) -> FourierMap:

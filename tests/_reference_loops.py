@@ -15,6 +15,12 @@ as lists of FourierMaps; their array versions must equal them exactly
 (self-composition to rounding).  ``ac_values_at`` reads an ACPath by
 re-integrating its derivative on every call; the primitive that ACPath
 keeps as pieces must read the same bits.
+
+``composition_grid`` is the per-call grid search that ``compose`` ran
+before ``CompositionPlan``: one isotropic Cauchy estimate on every mode
+||k||_1 >= M/2, the least over 15 widths, at machine epsilon.  With
+``compose_on_grid``, the composition kernel built per call at a given grid,
+it is the oracle of the plan's sizing and of its bits.
 """
 
 from math import comb
@@ -23,10 +29,12 @@ import numpy as np
 
 from torusflow.errors import ContractionStall, DomainEscape, InvertibilityLost
 from torusflow.flow import invert_at_point, solve_flow
-from torusflow.fourier import (TWO_PI, FourierMap, MapStack, compose,
+from torusflow.fourier import (TOL_TRUNC, TWO_PI, FourierMap, MapStack,
+                               _circle_m1, _fft_sizes, _grid_values, _k_l1,
+                               _shift_sum, _support_band, _wrap, compose,
                                fit_grid, imag_reach, jacobian, majorants,
-                               multiply,
-                               sampling_grid, strip_norms, strip_weights)
+                               multiply, node_chunks, sampling_grid,
+                               strip_norms, strip_weights)
 from torusflow.group import (TOL_INVERSE, AnalyticDiffeo,
                              _adjoint_inverse_values, _adjoint_values,
                              _jacobian_values, _probe_points, compose_diffeo,
@@ -37,6 +45,8 @@ from torusflow.timepaths import (ACPath, FIT_NODES, AffineRule, IdentityRule,
                                  _GL4_W, _GL4_X, _embed, _piece_integrals,
                                  fit_poly3, piece_values)
 from torusflow.charts import TOL_INVERT
+
+from _readings import eval_points
 
 
 def _poly_eval(poly, tau):
@@ -196,7 +206,7 @@ def pointwise_solution(flow, t0, y0):
     y0 = np.atleast_1d(np.asarray(y0, dtype=complex))
     base = y0 if t0 == 0.0 else invert_at_point(flow.u_at(t0), y0)
     ts = flow.grid.floats
-    pts = np.array([flow.eval_points(t, base[None, :])[0] for t in ts])
+    pts = np.array([eval_points(flow, t, base[None, :])[0] for t in ts])
     gam = gamma.field.on_grid(flow.grid)
 
     def gauss_piece(j, a, b):
@@ -204,7 +214,7 @@ def pointwise_solution(flow, t0, y0):
         node_vals = []
         for tau in _GL4_X:
             t = a + (b - a) * tau
-            y_s = flow.eval_points(t, base[None, :])[0]
+            y_s = eval_points(flow, t, base[None, :])[0]
             node_vals.append(_at(gam.pieces, j, (t - ts[j]) / h_full)
                              .eval(y_s[None, :])[0])
         return (b - a) * np.tensordot(_GL4_W, np.array(node_vals), axes=(0, 0))
@@ -581,3 +591,95 @@ def integral_defect(path):
             _embed(inc[None], path.values[j + 1].order, der.m)[0]
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the per-call composition grid, before CompositionPlan
+# ---------------------------------------------------------------------------
+
+#: the isotropic search's widths: 1/80 .. 1.6 in steps of sqrt(2)
+_ISO_RHO = 0.0125 * 2.0 ** (np.arange(15) / 2)
+
+
+def _shell_amplitudes(f):
+    """sum_{||k||_1 = s} max_i |c_{k,i}| for the shells s = 0..m N, per map
+    of the flattened batch: nu_eps(f) = sum_s amp_s e^{2 pi s eps}."""
+    c = f.flat().coeffs
+    amp = np.abs(c).max(axis=-1).reshape(len(c), -1)
+    l1 = _k_l1(f.order, f.m).ravel()
+    return amp @ (l1[:, None] == np.arange(f.m * f.order + 1)).astype(float)
+
+
+def _alias_logs(amp, u, sizes):
+    """log S(rho) per map, (B, R), and the log shell sums of the modes
+    ||k||_1 >= M/2 per size, (sizes, R), of ``iso_aliasing_bound``: the
+    reach is one ``imag_reach`` of the maps as a batch (B, 1) against the
+    widths, S one Horner pass over the shells in e^{-2 pi r}."""
+    m = u.m
+    rho = _ISO_RHO[TWO_PI * _ISO_RHO * m * max(u.order, 1) <= 600.0]
+    reach = imag_reach(_wrap(u.flat().coeffs[:, None], m), rho)
+    top = int(np.flatnonzero(amp.any(axis=0)).max(initial=0))
+    y = np.exp(-TWO_PI * reach)
+    acc = amp[:, 0, None] * np.ones_like(y)
+    for s in range(1, top + 1):
+        acc *= y
+        acc += amp[:, s, None]
+    with np.errstate(divide="ignore"):
+        log_s = np.log(acc) + (TWO_PI * top * reach if top else 0.0)
+    L = np.asarray(sizes, dtype=float)[:, None] / 2.0
+    q = np.exp(-TWO_PI * rho)
+    log_t = -TWO_PI * rho * L - m * np.log1p(-q) + (
+        np.log(2.0) if m == 1 else np.log(4.0 * (L - (L - 1.0) * q)))
+    return log_s, log_t
+
+
+def iso_aliasing_bound(g, u, sizes):
+    """The isotropic bound on sum_{||k||_1 >= M/2} max_i |h_{k,i}| of
+    h = g o (id + u), per map and size: nu_{r(rho)}(g) times the shell sums
+    of e^{-2 pi rho ||k||_1}, the least over the widths rho."""
+    log_s, log_t = _alias_logs(_shell_amplitudes(g), u, sizes)
+    return np.exp((log_s.T[:, :, None] + log_t.T[:, None]).min(axis=0))
+
+
+def composition_grid(g, u, order, cap):
+    """The per-call search: the least even 5-smooth M in [2N + 2, cap] at
+    which ``iso_aliasing_bound`` is at most machine epsilon times nu_0(g)
+    for every map, and the bound there; (cap, None) without one."""
+    sizes = _fft_sizes(2 * order + 2, cap)
+    if not len(sizes):
+        return cap, None
+    amp = _shell_amplitudes(g)
+    log_s, log_t = _alias_logs(amp, u, sizes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack = np.log(np.finfo(float).eps * amp.sum(axis=1))[:, None] - log_s
+    slack[log_s == -np.inf] = np.inf
+    first = np.min([np.searchsorted(-log_t[:, r], -slack[:, r])
+                    for r in range(log_t.shape[1])], axis=0)
+    j = int(first.max())
+    if j == len(sizes):
+        return cap, None
+    bound = np.exp((log_s.T[:, :, None]
+                    + log_t.T[:, None, j:j + 1]).min(axis=0))
+    return int(sizes[j]), bound[:, 0]
+
+
+def compose_on_grid(g, perturb, M, order=None, tol_trunc=TOL_TRUNC):
+    """``compose`` per call on the grid of M points per axis: g's band cube
+    built for this call alone, the gate on the observed spectrum."""
+    m, n_out = g.m, (g.order if order is None else order)
+    u = (perturb.with_order(n_out) if perturb.order > n_out else perturb).flat()
+    bound, u = u.imag_bound(), np.moveaxis(u.coeffs, -1, 1)
+    c, n = g.flat().coeffs, g.order
+    K = _support_band(c)
+    band = np.moveaxis(c[(slice(None), slice(n, n + K + 1))
+                         + (slice(n - K, n + K + 1),) * (m - 1)], -1, 2).copy()
+    band[:, 1:] *= 2.0
+    out = []
+    for s in node_chunks(max(len(u), len(band)), M ** m):
+        e = _circle_m1(_grid_values(u[s] if len(u) > 1 else u, M,
+                                    bound[s] if len(u) > 1 else bound))
+        vals = _shift_sum(band[s] if len(band) > 1 else band, e, M)
+        vals = vals.reshape((len(vals), g.ncomp) + (M,) * m)
+        out.append(fit_grid(np.moveaxis(vals, 1, -1), n_out, m, tol_trunc,
+                            "compose", None, c[s] if len(c) > 1 else c).coeffs)
+    return np.concatenate(out)

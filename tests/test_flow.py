@@ -13,12 +13,14 @@ from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
                        picard_step, pointwise_solution,
                        restriction_consistency, solve_flow)
 from torusflow import flow as flow_module
+from torusflow import fourier as fourier_module
 from torusflow.fourier import (TOL_TRUNC, _real_horner, _support_band,
                                _tail_ratio, sampling_grid, strip_norms)
 from torusflow.flow import (RATIO_SLACK, contraction_certificate_ok,
                             max_contraction_ratio)
 from torusflow.timepaths import FIT_NODES, piece_values
 
+from _readings import eval_points, field_from_profile
 from _reference_sweep import reference_sweep
 from conftest import EPS, cosine_map, probe_points, random_admissible, sine_map
 
@@ -109,7 +111,7 @@ DIFFERENTIAL_FIELDS = {
         TimeGrid((0, Fraction(1, 4), Fraction(5, 8), 1)),
         [sine_map(0.02), cosine_map(0.01, mode=2),
          sine_map(0.01) + cosine_map(0.004, mode=3)], 0.2), Fraction(1, 16), 3),
-    "m1_profile_cubic": (lambda: TimeDependentField.from_profile(
+    "m1_profile_cubic": (lambda: field_from_profile(
         sine_map(0.03) + cosine_map(0.01, mode=2),
         lambda t: np.cos(3 * t) + t * t, 0.2, n_pieces=8), Fraction(1, 16), 2),
     "m2_coupled_N8": (_coupled_m2_field, Fraction(1, 8), 1),
@@ -139,6 +141,32 @@ def test_sweep_matches_compose_reference(name):
                    zip(path.snapshots, want_snaps)) <= 1e-13
         assert max(np.abs(a - b).max() for a, b in
                    zip(path.pieces, want_pieces)) <= 1e-13
+
+
+@pytest.mark.parametrize("field, max_step", [
+    (lambda: _coupled_m2_field(a=1e-3, b=1e-3), Fraction(1, 4)),
+    (lambda: TimeDependentField.constant(sine_map(0.03, order=32), 0.2), 1)],
+    ids=["m2_coupled_N8", "m1_sine_N32"])
+def test_composition_plan_is_built_once_per_solver_grid(field, max_step,
+                                                        monkeypatch):
+    """Each solver grid builds one CompositionPlan for its field stack and
+    one for its defect pass, however many sweeps it runs on them."""
+    counts = {"plans": 0, "grids": 0, "composes": 0}
+
+    def counted(cls, name, key):
+        method = getattr(cls, name)
+
+        def spy(self, *args, **kwargs):
+            counts[key] += 1
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, spy)
+    counted(fourier_module.CompositionPlan, "__init__", "plans")
+    counted(fourier_module.CompositionPlan, "compose", "composes")
+    counted(flow_module._PicardSweep, "__init__", "grids")
+    path = solve_flow(AdmissibleField.certify(field(), EPS), max_step=max_step)
+    assert counts["plans"] == 2 * counts["grids"]
+    assert counts["composes"] >= len(path.iteration_log) + counts["grids"]
+    assert counts["composes"] > counts["plans"] + 2
 
 
 def _hermitian(rng, shape, m):
@@ -272,12 +300,12 @@ def test_solve_piecewise_translation():
 
 def test_solve_matches_tangent_closed_form(sine_flow):
     probes = (np.arange(64) + 0.3) / 64
-    got = sine_flow.eval_points(1.0, probes[:, None].astype(complex))[:, 0]
+    got = eval_points(sine_flow, 1.0, probes[:, None].astype(complex))[:, 0]
     assert np.abs(got.real - tangent_oracle(probes, 1.0)).max() < 1e-8
     # frozen probe value, recomputed from the closed form
     y_quarter = float(tangent_oracle(0.25, 1.0))
     assert y_quarter == pytest.approx(0.26994756896743394, abs=1e-15)
-    got_quarter = sine_flow.eval_points(1.0, np.array([[0.25 + 0j]]))[0, 0]
+    got_quarter = eval_points(sine_flow, 1.0, np.array([[0.25 + 0j]]))[0, 0]
     assert abs(got_quarter.real - y_quarter) < 1e-10
 
 
@@ -332,8 +360,8 @@ def test_time_reversal_roundtrip(sine_gamma, sine_flow):
         -1 * sine_gamma.field.time_reversed(), EPS)
     back = solve_flow(rev)
     pts = probe_points(33)
-    fwd_pts = sine_flow.eval_points(1.0, pts)
-    assert np.abs(back.eval_points(1.0, fwd_pts) - pts).max() <= 1e-9
+    fwd_pts = eval_points(sine_flow, 1.0, pts)
+    assert np.abs(eval_points(back, 1.0, fwd_pts) - pts).max() <= 1e-9
 
 
 def test_strip_invariant_certificate(sine_flow):
@@ -344,7 +372,7 @@ def test_imaginary_growth_sampled(sine_flow):
     rng = np.random.default_rng(5)
     starts = rng.uniform(0, 1, 100) + 1j * rng.uniform(-EPS / 2, EPS / 2, 100)
     for t in np.linspace(0.0, 1.0, 9):
-        vals = sine_flow.eval_points(t, starts[:, None])
+        vals = eval_points(sine_flow, t, starts[:, None])
         assert np.abs(vals.imag).max() < EPS
 
 
@@ -590,7 +618,7 @@ def test_solve_m2_against_rk_oracle():
 
     sol = solve_ivp(rhs, (0, 1), [0.3, 0.7], method="DOP853",
                     rtol=1e-12, atol=1e-13)
-    got = path.eval_points(1.0, np.array([[0.3 + 0j, 0.7 + 0j]]))[0]
+    got = eval_points(path, 1.0, np.array([[0.3 + 0j, 0.7 + 0j]]))[0]
     assert np.abs(got.real - sol.y[:, -1]).max() <= 1e-9
     traj = pointwise_solution(path, 0.0, [0.3, 0.7])
     assert traj.check.ok

@@ -12,6 +12,7 @@ from torusflow import fourier
 from torusflow.fourier import (TWO_PI, MapStack, _wrap, cauchy_gain, fit_sampled,
                                imag_reach, lattice_modes, sampling_grid)
 
+import _reference_loops as ref_loops
 from _reference_sweep import compose as reference_compose
 from conftest import cosine_map, random_real_map, sine_map, src_module_names
 
@@ -196,24 +197,29 @@ def _on_first_axis(f: FourierMap, ncomp: int) -> MapStack:
 @pytest.mark.parametrize("m, order, axis", [(1, 8, False), (2, 5, False),
                                             (2, 8, True)])
 def test_aliasing_bound_covers_the_measured_aliasing(m, order, axis):
-    """At every grid size up to the cap, the bound is at least the error of
-    the kept coefficients of a fit there, against a fit at 8 (2N + 1), and
-    at least the true mass of the modes ||k||_1 >= M/2.  With ``axis`` the
-    m = 1 stacks run as m = 2 stacks constant in x_2, where the m = 2 shell
-    sum is close to tight."""
+    """At every grid size M up to the cap, both bounds of the split hold:
+    the one on the modes that can alias onto the kept lattice is at least
+    the error of the kept coefficients of a fit there, against a fit at
+    8 (2N + 1), and the one on the unobserved modes is at least their true
+    mass, ||k||_inf >= M/2.  With ``axis`` the m = 1 stacks run as m = 2
+    stacks constant in x_2, where one axis carries every mode."""
     rng = np.random.default_rng(40 + m)
     g, u = (MapStack(_random_maps(rng, 4, 1 if axis else m, order, order,
                                   1 if axis else m, size))
             for size in (1.0, 0.02))
     if axis:
         g, u = _on_first_axis(g, 1), _on_first_axis(u, 2)
-    sizes = fourier._fft_sizes(2 * order + 2, 4 * (2 * order + 1))
-    bound = fourier.aliasing_bound(g, u, sizes)
+    cap = 4 * (2 * order + 1)
+    sizes = fourier._fft_sizes(2 * order + 2, cap)
+    plan = fourier.CompositionPlan(g, order, cap)
+    lattice_bound, outside_bound = plan.aliasing_bound(u, u.imag_bound(), sizes)
     # rounding of the reference spectrum and of the fits
-    dust = 1e3 * np.finfo(float).eps * fourier._shell_amplitudes(g).sum(axis=1)
+    dust = 1e3 * np.finfo(float).eps * plan.nu0
     M_ref = 8 * (2 * order + 1)
     amp = np.abs(_full_spectrum(g, u, M_ref)).max(axis=-1)
-    l1 = sum(np.ix_(*[np.abs(np.fft.fftfreq(M_ref, 1.0 / M_ref))] * m))
+    k_inf = np.abs(np.fft.fftfreq(M_ref, 1.0 / M_ref))
+    if m == 2:
+        k_inf = np.maximum(k_inf[:, None], k_inf)
     lattice = fourier._k_l1(order, m) <= order
 
     def kept(spec, M):      # the lattice ||k||_1 <= N of a spectrum on M^m
@@ -222,39 +228,127 @@ def test_aliasing_bound_covers_the_measured_aliasing(m, order, axis):
         return np.where(lattice[..., None], c, 0.0)
 
     ref = kept(_full_spectrum(g, u, M_ref), M_ref)
-    for M, b in zip(sizes, bound.T):
-        beyond = amp[:, l1 >= M / 2].sum(axis=1)
+    for M, on_lattice, outside in zip(sizes, lattice_bound.T, outside_bound.T):
+        mass = amp[:, k_inf >= M / 2].sum(axis=1)
         err = np.abs(kept(_full_spectrum(g, u, M), M) - ref).max(axis=-1)
         err = err.reshape(len(err), -1).sum(axis=1)
-        assert (beyond <= b + dust).all(), (M, beyond, b)
-        assert (err <= b + dust).all(), (M, err, b)
-    # the smallest grids alias far above rounding, so the check has teeth
-    assert (bound[:, 0] > 1e6 * dust).all()
+        assert (mass <= outside + dust).all(), (M, mass, outside)
+        assert (err <= on_lattice + dust).all(), (M, err, on_lattice)
+    # the smallest grids alias far above rounding, so the checks have teeth
+    assert (lattice_bound[:, 0] > 1e6 * dust).all()
+    assert (outside_bound[:, 0] > 1e6 * dust).all()
 
 
 @pytest.mark.parametrize("m, order", [(1, 6), (2, 6), (2, 40)])
 def test_composition_grid_never_exceeds_the_cap(m, order):
-    """At m = 2, N = 40 the lattice corners reach ||k||_1 = 80: every
-    candidate rho keeps e^{2 pi rho 80} finite there, since an infinite
+    """At m = 2, N = 40 the cube's corners reach ||k||_1 = 80: every
+    candidate width keeps e^{2 pi rho 80} finite there, since an infinite
     weight times a zero coefficient would make the bound NaN."""
     rng = np.random.default_rng(9 + m)
     g = MapStack(_random_maps(rng, 3, m, order, 2, m, 1.0))
-    tol = np.finfo(float).eps * fourier._shell_amplitudes(g).sum(axis=1)
+    eps = np.finfo(float).eps * (1 + 1e-9)
     for size in (0.0, 0.01, 0.1, 1.0):
         u = MapStack(_random_maps(rng, 3, m, order, order, m, size))
+        imag = u.imag_bound()
         for oversample in (1, 2, 4):
             cap = oversample * (2 * order + 1)
-            M, alias = fourier.composition_grid(g, u, order, cap)
+            plan = fourier.CompositionPlan(g, order, cap)
+            M, alias = plan.composition_grid(u, imag, fourier.TOL_TRUNC)
             assert M <= cap
             if alias is None:
                 assert M == cap
             else:
                 assert M >= 2 * order + 2 and M % 2 == 0
-                assert (alias <= tol).all()
+                on_lattice, outside = plan.aliasing_bound(u, imag, [M])
+                assert (on_lattice[:, 0] <= eps * plan.nu0).all()
+                assert (2 * alias <= fourier.ALIAS_SHARE * fourier.TOL_TRUNC
+                        * plan.nu0 * (1 + 1e-9)).all()
+                if size > 0.0:
+                    assert (outside[:, 0] <= alias * (1 + 1e-9)).all()
         if size == 0.0:     # g itself, of band 2: the least size serves
             assert M == fourier._fft_sizes(2 * order + 2, cap)[0]
+            assert (alias == 0.0).all()
         if size == 1.0:     # no size is at rounding level: the cap
             assert alias is None
+
+
+def _scaled_perturbations(rng, m, order):
+    """A stack of perturbations at sizes that grow, repeat, shrink and jump,
+    the last far too large for any grid."""
+    base = MapStack(_random_maps(rng, 4, m, order, 3, m, 1.0))
+    return [base * size for size in (0.0, 1e-4, 2e-4, 5e-4, 1e-3, 1e-3, 9e-4,
+                                     2e-3, 3e-4, 4e-3, 2e-3, 1.0, 1e-3)]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_plan_picks_the_least_certified_grid(m):
+    """Along perturbations that grow, repeat, shrink and jump, one plan
+    picks at every call the least size at which both bounds certify the
+    grid: at M they hold, at every smaller size one fails, and the bound
+    it returns on the unobserved modes is theirs at M."""
+    order = 8 if m == 1 else 6
+    rng = np.random.default_rng(50 + m)
+    g = MapStack(_random_maps(rng, 4, m, order, 2, m, 1.0))
+    cap = 4 * (2 * order + 1)
+    plan = fourier.CompositionPlan(g, order, cap)
+    sizes = fourier._fft_sizes(2 * order + 2, cap)
+    eps, share = np.finfo(float).eps, fourier.ALIAS_SHARE * fourier.TOL_TRUNC
+    picked = []
+    for u in _scaled_perturbations(rng, m, order):
+        imag = u.imag_bound()
+        M, alias = plan.composition_grid(u, imag, fourier.TOL_TRUNC)
+        picked.append(M)
+        on_lattice, outside = plan.aliasing_bound(u, imag, sizes)
+        holds = ((on_lattice <= eps * plan.nu0[:, None] * (1 + 1e-9))
+                 & (2 * outside <= share * plan.nu0[:, None] * (1 + 1e-9))
+                 ).all(axis=0)
+        if alias is None:
+            assert M == cap and not holds.any()
+            continue
+        j = int(np.flatnonzero(sizes == M)[0])
+        assert holds[j] and not holds[:j].any()
+        if u.coeffs.any():  # u = 0 gives h = g: nothing is unobserved
+            assert np.allclose(alias, outside[:, j], rtol=1e-12, atol=0.0)
+        else:
+            assert (alias == 0.0).all()
+    # the sequence moves the grid both ways and reaches the cap
+    assert len(set(picked)) > 2 and picked[-1] < picked[-2] == cap
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_plan_compose_matches_the_per_call_kernel(m, monkeypatch):
+    """compose with one plan along a sequence of perturbations gives the
+    bits of the kernel built per call at the grid the plan picked, and that
+    grid is never larger than the per-call isotropic search's.  The budget
+    is open: the larger perturbations spread past the order."""
+    order = 8 if m == 1 else 6
+    rng = np.random.default_rng(60 + m)
+    g = MapStack(_random_maps(rng, 4, m, order, 2, m, 1.0))
+    plan = fourier.CompositionPlan(g, order, 4 * (2 * order + 1))
+    picked, grid = [], fourier.CompositionPlan.composition_grid
+
+    def spy(self, u, imag, tol_trunc):
+        found = grid(self, u, imag, tol_trunc)
+        picked.append(found[0])
+        return found
+    monkeypatch.setattr(fourier.CompositionPlan, "composition_grid", spy)
+    for u in _scaled_perturbations(rng, m, order)[:-1]:
+        got = compose(plan, u, tol_trunc=1.0).coeffs
+        assert np.array_equal(got, ref_loops.compose_on_grid(
+            g, u, picked[-1], tol_trunc=1.0))
+        assert picked[-1] <= ref_loops.composition_grid(g, u, order,
+                                                        plan.cap)[0]
+
+
+def test_fit_grid_gate_counts_twice_the_unobserved_bound():
+    """A mode at k = M hides on a grid of M points as the constant: the
+    observed tail reads 0, and only twice the bound on the unobserved
+    modes, added to it, puts the mode's mass in the gate."""
+    M, a = 16, 1e-6
+    vals = (1.0 + a * np.cos(TWO_PI * np.arange(M)))[None, :, None]
+    fourier.fit_grid(vals, 4, 1, alias=np.array([0.0]))
+    with pytest.raises(TruncationBudgetExceeded):
+        fourier.fit_grid(vals, 4, 1, alias=np.array([a]))
 
 
 def test_fit_grid_gate_fails_on_a_bound_that_is_not_finite():

@@ -129,7 +129,7 @@ def test_certified_interior_shrinks_with_amplitude():
         AnalyticDiffeo.certify(sine_map(0.002, ORDER), EPS), 16)
     big = pullback_matrix(
         AnalyticDiffeo.certify(sine_map(0.05, ORDER), EPS), 16)
-    assert small.certified_interior(1e-10) >= big.certified_interior(1e-10)
+    assert small.certified_interior() >= big.certified_interior()
 
 
 # -- operators along a flow ------------------------------------------------------------

@@ -24,6 +24,7 @@ from torusflow.group import _field_nu_integral, ad_transport_integral
 from torusflow.timepaths import _piece_integrals
 
 import _reference_loops as ref
+from _readings import field_from_profile
 from conftest import EPS, cosine_map, sine_map
 
 TOL = 1e-13
@@ -48,7 +49,7 @@ def _fields(m):
         base = _m2_map(6, 1e-4, 6e-5)
     gamma = AdmissibleField.certify(
         TimeDependentField.step(grid, step, scale=0.2), EPS)
-    profile = TimeDependentField.from_profile(
+    profile = field_from_profile(
         base, lambda t: 1.0 + 0.5 * t * t - 0.3 * t ** 3, scale=0.2, n_pieces=4)
     return gamma, AdmissibleField.certify(profile, EPS)
 

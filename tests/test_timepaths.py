@@ -16,6 +16,7 @@ from torusflow import (ACPath, AffineRule, FourierMap, IdentityRule,
 from torusflow.errors import DomainEscape
 from torusflow.fourier import _modes_to_json
 
+from _readings import field_from_profile
 from conftest import cosine_map, random_real_map, sine_map, src_module_names
 
 
@@ -165,7 +166,7 @@ def test_primitive_cancellation():
 
 def test_primitive_sinusoidal_profile():
     v = FourierMap.from_modes({1: [0.1]}, 8)
-    f = TimeDependentField.from_profile(v, lambda t: np.sin(2 * np.pi * t),
+    f = field_from_profile(v, lambda t: np.sin(2 * np.pi * t),
                                         scale=0.2, n_pieces=64)
     path = integrate_primitive(f)
     for t in (0.21, 0.5, 0.77, 1.0):
