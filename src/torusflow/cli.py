@@ -353,7 +353,7 @@ def _sweep_item(s: Scenario, index: int, budget: float) -> tuple:
             path.imag_reach_max(s.eps / 2), check.ok), check
 
 
-def run_sweep(s: Scenario, out: Path, checks: list, workers: int = 1) -> None:
+def run_sweep(s: Scenario, out: Path, checks: list, workers: int) -> None:
     rng = np.random.default_rng(s.seed)
     budgets = [s.budgets[i % len(s.budgets)] if s.budgets
                else float(rng.uniform(0.1, 0.42)) for i in range(s.count)]

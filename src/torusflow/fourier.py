@@ -45,7 +45,7 @@ estimate on the strips |Im z_i| <= rho_i, one width per axis, bounds
 reach of id + u bounds that sup from g's coefficients.  A grid of M points
 per axis observes the modes in the box |k_i| < M/2; of those outside it,
 only the ones with some |k_i| >= M - N alias onto the kept lattice
-||k||_1 <= N.  ``CompositionPlan.aliasing_bound`` bounds both sets,
+||k||_1 <= N.  ``CompositionPlan.log_bounds`` bounds both sets,
 least over a fixed set of widths (the trapezoidal-rule aliasing estimate
 for periodic analytic functions: Trefethen & Weideman, SIAM Review 56,
 2014, section 3).  The grid is the least FFT-friendly M at which the
@@ -203,8 +203,7 @@ class FourierMap:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int, m: int = 1, ncomp: int | None = None) -> "FourierMap":
-        ncomp = m if ncomp is None else ncomp
+    def zero(cls, order: int, m: int, ncomp: int) -> "FourierMap":
         return _wrap(np.zeros((2 * order + 1,) * m + (ncomp,), dtype=complex), m)
 
     @classmethod
@@ -863,12 +862,6 @@ class _Widths(NamedTuple):
     #: sinh and cosh of 2 pi rho |k| over the axis of order N, (2N + 1, R)
     sinh: np.ndarray
     cosh: np.ndarray
-    #: per pair and axis d, the rate 2 pi rho_d at which the estimate of
-    #: the modes |k_d| >= L falls with L, and the log of the rest of it,
-    #: log 2 / (1 - q_d) + sum_{d' != d} log (1 + q_{d'}) / (1 - q_{d'}),
-    #: q = e^{-2 pi rho}
-    rate: np.ndarray
-    rest: np.ndarray
     #: per pair the largest weight on the lattice, e^{2 pi N max_i rho_i},
     #: (P, 1)
     top: np.ndarray
@@ -881,32 +874,28 @@ def _alias_widths(order: int, m: int) -> _Widths:
     rho = _ALIAS_RHO[TWO_PI * _ALIAS_RHO * m * max(order, 1) <= 600.0]
     width = rho[np.indices((len(rho),) * m).reshape(m, -1).T]
     w = TWO_PI * np.abs(_k_axis(order))[:, None] * rho
-    q = np.exp(-TWO_PI * width)
-    both = np.log1p(q) - np.log1p(-q)
-    rest = np.log(2.0) - np.log1p(-q) + both.sum(axis=1, keepdims=True) - both
-    table = _Widths(width, np.sinh(w), np.cosh(w), TWO_PI * width, rest,
+    table = _Widths(width, np.sinh(w), np.cosh(w),
                     np.exp(TWO_PI * order * width.max(axis=1, keepdims=True)))
     for a in table:
         a.flags.writeable = False
     return table
 
 
-def _log_t(widths: _Widths, L: np.ndarray) -> np.ndarray:
-    """log T_d(L) = log (2 q_d^L / (1 - q_d) prod_{j != d} (1 + q_j) /
-    (1 - q_j)), the Cauchy estimate's sum over the modes |k_d| >= L per unit
-    of S, per width pair, axis d and L: (P, m) + L.shape."""
-    extra = (None,) * np.ndim(L)
-    return widths.rest[(Ellipsis,) + extra] - widths.rate[
-        (Ellipsis,) + extra] * L
-
-
 @lru_cache(maxsize=64)
 def _grid_log_t(order_u: int, m: int, order: int, cap: int) -> np.ndarray:
-    """``_log_t`` of the two sets of ``CompositionPlan.aliasing_bound`` at
-    every candidate grid size, L = M - N and M/2: (P, m, 2, sizes), for
-    perturbations of order ``order_u``.  Read-only."""
+    """log T_d(L) = log (2 q_d^L / (1 - q_d) prod_{j != d} (1 + q_j) /
+    (1 - q_j)), q = e^{-2 pi rho}, the Cauchy estimate's sum over the modes
+    |k_d| >= L per unit of S, per width pair and axis d, for the two sets
+    of ``CompositionPlan.log_bounds`` at every candidate grid size, L = M - N
+    and M/2: (P, m, 2, sizes), for perturbations of order ``order_u``.
+    Read-only."""
+    width = _alias_widths(order_u, m).width
+    q = np.exp(-TWO_PI * width)
+    both = np.log1p(q) - np.log1p(-q)
+    rest = np.log(2.0) - np.log1p(-q) + both.sum(axis=1, keepdims=True) - both
     sizes = _fft_sizes(2 * order + 2, cap)
-    t = _log_t(_alias_widths(order_u, m), np.stack([sizes - order, sizes / 2]))
+    t = (rest[..., None, None] - TWO_PI * width[..., None, None]
+         * np.stack([sizes - order, sizes / 2]))
     t.flags.writeable = False
     return t
 
@@ -965,43 +954,20 @@ class CompositionPlan:
         self.two_pi_k = TWO_PI * np.indices((K + 1,) * m).reshape(m, -1)[
             :, amp > 0]
         self.amp = amp[amp > 0]
-        # one term (a field of one mode |k|) needs no scaled sum
-        self.log_amp = math.log(self.amp[0]) if len(self.amp) == 1 else None
         self.sizes = _fft_sizes(2 * order + 2, cap)
 
-    def _log_sup(self, a: np.ndarray, imag: np.ndarray,
-                 widths: _Widths) -> np.ndarray:
-        """log of a bound on |h - g_0| / nu_0(g) per width pair, for every
-        map of h = g o (id + u) with u as ``_alias_reach`` takes it (``imag``
-        per map): where |Im(z_i + u_i)| <= R_i, |h - g_0| <= sum_{k != 0}
-        |g_k| prod_i e^{2 pi |k_i| R_i}, summed scaled by its largest term."""
-        x = _alias_reach(a, np.maximum.reduce(imag), widths) @ self.two_pi_k
-        if len(self.amp) == 1:
-            return x[:, 0] + self.log_amp
-        top = np.maximum.reduce(x, axis=1)
-        return top + np.log(np.exp(x - top[:, None]) @ self.amp)
-
-    @staticmethod
-    def _log_bound(log_s: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-        """log of bounds on sum_{||k||_inf >= L} max_i |h_{k,i}| / nu_0(g)
-        from log S per width pair (P,) and ``_log_t`` (P, m, ...): over
-        each axis d, Cauchy's estimate summed over the modes |k_d| >= L,
-        the least over the pairs, summed over the axes."""
-        extra = (None,) * (log_t.ndim - 1)
-        return np.logaddexp.reduce(np.minimum.reduce(
-            log_s[(slice(None),) + extra] + log_t, axis=0), axis=0)
-
-    def aliasing_bound(self, u: FourierMap, imag: np.ndarray, sizes) -> tuple:
-        """Certified bounds, per map of g and per grid size M in ``sizes``,
-        (B, sizes) each, for every map of the stack u (mirror defects
+    def log_bounds(self, u: FourierMap, imag: np.ndarray) -> np.ndarray:
+        """Logs of certified bounds per unit nu_0(g), (2, sizes) at the
+        plan's ``sizes``, for every map of the stack u (mirror defects
         ``imag``), on two sets of modes of the composite h = g o (id + u)
-        that a grid of M points per axis does not resolve: those that can
-        alias onto the kept lattice ||k||_1 <= N, all in ||k||_inf >= M - N,
-        and the unobserved ones, ||k||_inf >= M/2, outside the box
-        |k_i| < M/2 that the grid observes.
+        that a grid of M points per axis does not resolve: [0] those that
+        can alias onto the kept lattice ||k||_1 <= N, all in ||k||_inf >=
+        M - N, and [1] the unobserved ones, ||k||_inf >= M/2, outside the
+        box |k_i| < M/2 that the grid observes.
 
         h is entire.  On the strips |Im z_j| <= rho_j, id + u reaches at
-        most R_i in axis i, so |h - g_0| <= S(rho) nu_0(g), and Cauchy's
+        most R_i in axis i (``_alias_reach``), so |h - g_0| <= sum_{k != 0}
+        |g_k| prod_i e^{2 pi |k_i| R_i} <= S(rho) nu_0(g), and Cauchy's
         estimate gives |h_k| <= S(rho) nu_0(g) prod_j q_j^{|k_j|},
         q_j = e^{-2 pi rho_j}, for k != 0.  The modes |k_d| >= L sum to
         2 q_d^L / (1 - q_d) prod_{j != d} (1 + q_j) / (1 - q_j) times that;
@@ -1010,18 +976,20 @@ class CompositionPlan:
         functions: Trefethen & Weideman, SIAM Review 56, 2014, section 3).
         S takes the largest coefficients of all maps, so one estimate
         serves the stacks, scaled by each map's nu_0(g).  A constant g
-        gives a constant h: nothing aliases.
+        gives a constant h: nothing aliases, and the bounds are -inf.
         """
-        sizes = np.asarray(sizes, dtype=float)
         if self.K == 0:
-            return (np.zeros((len(self.nu0), len(sizes))),) * 2
-        widths = _alias_widths(u.order, self.m)
-        log_s = self._log_sup(np.maximum.reduce(np.abs(u.coeffs)), imag,
-                              widths)
-        with np.errstate(over="ignore"):
-            return tuple(self.nu0[:, None] * np.exp(self._log_bound(
-                log_s, _log_t(widths, L)))
-                for L in (sizes - self.order, sizes / 2))
+            return np.full((2, len(self.sizes)), -np.inf)
+        reach = _alias_reach(np.maximum.reduce(np.abs(u.coeffs)),
+                             np.maximum.reduce(imag),
+                             _alias_widths(u.order, self.m))
+        # log S per width pair, the sum scaled by its largest term
+        x = reach @ self.two_pi_k
+        top = np.maximum.reduce(x, axis=1)
+        log_s = top + np.log(np.exp(x - top[:, None]) @ self.amp)
+        log_t = _grid_log_t(u.order, self.m, self.order, self.cap)
+        return np.logaddexp.reduce(np.minimum.reduce(
+            log_s[:, None, None, None] + log_t, axis=0), axis=0)
 
     def composition_grid(self, u: FourierMap, imag: np.ndarray,
                          tol_trunc: float):
@@ -1030,7 +998,7 @@ class CompositionPlan:
         modes there.
 
         M is the least even 5-smooth size in [2N + 2, cap] at which
-        ``aliasing_bound`` keeps the modes that can alias onto the kept
+        ``log_bounds`` keeps the modes that can alias onto the kept
         lattice at machine epsilon times nu_0(g), as small as the FFT's
         rounding, and twice the unobserved ones at ``ALIAS_SHARE`` of
         ``tol_trunc`` times nu_0(g).  Every call searches every width at
@@ -1041,16 +1009,13 @@ class CompositionPlan:
         """
         if not len(self.sizes):
             return self.cap, None
-        a = np.maximum.reduce(np.abs(u.coeffs))
         if self.K == 0 or (2 * self.K < self.sizes[0]
-                           and not np.maximum.reduce(a, axis=None)):
+                           and not u.coeffs.any()):
             # h = g (constant g, or u = 0): its modes |k_i| <= K are observed
             # and alias nowhere
             return int(self.sizes[0]), np.zeros_like(self.nu0)
-        log_s = self._log_sup(a, imag, _alias_widths(u.order, self.m))
         # both sets' bounds at every size; the first size where both hold
-        log_b = self._log_bound(log_s, _grid_log_t(u.order, self.m,
-                                                   self.order, self.cap))
+        log_b = self.log_bounds(u, imag)
         log_tau = np.array([_LOG_EPS, math.log(0.5 * ALIAS_SHARE * tol_trunc)])
         ok = np.logical_and.reduce(log_b <= log_tau[:, None])
         j = int(ok.argmax())
@@ -1097,15 +1062,16 @@ def compose(g, perturb, *,
 
     M comes from ``CompositionPlan.composition_grid``, between 2N + 2 and
     the cap ``oversample`` (2N + 1).  Two sets of the composite's modes
-    are bounded there: those that alias onto the kept lattice, at rounding
-    level, and those outside the box |k_i| < M/2 that the grid observes,
-    within a small share of the budget.  The truncation gate
+    are bounded there by ``CompositionPlan.log_bounds``: those that alias
+    onto the kept lattice, at rounding level, and those outside the box
+    |k_i| < M/2 that the grid observes, within a small share of the
+    budget.  The truncation gate
     (TruncationBudgetExceeded) reads the observed tail ||k||_1 > N plus
     twice the second bound against ``tol_trunc``, which is at least the
     true tail.  If no size qualifies, M is the cap and the gate reads the
     observed tail alone.  ``g`` may be a ``CompositionPlan`` of the outer
     maps, which carries g's side from call to call and brings its own order
-    and cap; otherwise the call builds its own.  With ``outer_scale`` /
+    and cap; otherwise the call builds its own.  With ``outer_scale`` and
     ``inner_scale`` the certified imaginary reach of every id + u from the
     inner strip must stay inside the outer strip where g's majorants are
     quoted (else DomainEscape).
@@ -1114,8 +1080,7 @@ def compose(g, perturb, *,
     if perturb.ncomp != m or perturb.m != m:
         raise ValueError("perturbation must be a self-map displacement")
     if outer_scale is not None:
-        eps_in = inner_scale if inner_scale is not None else outer_scale / 2.0
-        reach = float(np.max(imag_reach(perturb, eps_in)))
+        reach = float(np.max(imag_reach(perturb, inner_scale)))
         if reach > outer_scale * (1 + 1e-12):
             raise DomainEscape(
                 f"imaginary reach {reach:.6g} exceeds outer strip {outer_scale:.6g}")
@@ -1193,17 +1158,15 @@ def restrict(f: FourierMap, from_eps: float, to_eps: float) -> RestrictionResult
     )
 
 
-def cauchy_gain(from_eps: float, to_eps: float, order: int | None = None) -> float:
-    """max over lattice shells of 2 pi n e^{-2 pi n (eps - delta)}.
+def cauchy_gain(from_eps: float, to_eps: float, order: int) -> float:
+    """max over lattice shells n <= order of 2 pi n e^{-2 pi n (eps - delta)}.
 
-    Bounds mu_delta(f) <= gain * nu_eps(f) for every stored map; the
-    maximizer n* ~ 1/(2 pi (eps-delta)) is scanned over integers (and the
-    continuous bound is returned if the truncation order cuts it off).
+    Bounds mu_delta(f) <= gain * nu_eps(f) for every stored map of that
+    order; the maximizer n* ~ 1/(2 pi (eps-delta)) is scanned over the
+    integers up to the order.
     """
     gap = from_eps - to_eps
-    n_star = 1.0 / (TWO_PI * gap)
-    top = int(np.ceil(n_star)) + 2 if order is None else order
-    n = np.arange(0, top + 1)
+    n = np.arange(0, order + 1)
     vals = TWO_PI * n * np.exp(-TWO_PI * gap * n)
     return float(vals.max())
 

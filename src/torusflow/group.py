@@ -59,7 +59,7 @@ _FD4_X = np.array([-2, -1, 1, 2])
 FD_STEP = 1e-3
 
 
-def _probe_points(m: int, n: int = 64) -> np.ndarray:
+def _probe_points(m: int, n: int) -> np.ndarray:
     if m == 1:
         return ((np.arange(n) + 0.31) / n)[:, None].astype(complex)
     g = (np.arange(int(np.ceil(np.sqrt(n)))) + 0.31) / int(np.ceil(np.sqrt(n)))
@@ -464,8 +464,7 @@ def exp_field(X: FourierMap, eps: float) -> AnalyticDiffeo:
     return AnalyticDiffeo.certify(flow.snapshots[-1], eps)
 
 
-def trotter_curve(v: FourierMap, w: FourierMap, eps: float,
-                  n_values=(8, 16, 32, 64, 128)):
+def trotter_curve(v: FourierMap, w: FourierMap, eps: float, n_values):
     """d(n) = distance of (exp(v/n) exp(w/n))^n from exp(v+w), sampled at
     64 probe points.
 

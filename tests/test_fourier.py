@@ -1,5 +1,7 @@
 """Strip-space arithmetic: evaluation, majorants, composition, restriction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +187,14 @@ def _full_spectrum(g, u, M):
     return np.fft.fftn(vals, axes=tuple(range(1, m + 1)), norm="forward")
 
 
+def _plan_bounds(plan, u, imag):
+    """The plan's two bounds per map of g at every size of the plan,
+    (2, B, sizes): on the modes that can alias onto the lattice and on the
+    unobserved ones."""
+    with np.errstate(over="ignore"):
+        return plan.nu0[:, None] * np.exp(plan.log_bounds(u, imag))[:, None]
+
+
 def _on_first_axis(f: FourierMap, ncomp: int) -> MapStack:
     """An m = 1 stack as an m = 2 stack constant in x_2 (the components
     after the first zero)."""
@@ -209,10 +219,8 @@ def test_aliasing_bound_covers_the_measured_aliasing(m, order, axis):
             for size in (1.0, 0.02))
     if axis:
         g, u = _on_first_axis(g, 1), _on_first_axis(u, 2)
-    cap = 4 * (2 * order + 1)
-    sizes = fourier._fft_sizes(2 * order + 2, cap)
-    plan = fourier.CompositionPlan(g, order, cap)
-    lattice_bound, outside_bound = plan.aliasing_bound(u, u.imag_bound(), sizes)
+    plan = fourier.CompositionPlan(g, order, 4 * (2 * order + 1))
+    lattice_bound, outside_bound = _plan_bounds(plan, u, u.imag_bound())
     # rounding of the reference spectrum and of the fits
     dust = 1e3 * np.finfo(float).eps * plan.nu0
     M_ref = 8 * (2 * order + 1)
@@ -228,7 +236,8 @@ def test_aliasing_bound_covers_the_measured_aliasing(m, order, axis):
         return np.where(lattice[..., None], c, 0.0)
 
     ref = kept(_full_spectrum(g, u, M_ref), M_ref)
-    for M, on_lattice, outside in zip(sizes, lattice_bound.T, outside_bound.T):
+    for M, on_lattice, outside in zip(plan.sizes, lattice_bound.T,
+                                      outside_bound.T):
         mass = amp[:, k_inf >= M / 2].sum(axis=1)
         err = np.abs(kept(_full_spectrum(g, u, M), M) - ref).max(axis=-1)
         err = err.reshape(len(err), -1).sum(axis=1)
@@ -259,7 +268,8 @@ def test_composition_grid_never_exceeds_the_cap(m, order):
                 assert M == cap
             else:
                 assert M >= 2 * order + 2 and M % 2 == 0
-                on_lattice, outside = plan.aliasing_bound(u, imag, [M])
+                j = np.flatnonzero(plan.sizes == M)
+                on_lattice, outside = _plan_bounds(plan, u, imag)[..., j]
                 assert (on_lattice[:, 0] <= eps * plan.nu0).all()
                 assert (2 * alias <= fourier.ALIAS_SHARE * fourier.TOL_TRUNC
                         * plan.nu0 * (1 + 1e-9)).all()
@@ -291,14 +301,14 @@ def test_plan_picks_the_least_certified_grid(m):
     g = MapStack(_random_maps(rng, 4, m, order, 2, m, 1.0))
     cap = 4 * (2 * order + 1)
     plan = fourier.CompositionPlan(g, order, cap)
-    sizes = fourier._fft_sizes(2 * order + 2, cap)
+    sizes = plan.sizes
     eps, share = np.finfo(float).eps, fourier.ALIAS_SHARE * fourier.TOL_TRUNC
     picked = []
     for u in _scaled_perturbations(rng, m, order):
         imag = u.imag_bound()
         M, alias = plan.composition_grid(u, imag, fourier.TOL_TRUNC)
         picked.append(M)
-        on_lattice, outside = plan.aliasing_bound(u, imag, sizes)
+        on_lattice, outside = _plan_bounds(plan, u, imag)
         holds = ((on_lattice <= eps * plan.nu0[:, None] * (1 + 1e-9))
                  & (2 * outside <= share * plan.nu0[:, None] * (1 + 1e-9))
                  ).all(axis=0)
@@ -308,7 +318,8 @@ def test_plan_picks_the_least_certified_grid(m):
         j = int(np.flatnonzero(sizes == M)[0])
         assert holds[j] and not holds[:j].any()
         if u.coeffs.any():  # u = 0 gives h = g: nothing is unobserved
-            assert np.allclose(alias, outside[:, j], rtol=1e-12, atol=0.0)
+            log_b = plan.log_bounds(u, imag)
+            assert (alias == plan.nu0 * math.exp(log_b[1, j])).all()
         else:
             assert (alias == 0.0).all()
     # the sequence moves the grid both ways and reaches the cap

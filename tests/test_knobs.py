@@ -61,17 +61,31 @@ def _passes(call, attr, pos, param) -> bool:
     return param in pos and skip <= pos.index(param) < len(call.args) + skip
 
 
-def test_every_defaulted_parameter_has_a_caller():
+def _defaults():
+    """(label, name, parameter, positional names, calls of the name) for
+    every defaulted parameter of the package's functions but ``__init__``."""
     calls = _calls()
-    unset = []
     for path, tree in _trees(sorted(PACKAGE.glob("*.py"))):
         for fn in ast.walk(tree):
             if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                     or fn.name == "__init__"):
                 continue
             pos, named = _defaulted(fn)
-            unset += [f"{path.stem}.{fn.name}({p})" for p in named
-                      if (fn.name, p) not in EXEMPT
-                      and not any(_passes(c, attr, pos, p)
-                                  for c, attr in calls.get(fn.name, []))]
+            for p in named:
+                yield (f"{path.stem}.{fn.name}({p})", fn.name, p, pos,
+                       calls.get(fn.name, []))
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    unset = [label for label, name, p, pos, found in _defaults()
+             if (name, p) not in EXEMPT
+             and not any(_passes(c, attr, pos, p) for c, attr in found)]
     assert not unset, f"parameters no caller sets: {unset}"
+
+
+def test_every_default_is_relied_on_by_some_caller():
+    """A default that every call overrides never runs: the parameter is
+    required.  A starred argument counts as passing it."""
+    dead = [label for label, _, p, pos, found in _defaults()
+            if found and all(_passes(c, attr, pos, p) for c, attr in found)]
+    assert not dead, f"defaults no caller relies on: {dead}"
