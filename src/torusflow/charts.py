@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall,
                      NoPositiveRadius, OutOfRange)
-from .fourier import (FourierMap, _modes_from_json, _modes_to_json, fit_sampled,
-                      majorants)
+from .fourier import FourierMap, fit_sampled, majorants
 from .timepaths import (ACPath, FIT_NODES, TOL_CHAIN, TimeDependentField,
                         _derivative, fit_poly3)
 
@@ -101,24 +100,6 @@ class LocalAddition:
                              coeff.m, eps)[0]
             per_row = per_row + nu_i * sum(p) * delta ** (sum(p) - 1)
         return float(per_row.max()) if self.terms else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "order": self.order,
-            "terms": [{"wPower": list(p),
-                       "coeffMap": _modes_to_json(c.coeffs, self.m, c.order)}
-                      for p, c in self.terms],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LocalAddition":
-        m, order = data["m"], data["order"]
-        terms = []
-        for t in data["terms"]:
-            coeffs = _modes_from_json(t["coeffMap"], m, order, m)
-            terms.append((tuple(t["wPower"]), FourierMap(coeffs)))
-        return cls(terms, m=m, order=order)
 
 
 @dataclass(frozen=True)

@@ -262,9 +262,6 @@ class FourierMap:
         return 0.5 * self._mirror_defect().sum(
             axis=tuple(range(-self.m - 1, -1))).max(axis=-1)
 
-    def copy(self) -> "FourierMap":
-        return _wrap(self.coeffs.copy(), self.m)
-
     def mode(self, k) -> np.ndarray:
         kk = (k,) if np.isscalar(k) else tuple(k)
         return self.coeffs[(Ellipsis,) + tuple(ki + self.order for ki in kk)
@@ -300,9 +297,6 @@ class FourierMap:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "FourierMap":
-        return _wrap(-self.coeffs, self.m)
-
     # -- evaluation -----------------------------------------------------
 
     def _points(self, z: np.ndarray):
@@ -315,22 +309,15 @@ class FourierMap:
         return pts, lead
 
     def eval(self, z) -> np.ndarray:
-        """Evaluate at points z of shape (..., m) (or scalar, m=1).
+        """Evaluate at points z of shape (..., m).
 
         A batch of maps takes points per map, batch + (P, m), or shared
         points; one ``eval_series`` call serves every map.  Real points give
         real values (the maps are real); complex points, such as strip
         probes, give complex values.
         """
-        z = np.asarray(z)
-        scalar_in = self.m == 1 and (z.ndim == 0 or z.shape[-1] != 1)
-        if scalar_in:
-            z = z.reshape(z.shape + (1,))
-        pts, lead = self._points(z)
-        vals = eval_series(self.flat().coeffs, pts).reshape(lead + (self.ncomp,))
-        if scalar_in and self.ncomp == 1:
-            return vals[..., 0]
-        return vals
+        pts, lead = self._points(np.asarray(z))
+        return eval_series(self.flat().coeffs, pts).reshape(lead + (self.ncomp,))
 
 
 class MapStack(FourierMap):
@@ -382,19 +369,6 @@ def _modes_to_json(coeffs: np.ndarray, m: int, order: int) -> list:
     if coeffs.shape[-1] == 1:
         return [[k, *p[0]] for k, p in zip(keys, pairs)]
     return [[k, p] for k, p in zip(keys, pairs)]
-
-
-def _modes_from_json(entries: list, m: int, order: int, ncomp: int) -> np.ndarray:
-    out = np.zeros((2 * order + 1,) * m + (ncomp,), dtype=complex)
-    for entry in entries:
-        key = entry[0]
-        k = (key,) if m == 1 else tuple(key)
-        idx = tuple(ki + order for ki in k)
-        if ncomp == 1:
-            out[idx + (0,)] = entry[1] + 1j * entry[2]
-        else:
-            out[idx] = [re + 1j * im for re, im in entry[1]]
-    return out
 
 
 def _common_order(a: FourierMap, b: FourierMap):

@@ -318,17 +318,32 @@ def evol_left_by_reversal(gamma: AdmissibleField,
     return AnalyticDiffeo.certify(flow.snapshots[-1], gamma.eps)
 
 
+def _two_param_maps(flow: FlowPath, times, base_inv: AnalyticDiffeo | None,
+                    eps: float) -> FourierMap:
+    """Displacements of Fl_{t, t0} = zeta(t) o zeta(t0)^{-1} at many times,
+    each map certified as AnalyticDiffeo.certify does it."""
+    maps = [flow.u_at_many(times)]
+    if base_inv is not None:
+        v = base_inv.u
+        maps.append(v + compose(maps[0], v, order=v.order,
+                                outer_scale=2 * eps, inner_scale=eps))
+    for u in maps:      # zeta(t), then the composite
+        _certify_maps(u, eps)
+    return maps[-1]
+
+
 def flow_two_param(evol: EvolutionResult, t: float, t0: float) -> AnalyticDiffeo:
     """Fl_{t, t0} = Fl_{t, 0} o (Fl_{t0, 0})^{-1} from a right evolution."""
     if evol.side != "right":
         raise ValueError("two-parameter flows are built from right evolutions")
     if t == t0:
         return AnalyticDiffeo.identity(evol.order, evol.m, evol.eps)
-    head = AnalyticDiffeo.certify(evol.flow.u_at(t), evol.eps)
-    if t0 == 0.0:
-        return head
-    base = AnalyticDiffeo.certify(evol.flow.u_at(t0), evol.eps)
-    return compose_diffeo(head, invert_diffeo(base))
+    base_inv = None
+    if t0 != 0.0:
+        base_inv = invert_diffeo(AnalyticDiffeo.certify(evol.flow.u_at(t0),
+                                                        evol.eps))
+    return AnalyticDiffeo.certify(
+        _two_param_maps(evol.flow, t, base_inv, evol.eps), evol.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,12 @@ from functools import partial
 import numpy as np
 
 from .errors import Check, TruncationBudgetExceeded
-from .flow import AdmissibleField, FlowPath, solve_checks, solve_flow
+from .flow import AdmissibleField, solve_checks, solve_flow
 from .fourier import (FourierMap, TWO_PI, _wrap, compose, fit_sampled, jacobian,
                       lattice_modes)
-from .group import (_FD4_W, _FD4_X, FD_STEP, AnalyticDiffeo, _certify_maps,
-                    _field_nu_integral, ac_check, ac_rows, compose_diffeo,
-                    evol_right, flow_two_param, invert_diffeo)
+from .group import (_FD4_W, _FD4_X, FD_STEP, AnalyticDiffeo,
+                    _field_nu_integral, _two_param_maps, ac_check, ac_rows,
+                    compose_diffeo, evol_right, flow_two_param, invert_diffeo)
 
 #: tolerance for matrix-vs-direct-composition agreement
 TOL_PB = 1e-9
@@ -197,20 +197,6 @@ class PullbackPathReport:
     @property
     def checks(self) -> tuple:
         return self.flow_checks + (self.ac_check, self.transport_check)
-
-
-def _two_param_maps(flow: FlowPath, times, base_inv: AnalyticDiffeo | None,
-                    eps: float) -> FourierMap:
-    """Displacements of Fl_{t, t0} = zeta(t) o zeta(t0)^{-1} at many times,
-    each map certified as AnalyticDiffeo.certify does it."""
-    maps = [flow.u_at_many(times)]
-    if base_inv is not None:
-        v = base_inv.u
-        maps.append(v + compose(maps[0], v, order=v.order,
-                                outer_scale=2 * eps, inner_scale=eps))
-    for u in maps:      # zeta(t), then the composite
-        _certify_maps(u, eps)
-    return maps[-1]
 
 
 def pullback_path(gamma: AdmissibleField, t0: float, K: int,

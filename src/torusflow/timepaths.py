@@ -24,8 +24,7 @@ from math import comb
 import numpy as np
 
 from .errors import DomainEscape, ScaleMismatch
-from .fourier import (FourierMap, MapStack, _modes_from_json,
-                      _modes_to_json, _wrap, compose, fit_sampled,
+from .fourier import (FourierMap, MapStack, _wrap, compose, fit_sampled,
                       imag_reach, jacobian, majorants)
 
 #: relative tolerance for the ACPath self-verification (closed-form integrals)
@@ -299,7 +298,8 @@ class TimeDependentField:
         if (self.m, self.ncomp) != (other.m, other.ncomp):
             raise ValueError("incompatible fields")
         grid, order = self.grid.merged(other.grid), max(self.order, other.order)
-        a, b = (_embed(f.on_grid(grid).pieces, order, self.m) for f in (self, other))
+        a, b = (_wrap(f.on_grid(grid).pieces, self.m).with_order(order).coeffs
+                for f in (self, other))
         out = np.zeros((len(a), max(a.shape[1], b.shape[1])) + a.shape[2:], complex)
         out[:, :a.shape[1]] += a
         out[:, :b.shape[1]] += sign * b
@@ -376,46 +376,6 @@ class TimeDependentField:
         total = float(np.dot(np.array(self.grid.steps, dtype=float), per_piece))
         return total if p == 1 else float(np.sqrt(total))
 
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "grid": [str(b) for b in self.grid.breakpoints],
-            "m": self.m,
-            "order": self.order,
-            "ncomp": self.ncomp,
-            "scale": self.scale,
-            "pieces": [_piece_to_json(p, self.m, self.order) for p in self.pieces],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TimeDependentField":
-        grid = TimeGrid(tuple(Fraction(b) for b in data["grid"]))
-        m, order, ncomp = data["m"], data["order"], data["ncomp"]
-        pieces = [_piece_from_json(p, m, order, ncomp) for p in data["pieces"]]
-        return cls(grid, pieces, data["scale"])
-
-
-def _embed(coeffs: np.ndarray, order: int, m: int) -> np.ndarray:
-    """Coefficient cubes (..,) + (2n+1,)*m + (ncomp,) zero-padded to order N."""
-    off = order - coeffs.shape[-2] // 2
-    return np.pad(coeffs, [(0, 0)] * (coeffs.ndim - m - 1) + [(off, off)] * m
-                  + [(0, 0)]) if off else coeffs
-
-
-def _piece_to_json(piece: np.ndarray, m: int, order: int) -> dict:
-    """A piece with no nonzero row above degree 0 is written "constant"."""
-    if not piece[1:].any():
-        return {"kind": "constant", "coeffs": _modes_to_json(piece[0], m, order)}
-    return {"kind": "poly",
-            "coeffs": [_modes_to_json(c, m, order) for c in piece]}
-
-
-def _piece_from_json(data: dict, m: int, order: int, ncomp: int) -> np.ndarray:
-    if data["kind"] == "constant":
-        return _modes_from_json(data["coeffs"], m, order, ncomp)[None, ...]
-    return np.stack([_modes_from_json(c, m, order, ncomp) for c in data["coeffs"]])
-
 
 # ---------------------------------------------------------------------------
 # absolutely continuous paths
@@ -445,7 +405,8 @@ class ACPath:
         der = derivative.on_grid(grid)
         owner = grid.locate(der.grid.floats[:-1])[0]
         v, h = self.values.coeffs, np.array(der.grid.steps, dtype=float)
-        pieces = _embed(_antiderivative(der.pieces, h), self.values.order, der.m)
+        pieces = _wrap(_antiderivative(der.pieces, h), der.m).with_order(
+            self.values.order).coeffs
         inc = piece_values(pieces, np.arange(len(owner)), 1.0)
         before = np.cumsum(inc, axis=0) - inc
         pieces[:, 0] = v[owner] + (before - before[np.searchsorted(owner, owner)])
@@ -470,22 +431,6 @@ class ACPath:
 
     def value_at(self, t: float) -> FourierMap:
         return self.values_at(t)
-
-    def to_json(self) -> dict:
-        return {
-            "grid": [str(b) for b in self.grid.breakpoints],
-            "values": [_modes_to_json(v, self.derivative.m, self.values.order)
-                       for v in self.values.coeffs],
-            "derivative": self.derivative.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ACPath":
-        der = TimeDependentField.from_json(data["derivative"])
-        grid = TimeGrid(tuple(Fraction(b) for b in data["grid"]))
-        values = (FourierMap(_modes_from_json(v, der.m, der.order, der.ncomp))
-                  for v in data["values"])
-        return cls(grid, values, der)
 
 
 def _piece_integrals(field: TimeDependentField, j, tau) -> np.ndarray:

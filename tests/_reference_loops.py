@@ -42,7 +42,7 @@ from torusflow.group import (TOL_INVERSE, AnalyticDiffeo,
 from torusflow.pullback import pullback_apply, pullback_matrix
 from torusflow.timepaths import (ACPath, FIT_NODES, AffineRule, IdentityRule,
                                  SelfCompositionRule, TimeDependentField,
-                                 _GL4_W, _GL4_X, _embed, _piece_integrals,
+                                 _GL4_W, _GL4_X, _piece_integrals,
                                  fit_poly3, piece_values)
 from torusflow.charts import TOL_INVERT
 
@@ -401,8 +401,8 @@ def binary(f, g, sign):
     for pa, pb in zip(on_grid(f, grid)[1], on_grid(g, grid)[1]):
         shape = (max(len(pa), len(pb)),) + (2 * order + 1,) * f.m + (f.ncomp,)
         out = np.zeros(shape, dtype=complex)
-        out[: pa.shape[0]] += _embed(pa, order, f.m)
-        out[: pb.shape[0]] += sign * _embed(pb, order, f.m)
+        out[: pa.shape[0]] += _wrap(pa, f.m).with_order(order).coeffs
+        out[: pb.shape[0]] += sign * _wrap(pb, f.m).with_order(order).coeffs
         pieces.append(out)
     return grid, pieces
 
@@ -588,7 +588,7 @@ def integral_defect(path):
             inc = inc + _poly_eval(_poly_antiderivative(der.pieces[k], steps[k]), 1.0)
         lhs = path.values[j + 1].coeffs
         rhs = path.values[j].with_order(path.values[j + 1].order).coeffs + \
-            _embed(inc[None], path.values[j + 1].order, der.m)[0]
+            _wrap(inc, der.m).with_order(path.values[j + 1].order).coeffs
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 

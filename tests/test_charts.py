@@ -164,23 +164,6 @@ def test_flow_to_chart_requires_certificate(chart_flow):
         flow_to_chart(chart_flow, alpha, tiny_cert)
 
 
-def test_local_addition_json_roundtrip():
-    alpha = quadratic_addition()
-    back = LocalAddition.from_json(alpha.to_json())
-    z = np.array([[0.3 + 0.01j]])
-    w = np.array([[0.2 - 0.05j]])
-    assert np.abs(back(z, w) - alpha(z, w)).max() < 1e-15
-
-
-def test_acpath_json_roundtrip(chart_flow):
-    from torusflow import ACPath, integrate_primitive
-    path = integrate_primitive(chart_flow.source.field)
-    back = ACPath.from_json(path.to_json())
-    for t in (0.25, 0.8):
-        assert np.abs(back.value_at(t).coeffs
-                      - path.value_at(t).coeffs).max() < 1e-15
-
-
 def test_chart_relatedness_under_half_translation(chart_flow):
     # representing the flow in the chart shifted by 1/2 translates the
     # chart vectors by the same amount

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from torusflow import (AdmissibleField, AnalyticDiffeo, EvolutionResult,
-                       FourierMap, TimeDependentField, TimeGrid, adjoint,
-                       compose_diffeo, derivative_at_eta, derivative_at_zero,
-                       evol_left, evol_left_by_reversal, evol_right,
-                       exp_field, flow_two_param, invert_diffeo, odot,
-                       solve_flow, trotter_curve, verify_evolution_pointwise)
+                       FourierMap, MapStack, TimeDependentField, TimeGrid,
+                       adjoint, compose_diffeo, derivative_at_eta,
+                       derivative_at_zero, evol_left, evol_left_by_reversal,
+                       evol_right, exp_field, flow_two_param, invert_diffeo,
+                       odot, solve_flow, trotter_curve,
+                       verify_evolution_pointwise)
 from torusflow import group as group_module
-from torusflow.group import (_probe_points, ac_modulus_check,
-                             ad_transport_integral)
+from torusflow.errors import TorusflowError
+from torusflow.group import (TOL_INVERSE, _certify_maps, _probe_points,
+                             ac_modulus_check, ad_transport_integral)
 
 from _readings import map_at, min_real_jacobian, richardson_ratio
 from conftest import EPS, ORDER, random_real_map, sine_map, cosine_map
@@ -85,6 +87,39 @@ def test_group_axioms_sampled():
     rhs = compose_diffeo(a, compose_diffeo(b, c))
     assert np.abs(lhs(pts) - rhs(pts)).max() <= 1e-9
     assert np.abs(compose_diffeo(a, invert_diffeo(a))(pts) - pts).max() <= 1e-9
+
+
+def test_certify_falls_back_on_the_inverse_residual():
+    # mu_eps = 2 pi a e^{2 pi eps} = 1.24, yet 2 pi a < 1: x + a sin(2 pi x)
+    # is a diffeomorphism, certified by its inverse residual
+    phi = AnalyticDiffeo.certify(sine_map(0.03, 16), 0.3)
+    assert phi.mu >= 1.0
+    assert phi.inverse_residual <= TOL_INVERSE
+
+
+def test_certify_maps_sends_only_maps_with_mu_at_least_one_to_certify(
+        monkeypatch):
+    maps = [sine_map(0.001, 16), sine_map(0.03, 16)]
+    seen = []
+    certify = AnalyticDiffeo.certify.__func__
+
+    def spy(cls, u, eps):
+        seen.append(u.coeffs)
+        return certify(cls, u, eps)
+
+    monkeypatch.setattr(AnalyticDiffeo, "certify", classmethod(spy))
+    mu = _certify_maps(MapStack(maps), 0.3)
+    assert mu[0] < 1.0 <= mu[1]
+    assert len(seen) == 1 and np.array_equal(seen[0], maps[1].coeffs)
+
+
+def test_certify_rejects_a_fold():
+    # 2 pi a > 1: x + a sin(2 pi x) folds, so no inverse can certify it
+    fold = sine_map(0.2, 16)
+    with pytest.raises(TorusflowError):
+        AnalyticDiffeo.certify(fold, 0.1)
+    with pytest.raises(TorusflowError):
+        _certify_maps(MapStack([sine_map(0.001, 16), fold]), 0.1)
 
 
 # -- evolutions ------------------------------------------------------------------

@@ -14,8 +14,9 @@ import pytest
 from torusflow import (ACPath, AdmissibleField, AffineRule, FourierMap,
                        IdentityRule, LocalAddition, SelfCompositionRule,
                        TimeDependentField, TimeGrid, ac_postcompose,
-                       evol_left, evol_right, find_delta0, flow_to_chart,
-                       identity_path, integrate_primitive, odot, picard_step,
+                       chart_roundtrip_defect, evol_left, evol_right,
+                       find_delta0, flow_to_chart, identity_path,
+                       integrate_primitive, odot, picard_step,
                        pointwise_solution, pullback_path, solve_flow,
                        verify_evolution_pointwise)
 from torusflow import fourier
@@ -153,6 +154,7 @@ def test_flow_to_chart_matches_node_loop(fields):
                       np.stack([v.coeffs for v in want.values]))
         assert _close(np.stack(got.derivative.pieces),
                       np.stack(want.derivative.pieces))
+        assert chart_roundtrip_defect(flow, alpha, got) <= 1e-9
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.3])

@@ -208,24 +208,6 @@ def test_grid_merge_on_subtraction():
     assert np.abs(d.value_at(t).coeffs - want).max() < 1e-14
 
 
-def test_serialization_roundtrip():
-    rng = np.random.default_rng(4)
-    c = random_real_map(rng, 6)
-    piece = np.stack([c.coeffs, 0.5 * c.coeffs])
-    f = TimeDependentField(TimeGrid((0, Fraction(2, 7), 1)),
-                           [piece, c.coeffs[None]], 0.2)
-    data = f.to_json()
-    # the degree-0 piece, zero-padded to degree 1, is still written "constant"
-    assert [p["kind"] for p in data["pieces"]] == ["poly", "constant"]
-    assert len(data["pieces"][0]["coeffs"]) == 2
-    g = TimeDependentField.from_json(json.loads(json.dumps(data)))
-    assert g.grid.breakpoints == f.grid.breakpoints
-    assert np.array_equal(g.pieces, f.pieces)
-    assert g.to_json() == data
-    for t in (0.1, 0.5, 0.9):
-        assert np.abs(g.value_at(t).coeffs - f.value_at(t).coeffs).max() < 1e-15
-
-
 def _modes_to_json_loop(coeffs, m, order):
     """Reference serialisation: one nonzero row at a time, in index order."""
     entries = []
