@@ -167,20 +167,20 @@ def invert_local(alpha: LocalAddition, cert: InverseChartCert,
         raise OutOfRange(f"delta {delta} exceeds certified radius {cert.delta0}")
     z = np.asarray(z, dtype=complex)
     target = np.asarray(target, dtype=complex)
-    dist = np.abs(target - z).max(axis=-1)
+    d = target - z
+    dist = np.abs(d).max(axis=-1)
     if np.any(dist >= delta / 2):
         raise OutOfRange(
             f"target distance {float(dist.max()):.6g} is not below delta/2 = "
             f"{delta / 2:.6g}")
     if alpha.flat:
-        w = target - z
-        return InversionResult(w, [0.0], 0) if full else w
+        return InversionResult(d, [0.0], 0) if full else d
     z_vals = [coeff.eval(z) for _, coeff in alpha.terms]
     w = np.zeros_like(target)
+    res_vec = d         # the residual at w = 0, where the higher terms vanish
     residuals = []
     r_prev = None
     for step in range(MAX_INVERT_STEPS):
-        res_vec = target - z - w - alpha.higher_terms(z_vals, w)
         r = float(np.abs(res_vec).max())
         residuals.append(r)
         if r <= TOL_INVERT:
@@ -190,6 +190,7 @@ def invert_local(alpha: LocalAddition, cert: InverseChartCert,
                 f"residual stalled at {r:.3e} (factor {r / r_prev:.3f})")
         w = w + res_vec
         r_prev = r
+        res_vec = d - w - alpha.higher_terms(z_vals, w)
     raise ContractionStall(
         f"no convergence in {MAX_INVERT_STEPS} displacement steps")
 
@@ -203,9 +204,10 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert) -> ACPath:
 
     The flow displacement must stay below delta0/2, which the chart
     admissibility certificate (L^1 nu norm < delta0/4 and the solver's
-    parameter-Lipschitz constant 2) guarantees.  Snapshots are re-expanded
-    on the sampling grid; the derivative is a cubic re-fit per interval and
-    the path invariant is re-verified within TOL_CHAIN.
+    parameter-Lipschitz constant 2) guarantees.  ``invert_local`` solves
+    for the chart vectors at the sampling grid points, a chunk of times at
+    once, where they are re-expanded; the derivative is a cubic re-fit per
+    interval and the path invariant is re-verified within TOL_CHAIN.
     """
     gamma = flow.source
     if gamma is not None and 2 * gamma.l1_nu >= cert.delta0 / 2:
@@ -213,31 +215,13 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert) -> ACPath:
             f"flow displacement bound {2 * gamma.l1_nu:.6g} reaches "
             f"delta0/2 = {cert.delta0 / 2:.6g}")
 
-    z_vals = []     # the terms of alpha on the grid, the same for every chunk
-
-    def chart_vectors(x, u) -> np.ndarray:
-        """w(t) at the grid points x for a chunk of maps u(t):
-        alpha(x, w) = x + u(t)(x)."""
-        if not z_vals:
-            z_vals.extend(coeff.eval(x) for _, coeff in alpha.terms)
-        u_vals = u.eval(x)
-        w = u_vals.copy()
-        live = np.arange(0 if alpha.flat else len(w))
-        for _ in range(MAX_INVERT_STEPS):
-            if not len(live):
-                break
-            res = u_vals[live] - w[live] - alpha.higher_terms(z_vals, w[live])
-            w[live] += res
-            live = live[np.abs(res).reshape(len(live), -1).max(axis=1) > TOL_INVERT]
-        if len(live):
-            raise ContractionStall("pointwise chart inversion did not converge")
-        return w
-
     # the grid times, then the collocation nodes of every interval
     ts = flow.grid.floats
     times = np.concatenate([ts, flow.grid.nodes(FIT_NODES)[2]])
-    fits = fit_sampled(chart_vectors, [flow.u_at_many(times)], flow.order,
-                       tol_trunc=1e-8, context="chart re-expansion").coeffs
+    fits = fit_sampled(
+        lambda x, u: invert_local(alpha, cert, x, x + u.eval(x)).real,
+        [flow.u_at_many(times)], flow.order, tol_trunc=1e-8,
+        context="chart re-expansion").coeffs
     pieces = _derivative(fit_poly3(fits[len(ts):]), np.diff(ts))
     scale = gamma.field.scale if gamma is not None else cert.eps
     derivative = TimeDependentField(flow.grid, pieces, scale)

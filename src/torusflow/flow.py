@@ -46,8 +46,9 @@ its coefficients), and that the spectral tail discarded by truncation stays
 within budget (TruncationBudgetExceeded).  The field is read by time at
 the nodes, as maps, so the solver grid must hold its breakpoints, and u
 by ``piece_values``; ``pointwise_solution`` uses ``TimeGrid.quadrature``.
-``invert_at_point`` solves x + u(x) = y for every map of a FourierMap of
-any batch shape at once.
+``invert_at_point``, the one solver of x + u(x) = y, solves it for every
+map of a FourierMap of any batch shape at once, each map to its own
+stopping test.
 """
 
 from __future__ import annotations
@@ -549,26 +550,19 @@ class Trajectory:
         return Check("pointwise_trajectory", self.max_residual, self.tol)
 
 
-def invert_at_point(u: FourierMap, y: np.ndarray,
-                    fixed_iters: int | None = None) -> np.ndarray:
+def invert_at_point(u: FourierMap, y: np.ndarray) -> np.ndarray:
     """Solve x + u(x) = y pointwise by the displacement contraction.
 
     Every map of ``u`` is solved at once, at its own points y (batch +
     (P, m)) or at points (..., m) shared by all, as ``u.eval`` takes them;
     x has the shape of ``u.eval(y)``.  Each map stops on its own test, max
     |step| <= TOL_POINT_STEP over its points, so a batch gives what each
-    map gives alone.  With ``fixed_iters`` the iteration count is pinned
-    (no stopping test), which keeps the result a smooth function of
-    parameters; used by the finite-difference derivative probes.
+    map gives alone.
     """
     y, lead = u._points(np.asarray(y))
     stack = u.flat()
     y = np.broadcast_to(y, (len(stack),) + y.shape[1:])
     x = y.copy()
-    if fixed_iters is not None:
-        for _ in range(fixed_iters):
-            x = y - stack.eval(x)
-        return x.reshape(lead + (u.m,))
     live, maps = np.arange(len(stack)), stack
     for _ in range(MAX_POINT_STEPS):
         step = y[live] - x[live] - maps.eval(x[live])

@@ -977,12 +977,13 @@ class CompositionPlan:
         rounding, and twice the unobserved ones at ``ALIAS_SHARE`` of
         ``tol_trunc`` times nu_0(g).  Every call searches every width at
         every size.  Without a size (a bound that is not finite never
-        qualifies), M is ``cap`` and the bound None: the fit gates on the
-        observed spectrum alone.  If h = g, nothing aliases and the least
-        size serves.
+        qualifies), M is ``cap`` and the bound infinite, so the fit's
+        truncation gate fails: no grid certifies the composite.  If h = g,
+        nothing aliases and the least size serves.
         """
+        unbounded = self.cap, np.full_like(self.nu0, np.inf)
         if not len(self.sizes):
-            return self.cap, None
+            return unbounded
         if self.K == 0 or (2 * self.K < self.sizes[0]
                            and not u.coeffs.any()):
             # h = g (constant g, or u = 0): its modes |k_i| <= K are observed
@@ -994,7 +995,7 @@ class CompositionPlan:
         ok = np.logical_and.reduce(log_b <= log_tau[:, None])
         j = int(ok.argmax())
         if not ok[j]:
-            return self.cap, None
+            return unbounded
         return int(self.sizes[j]), self.nu0 * math.exp(log_b[1, j])
 
     def compose(self, u: FourierMap, tol_trunc: float) -> np.ndarray:
@@ -1011,8 +1012,8 @@ class CompositionPlan:
             vals = _shift_sum(band[s] if len(band) > 1 else band, e, M)
             vals = vals.reshape((len(vals), c.shape[-1]) + (M,) * m)
             out.append(fit_grid(np.moveaxis(vals, 1, -1), self.order, m,
-                                tol_trunc, "compose", alias if alias is None
-                                or len(alias) == 1 else alias[s],
+                                tol_trunc, "compose",
+                                alias if len(alias) == 1 else alias[s],
                                 c[s] if len(c) > 1 else c).coeffs)
         return np.concatenate(out)
 
@@ -1042,13 +1043,13 @@ def compose(g, perturb, *,
     budget.  The truncation gate
     (TruncationBudgetExceeded) reads the observed tail ||k||_1 > N plus
     twice the second bound against ``tol_trunc``, which is at least the
-    true tail.  If no size qualifies, M is the cap and the gate reads the
-    observed tail alone.  ``g`` may be a ``CompositionPlan`` of the outer
-    maps, which carries g's side from call to call and brings its own order
-    and cap; otherwise the call builds its own.  With ``outer_scale`` and
-    ``inner_scale`` the certified imaginary reach of every id + u from the
-    inner strip must stay inside the outer strip where g's majorants are
-    quoted (else DomainEscape).
+    true tail.  If no size qualifies, the bound is infinite: the gate
+    fails after the reality check.  ``g`` may be a ``CompositionPlan`` of
+    the outer maps, which carries g's side from call to call and brings its
+    own order and cap; otherwise the call builds its own.  With
+    ``outer_scale`` and ``inner_scale`` the certified imaginary reach of
+    every id + u from the inner strip must stay inside the outer strip
+    where g's majorants are quoted (else DomainEscape).
     """
     m = g.m
     if perturb.ncomp != m or perturb.m != m:

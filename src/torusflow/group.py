@@ -81,15 +81,9 @@ class AnalyticDiffeo:
 
     @classmethod
     def certify(cls, u: FourierMap, eps: float) -> "AnalyticDiffeo":
-        mu = float(majorants(u.coeffs, u.m, eps)[1])
-        if mu < 1.0:
-            return cls(u, eps, mu)
-        resid = float(_invert_stack(u)[1])
-        if resid <= TOL_INVERSE:
-            return cls(u, eps, mu, inverse_residual=resid)
-        raise InvertibilityLost(
-            f"mu_eps(u) = {mu:.4g} >= 1 and inverse residual {resid:.3e} "
-            f"exceeds {TOL_INVERSE:.1e}")
+        """u with the certificate of ``_certify_maps``."""
+        mu, resid = _certify_maps(u, eps)
+        return cls(u, eps, mu, None if mu < 1.0 else float(resid))
 
     @classmethod
     def identity(cls, order: int, m: int, eps: float) -> "AnalyticDiffeo":
@@ -130,36 +124,40 @@ def invert_diffeo(phi: AnalyticDiffeo) -> AnalyticDiffeo:
     return AnalyticDiffeo(v, phi.eps, mu, inverse_residual=float(resid))
 
 
-def _certify_maps(u: FourierMap, eps: float) -> np.ndarray:
-    """mu_eps per map of u; maps with mu_eps >= 1 go through certify."""
+def _certify_maps(u: FourierMap, eps: float):
+    """(mu_eps, inverse residuals) per map of u: the maps whose mu_eps is
+    not below 1 (NaN too) are certified by their inverse, all in one
+    ``_invert_stack`` call; the other maps' residuals are NaN."""
     mu = majorants(u.coeffs, u.m, eps)[1]
-    maps = u.flat()
-    for i in np.flatnonzero(mu >= 1.0):
-        AnalyticDiffeo.certify(maps[i], eps)
-    return mu
+    resid = np.full(np.shape(mu), np.nan)
+    inverted = ~(mu < 1.0)
+    if inverted.any():
+        resid[inverted] = _invert_stack(_wrap(u.coeffs[inverted], u.m))[1]
+    return mu, resid
 
 
 def _invert_stack(u: FourierMap):
     """(v, residuals): (id + u_t) o (id + v_t) = id for every map of u, by
     ``invert_at_point`` on the sampling grid and one batched fit per chunk
     of maps, and sup |(id + u_t)((id + v_t)(x)) - x| per map over an
-    off-grid probe set."""
+    off-grid probe set, which must stay within TOL_INVERSE (else
+    InvertibilityLost)."""
     v = fit_sampled(lambda x, c: invert_at_point(c, x) - x, [u],
                     u.order, tol_trunc=1e-8, context="inversion")
     probe = _probe_points(u.m, 257)
     y = probe + v.eval(probe)
     y = y + u.eval(y)
-    return v, np.abs(y - probe).reshape(u.batch + (-1,)).max(axis=-1)
+    resid = np.abs(y - probe).reshape(u.batch + (-1,)).max(axis=-1)
+    if not resid.max() <= TOL_INVERSE:
+        raise InvertibilityLost(
+            f"inverse residual {resid.max():.3e} exceeds {TOL_INVERSE:.1e}")
+    return v, resid
 
 
 def _certified_inverses(u: FourierMap, eps: float):
     """(v, mu_eps(v), residuals) of ``_invert_stack``, each inverse certified."""
     v, resid = _invert_stack(u)
-    mu = _certify_maps(v, eps)
-    if resid.max() > TOL_INVERSE:
-        raise InvertibilityLost(
-            f"inverse residual {resid.max():.3e} exceeds {TOL_INVERSE:.1e}")
-    return v, mu, resid
+    return v, _certify_maps(v, eps)[0], resid
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +248,6 @@ class EvolutionResult:
 
     def _left_inverses(self, u: MapStack) -> MapStack:
         """eta = zeta^{-1} for a stack of flow maps zeta = id + u, each certified."""
-        _certify_maps(u, self.eps)
         return _certified_inverses(u, self.eps)[0]
 
     def derivative_residual(self) -> float:
@@ -319,17 +316,18 @@ def evol_left_by_reversal(gamma: AdmissibleField,
 
 
 def _two_param_maps(flow: FlowPath, times, base_inv: AnalyticDiffeo | None,
-                    eps: float) -> FourierMap:
+                    eps: float):
     """Displacements of Fl_{t, t0} = zeta(t) o zeta(t0)^{-1} at many times,
-    each map certified as AnalyticDiffeo.certify does it."""
+    each map certified by ``_certify_maps``, with the (mu_eps, inverse
+    residuals) of that certificate."""
     maps = [flow.u_at_many(times)]
     if base_inv is not None:
         v = base_inv.u
         maps.append(v + compose(maps[0], v, order=v.order,
                                 outer_scale=2 * eps, inner_scale=eps))
     for u in maps:      # zeta(t), then the composite
-        _certify_maps(u, eps)
-    return maps[-1]
+        cert = _certify_maps(u, eps)
+    return maps[-1], cert
 
 
 def flow_two_param(evol: EvolutionResult, t: float, t0: float) -> AnalyticDiffeo:
@@ -342,8 +340,8 @@ def flow_two_param(evol: EvolutionResult, t: float, t0: float) -> AnalyticDiffeo
     if t0 != 0.0:
         base_inv = invert_diffeo(AnalyticDiffeo.certify(evol.flow.u_at(t0),
                                                         evol.eps))
-    return AnalyticDiffeo.certify(
-        _two_param_maps(evol.flow, t, base_inv, evol.eps), evol.eps)
+    u, (mu, resid) = _two_param_maps(evol.flow, t, base_inv, evol.eps)
+    return AnalyticDiffeo(u, evol.eps, mu, None if mu < 1.0 else float(resid))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +406,11 @@ def derivative_at_zero(gamma: AdmissibleField, t: float) -> DerivativeReport:
     the integral of the field up to t, at the steps FD_STEP and FD_STEP / 2;
     second-order in the step.
 
-    Solver sweeps and pointwise inversions run with pinned iteration
-    counts, on the grid of one solve of the field itself, so the chart
-    image is a smooth function of tau and the finite difference is not
-    polluted by stopping noise or by grids adapted per tau.  The nu
+    Solver sweeps run with a pinned iteration count, on the grid of one
+    solve of the field itself, so the flow is a smooth function of tau and
+    the finite difference is not polluted by stopping noise or by grids
+    adapted per tau.  The chart image is the inverse of the flow's map at
+    t by ``_invert_stack``, as every inverse of this module is.  The nu
     report compares the two sides on the mode window ||k||_1 <= 8:
     under the exponential majorant weights, the white rounding dust that
     any float pipeline leaves on far modes (~1e-17 per coefficient,
@@ -420,16 +419,13 @@ def derivative_at_zero(gamma: AdmissibleField, t: float) -> DerivativeReport:
     modes.
     """
     primitive = integrate_primitive(gamma.field).value_at(t)
-    order = gamma.field.order
-    window = min(8, order)
+    window = min(8, gamma.field.order)
     grid = solve_flow(gamma.negated()).grid
 
     def chart_image(tau: float) -> FourierMap:
-        scaled = gamma.scaled(tau)
-        flow = solve_flow(scaled.negated(), fixed_iters=12, grid=grid)
-        return fit_sampled(
-            lambda x, u: invert_at_point(u, x, fixed_iters=100) - x,
-            [flow.u_at(t)], order, tol_trunc=1e-6, context="chart image")
+        flow = solve_flow(gamma.scaled(tau).negated(), fixed_iters=12,
+                          grid=grid)
+        return _invert_stack(flow.u_at(t))[0]
 
     def discrepancy(step: float) -> float:
         fd = (1.0 / (2 * step)) * (chart_image(step) - chart_image(-step))

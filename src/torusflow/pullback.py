@@ -222,7 +222,7 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
         base_inv = invert_diffeo(AnalyticDiffeo.certify(flow.u_at(t0), eps))
     ts = np.linspace(0.0, 1.0, AC_PAIRS + 1)
     modes, windows, leaks = _pullback_windows(
-        _two_param_maps(flow, ts, base_inv, eps), K)
+        _two_param_maps(flow, ts, base_inv, eps)[0], K)
     mats = [PullbackMatrix(modes, a, lk) for a, lk in zip(windows, leaks)]
     bounds = TWO_PI * max(K, 1) * _field_nu_integral(gamma, ts[:-1], ts[1:])
     rows = ac_rows(ts, np.abs(np.diff(windows, axis=0)).max(axis=(1, 2)), bounds)
@@ -240,7 +240,7 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
     offsets = _FD4_X * FD_STEP
     # per sample time: the four stencil maps, then the map at the time itself
     maps = _two_param_maps(flow, sample_times[:, None] + np.append(offsets, 0.0),
-                           base_inv, eps)
+                           base_inv, eps)[0]
     order = max(order, max(f.order for f in test_functions))
     # f o Fl at the stencil times by compose, whose rounding scales with
     # f o Fl - f: the difference quotient then amplifies no rounding of f

@@ -1,6 +1,7 @@
 """Shared fixtures: canonical test fields and seeded random factories."""
 
 import ast
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import torusflow
+from torusflow import fourier
 from torusflow import AdmissibleField, FourierMap, TimeDependentField, TimeGrid
 
 EPS = 0.05
@@ -67,6 +69,21 @@ def sine_gamma():
 def sine_flow(sine_gamma):
     from torusflow import solve_flow
     return solve_flow(sine_gamma)
+
+
+@contextmanager
+def composition_grids():
+    """Every (M, alias) that ``CompositionPlan.composition_grid`` returns
+    inside the block, in call order; an alias that is infinite for every
+    map says that no grid certifies the composite."""
+    found, pick = [], fourier.CompositionPlan.composition_grid
+
+    def spy(self, *args):
+        found.append(pick(self, *args))
+        return found[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fourier.CompositionPlan, "composition_grid", spy)
+        yield found
 
 
 def src_module_names():

@@ -9,8 +9,8 @@ from scipy.integrate import solve_ivp
 
 from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
                        FlowPath, FourierMap, RealityDefect, TimeDependentField,
-                       TimeGrid, identity_path, param_lipschitz_check,
-                       picard_step, pointwise_solution,
+                       TimeGrid, TruncationBudgetExceeded, identity_path,
+                       param_lipschitz_check, picard_step, pointwise_solution,
                        restriction_consistency, solve_flow)
 from torusflow import flow as flow_module
 from torusflow import fourier as fourier_module
@@ -22,7 +22,8 @@ from torusflow.timepaths import FIT_NODES, piece_values
 
 from _readings import eval_points, field_from_profile
 from _reference_sweep import reference_sweep
-from conftest import EPS, cosine_map, probe_points, random_admissible, sine_map
+from conftest import (EPS, composition_grids, cosine_map, probe_points,
+                      random_admissible, sine_map)
 
 
 def tangent_oracle(y0, t, a=0.02):
@@ -215,9 +216,16 @@ def _sweep_matches_reference(seed, m, order, band):
     gamma = AdmissibleField.certify(
         _random_real_field(seed, m, order, band), EPS)
     start = picard_step(gamma, identity_path(gamma, Fraction(1, 8)), 1.0)
+    with composition_grids() as grids:
+        try:
+            path = picard_step(gamma, start, 1.0)
+        except TruncationBudgetExceeded:
+            path = None
+    if any(np.isinf(alias).all() for _, alias in grids):
+        assert path is None     # no grid certifies a composite of the sweep
+        return
     gam = gamma.field.on_grid(start.grid)
     want_snaps, want_pieces = reference_sweep(gam, start, EPS, 1.0)
-    path = picard_step(gamma, start, 1.0)
     assert max(np.abs(a.coeffs - b.coeffs).max() for a, b in
                zip(path.snapshots, want_snaps)) <= 1e-13
     assert max(np.abs(a - b).max() for a, b in

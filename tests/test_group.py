@@ -97,20 +97,62 @@ def test_certify_falls_back_on_the_inverse_residual():
     assert phi.inverse_residual <= TOL_INVERSE
 
 
-def test_certify_maps_sends_only_maps_with_mu_at_least_one_to_certify(
+class _ConstantFlow:
+    """A flow whose map is u at every time, as far as EvolutionResult and
+    flow_two_param read one."""
+
+    grid = None
+
+    def __init__(self, u, eps):
+        self.u, self.eps, self.order, self.m = u, eps, u.order, u.m
+
+    def u_at_many(self, times):
+        return self.u
+
+
+def _spy_inversions(monkeypatch) -> list:
+    """The coefficients of every stack ``_invert_stack`` inverts, as a list
+    of (maps, ...) arrays."""
+    seen, invert = [], group_module._invert_stack
+
+    def spy(u):
+        seen.append(u.flat().coeffs)
+        return invert(u)
+    monkeypatch.setattr(group_module, "_invert_stack", spy)
+    return seen
+
+
+def test_certify_maps_inverts_only_maps_with_mu_at_least_one_at_once(
         monkeypatch):
-    maps = [sine_map(0.001, 16), sine_map(0.03, 16)]
-    seen = []
-    certify = AnalyticDiffeo.certify.__func__
+    maps = [sine_map(0.03, 16), sine_map(0.001, 16), sine_map(0.03, 16)]
+    seen = _spy_inversions(monkeypatch)
+    mu, resid = _certify_maps(MapStack(maps), 0.3)
+    assert mu[1] < 1.0 <= mu[0] and np.isnan(resid[1])
+    assert (resid[[0, 2]] <= TOL_INVERSE).all()
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.stack([maps[0].coeffs, maps[2].coeffs]))
 
-    def spy(cls, u, eps):
-        seen.append(u.coeffs)
-        return certify(cls, u, eps)
 
-    monkeypatch.setattr(AnalyticDiffeo, "certify", classmethod(spy))
-    mu = _certify_maps(MapStack(maps), 0.3)
-    assert mu[0] < 1.0 <= mu[1]
-    assert len(seen) == 1 and np.array_equal(seen[0], maps[1].coeffs)
+def test_certify_maps_rejects_a_nan_map():
+    nan_map = FourierMap(np.full_like(sine_map(0.001, 16).coeffs, np.nan))
+    with pytest.raises(TorusflowError):
+        _certify_maps(MapStack([sine_map(0.001, 16), nan_map]), 0.3)
+
+
+def test_a_map_with_mu_at_least_one_is_inverted_once_per_certification(
+        monkeypatch):
+    """sine a = 0.03 at eps = 0.3 has mu = 1.24.  The left inverse of it
+    inverts it once (its inverse is then certified in turn), and so does
+    the two-parameter flow of a flow that is it at every time."""
+    u = sine_map(0.03, 16)
+    seen = _spy_inversions(monkeypatch)
+    evol = EvolutionResult("right", None, _ConstantFlow(u, 0.3))
+    evol._left_inverses(MapStack([u]))
+    assert sum(np.array_equal(c, u.coeffs[None]) for c in seen) == 1
+    seen.clear()
+    phi = flow_two_param(evol, 0.5, 0.0)
+    assert len(seen) == 1 and np.array_equal(seen[0], u.coeffs[None])
+    assert phi.mu >= 1.0 and phi.inverse_residual <= TOL_INVERSE
 
 
 def test_certify_rejects_a_fold():

@@ -2,18 +2,23 @@
 
 ``perfbench/tracing.py`` patches the package from outside by name, so a
 renamed or moved layer would silently drop out of ``--trace 1`` runs.  This
-test installs the tracer around a small solve and an inversion, and checks
-that the kernels recorded calls and that uninstalling restores every
-attribute it patched.
+test installs the tracer around a small solve, an inversion, a chart
+transport, a chart inversion and a certificate that falls back on a
+verified inverse, and checks that the kernels and the chart and certify
+layers recorded calls and that uninstalling restores every attribute it
+patched.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import torusflow
 import torusflow.cli  # noqa: F401  (loads every module the tracer patches)
-from torusflow import AdmissibleField, TimeDependentField
+from torusflow import (AdmissibleField, LocalAddition, TimeDependentField,
+                       find_delta0)
 from torusflow.flow import solve_flow
 from torusflow.group import AnalyticDiffeo, invert_diffeo
 
@@ -52,12 +57,26 @@ def test_tracer_records_kernels_and_restores_the_package(tracing):
             TimeDependentField.constant(sine_map(0.02, 16), scale=4 * EPS), EPS)
         path = solve_flow(gamma)
         invert_diffeo(AnalyticDiffeo.certify(path.snapshots[-1], EPS))
+        alpha = LocalAddition([((2,), sine_map(0.05, 16))])
+        cert = find_delta0(alpha, EPS)
+        chart_gamma = AdmissibleField.certify(
+            TimeDependentField.constant(sine_map(0.02, 16), scale=4 * EPS),
+            EPS, chart_delta0=cert.delta0, for_chart=True)
+        # through the package, as the benchmark's jobs call them
+        torusflow.flow_to_chart(solve_flow(chart_gamma), alpha, cert)
+        z = np.array([[0.1 + 0j], [0.6 + 0j]])
+        torusflow.invert_local(alpha, cert, z, z + 0.1 * cert.delta0)
+        # mu = 1.24: the certificate falls back on a verified inverse
+        assert AnalyticDiffeo.certify(sine_map(0.03, 16), 0.3).mu >= 1.0
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
     for key in ("fourier.compose", "fourier.FourierMap.eval",
-                "fourier.fit_grid", "flow.invert_at_point"):
+                "fourier.fit_grid", "flow.invert_at_point",
+                "charts.flow_to_chart", "charts.invert_local",
+                "group.AnalyticDiffeo.certify"):
         assert metrics[f"{key}.calls"] > 0, key
+    assert metrics["group.AnalyticDiffeo.certify.fallback_share"] > 0
     assert metrics["fourier.FourierMap.eval.mode_evals"] > 0
     after = _package_attributes(tracing.TRACED)
     assert after.keys() == before.keys()
