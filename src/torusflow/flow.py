@@ -39,13 +39,15 @@ never below ``STEP_FLOOR``.
 One sweep engine applies P for m = 1 and m = 2 alike; ``solve_flow`` and
 ``picard_step`` both call it.  A sweep is one call of ``fourier.compose``,
 the one composition kernel, on the stacks of the field and of u at every
-collocation node; it checks, at every node, that id + u maps the working
-strip into the doubled strip where the field's majorants are certified
-(DomainEscape), that u is real on the real grid (RealityDefect, read from
-its coefficients), and that the spectral tail discarded by truncation stays
-within budget (TruncationBudgetExceeded).  The field is read by time at
-the nodes, as maps, so the solver grid must hold its breakpoints, and u
-by ``piece_values``; ``pointwise_solution`` uses ``TimeGrid.quadrature``.
+collocation node, except from the identity path, where gamma o id is the
+field at the nodes and nothing is composed; it checks, at every node,
+that id + u maps the working strip into the doubled strip where the
+field's majorants are certified (DomainEscape), that u is real on the real
+grid (RealityDefect, read from its coefficients), and that the spectral
+tail discarded by truncation stays within budget (TruncationBudgetExceeded).
+The field is read by time at the nodes, as maps, so the solver grid must
+hold its breakpoints, and u by ``piece_values``; ``pointwise_solution``
+uses ``TimeGrid.quadrature``.
 ``invert_at_point``, the one solver of x + u(x) = y, solves it for every
 map of a FourierMap of any batch shape at once, each map to its own
 stopping test.
@@ -230,10 +232,12 @@ class _PicardSweep:
     with id + u node by node in one ``compose`` call, which checks the
     reach from the working strip into the doubled strip, the reality of u
     and the truncation tail at every node, and fits and integrates one
-    cubic per interval in closed form.  ``defect`` measures the sweep
-    against the exact map by one more ``compose`` at the Gauss nodes, whose
-    field stack and plan it builds once; ``rounding`` measures its rounding
-    level by one more sweep.
+    cubic per interval in closed form.  The sweep of the identity path
+    integrates the field stack itself: gamma o id is gamma, ``compose``
+    returns its bits for u = 0, and u = 0 passes every check.  ``defect``
+    measures the sweep against the exact map by one more ``compose`` at the
+    Gauss nodes, whose field stack and plan it builds once; ``rounding``
+    measures its rounding level by one more sweep.
     """
 
     def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
@@ -262,7 +266,10 @@ class _PicardSweep:
                        outer_scale=2 * eps, inner_scale=eps).coeffs
 
     def run(self, pieces):
-        """New (snapshots, pieces) arrays from the pieces of a candidate path."""
+        """New (snapshots, pieces) arrays from the pieces of a candidate
+        path; from the identity path (every piece zero), without a compose."""
+        if not pieces.any():
+            return self._integrate(self.field.coeffs)
         return self._integrate(self._compose(
             self.plan, piece_values(pieces, *self.nodes)))
 
@@ -340,6 +347,9 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
                fixed_iters: int | None = None,
                grid: TimeGrid | None = None) -> FlowPath:
     """Iterate the integral-equation map from the identity path to its fixed point.
+
+    The sweep of the identity path composes nothing; every other sweep and
+    every defect pass composes once (``_PicardSweep``).
 
     Sweeps stop when successive sup-distances (nu_eps over grid times) drop
     below ``tol_solve * (1 - theta_hat)``; a defect pass then estimates the

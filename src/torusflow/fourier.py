@@ -54,10 +54,11 @@ take a small share of the truncation budget; their bound enters the
 truncation gate.  A ``CompositionPlan`` holds what this needs of g, so a
 solver grid that composes one field stack on every sweep builds it once.
 What ``compose`` fits is the change h - g, summed by ``_shift_sum``
-without subtracting values of g, with g's coefficients added to its
-spectrum: the FFT's rounding then scales with |h - g| rather than with
-|g|, which the strip weights e^{2 pi eps ||k||_1} of the top modes would
-otherwise magnify.
+over g's band, trimmed per axis to the extent K_i of g's support (rows
+0 <= k_1 <= K_1 of a real map, columns |k_2| <= K_2), without subtracting
+values of g, with g's coefficients added to its spectrum: the FFT's
+rounding then scales with |h - g| rather than with |g|, which the strip
+weights e^{2 pi eps ||k||_1} of the top modes would otherwise magnify.
 """
 
 from __future__ import annotations
@@ -709,10 +710,11 @@ def fit_sampled(sample, maps, order: int, *, tol_trunc: float, context: str,
     return _wrap(np.ascontiguousarray(np.concatenate(fits)), m)
 
 
-def _support_band(c: np.ndarray) -> int:
-    """The least K with every nonzero mode of a stack c in |k_i| <= K."""
+def _support_band(c: np.ndarray) -> tuple:
+    """Per axis i the least K_i with every nonzero mode of a stack c in
+    |k_i| <= K_i."""
     k = np.argwhere(c.any(axis=(0, -1))) - c.shape[1] // 2
-    return int(np.abs(k).max()) if k.size else 0
+    return tuple(int(a) for a in np.abs(k).max(axis=0, initial=0))
 
 
 def _grid_values(u: np.ndarray, M: int, imag_bound: np.ndarray) -> np.ndarray:
@@ -756,6 +758,8 @@ def _shift_sum(c: np.ndarray, e: np.ndarray, M: int) -> np.ndarray:
     """g(x + u(x)) - g(x) on the grid of M points per axis, shape
     (B, ncomp, M^m), from g's band c, laid out as the real rows of
     ``_series_sum``, and e = e^{2 pi i u(x)} - 1, shape (B, m, M^m).
+    The band's shape sets the work: K_1 Horner steps over its rows
+    k_1 = 0..K_1, and for m = 2 a table of 2 K_2 + 1 columns k_2.
 
     With a = e^{2 pi i x} and w = a (1 + e), the Horner passes over k_1 for
     g(x + u), p_j = C_j + w_1 p_{j+1}, and for g(x) differ by
@@ -898,22 +902,26 @@ class CompositionPlan:
     """What ``compose`` needs of the outer maps g, built once while they
     stay fixed: a solver grid composes one field stack on every sweep.
 
-    The plan holds g's band cube |k_i| <= K as ``_shift_sum`` reads it,
-    nu_0(g) per map, the largest over the maps of max_i |g_{k,i}| / nu_0(g)
-    on the modes k != 0 of the band, summed over the modes of one |k|, and
-    the grid sizes up to ``cap``.
+    The plan holds g's band as ``_shift_sum`` reads it, trimmed per axis
+    to the extents K_i of g's support: rows 0 <= k_1 <= K_1 and columns
+    |k_2| <= K_2.  The aliasing bound reads the cube |k_i| <= K, K =
+    max_i K_i: nu_0(g) per map, and the largest over the maps of max_i
+    |g_{k,i}| / nu_0(g) on the modes k != 0 of the cube, summed over the
+    modes of one |k|.  It also holds the grid sizes up to ``cap``.
     """
 
     def __init__(self, g: FourierMap, order: int, cap: int):
         m, c, n = g.m, g.flat().coeffs, g.order
         self.source, self.order, self.cap, self.m, self.coeffs = (
             g, order, cap, m, c)
-        self.K = K = _support_band(c)
+        extent = _support_band(c)
+        self.K = K = max(extent)
         cube = (slice(n - K, n + K + 1),) * m
-        # the band's rows 0 <= k_1 <= K, k_1 > 0 doubled, as
-        # (B, k_1, ncomp[, k_2])
-        self.band = np.moveaxis(c[(slice(None), slice(n, n + K + 1))
-                                  + cube[1:]], -1, 2).copy()
+        # the band's rows 0 <= k_1 <= K_1, k_1 > 0 doubled, and columns
+        # |k_2| <= K_2, as (B, k_1, ncomp[, k_2])
+        self.band = np.moveaxis(c[(slice(None), slice(n, n + extent[0] + 1))
+                                  + tuple(slice(n - k, n + k + 1)
+                                          for k in extent[1:])], -1, 2).copy()
         self.band[:, 1:] *= 2.0
         amp = np.abs(c[(slice(None),) + cube]).max(axis=-1)
         self.nu0 = amp.reshape(len(c), -1).sum(axis=1)
@@ -1031,7 +1039,7 @@ def compose(g, perturb, *,
     perturb, cut to order N, is synthesised on a real grid of M points per
     axis by inverse FFTs (RealityDefect unless it is real).  There
     ``_shift_sum`` sums the difference g(x + u(x)) - g(x) over g's support
-    band |k_i| <= K by Horner passes that never subtract values of g, and
+    band |k_i| <= K_i by Horner passes that never subtract values of g, and
     ``fit_grid`` fits it with g's own coefficients added to its spectrum.
     The FFT's rounding thus scales with the change u makes, not with g.
 

@@ -664,13 +664,14 @@ def composition_grid(g, u, order, cap):
 
 
 def compose_on_grid(g, perturb, M, order=None, tol_trunc=TOL_TRUNC):
-    """``compose`` per call on the grid of M points per axis: g's band cube
-    built for this call alone, the gate on the observed spectrum."""
+    """``compose`` per call on the grid of M points per axis: g's full band
+    cube |k_i| <= K, K the largest extent of g's support on any axis, built
+    for this call alone, the gate on the observed spectrum."""
     m, n_out = g.m, (g.order if order is None else order)
     u = (perturb.with_order(n_out) if perturb.order > n_out else perturb).flat()
     bound, u = u.imag_bound(), np.moveaxis(u.coeffs, -1, 1)
     c, n = g.flat().coeffs, g.order
-    K = _support_band(c)
+    K = max(_support_band(c))
     band = np.moveaxis(c[(slice(None), slice(n, n + K + 1))
                          + (slice(n - K, n + K + 1),) * (m - 1)], -1, 2).copy()
     band[:, 1:] *= 2.0

@@ -133,8 +133,8 @@ def test_sweep_matches_compose_reference(name):
     gamma = AdmissibleField.certify(make(), EPS)
     path = identity_path(gamma, max_step)
     gam = gamma.field.on_grid(path.grid)
-    assert _support_band(piece_values(
-        gam.pieces, *path.grid.nodes(FIT_NODES)[:2])) == band
+    assert max(_support_band(piece_values(
+        gam.pieces, *path.grid.nodes(FIT_NODES)[:2]))) == band
     for _ in range(2):  # from the identity path, then from a quartic iterate
         want_snaps, want_pieces = reference_sweep(gam, path, EPS, TOL_TRUNC)
         path = picard_step(gamma, path)
@@ -151,8 +151,10 @@ def test_sweep_matches_compose_reference(name):
 def test_composition_plan_is_built_once_per_solver_grid(field, max_step,
                                                         monkeypatch):
     """Each solver grid builds one CompositionPlan for its field stack and
-    one for its defect pass, however many sweeps it runs on them."""
-    counts = {"plans": 0, "grids": 0, "composes": 0}
+    one for its defect pass, however many sweeps it runs on them.  Every
+    sweep and defect pass composes once, except the first sweep, which
+    starts from the identity path."""
+    counts = {"plans": 0, "grids": 0, "composes": 0, "runs": 0, "defects": 0}
 
     def counted(cls, name, key):
         method = getattr(cls, name)
@@ -164,10 +166,48 @@ def test_composition_plan_is_built_once_per_solver_grid(field, max_step,
     counted(fourier_module.CompositionPlan, "__init__", "plans")
     counted(fourier_module.CompositionPlan, "compose", "composes")
     counted(flow_module._PicardSweep, "__init__", "grids")
-    path = solve_flow(AdmissibleField.certify(field(), EPS), max_step=max_step)
+    counted(flow_module._PicardSweep, "run", "runs")
+    counted(flow_module._PicardSweep, "defect", "defects")
+    solve_flow(AdmissibleField.certify(field(), EPS), max_step=max_step)
     assert counts["plans"] == 2 * counts["grids"]
-    assert counts["composes"] >= len(path.iteration_log) + counts["grids"]
+    assert counts["composes"] == counts["runs"] - 1 + counts["defects"]
     assert counts["composes"] > counts["plans"] + 2
+
+
+def _support_m2_field(order=12, a=0.002):
+    """A field on T^2 with the support {(1, 0), (1, -1), (0, 2)} and its
+    mirror, whose band is (K_1 + 1, 2 K_2 + 1) = (2, 5)."""
+    modes = {(1, 0): [0.3j * a, 0.2 * a], (1, -1): [0.1 * a, -0.4j * a],
+             (0, 2): [0.25 * a, 0.15j * a]}
+    modes.update({(-k1, -k2): np.conj(c) for (k1, k2), c in modes.items()})
+    return TimeDependentField.constant(
+        FourierMap.from_modes(modes, order, m=2), 0.2)
+
+
+@pytest.mark.parametrize("field, max_step", [
+    (_support_m2_field, Fraction(1, 8)),
+    (lambda: TimeDependentField.constant(
+        sine_map(0.01, order=32) + cosine_map(0.003, mode=3, order=32), 0.2),
+     Fraction(1, 4))], ids=["m2_N12", "m1_N32"])
+def test_identity_sweep_takes_the_field_at_the_nodes(field, max_step,
+                                                     monkeypatch):
+    """compose of the field stack with u = 0 returns the field's own
+    coefficients, so the sweep of the identity path, which makes no
+    compose call, has the bits of the sweep that composes."""
+    gamma = AdmissibleField.certify(field(), EPS)
+    path = identity_path(gamma, max_step)
+    sweep = flow_module._PicardSweep(gamma, path.grid, TOL_TRUNC)
+    composed = sweep._compose(sweep.plan, np.zeros_like(sweep.field.coeffs))
+    assert np.array_equal(composed, sweep.plan.coeffs)
+    want = sweep._integrate(composed)
+    calls = []
+    compose = fourier_module.CompositionPlan.compose
+    monkeypatch.setattr(fourier_module.CompositionPlan, "compose",
+                        lambda self, *a: calls.append(1) or compose(self, *a))
+    got = sweep.run(path.pieces)
+    assert calls == []
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _hermitian(rng, shape, m):

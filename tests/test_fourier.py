@@ -356,6 +356,43 @@ def test_plan_compose_matches_the_per_call_kernel(m):
     assert uncertified == 1
 
 
+def _maps_on_support(rng, count, order, support):
+    """``count`` real maps on T^2 of order N, two components, whose nonzero
+    modes are ``support`` and its mirror."""
+    maps = []
+    for _ in range(count):
+        modes = {}
+        for k in support:
+            c = rng.normal(size=2) + 1j * rng.normal(size=2)
+            modes[k] = c if k != (0, 0) else c.real
+            modes[(-k[0], -k[1])] = np.conj(modes[k])
+        maps.append(FourierMap.from_modes(modes, order, m=2))
+    return MapStack(maps)
+
+
+@pytest.mark.parametrize("support, extent", [
+    ([(1, 0), (2, 0)], (2, 0)), ([(2, 1), (0, 1)], (2, 1)),
+    ([(0, 3), (1, -1)], (1, 3)), ([(3, 0), (0, 1), (1, 1)], (3, 1)),
+    ([(0, 2)], (0, 2)), ([(1, 0)], (1, 0)), ([(0, 0)], (0, 0)),
+    ([(1, 0), (1, -1), (0, 2)], (1, 2))])
+def test_plan_band_is_trimmed_per_axis(support, extent):
+    """The plan keeps g's band to its support's extent on each axis, rows
+    0..K_1 and columns |k_2| <= K_2, and sums it to the bits of the full
+    cube |k_i| <= max(K_1, K_2) at the grid the plan picked.  The budget is
+    open: g's modes are of size 1 and spread past the order."""
+    order, rng = 6, np.random.default_rng(sum(sum(k) for k in support) + 70)
+    g = _maps_on_support(rng, 3, order, support)
+    plan = fourier.CompositionPlan(g, order, 4 * (2 * order + 1))
+    assert fourier._support_band(g.coeffs) == extent
+    assert plan.band.shape == (3, extent[0] + 1, 2, 2 * extent[1] + 1)
+    assert plan.K == max(extent)
+    u = MapStack(_random_maps(rng, 3, 2, order, 3, 2, 1e-3))
+    with composition_grids() as grids:
+        got = compose(plan, u, tol_trunc=1.0).coeffs
+    assert np.array_equal(got, ref_loops.compose_on_grid(
+        g, u, grids[-1][0], tol_trunc=1.0))
+
+
 def test_fit_grid_gate_counts_twice_the_unobserved_bound():
     """A mode at k = M hides on a grid of M points as the constant: the
     observed tail reads 0, and only twice the bound on the unobserved

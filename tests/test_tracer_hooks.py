@@ -6,7 +6,8 @@ test installs the tracer around a small solve, an inversion, a chart
 transport, a chart inversion and a certificate that falls back on a
 verified inverse, and checks that the kernels and the chart and certify
 layers recorded calls and that uninstalling restores every attribute it
-patched.
+patched, and that its count of ``fourier.compose`` calls is the number of
+compositions a solve runs.
 """
 
 import sys
@@ -17,8 +18,9 @@ import pytest
 
 import torusflow
 import torusflow.cli  # noqa: F401  (loads every module the tracer patches)
-from torusflow import (AdmissibleField, LocalAddition, TimeDependentField,
-                       find_delta0)
+from torusflow import (AdmissibleField, FourierMap, LocalAddition,
+                       TimeDependentField, find_delta0)
+from torusflow import fourier
 from torusflow.flow import solve_flow
 from torusflow.group import AnalyticDiffeo, invert_diffeo
 
@@ -81,3 +83,28 @@ def test_tracer_records_kernels_and_restores_the_package(tracing):
     after = _package_attributes(tracing.TRACED)
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_tracer_counts_every_composition_of_a_solve(tracing, monkeypatch, m):
+    """``fourier.compose.calls`` of a traced solve equals the calls of
+    ``CompositionPlan.compose`` that a spy counts over the same solve."""
+    if m == 1:
+        f = sine_map(0.02, 16)
+    else:
+        a = 2e-4
+        f = FourierMap.from_modes(
+            {(1, 0): [0.5j * a, a], (-1, 0): [-0.5j * a, a],
+             (0, 2): [a, 0.5j * a], (0, -2): [a, -0.5j * a]}, 8, m=2)
+    gamma = AdmissibleField.certify(
+        TimeDependentField.constant(f, scale=4 * EPS), EPS)
+    calls, compose = [], fourier.CompositionPlan.compose
+    monkeypatch.setattr(fourier.CompositionPlan, "compose",
+                        lambda self, *a: calls.append(1) or compose(self, *a))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        solve_flow(gamma)
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["fourier.compose.calls"] == len(calls) > 0
