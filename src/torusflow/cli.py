@@ -212,8 +212,9 @@ FIELDS = {
     "t0": {("pullback",): (float, 0.0, lambda v, s: 0 <= v <= 1,
                            "must be a number in [0, 1]")},
     "ladder": {("trotter",): (tuple, [8, 16, 32, 64, 128], lambda v, s: v and all(
-        _integer(n) and n >= 1 and n & (n - 1) == 0 for n in v),
-        "entries must be powers of two")},
+        _integer(n) and n >= 1 and n & (n - 1) == 0 for n in v) and all(
+        a < b for a, b in zip(v, v[1:])),
+        "entries must be powers of two, in strictly increasing order")},
     "count": {("sweep",): (int, 10, *_COUNT), ("limits",): (int, 1000, *_COUNT)},
     "ratio_samples": {("limits",): (int, 1000, *_COUNT)},
     "budgets": {("sweep",): (tuple, None, lambda v, s: v and all(

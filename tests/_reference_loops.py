@@ -38,7 +38,7 @@ from torusflow.fourier import (TOL_TRUNC, TWO_PI, FourierMap, MapStack,
 from torusflow.group import (TOL_INVERSE, AnalyticDiffeo,
                              _adjoint_inverse_values, _adjoint_values,
                              _jacobian_values, _probe_points, compose_diffeo,
-                             invert_diffeo)
+                             exp_field, invert_diffeo)
 from torusflow.pullback import pullback_apply, pullback_matrix
 from torusflow.timepaths import (ACPath, FIT_NODES, AffineRule, IdentityRule,
                                  SelfCompositionRule, TimeDependentField,
@@ -265,6 +265,25 @@ def flow_to_chart(flow, alpha, tol_chain=1e-8):
 def _two_param_map(flow, t, base_inv, eps):
     head = AnalyticDiffeo.certify(flow.u_at(t), eps)
     return head if base_inv is None else compose_diffeo(head, base_inv)
+
+
+def trotter_curve(v, w, eps, n_values):
+    """Per rung: exp(v/n) and exp(w/n) solved on their own, their step
+    composed, and the product squared log2 n times, one map at a time."""
+    pts = _probe_points(v.m, 64)
+    target = exp_field(v + w, eps)(pts)
+    out = []
+    for n in n_values:
+        k = int(np.log2(n))
+        if 2**k != n:
+            raise ValueError("trotter ladder must be dyadic")
+        step = compose_diffeo(exp_field((1.0 / n) * v, eps),
+                              exp_field((1.0 / n) * w, eps))
+        prod = step
+        for _ in range(k):
+            prod = compose_diffeo(prod, prod)
+        out.append((n, float(np.abs(prod(pts) - target).max())))
+    return out
 
 
 def _grad_dot(gamma_map, f):

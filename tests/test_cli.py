@@ -519,6 +519,14 @@ def test_trotter_ladder_exit_two(tmp_path, capsys):
                   order=16, v=_SINE, w=_SINE, ladder=bad)
 
 
+def test_unordered_trotter_ladder_exit_two(tmp_path, capsys):
+    # the ratio window is defined over neighbours n < n' of the ladder
+    for bad in ([16, 8, 32, 64, 128], [8, 8, 16, 32, 64, 128]):
+        _rejected(tmp_path, capsys, "trotter",
+                  "trotter ladder entries must be powers of two, in strictly "
+                  "increasing order", order=16, v=_SINE, w=_SINE, ladder=bad)
+
+
 def test_shipped_scenarios_validate():
     for path in sorted(SCENARIOS.glob("*.json")):
         scenario = json.loads(path.read_text())

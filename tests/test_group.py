@@ -17,6 +17,7 @@ from torusflow.errors import TorusflowError
 from torusflow.group import (TOL_INVERSE, _certify_maps, _probe_points,
                              ac_modulus_check, ad_transport_integral)
 
+import _reference_loops as ref
 from _readings import map_at, min_real_jacobian, richardson_ratio
 from conftest import EPS, ORDER, random_real_map, sine_map, cosine_map
 
@@ -219,6 +220,13 @@ def test_left_right_identity_vs_independent_reversal(gam):
         rhs = invert_diffeo(evol_minus)(pts)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     assert worst <= 1e-8
+
+
+def test_reversal_at_time_zero_is_the_identity(gam):
+    phi = evol_left_by_reversal(gam, Fraction(0))
+    assert phi.mu == 0.0
+    assert not phi.u.coeffs.any()
+    assert (phi.order, phi.m, phi.eps) == (gam.field.order, 1, EPS)
 
 
 # -- two-parameter flow --------------------------------------------------------------
@@ -457,6 +465,64 @@ def test_trotter_first_order_rate():
     ds = [d for _, d in curve]
     for a, b in zip(ds, ds[1:]):
         assert 0.35 <= b / a <= 0.65
+
+
+def _two_mode_pair(order):
+    """Two non-commuting fields of two modes each."""
+    v = FourierMap.from_modes({1: [-0.004j], 2: [0.0015]}, order)
+    w = FourierMap.from_modes({1: [0.004], 2: [-0.001j]}, order)
+    return v, w
+
+
+@pytest.mark.parametrize("order", [16, 32])
+@pytest.mark.parametrize("pair", ["sine_cosine", "two_modes"])
+def test_trotter_curve_matches_the_per_rung_loop(order, pair):
+    v, w = ((sine_map(0.02, order), cosine_map(0.02, order))
+            if pair == "sine_cosine" else _two_mode_pair(order))
+    ladder = (8, 16, 32, 64, 128)
+    curve = trotter_curve(v, w, EPS, ladder)
+    oracle = ref.trotter_curve(v, w, EPS, ladder)
+    assert [n for n, _ in curve] == list(ladder)
+    for (_, d), (_, d_ref) in zip(curve, oracle):
+        assert abs(d - d_ref) <= 1e-6 * d_ref
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_exp_ladder_maps_are_the_time_one_flows(order):
+    v, w = _two_mode_pair(order)
+    X = v + w
+    ks = np.array([3, 5, 4, 7])
+    u = group_module._exp_ladder(X, EPS, ks)
+    for k, uk in zip(ks, u):
+        ref_u = exp_field((1.0 / 2 ** k) * X, EPS).u
+        assert np.abs(uk.coeffs - ref_u.coeffs).max() <= 1e-12
+
+
+def test_trotter_curve_solves_three_flows_and_composes_eight_stacks(
+        monkeypatch):
+    solves, composes = [], []
+    solve, compose = group_module.solve_flow, group_module.compose
+    monkeypatch.setattr(group_module, "solve_flow",
+                        lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+    monkeypatch.setattr(group_module, "compose", lambda g, u, **kw: (
+        composes.append(u.batch) or compose(g, u, **kw)))
+    curve = trotter_curve(sine_map(0.02, 16), cosine_map(0.02, 16), EPS,
+                          (8, 16, 32, 64, 128))
+    assert len(curve) == 5
+    assert len(solves) == 3
+    # the step maps of all 5 rungs, then rounds squaring 5, 5, 5, 4, 3, 2, 1
+    assert composes == [(5,), (5,), (5,), (5,), (4,), (3,), (2,), (1,)]
+
+
+def test_trotter_rungs_keep_the_callers_order():
+    v, w = sine_map(0.02, 16), cosine_map(0.02, 16)
+    ordered = dict(trotter_curve(v, w, EPS, (8, 16, 32)))
+    shuffled = trotter_curve(v, w, EPS, (32, 8, 16))
+    assert [n for n, _ in shuffled] == [32, 8, 16]
+    for n, d in shuffled:
+        assert abs(d - ordered[n]) <= 1e-12 * ordered[n]
+    with pytest.raises(ValueError, match="must be dyadic"):
+        trotter_curve(v, w, EPS, (8, 12))
 
 
 def test_exp_field_is_time_one_flow(gam):

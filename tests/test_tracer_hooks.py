@@ -6,8 +6,9 @@ test installs the tracer around a small solve, an inversion, a chart
 transport, a chart inversion and a certificate that falls back on a
 verified inverse, and checks that the kernels and the chart and certify
 layers recorded calls and that uninstalling restores every attribute it
-patched, and that its count of ``fourier.compose`` calls is the number of
-compositions a solve runs.
+patched, that its count of ``fourier.compose`` calls is the number of
+compositions a solve runs, and that its count of ``flow.solve_flow`` calls
+is the number of solves a Trotter ladder makes.
 """
 
 import sys
@@ -20,11 +21,11 @@ import torusflow
 import torusflow.cli  # noqa: F401  (loads every module the tracer patches)
 from torusflow import (AdmissibleField, FourierMap, LocalAddition,
                        TimeDependentField, find_delta0)
-from torusflow import fourier
+from torusflow import fourier, group
 from torusflow.flow import solve_flow
-from torusflow.group import AnalyticDiffeo, invert_diffeo
+from torusflow.group import AnalyticDiffeo, invert_diffeo, trotter_curve
 
-from conftest import EPS, sine_map
+from conftest import EPS, cosine_map, sine_map
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -108,3 +109,21 @@ def test_tracer_counts_every_composition_of_a_solve(tracing, monkeypatch, m):
     finally:
         tracer.uninstall()
     assert tracer.metrics()["fourier.compose.calls"] == len(calls) > 0
+
+
+def test_tracer_counts_the_solves_of_a_trotter_ladder(tracing, monkeypatch):
+    """``flow.solve_flow.calls`` of a traced ``trotter_curve`` equals the
+    solves a spy counts behind the tracer's hook: three for any ladder."""
+    calls = []
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with monkeypatch.context() as patch:
+            traced = group.solve_flow
+            patch.setattr(group, "solve_flow", lambda *a, **kw: (
+                calls.append(1) or traced(*a, **kw)))
+            trotter_curve(sine_map(0.02, 16), cosine_map(0.02, 16), EPS,
+                          (8, 16, 32, 64, 128))
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["flow.solve_flow.calls"] == len(calls) == 3
