@@ -27,11 +27,13 @@ the same bits alone and in a batch, at one width and at many.
 
 A ``FourierMap`` carries a batch shape in front of its coefficient cube:
 () for one map, (T,) for a ``MapStack`` (a path of maps over a time grid).
-One kernel, ``eval_series``, evaluates every series: a Horner pass over
-the powers of w = e^{2 pi i z_1}, batched over a leading axis of maps and
-points.  At real points
-a real map needs only the rows k_1 >= 0, doubled for k_1 > 0; at complex
-points a two-sided pass in w and 1/w runs over all rows.  One fitter,
+One kernel, ``eval_series``, evaluates every series, batched over a
+leading axis of maps and points: a baby-step giant-step pass over the
+powers of w = e^{2 pi i z_1} cuts the rows into blocks of about sqrt(K)
+and sums them from a table of the first powers of w and by Horner in the
+next one, in O(sqrt K) numpy calls.  At real points a real map needs only
+the rows k_1 >= 0, doubled for k_1 > 0; at complex points one pass in w
+and one in 1/w run over all rows.  One fitter,
 ``fit_grid``, takes grid values to a truncated lattice, batched likewise:
 ``rfftn`` to the Hermitian half spectrum for real values, ``fftn`` for
 complex ones, and a check of the discarded relative tail mass against a
@@ -403,40 +405,14 @@ def _unit_circle(z: np.ndarray) -> np.ndarray:
     return w
 
 
-def _horner_tail(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_{k=1}^{K} c_k w^k by Horner; c holds c_0, .., c_K along axis 1."""
-    acc = c[:, -1] * w
-    for k in range(c.shape[1] - 2, 0, -1):
-        acc += c[:, k]
-        acc *= w
-    return acc
-
-
-def _real_horner(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Re sum_{k=0}^{K} c_k w^k at points w, by Horner.
-
-    ``c`` holds c_0, .., c_K along axis 1 and ``w`` broadcasts against each
-    slice ``c[:, k]``.  On the unit circle a real Laurent series
-    sum_{|k| <= K} a_k w^k, a_{-k} = conj(a_k), is this sum with c_0 = a_0
-    and c_k = 2 a_k: one accumulator over the positive powers, no conj(w).
-    """
-    if c.shape[1] == 1:
-        return np.array(np.broadcast_to(
-            c[:, 0].real, np.broadcast_shapes(w.shape, c[:, 0].shape)))
-    return _horner_tail(c, w).real + c[:, 0].real
-
-
-def _laurent_horner(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_{|k| <= K} c_k w^k at any w != 0, by Horner in w and in 1/w.
-
-    ``c`` holds c_{-K}, .., c_K along axis 1; ``w`` broadcasts as above.
-    """
-    K = c.shape[1] // 2
-    out = np.broadcast_to(c[:, K], np.broadcast_shapes(
-        w.shape, c[:, K].shape)).astype(complex)
-    if K:
-        out += _horner_tail(c[:, K:], w) + _horner_tail(c[:, K::-1], 1.0 / w)
-    return out
+def _powers(w: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """w^0, .., w^{n-1} along axis 1, shape (B, n, P), from w (B, P)."""
+    p = np.empty((w.shape[0], n, w.shape[-1]), dtype=complex) \
+        if out is None else out
+    p[:, 0] = 1.0
+    for j in range(1, n):
+        np.multiply(p[:, j - 1], w, out=p[:, j])
+    return p
 
 
 def _band_powers(w: np.ndarray, K: int, unit: bool) -> np.ndarray:
@@ -446,16 +422,54 @@ def _band_powers(w: np.ndarray, K: int, unit: bool) -> np.ndarray:
     negative powers are products of 1/w.
     """
     p = np.empty((w.shape[0], 2 * K + 1, w.shape[-1]), dtype=complex)
-    p[:, K] = 1.0
-    for j in range(K + 1, 2 * K + 1):
-        np.multiply(p[:, j - 1], w, out=p[:, j])
+    _powers(w, K + 1, out=p[:, K:])
     if unit:
         np.conjugate(p[:, :K:-1], out=p[:, :K])
-        return p
-    v = 1.0 / w
-    for j in range(K - 1, -1, -1):
-        np.multiply(p[:, j + 1], v, out=p[:, j])
+    else:
+        _powers(1.0 / w, K + 1, out=p[:, K::-1])
     return p
+
+
+def _power_series(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_{k=0}^{K} c_k w^k at points w, shape (B, ncomp, P).
+
+    ``c`` holds c_0, .., c_K along axis 1, laid out (B, K+1, ncomp), or
+    (B, K+1, ncomp, P) with coefficients per point; ``w`` has shape
+    (B, P), and either B may be 1.  Baby steps and giant steps (Paterson
+    & Stockmeyer, SIAM J. Comput. 2, 1973): with b = ceil(sqrt(K+1)) the
+    rows split into J = ceil((K+1)/b) blocks of b, the last one padded with
+    zeros, and the sum is sum_i w^i sum_j c_{jb+i} G^j with G = w^b, from
+    the table w^0, .., w^b: O(sqrt K) numpy calls in all.  Shared
+    coefficients take the baby steps first, one batched matrix product
+    (J ncomp, b) x (b, P) against the table, then Horner in G over the
+    blocks.  Coefficients per point take the giant steps first, Horner in
+    G over the blocks with the b rows of a block side by side, which
+    streams c once, then one product-sum against the table.
+    """
+    n = c.shape[1]
+    b = math.isqrt(n - 1) + 1
+    J = -(-n // b)
+    table = _powers(w, b + 1)
+    G = table[:, b, None]
+    if c.ndim == 4:
+        top = (J - 1) * b
+        acc = np.zeros((len(c), b) + c.shape[2:], dtype=complex)
+        acc[:, :n - top] = c[:, top:]
+        for j in range(J - 2, -1, -1):
+            acc *= G[:, None]
+            acc += c[:, j * b:(j + 1) * b]
+        for i in range(1, b):
+            acc[:, 0] += acc[:, i] * table[:, i, None]
+        return acc[:, 0]
+    B, ncomp = c.shape[0], c.shape[2]
+    pad = np.zeros((B, J * b, ncomp), dtype=complex)
+    pad[:, :n] = c
+    blocks = (pad.reshape(B, J, b, ncomp).swapaxes(2, 3).reshape(
+        B, J * ncomp, b) @ table[:, :b]).reshape(-1, J, ncomp, w.shape[-1])
+    for j in range(J - 2, -1, -1):
+        blocks[:, j + 1] *= G
+        blocks[:, j] += blocks[:, j + 1]
+    return blocks[:, 0]
 
 
 def _series_sum(c: np.ndarray, w: np.ndarray, real: bool) -> np.ndarray:
@@ -463,18 +477,28 @@ def _series_sum(c: np.ndarray, w: np.ndarray, real: bool) -> np.ndarray:
 
     ``c`` is laid out (B, k_1, ncomp[, k_2]) and ``w`` = e^{2 pi i z} has
     shape (B, m, P).  With ``real`` the rows are k_1 = 0..K with the rows
-    k_1 > 0 doubled, w lies on the unit circle and the value is real;
-    otherwise the rows run over k_1 = -K..K.  For m = 2 one batched matrix
-    product first contracts k_2 against the powers of w_2.
+    k_1 > 0 doubled, w lies on the unit circle and the value is the real
+    part of one ``_power_series`` in w_1; otherwise the rows run over
+    k_1 = -K..K, one pass in w_1 and one in 1/w_1.  For m = 2 one batched
+    matrix product first contracts k_2 against the powers of w_2, which
+    leaves coefficients per point.
     """
     if c.ndim == 4:
         b, rows, ncomp, cols = c.shape
         powers = _band_powers(w[:, 1], cols // 2, real)
         c = (c.reshape(b, rows * ncomp, cols) @ powers).reshape(
             max(b, len(w)), rows, ncomp, -1)
-    else:
-        c = c[..., None]
-    return (_real_horner if real else _laurent_horner)(c, w[:, :1])
+    w = w[:, 0]
+    if real:
+        return _power_series(c, w).real
+    K = c.shape[1] // 2
+    out = _power_series(c[:, K:], w)
+    if K:       # sum_{k=1}^{K} c_{-k} v^k = v sum_{k<K} c_{-k-1} v^k
+        v = 1.0 / w
+        tail = _power_series(c[:, K - 1::-1], v)
+        tail *= v[:, None]
+        out += tail
+    return out
 
 
 def eval_series(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -483,9 +507,11 @@ def eval_series(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     ``coeffs`` has shape (B,) + (2N+1,)*m + (ncomp,) and ``z`` shape
     (B, P, m), where either B may be 1 and broadcasts; the result has shape
     (B, P, ncomp).  At real z the coefficients must be Hermitian (real
-    maps): one Horner pass over the rows k_1 >= 0, the rows k_1 > 0
-    doubled, gives the real value from one cos and one sin per point.  At
-    complex z a two-sided Horner pass in w and 1/w gives the complex value.
+    maps): one ``_power_series`` pass over the rows k_1 >= 0, the rows
+    k_1 > 0 doubled, gives the real value from one cos and one sin per
+    point.  At complex z a pass in w and one in 1/w give the complex value.
+    A pass over k_1 takes O(sqrt N) numpy calls whatever the number of
+    points, and a map gets the same bits alone and in a batch.
     """
     m, real = z.shape[-1], not np.iscomplexobj(z)
     c = coeffs
@@ -494,7 +520,8 @@ def eval_series(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
         c[:, 1:] *= 2.0
     if m == 2:
         c = np.ascontiguousarray(np.moveaxis(c, -1, 2))
-    w = np.swapaxes(_unit_circle(z) if real else np.exp(TWO_PI * 1j * z), 1, 2)
+    z = np.ascontiguousarray(np.swapaxes(z, 1, 2))
+    w = _unit_circle(z) if real else np.exp(TWO_PI * 1j * z)
     b = max(len(c), len(w))     # m = 2 needs a (2K+1)-row table per point
     chunks = [slice(None)] if m == 1 else node_chunks(b, w.shape[-1])
     out = np.concatenate([_series_sum(c[s] if len(c) > 1 else c,

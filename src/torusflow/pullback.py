@@ -24,14 +24,14 @@ below any tolerance of interest (the leakage per column is reported).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
 from .errors import Check, TruncationBudgetExceeded
 from .flow import AdmissibleField, solve_checks, solve_flow
-from .fourier import (FourierMap, TWO_PI, _wrap, compose, fit_sampled, jacobian,
-                      lattice_modes)
+from .fourier import (FourierMap, TWO_PI, _band_powers, _unit_circle, _wrap,
+                      compose, fit_sampled, jacobian, lattice_modes)
 from .group import (_FD4_W, _FD4_X, FD_STEP, AnalyticDiffeo,
                     _field_nu_integral, _two_param_maps, ac_check, ac_rows,
                     compose_diffeo, evol_right, flow_two_param, invert_diffeo)
@@ -130,15 +130,24 @@ def _pullback_windows(u: FourierMap, K: int):
 
     The basis exponentials e_k o (id + u_t) of every map are sampled on
     the real grid and fitted in batches (complex values, full spectrum).
+    A column is the product over the axes of w_i^{k_i}, read from the
+    ``_band_powers`` of w = e^{2 pi i (x + u_t(x))}.
     """
     m, order = u.m, u.order
     if K > order:
         raise ValueError("window exceeds the ambient truncation order")
     modes = lattice_modes(K, m)
     k, W = np.array(modes).T, len(modes)
-    comp = fit_sampled(lambda x, c: np.exp(TWO_PI * 1j * ((x + c.eval(x)) @ k)),
-                       [u], order, tol_trunc=np.inf, context="pullback column",
-                       width=W).flat().coeffs
+
+    def columns(x, c):
+        y = x + c.eval(x)
+        w = _unit_circle(y.reshape(-1, len(x), m))
+        cols = [np.swapaxes(_band_powers(w[..., i], K, unit=True), 1, 2)
+                [..., k[i] + K] for i in range(m)]
+        return reduce(np.multiply, cols).reshape(y.shape[:-1] + (W,))
+
+    comp = fit_sampled(columns, [u], order, tol_trunc=np.inf,
+                       context="pullback column", width=W).flat().coeffs
     mats = comp[(slice(None),) + tuple(k + order)]
     leaks = (np.abs(comp).reshape(len(comp), -1, W).sum(axis=1)
              - np.abs(mats).sum(axis=1))

@@ -21,6 +21,12 @@ before ``CompositionPlan``: one isotropic Cauchy estimate on every mode
 ||k||_1 >= M/2, the least over 15 widths, at machine epsilon.  With
 ``compose_on_grid``, the composition kernel built per call at a given grid,
 it is the oracle of the plan's sizing and of its bits.
+
+``horner_series`` is the series evaluator before the baby-step giant-step
+kernel: one Horner step per row k_1 (``_horner_tail``), a one-sided pass
+for real points (``_real_horner``) and a pass in w and one in 1/w for
+complex ones (``_laurent_horner``).  ``pullback_windows`` samples each
+window column e_k o (id + u) with one complex exp per point and mode.
 """
 
 from math import comb
@@ -30,11 +36,13 @@ import numpy as np
 from torusflow.errors import ContractionStall, DomainEscape, InvertibilityLost
 from torusflow.flow import invert_at_point, solve_flow
 from torusflow.fourier import (TOL_TRUNC, TWO_PI, FourierMap, MapStack,
-                               _circle_m1, _fft_sizes, _grid_values, _k_l1,
-                               _shift_sum, _support_band, _wrap, compose,
-                               fit_grid, imag_reach, jacobian, majorants,
-                               multiply, node_chunks, sampling_grid,
-                               strip_norms, strip_weights)
+                               _band_powers, _circle_m1, _fft_sizes,
+                               _grid_values, _k_l1, _shift_sum, _support_band,
+                               _unit_circle, _wrap, compose, fit_grid,
+                               fit_sampled, imag_reach, jacobian,
+                               lattice_modes, majorants, multiply,
+                               node_chunks, sampling_grid, strip_norms,
+                               strip_weights)
 from torusflow.group import (TOL_INVERSE, AnalyticDiffeo,
                              _adjoint_inverse_values, _adjoint_values,
                              _jacobian_values, _probe_points, compose_diffeo,
@@ -703,3 +711,73 @@ def compose_on_grid(g, perturb, M, order=None, tol_trunc=TOL_TRUNC):
         out.append(fit_grid(np.moveaxis(vals, 1, -1), n_out, m, tol_trunc,
                             "compose", None, c[s] if len(c) > 1 else c).coeffs)
     return np.concatenate(out)
+
+
+def _horner_tail(c, w):
+    """sum_{k=1}^{K} c_k w^k by Horner; c holds c_0, .., c_K along axis 1."""
+    acc = c[:, -1] * w
+    for k in range(c.shape[1] - 2, 0, -1):
+        acc += c[:, k]
+        acc *= w
+    return acc
+
+
+def _real_horner(c, w):
+    """Re sum_{k=0}^{K} c_k w^k at points w, by Horner.
+
+    ``c`` holds c_0, .., c_K along axis 1 and ``w`` broadcasts against each
+    slice ``c[:, k]``.  On the unit circle a real Laurent series
+    sum_{|k| <= K} a_k w^k, a_{-k} = conj(a_k), is this sum with c_0 = a_0
+    and c_k = 2 a_k: one accumulator over the positive powers, no conj(w).
+    """
+    if c.shape[1] == 1:
+        return np.array(np.broadcast_to(
+            c[:, 0].real, np.broadcast_shapes(w.shape, c[:, 0].shape)))
+    return _horner_tail(c, w).real + c[:, 0].real
+
+
+def _laurent_horner(c, w):
+    """sum_{|k| <= K} c_k w^k at any w != 0, by Horner in w and in 1/w.
+
+    ``c`` holds c_{-K}, .., c_K along axis 1; ``w`` broadcasts as above.
+    """
+    K = c.shape[1] // 2
+    out = np.broadcast_to(c[:, K], np.broadcast_shapes(
+        w.shape, c[:, K].shape)).astype(complex)
+    if K:
+        out += _horner_tail(c[:, K:], w) + _horner_tail(c[:, K::-1], 1.0 / w)
+    return out
+
+
+def horner_series(coeffs, z):
+    """``eval_series`` by one Horner step per row k_1: coeffs (B,) +
+    (2N+1,)*m + (ncomp,), points z (B, P, m), either B 1; (B, P, ncomp)."""
+    m, real = z.shape[-1], not np.iscomplexobj(z)
+    c = coeffs
+    if real:
+        c = c[:, c.shape[1] // 2:].copy()
+        c[:, 1:] *= 2.0
+    c = np.moveaxis(c, -1, 2) if m == 2 else c[..., None]
+    w = np.swapaxes(_unit_circle(z) if real else np.exp(TWO_PI * 1j * z), 1, 2)
+    if m == 2:
+        b, rows, ncomp, cols = c.shape
+        powers = _band_powers(w[:, 1], cols // 2, real)
+        c = (c.reshape(b, rows * ncomp, cols) @ powers).reshape(
+            max(b, len(w)), rows, ncomp, -1)
+    out = (_real_horner if real else _laurent_horner)(c, w[:, :1])
+    return np.swapaxes(out, 1, 2)
+
+
+def pullback_windows(u, K):
+    """``pullback._pullback_windows`` with each column e_k o (id + u)
+    sampled by one complex exp per point and window mode."""
+    m, order = u.m, u.order
+    modes = lattice_modes(K, m)
+    k, W = np.array(modes).T, len(modes)
+    comp = fit_sampled(lambda x, c: np.exp(TWO_PI * 1j * ((x + c.eval(x)) @ k)),
+                       [u], order, tol_trunc=np.inf, context="pullback column",
+                       width=W).flat().coeffs
+    mats = comp[(slice(None),) + tuple(k + order)]
+    leaks = (np.abs(comp).reshape(len(comp), -1, W).sum(axis=1)
+             - np.abs(mats).sum(axis=1))
+    return modes, mats.reshape(u.batch + (W, W)), leaks.reshape(u.batch + (W,))

@@ -1,10 +1,15 @@
-"""The one series evaluator against the direct sum sum_k c_k e^{2 pi i k.z}."""
+"""The one series evaluator against the direct sum sum_k c_k e^{2 pi i k.z}
+and against the Horner evaluator it replaced."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from torusflow.flow import invert_at_point
 from torusflow.fourier import FourierMap, MapStack, eval_series
+
+from _reference_loops import horner_series
 
 
 def _hermitian_band(rng, order, band, m, ncomp, batch):
@@ -59,6 +64,68 @@ def test_eval_series_matches_direct_sum(case):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= tol
     assert np.iscomplexobj(got) == complex_points
+
+
+def _row_count_kind(n):
+    """How n rows split into baby-step blocks of ceil(sqrt(n)) rows."""
+    if math.isqrt(n) ** 2 == n:
+        return "square"
+    if math.isqrt(n - 1) ** 2 == n - 1:
+        return "above a square"         # the last block is padded
+    if n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1)):
+        return "prime"
+    return "other"
+
+
+@st.composite
+def kernel_cases(draw):
+    """Orders up to 64 (m = 1) and 12 (m = 2) whose row count N + 1 is a
+    square, one above a square or a prime; 1 to 1,300 points, real or
+    within 0.1 of the real axis, shared by the maps or per map."""
+    m = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["square", "above a square", "prime"]))
+    order = draw(st.sampled_from(
+        [n for n in range((64 if m == 1 else 12) + 1)
+         if _row_count_kind(n + 1) == kind]))
+    batch = draw(st.integers(1, 3))
+    shared = draw(st.booleans())
+    points = draw(st.integers(1, 1300))
+    complex_points = draw(st.booleans())
+    seed = draw(st.integers(0, 2 ** 16))
+    return m, order, batch, shared, points, complex_points, seed
+
+
+def _majorant(c, z):
+    """sum_k max_i |c_{k,i}| e^{2 pi ||k||_1 ||Im z||_inf} per map and point,
+    shape (B, P, 1): the scale of the rounding of any way to sum the series."""
+    order, m = c.shape[1] // 2, z.shape[-1]
+    k = np.abs(np.arange(-order, order + 1))
+    l1 = k if m == 1 else k[:, None] + k
+    size = np.abs(c).max(axis=-1).reshape(len(c), -1)
+    grow = np.exp(2 * np.pi * np.abs(z.imag).max(axis=-1)[..., None]
+                  * l1.ravel())
+    return np.einsum("bl,bpl->bp", size, grow)[..., None]
+
+
+@given(kernel_cases())
+@settings(max_examples=60, deadline=None)
+def test_eval_series_matches_horner_and_direct_sum(case):
+    """The baby-step giant-step kernel agrees with the Horner evaluator and
+    with the term-by-term sum to a few ulps per mode of the majorant."""
+    m, order, batch, shared, points, complex_points, seed = case
+    rng = np.random.default_rng(seed)
+    c = _hermitian_band(rng, order, order, m, 2, batch)
+    z = rng.uniform(0.0, 1.0, (1 if shared else batch, points, m))
+    if complex_points:
+        z = z + 1j * rng.uniform(-0.1, 0.1, z.shape)
+    got = eval_series(c, z)
+    assert got.shape == (batch, points, 2)
+    assert np.iscomplexobj(got) == complex_points
+    tol = 1e-15 * (order + 1) * _majorant(c, z)
+    assert (np.abs(got - horner_series(c, z)) <= tol).all()
+    direct = np.stack([_direct_sum(cb, z[min(i, len(z) - 1)])
+                       for i, cb in enumerate(c)])
+    assert (np.abs(got - direct) <= tol).all()
 
 
 @given(series_cases())

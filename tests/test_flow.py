@@ -13,14 +13,16 @@ from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
                        param_lipschitz_check, picard_step, pointwise_solution,
                        restriction_consistency, solve_flow)
 from torusflow import flow as flow_module
+from torusflow.errors import ContractionStall
 from torusflow import fourier as fourier_module
-from torusflow.fourier import (TOL_TRUNC, _real_horner, _support_band,
-                               _tail_ratio, sampling_grid, strip_norms)
+from torusflow.fourier import (TOL_TRUNC, _support_band, _tail_ratio,
+                               jacobian, sampling_grid, strip_norms)
 from torusflow.flow import (RATIO_SLACK, contraction_certificate_ok,
-                            max_contraction_ratio)
+                            invert_at_point, max_contraction_ratio)
 from torusflow.timepaths import FIT_NODES, piece_values
 
 from _readings import eval_points, field_from_profile
+from _reference_loops import _real_horner
 from _reference_sweep import reference_sweep
 from conftest import (EPS, composition_grids, cosine_map, probe_points,
                       random_admissible, sine_map)
@@ -671,3 +673,23 @@ def test_solve_m2_against_rk_oracle():
     traj = pointwise_solution(path, 0.0, [0.3, 0.7])
     assert traj.check.ok
     assert path.check_strip_invariant()
+
+
+# -- the stall raises, reached by real inputs -------------------------------
+
+def test_invert_at_point_stalls_where_the_displacement_does_not_contract():
+    """x <- y - u(x) for u = 0.4 sin(2 pi x), whose slope reaches 0.8 pi > 1:
+    the fixed points with |u'| > 1 repel, so the iteration runs out of its
+    MAX_POINT_STEPS steps."""
+    u = FourierMap.from_modes({1: [-0.2j]}, 8)
+    assert np.abs(jacobian(u).eval(np.array([[0.0]]))).max() > 1.0
+    with pytest.raises(ContractionStall,
+                       match="pointwise inversion did not converge"):
+        invert_at_point(u, np.linspace(0.0, 1.0, 9)[:, None])
+
+
+def test_solve_flow_stalls_at_max_iter(sine_gamma):
+    """One sweep cannot meet the tolerance of a nonzero field."""
+    with pytest.raises(ContractionStall,
+                       match="no convergence within 1 iterations"):
+        solve_flow(sine_gamma, max_iter=1)

@@ -13,7 +13,8 @@ from torusflow import (AdmissibleField, AnalyticDiffeo, EvolutionResult,
                        odot, solve_flow, trotter_curve,
                        verify_evolution_pointwise)
 from torusflow import group as group_module
-from torusflow.errors import TorusflowError
+from torusflow.errors import InvertibilityLost, TorusflowError
+from torusflow.fourier import _wrap
 from torusflow.group import (TOL_INVERSE, _certify_maps, _probe_points,
                              ac_modulus_check, ad_transport_integral)
 
@@ -65,6 +66,23 @@ def test_inverse_roundtrip():
     pts = _probe_points(1, 97)
     assert np.abs(phi(inv(pts)) - pts).max() <= 1e-9
     assert np.abs(inv(phi(pts)) - pts).max() <= 1e-9
+
+
+def test_invert_stack_loses_invertibility_on_a_perturbed_inverse(monkeypatch):
+    """``_invert_stack``'s probe check raises InvertibilityLost when the
+    fitted inverse is off: every coefficient of the fit is moved by 1e-6,
+    one layer below the check, and the residual reads 1e-6 to 1e-4."""
+    fit = group_module.fit_sampled
+
+    def perturbed_fit(sample, maps, order, *, context, **kw):
+        v = fit(sample, maps, order, context=context, **kw)
+        return _wrap(v.coeffs + 1e-6, v.m) if context == "inversion" else v
+
+    monkeypatch.setattr(group_module, "fit_sampled", perturbed_fit)
+    phi = AnalyticDiffeo.certify(sine_map(0.02), EPS)
+    with pytest.raises(InvertibilityLost,
+                       match=r"inverse residual \d\.\d{3}e-0[56] exceeds 1\.0e-10"):
+        invert_diffeo(phi)
 
 
 def test_invert_translation():
