@@ -46,8 +46,8 @@ field's majorants are certified (DomainEscape), that u is real on the real
 grid (RealityDefect, read from its coefficients), and that the spectral
 tail discarded by truncation stays within budget (TruncationBudgetExceeded).
 The field is read by time at the nodes, as maps, so the solver grid must
-hold its breakpoints, and u by ``piece_values``; ``pointwise_solution``
-uses ``TimeGrid.quadrature``.
+hold its breakpoints, and u by the node tables of ``node_values``;
+``pointwise_solution`` uses ``TimeGrid.quadrature``.
 ``invert_at_point``, the one solver of x + u(x) = y, solves it for every
 map of a FourierMap of any batch shape at once, each map to its own
 stopping test.
@@ -64,9 +64,8 @@ from .errors import (AdmissibilityViolation, Check, ContractionStall,
 from .fourier import (OVERSAMPLE, TOL_TRUNC, CompositionPlan, FourierMap,
                       MapStack, _modes_to_json, _wrap, compose, imag_reach,
                       majorants)
-from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
-                        _antiderivative, _derivative, fit_poly3, piece_values,
-                        pieces_on, read_pieces)
+from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid, _derivative,
+                        node_integral, node_values, pieces_on, read_pieces)
 
 #: default solver tolerance, measured in nu_eps of snapshot differences
 TOL_SOLVE = 1e-10
@@ -228,16 +227,19 @@ class _PicardSweep:
     Built once per grid from the field, read by time at the 4 collocation
     nodes of every interval of a grid that holds its breakpoints (else a
     cubic is fitted across a jump), with one ``CompositionPlan`` of that
-    field stack.  A sweep evaluates u at the same nodes, composes the field
-    with id + u node by node in one ``compose`` call, which checks the
-    reach from the working strip into the doubled strip, the reality of u
-    and the truncation tail at every node, and fits and integrates one
-    cubic per interval in closed form.  The sweep of the identity path
-    integrates the field stack itself: gamma o id is gamma, ``compose``
-    returns its bits for u = 0, and u = 0 passes every check.  ``defect``
-    measures the sweep against the exact map by one more ``compose`` at the
-    Gauss nodes, whose field stack and plan it builds once; ``rounding``
-    measures its rounding level by one more sweep.
+    field stack.  A sweep reads u at the same nodes from its pieces by one
+    product per interval against a fixed table of powers of the nodes
+    (``node_values``), composes the field with id + u node by node in one
+    ``compose`` call, which checks the reach from the working strip into
+    the doubled strip, the reality of u and the truncation tail at every
+    node, and integrates the cubic through the node values of each interval
+    by one fixed (5, 4) table (``node_integral``).  The sweep of the
+    identity path integrates the field stack itself: gamma o id is gamma,
+    ``compose`` returns its bits for u = 0, and u = 0 passes every check.
+    ``defect`` measures the sweep against the exact map by one more
+    ``compose`` at the Gauss nodes, read by their own table, whose field
+    stack and plan it builds once; ``rounding`` measures its rounding level
+    by one more sweep.
     """
 
     def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
@@ -249,10 +251,9 @@ class _PicardSweep:
             raise ValueError("the path grid lacks breakpoints of the field grid")
         self.gamma, self.grid, self.tol_trunc = gamma, grid, tol_trunc
         self.h = np.diff(grid.floats)
-        j, tau, t = grid.nodes(FIT_NODES)
-        self.nodes, self.field = (j, tau), gam.values_at(t)
+        self.field = gam.values_at(grid.nodes(FIT_NODES)[2])
         self.plan = self._plan(self.field)
-        self.gauss = None       # the defect pass's nodes, weights and plan
+        self.gauss = None       # the defect pass's weights and plan
 
     def _plan(self, field: FourierMap) -> CompositionPlan:
         order = self.gamma.field.order
@@ -270,14 +271,13 @@ class _PicardSweep:
         path; from the identity path (every piece zero), without a compose."""
         if not pieces.any():
             return self._integrate(self.field.coeffs)
-        return self._integrate(self._compose(
-            self.plan, piece_values(pieces, *self.nodes)))
+        return self._integrate(self._compose(self.plan, node_values(pieces)))
 
     def _integrate(self, kept: np.ndarray):
-        """Fit a cubic per interval through the node values and integrate it."""
+        """Integrate the cubic through the node values of every interval."""
         J, Q, shape = len(self.h), len(FIT_NODES), kept.shape[1:]
         # tau -> h_j * int_0^tau p_j, then shifted by the snapshot at t_j
-        anti = _antiderivative(fit_poly3(kept).reshape(J, Q, -1), self.h)
+        anti = node_integral(kept, self.h).reshape(J, Q + 1, -1)
         snaps = np.zeros((J + 1, anti.shape[2]), dtype=complex)
         np.cumsum(anti.sum(axis=1), axis=0, out=snaps[1:])
         anti[:, 0] = snaps[:-1]
@@ -301,19 +301,18 @@ class _PicardSweep:
         if self.gauss is None:
             ts = self.grid.floats
             _, t, w = self.grid.quadrature(ts[:-1], ts[1:])
-            plan = self._plan(self.gamma.field.values_at(t.ravel()))
-            self.gauss = (t.shape, w, self.grid.locate(t.ravel()), plan)
-        shape, w, (j, tau), plan = self.gauss
-        u = piece_values(pieces, j, tau)
+            self.gauss = w, self._plan(self.gamma.field.values_at(t.ravel()))
+        w, plan = self.gauss
+        u = node_values(pieces, gauss=True)
         vals = self._compose(plan, u)
-        r = vals - piece_values(_derivative(out, self.h), j, tau)
-        r = r.reshape(shape + r.shape[1:])
+        r = vals - node_values(_derivative(out, self.h), gauss=True)
+        r = r.reshape(w.shape + r.shape[1:])
         m, eps = r.ndim - 3, self.gamma.eps
         local = (w * majorants(r, m, eps)[0]).sum(axis=1)
         err = (w.reshape(w.shape + (1,) * (m + 1)) * r).sum(axis=1)
         before = np.cumsum(err, axis=0) - err
         D = float((majorants(before, m, eps)[0] + local).max())
-        return local, D, _sup_distance(piece_values(out, j, tau), u, eps)
+        return local, D, _sup_distance(node_values(out, gauss=True), u, eps)
 
     def rounding(self, pieces, snaps) -> float:
         """The measured rounding level of ``snaps``, the sweep of

@@ -54,13 +54,17 @@ for periodic analytic functions: Trefethen & Weideman, SIAM Review 56,
 aliases onto the lattice are at rounding level and the unobserved modes
 take a small share of the truncation budget; their bound enters the
 truncation gate.  A ``CompositionPlan`` holds what this needs of g, so a
-solver grid that composes one field stack on every sweep builds it once.
-What ``compose`` fits is the change h - g, summed by ``_shift_sum``
-over g's band, trimmed per axis to the extent K_i of g's support (rows
-0 <= k_1 <= K_1 of a real map, columns |k_2| <= K_2), without subtracting
-values of g, with g's coefficients added to its spectrum: the FFT's
-rounding then scales with |h - g| rather than with |g|, which the strip
-weights e^{2 pi eps ||k||_1} of the top modes would otherwise magnify.
+solver grid that composes one field stack on every sweep builds it once;
+a stack of maps with the same bits (a field constant in time, read at its
+nodes) it holds as that one map.  What ``compose`` fits is the change
+h - g, summed by ``_shift_sum`` over g's band, trimmed per axis to the
+extent K_i of g's support (rows 0 <= k_1 <= K_1 of a real map, columns
+|k_2| <= K_2), without subtracting values of g, with g's coefficients
+added to its spectrum: the FFT's rounding then scales with |h - g| rather
+than with |g|, which the strip weights e^{2 pi eps ||k||_1} of the top
+modes would otherwise magnify.  The sum runs on contiguous planes of all
+the grid points of the stack u, and one outer map contracts its band
+against the columns k_2 in one product over all of them.
 """
 
 from __future__ import annotations
@@ -261,9 +265,17 @@ class FourierMap:
                 f"reality constraint violated (defect {np.max(defect):.3e})")
 
     def imag_bound(self) -> np.ndarray:
-        """1/2 sum_k |c_k - conj(c_{-k})| per map: |Im f| at real points."""
-        return 0.5 * self._mirror_defect().sum(
-            axis=tuple(range(-self.m - 1, -1))).max(axis=-1)
+        """1/2 sum_k |c_k - conj(c_{-k})| per map: |Im f| at real points.
+
+        The terms of k and -k are equal, so the sum runs over the half of
+        the flattened lattice past its centre, against the mirror half, plus
+        the centre's |Im c_0|.
+        """
+        c = self.coeffs.reshape(self.batch + (-1, self.ncomp))
+        half = c.shape[-2] // 2
+        defect = np.abs(c[..., half + 1:, :]
+                        - np.conj(c[..., :half, :][..., ::-1, :])).sum(axis=-2)
+        return (defect + np.abs(c[..., half, :].imag)).max(axis=-1)
 
     def mode(self, k) -> np.ndarray:
         kk = (k,) if np.isscalar(k) else tuple(k)
@@ -794,46 +806,59 @@ def _shift_sum(c: np.ndarray, e: np.ndarray, M: int) -> np.ndarray:
     at w_2, and D_j its change from a_2: row j against a_2^k E_k, with
     E_k = (1 + e_2)^k - 1 = E_{k-1} + e_2 (1 + E_{k-1}).  No step subtracts
     values of g, so the rounding scales with the difference, not with g.
+
+    Every pass runs on contiguous planes of all B P points: the column
+    table E_k a_2^k as (cols, B, P), one plane per column, and the Horner
+    state p, d as (ncomp, B, P), transposed once at the end.  One outer map
+    (c of batch 1) contracts its band against the table in one product
+    over all B P points.
     """
     m, K = e.shape[1], c.shape[1] - 1
     B, a = max(len(c), len(e)), _grid_roots(M, 1)[2]
-    if m == 1:
-        row, D = c[..., None], None     # row j at a_2: the coefficient c_j
+    P, ncomp = e.shape[-1], c.shape[2]
+    if m == 1:      # row j at a_2: the coefficient c_j, as (rows, ncomp, b, 1)
+        row, D = c.transpose(1, 2, 0)[..., None], None
     else:
-        b, rows, ncomp, cols = c.shape
+        b, rows, _, cols = c.shape
         k2, e2 = cols // 2, e[:, 1]
-        q = np.empty((len(e), cols, e.shape[-1]), dtype=complex)
-        q[:, k2] = 0.0
+        q = np.empty((cols, len(e), P), dtype=complex)
+        q[k2] = 0.0
         for k in range(k2 + 1, cols):
-            np.multiply(e2, q[:, k - 1], out=q[:, k])
-            q[:, k] += e2
-            q[:, k] += q[:, k - 1]
+            np.multiply(e2, q[k - 1], out=q[k])
+            q[k] += e2
+            q[k] += q[k - 1]
         a2 = _grid_roots(M, k2)
-        q.reshape(len(e), cols, M, M)[:, k2 + 1:] *= a2[k2 + 1:, None]
-        np.conjugate(q[:, :k2:-1], out=q[:, :k2])
+        q.reshape(cols, len(e), M, M)[k2 + 1:] *= a2[k2 + 1:, None, None]
+        np.conjugate(q[:k2:-1], out=q[:k2])
         flat = c.reshape(b, rows * ncomp, cols)
-        D = (flat @ q).reshape(B, rows, ncomp, -1)
+        if b == 1:      # one product over every point, (rows, ncomp, B, P)
+            D = (flat[0] @ q.reshape(cols, -1)).reshape(rows, ncomp, B, P)
+        else:
+            D = np.moveaxis((flat @ q.swapaxes(0, 1)).reshape(
+                B, rows, ncomp, P), 0, 2)
         del q
-        row = (flat @ a2).reshape(b, rows, ncomp, 1, M)     # x_2 runs fastest
+        # row j at x_2 (which runs fastest), (rows, ncomp, b, 1, M)
+        row = np.moveaxis((flat @ a2).reshape(b, rows, ncomp, M), 0, 2)[
+            :, :, :, None]
         a = np.repeat(a, M)
-    ae = a * e[:, :1]
+    ae = a * e[:, 0]
     w = ae + a
     # p_j = C_j + w_1 p_{j+1} with C_j = row_j + D_j; d as above
-    p = np.zeros((B, c.shape[2], e.shape[-1]), dtype=complex)
-    grid = p.reshape(p.shape[:2] + (M,) * m)
-    d = p.copy() if D is None else D[:, K].copy()
+    p = np.zeros((ncomp, B, P), dtype=complex)
+    grid = p.reshape((ncomp, B) + (M,) * m)
+    d = p.copy() if D is None else D[K].copy()
     if D is not None:
-        p += D[:, K]
-    grid += row[:, K]
+        p += D[K]
+    grid += row[K]
     for j in range(K - 1, -1, -1):
         d *= a
         d += ae * p
         p *= w
         if D is not None:
-            d += D[:, j]
-            p += D[:, j]
-        grid += row[:, j]
-    return np.ascontiguousarray(d.real)
+            d += D[j]
+            p += D[j]
+        grid += row[j]
+    return np.ascontiguousarray(d.real.swapaxes(0, 1))
 
 
 #: strip half-widths rho of the Cauchy estimates on a composite's modes,
@@ -935,10 +960,18 @@ class CompositionPlan:
     max_i K_i: nu_0(g) per map, and the largest over the maps of max_i
     |g_{k,i}| / nu_0(g) on the modes k != 0 of the cube, summed over the
     modes of one |k|.  It also holds the grid sizes up to ``cap``.
+
+    A stack whose maps all have the same bits (the field of a path that is
+    constant in time, read at its nodes) is held as that one map: ``coeffs``,
+    ``band`` and ``nu0`` have batch 1, which ``compose`` broadcasts
+    against the stack u as it does a single outer map.
     """
 
     def __init__(self, g: FourierMap, order: int, cap: int):
         m, c, n = g.m, g.flat().coeffs, g.order
+        bits = np.ascontiguousarray(c).view(np.int64)
+        if (bits[1:] == bits[:1]).all():
+            c = c[:1]
         self.source, self.order, self.cap, self.m, self.coeffs = (
             g, order, cap, m, c)
         extent = _support_band(c)
@@ -1101,9 +1134,10 @@ def compose(g, perturb, *,
     n_out = plan.order
     u = (perturb.with_order(n_out) if perturb.order > n_out else perturb).flat()
     out = plan.compose(u, tol_trunc)
-    return _wrap(out.reshape(np.broadcast_shapes(plan.source.batch,
-                                                 perturb.batch)
-                             + out.shape[1:]), m)
+    batch = np.broadcast_shapes(plan.source.batch, perturb.batch)
+    if len(out) < math.prod(batch):     # a one-map plan against one map u
+        out = np.repeat(out, math.prod(batch), axis=0)
+    return _wrap(out.reshape(batch + out.shape[1:]), m)
 
 
 def multiply(f: FourierMap, g: FourierMap, *, order: int | None = None,

@@ -113,11 +113,18 @@ class PointwiseSquareMap(ScaleMap):
     """
 
     def apply(self, c):
-        """Exact squares, order 2N: one shifted product per occupied mode."""
+        """Exact squares, order 2N: one shifted product per occupied mode,
+        against the band lo..hi of the occupied modes alone (the products
+        outside it are zero)."""
         n = c.shape[-1]
         out = np.zeros(c.shape[:-1] + (2 * n - 1,), dtype=complex)
-        for i in np.flatnonzero(c.reshape(-1, n).any(axis=0)):
-            out[..., i:i + n] += c[..., i:i + 1] * c
+        occupied = np.flatnonzero(c.reshape(-1, n).any(axis=0))
+        if not len(occupied):
+            return out
+        lo, hi = occupied[0], occupied[-1] + 1
+        band = c[..., lo:hi]
+        for i in occupied:
+            out[..., i + lo:i + hi] += c[..., i:i + 1] * band
         return out
 
     def lipschitz_certs(self, levels, p_eps):

@@ -47,6 +47,17 @@ _GL4_W = 0.5 * np.array([0.34785484513745385, 0.6521451548625461,
 FIT_NODES = 0.5 - 0.5 * np.cos(np.pi * (2 * np.arange(1, 5) - 1) / 8)
 _FIT_VANDER_INV = np.linalg.inv(np.vander(FIT_NODES, 4, increasing=True))
 
+# The solver's node tables: tau^d for d <= MAX_DEGREE + 1 (the degree of a
+# sweep's pieces) at the collocation nodes and at the Gauss nodes, and the
+# coefficients of tau -> int_0^tau of the cubic through values at FIT_NODES
+# (``fit_poly3`` folded into ``_antiderivative``), rows d = 0..4
+_FIT_POWERS = np.vander(FIT_NODES, MAX_DEGREE + 2, increasing=True)
+_GL4_POWERS = np.vander(_GL4_X, MAX_DEGREE + 2, increasing=True)
+_FIT_INTEGRAL = np.concatenate(
+    [np.zeros((1, 4)), _FIT_VANDER_INV / np.arange(1, 5)[:, None]])
+_FIT_POWERS.flags.writeable = _GL4_POWERS.flags.writeable = False
+_FIT_INTEGRAL.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -175,6 +186,37 @@ def piece_values(pieces: np.ndarray, j, tau) -> np.ndarray:
         out *= tau
         out += pieces[j, d]
     return out.reshape(lead + out.shape[1:])
+
+
+def _table_product(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A real table (r, n) against the n rows of each interval of ``rows``,
+    (J, n) + shape: (J, r) + shape, one real product per interval on the
+    real and imaginary parts side by side."""
+    J, n = rows.shape[:2]
+    flat = np.ascontiguousarray(rows).view(float).reshape(J, n, -1)
+    return (table @ flat).view(complex).reshape((J, len(table)) + rows.shape[2:])
+
+
+def node_values(pieces: np.ndarray, gauss: bool = False) -> np.ndarray:
+    """Every piece at the 4 collocation nodes ``FIT_NODES`` of its interval,
+    or with ``gauss`` at the 4 Gauss-Legendre nodes of ``TimeGrid.quadrature``,
+    intervals in order: (J * 4,) + map shape, one product per interval
+    against a fixed table of powers of the nodes.  These are the values of
+    ``piece_values`` at ``TimeGrid.nodes`` of those nodes, to rounding;
+    ``piece_values`` reads at any times."""
+    table = (_GL4_POWERS if gauss else _FIT_POWERS)[:, :pieces.shape[1]]
+    return _table_product(table, pieces).reshape((-1,) + pieces.shape[2:])
+
+
+def node_integral(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """tau -> h_j int_0^tau of the cubic through the values at ``FIT_NODES``
+    of interval j, from ``node_values``' layout (J * 4,) + map shape: pieces
+    (J, 5) + map shape, the pieces of ``_antiderivative(fit_poly3(values),
+    h)`` to rounding, by one fixed (5, 4) table."""
+    J = len(h)
+    out = _table_product(_FIT_INTEGRAL, values.reshape((J, 4) + values.shape[1:]))
+    out *= h.reshape((J, 1) + (1,) * (values.ndim - 1))
+    return out
 
 
 def read_pieces(pieces: np.ndarray, grid: TimeGrid, times, m: int) -> FourierMap:

@@ -5,6 +5,7 @@ runs batched over blocks of samples.  It is kept as a differential oracle:
 the batched harness must reproduce its draws, verdicts and ratios to
 rounding.  The maps are applied by their per-map rules (``_apply``), which
 are the FourierMap forms of the batched ``ScaleMap.apply``.
+``square_apply`` is the batched square before it kept to the occupied band.
 """
 
 import numpy as np
@@ -32,6 +33,16 @@ def _apply(f, u: FourierMap) -> FourierMap:
     if isinstance(f, ConstantScaleMap):
         return f.value
     raise TypeError(f"no reference rule for {type(f).__name__}")
+
+
+def square_apply(c):
+    """``PointwiseSquareMap.apply`` with each occupied mode against the
+    whole row."""
+    n = c.shape[-1]
+    out = np.zeros(c.shape[:-1] + (2 * n - 1,), dtype=complex)
+    for i in np.flatnonzero(c.reshape(-1, n).any(axis=0)):
+        out[..., i:i + n] += c[..., i:i + 1] * c
+    return out
 
 
 def _random_ball_map(rng, order: int, eps: float, nu_target: float,

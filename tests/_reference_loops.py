@@ -27,6 +27,12 @@ kernel: one Horner step per row k_1 (``_horner_tail``), a one-sided pass
 for real points (``_real_horner``) and a pass in w and one in 1/w for
 complex ones (``_laurent_horner``).  ``pullback_windows`` samples each
 window column e_k o (id + u) with one complex exp per point and mode.
+
+``shift_sum`` is the composition's shift sum before its contiguous planes:
+the column table and the Horner state laid out map by map, (B, cols, P)
+and (B, ncomp, P), the band contracted by one product per map.
+``imag_bound`` is the reality bound over the whole lattice, each pair k,
+-k summed twice.
 """
 
 from math import comb
@@ -37,7 +43,7 @@ from torusflow.errors import ContractionStall, DomainEscape, InvertibilityLost
 from torusflow.flow import invert_at_point, solve_flow
 from torusflow.fourier import (TOL_TRUNC, TWO_PI, FourierMap, MapStack,
                                _band_powers, _circle_m1, _fft_sizes,
-                               _grid_values, _k_l1, _shift_sum, _support_band,
+                               _grid_roots, _grid_values, _k_l1, _support_band,
                                _unit_circle, _wrap, compose, fit_grid,
                                fit_sampled, imag_reach, jacobian,
                                lattice_modes, majorants, multiply,
@@ -692,11 +698,12 @@ def composition_grid(g, u, order, cap):
 
 def compose_on_grid(g, perturb, M, order=None, tol_trunc=TOL_TRUNC):
     """``compose`` per call on the grid of M points per axis: g's full band
-    cube |k_i| <= K, K the largest extent of g's support on any axis, built
-    for this call alone, the gate on the observed spectrum."""
+    cube |k_i| <= K, K the largest extent of g's support on any axis, one
+    copy per map, built for this call alone, summed by ``shift_sum``, the
+    reality read by ``imag_bound`` and the gate on the observed spectrum."""
     m, n_out = g.m, (g.order if order is None else order)
     u = (perturb.with_order(n_out) if perturb.order > n_out else perturb).flat()
-    bound, u = u.imag_bound(), np.moveaxis(u.coeffs, -1, 1)
+    bound, u = imag_bound(u), np.moveaxis(u.coeffs, -1, 1)
     c, n = g.flat().coeffs, g.order
     K = max(_support_band(c))
     band = np.moveaxis(c[(slice(None), slice(n, n + K + 1))
@@ -706,7 +713,7 @@ def compose_on_grid(g, perturb, M, order=None, tol_trunc=TOL_TRUNC):
     for s in node_chunks(max(len(u), len(band)), M ** m):
         e = _circle_m1(_grid_values(u[s] if len(u) > 1 else u, M,
                                     bound[s] if len(u) > 1 else bound))
-        vals = _shift_sum(band[s] if len(band) > 1 else band, e, M)
+        vals = shift_sum(band[s] if len(band) > 1 else band, e, M)
         vals = vals.reshape((len(vals), g.ncomp) + (M,) * m)
         out.append(fit_grid(np.moveaxis(vals, 1, -1), n_out, m, tol_trunc,
                             "compose", None, c[s] if len(c) > 1 else c).coeffs)
@@ -781,3 +788,51 @@ def pullback_windows(u, K):
     leaks = (np.abs(comp).reshape(len(comp), -1, W).sum(axis=1)
              - np.abs(mats).sum(axis=1))
     return modes, mats.reshape(u.batch + (W, W)), leaks.reshape(u.batch + (W,))
+
+
+def shift_sum(c, e, M):
+    """``_shift_sum`` with its passes laid out map by map."""
+    m, K = e.shape[1], c.shape[1] - 1
+    B, a = max(len(c), len(e)), _grid_roots(M, 1)[2]
+    if m == 1:
+        row, D = c[..., None], None
+    else:
+        b, rows, ncomp, cols = c.shape
+        k2, e2 = cols // 2, e[:, 1]
+        q = np.empty((len(e), cols, e.shape[-1]), dtype=complex)
+        q[:, k2] = 0.0
+        for k in range(k2 + 1, cols):
+            np.multiply(e2, q[:, k - 1], out=q[:, k])
+            q[:, k] += e2
+            q[:, k] += q[:, k - 1]
+        a2 = _grid_roots(M, k2)
+        q.reshape(len(e), cols, M, M)[:, k2 + 1:] *= a2[k2 + 1:, None]
+        np.conjugate(q[:, :k2:-1], out=q[:, :k2])
+        flat = c.reshape(b, rows * ncomp, cols)
+        D = (flat @ q).reshape(B, rows, ncomp, -1)
+        row = (flat @ a2).reshape(b, rows, ncomp, 1, M)
+        a = np.repeat(a, M)
+    ae = a * e[:, :1]
+    w = ae + a
+    p = np.zeros((B, c.shape[2], e.shape[-1]), dtype=complex)
+    grid = p.reshape(p.shape[:2] + (M,) * m)
+    d = p.copy() if D is None else D[:, K].copy()
+    if D is not None:
+        p += D[:, K]
+    grid += row[:, K]
+    for j in range(K - 1, -1, -1):
+        d *= a
+        d += ae * p
+        p *= w
+        if D is not None:
+            d += D[:, j]
+            p += D[:, j]
+        grid += row[:, j]
+    return np.ascontiguousarray(d.real)
+
+
+def imag_bound(f):
+    """1/2 sum_k |c_k - conj(c_{-k})| over the whole lattice, per map."""
+    flip = (Ellipsis,) + (slice(None, None, -1),) * f.m + (slice(None),)
+    defect = np.abs(f.coeffs[flip] - np.conj(f.coeffs))
+    return 0.5 * defect.sum(axis=tuple(range(-f.m - 1, -1))).max(axis=-1)

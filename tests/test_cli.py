@@ -38,6 +38,29 @@ def test_zero_field_solve(tmp_path):
     assert (tmp_path / "norms.csv").exists()
 
 
+@pytest.mark.parametrize("m, order, value", [(1, 8, [0.02]),
+                                              (2, 6, [0.02, -0.01])])
+def test_constant_field_solve(tmp_path, m, order, value):
+    """A valid constant field spec solves with every check passing, and its
+    flow u(t) = t c ends at c: the last snapshot holds the mode k = 0
+    alone, equal to c within 1e-15."""
+    scenario = tmp_path / "constant.json"
+    scenario.write_text(json.dumps({
+        "kind": "solve", "field": {"type": "constant", "value": value},
+        "order": order, "m": m, "eps": 0.05, "seed": 0}))
+    assert run(["solve", scenario, "--out", tmp_path / "out"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["pass"] and len(summary["checks"]) == 4
+    assert all(_passes(row) for row in summary["checks"])
+    last = json.loads((tmp_path / "out" / "flow.json").read_text())[
+        "snapshots"][-1]
+    assert len(last) == 1
+    k, parts = last[0][0], last[0][1:] if m == 1 else last[0][1]
+    assert k == (0 if m == 1 else [0, 0])
+    got = np.array(parts, dtype=float).reshape(m, 2)
+    assert np.abs(got - np.stack([value, [0.0] * m], axis=1)).max() <= 1e-15
+
+
 def test_inadmissible_exit_code_names_bound(tmp_path, capsys):
     code = run(["solve", SCENARIOS / "inadmissible.json", "--out", tmp_path])
     assert code == 3

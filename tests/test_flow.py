@@ -200,7 +200,7 @@ def test_identity_sweep_takes_the_field_at_the_nodes(field, max_step,
     path = identity_path(gamma, max_step)
     sweep = flow_module._PicardSweep(gamma, path.grid, TOL_TRUNC)
     composed = sweep._compose(sweep.plan, np.zeros_like(sweep.field.coeffs))
-    assert np.array_equal(composed, sweep.plan.coeffs)
+    assert np.array_equal(composed, sweep.field.coeffs)
     want = sweep._integrate(composed)
     calls = []
     compose = fourier_module.CompositionPlan.compose

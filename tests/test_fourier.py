@@ -594,6 +594,124 @@ def test_widths_broadcast_against_the_batch_map_by_map(seed, m, count, data):
                 assert reach[i, r] == imag_reach(alone, eps)
 
 
+def _shift_sum_inputs(rng, m, b, B, rows, cols, M, ncomp=2):
+    """A band (b, rows, ncomp[, cols]) and e = e^{2 pi i u} - 1 at the
+    grid of M points per axis for B small real u, (B, m, M^m)."""
+    shape = (b, rows, ncomp) + ((cols,) if m == 2 else ())
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    u = 0.01 * rng.normal(size=(B, m, M ** m))
+    return c, fourier._circle_m1(u)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("B", [1, 4, 32])
+def test_shift_sum_keeps_the_bits_of_the_map_by_map_layout(m, B):
+    """The shift sum on contiguous planes, with one band product over all
+    points for one outer map, gives the bits of its map-by-map form, for
+    one outer map and for a stack of them, over bands of 1-3 rows and
+    1-5 columns."""
+    rng = np.random.default_rng(10 * m + B)
+    M = 12 if m == 2 else 32
+    for rows in (1, 2, 3):
+        for cols in ((1, 3, 5) if m == 2 else (1,)):
+            for b in (1, B):
+                c, e = _shift_sum_inputs(rng, m, b, B, rows, cols, M)
+                got = fourier._shift_sum(c, e, M)
+                want = ref_loops.shift_sum(c, e, M)
+                assert got.shape == want.shape == (B, 2, M ** m)
+                assert got.tobytes() == want.tobytes(), (rows, cols, b)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_plan_of_equal_maps_keeps_one_map(m):
+    """A stack of B maps with the same bits is planned as its one map: the
+    plan composes to the bits of the plan of the map alone, of each map
+    composed alone at the stack's grid and of the plan that keeps all B
+    copies.  A stack of different maps keeps B maps."""
+    rng = np.random.default_rng(40 + m)
+    order, band, B = (12, 2, 5) if m == 1 else (8, 1, 4)
+    cap = 4 * (2 * order + 1)
+    g = _random_maps(rng, 1, m, order, band, m, 0.1)[0]
+    stack = MapStack([g] * B)
+    plan = fourier.CompositionPlan(stack, order, cap)
+    assert (len(plan.coeffs), len(plan.band), len(plan.nu0)) == (1, 1, 1)
+    u = MapStack(_random_maps(rng, B, m, order, band, m, 1e-3))
+    with composition_grids() as grids:
+        got = compose(plan, u).coeffs
+    M, alias = grids[-1]
+    assert got.shape == (B,) + g.coeffs.shape
+    alone = compose(fourier.CompositionPlan(g, order, cap), u).coeffs
+    assert alone.tobytes() == got.tobytes()
+    assert ref_loops.compose_on_grid(stack, u, M).tobytes() == got.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fourier.CompositionPlan, "composition_grid",
+                   lambda *args: (M, alias))
+        for i in range(B):
+            one = compose(g, u[i]).coeffs
+            assert one.tobytes() == got[i].tobytes()
+        # one map of u against the stack: each entry is that composite
+        each = compose(plan, u[0]).coeffs
+        assert each.shape == got.shape
+        assert all(e.tobytes() == got[0].tobytes() for e in each)
+    maps = _random_maps(rng, B, m, order, band, m, 0.1)
+    assert len(fourier.CompositionPlan(MapStack(maps), order, cap).coeffs) == B
+
+
+def _non_hermitian(rng, batch, m, order, ncomp, size):
+    """Coefficient cubes that break c_{-k} = conj(c_k) everywhere."""
+    shape = batch + (2 * order + 1,) * m + (ncomp,)
+    c = size * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return np.where(fourier._k_l1(order, m)[..., None] > order, 0, c)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([1, 2]),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_imag_bound_halves_the_lattice_within_rounding(seed, m, data):
+    """The half-lattice reality bound equals the whole-lattice sum, each
+    pair k, -k summed twice, to rounding, on stacks that are not Hermitian
+    and on Hermitian ones up to one-sided dust.  Both are sums of n >= 1
+    nonnegative terms in other orders, each within (n - 1) u of the exact
+    sum (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 4.2), so they may differ by (n - 1) ulp, n the lattice's
+    modes; 4 ulp on the smallest lattices."""
+    rng = np.random.default_rng(seed)
+    order = data.draw(st.integers(0, 16 if m == 1 else 8))
+    count = data.draw(st.integers(1, 5))
+    ncomp = data.draw(st.integers(1, 2))
+    size = 10.0 ** data.draw(st.integers(-12, 2))
+    c = _non_hermitian(rng, (count,), m, order, ncomp, size)
+    if data.draw(st.booleans()):    # Hermitian up to dust on one side
+        flip = (slice(None),) + (slice(None, None, -1),) * m
+        c = 0.5 * (c + c[flip].conj())
+        c += _non_hermitian(rng, (count,), m, order, ncomp, 1e-14 * size)
+    f = _wrap(c, m)
+    got, want = f.imag_bound(), ref_loops.imag_bound(f)
+    assert got.shape == want.shape == (count,)
+    n = int((fourier._k_l1(order, m) <= order).sum())
+    assert (np.abs(got - want) <= max(4, n - 1) * np.spacing(want)).all()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_reality_defect_fires_at_the_same_threshold(m):
+    """compose refuses a perturbation whose reality bound exceeds 1e-9 of
+    its size on the grid, and takes one just below: a one-sided mode of
+    size a adds a to the bound, read the same on half the lattice."""
+    order = 8
+    g = sine_map(0.02, order) if m == 1 else FourierMap.from_modes(
+        {(1, 0): [0.01j, 0.0], (0, 1): [0.0, 0.01]}, order, m=2)
+    for a, fires in ((1e-9 * (1 + 1e-6), True), (1e-9 * (1 - 1e-6), False)):
+        c = np.zeros((2 * order + 1,) * m + (m,), dtype=complex)
+        c[(order + 1,) + (order,) * (m - 1)] = a     # mode e_1 alone
+        u = FourierMap(c, check=False)
+        assert u.imag_bound() == ref_loops.imag_bound(u) == a
+        if fires:
+            with pytest.raises(RealityDefect, match="not real on the real grid"):
+                compose(g, u)
+        else:
+            compose(g, u)
+
+
 # -- restriction ---------------------------------------------------------------
 
 def test_restrict_monotone():

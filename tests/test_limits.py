@@ -206,3 +206,21 @@ def test_blocks_keep_the_random_stream():
                                           levels[-1].eps, 0.05, 300,
                                           np.random.default_rng(12))
     assert one.rows == many.rows
+
+
+@pytest.mark.parametrize("order", [8, 16, 32])
+def test_square_keeps_the_bits_of_the_whole_row_loop(square, order):
+    """The square multiplies each occupied mode against the occupied band
+    alone; the products it leaves out are zero, so on the blocks the
+    harness applies it to, sums of parts and +- steps, its bits are the
+    whole-row loop's."""
+    rng = np.random.default_rng(order)
+    eps = [0.2 * 0.5 ** j for j in range(4)]
+    parts = next(limits._ball_maps(rng, 63, order, [(0.05, 0.99)] * 4, eps,
+                                   (np.ones(4), 1.0)))
+    sums = np.cumsum(np.pad(parts, ((0, 0), (1, 0), (0, 0))), axis=1)
+    v, w = parts[:, 0], parts[:, 1]
+    blocks = [sums, v + 1e-5 * w, v + (-1e-5) * w, np.zeros_like(sums)]
+    for c in blocks:
+        got, want = square.apply(c), ref.square_apply(c)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -90,6 +90,58 @@ def test_gauss_rule_lives_in_timepaths_only():
         assert not used or name == "timepaths.py", (name, used)
 
 
+def _node_table_cases():
+    """Random pieces of degree 0-4 on grids of 1, 3 and 8 intervals, for
+    m = 1 and m = 2: (grid, pieces)."""
+    rng = np.random.default_rng(29)
+    for J in (1, 3, 8):
+        for m in (1, 2):
+            for degree in range(5):
+                shape = (J, degree + 1) + (9,) * m + (m,)
+                yield TimeGrid.uniform(J), (rng.normal(size=shape)
+                                            + 1j * rng.normal(size=shape))
+
+
+def _close(got, want, scale):
+    """got within 1e-15 of want, relative to ``scale``: per entry the sum of
+    the moduli of the terms that make it."""
+    return got.shape == want.shape and (np.abs(got - want) <= 1e-15 * scale).all()
+
+
+def test_node_tables_read_what_piece_values_reads():
+    """The sweep's node tables read every piece at the collocation nodes
+    and at the Gauss nodes of each interval as ``piece_values`` does at
+    those local times, within 1e-15 relative to sum_d tau^d |p_d|; the
+    Gauss nodes are those of ``TimeGrid.quadrature``."""
+    from torusflow.timepaths import _GL4_X, FIT_NODES, node_values, piece_values
+    for grid, pieces in _node_table_cases():
+        size = np.abs(pieces).astype(complex)
+        for gauss, taus in ((False, FIT_NODES), (True, _GL4_X)):
+            j, tau, t = grid.nodes(taus)
+            assert _close(node_values(pieces, gauss),
+                          piece_values(pieces, j, tau),
+                          piece_values(size, j, tau).real)
+        ts = grid.floats
+        quad = grid.quadrature(ts[:-1], ts[1:])[1].ravel()
+        assert np.allclose(t, quad, rtol=1e-15, atol=0)
+
+
+def test_node_integral_folds_the_cubic_fit_into_the_antiderivative():
+    """One (5, 4) table takes the node values of each interval to h_j times
+    the antiderivative of their cubic, as fitting and integrating do,
+    within 1e-15 relative to the sum of the moduli of the terms."""
+    from torusflow.timepaths import (_FIT_VANDER_INV, _antiderivative,
+                                     fit_poly3, node_integral, node_values)
+    for grid, pieces in _node_table_cases():
+        values, h = node_values(pieces), np.diff(grid.floats)
+        size = np.abs(values).reshape(len(h), 4, -1)
+        size = (np.abs(_FIT_VANDER_INV) @ size).reshape(
+            (len(h), 4) + values.shape[1:])
+        assert _close(node_integral(values, h),
+                      _antiderivative(fit_poly3(values), h),
+                      _antiderivative(size, h).real)
+
+
 def test_time_axis_readers_leave_group_pullback_and_charts():
     """group.py, pullback.py and charts.py read paths by time, as maps:
     they name neither the piece evaluator nor the order padding."""
