@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import (AdmissibilityViolation, ContractionStall,
                      NoPositiveRadius, OutOfRange)
-from .fourier import FourierMap, fit_sampled, majorants
+from .fourier import FourierMap, _wrap, fit_sampled, majorants
 from .timepaths import (ACPath, FIT_NODES, TOL_CHAIN, TimeDependentField,
-                        _derivative, fit_poly3)
+                        _derivative, fit_poly3, node_values)
 
 #: residual target for the displacement inversion
 TOL_INVERT = 1e-12
@@ -215,13 +215,11 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert) -> ACPath:
             f"flow displacement bound {2 * gamma.l1_nu:.6g} reaches "
             f"delta0/2 = {cert.delta0 / 2:.6g}")
 
-    # the grid times, then the collocation nodes of every interval
     ts = flow.grid.floats
-    times = np.concatenate([ts, flow.grid.nodes(FIT_NODES)[2]])
     fits = fit_sampled(
         lambda x, u: invert_local(alpha, cert, x, x + u.eval(x)).real,
-        [flow.u_at_many(times)], flow.order, tol_trunc=1e-8,
-        context="chart re-expansion").coeffs
+        [_times_then_nodes(flow.u_at_many, flow.pieces, flow)], flow.order,
+        tol_trunc=1e-8, context="chart re-expansion").coeffs
     pieces = _derivative(fit_poly3(fits[len(ts):]), np.diff(ts))
     scale = gamma.field.scale if gamma is not None else cert.eps
     derivative = TimeDependentField(flow.grid, pieces, scale)
@@ -231,14 +229,23 @@ def flow_to_chart(flow, alpha: LocalAddition, cert: InverseChartCert) -> ACPath:
 def chart_roundtrip_defect(flow, alpha: LocalAddition, path: ACPath) -> float:
     """sup over 64 probe points and the times of |alpha(x, w(t)(x)) -
     zeta(t)(x)|, at the grid times and the collocation nodes inside every
-    interval."""
+    interval; ``path`` is the chart transport of ``flow``, on its grid."""
+    if path.piece_grid != flow.grid:
+        raise ValueError("the chart path is not on the grid of the flow")
     if flow.m == 1:
         pts = (np.arange(64) / 64)[:, None].astype(complex)
     else:
         g = np.arange(8) / 8
         pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
         pts = pts.astype(complex)
-    times = np.concatenate([flow.grid.floats, flow.grid.nodes(FIT_NODES)[2]])
-    w = path.values_at(times).eval(pts)
-    zeta = pts + flow.u_at_many(times).eval(pts)
+    w = _times_then_nodes(path.values_at, path.pieces, flow).eval(pts)
+    zeta = pts + _times_then_nodes(flow.u_at_many, flow.pieces, flow).eval(pts)
     return float(np.abs(alpha(pts, w) - zeta).max())
+
+
+def _times_then_nodes(read, pieces, flow) -> FourierMap:
+    """A path on the grid of ``flow`` at the grid times, by its reader
+    ``read``, then at the collocation nodes of every interval, read from
+    its ``pieces`` by ``node_values``: one stack of maps."""
+    return _wrap(np.concatenate([read(flow.grid.floats).coeffs,
+                                 node_values(pieces, FIT_NODES)]), flow.m)

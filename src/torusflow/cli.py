@@ -351,7 +351,7 @@ def _sweep_item(s: Scenario, index: int, budget: float) -> tuple:
     path = solve_flow(gamma, tol_solve=s.tol_solve)
     check = contraction_check(path)
     return (index, gamma.theta_hat, check.value, path.residual,
-            path.imag_reach_max(s.eps / 2), check.ok), check
+            path.imag_reach_max(), check.ok), check
 
 
 def run_sweep(s: Scenario, out: Path, checks: list, workers: int) -> None:

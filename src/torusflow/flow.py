@@ -45,8 +45,8 @@ that id + u maps the working strip into the doubled strip where the
 field's majorants are certified (DomainEscape), that u is real on the real
 grid (RealityDefect, read from its coefficients), and that the spectral
 tail discarded by truncation stays within budget (TruncationBudgetExceeded).
-The field is read by time at the nodes, as maps, so the solver grid must
-hold its breakpoints, and u by the node tables of ``node_values``;
+The field, re-expressed on the solver grid, which must hold its
+breakpoints, and u are both read at the nodes by ``node_values``;
 ``pointwise_solution`` uses ``TimeGrid.quadrature``.
 ``invert_at_point``, the one solver of x + u(x) = y, solves it for every
 map of a FourierMap of any batch shape at once, each map to its own
@@ -64,8 +64,8 @@ from .errors import (AdmissibilityViolation, Check, ContractionStall,
 from .fourier import (OVERSAMPLE, TOL_TRUNC, CompositionPlan, FourierMap,
                       MapStack, _modes_to_json, _wrap, compose, imag_reach,
                       majorants)
-from .timepaths import (FIT_NODES, TimeDependentField, TimeGrid, _derivative,
-                        node_integral, node_values, pieces_on, read_pieces)
+from .timepaths import (FIT_NODES, GAUSS_NODES, TimeDependentField, TimeGrid,
+                        _derivative, node_integral, node_values, pieces_on, read_pieces)
 
 #: default solver tolerance, measured in nu_eps of snapshot differences
 TOL_SOLVE = 1e-10
@@ -175,18 +175,17 @@ class FlowPath:
         return _sup_distance(self.snapshots.coeffs, other.snapshots.coeffs,
                              eps)
 
-    def imag_reach_max(self, start_width: float | None = None) -> float:
+    def imag_reach_max(self) -> float:
         """Certified bound on ||Im zeta(t)(z)|| over starts ||Im z|| <=
-        start_width and all t in [0, 1]: the majorants of the coefficients
+        eps/2 and all t in [0, 1]: the majorants of the coefficients
         sum_d |c_{j,d}| bound those of piece j at every tau in [0, 1]."""
-        w = self.eps / 2 if start_width is None else start_width
         bound = _wrap(np.abs(self.pieces).sum(axis=1), self.m)
-        return float(imag_reach(bound, w).max())
+        return float(imag_reach(bound, self.eps / 2).max())
 
     def strip_check(self) -> Check:
         """Flows started in the half strip stay strictly inside the full strip."""
-        return Check("strip_invariant", self.imag_reach_max(self.eps / 2),
-                     self.eps, strict=True)
+        return Check("strip_invariant", self.imag_reach_max(), self.eps,
+                     strict=True)
 
     def check_strip_invariant(self) -> bool:
         return self.strip_check().ok
@@ -224,22 +223,21 @@ def identity_path(gamma: AdmissibleField, max_step=1,
 class _PicardSweep:
     """The integral-equation map on one solver grid, for m in {1, 2}.
 
-    Built once per grid from the field, read by time at the 4 collocation
-    nodes of every interval of a grid that holds its breakpoints (else a
-    cubic is fitted across a jump), with one ``CompositionPlan`` of that
-    field stack.  A sweep reads u at the same nodes from its pieces by one
-    product per interval against a fixed table of powers of the nodes
-    (``node_values``), composes the field with id + u node by node in one
-    ``compose`` call, which checks the reach from the working strip into
+    Built once per grid from the field, re-expressed on a grid that holds
+    its breakpoints (else a cubic is fitted across a jump) and read at the
+    4 collocation nodes of every interval by ``node_values``, with one
+    ``CompositionPlan`` of that field stack.  A sweep reads u at the same
+    nodes by the same reader, composes the field with id + u node by node
+    in one ``compose`` call, which checks the reach from the working strip into
     the doubled strip, the reality of u and the truncation tail at every
     node, and integrates the cubic through the node values of each interval
     by one fixed (5, 4) table (``node_integral``).  The sweep of the
     identity path integrates the field stack itself: gamma o id is gamma,
     ``compose`` returns its bits for u = 0, and u = 0 passes every check.
     ``defect`` measures the sweep against the exact map by one more
-    ``compose`` at the Gauss nodes, read by their own table, whose field
-    stack and plan it builds once; ``rounding`` measures its rounding level
-    by one more sweep.
+    ``compose`` at the Gauss nodes, read alike, with the weights of
+    ``TimeGrid.quadrature``; it builds that field stack and plan once.
+    ``rounding`` measures its rounding level by one more sweep.
     """
 
     def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
@@ -251,13 +249,15 @@ class _PicardSweep:
             raise ValueError("the path grid lacks breakpoints of the field grid")
         self.gamma, self.grid, self.tol_trunc = gamma, grid, tol_trunc
         self.h = np.diff(grid.floats)
-        self.field = gam.values_at(grid.nodes(FIT_NODES)[2])
-        self.plan = self._plan(self.field)
+        self.field_pieces = pieces_on(gam.pieces, gam.grid, grid)
+        self.plan = self._plan(FIT_NODES)
         self.gauss = None       # the defect pass's weights and plan
 
-    def _plan(self, field: FourierMap) -> CompositionPlan:
-        order = self.gamma.field.order
-        return CompositionPlan(field, order, OVERSAMPLE * (2 * order + 1))
+    def _plan(self, taus) -> CompositionPlan:
+        """The plan of the field stack at the nodes ``taus`` of every interval."""
+        f = self.gamma.field
+        return CompositionPlan(_wrap(node_values(self.field_pieces, taus), f.m),
+                               f.order, OVERSAMPLE * (2 * f.order + 1))
 
     def _compose(self, plan: CompositionPlan, u: np.ndarray) -> np.ndarray:
         """gamma o (id + u) node by node, for u at the nodes of the plan's
@@ -270,8 +270,8 @@ class _PicardSweep:
         """New (snapshots, pieces) arrays from the pieces of a candidate
         path; from the identity path (every piece zero), without a compose."""
         if not pieces.any():
-            return self._integrate(self.field.coeffs)
-        return self._integrate(self._compose(self.plan, node_values(pieces)))
+            return self._integrate(self.plan.source.coeffs)
+        return self._integrate(self._compose(self.plan, node_values(pieces, FIT_NODES)))
 
     def _integrate(self, kept: np.ndarray):
         """Integrate the cubic through the node values of every interval."""
@@ -300,19 +300,19 @@ class _PicardSweep:
         """
         if self.gauss is None:
             ts = self.grid.floats
-            _, t, w = self.grid.quadrature(ts[:-1], ts[1:])
-            self.gauss = w, self._plan(self.gamma.field.values_at(t.ravel()))
+            self.gauss = (self.grid.quadrature(ts[:-1], ts[1:])[2],
+                          self._plan(GAUSS_NODES))
         w, plan = self.gauss
-        u = node_values(pieces, gauss=True)
+        u = node_values(pieces, GAUSS_NODES)
         vals = self._compose(plan, u)
-        r = vals - node_values(_derivative(out, self.h), gauss=True)
+        r = vals - node_values(_derivative(out, self.h), GAUSS_NODES)
         r = r.reshape(w.shape + r.shape[1:])
         m, eps = r.ndim - 3, self.gamma.eps
         local = (w * majorants(r, m, eps)[0]).sum(axis=1)
         err = (w.reshape(w.shape + (1,) * (m + 1)) * r).sum(axis=1)
         before = np.cumsum(err, axis=0) - err
         D = float((majorants(before, m, eps)[0] + local).max())
-        return local, D, _sup_distance(node_values(out, gauss=True), u, eps)
+        return local, D, _sup_distance(node_values(out, GAUSS_NODES), u, eps)
 
     def rounding(self, pieces, snaps) -> float:
         """The measured rounding level of ``snaps``, the sweep of

@@ -369,7 +369,7 @@ def odot(gamma: AdmissibleField, eta: AdmissibleField) -> TimeDependentField:
     """
     eta_flow = solve_flow(eta.negated())
     grid = eta_flow.grid.merged(gamma.field.grid)
-    s = grid.nodes(FIT_NODES)[2]
+    s = grid.nodes(FIT_NODES)
     ad = fit_sampled(lambda x, uc, gc: _adjoint_values(uc, gc, x),
                      [eta_flow.u_at_many(s), gamma.field.values_at(s)],
                      gamma.field.order, tol_trunc=1e-7, context="odot")

@@ -37,8 +37,8 @@ MAX_DEGREE = 3
 STEP_FLOOR = 1 / 64
 
 # 4-point Gauss-Legendre nodes/weights on [0, 1]: exact for degree <= 7
-_GL4_X = 0.5 + 0.5 * np.array([-0.8611363115940526, -0.3399810435848563,
-                               0.3399810435848563, 0.8611363115940526])
+GAUSS_NODES = 0.5 + 0.5 * np.array([-0.8611363115940526, -0.3399810435848563,
+                                    0.3399810435848563, 0.8611363115940526])
 _GL4_W = 0.5 * np.array([0.34785484513745385, 0.6521451548625461,
                          0.6521451548625461, 0.34785484513745385])
 
@@ -46,17 +46,12 @@ _GL4_W = 0.5 * np.array([0.34785484513745385, 0.6521451548625461,
 # fields may be discontinuous at breakpoints
 FIT_NODES = 0.5 - 0.5 * np.cos(np.pi * (2 * np.arange(1, 5) - 1) / 8)
 _FIT_VANDER_INV = np.linalg.inv(np.vander(FIT_NODES, 4, increasing=True))
-
-# The solver's node tables: tau^d for d <= MAX_DEGREE + 1 (the degree of a
-# sweep's pieces) at the collocation nodes and at the Gauss nodes, and the
 # coefficients of tau -> int_0^tau of the cubic through values at FIT_NODES
 # (``fit_poly3`` folded into ``_antiderivative``), rows d = 0..4
-_FIT_POWERS = np.vander(FIT_NODES, MAX_DEGREE + 2, increasing=True)
-_GL4_POWERS = np.vander(_GL4_X, MAX_DEGREE + 2, increasing=True)
 _FIT_INTEGRAL = np.concatenate(
     [np.zeros((1, 4)), _FIT_VANDER_INV / np.arange(1, 5)[:, None]])
-_FIT_POWERS.flags.writeable = _GL4_POWERS.flags.writeable = False
-_FIT_INTEGRAL.flags.writeable = False
+for _table in (GAUSS_NODES, FIT_NODES, _FIT_VANDER_INV, _FIT_INTEGRAL):
+    _table.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -112,14 +107,12 @@ class TimeGrid:
         lo, hi = np.maximum(a, ts[:-1]), np.minimum(b, ts[1:])
         i, j = np.nonzero(hi > lo)
         lo, h = lo[i, j][:, None], (hi - lo)[i, j][:, None]
-        return i, lo + h * _GL4_X, h * _GL4_W
+        return i, lo + h * GAUSS_NODES, h * _GL4_W
 
     def nodes(self, taus):
-        """(j, tau, t) of the local nodes ``taus`` in every interval, in order."""
+        """The times of the local nodes ``taus`` in every interval, in order."""
         ts = self.floats
-        j = np.repeat(np.arange(len(ts) - 1), len(taus))
-        tau = np.tile(taus, len(ts) - 1)
-        return j, tau, ts[j] + (ts[j + 1] - ts[j]) * tau
+        return (ts[:-1, None] + np.diff(ts)[:, None] * taus).ravel()
 
     def merged(self, other: "TimeGrid") -> "TimeGrid":
         pts = sorted(set(self.breakpoints) | set(other.breakpoints))
@@ -172,7 +165,8 @@ def _unit_times(times) -> np.ndarray:
 
 
 def piece_values(pieces: np.ndarray, j, tau) -> np.ndarray:
-    """Entry i is piece j[i] at local time tau[i]: the time-axis primitive.
+    """Entry i is piece j[i] at local time tau[i]: the reader at any times,
+    under ``read_pieces``; ``node_values`` reads fixed nodes.
 
     ``pieces`` has shape (J, D + 1) + map shape; returns one coefficient
     array with the leading axes of j, each entry the Horner sum over the
@@ -193,18 +187,19 @@ def _table_product(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     (J, n) + shape: (J, r) + shape, one real product per interval on the
     real and imaginary parts side by side."""
     J, n = rows.shape[:2]
-    flat = np.ascontiguousarray(rows).view(float).reshape(J, n, -1)
+    flat = np.ascontiguousarray(rows, complex).view(float).reshape(J, n, -1)
     return (table @ flat).view(complex).reshape((J, len(table)) + rows.shape[2:])
 
 
-def node_values(pieces: np.ndarray, gauss: bool = False) -> np.ndarray:
-    """Every piece at the 4 collocation nodes ``FIT_NODES`` of its interval,
-    or with ``gauss`` at the 4 Gauss-Legendre nodes of ``TimeGrid.quadrature``,
-    intervals in order: (J * 4,) + map shape, one product per interval
-    against a fixed table of powers of the nodes.  These are the values of
-    ``piece_values`` at ``TimeGrid.nodes`` of those nodes, to rounding;
-    ``piece_values`` reads at any times."""
-    table = (_GL4_POWERS if gauss else _FIT_POWERS)[:, :pieces.shape[1]]
+def node_values(pieces: np.ndarray, taus) -> np.ndarray:
+    """Every piece at the local nodes ``taus`` of its interval, intervals
+    in order: (J * len(taus),) + map shape, one product per interval
+    against the table of powers of the nodes.  These are the values of
+    ``piece_values`` at those nodes, to rounding (exactly for constant
+    pieces); ``piece_values`` reads at any times."""
+    if pieces.shape[1] == 1:        # a constant piece: its value at every node
+        return np.repeat(pieces[:, 0], len(taus), axis=0)
+    table = np.vander(taus, pieces.shape[1], increasing=True)
     return _table_product(table, pieces).reshape((-1,) + pieces.shape[2:])
 
 
@@ -241,6 +236,8 @@ def pieces_on(pieces: np.ndarray, grid: TimeGrid, finer: TimeGrid) -> np.ndarray
     """The pieces on ``grid`` re-expressed exactly on every interval of
     ``finer``, a refinement of ``grid``."""
     js, starts = grid.locate(finer.floats[:-1])
+    if pieces.shape[1] == 1:        # constant pieces: nothing to reparametrize
+        return pieces[js]
     widths = np.array(finer.steps, dtype=float) / np.diff(grid.floats)[js]
     return _poly_reparam(pieces[js], starts, widths)
 
@@ -275,11 +272,11 @@ def fit_poly3(samples: np.ndarray) -> np.ndarray:
     """Cubic coefficients (in tau on [0,1]) through values at FIT_NODES.
 
     ``samples`` holds 4 node values per interval along axis 0, intervals
-    in order; the result has shape (intervals, 4) + samples.shape[1:].
+    in order (``node_values``' layout); the result has shape
+    (intervals, 4) + samples.shape[1:].
     """
-    J = len(samples) // 4
-    return (_FIT_VANDER_INV @ samples.reshape(J, 4, -1)).reshape(
-        (J, 4) + samples.shape[1:])
+    return _table_product(_FIT_VANDER_INV, samples.reshape(
+        (-1, 4) + samples.shape[1:]))
 
 
 class TimeDependentField:
@@ -377,24 +374,20 @@ class TimeDependentField:
         if not 0 < t_end <= 1:
             raise ValueError("t_end must lie in (0, 1]")
         keep = [b for b in self.grid.breakpoints if b < t_end]
+        cut = self.grid.merged(TimeGrid((0, t_end, 1))) if t_end < 1 else self.grid
+        pieces = pieces_on(self.pieces, self.grid, cut)[:len(keep)]
         bp = tuple(b / t_end for b in keep) + (Fraction(1),)
-        js, starts = self.grid.locate([float(a) for a in keep])
-        widths = np.array([b - a for a, b in zip(keep, keep[1:] + [t_end])],
-                          dtype=float)
-        pieces = float(t_end) * _poly_reparam(
-            self.pieces[js], starts, widths / np.diff(self.grid.floats)[js])
-        return TimeDependentField(TimeGrid(bp), pieces, self.scale)
+        return TimeDependentField(TimeGrid(bp), float(t_end) * pieces, self.scale)
 
     # -- norms --------------------------------------------------------------
 
     def lp_norm(self, p, kind: str, eps: float) -> float:
-        """Exact L^p norm of t -> seminorm(field(t)) for p in {1, 2, inf}.
-
-        Pieces constant in time contribute their value at tau = 0 alone;
-        polynomial pieces are integrated by Gauss quadrature exact to their
-        degree (p = inf uses dense sampling including the endpoints).  All
-        nodes of all pieces are evaluated at once.
-        """
+        """L^p norm of t -> seminorm(field(t)) for p in {1, 2, inf}, read at
+        fixed nodes of every interval by ``node_values``: a piece constant in
+        time by its value at tau = 0 alone, exactly; a polynomial piece by
+        the 4-point Gauss rule of ``TimeGrid.quadrature``, or for p = inf at
+        65 nodes with both ends, neither exact, as its seminorm is not a
+        polynomial in tau."""
         if kind not in ("nu", "beta"):
             raise ValueError("seminorm selector must be 'nu' or 'beta'")
         if eps > self.scale + 1e-15:
@@ -404,17 +397,15 @@ class TimeDependentField:
             raise ValueError("p must be 1, 2 or inf")
         sup = p in (np.inf, "inf")
         taus = np.concatenate([[0.0, 1.0], 0.5 - 0.5 * np.cos(
-            np.pi * np.arange(1, 64) / 64)]) if sup else np.append(0.0, _GL4_X)
-        j, tau, _ = self.grid.nodes(taus)
-        nu, mu = majorants(piece_values(self.pieces, j, tau), self.m, eps)
-        vals = nu if kind == "nu" else np.maximum(nu, mu)
+            np.pi * np.arange(1, 64) / 64)]) if sup else np.append(0.0, GAUSS_NODES)
+        nu, mu = majorants(node_values(self.pieces, taus), self.m, eps)
+        vals = (nu if kind == "nu" else np.maximum(nu, mu)).reshape(-1, len(taus))
         if sup:
             return float(vals.max())
         # a constant piece weighs its value at tau = 0 alone
         poly = self.pieces[:, 1:].reshape(len(self.pieces), -1).any(axis=1)
         w = np.where(poly[:, None], np.append(0.0, _GL4_W), np.eye(1, len(taus)))
-        per_piece = np.zeros(len(w))
-        np.add.at(per_piece, j, w.ravel() * (vals if p == 1 else vals**2))
+        per_piece = (w * (vals if p == 1 else vals**2)).sum(axis=1)
         total = float(np.dot(np.array(self.grid.steps, dtype=float), per_piece))
         return total if p == 1 else float(np.sqrt(total))
 
@@ -449,7 +440,7 @@ class ACPath:
         v, h = self.values.coeffs, np.array(der.grid.steps, dtype=float)
         pieces = _wrap(_antiderivative(der.pieces, h), der.m).with_order(
             self.values.order).coeffs
-        inc = piece_values(pieces, np.arange(len(owner)), 1.0)
+        inc = pieces[:, ::-1].sum(axis=1)       # every piece at tau = 1
         before = np.cumsum(inc, axis=0) - inc
         pieces[:, 0] = v[owner] + (before - before[np.searchsorted(owner, owner)])
         self.pieces, self.piece_grid = pieces, der.grid
@@ -475,16 +466,10 @@ class ACPath:
         return self.values_at(t)
 
 
-def _piece_integrals(field: TimeDependentField, j, tau) -> np.ndarray:
-    """h_j int_0^tau of piece j of ``field`` at each (j, tau), in closed form:
-    the antiderivative pieces summed by ``piece_values``."""
-    return piece_values(_antiderivative(
-        field.pieces, np.array(field.grid.steps, dtype=float)), j, tau)
-
-
 def integrate_primitive(gamma: TimeDependentField) -> ACPath:
     """Coefficient-wise primitive with value 0 at t = 0 (closed form)."""
-    inc = _piece_integrals(gamma, np.arange(len(gamma.pieces)), 1.0)
+    h = np.array(gamma.grid.steps, dtype=float)
+    inc = _antiderivative(gamma.pieces, h)[:, ::-1].sum(axis=1)
     values = np.cumsum(np.concatenate([np.zeros_like(inc[:1]), inc]), axis=0)
     return ACPath(gamma.grid, values, gamma, tol=TOL_INT)
 
@@ -587,7 +572,7 @@ def ac_postcompose(path: ACPath, rule: SuperpositionRule) -> ACPath:
     while True:
         values = _postcompose_values(path, grid, rule)
         der = path.derivative.on_grid(grid)
-        nodes = grid.nodes(FIT_NODES)[2]
+        nodes = grid.nodes(FIT_NODES)
         samples = rule.differential(path.values_at(nodes), der.values_at(nodes))
         out = ACPath(grid, values, TimeDependentField(
             grid, fit_poly3(samples.coeffs), der.scale), tol=TOL_CHAIN, check=False)

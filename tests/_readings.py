@@ -81,7 +81,7 @@ def field_from_profile(f: FourierMap, profile, scale: float,
                        n_pieces: int = 64) -> TimeDependentField:
     """Field t -> profile(t) * f with a cubic fit of the scalar profile."""
     grid = TimeGrid.uniform(n_pieces)
-    vals = np.array([profile(t) for t in grid.nodes(FIT_NODES)[2]], dtype=float)
+    vals = np.array([profile(t) for t in grid.nodes(FIT_NODES)], dtype=float)
     polys = fit_poly3(vals[:, None])        # scalar cubics
     return TimeDependentField(
         grid, polys.reshape((-1, 4) + (1,) * (f.m + 1)) * f.coeffs, scale)

@@ -54,10 +54,10 @@ from torusflow.group import (TOL_INVERSE, AnalyticDiffeo,
                              _jacobian_values, _probe_points, compose_diffeo,
                              exp_field, invert_diffeo)
 from torusflow.pullback import pullback_apply, pullback_matrix
-from torusflow.timepaths import (ACPath, FIT_NODES, AffineRule, IdentityRule,
-                                 SelfCompositionRule, TimeDependentField,
-                                 _GL4_W, _GL4_X, _piece_integrals,
-                                 fit_poly3, piece_values)
+from torusflow.timepaths import (ACPath, FIT_NODES, GAUSS_NODES, AffineRule,
+                                 IdentityRule, SelfCompositionRule,
+                                 TimeDependentField, _GL4_W, fit_poly3,
+                                 piece_values)
 from torusflow.charts import TOL_INVERT
 
 from _readings import eval_points
@@ -114,7 +114,7 @@ def ad_transport_integral(eta, gamma_field, t, tol_solve=1e-10):
         a, b = ts[j], min(ts[j + 1], t)
         h_full = ts[j + 1] - ts[j]
         node_vals = []
-        for tau in _GL4_X:
+        for tau in GAUSS_NODES:
             s = a + (b - a) * tau
             node_vals.append(_adjoint_inverse_values(
                 eta_flow.u_at(s), _at(gam.pieces, j, (s - ts[j]) / h_full), pts))
@@ -136,7 +136,7 @@ def verify_rows(candidate, gamma, probes):
     for j in range(len(ts) - 1):
         h = ts[j + 1] - ts[j]
         node_vals = []
-        for tau in _GL4_X:
+        for tau in GAUSS_NODES:
             s = ts[j] + h * tau
             g_s = _at(gam.pieces, j, tau)
             if candidate.side == "right":
@@ -207,7 +207,7 @@ def field_nu_integral(gamma, a, b):
         if hi <= lo:
             continue
         h_full = ts[j + 1] - ts[j]
-        for tau, wq in zip(_GL4_X, _GL4_W):
+        for tau, wq in zip(GAUSS_NODES, _GL4_W):
             s = lo + (hi - lo) * tau
             f = _at(gam.pieces, j, (s - ts[j]) / h_full)
             total += (hi - lo) * wq * strip_norms(f, 2 * gamma.eps).nu
@@ -226,7 +226,7 @@ def pointwise_solution(flow, t0, y0):
     def gauss_piece(j, a, b):
         h_full = ts[j + 1] - ts[j]
         node_vals = []
-        for tau in _GL4_X:
+        for tau in GAUSS_NODES:
             t = a + (b - a) * tau
             y_s = eval_points(flow, t, base[None, :])[0]
             node_vals.append(_at(gam.pieces, j, (t - ts[j]) / h_full)
@@ -366,7 +366,7 @@ def lp_norm(field, p, kind, eps):
             s = seminorm(j, 0.0)
             total += steps[j] * (s if p == 1 else s * s)
         else:
-            vals = np.array([seminorm(j, t) for t in _GL4_X])
+            vals = np.array([seminorm(j, t) for t in GAUSS_NODES])
             total += steps[j] * float(_GL4_W @ (vals if p == 1 else vals**2))
     return total if p == 1 else float(np.sqrt(total))
 
@@ -375,7 +375,7 @@ def lp_norm_nodes(field, p, kind, eps):
     """lp_norm with its node table built piece by piece: one node (tau 0,
     weight 1) per constant piece, all quadrature nodes per other piece."""
     sup = p in (np.inf, "inf")
-    taus, weights = _GL4_X, _GL4_W
+    taus, weights = GAUSS_NODES, _GL4_W
     if sup:
         taus = np.concatenate(
             [[0.0, 1.0], 0.5 - 0.5 * np.cos(np.pi * np.arange(1, 64) / 64)])
@@ -512,7 +512,7 @@ def ac_postcompose(path, rule, tol_chain=1e-8, grid=None):
                       for piece in _trimmed(der)]
         new_der = TimeDependentField(grid, new_pieces, path.derivative.scale)
         return ACPath(grid, new_values, new_der)
-    nodes = grid.nodes(FIT_NODES)[2]
+    nodes = grid.nodes(FIT_NODES)
     samples = MapStack(_rule_differential(rule, u, v) for u, v in zip(
         MapStack(path.values_at(nodes)), MapStack(der.values_at(nodes))))
     new_der = TimeDependentField(grid, fit_poly3(samples.coeffs),
@@ -555,7 +555,7 @@ def defect_bound(gamma, inp, out, step):
         h = ts[j + 1] - ts[j]
         d_out = np.stack([d * c for d, c in enumerate(out.pieces[j])][1:]) / h
         err, local = 0.0, 0.0
-        for x, w in zip(_GL4_X, _GL4_W):
+        for x, w in zip(GAUSS_NODES, _GL4_W):
             g = gamma.field.value_at(ts[j] + h * x)
             r = compose(g, inp.u_at(ts[j] + h * x), order=g.order,
                         outer_scale=2 * eps, inner_scale=eps).coeffs \
@@ -565,7 +565,7 @@ def defect_bound(gamma, inp, out, step):
         before = strip_norms(FourierMap(acc, check=False), eps).nu if j else 0.0
         D = max(D, before + local)
         acc = acc + err
-        for x in _GL4_X:
+        for x in GAUSS_NODES:
             t = ts[j] + h * x
             nodes = max(nodes, strip_norms(FourierMap(
                 (out.u_at(t) - inp.u_at(t)).coeffs, check=False), eps).nu)
@@ -599,13 +599,14 @@ def ac_values_at(path, times):
     of the earlier pieces of its path interval plus its own partial one."""
     der = path.derivative.on_grid(path.grid)
     owner = path.grid.locate(der.grid.floats[:-1])[0]
-    inc = _piece_integrals(der, np.arange(len(owner)), 1.0)
+    inc = piece_integrals(der, np.arange(len(owner)), np.ones(len(owner)))
     k, tau = der.grid.locate(times)
     start = path.values.coeffs[owner[k]]
     if len(owner) >= len(path.grid):
         before = np.cumsum(inc, axis=0) - inc
         start = start + (before - before[np.searchsorted(owner, owner)])[k]
-    return start + _piece_integrals(der, k, tau)
+    part = piece_integrals(der, k.ravel(), tau.ravel())
+    return start + part.reshape(k.shape + part.shape[1:])
 
 
 def integral_defect(path):

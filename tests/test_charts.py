@@ -7,8 +7,8 @@ from scipy.optimize import brentq
 from torusflow import (AdmissibilityViolation, FourierMap, LocalAddition,
                        TimeDependentField, chart_roundtrip_defect,
                        find_delta0, flow_to_chart, invert_local, solve_flow)
-from torusflow.charts import InversionResult
-from torusflow.errors import NoPositiveRadius, OutOfRange
+from torusflow.charts import InverseChartCert, InversionResult
+from torusflow.errors import ContractionStall, NoPositiveRadius, OutOfRange
 from torusflow.flow import AdmissibleField
 
 from _readings import fiber_jacobian_defect, step_factors
@@ -98,6 +98,27 @@ def test_invert_out_of_range():
     with pytest.raises(OutOfRange):
         invert_local(alpha, cert, np.array([0.0 + 0j]),
                      np.array([0.1 + 0j]), delta=2 * cert.delta0)
+
+
+def test_invert_local_stalls_past_the_certified_radius():
+    """alpha = z + w + w^2 under a hand-built certificate of radius 2, which
+    the defect 2|w| does not earn.  Displacement steps from z = 0.3
+    contract by 2|w| near the solution w: for the target z + 0.8 (w =
+    0.52) the residual falls by 0.80 and then by 0.960, over
+    the stall rule's 0.95; for z + 0.68 (w = 0.46) it falls by 0.93 a
+    step, too slowly to reach TOL_INVERT in 200 steps.  Both
+    ``ContractionStall`` raises of ``invert_local`` are reached through
+    its public call."""
+    alpha = LocalAddition([((2,), FourierMap.constant([1.0], 8))], m=1, order=8)
+    cert = InverseChartCert(delta0=2.0, eps=0.05, defect_bound=0.0,
+                            flat=False, grid_exponent=1.0)
+    z = np.array([0.3 + 0j])
+    with pytest.raises(ContractionStall,
+                       match=r"residual stalled at .* \(factor 0\.960\)"):
+        invert_local(alpha, cert, z, z + 0.8)
+    with pytest.raises(ContractionStall,
+                       match="no convergence in 200 displacement steps"):
+        invert_local(alpha, cert, z, z + 0.68)
 
 
 def test_inverse_lipschitz_two_and_coverage():

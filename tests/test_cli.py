@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from torusflow import cli
 from torusflow.cli import ScenarioError, _certify, main, parse_scenario
-from torusflow.errors import Check, TruncationBudgetExceeded
+from torusflow.errors import Check
 from torusflow.flow import solve_flow
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -621,12 +621,20 @@ def test_unread_fields_warn(tmp_path, capsys):
         assert parse_scenario(scenario, scenario["kind"]).ignored == (), path.name
 
 
-def test_numerical_fault_exits_one(tmp_path, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise TruncationBudgetExceeded("tail above budget")
-    monkeypatch.setattr(cli, "solve_flow", refuse)
-    assert run(["solve", SCENARIOS / "zero_field.json", "--out", tmp_path]) == 1
-    assert "run failed: tail above budget" in capsys.readouterr().err
+def test_numerical_fault_exits_one(tmp_path, capsys):
+    """An admissible field whose flow outgrows order 8: the sine field of
+    mode 1 at amplitude 0.45 / (2 pi e^{0.2 pi}) has L1 beta 0.45 at width
+    0.1, and its composition discards a spectral tail over budget.  The
+    fault reaches the user as exit 1, never 2, with no summary written."""
+    amp = 0.45 / (2 * np.pi * np.exp(0.2 * np.pi))
+    scenario = _scenario(tmp_path, kind="solve", order=8, m=1, eps=0.05,
+                         field={"type": "sine", "amplitude": amp, "mode": 1},
+                         seed=0)
+    assert run(["solve", scenario, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "torusflow: run failed: compose: discarded tail ratio 3.040e-09 > "
+        "1.0e-09")
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_non_finite_norm_exits_one(tmp_path, capsys):

@@ -19,7 +19,7 @@ from torusflow.fourier import (TOL_TRUNC, _support_band, _tail_ratio,
                                jacobian, sampling_grid, strip_norms)
 from torusflow.flow import (RATIO_SLACK, contraction_certificate_ok,
                             invert_at_point, max_contraction_ratio)
-from torusflow.timepaths import FIT_NODES, piece_values
+from torusflow.timepaths import FIT_NODES, node_values
 
 from _readings import eval_points, field_from_profile
 from _reference_loops import _real_horner
@@ -135,8 +135,7 @@ def test_sweep_matches_compose_reference(name):
     gamma = AdmissibleField.certify(make(), EPS)
     path = identity_path(gamma, max_step)
     gam = gamma.field.on_grid(path.grid)
-    assert max(_support_band(piece_values(
-        gam.pieces, *path.grid.nodes(FIT_NODES)[:2]))) == band
+    assert max(_support_band(node_values(gam.pieces, FIT_NODES))) == band
     for _ in range(2):  # from the identity path, then from a quartic iterate
         want_snaps, want_pieces = reference_sweep(gam, path, EPS, TOL_TRUNC)
         path = picard_step(gamma, path)
@@ -199,8 +198,8 @@ def test_identity_sweep_takes_the_field_at_the_nodes(field, max_step,
     gamma = AdmissibleField.certify(field(), EPS)
     path = identity_path(gamma, max_step)
     sweep = flow_module._PicardSweep(gamma, path.grid, TOL_TRUNC)
-    composed = sweep._compose(sweep.plan, np.zeros_like(sweep.field.coeffs))
-    assert np.array_equal(composed, sweep.field.coeffs)
+    composed = sweep._compose(sweep.plan, np.zeros_like(sweep.plan.source.coeffs))
+    assert np.array_equal(composed, sweep.plan.source.coeffs)
     want = sweep._integrate(composed)
     calls = []
     compose = fourier_module.CompositionPlan.compose

@@ -22,7 +22,6 @@ from torusflow import (ACPath, AdmissibleField, AffineRule, FourierMap,
 from torusflow import fourier
 from torusflow.flow import restriction_consistency
 from torusflow.group import _field_nu_integral, ad_transport_integral
-from torusflow.timepaths import _piece_integrals
 
 import _reference_loops as ref
 from _readings import field_from_profile
@@ -271,7 +270,8 @@ def _same(got, pieces):
 def test_array_forms_equal_piece_loops(fields):
     """The field algebra on the pieces array and the postcomposition on
     whole stacks equal their per-piece and per-map forms exactly, for
-    fields of one degree and of mixed degree (self-composition to 1e-13)."""
+    fields of one degree and of mixed degree (self-composition to 1e-13,
+    and L^p norms of polynomial fields to rounding)."""
     gamma, eta = fields
     f = gamma.field
     mixed = TimeDependentField(f.grid, [f.pieces[0], np.stack(
@@ -291,14 +291,16 @@ def test_array_forms_equal_piece_loops(fields):
         for t_end in (Fraction(3, 8), Fraction(5, 7)):
             assert _same(field.restricted_rescaled(t_end).pieces,
                          ref.restricted_rescaled(field, t_end))
+        # node_values sums a polynomial piece by its power table, the oracle
+        # by Horner: within 1e-15 of the norm of the moduli sum_d tau^d |p_d|
+        size = TimeDependentField(field.grid, np.abs(field.pieces).astype(complex),
+                                  field.scale)
         for p in (1, 2, "inf"):
             for kind in ("nu", "beta"):
-                assert field.lp_norm(p, kind, 2 * EPS) == \
-                    ref.lp_norm_nodes(field, p, kind, 2 * EPS)
-        j = np.array([0, 1, 1, len(field.pieces) - 1, 0])
-        tau = np.array([0.0, 0.3, 1.0, 0.7, 1.0])
-        assert np.array_equal(_piece_integrals(field, j, tau),
-                              ref.piece_integrals(field, j, tau))
+                got = field.lp_norm(p, kind, 2 * EPS)
+                want = ref.lp_norm_nodes(field, p, kind, 2 * EPS)
+                assert got == want if field is f else \
+                    abs(got - want) <= 1e-15 * size.lp_norm(p, kind, 2 * EPS)
         path = integrate_primitive(field)
         for rule in (IdentityRule(), AffineRule(0.5, b)):
             got, want = ac_postcompose(path, rule), ref.ac_postcompose(path, rule)

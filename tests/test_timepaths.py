@@ -109,31 +109,38 @@ def _close(got, want, scale):
 
 
 def test_node_tables_read_what_piece_values_reads():
-    """The sweep's node tables read every piece at the collocation nodes
-    and at the Gauss nodes of each interval as ``piece_values`` does at
-    those local times, within 1e-15 relative to sum_d tau^d |p_d|; the
-    Gauss nodes are those of ``TimeGrid.quadrature``."""
-    from torusflow.timepaths import _GL4_X, FIT_NODES, node_values, piece_values
+    """``node_values`` reads every piece at the collocation nodes and at the
+    Gauss nodes of each interval as ``piece_values`` does at those local
+    times, within 1e-15 relative to sum_d tau^d |p_d|, and constant pieces
+    exactly; ``TimeGrid.nodes`` gives their times, and the Gauss nodes are
+    those of ``TimeGrid.quadrature``."""
+    from torusflow.timepaths import (FIT_NODES, GAUSS_NODES, node_values,
+                                     piece_values)
     for grid, pieces in _node_table_cases():
         size = np.abs(pieces).astype(complex)
-        for gauss, taus in ((False, FIT_NODES), (True, _GL4_X)):
-            j, tau, t = grid.nodes(taus)
-            assert _close(node_values(pieces, gauss),
+        J = len(pieces)
+        for taus in (FIT_NODES, GAUSS_NODES):
+            j, tau = np.repeat(np.arange(J), 4), np.tile(taus, J)
+            assert _close(node_values(pieces, taus),
                           piece_values(pieces, j, tau),
                           piece_values(size, j, tau).real)
+            assert np.array_equal(node_values(pieces[:, :1], taus),
+                                  piece_values(pieces[:, :1], j, tau))
+            assert np.allclose(grid.nodes(taus), grid.floats[j] + np.diff(
+                grid.floats)[j] * tau, rtol=1e-15, atol=0)
         ts = grid.floats
         quad = grid.quadrature(ts[:-1], ts[1:])[1].ravel()
-        assert np.allclose(t, quad, rtol=1e-15, atol=0)
+        assert np.array_equal(grid.nodes(GAUSS_NODES), quad)
 
 
 def test_node_integral_folds_the_cubic_fit_into_the_antiderivative():
     """One (5, 4) table takes the node values of each interval to h_j times
     the antiderivative of their cubic, as fitting and integrating do,
     within 1e-15 relative to the sum of the moduli of the terms."""
-    from torusflow.timepaths import (_FIT_VANDER_INV, _antiderivative,
+    from torusflow.timepaths import (FIT_NODES, _FIT_VANDER_INV, _antiderivative,
                                      fit_poly3, node_integral, node_values)
     for grid, pieces in _node_table_cases():
-        values, h = node_values(pieces), np.diff(grid.floats)
+        values, h = node_values(pieces, FIT_NODES), np.diff(grid.floats)
         size = np.abs(values).reshape(len(h), 4, -1)
         size = (np.abs(_FIT_VANDER_INV) @ size).reshape(
             (len(h), 4) + values.shape[1:])
@@ -148,6 +155,28 @@ def test_time_axis_readers_leave_group_pullback_and_charts():
     for name, names in src_module_names():
         if name in ("group.py", "pullback.py", "charts.py"):
             assert not names & {"piece_values", "_embed"}, name
+
+
+def _calls(tree, name) -> set:
+    """The calls of ``name`` (a function or a method) under ``tree``."""
+    return {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name}
+
+
+def test_fixed_nodes_have_one_reader():
+    """Pieces are read at fixed local nodes by ``node_values`` alone: in the
+    package only ``read_pieces``, the reader at arbitrary times, calls
+    ``piece_values``, and no module but timepaths.py builds a table of
+    powers (``vander``) or multiplies by one (``_table_product``)."""
+    for path in sorted(Path(torusflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set().union(*(
+            _calls(f, "piece_values") for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "read_pieces"))
+        assert _calls(tree, "piece_values") == allowed, path.name
+        if path.name != "timepaths.py":
+            assert not _calls(tree, "vander") | _calls(tree, "_table_product"), \
+                path.name
 
 
 def test_field_rows_must_be_real_at_every_time():
