@@ -8,13 +8,13 @@ from .errors import (AdmissibilityViolation, Check, ContractionStall,
                      RealityDefect, ScaleMismatch, TorusflowError,
                      TruncationBudgetExceeded)
 from .fourier import (FourierMap, JacobianField, MapStack, NormReport,
-                      StripScale, compose, imag_reach, jacobian, multiply,
-                      restrict, strip_norms)
-from .timepaths import (ACPath, AffineRule, IdentityRule,
-                        SelfCompositionRule, TimeDependentField, TimeGrid,
-                        ac_postcompose, integrate_primitive)
+                      compose, imag_reach, jacobian, multiply, restrict,
+                      strip_norms)
+from .timepaths import (ACPath, AffineRule, SelfCompositionRule,
+                        TimeDependentField, TimeGrid, ac_postcompose,
+                        integrate_primitive)
 from .flow import (AdmissibleField, FlowPath, identity_path,
-                   param_lipschitz_check, picard_step, pointwise_solution,
+                   param_lipschitz_check, pointwise_solution,
                    restriction_consistency, solve_checks, solve_flow)
 from .charts import (InverseChartCert, LocalAddition, chart_roundtrip_defect,
                      find_delta0, flow_to_chart, invert_local)
@@ -23,10 +23,8 @@ from .group import (AnalyticDiffeo, EvolutionResult, adjoint, compose_diffeo,
                     evol_left_by_reversal, evol_right, exp_field,
                     flow_two_param, invert_diffeo, odot, trotter_curve,
                     verify_evolution_pointwise)
-from .pullback import (PullbackMatrix, cocycle_matrix_defect,
-                       contravariance_defect, pullback_apply,
-                       pullback_matrix, pullback_path)
+from .pullback import (PullbackMatrix, contravariance_defect,
+                       pullback_apply, pullback_matrix, pullback_path)
 from .limits import (LevelLipschitzCert, LinearScaleMap, PointwiseSquareMap,
-                     ScaleLevel, build_neighborhood, cauchy_bound_check,
-                     make_levels, third_ball_lipschitz,
-                     verify_continuity_estimate)
+                     ScaleLevel, cauchy_bound_check, make_levels,
+                     third_ball_lipschitz, verify_continuity_estimate)

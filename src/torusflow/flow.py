@@ -36,9 +36,9 @@ and halves, solving again from the path it has, each interval whose
 share of D exceeds its share of the budget tol_solve (1 - theta_hat),
 never below ``STEP_FLOOR``.
 
-One sweep engine applies P for m = 1 and m = 2 alike; ``solve_flow`` and
-``picard_step`` both call it.  A sweep is one call of ``fourier.compose``,
-the one composition kernel, on the stacks of the field and of u at every
+One sweep engine applies P for m = 1 and m = 2 alike; ``solve_flow``
+drives it.  A sweep is one call of ``fourier.compose``, the one
+composition kernel, on the stacks of the field and of u at every
 collocation node, except from the identity path, where gamma o id is the
 field at the nodes and nothing is composed; it checks, at every node,
 that id + u maps the working strip into the doubled strip where the
@@ -321,19 +321,6 @@ class _PicardSweep:
         by less than theta_hat 2^-40 times the size of u."""
         again = self.run(pieces * (1 + 2.0 ** -40))[0]
         return _sup_distance(again, snaps, self.gamma.eps)
-
-
-def picard_step(gamma: AdmissibleField, path: FlowPath,
-                tol_trunc: float = TOL_TRUNC) -> FlowPath:
-    """One application of the integral-equation map to a candidate path.
-
-    The candidate must map the working strip into the doubled strip where
-    the field's majorants are certified, at every collocation node; the
-    certificate implies this for every iterate of an admissible field.
-    """
-    snaps, pieces = _PicardSweep(gamma, path.grid, tol_trunc).run(path.pieces)
-    return FlowPath(path.grid, gamma.eps, snaps, pieces, source=gamma,
-                    iteration_log=path.iteration_log)
 
 
 # ---------------------------------------------------------------------------

@@ -136,31 +136,6 @@ class NormReport:
         return (self.eps, self.nu, self.beta, self.tail_ratio)
 
 
-@dataclass(frozen=True)
-class StripScale:
-    """Strictly decreasing ladder of strip half-widths."""
-
-    halfwidths: tuple
-
-    def __post_init__(self):
-        hw = self.halfwidths
-        if not hw or any(h <= 0 for h in hw):
-            raise ValueError("strip half-widths must be positive")
-        if any(a <= b for a, b in zip(hw, hw[1:])):
-            raise ValueError("strip half-widths must be strictly decreasing")
-
-    @classmethod
-    def geometric(cls, top: float, levels: int) -> "StripScale":
-        """``levels`` half-widths from ``top``, each half the one before."""
-        return cls(tuple(top * 0.5**j for j in range(levels)))
-
-    def __len__(self):
-        return len(self.halfwidths)
-
-    def __getitem__(self, i):
-        return self.halfwidths[i]
-
-
 class FourierMap:
     """Truncated Fourier series C^m -> C^c with real symmetry, one or a batch.
 

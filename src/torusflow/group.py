@@ -101,9 +101,6 @@ class AnalyticDiffeo:
         pts = np.asarray(pts, dtype=complex)
         return pts + self.u.eval(pts)
 
-    def jacobian_values(self, pts: np.ndarray) -> np.ndarray:
-        return _jacobian_values(self.u, pts)
-
 
 def _jacobian_values(u, pts: np.ndarray) -> np.ndarray:
     """D(id + u) at points, for every map of the displacement u."""

@@ -168,58 +168,23 @@ def _ball_maps(rng, count: int, order: int, bounds, eps, scale):
 # the telescoping neighbourhood
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NeighborhoodSample:
-    """One telescoping draw with its per-level bookkeeping."""
-
-    parts: list          # z_k
-    partial_sums: list   # y_0 = 0, y_1, ..., y_n
-    q_values: list       # q_k(z_k)
-    caps: list           # eps 2^{-k} after Lipschitz weighting
-
-    @property
-    def point(self) -> FourierMap:
-        return self.partial_sums[-1]
-
-
-def _telescoping(levels, certs, eps_target: float, rng, depth: int, count):
-    """Blocks of ``count`` telescoping draws: parts z_k (n, depth, 2N+1) and
-    q_k(z_k) (n, depth)."""
+def _telescoping(levels, certs, eps_target: float, rng, count):
+    """Blocks of ``count`` telescoping draws, one part per level: parts z_k
+    (n, levels, 2N+1) and q_k(z_k) (n, levels)."""
     if len(certs) != len(levels):
         raise ValueError("need one Lipschitz certificate per level")
     caps = []
-    for lv, cert in zip(levels[:depth], certs[:depth]):
+    for lv, cert in zip(levels, certs):
         lip_cap = (eps_target * 2.0**-lv.index / cert.constant
                    if cert.constant > 0 else np.inf)
         caps.append(min(lip_cap, 2.0**-lv.index * lv.radius))
         if not caps[-1] > 0:
             raise EmptyLevel(f"level {lv.index} has an empty intersection")
-    eps = [lv.eps for lv in levels[:depth]]
+    eps = [lv.eps for lv in levels]
     for parts in _ball_maps(rng, count, levels[0].order,
-                            [(0.05, 0.99)] * depth, eps, (np.array(caps), 1.0)):
+                            [(0.05, 0.99)] * len(levels), eps,
+                            (np.array(caps), 1.0)):
         yield parts, majorants(parts[..., None], 1, eps)[0]
-
-
-def build_neighborhood(levels, certs, eps_target: float,
-                       rng: np.random.Generator):
-    """Generator of telescoping samples y = sum z_k, one part per level,
-    with bookkeeping.
-
-    z_k is drawn inside both the Lipschitz-weighted ball (q'_k = L_k q_k
-    below eps 2^{-k}) and the shrunken level ball 2^{-k} U_k; the partial
-    sums stay in U_k by convexity, which the caller re-asserts.
-    """
-    depth = len(levels)
-    zero = FourierMap.zero(levels[0].order, 1, 1)
-    while True:
-        parts, q = next(_telescoping(levels, certs, eps_target, rng, depth, 1))
-        maps = [FourierMap(c[:, None], check=False)
-                for c in np.concatenate([parts[0], parts[0].cumsum(axis=0)])]
-        yield NeighborhoodSample(parts=maps[:depth],
-                                 partial_sums=[zero] + maps[depth:],
-                                 q_values=q[0].tolist(),
-                                 caps=[eps_target * 2.0**-lv.index
-                                       for lv in levels[:depth]])
 
 
 @dataclass
@@ -245,7 +210,7 @@ def verify_continuity_estimate(f: ScaleMap, levels, certs, p_eps: float,
     depth = len(levels)
     link_caps = eps_target * 2.0**-np.array([lv.index for lv in levels])
     rows = []
-    for parts, q in _telescoping(levels, certs, eps_target, rng, depth, count):
+    for parts, q in _telescoping(levels, certs, eps_target, rng, count):
         n = len(parts)
         sums = np.cumsum(np.pad(parts, ((0, 0), (1, 0), (0, 0))), axis=1)
         images = f.apply(sums)          # f(y_0 = 0), f(y_1), ..., f(y)

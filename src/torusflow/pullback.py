@@ -34,7 +34,7 @@ from .fourier import (FourierMap, TWO_PI, _band_powers, _unit_circle, _wrap,
                       compose, fit_sampled, jacobian, lattice_modes)
 from .group import (_FD4_W, _FD4_X, FD_STEP, AnalyticDiffeo,
                     _field_nu_integral, _two_param_maps, ac_check, ac_rows,
-                    compose_diffeo, evol_right, flow_two_param, invert_diffeo)
+                    compose_diffeo, invert_diffeo)
 
 #: tolerance for matrix-vs-direct-composition agreement
 TOL_PB = 1e-9
@@ -281,12 +281,3 @@ def pullback_path(gamma: AdmissibleField, t0: float, K: int,
         times=ts, matrices=mats, ac_rows=rows, transport_rows=transport_rows,
         flow_checks=solve_checks(flow), ac_check=ac_check("pullback_ac", rows),
         transport_check=Check("transport_residual", worst, TOL_TRANSPORT))
-
-
-def cocycle_matrix_defect(gamma: AdmissibleField, t: float, s: float,
-                          t0: float, K: int) -> float:
-    """(Fl_{t,s} o Fl_{s,t0})^* vs (Fl_{s,t0})^* (Fl_{t,s})^* on the interior:
-    the contravariance defect of the two legs."""
-    evol = evol_right(gamma)
-    return contravariance_defect(flow_two_param(evol, t, s),
-                                 flow_two_param(evol, s, t0), K)

@@ -67,7 +67,7 @@ class TimeGrid:
     def __post_init__(self):
         bp = tuple(Fraction(b) for b in self.breakpoints)
         object.__setattr__(self, "breakpoints", bp)
-        if bp[0] != 0 or bp[-1] != 1:
+        if not bp or bp[0] != 0 or bp[-1] != 1:
             raise ValueError("grid must run from 0 to 1")
         if any(a >= b for a, b in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
@@ -77,6 +77,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, n: int) -> "TimeGrid":
+        if n < 1:
+            raise ValueError("a uniform grid needs at least one interval")
         return cls(tuple(Fraction(j, n) for j in range(n + 1)))
 
     @property
@@ -493,16 +495,6 @@ class SuperpositionRule:
 
     def domain_ok(self, u: MapStack) -> np.ndarray:
         return np.ones(len(u), dtype=bool)
-
-
-class IdentityRule(SuperpositionRule):
-    is_affine = True
-
-    def value(self, u):
-        return u
-
-    def differential(self, u, v):
-        return v
 
 
 class AffineRule(SuperpositionRule):

@@ -12,7 +12,8 @@ points, and the maps of an evolution at a time or a grid index.
 import numpy as np
 
 from torusflow.fourier import FourierMap, strip_norms
-from torusflow.group import AnalyticDiffeo, _probe_points, invert_diffeo
+from torusflow.group import (AnalyticDiffeo, _jacobian_values, _probe_points,
+                             invert_diffeo)
 from torusflow.limits import LevelLipschitzCert, ScaleMap
 from torusflow.timepaths import (FIT_NODES, TimeDependentField, TimeGrid,
                                  fit_poly3)
@@ -70,7 +71,7 @@ def max_observed(rep) -> float:
 
 def min_real_jacobian(phi: AnalyticDiffeo) -> float:
     """min over 256 sampled real points of the Jacobian determinant."""
-    J = phi.jacobian_values(_probe_points(phi.m, 256))
+    J = _jacobian_values(phi.u, _probe_points(phi.m, 256))
     if phi.m == 1:
         return float(J[..., 0, 0].real.min())
     det = (J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]).real

@@ -8,15 +8,30 @@ are the FourierMap forms of the batched ``ScaleMap.apply``.
 ``square_apply`` is the batched square before it kept to the occupied band.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from torusflow.errors import EmptyLevel
 from torusflow.fourier import FourierMap, strip_norms
 from torusflow.limits import (ContinuityReport, LinearScaleMap,
-                              NeighborhoodSample, PointwiseSquareMap,
-                              RatioSweep)
+                              PointwiseSquareMap, RatioSweep)
 
 from _readings import ConstantScaleMap
+
+
+@dataclass
+class NeighborhoodSample:
+    """One telescoping draw with its per-level bookkeeping."""
+
+    parts: list          # z_k
+    partial_sums: list   # y_0 = 0, y_1, ..., y_n
+    q_values: list       # q_k(z_k)
+    caps: list           # eps 2^{-k} after Lipschitz weighting
+
+    @property
+    def point(self) -> FourierMap:
+        return self.partial_sums[-1]
 
 
 def _apply(f, u: FourierMap) -> FourierMap:

@@ -55,9 +55,8 @@ from torusflow.group import (TOL_INVERSE, AnalyticDiffeo,
                              exp_field, invert_diffeo)
 from torusflow.pullback import pullback_apply, pullback_matrix
 from torusflow.timepaths import (ACPath, FIT_NODES, GAUSS_NODES, AffineRule,
-                                 IdentityRule, SelfCompositionRule,
-                                 TimeDependentField, _GL4_W, fit_poly3,
-                                 piece_values)
+                                 SelfCompositionRule, TimeDependentField,
+                                 _GL4_W, fit_poly3, piece_values)
 from torusflow.charts import TOL_INVERT
 
 from _readings import eval_points
@@ -472,8 +471,6 @@ def _rule_domain_ok(rule, u):
 
 
 def _rule_value(rule, u):
-    if isinstance(rule, IdentityRule):
-        return u
     if isinstance(rule, AffineRule):
         out = rule.a * u
         return out if rule.b is None else out + rule.b
@@ -482,8 +479,6 @@ def _rule_value(rule, u):
 
 
 def _rule_differential(rule, u, v):
-    if isinstance(rule, IdentityRule):
-        return v
     if isinstance(rule, AffineRule):
         return rule.a * v
     n = u.order

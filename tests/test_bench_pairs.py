@@ -1,0 +1,89 @@
+"""tools/bench_pairs.py on canned result lines: no benchmark is started."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def canned_run(tree, workload, seed, seconds):
+    """The output of run.py: an environment line, readable lines and the
+    result line; the change runs one job per second more.  Seed 3 of the
+    change exits 1, and seed 4 of the parent ends without a result line."""
+    side = tree.name
+    if (side, seed) == ("change", 3):
+        return 1, "env {}\n", "perfbench: run worker exited with code 1\n"
+    if (side, seed) == ("parent", 4):
+        return 0, "env {}\n  setup_s 0.4 s\n", ""
+    rate = 10.0 * seed + (side == "change")
+    metrics = {spec["name"]: {"value": float(seed), "unit": spec["unit"]}
+               for spec in END_TO_END}
+    metrics["jobs_per_s"]["value"] = rate
+    res = {"correct": True, "attempted": 20, "failed": 1 if seed == 1 else 0,
+           "metrics": metrics}
+    return 0, f"env {{}}\n  jobs_per_s {rate}\n{json.dumps(res)}\n", ""
+
+
+def test_bench_pairs_file_schema(tmp_path):
+    trees = {side: tmp_path / side for side in bench.SIDES}
+    runs = bench.collect(trees, ["solve_m1", "verify_m1"], 4, 1, 30,
+                         run=canned_run, log=lambda line: None)
+    path = tmp_path / "BENCH_test.json"
+    path.write_text(json.dumps(bench.report(trees, runs, END_TO_END,
+                                            range(1, 5), 30)))
+    got = json.loads(path.read_text())
+
+    assert set(got) == {"trees", "seeds", "seconds", "nproc", "python",
+                        "numpy", "workloads", "runs"}
+    assert got["seeds"] == [1, 2, 3, 4] and got["seconds"] == 30
+    assert set(got["trees"]) == {"parent", "change"}
+    assert all(set(t) == {"head", "dirty"} for t in got["trees"].values())
+    assert isinstance(got["nproc"], int) and got["numpy"] and got["python"]
+
+    # alternating order: the parent first in even pairs, the change in odd
+    firsts = [r["side"] for r in got["runs"] if r["position"] == 0]
+    assert firsts == ["parent", "change"] * 4
+    # the two runs without a result are recorded, not dropped
+    assert len(got["runs"]) == 16
+    bad = [(r["side"], r["seed"], r["exit"]) for r in got["runs"]
+           if r["result"] is None]
+    assert bad == [("change", 3, 1), ("parent", 4, 0)] * 2
+    assert all(r["error"] is not None for r in got["runs"]
+               if r["result"] is None)
+
+    for workload in ("solve_m1", "verify_m1"):
+        w = got["workloads"][workload]
+        assert set(w["metrics"]) == {spec["name"] for spec in END_TO_END}
+        assert w["failures"]["parent"] == {
+            "runs_without_result": 1, "attempted": 60, "failed": 1,
+            "incorrect_runs": 0}
+        assert w["failures"]["change"]["runs_without_result"] == 1
+        rate = w["metrics"]["jobs_per_s"]
+        assert rate["pairs"] == [[10.0, 11.0], [20.0, 21.0], [30.0, None],
+                                 [None, 41.0]]
+        assert rate["parent"] == {"q1": 15.0, "median": 20.0, "q3": 25.0}
+        assert rate["change"]["median"] == 21.0
+        assert rate["pairs_won"] == 2 and rate["pairs_compared"] == 2
+        assert rate["relative_change"] == pytest.approx(-0.05)
+        # the parent's own runs spread 10..30: wider than any bound
+        assert rate["parent_spread"] == pytest.approx(0.5)
+        assert rate["verdict"] == "unresolved"
+        setup = w["metrics"]["setup_s"]
+        assert setup["relative_change"] == 0.0 and setup["pairs_won"] == 0
+
+
+def test_result_line_takes_only_a_result():
+    assert bench.result_line("") is None
+    assert bench.result_line("env {}\nnot json\n") is None
+    assert bench.result_line('env {}\n{"correct": true}\n') is None
+    line = {"correct": False, "attempted": 3, "failed": 3, "metrics": {}}
+    assert bench.result_line("a\n" + json.dumps(line) + "\n\n") == line

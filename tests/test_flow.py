@@ -10,10 +10,10 @@ from scipy.integrate import solve_ivp
 from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
                        FlowPath, FourierMap, RealityDefect, TimeDependentField,
                        TimeGrid, TruncationBudgetExceeded, identity_path,
-                       param_lipschitz_check, picard_step, pointwise_solution,
+                       param_lipschitz_check, pointwise_solution,
                        restriction_consistency, solve_flow)
 from torusflow import flow as flow_module
-from torusflow.errors import ContractionStall
+from torusflow.errors import ContractionStall, NonContraction
 from torusflow import fourier as fourier_module
 from torusflow.fourier import (TOL_TRUNC, _support_band, _tail_ratio,
                                jacobian, sampling_grid, strip_norms)
@@ -61,20 +61,21 @@ def test_chart_certificate():
 def test_picard_step_zero_field():
     gamma = AdmissibleField.certify(
         TimeDependentField.constant(FourierMap.zero(32, 1, 1), 0.2), EPS)
-    path = picard_step(gamma, identity_path(gamma))
+    path = solve_flow(gamma, start=identity_path(gamma), fixed_iters=1)
     assert all(np.abs(u.coeffs).max() == 0 for u in path.snapshots)
 
 
 def test_picard_step_constant_field():
     c = FourierMap.constant([0.1], 32)
     gamma = AdmissibleField.certify(TimeDependentField.constant(c, 0.2), EPS)
-    path = picard_step(gamma, identity_path(gamma))
+    path = solve_flow(gamma, start=identity_path(gamma), fixed_iters=1)
     for t in (0.25, 0.5, 1.0):
         assert np.abs(path.u_at(t).coeffs - t * c.coeffs).max() < 1e-14
 
 
 def test_picard_first_iterate_is_field_primitive(sine_gamma):
-    path = picard_step(sine_gamma, identity_path(sine_gamma))
+    path = solve_flow(sine_gamma, start=identity_path(sine_gamma),
+                      fixed_iters=1)
     t = 0.75
     want = t * sine_gamma.field.value_at(0.0).coeffs
     assert np.abs(path.u_at(t).coeffs - want).max() < 1e-13
@@ -138,7 +139,7 @@ def test_sweep_matches_compose_reference(name):
     assert max(_support_band(node_values(gam.pieces, FIT_NODES))) == band
     for _ in range(2):  # from the identity path, then from a quartic iterate
         want_snaps, want_pieces = reference_sweep(gam, path, EPS, TOL_TRUNC)
-        path = picard_step(gamma, path)
+        path = solve_flow(gamma, start=path, fixed_iters=1)
         assert max(np.abs(a.coeffs - b.coeffs).max() for a, b in
                    zip(path.snapshots, want_snaps)) <= 1e-13
         assert max(np.abs(a - b).max() for a, b in
@@ -256,21 +257,25 @@ def _random_real_field(seed, m, order, band):
 def _sweep_matches_reference(seed, m, order, band):
     gamma = AdmissibleField.certify(
         _random_real_field(seed, m, order, band), EPS)
-    start = picard_step(gamma, identity_path(gamma, Fraction(1, 8)), 1.0)
+    coarse = identity_path(gamma, Fraction(1, 8))
+    start = FlowPath(coarse.grid, EPS, *flow_module._PicardSweep(
+        gamma, coarse.grid, 1.0).run(coarse.pieces))
     with composition_grids() as grids:
         try:
-            path = picard_step(gamma, start, 1.0)
+            out = flow_module._PicardSweep(gamma, start.grid, 1.0).run(
+                start.pieces)
         except TruncationBudgetExceeded:
-            path = None
+            out = None
     if any(np.isinf(alias).all() for _, alias in grids):
-        assert path is None     # no grid certifies a composite of the sweep
+        assert out is None      # no grid certifies a composite of the sweep
         return
+    snaps, pieces = out
     gam = gamma.field.on_grid(start.grid)
     want_snaps, want_pieces = reference_sweep(gam, start, EPS, 1.0)
-    assert max(np.abs(a.coeffs - b.coeffs).max() for a, b in
-               zip(path.snapshots, want_snaps)) <= 1e-13
+    assert max(np.abs(a - b.coeffs).max() for a, b in
+               zip(snaps, want_snaps)) <= 1e-13
     assert max(np.abs(a - b).max() for a, b in
-               zip(path.pieces, want_pieces)) <= 1e-13
+               zip(pieces, want_pieces)) <= 1e-13
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 12),
@@ -316,7 +321,7 @@ def test_picard_step_rejects_non_real_candidate(sine_gamma):
     start = FlowPath(grid, EPS, [u] * len(grid),
                      [u.coeffs[None, ...]] * (len(grid) - 1))
     with pytest.raises(RealityDefect):
-        picard_step(sine_gamma, start)
+        solve_flow(sine_gamma, start=start, fixed_iters=1)
 
 
 def test_solve_start_path_escaping_strip_m1(sine_gamma):
@@ -399,7 +404,8 @@ def test_discarded_sweeps_are_logged_and_read_by_the_certificate():
 
 def test_solver_uniqueness_from_different_starts(sine_gamma):
     p1 = solve_flow(sine_gamma)
-    warm = picard_step(sine_gamma, identity_path(sine_gamma))
+    warm = solve_flow(sine_gamma, start=identity_path(sine_gamma),
+                      fixed_iters=1)
     p2 = solve_flow(sine_gamma, start=warm)
     assert p1.sup_distance(p2) <= 2e-10
 
@@ -529,9 +535,9 @@ def test_pointwise_takes_one_start_point(sine_flow):
 
 def test_sweep_rejects_a_path_grid_without_the_field_breakpoints():
     """A start path whose grid misses a breakpoint of the field would fit
-    its cubics across the field's jumps; both entry points of the sweep
-    refuse it, and a grid that holds the breakpoints solves as the fine
-    start grid of 1/64 steps does."""
+    its cubics across the field's jumps; the solver refuses it, and a grid
+    that holds the breakpoints solves as the fine start grid of 1/64 steps
+    does."""
     thirds = TimeGrid((0, Fraction(1, 3), Fraction(2, 3), 1))
     gamma = AdmissibleField.certify(TimeDependentField.step(
         thirds, [sine_map(0.02, 16), cosine_map(0.02, 16),
@@ -545,8 +551,6 @@ def test_sweep_rejects_a_path_grid_without_the_field_breakpoints():
     coarse = TimeGrid.uniform(8)
     with pytest.raises(ValueError, match="path grid"):
         solve_flow(gamma, start=zero_path(coarse))
-    with pytest.raises(ValueError, match="path grid"):
-        picard_step(gamma, zero_path(coarse))
     want = solve_flow(gamma, max_step=Fraction(1, 64)).u_at(1.0).coeffs
     got = solve_flow(gamma, start=zero_path(coarse.merged(thirds)))
     assert np.abs(got.u_at(1.0).coeffs - want).max() <= 1e-13
@@ -692,3 +696,28 @@ def test_solve_flow_stalls_at_max_iter(sine_gamma):
     with pytest.raises(ContractionStall,
                        match="no convergence within 1 iterations"):
         solve_flow(sine_gamma, max_iter=1)
+
+
+def test_growing_sweeps_on_a_given_grid_raise_non_contraction(monkeypatch):
+    """A fault one layer below the growth test: every sweep adds s_k (j + tau),
+    s_k = 1e-3 4^k on its k-th call, to the constant mode of u on interval
+    j, in the snapshots and the pieces alike.  A real constant moves no
+    strip, so no DomainEscape comes first; the steps then grow about
+    fourfold, and on a given grid, which is never halved, growth raises."""
+    field = TimeDependentField.constant(sine_map(1.0, order=16), 0.2)
+    gamma = AdmissibleField.certify(
+        (0.2 / field.lp_norm(1, "beta", 2 * EPS)) * field, EPS)
+    run, calls = flow_module._PicardSweep.run, []
+
+    def faulty(self, pieces):
+        snaps, out = run(self, pieces)
+        calls.append(pieces)
+        s, N, J = 1e-3 * 4.0 ** len(calls), gamma.field.order, len(out)
+        snaps[:, N] += s * np.arange(J + 1)[:, None]
+        out[:, 0, N] += s * np.arange(J)[:, None]
+        out[:, 1, N] += s
+        return snaps, out
+    monkeypatch.setattr(flow_module._PicardSweep, "run", faulty)
+    with pytest.raises(NonContraction, match=r"observed ratio 3\.846 >= 1 at "
+                       r"step 3 \(certificate theta_hat = 0\.200\)"):
+        solve_flow(gamma, grid=TimeGrid.uniform(2))

@@ -793,17 +793,6 @@ def test_imag_reach_translation_is_tight():
     assert imag_reach(c, 0.05) == pytest.approx(0.05)
 
 
-def test_strip_scale_ladder():
-    from torusflow import StripScale
-    s = StripScale.geometric(0.2, 4)
-    assert len(s) == 4
-    assert s[0] == 0.2 and s[3] == pytest.approx(0.025)
-    with pytest.raises(ValueError):
-        StripScale((0.1, 0.1))
-    with pytest.raises(ValueError):
-        StripScale((0.1, -0.05))
-
-
 small_coeff = st.complex_numbers(max_magnitude=0.2, allow_nan=False,
                                  allow_infinity=False)
 

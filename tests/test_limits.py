@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from torusflow import (FourierMap, LinearScaleMap, PointwiseSquareMap,
-                       build_neighborhood, cauchy_bound_check, make_levels,
-                       third_ball_lipschitz, verify_continuity_estimate)
+                       cauchy_bound_check, make_levels, third_ball_lipschitz,
+                       verify_continuity_estimate)
 from torusflow import fourier, limits
 from torusflow.errors import EmptyLevel
 from torusflow.limits import LevelLipschitzCert
@@ -42,30 +42,36 @@ def test_make_levels_rejects_shrinking_radii():
         make_levels(0.2, [0.5, 0.4], order=8)
 
 
+def _partial_sums(parts):
+    """y_0 = 0, y_1, ..., y_n of each telescoping draw, as FourierMaps."""
+    sums = np.cumsum(np.pad(parts, ((0, 0), (1, 0), (0, 0))), axis=1)
+    return [[FourierMap(c[:, None], check=False) for c in row] for row in sums]
+
+
 def test_neighborhood_zero_sample(levels, square):
     certs = square.lipschitz_certs(levels, levels[-1].eps)
-    gen = build_neighborhood(levels[:1], certs[:1], 0.05,
-                             np.random.default_rng(1))
-    s = next(gen)
-    assert s.q_values[0] < 0.05 / 2
-    assert len(s.partial_sums) == 2
+    parts, q = next(limits._telescoping(levels[:1], certs[:1], 0.05,
+                                        np.random.default_rng(1), 1))
+    assert q[0, 0] < 0.05 / 2
+    assert len(_partial_sums(parts)[0]) == 2
 
 
 def test_neighborhood_partial_sums_stay_in_balls(levels, square):
     certs = square.lipschitz_certs(levels, levels[-1].eps)
-    gen = build_neighborhood(levels, certs, 0.05, np.random.default_rng(2))
-    for _ in range(50):
-        s = next(gen)
+    parts = np.concatenate([p for p, _ in limits._telescoping(
+        levels, certs, 0.05, np.random.default_rng(2), 50)])
+    assert len(parts) == 50
+    for sums in _partial_sums(parts):
         for j, lv in enumerate(levels, start=1):
-            assert lv.q(s.partial_sums[j]) < lv.radius
+            assert lv.q(sums[j]) < lv.radius
 
 
 def test_empty_level_raises(levels, square):
     certs = square.lipschitz_certs(levels, levels[-1].eps)
     broken = [type(lv)(lv.index, lv.eps, lv.order, 0.0) for lv in levels]
     with pytest.raises(EmptyLevel):
-        next(build_neighborhood(broken, certs, 0.05,
-                                np.random.default_rng(3)))
+        next(limits._telescoping(broken, certs, 0.05,
+                                 np.random.default_rng(3), 1))
 
 
 def test_continuity_square_map(levels, square):

@@ -5,9 +5,9 @@ import pytest
 
 from torusflow import (AdmissibleField, AnalyticDiffeo, FourierMap,
                        TimeDependentField, TorusflowError,
-                       TruncationBudgetExceeded, cocycle_matrix_defect,
-                       compose_diffeo, contravariance_defect, pullback_apply,
-                       pullback_matrix)
+                       TruncationBudgetExceeded, compose_diffeo,
+                       contravariance_defect, evol_right, flow_two_param,
+                       pullback_apply, pullback_matrix)
 from torusflow.flow import solve_flow as _solve
 from torusflow.fourier import MapStack
 from torusflow.pullback import _pullback_windows, pullback_path
@@ -215,7 +215,10 @@ def test_path_ac_pairs_do_not_depend_on_the_solver_grid(gam, monkeypatch):
 
 
 def test_path_cocycle_matrices(gam):
-    assert cocycle_matrix_defect(gam, 0.9, 0.5, 0.2, 16) <= 1e-8
+    # (Fl_{t,s} o Fl_{s,t0})^* against (Fl_{s,t0})^* (Fl_{t,s})^*
+    evol = evol_right(gam)
+    assert contravariance_defect(flow_two_param(evol, 0.9, 0.5),
+                                 flow_two_param(evol, 0.5, 0.2), 16) <= 1e-8
 
 
 def test_smooth_parameter_shadow(gam):

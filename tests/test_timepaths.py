@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusflow
-from torusflow import (ACPath, AffineRule, FourierMap, IdentityRule,
-                       MapStack, ScaleMismatch, SelfCompositionRule, TimeDependentField,
+from torusflow import (ACPath, AffineRule, FourierMap, MapStack,
+                       ScaleMismatch, SelfCompositionRule, TimeDependentField,
                        TimeGrid, ac_postcompose, integrate_primitive)
 from torusflow.errors import DomainEscape
 from torusflow.fourier import _modes_to_json
@@ -32,6 +32,11 @@ def test_grid_validation():
         TimeGrid((0, Fraction(1, 2), Fraction(1, 2), 1))
     with pytest.raises(ValueError):
         TimeGrid((0, Fraction(1, 2)))
+    for bp in ((), (0,)):
+        with pytest.raises(ValueError, match="grid must run from 0 to 1"):
+            TimeGrid(bp)
+    with pytest.raises(ValueError, match="at least one interval"):
+        TimeGrid.uniform(0)
 
 
 def test_one_grid_policy_sizes_every_solver_grid():
@@ -327,7 +332,7 @@ def test_modes_to_json_matches_loop(m, ncomp):
 def test_postcompose_identity():
     path = integrate_primitive(
         TimeDependentField.constant(sine_map(0.05, 8), 0.2))
-    out = ac_postcompose(path, IdentityRule())
+    out = ac_postcompose(path, AffineRule(1.0))
     for t in (0.3, 0.8):
         assert np.abs(out.value_at(t).coeffs - path.value_at(t).coeffs).max() \
             < 1e-15
