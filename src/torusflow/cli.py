@@ -42,6 +42,14 @@ from .timepaths import TimeDependentField, TimeGrid
 
 KINDS = ("solve", "verify", "sweep", "trotter", "limits", "pullback")
 RANDOM_MODES = 4        # a random field's highest mode
+PARSER = argparse.ArgumentParser(     # built once, for every job of a process
+    prog="torusflow",
+    description="flow solves, verifications and sweeps on the torus")
+PARSER.add_argument("kind", choices=KINDS)
+PARSER.add_argument("scenario", type=Path)
+PARSER.add_argument("--out", type=Path, default=None)
+PARSER.add_argument("--workers", type=int, default=1)
+PARSER.add_argument("--seed", type=int, default=None)
 
 
 class ScenarioError(ValueError):
@@ -323,8 +331,9 @@ def run_solve(s: Scenario, out: Path, checks: list) -> None:
               path.iteration_log)
     write_csv(out / "discarded_sweeps.csv",
               ("step", "sup_diff", "ratio", "rounding"), path.discarded)
+    n = strip_norms(path.snapshots, gamma.eps)      # one row per snapshot
     write_csv(out / "norms.csv", ("eps", "nu", "beta", "tail_ratio"),
-              [strip_norms(u, gamma.eps).as_row() for u in path.snapshots])
+              [(n.eps, *r) for r in zip(n.nu, n.beta, n.tail_ratio)])
     (out / "flow.json").write_text(_flow_json(path.to_json()))
     checks += solve_checks(path, s.tol_solve)
 
@@ -413,15 +422,7 @@ RUNNERS = {"solve": run_solve, "verify": run_verify, "sweep": run_sweep,
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="torusflow",
-        description="flow solves, verifications and sweeps on the torus")
-    ap.add_argument("kind", choices=KINDS)
-    ap.add_argument("scenario", type=Path)
-    ap.add_argument("--out", type=Path, default=None)
-    ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--seed", type=int, default=None)
-    args = ap.parse_args(argv)
+    args = PARSER.parse_args(argv)
 
     try:
         raw = json.loads(args.scenario.read_text())

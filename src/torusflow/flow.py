@@ -194,8 +194,8 @@ class FlowPath:
         return {
             "eps": self.eps,
             "grid": [str(b) for b in self.grid.breakpoints],
-            "snapshots": [_modes_to_json(u, self.m, self.order)
-                          for u in self.snapshots.coeffs],
+            "snapshots": _modes_to_json(self.snapshots.coeffs, self.m,
+                                        self.order),
             "residual": self.residual,
         }
 
@@ -236,18 +236,18 @@ class _PicardSweep:
     ``compose`` returns its bits for u = 0, and u = 0 passes every check.
     ``defect`` measures the sweep against the exact map by one more
     ``compose`` at the Gauss nodes, read alike, with the weights of
-    ``TimeGrid.quadrature``; it builds that field stack and plan once.
+    ``TimeGrid.quadrature``; it builds that stack and plan once, or takes
+    the sweep's plan for pieces constant in time (the same at any nodes).
     ``rounding`` measures its rounding level by one more sweep.
     """
 
-    def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
-                 tol_trunc: float):
+    def __init__(self, gamma: AdmissibleField, grid: TimeGrid):
         gam = gamma.field
         if gam.ncomp != gam.m:
             raise ValueError("the field must be a self-map displacement field")
         if not set(gam.grid.breakpoints) <= set(grid.breakpoints):
             raise ValueError("the path grid lacks breakpoints of the field grid")
-        self.gamma, self.grid, self.tol_trunc = gamma, grid, tol_trunc
+        self.gamma, self.grid = gamma, grid
         self.h = np.diff(grid.floats)
         self.field_pieces = pieces_on(gam.pieces, gam.grid, grid)
         self.plan = self._plan(FIT_NODES)
@@ -263,7 +263,7 @@ class _PicardSweep:
         """gamma o (id + u) node by node, for u at the nodes of the plan's
         field stack."""
         eps = self.gamma.eps
-        return compose(plan, _wrap(u, plan.m), tol_trunc=self.tol_trunc,
+        return compose(plan, _wrap(u, plan.m), tol_trunc=TOL_TRUNC,
                        outer_scale=2 * eps, inner_scale=eps).coeffs
 
     def run(self, pieces):
@@ -299,9 +299,9 @@ class _PicardSweep:
         of nu_eps(out - u) at the same nodes.
         """
         if self.gauss is None:
-            ts = self.grid.floats
+            ts, constant = self.grid.floats, self.field_pieces.shape[1] == 1
             self.gauss = (self.grid.quadrature(ts[:-1], ts[1:])[2],
-                          self._plan(GAUSS_NODES))
+                          self.plan if constant else self._plan(GAUSS_NODES))
         w, plan = self.gauss
         u = node_values(pieces, GAUSS_NODES)
         vals = self._compose(plan, u)
@@ -373,7 +373,7 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
     elif grid is not None and start.grid != grid:
         raise ValueError("the start path is not on the given grid")
     grid, snaps, pieces = start.grid, start.snapshots.coeffs, start.pieces
-    sweep = _PicardSweep(gamma, grid, TOL_TRUNC)
+    sweep = _PicardSweep(gamma, grid)
     if fixed_iters is not None:
         log, step = [], None
         for _ in range(fixed_iters):
@@ -424,7 +424,7 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
             pieces = pieces_on(pieces, grid, finer)
             snaps = np.concatenate([pieces[:, 0], snaps[-1:]])
             grid, step, goal = finer, None, target
-            sweep = _PicardSweep(gamma, grid, TOL_TRUNC)
+            sweep = _PicardSweep(gamma, grid)
         elif stalled:           # sweep on as the grid is
             settled = True
         elif defect < target and last > max(target - defect, noise_floor):

@@ -124,16 +124,13 @@ def strip_weights(order: int, m: int, eps):
 
 @dataclass(frozen=True)
 class NormReport:
-    """Certified majorants of a map at one strip half-width."""
+    """Certified majorants of a map (of a stack: lists) at one half-width."""
 
     eps: float
-    nu: float
-    mu: float
-    beta: float
-    tail_ratio: float
-
-    def as_row(self):
-        return (self.eps, self.nu, self.beta, self.tail_ratio)
+    nu: float | list
+    mu: float | list
+    beta: float | list
+    tail_ratio: float | list
 
 
 class FourierMap:
@@ -250,7 +247,7 @@ class FourierMap:
         half = c.shape[-2] // 2
         defect = np.abs(c[..., half + 1:, :]
                         - np.conj(c[..., :half, :][..., ::-1, :])).sum(axis=-2)
-        return (defect + np.abs(c[..., half, :].imag)).max(axis=-1)
+        return np.maximum.reduce(defect + np.abs(c[..., half, :].imag), axis=-1)
 
     def mode(self, k) -> np.ndarray:
         kk = (k,) if np.isscalar(k) else tuple(k)
@@ -345,20 +342,19 @@ def _wrap(coeffs: np.ndarray, m: int) -> FourierMap:
 
 
 def _modes_to_json(coeffs: np.ndarray, m: int, order: int) -> list:
-    """Nonzero rows of a coefficient cube, in index order, as JSON entries.
+    """Nonzero rows of each cube of a stack, in index order, as JSON entries.
 
     An entry is [k, re, im] for one component and [k, [[re, im], ..]] for
     several; k is an int for m = 1 and a list for m = 2.
     """
     idx = np.argwhere(np.any(coeffs, axis=-1))
-    keys = (idx - order).tolist()
-    if m == 1:
-        keys = [k[0] for k in keys]
+    keys = ((idx[:, 1] if m == 1 else idx[:, 1:]) - order).tolist()
     rows = coeffs[tuple(idx.T)]
-    pairs = np.stack([rows.real, rows.imag], axis=-1).tolist()
-    if coeffs.shape[-1] == 1:
-        return [[k, *p[0]] for k, p in zip(keys, pairs)]
-    return [[k, p] for k, p in zip(keys, pairs)]
+    pairs = np.stack([rows.real, rows.imag], axis=-1)
+    pairs = pairs[:, 0] if coeffs.shape[-1] == 1 else pairs[:, None]
+    entries = [[k, *p] for k, p in zip(keys, pairs.tolist())]
+    ends = np.cumsum(np.bincount(idx[:, 0], minlength=len(coeffs))).tolist()
+    return [entries[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _common_order(a: FourierMap, b: FourierMap):
@@ -526,16 +522,17 @@ def strip_norms(f: FourierMap, eps: float) -> NormReport:
 
     ``tail_ratio`` is the fraction of the nu-weight carried by modes with
     ||k||_1 > N/2; it certifies that the stored truncation order is generous
-    for this map at this scale.
+    for this map at this scale.  A stack gives lists, by one ``majorants``
+    call that gives every map the bits it gets alone.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     tail = (_k_l1(f.order, f.m) > f.order / 2)[..., None]
     (nu, nu_tail), (mu, _) = majorants(
         np.stack([f.coeffs, np.where(tail, f.coeffs, 0)]), f.m, eps)
-    nu, mu = float(nu), float(mu)
-    tail_ratio = float(nu_tail / nu) if nu > 0 else 0.0
-    return NormReport(eps=eps, nu=nu, mu=mu, beta=max(nu, mu), tail_ratio=tail_ratio)
+    beta = np.where(mu > nu, mu, nu)        # max(nu, mu), as Python takes it
+    tail_ratio = np.divide(nu_tail, nu, out=np.zeros_like(nu), where=nu > 0)
+    return NormReport(eps, *(a.tolist() for a in (nu, mu, beta, tail_ratio)))
 
 
 def majorants(coeffs: np.ndarray, m: int, eps):
@@ -568,7 +565,7 @@ def imag_reach(u: FourierMap, eps_in) -> np.ndarray:
     mean-value bound eps_in * mu(u); the smaller one is used.
     """
     nu, mu = majorants(u.coeffs, u.m, eps_in)
-    const = np.abs(u.constant_part()).max(axis=-1)
+    const = np.maximum.reduce(np.abs(u.constant_part()), axis=-1)
     return eps_in + np.minimum(nu - const, eps_in * mu)
 
 
@@ -637,7 +634,7 @@ def _tail_ratio(spec: np.ndarray, M: int, m: int, order: int,
     (B, ncomp, M..), last axis M/2 + 1 for a half spectrum, plus twice the
     bound ``alias`` on the modes the grid does not observe, if given."""
     weight, tail, _ = _spectrum_weights(M, m, order, spec.shape[-1] != M)
-    amp = np.abs(spec).max(axis=1).reshape(len(spec), -1)
+    amp = np.maximum.reduce(np.abs(spec), axis=1).reshape(len(spec), -1)
     total = amp @ weight
     mass = amp @ tail + (0.0 if alias is None else 2.0 * alias)
     return np.divide(mass, total, out=np.zeros_like(total), where=total > 0)
@@ -650,9 +647,10 @@ def fit_grid(values: np.ndarray, order: int, m: int,
     """Fourier-fit values on the uniform real grid (j/M)_j, truncated to order N.
 
     ``values`` has shape batch + (M,)*m + (ncomp,); the fit is a map of
-    that batch shape.  Real values go by ``rfftn`` to the half spectrum
+    that batch shape.  Real values go by ``rfft`` to the half spectrum
     k_m >= 0, mirrored back by c_{-k} = conj(c_k); complex values by a full
-    ``fftn``.  Raises TruncationBudgetExceeded when, for any map, the
+    ``fft``; m = 2 adds an ``fft`` on the first axis, as ``rfftn`` and
+    ``fftn`` do.  Raises TruncationBudgetExceeded when, for any map, the
     relative l1 mass of the modes ||k||_1 > N exceeds ``tol_trunc``.  That
     mass is the observed one on the grid's M^m modes, plus, given ``alias``
     (per map, a bound on the mass of the sampled function's modes outside
@@ -670,14 +668,15 @@ def fit_grid(values: np.ndarray, order: int, m: int,
         (0, m + 1) + tuple(range(1, m + 1)))
     M, n = vals.shape[-1], order
     real = not np.iscomplexobj(vals)
-    spec = (np.fft.rfftn if real else np.fft.fftn)(
-        vals, axes=tuple(range(-m, 0)), norm="forward")
+    spec = (np.fft.rfft if real else np.fft.fft)(vals, axis=-1, norm="forward")
+    if m == 2:
+        spec = np.fft.fft(spec, axis=-2, norm="forward")
     if base is not None:
         tgt, src, shared = _sample_index(base.shape[-2] // 2, M, m,
                                          spec.shape[-1])
         flat = spec.reshape(spec.shape[:2] + (-1,))
-        add = np.moveaxis(base.reshape(len(base), -1, base.shape[-1]),
-                          -1, 1)[..., src]
+        add = base.reshape(len(base), -1, base.shape[-1]).transpose(
+            0, 2, 1)[..., src]
         if shared:      # only np.add.at sums repeated targets
             np.add.at(flat, (Ellipsis, tgt), add)
         else:
@@ -696,7 +695,8 @@ def fit_grid(values: np.ndarray, order: int, m: int,
                              + (slice(n, 0, -1),)].conj()
     else:
         kept = spec[..., k] if m == 1 else spec[:, :, k[:, None], k]
-    kept *= _spectrum_weights(M, m, n, real)[2]
+    if m == 2:      # zero the corners ||k||_1 > N (none exist for m = 1)
+        kept *= _spectrum_weights(M, m, n, real)[2]
     kept = kept.transpose((0,) + tuple(range(2, m + 2)) + (1,))
     return _wrap(kept.reshape(batch + kept.shape[1:]), m)
 
@@ -734,7 +734,7 @@ def _support_band(c: np.ndarray) -> tuple:
 def _grid_values(u: np.ndarray, M: int, imag_bound: np.ndarray) -> np.ndarray:
     """u on the grid of M points per axis, shape (B, m, M^m), from the
     columns k_m >= 0 of the Hermitian u, shape (B, m, n..), whose
-    ``imag_bound`` (B,) bounds |Im u| on the real grid."""
+    ``imag_bound`` (B,) bounds |Im u| on the real grid, to 1e-9 max(1, |u|)."""
     m, n = u.shape[1], u.shape[-1] // 2
     vals = u[..., n:]
     if m == 2:      # zero-padded over k_1; irfft pads k_2 to M/2 + 1 itself
@@ -742,8 +742,8 @@ def _grid_values(u: np.ndarray, M: int, imag_bound: np.ndarray) -> np.ndarray:
         dense[:, :, np.arange(-n, n + 1) % M] = vals
         vals = np.fft.ifft(dense, axis=2, norm="forward")
     vals = np.fft.irfft(vals, n=M, axis=-1, norm="forward").reshape(len(u), m, -1)
-    size = np.maximum(1.0, np.abs(vals).max(axis=(1, 2)))
-    if (imag_bound > 1e-9 * size).any():
+    if (imag_bound > 1e-9).any() and (imag_bound > 1e-9 * np.maximum(
+            1.0, np.abs(vals).max(axis=(1, 2)))).any():
         raise RealityDefect("perturbation is not real on the real grid")
     return vals
 
@@ -1024,9 +1024,8 @@ class CompositionPlan:
         truncation gate fails: no grid certifies the composite.  If h = g,
         nothing aliases and the least size serves.
         """
-        unbounded = self.cap, np.full_like(self.nu0, np.inf)
         if not len(self.sizes):
-            return unbounded
+            return self.cap, np.full_like(self.nu0, np.inf)
         if self.K == 0 or (2 * self.K < self.sizes[0]
                            and not u.coeffs.any()):
             # h = g (constant g, or u = 0): its modes |k_i| <= K are observed
@@ -1034,28 +1033,29 @@ class CompositionPlan:
             return int(self.sizes[0]), np.zeros_like(self.nu0)
         # both sets' bounds at every size; the first size where both hold
         log_b = self.log_bounds(u, imag)
-        log_tau = np.array([_LOG_EPS, math.log(0.5 * ALIAS_SHARE * tol_trunc)])
-        ok = np.logical_and.reduce(log_b <= log_tau[:, None])
+        ok = (log_b[0] <= _LOG_EPS) & (
+            log_b[1] <= math.log(0.5 * ALIAS_SHARE * tol_trunc))
         j = int(ok.argmax())
         if not ok[j]:
-            return unbounded
+            return self.cap, np.full_like(self.nu0, np.inf)
         return int(self.sizes[j]), self.nu0 * math.exp(log_b[1, j])
 
     def compose(self, u: FourierMap, tol_trunc: float) -> np.ndarray:
         """g o (id + u) for the stack u, as coefficients (B,) + lattice +
         (ncomp,) of order N over the broadcast batch, on the grid of
         ``composition_grid``, one ``node_chunks`` chunk of maps at a time."""
-        imag, uc = u.imag_bound(), np.moveaxis(u.coeffs, -1, 1)
-        M, alias = self.composition_grid(u, imag, tol_trunc)
         m, band, c = self.m, self.band, self.coeffs
+        imag = u.imag_bound()
+        uc = u.coeffs.transpose((0, m + 1) + tuple(range(1, m + 1)))
+        M, alias = self.composition_grid(u, imag, tol_trunc)
         out = []
         for s in node_chunks(max(len(uc), len(band)), M ** m):
             e = _circle_m1(_grid_values(uc[s] if len(uc) > 1 else uc, M,
                                         imag[s] if len(uc) > 1 else imag))
             vals = _shift_sum(band[s] if len(band) > 1 else band, e, M)
             vals = vals.reshape((len(vals), c.shape[-1]) + (M,) * m)
-            out.append(fit_grid(np.moveaxis(vals, 1, -1), self.order, m,
-                                tol_trunc, "compose",
+            out.append(fit_grid(vals.transpose((0, *range(2, m + 2), 1)),
+                                self.order, m, tol_trunc, "compose",
                                 alias if len(alias) == 1 else alias[s],
                                 c[s] if len(c) > 1 else c).coeffs)
         return np.concatenate(out)
@@ -1098,18 +1098,17 @@ def compose(g, perturb, *,
     if perturb.ncomp != m or perturb.m != m:
         raise ValueError("perturbation must be a self-map displacement")
     if outer_scale is not None:
-        reach = float(np.max(imag_reach(perturb, inner_scale)))
+        reach = float(imag_reach(perturb, inner_scale).max())
         if reach > outer_scale * (1 + 1e-12):
             raise DomainEscape(
                 f"imaginary reach {reach:.6g} exceeds outer strip {outer_scale:.6g}")
-    plan = g
-    if not isinstance(g, CompositionPlan):
+    if not isinstance(g, CompositionPlan):     # g's own plan
         n_out = g.order if order is None else order
-        plan = CompositionPlan(g, n_out, oversample * (2 * n_out + 1))
-    n_out = plan.order
+        g = CompositionPlan(g, n_out, oversample * (2 * n_out + 1))
+    n_out = g.order
     u = (perturb.with_order(n_out) if perturb.order > n_out else perturb).flat()
-    out = plan.compose(u, tol_trunc)
-    batch = np.broadcast_shapes(plan.source.batch, perturb.batch)
+    out = g.compose(u, tol_trunc)
+    batch = np.broadcast_shapes(g.source.batch, perturb.batch)
     if len(out) < math.prod(batch):     # a one-map plan against one map u
         out = np.repeat(out, math.prod(batch), axis=0)
     return _wrap(out.reshape(batch + out.shape[1:]), m)

@@ -32,7 +32,9 @@ window column e_k o (id + u) with one complex exp per point and mode.
 the column table and the Horner state laid out map by map, (B, cols, P)
 and (B, ncomp, P), the band contracted by one product per map.
 ``imag_bound`` is the reality bound over the whole lattice, each pair k,
--k summed twice.
+-k summed twice.  ``modes_to_json`` writes the JSON entries of one
+snapshot, as flow.json's writer did before it read the whole stack in one
+pass.
 """
 
 from math import comb
@@ -832,3 +834,16 @@ def imag_bound(f):
     flip = (Ellipsis,) + (slice(None, None, -1),) * f.m + (slice(None),)
     defect = np.abs(f.coeffs[flip] - np.conj(f.coeffs))
     return 0.5 * defect.sum(axis=tuple(range(-f.m - 1, -1))).max(axis=-1)
+
+
+def modes_to_json(coeffs, m, order):
+    """Nonzero rows of one coefficient cube, in index order, as JSON entries."""
+    idx = np.argwhere(np.any(coeffs, axis=-1))
+    keys = (idx - order).tolist()
+    if m == 1:
+        keys = [k[0] for k in keys]
+    rows = coeffs[tuple(idx.T)]
+    pairs = np.stack([rows.real, rows.imag], axis=-1).tolist()
+    if coeffs.shape[-1] == 1:
+        return [[k, *p[0]] for k, p in zip(keys, pairs)]
+    return [[k, p] for k, p in zip(keys, pairs)]

@@ -17,8 +17,9 @@ END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 def canned_run(tree, workload, seed, seconds):
     """The output of run.py: an environment line, readable lines and the
-    result line; the change runs one job per second more.  Seed 3 of the
-    change exits 1, and seed 4 of the parent ends without a result line."""
+    result line; the change runs one job per second more, and its raw
+    set-up median is 0.1 s shorter.  Seed 3 of the change exits 1, and
+    seed 4 of the parent ends without a result line."""
     side = tree.name
     if (side, seed) == ("change", 3):
         return 1, "env {}\n", "perfbench: run worker exited with code 1\n"
@@ -30,7 +31,11 @@ def canned_run(tree, workload, seed, seconds):
     metrics["jobs_per_s"]["value"] = rate
     res = {"correct": True, "attempted": 20, "failed": 1 if seed == 1 else 0,
            "metrics": metrics}
-    return 0, f"env {{}}\n  jobs_per_s {rate}\n{json.dumps(res)}\n", ""
+    raw = 0.5 + 0.1 * seed - 0.1 * (side == "change")
+    setup = (f"  setup_s      {float(seed):.4f} s [{raw:.4f}] (median of 3: "
+             "0.412, 0.398, 0.405)")
+    return 0, (f"env {{}}\n{setup}\n  jobs_per_s {rate}\n"
+               f"{json.dumps(res)}\n"), ""
 
 
 def test_bench_pairs_file_schema(tmp_path):
@@ -79,6 +84,14 @@ def test_bench_pairs_file_schema(tmp_path):
         assert rate["verdict"] == "unresolved"
         setup = w["metrics"]["setup_s"]
         assert setup["relative_change"] == 0.0 and setup["pairs_won"] == 0
+        # the raw set-up medians, read from the brackets of the setup_s line
+        raw = w["setup_raw_s"]
+        assert raw["pairs"] == [[0.6, 0.5], [0.7, 0.6], [0.8, None],
+                                [None, 0.8]]
+        assert raw["pairs_won"] == 2 and raw["bound"] == 0.25
+        assert raw["change"]["median"] == 0.6
+    assert [r["setup_raw_s"] for r in got["runs"][:4]] == [0.6, 0.5, 0.6, 0.7]
+    assert bench.raw_setup("env {}\n  setup_s 0.4 s\n") is None
 
 
 def test_result_line_takes_only_a_result():

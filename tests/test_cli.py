@@ -1,5 +1,6 @@
 """Scenario runner: exit codes, artifacts, determinism."""
 
+import argparse
 import json
 import operator
 from pathlib import Path
@@ -12,6 +13,9 @@ from torusflow import cli
 from torusflow.cli import ScenarioError, _certify, main, parse_scenario
 from torusflow.errors import Check
 from torusflow.flow import solve_flow
+from torusflow.fourier import strip_norms
+
+from _reference_loops import modes_to_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 #: a summary row passes on its value against its tol under its sense
@@ -171,6 +175,87 @@ def test_flow_json_loads_as_the_indented_layout(sine_benchmark_out):
     lines = text.splitlines()
     assert lines[1].startswith(' "eps": ') and lines[-2].startswith(' "residual"')
     assert len(lines) == len(path.snapshots) + 7
+
+
+@pytest.mark.parametrize("m, order, field", [
+    (1, 16, {"type": "step", "grid": [0, "1/3", 1], "values": [
+        {"type": "sine", "amplitude": 0.02},
+        {"type": "cosine", "amplitude": 0.005, "mode": 2}]}),
+    (2, 8, {"type": "coeffs", "modes": [[[1, 0], 0.004, 0.002],
+                                        [[0, 1], -0.003, 0.0]]})],
+    ids=["m1_step_N16", "m2_coeffs_N8"])
+def test_batched_writers_match_the_per_snapshot_forms(tmp_path, m, order,
+                                                      field):
+    """norms.csv and flow.json's snapshot entries, each written in one pass
+    over the snapshot stack, hold the bits of ``strip_norms(u, eps)`` and
+    of the one-snapshot JSON entries, snapshot by snapshot (repr tells
+    -0.0 from 0.0)."""
+    raw = {"kind": "solve", "field": field, "order": order, "m": m,
+           "eps": 0.05}
+    s = parse_scenario(raw, "solve")
+    path = solve_flow(_certify(s), tol_solve=s.tol_solve)
+    reports = [strip_norms(u, path.eps) for u in path.snapshots]
+    rows = [(r.eps, r.nu, r.beta, r.tail_ratio) for r in reports]
+    entries = [modes_to_json(u, m, order) for u in path.snapshots.coeffs]
+    norms = strip_norms(path.snapshots, path.eps)
+    columns = ("nu", "mu", "beta", "tail_ratio")
+    assert repr([getattr(norms, c) for c in columns]) == repr(
+        [[getattr(r, c) for r in reports] for c in columns])
+    assert repr(path.to_json()["snapshots"]) == repr(entries)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(raw))
+    assert run(["solve", scenario, "--out", tmp_path / "out"]) == 0
+    lines = (tmp_path / "out" / "norms.csv").read_text().splitlines()
+    assert lines[1:] == [",".join(map(repr, row)) for row in rows]
+    snaps = json.loads((tmp_path / "out" / "flow.json").read_text())["snapshots"]
+    assert repr(snaps) == repr(entries)
+
+
+#: ``torusflow --help`` at 80 columns
+HELP = """\
+usage: torusflow [-h] [--out OUT] [--workers WORKERS] [--seed SEED]
+                 {solve,verify,sweep,trotter,limits,pullback} scenario
+
+flow solves, verifications and sweeps on the torus
+
+positional arguments:
+  {solve,verify,sweep,trotter,limits,pullback}
+  scenario
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT
+  --workers WORKERS
+  --seed SEED
+"""
+
+
+def test_main_builds_no_parser_per_call(tmp_path, monkeypatch, capsys):
+    """Jobs in one process share the parser built at import: two calls
+    construct none.  Its help text and its exit code 2 for a bad kind or
+    a bad flag are those of a parser built per call."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    for i in range(2):
+        assert run(["solve", SCENARIOS / "zero_field.json",
+                    "--out", tmp_path / str(i)]) == 0
+    assert built == []
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP
+    for argv, message in ((["bogus", "x.json"], "invalid choice: 'bogus'"),
+                          (["solve", "x.json", "--bogus", "1"],
+                           "unrecognized arguments: --bogus 1")):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: torusflow [-h]") and message in err
 
 
 def test_invalid_scenario_exit_two(tmp_path):

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from torusflow import (AdmissibilityViolation, AdmissibleField, DomainEscape,
                        FlowPath, FourierMap, RealityDefect, TimeDependentField,
                        TimeGrid, TruncationBudgetExceeded, identity_path,
-                       param_lipschitz_check, pointwise_solution,
+                       odot, param_lipschitz_check, pointwise_solution,
                        restriction_consistency, solve_flow)
 from torusflow import flow as flow_module
 from torusflow.errors import ContractionStall, NonContraction
@@ -146,16 +146,28 @@ def test_sweep_matches_compose_reference(name):
                    zip(path.pieces, want_pieces)) <= 1e-13
 
 
-@pytest.mark.parametrize("field, max_step", [
-    (lambda: _coupled_m2_field(a=1e-3, b=1e-3), Fraction(1, 4)),
-    (lambda: TimeDependentField.constant(sine_map(0.03, order=32), 0.2), 1)],
-    ids=["m2_coupled_N8", "m1_sine_N32"])
-def test_composition_plan_is_built_once_per_solver_grid(field, max_step,
-                                                        monkeypatch):
-    """Each solver grid builds one CompositionPlan for its field stack and
-    one for its defect pass, however many sweeps it runs on them.  Every
-    sweep and defect pass composes once, except the first sweep, which
-    starts from the identity path."""
+def _odot_field(order=16):
+    """gamma ⊙ eta of two constant fields: cubic pieces in time."""
+    gam, eta = (AdmissibleField.certify(TimeDependentField.constant(f, 0.2), EPS)
+                for f in (sine_map(0.02, order=order),
+                          cosine_map(0.01, order=order)))
+    return odot(gam, eta)
+
+
+@pytest.mark.parametrize("field, max_step, plans_per_grid", [
+    (lambda: _coupled_m2_field(a=1e-3, b=1e-3), Fraction(1, 4), 1),
+    (lambda: TimeDependentField.constant(sine_map(0.03, order=32), 0.2), 1, 1),
+    (_odot_field, 1, 2)],
+    ids=["m2_coupled_N8", "m1_sine_N32", "m1_odot_N16"])
+def test_composition_plan_is_built_once_per_solver_grid(
+        field, max_step, plans_per_grid, monkeypatch):
+    """Each solver grid builds one CompositionPlan for its field stack and,
+    for a field that varies in time, one for its defect pass, however many
+    sweeps it runs on them; a field constant in time reads the same at the
+    Gauss nodes, and its defect pass takes the sweep's plan.  Every sweep
+    and defect pass composes once, except the first sweep, which starts
+    from the identity path."""
+    gamma = AdmissibleField.certify(field(), EPS)
     counts = {"plans": 0, "grids": 0, "composes": 0, "runs": 0, "defects": 0}
 
     def counted(cls, name, key):
@@ -170,8 +182,8 @@ def test_composition_plan_is_built_once_per_solver_grid(field, max_step,
     counted(flow_module._PicardSweep, "__init__", "grids")
     counted(flow_module._PicardSweep, "run", "runs")
     counted(flow_module._PicardSweep, "defect", "defects")
-    solve_flow(AdmissibleField.certify(field(), EPS), max_step=max_step)
-    assert counts["plans"] == 2 * counts["grids"]
+    solve_flow(gamma, max_step=max_step)
+    assert counts["plans"] == plans_per_grid * counts["grids"]
     assert counts["composes"] == counts["runs"] - 1 + counts["defects"]
     assert counts["composes"] > counts["plans"] + 2
 
@@ -198,7 +210,7 @@ def test_identity_sweep_takes_the_field_at_the_nodes(field, max_step,
     compose call, has the bits of the sweep that composes."""
     gamma = AdmissibleField.certify(field(), EPS)
     path = identity_path(gamma, max_step)
-    sweep = flow_module._PicardSweep(gamma, path.grid, TOL_TRUNC)
+    sweep = flow_module._PicardSweep(gamma, path.grid)
     composed = sweep._compose(sweep.plan, np.zeros_like(sweep.plan.source.coeffs))
     assert np.array_equal(composed, sweep.plan.source.coeffs)
     want = sweep._integrate(composed)
@@ -255,17 +267,21 @@ def _random_real_field(seed, m, order, band):
 
 
 def _sweep_matches_reference(seed, m, order, band):
+    """The sweep at the truncation budget 1.0, so that random fields reach
+    the reference at any band."""
     gamma = AdmissibleField.certify(
         _random_real_field(seed, m, order, band), EPS)
     coarse = identity_path(gamma, Fraction(1, 8))
-    start = FlowPath(coarse.grid, EPS, *flow_module._PicardSweep(
-        gamma, coarse.grid, 1.0).run(coarse.pieces))
-    with composition_grids() as grids:
-        try:
-            out = flow_module._PicardSweep(gamma, start.grid, 1.0).run(
-                start.pieces)
-        except TruncationBudgetExceeded:
-            out = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow_module, "TOL_TRUNC", 1.0)
+        start = FlowPath(coarse.grid, EPS, *flow_module._PicardSweep(
+            gamma, coarse.grid).run(coarse.pieces))
+        with composition_grids() as grids:
+            try:
+                out = flow_module._PicardSweep(gamma, start.grid).run(
+                    start.pieces)
+            except TruncationBudgetExceeded:
+                out = None
     if any(np.isinf(alias).all() for _, alias in grids):
         assert out is None      # no grid certifies a composite of the sweep
         return

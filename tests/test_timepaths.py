@@ -312,19 +312,24 @@ def _modes_to_json_loop(coeffs, m, order):
 
 @pytest.mark.parametrize("m,ncomp", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_modes_to_json_matches_loop(m, ncomp):
+    """One pass over a stack gives each cube the entries of the row loop;
+    a cube without a nonzero row (the first and third) gives []."""
     order = 5
     rng = np.random.default_rng(10 * m + ncomp)
-    shape = (2 * order + 1,) * m + (ncomp,)
+    shape = (4,) + (2 * order + 1,) * m + (ncomp,)
     coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     coeffs[rng.random(shape[:-1]) < 0.6] = 0.0           # zero rows
     flat = coeffs.reshape(-1)
     flat[rng.random(flat.size) < 0.2] = complex(-0.0, 0.0)
     flat[rng.random(flat.size) < 0.2] = complex(1.5, -0.0)
-    coeffs[(order,) * m] = complex(-0.0, -0.0)          # a row of signed zeros
-    want = json.dumps(_modes_to_json_loop(coeffs, m, order), indent=1)
-    assert json.dumps(_modes_to_json(coeffs, m, order), indent=1) == want
-    assert "-0.0" in want
-    assert json.dumps(_modes_to_json(np.zeros(shape, complex), m, order)) == "[]"
+    coeffs[(slice(None),) + (order,) * m] = complex(-0.0, -0.0)   # signed zeros
+    coeffs[[0, 2]] = 0.0
+    want = [json.dumps(_modes_to_json_loop(c, m, order), indent=1)
+            for c in coeffs]
+    got = [json.dumps(e, indent=1) for e in _modes_to_json(coeffs, m, order)]
+    assert got == want
+    assert want[0] == want[2] == "[]" and "-0.0" in want[1]
+    assert _modes_to_json(np.zeros((0,) + shape[1:], complex), m, order) == []
 
 
 # -- postcomposition -----------------------------------------------------------------

@@ -14,7 +14,11 @@ pairs and the change first in odd ones, one run at a time.  Each run's last
 line of standard output is its result: ``correct``, ``attempted``,
 ``failed`` and ``metrics``.  A run that exits non-zero or ends without a
 result line is recorded with its exit code and the tail of its standard
-error, and its pair holds no value.
+error, and its pair holds no value.  Beside the result, a run records
+``setup_raw_s``, the unscaled set-up CPU median that run.py prints in
+brackets on its readable ``setup_s`` line: the result's ``setup_s`` is
+that median scaled by the run's reference-kernel time, so its spread
+holds the noise of both.
 
 The file holds, per workload and end-to-end metric of the change tree's
 ``BENCHMARK.json``: each side's median and quartiles, every pair's values,
@@ -24,7 +28,9 @@ verdict: ``worse`` past the bound, ``unresolved`` where the parent's own
 spread exceeds the bound (unless every run of the change beats every run
 of the parent), else ``within bound``.  It also holds the seeds, ``nproc``,
 the numpy and Python versions and both trees' ``git rev-parse HEAD``,
-each with whether its work tree differs from that commit.
+each with whether its work tree differs from that commit.  Per workload,
+``setup_raw_s`` compares the raw set-up medians as an end-to-end metric,
+against the bound of ``setup_s``.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -57,6 +64,17 @@ def result_line(stdout: str):
     return res if isinstance(res, dict) and all(k in res for k in keys) else None
 
 
+#: run.py's readable set-up line: the scaled value, then the raw one in brackets
+_SETUP_LINE = re.compile(r"^\s*setup_s\s+\S+ s \[(\S+)\]", re.MULTILINE)
+
+
+def raw_setup(stdout: str):
+    """The raw set-up CPU median of a run's readable ``setup_s`` line, or
+    None when the output has no such line."""
+    found = _SETUP_LINE.search(stdout)
+    return float(found.group(1)) if found else None
+
+
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float):
     """(exit code, stdout, stderr) of one benchmark run in ``tree``; exit
     None when the run timed out."""
@@ -75,7 +93,8 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float):
 def collect(trees: dict, workloads, pairs: int, seed: int, seconds: float,
             run=run_benchmark, log=print) -> list:
     """Every run, in the order it ran: dicts with the workload, pair, seed,
-    side, position in its pair, exit code, result (or None) and error."""
+    side, position in its pair, exit code, result (or None), raw set-up
+    median (or None) and error."""
     runs = []
     for workload in workloads:
         for i in range(pairs):
@@ -87,6 +106,7 @@ def collect(trees: dict, workloads, pairs: int, seed: int, seconds: float,
                              "seed": seed + i, "side": side,
                              "position": position, "exit": code,
                              "result": res,
+                             "setup_raw_s": raw_setup(out) if res else None,
                              "error": None if res else err[-2000:]})
                 log(f"{workload} pair {i} seed {seed + i} {side}: "
                     + ("ok" if res else f"no result (exit {code})"))
@@ -132,15 +152,19 @@ def _metric_summary(pairs, better: str, bound: float) -> dict:
 
 
 def summarize(runs: list, end_to_end: list) -> dict:
-    """Per workload: the failed share of each side and one summary per
-    end-to-end metric (``end_to_end`` as in BENCHMARK.json)."""
+    """Per workload: the failed share of each side, one summary per
+    end-to-end metric (``end_to_end`` as in BENCHMARK.json) and one of the
+    raw set-up medians."""
     out = {}
+    setup = next(spec for spec in end_to_end if spec["name"] == "setup_s")
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         n = max(r["pair"] for r in mine) + 1
         table = [[None, None] for _ in range(n)]
+        raw = [[None, None] for _ in range(n)]
         for r in mine:
             table[r["pair"]][SIDES.index(r["side"])] = r["result"]
+            raw[r["pair"]][SIDES.index(r["side"])] = r["setup_raw_s"]
         shares = {}
         for k, side in enumerate(SIDES):
             done = [row[k] for row in table if row[k] is not None]
@@ -156,7 +180,9 @@ def summarize(runs: list, end_to_end: list) -> dict:
                       else res["metrics"][name]["value"] for res in row]
                      for row in table]
             metrics[name] = _metric_summary(pairs, spec["better"], spec["bound"])
-        out[workload] = {"failures": shares, "metrics": metrics}
+        out[workload] = {"failures": shares, "metrics": metrics,
+                         "setup_raw_s": _metric_summary(
+                             raw, setup["better"], setup["bound"])}
     return out
 
 
