@@ -13,7 +13,6 @@ is a bug.  Fields the kind does not read are named in a warning on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -23,6 +22,7 @@ from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +67,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv_line(fields: list) -> str:
+    """One row as ``csv.writer`` writes it (the excel dialect): fields
+    joined by commas, a field holding a comma, quote or line break quoted
+    with its quotes doubled, a row of one empty field as "", and the
+    terminator \\r\\n."""
+    line = ",".join(fields)
+    if (line.count(",") >= len(fields) or '"' in line or "\r" in line
+            or "\n" in line):
+        line = ",".join(['"' + f.replace('"', '""') + '"'
+                         if any(c in f for c in ',"\r\n') else f
+                         for f in fields])
+    return (line or '""' * (len(fields) == 1)) + "\r\n"
+
+
 def write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        fh.write(_csv_line([str(v) for v in header]) + "".join(
+            [_csv_line([_fmt(v) for v in row]) for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +322,34 @@ def _certify(s: Scenario) -> AdmissibleField:
     return AdmissibleField.certify(field, s.eps, s.delta0, s.for_chart)
 
 
+def _json_indented(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=1)``, byte for byte, for dicts with string
+    keys: with indent, json.dumps runs the pure-Python encoder.  Strings
+    take the C encoder's escaping, finite floats and ints the reprs json
+    writes, any other leaf ``json.dumps``.  ``pad`` is the newline and
+    indent of the enclosing level."""
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + " "
+        return ("[" + inner + ("," + inner).join(
+            [_json_indented(v, inner) for v in obj]) + pad + "]")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + " "
+        return ("{" + inner + ("," + inner).join(
+            [_json_str(k) + ": " + _json_indented(v, inner)
+             for k, v in obj.items()]) + pad + "}")
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    return json.dumps(obj)      # true, false, null, NaN, +-inf
+
+
 def _flow_json(data: dict) -> str:
     """flow.json, one line per field and per snapshot: json.dumps without
     indent runs the C encoder, with indent the pure-Python one."""
@@ -448,20 +488,20 @@ def main(argv=None) -> int:
         else:
             RUNNERS[args.kind](scenario, out, checks)
     except AdmissibilityViolation as exc:
-        (out / "summary.json").write_text(json.dumps(
-            {"kind": args.kind, "pass": False, "rejected": str(exc)}, indent=1))
+        (out / "summary.json").write_text(_json_indented(
+            {"kind": args.kind, "pass": False, "rejected": str(exc)}))
         return _fail(f"admissibility rejection: {exc}", 3)
     except TorusflowError as exc:
         return _fail(f"run failed: {exc}", 1)
 
     manifest = {"scenario": raw, "version": __version__, "seed": scenario.seed,
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    (out / "manifest.json").write_text(_json_indented(manifest))
     rows = [{"name": c.name, "value": c.value, "tol": c.bound,
              "sense": "<" if c.strict else "<=", "pass": c.ok} for c in checks]
     summary = {"kind": args.kind, "checks": rows,
                "pass": all(r["pass"] for r in rows)}
-    (out / "summary.json").write_text(json.dumps(summary, indent=1))
+    (out / "summary.json").write_text(_json_indented(summary))
     for r in rows:
         print(f"[{'PASS' if r['pass'] else 'FAIL'}] {r['name']}: "
               f"{r['value']:.6g} {r['sense']} {r['tol']:.6g}")

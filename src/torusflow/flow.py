@@ -200,6 +200,23 @@ class FlowPath:
         }
 
 
+def _field_plan(field: TimeDependentField, values: np.ndarray) -> CompositionPlan:
+    """The ``CompositionPlan`` of the field's maps ``values``, a stack."""
+    return CompositionPlan(_wrap(values, field.m), field.order,
+                           OVERSAMPLE * (2 * field.order + 1))
+
+
+def _one_map_plan(field: TimeDependentField) -> CompositionPlan | None:
+    """The plan of a field that is one map at all times (every piece
+    constant, with one set of bits), which serves every solver grid; None
+    for any other field."""
+    pieces = field.pieces
+    bits = np.ascontiguousarray(pieces).view(np.int64)
+    if pieces.shape[1] > 1 or not (bits[1:] == bits[:1]).all():
+        return None
+    return _field_plan(field, pieces[0, 0])
+
+
 def _sup_distance(a: np.ndarray, b: np.ndarray, eps: float) -> float:
     """max over a stack axis of nu_eps(a_t - b_t)."""
     return float(majorants(a - b, a.ndim - 2, eps)[0].max())
@@ -226,22 +243,25 @@ class _PicardSweep:
     Built once per grid from the field, re-expressed on a grid that holds
     its breakpoints (else a cubic is fitted across a jump) and read at the
     4 collocation nodes of every interval by ``node_values``, with one
-    ``CompositionPlan`` of that field stack.  A sweep reads u at the same
-    nodes by the same reader, composes the field with id + u node by node
-    in one ``compose`` call, which checks the reach from the working strip into
-    the doubled strip, the reality of u and the truncation tail at every
-    node, and integrates the cubic through the node values of each interval
-    by one fixed (5, 4) table (``node_integral``).  The sweep of the
-    identity path integrates the field stack itself: gamma o id is gamma,
-    ``compose`` returns its bits for u = 0, and u = 0 passes every check.
-    ``defect`` measures the sweep against the exact map by one more
-    ``compose`` at the Gauss nodes, read alike, with the weights of
-    ``TimeGrid.quadrature``; it builds that stack and plan once, or takes
-    the sweep's plan for pieces constant in time (the same at any nodes).
+    ``CompositionPlan`` of that field stack, or the solve's one plan of a
+    field that is one map at all times (``_one_map_plan``).  A sweep reads u
+    at the same nodes by the same reader, composes the field with id + u
+    node by node in one ``compose`` call, which checks the reach from the
+    working strip into the doubled strip, the reality of u and the
+    truncation tail at every node, and integrates the cubic through the
+    node values of each interval by one fixed (5, 4) table
+    (``node_integral``).  The sweep of the identity path integrates the
+    field stack itself: gamma o id is gamma, ``compose`` returns its bits
+    for u = 0, and u = 0 passes every check.  ``defect`` measures the sweep
+    against the exact map by one more ``compose`` at the Gauss nodes, read
+    alike, with the weights of ``TimeGrid.quadrature``; it builds that
+    plan once, or takes the sweep's plan for pieces constant in time (the
+    same at any nodes), and takes every majorant it needs in one call.
     ``rounding`` measures its rounding level by one more sweep.
     """
 
-    def __init__(self, gamma: AdmissibleField, grid: TimeGrid):
+    def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
+                 plan: CompositionPlan | None):
         gam = gamma.field
         if gam.ncomp != gam.m:
             raise ValueError("the field must be a self-map displacement field")
@@ -250,14 +270,9 @@ class _PicardSweep:
         self.gamma, self.grid = gamma, grid
         self.h = np.diff(grid.floats)
         self.field_pieces = pieces_on(gam.pieces, gam.grid, grid)
-        self.plan = self._plan(FIT_NODES)
+        self.nodes = node_values(self.field_pieces, FIT_NODES)
+        self.plan = plan if plan is not None else _field_plan(gam, self.nodes)
         self.gauss = None       # the defect pass's weights and plan
-
-    def _plan(self, taus) -> CompositionPlan:
-        """The plan of the field stack at the nodes ``taus`` of every interval."""
-        f = self.gamma.field
-        return CompositionPlan(_wrap(node_values(self.field_pieces, taus), f.m),
-                               f.order, OVERSAMPLE * (2 * f.order + 1))
 
     def _compose(self, plan: CompositionPlan, u: np.ndarray) -> np.ndarray:
         """gamma o (id + u) node by node, for u at the nodes of the plan's
@@ -270,7 +285,7 @@ class _PicardSweep:
         """New (snapshots, pieces) arrays from the pieces of a candidate
         path; from the identity path (every piece zero), without a compose."""
         if not pieces.any():
-            return self._integrate(self.plan.source.coeffs)
+            return self._integrate(self.nodes)
         return self._integrate(self._compose(self.plan, node_values(pieces, FIT_NODES)))
 
     def _integrate(self, kept: np.ndarray):
@@ -296,23 +311,30 @@ class _PicardSweep:
         gathered inside that interval at every time in it; D is the max
         over intervals of nu_eps of the defect summed up to t_j plus
         ``local``, the sup over all times in [0, 1].  ``step`` is the max
-        of nu_eps(out - u) at the same nodes.
+        of nu_eps(out - u) at the same nodes.  One ``majorants`` call takes
+        the three, as each map gets the same bits in any stack.
         """
         if self.gauss is None:
-            ts, constant = self.grid.floats, self.field_pieces.shape[1] == 1
-            self.gauss = (self.grid.quadrature(ts[:-1], ts[1:])[2],
-                          self.plan if constant else self._plan(GAUSS_NODES))
-        w, plan = self.gauss
+            ts = self.grid.floats
+            w = self.grid.quadrature(ts[:-1], ts[1:])[2]
+            constant = self.field_pieces.shape[1] == 1
+            self.gauss = (w, w.reshape(w.shape + (1,) * (self.plan.m + 1)),
+                          self.plan if constant else _field_plan(
+                              self.gamma.field,
+                              node_values(self.field_pieces, GAUSS_NODES)))
+        w, w_maps, plan = self.gauss
         u = node_values(pieces, GAUSS_NODES)
-        vals = self._compose(plan, u)
-        r = vals - node_values(_derivative(out, self.h), GAUSS_NODES)
-        r = r.reshape(w.shape + r.shape[1:])
-        m, eps = r.ndim - 3, self.gamma.eps
-        local = (w * majorants(r, m, eps)[0]).sum(axis=1)
-        err = (w.reshape(w.shape + (1,) * (m + 1)) * r).sum(axis=1)
+        r = self._compose(plan, u) - node_values(_derivative(out, self.h),
+                                                 GAUSS_NODES)
+        err = (w_maps * r.reshape(w.shape + r.shape[1:])).sum(axis=1)
         before = np.cumsum(err, axis=0) - err
-        D = float((majorants(before, m, eps)[0] + local).max())
-        return local, D, _sup_distance(node_values(out, GAUSS_NODES), u, eps)
+        nodes = r.shape[0]
+        nu = majorants(np.concatenate(
+            [r, before, node_values(out, GAUSS_NODES) - u]), plan.m,
+            self.gamma.eps)[0]
+        local = (w * nu[:nodes].reshape(w.shape)).sum(axis=1)
+        D = float((nu[nodes:nodes + len(w)] + local).max())
+        return local, D, float(nu[nodes + len(w):].max())
 
     def rounding(self, pieces, snaps) -> float:
         """The measured rounding level of ``snaps``, the sweep of
@@ -373,7 +395,8 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
     elif grid is not None and start.grid != grid:
         raise ValueError("the start path is not on the given grid")
     grid, snaps, pieces = start.grid, start.snapshots.coeffs, start.pieces
-    sweep = _PicardSweep(gamma, grid)
+    plan = _one_map_plan(gamma.field)       # None: one plan per grid
+    sweep = _PicardSweep(gamma, grid, plan)
     if fixed_iters is not None:
         log, step = [], None
         for _ in range(fixed_iters):
@@ -392,8 +415,7 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
             new_snaps, new_pieces = sweep.run(pieces)
             diff = _sup_distance(new_snaps, snaps, gamma.eps)
             ratio = diff / step if step else float("nan")
-            noise_floor = 64 * np.finfo(float).eps * max(
-                1.0, float(np.abs(new_snaps).max()))
+            noise_floor = NOISE_UNIT * max(1.0, float(np.abs(new_snaps).max()))
             if step is not None:
                 grew = diff > step and diff > 16 * noise_floor
                 if not settled and (grew or _breaks_ratio(diff, ratio, theta)):
@@ -424,7 +446,7 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
             pieces = pieces_on(pieces, grid, finer)
             snaps = np.concatenate([pieces[:, 0], snaps[-1:]])
             grid, step, goal = finer, None, target
-            sweep = _PicardSweep(gamma, grid)
+            sweep = _PicardSweep(gamma, grid, plan)
         elif stalled:           # sweep on as the grid is
             settled = True
         elif defect < target and last > max(target - defect, noise_floor):
@@ -436,6 +458,8 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
                     iteration_log=log, residual=residual, discarded=discarded)
 
 
+#: the stop and growth tests' floor per unit of the largest coefficient
+NOISE_UNIT = 64 * np.finfo(float).eps
 #: logged steps at or below this size are rounding: their ratios say nothing
 RATIO_FLOOR = 1e3 * np.finfo(float).eps
 #: the contraction certificate's slack over theta_hat

@@ -117,6 +117,9 @@ def strip_weights(order: int, m: int, eps):
     """Read-only weights e^{2 pi ||k||_1 eps} and 2 pi ||k||_1 e^{..} of nu,
     mu over the flattened lattice cube of L modes, shape np.shape(eps) + (L,)
     for a width or an array of widths eps."""
+    if isinstance(eps, float):      # one width: its own key
+        w, dw = _weight_table(order, m, (eps,))
+        return w[0], dw[0]
     w, dw = _weight_table(order, m, tuple(np.ravel(eps).tolist()))
     shape = np.shape(eps) + (-1,)
     return w.reshape(shape), dw.reshape(shape)
@@ -243,11 +246,7 @@ class FourierMap:
         the flattened lattice past its centre, against the mirror half, plus
         the centre's |Im c_0|.
         """
-        c = self.coeffs.reshape(self.batch + (-1, self.ncomp))
-        half = c.shape[-2] // 2
-        defect = np.abs(c[..., half + 1:, :]
-                        - np.conj(c[..., :half, :][..., ::-1, :])).sum(axis=-2)
-        return np.maximum.reduce(defect + np.abs(c[..., half, :].imag), axis=-1)
+        return _imag_bound(self.coeffs.reshape(self.batch + (-1, self.ncomp)))
 
     def mode(self, k) -> np.ndarray:
         kk = (k,) if np.isscalar(k) else tuple(k)
@@ -339,6 +338,14 @@ def _wrap(coeffs: np.ndarray, m: int) -> FourierMap:
     f = object.__new__(MapStack if coeffs.ndim == m + 2 else FourierMap)
     f._set(coeffs, m)
     return f
+
+
+def _imag_bound(c: np.ndarray) -> np.ndarray:
+    """``FourierMap.imag_bound`` of cubes flattened to batch + (L, ncomp)."""
+    half = c.shape[-2] // 2
+    defect = np.add.reduce(np.abs(c[..., half + 1:, :] - np.conj(
+        c[..., :half, :][..., ::-1, :])), axis=-2)
+    return np.maximum.reduce(defect + np.abs(c[..., half, :].imag), axis=-1)
 
 
 def _modes_to_json(coeffs: np.ndarray, m: int, order: int) -> list:
@@ -545,11 +552,21 @@ def majorants(coeffs: np.ndarray, m: int, eps):
     flattened lattice per component, in one fixed order, so a map gets the
     same bits alone, in any batch and at any layout of the widths.
     """
-    w, dw = strip_weights(coeffs.shape[-2] // 2, m, eps)
+    return _weighted(_abs_parts(coeffs, m), coeffs.shape[-2] // 2, m, eps)
+
+
+def _abs_parts(coeffs: np.ndarray, m: int) -> list:
+    """|c| of each component of cubes batch + (2N+1,)*m + (ncomp,), one
+    array batch + (L,) per component: one component at a time, as numpy's
+    max over a short last axis is slow."""
     lattice = coeffs.shape[:coeffs.ndim - m - 1] + (-1,)
-    # one component at a time: numpy's max over a short last axis is slow
-    absc = [np.abs(coeffs[..., i]).reshape(lattice)
+    return [np.abs(coeffs[..., i]).reshape(lattice)
             for i in range(coeffs.shape[-1])]
+
+
+def _weighted(absc: list, order: int, m: int, eps):
+    """(nu_eps, mu_eps) from the moduli ``_abs_parts`` of order N."""
+    w, dw = strip_weights(order, m, eps)
     nu = np.vecdot(reduce(np.maximum, absc), w)
     mu = reduce(np.maximum, [np.vecdot(a, dw) for a in absc])
     return nu, mu
@@ -564,8 +581,13 @@ def imag_reach(u: FourierMap, eps_in) -> np.ndarray:
     nu(u - u_0) (the real constant part cannot move the strip) and the
     mean-value bound eps_in * mu(u); the smaller one is used.
     """
-    nu, mu = majorants(u.coeffs, u.m, eps_in)
-    const = np.maximum.reduce(np.abs(u.constant_part()), axis=-1)
+    return _reach(_abs_parts(u.coeffs, u.m), u.order, u.m, eps_in)
+
+
+def _reach(absc: list, order: int, m: int, eps_in):
+    """``imag_reach`` from the moduli ``_abs_parts`` of u."""
+    nu, mu = _weighted(absc, order, m, eps_in)
+    const = reduce(np.maximum, [a[..., a.shape[-1] // 2] for a in absc])
     return eps_in + np.minimum(nu - const, eps_in * mu)
 
 
@@ -634,10 +656,13 @@ def _tail_ratio(spec: np.ndarray, M: int, m: int, order: int,
     (B, ncomp, M..), last axis M/2 + 1 for a half spectrum, plus twice the
     bound ``alias`` on the modes the grid does not observe, if given."""
     weight, tail, _ = _spectrum_weights(M, m, order, spec.shape[-1] != M)
-    amp = np.maximum.reduce(np.abs(spec), axis=1).reshape(len(spec), -1)
+    amp = np.abs(spec)
+    if spec.shape[1] > 1:       # the largest component
+        amp = np.maximum.reduce(amp, axis=1)
+    amp = amp.reshape(len(spec), -1)
     total = amp @ weight
     mass = amp @ tail + (0.0 if alias is None else 2.0 * alias)
-    return np.divide(mass, total, out=np.zeros_like(total), where=total > 0)
+    return np.divide(mass, total, out=np.zeros(total.shape), where=total > 0)
 
 
 def fit_grid(values: np.ndarray, order: int, m: int,
@@ -672,19 +697,23 @@ def fit_grid(values: np.ndarray, order: int, m: int,
     if m == 2:
         spec = np.fft.fft(spec, axis=-2, norm="forward")
     if base is not None:
-        tgt, src, shared = _sample_index(base.shape[-2] // 2, M, m,
-                                         spec.shape[-1])
-        flat = spec.reshape(spec.shape[:2] + (-1,))
-        add = base.reshape(len(base), -1, base.shape[-1]).transpose(
-            0, 2, 1)[..., src]
-        if shared:      # only np.add.at sums repeated targets
-            np.add.at(flat, (Ellipsis, tgt), add)
+        nb = base.shape[-2] // 2
+        if m == 1 and real and 2 * nb < M:
+            # the modes 0..N_b land on the columns 0..N_b, the others on none
+            spec[..., :nb + 1] += base[:, nb:].transpose(0, 2, 1)
         else:
-            flat[..., tgt] += add
-    ratio = _tail_ratio(spec, M, m, n, alias)
-    if not ratio.max() <= tol_trunc:
+            tgt, src, shared = _sample_index(nb, M, m, spec.shape[-1])
+            flat = spec.reshape(spec.shape[:2] + (-1,))
+            add = base.reshape(len(base), -1, base.shape[-1]).transpose(
+                0, 2, 1)[..., src]
+            if shared:      # only np.add.at sums repeated targets
+                np.add.at(flat, (Ellipsis, tgt), add)
+            else:
+                flat[..., tgt] += add
+    worst = np.maximum.reduce(_tail_ratio(spec, M, m, n, alias))
+    if not worst <= tol_trunc:
         raise TruncationBudgetExceeded(
-            f"{context}: discarded tail ratio {ratio.max():.3e} > {tol_trunc:.1e}")
+            f"{context}: discarded tail ratio {worst:.3e} > {tol_trunc:.1e}")
     k = _k_axis(n) % M
     if real:
         half = spec[..., :n + 1] if m == 1 else spec[:, :, k, :n + 1]
@@ -727,8 +756,20 @@ def fit_sampled(sample, maps, order: int, *, tol_trunc: float, context: str,
 def _support_band(c: np.ndarray) -> tuple:
     """Per axis i the least K_i with every nonzero mode of a stack c in
     |k_i| <= K_i."""
-    k = np.argwhere(c.any(axis=(0, -1))) - c.shape[1] // 2
-    return tuple(int(a) for a in np.abs(k).max(axis=0, initial=0))
+    k = np.abs(np.argwhere(c.any(axis=(0, -1))) - c.shape[1] // 2)
+    return tuple(k.max(axis=0, initial=0).tolist())
+
+
+@lru_cache(maxsize=64)
+def _shells(K: int, m: int):
+    """For the cube |k_i| <= K, flattened: the index of each mode's shell
+    (|k_1|, .., |k_m|) among the (K + 1)^m shells, and 2 pi times each
+    shell's (|k_1|, .., |k_m|), (m, (K + 1)^m).  Read-only."""
+    k = np.abs(np.indices((2 * K + 1,) * m).reshape(m, -1) - K)
+    index = np.ravel_multi_index(k, (K + 1,) * m)
+    two_pi_k = TWO_PI * np.indices((K + 1,) * m).reshape(m, -1)
+    index.flags.writeable = two_pi_k.flags.writeable = False
+    return index, two_pi_k
 
 
 def _grid_values(u: np.ndarray, M: int, imag_bound: np.ndarray) -> np.ndarray:
@@ -741,7 +782,9 @@ def _grid_values(u: np.ndarray, M: int, imag_bound: np.ndarray) -> np.ndarray:
         dense = np.zeros(vals.shape[:2] + (M, n + 1), dtype=complex)
         dense[:, :, np.arange(-n, n + 1) % M] = vals
         vals = np.fft.ifft(dense, axis=2, norm="forward")
-    vals = np.fft.irfft(vals, n=M, axis=-1, norm="forward").reshape(len(u), m, -1)
+    vals = np.fft.irfft(vals, n=M, axis=-1, norm="forward")
+    if m == 2:
+        vals = vals.reshape(len(u), m, -1)
     if (imag_bound > 1e-9).any() and (imag_bound > 1e-9 * np.maximum(
             1.0, np.abs(vals).max(axis=(1, 2)))).any():
         raise RealityDefect("perturbation is not real on the real grid")
@@ -939,7 +982,8 @@ class CompositionPlan:
     A stack whose maps all have the same bits (the field of a path that is
     constant in time, read at its nodes) is held as that one map: ``coeffs``,
     ``band`` and ``nu0`` have batch 1, which ``compose`` broadcasts
-    against the stack u as it does a single outer map.
+    against the stack u as it does a single outer map; ``batch`` is the
+    batch shape of g, which the composites broadcast to.
     """
 
     def __init__(self, g: FourierMap, order: int, cap: int):
@@ -947,36 +991,37 @@ class CompositionPlan:
         bits = np.ascontiguousarray(c).view(np.int64)
         if (bits[1:] == bits[:1]).all():
             c = c[:1]
-        self.source, self.order, self.cap, self.m, self.coeffs = (
-            g, order, cap, m, c)
+        self.batch, self.order, self.cap, self.m, self.coeffs = (
+            g.batch, order, cap, m, c)
         extent = _support_band(c)
         self.K = K = max(extent)
         cube = (slice(n - K, n + K + 1),) * m
         # the band's rows 0 <= k_1 <= K_1, k_1 > 0 doubled, and columns
         # |k_2| <= K_2, as (B, k_1, ncomp[, k_2])
-        self.band = np.moveaxis(c[(slice(None), slice(n, n + extent[0] + 1))
-                                  + tuple(slice(n - k, n + k + 1)
-                                          for k in extent[1:])], -1, 2).copy()
+        self.band = c[(slice(None), slice(n, n + extent[0] + 1))
+                      + tuple(slice(n - k, n + k + 1) for k in extent[1:])
+                      ].transpose((0, 1, m + 1) + tuple(range(2, m + 1))).copy()
         self.band[:, 1:] *= 2.0
-        amp = np.abs(c[(slice(None),) + cube]).max(axis=-1)
-        self.nu0 = amp.reshape(len(c), -1).sum(axis=1)
+        amp = np.maximum.reduce(np.abs(c[(slice(None),) + cube]), axis=-1)
+        self.nu0 = np.add.reduce(amp.reshape(len(c), -1), axis=1)
         lead = (-1,) + (1,) * m
-        amp = np.divide(amp, self.nu0.reshape(lead), out=np.zeros_like(amp),
-                        where=self.nu0.reshape(lead) > 0).max(axis=0).ravel()
+        amp = np.maximum.reduce(np.divide(
+            amp, self.nu0.reshape(lead), out=np.zeros(amp.shape),
+            where=self.nu0.reshape(lead) > 0), axis=0).ravel()
         # summed over the modes of one |k|, kept where positive for k != 0
-        k = np.abs(np.indices((2 * K + 1,) * m).reshape(m, -1) - K)
-        amp = np.bincount(np.ravel_multi_index(k, (K + 1,) * m), amp,
-                          (K + 1) ** m)
+        index, two_pi_k = _shells(K, m)
+        amp = np.bincount(index, amp, (K + 1) ** m)
         amp[0] = 0.0
-        self.two_pi_k = TWO_PI * np.indices((K + 1,) * m).reshape(m, -1)[
-            :, amp > 0]
+        self.two_pi_k = two_pi_k[:, amp > 0]
         self.amp = amp[amp > 0]
         self.sizes = _fft_sizes(2 * order + 2, cap)
 
-    def log_bounds(self, u: FourierMap, imag: np.ndarray) -> np.ndarray:
+    def log_bounds(self, amp: np.ndarray, imag: float) -> np.ndarray:
         """Logs of certified bounds per unit nu_0(g), (2, sizes) at the
-        plan's ``sizes``, for every map of the stack u (mirror defects
-        ``imag``), on two sets of modes of the composite h = g o (id + u)
+        plan's ``sizes``, for every map u whose coefficients are at most
+        ``amp`` in modulus, a cube (2N+1,)*m + (m,), and whose mirror
+        defect is at most ``imag``, on two sets of modes of the composite
+        h = g o (id + u)
         that a grid of M points per axis does not resolve: [0] those that
         can alias onto the kept lattice ||k||_1 <= N, all in ||k||_inf >=
         M - N, and [1] the unobserved ones, ||k||_inf >= M/2, outside the
@@ -997,22 +1042,22 @@ class CompositionPlan:
         """
         if self.K == 0:
             return np.full((2, len(self.sizes)), -np.inf)
-        reach = _alias_reach(np.maximum.reduce(np.abs(u.coeffs)),
-                             np.maximum.reduce(imag),
-                             _alias_widths(u.order, self.m))
+        order_u = amp.shape[0] // 2
+        reach = _alias_reach(amp, imag, _alias_widths(order_u, self.m))
         # log S per width pair, the sum scaled by its largest term
         x = reach @ self.two_pi_k
         top = np.maximum.reduce(x, axis=1)
         log_s = top + np.log(np.exp(x - top[:, None]) @ self.amp)
-        log_t = _grid_log_t(u.order, self.m, self.order, self.cap)
+        log_t = _grid_log_t(order_u, self.m, self.order, self.cap)
         return np.logaddexp.reduce(np.minimum.reduce(
             log_s[:, None, None, None] + log_t, axis=0), axis=0)
 
-    def composition_grid(self, u: FourierMap, imag: np.ndarray,
+    def composition_grid(self, amp: np.ndarray, imag: float,
                          tol_trunc: float):
-        """The grid size M of a composition with the stack u (mirror
-        defects ``imag``), and per map of g the bound on the unobserved
-        modes there.
+        """The grid size M of a composition with the maps u bounded by
+        ``amp`` and ``imag`` as in ``log_bounds`` (a stack's largest
+        moduli and mirror defect), and per map of g the bound on the
+        unobserved modes there.
 
         M is the least even 5-smooth size in [2N + 2, cap] at which
         ``log_bounds`` keeps the modes that can alias onto the kept
@@ -1026,13 +1071,12 @@ class CompositionPlan:
         """
         if not len(self.sizes):
             return self.cap, np.full_like(self.nu0, np.inf)
-        if self.K == 0 or (2 * self.K < self.sizes[0]
-                           and not u.coeffs.any()):
+        if self.K == 0 or (2 * self.K < self.sizes[0] and not amp.any()):
             # h = g (constant g, or u = 0): its modes |k_i| <= K are observed
             # and alias nowhere
             return int(self.sizes[0]), np.zeros_like(self.nu0)
         # both sets' bounds at every size; the first size where both hold
-        log_b = self.log_bounds(u, imag)
+        log_b = self.log_bounds(amp, imag)
         ok = (log_b[0] <= _LOG_EPS) & (
             log_b[1] <= math.log(0.5 * ALIAS_SHARE * tol_trunc))
         j = int(ok.argmax())
@@ -1040,25 +1084,51 @@ class CompositionPlan:
             return self.cap, np.full_like(self.nu0, np.inf)
         return int(self.sizes[j]), self.nu0 * math.exp(log_b[1, j])
 
-    def compose(self, u: FourierMap, tol_trunc: float) -> np.ndarray:
-        """g o (id + u) for the stack u, as coefficients (B,) + lattice +
-        (ncomp,) of order N over the broadcast batch, on the grid of
-        ``composition_grid``, one ``node_chunks`` chunk of maps at a time."""
+    def compose(self, u: np.ndarray, tol_trunc: float, scales) -> np.ndarray:
+        """g o (id + u) for the coefficient stack u, (B,) + lattice + (m,)
+        of order at most the plan's, as coefficients (B,) + lattice +
+        (ncomp,) of the plan's order over the broadcast batch, on the grid
+        of ``composition_grid``, one ``node_chunks`` chunk of maps at a
+        time.
+
+        One pass over |u| gives the three bounds on u that the composite's
+        certificates read: with ``scales`` (outer, inner), the reach of
+        ``imag_reach`` from the inner strip (DomainEscape past the outer
+        one), and the largest moduli over the stack that ``log_bounds``
+        reads; its mirror defects bound |Im u| for the reality check.
+        """
         m, band, c = self.m, self.band, self.coeffs
-        imag = u.imag_bound()
-        uc = u.coeffs.transpose((0, m + 1) + tuple(range(1, m + 1)))
-        M, alias = self.composition_grid(u, imag, tol_trunc)
+        absc = _abs_parts(u, m)
+        if scales is not None:
+            outer, inner = scales
+            _within(_reach(absc, u.shape[1] // 2, m, inner), outer)
+        amp = np.maximum.reduce(absc[0] if m == 1 else np.stack(absc, axis=-1))
+        imag = _imag_bound(u.reshape(len(u), -1, m))
+        M, alias = self.composition_grid(amp.reshape(u.shape[1:]),
+                                         np.maximum.reduce(imag), tol_trunc)
+        # components first, (B, m, n..), as ``_grid_values`` reads them
+        uc = u.transpose((0, m + 1) + tuple(range(1, m + 1)))
         out = []
-        for s in node_chunks(max(len(uc), len(band)), M ** m):
-            e = _circle_m1(_grid_values(uc[s] if len(uc) > 1 else uc, M,
-                                        imag[s] if len(uc) > 1 else imag))
+        for s in node_chunks(max(len(u), len(band)), M ** m):
+            e = _circle_m1(_grid_values(uc[s] if len(u) > 1 else uc, M,
+                                        imag[s] if len(u) > 1 else imag))
             vals = _shift_sum(band[s] if len(band) > 1 else band, e, M)
-            vals = vals.reshape((len(vals), c.shape[-1]) + (M,) * m)
+            if m == 2:
+                vals = vals.reshape(vals.shape[:2] + (M, M))
             out.append(fit_grid(vals.transpose((0, *range(2, m + 2), 1)),
                                 self.order, m, tol_trunc, "compose",
                                 alias if len(alias) == 1 else alias[s],
                                 c[s] if len(c) > 1 else c).coeffs)
-        return np.concatenate(out)
+        return np.ascontiguousarray(out[0]) if len(out) == 1 \
+            else np.concatenate(out)
+
+
+def _within(reach: np.ndarray, outer: float) -> None:
+    """DomainEscape unless every reach stays inside the outer strip."""
+    reach = float(np.maximum.reduce(reach, axis=None))
+    if reach > outer * (1 + 1e-12):
+        raise DomainEscape(
+            f"imaginary reach {reach:.6g} exceeds outer strip {outer:.6g}")
 
 
 def compose(g, perturb, *,
@@ -1092,23 +1162,26 @@ def compose(g, perturb, *,
     own order and cap; otherwise the call builds its own.  With
     ``outer_scale`` and ``inner_scale`` the certified imaginary reach of
     every id + u from the inner strip must stay inside the outer strip
-    where g's majorants are quoted (else DomainEscape).
+    where g's majorants are quoted (else DomainEscape); u is read at its
+    own order there, before the cut.
     """
     m = g.m
     if perturb.ncomp != m or perturb.m != m:
         raise ValueError("perturbation must be a self-map displacement")
-    if outer_scale is not None:
-        reach = float(imag_reach(perturb, inner_scale).max())
-        if reach > outer_scale * (1 + 1e-12):
-            raise DomainEscape(
-                f"imaginary reach {reach:.6g} exceeds outer strip {outer_scale:.6g}")
     if not isinstance(g, CompositionPlan):     # g's own plan
         n_out = g.order if order is None else order
         g = CompositionPlan(g, n_out, oversample * (2 * n_out + 1))
-    n_out = g.order
-    u = (perturb.with_order(n_out) if perturb.order > n_out else perturb).flat()
-    out = g.compose(u, tol_trunc)
-    batch = np.broadcast_shapes(g.source.batch, perturb.batch)
+    scales = None if outer_scale is None else (outer_scale, inner_scale)
+    u = perturb
+    if u.order > g.order:       # the reach of the whole u, then the cut
+        if scales is not None:
+            _within(imag_reach(u, inner_scale), outer_scale)
+            scales = None
+        u = u.with_order(g.order)
+    out = g.compose(u.coeffs.reshape((-1,) + u.coeffs.shape[-m - 1:]),
+                    tol_trunc, scales)
+    batch = (perturb.batch if g.batch in ((), perturb.batch)
+             else np.broadcast_shapes(g.batch, perturb.batch))
     if len(out) < math.prod(batch):     # a one-map plan against one map u
         out = np.repeat(out, math.prod(batch), axis=0)
     return _wrap(out.reshape(batch + out.shape[1:]), m)

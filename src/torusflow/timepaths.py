@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -201,8 +202,17 @@ def node_values(pieces: np.ndarray, taus) -> np.ndarray:
     pieces); ``piece_values`` reads at any times."""
     if pieces.shape[1] == 1:        # a constant piece: its value at every node
         return np.repeat(pieces[:, 0], len(taus), axis=0)
-    table = np.vander(taus, pieces.shape[1], increasing=True)
+    table = _node_powers(np.asarray(taus, dtype=float).tobytes(), pieces.shape[1])
     return _table_product(table, pieces).reshape((-1,) + pieces.shape[2:])
+
+
+@lru_cache(maxsize=32)
+def _node_powers(taus: bytes, n: int) -> np.ndarray:
+    """The powers tau^d, d < n, of the nodes whose float64 bytes are
+    ``taus``, one row per node, built once per node set.  Read-only."""
+    table = np.vander(np.frombuffer(taus), n, increasing=True)
+    table.flags.writeable = False
+    return table
 
 
 def node_integral(values: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -35,19 +35,34 @@ and (B, ncomp, P), the band contracted by one product per map.
 -k summed twice.  ``modes_to_json`` writes the JSON entries of one
 snapshot, as flow.json's writer did before it read the whole stack in one
 pass.
+
+``parent_compose``, ``ParentSweep`` and ``parent_solve`` are the m = 1
+solve path before its one pass over |u|: ``compose`` tests the reach by
+``imag_reach`` before the plan, flattens, broadcasts and repeats the
+stacks, and the plan reads the mirror defects and the largest moduli of u
+by passes of their own, fits by the generic transposes and adds g's
+spectrum by its sample index; the sweep builds a plan per grid and its
+node tables per call, and its defect pass takes one ``majorants`` call per
+norm.  The package must give their bytes.
 """
 
+import math
+from functools import reduce
 from math import comb
 
 import numpy as np
 
-from torusflow.errors import ContractionStall, DomainEscape, InvertibilityLost
-from torusflow.flow import invert_at_point, solve_flow
-from torusflow.fourier import (TOL_TRUNC, TWO_PI, FourierMap, MapStack,
-                               _band_powers, _circle_m1, _fft_sizes,
-                               _grid_roots, _grid_values, _k_l1, _support_band,
-                               _unit_circle, _wrap, compose, fit_grid,
-                               fit_sampled, imag_reach, jacobian,
+from torusflow.errors import (ContractionStall, DomainEscape,
+                              InvertibilityLost, NonContraction,
+                              RealityDefect, TruncationBudgetExceeded)
+from torusflow.flow import (RATIO_FLOOR, RATIO_SLACK, invert_at_point,
+                            solve_flow)
+from torusflow.fourier import (TOL_TRUNC, TWO_PI, CompositionPlan, FourierMap,
+                               MapStack, _band_powers, _circle_m1, _fft_sizes,
+                               _grid_roots, _grid_values, _k_l1, _sample_index,
+                               _shift_sum, _spectrum_weights, _support_band,
+                               _unit_circle, _weight_table, _wrap, compose,
+                               fit_grid, fit_sampled, imag_reach, jacobian,
                                lattice_modes, majorants, multiply,
                                node_chunks, sampling_grid, strip_norms,
                                strip_weights)
@@ -58,7 +73,9 @@ from torusflow.group import (TOL_INVERSE, AnalyticDiffeo,
 from torusflow.pullback import pullback_apply, pullback_matrix
 from torusflow.timepaths import (ACPath, FIT_NODES, GAUSS_NODES, AffineRule,
                                  SelfCompositionRule, TimeDependentField,
-                                 _GL4_W, fit_poly3, piece_values)
+                                 _GL4_W, _derivative, _table_product,
+                                 fit_poly3, node_integral, piece_values,
+                                 pieces_on)
 from torusflow.charts import TOL_INVERT
 
 from _readings import eval_points
@@ -847,3 +864,271 @@ def modes_to_json(coeffs, m, order):
     if coeffs.shape[-1] == 1:
         return [[k, *p[0]] for k, p in zip(keys, pairs)]
     return [[k, p] for k, p in zip(keys, pairs)]
+
+
+# ---------------------------------------------------------------------------
+# the m = 1 solve path before its one |u| pass: the composition's glue, the
+# sweep and its driver as they ran, for byte-for-byte comparisons
+# ---------------------------------------------------------------------------
+
+def _parent_majorants(coeffs, m, eps):
+    """``majorants`` with its per-call cache key for the width."""
+    w, dw = _weight_table(coeffs.shape[-2] // 2, m, tuple(np.ravel(eps).tolist()))
+    shape = np.shape(eps) + (-1,)
+    w, dw = w.reshape(shape), dw.reshape(shape)
+    lattice = coeffs.shape[:coeffs.ndim - m - 1] + (-1,)
+    absc = [np.abs(coeffs[..., i]).reshape(lattice)
+            for i in range(coeffs.shape[-1])]
+    nu = np.vecdot(reduce(np.maximum, absc), w)
+    mu = reduce(np.maximum, [np.vecdot(a, dw) for a in absc])
+    return nu, mu
+
+
+def _parent_imag_reach(u, eps_in):
+    nu, mu = _parent_majorants(u.coeffs, u.m, eps_in)
+    const = np.maximum.reduce(np.abs(u.constant_part()), axis=-1)
+    return eps_in + np.minimum(nu - const, eps_in * mu)
+
+
+def _parent_imag_bound(u):
+    c = u.coeffs.reshape(u.batch + (-1, u.ncomp))
+    half = c.shape[-2] // 2
+    defect = np.abs(c[..., half + 1:, :]
+                    - np.conj(c[..., :half, :][..., ::-1, :])).sum(axis=-2)
+    return np.maximum.reduce(defect + np.abs(c[..., half, :].imag), axis=-1)
+
+
+def _parent_grid_values(u, M, imag_bound):
+    m, n = u.shape[1], u.shape[-1] // 2
+    vals = u[..., n:]
+    if m == 2:
+        dense = np.zeros(vals.shape[:2] + (M, n + 1), dtype=complex)
+        dense[:, :, np.arange(-n, n + 1) % M] = vals
+        vals = np.fft.ifft(dense, axis=2, norm="forward")
+    vals = np.fft.irfft(vals, n=M, axis=-1, norm="forward").reshape(len(u), m, -1)
+    if (imag_bound > 1e-9).any() and (imag_bound > 1e-9 * np.maximum(
+            1.0, np.abs(vals).max(axis=(1, 2)))).any():
+        raise RealityDefect("perturbation is not real on the real grid")
+    return vals
+
+
+def _parent_tail_ratio(spec, M, m, order, alias):
+    weight, tail, _ = _spectrum_weights(M, m, order, spec.shape[-1] != M)
+    amp = np.maximum.reduce(np.abs(spec), axis=1).reshape(len(spec), -1)
+    total = amp @ weight
+    mass = amp @ tail + (0.0 if alias is None else 2.0 * alias)
+    return np.divide(mass, total, out=np.zeros_like(total), where=total > 0)
+
+
+def _parent_fit_grid(values, order, m, tol_trunc, context, alias, base):
+    """``fit_grid`` by its generic transposes and sample index alone."""
+    batch = values.shape[:values.ndim - m - 1]
+    vals = values.reshape((-1,) + values.shape[len(batch):]).transpose(
+        (0, m + 1) + tuple(range(1, m + 1)))
+    M, n = vals.shape[-1], order
+    real = not np.iscomplexobj(vals)
+    spec = (np.fft.rfft if real else np.fft.fft)(vals, axis=-1, norm="forward")
+    if m == 2:
+        spec = np.fft.fft(spec, axis=-2, norm="forward")
+    if base is not None:
+        tgt, src, shared = _sample_index(base.shape[-2] // 2, M, m,
+                                         spec.shape[-1])
+        flat = spec.reshape(spec.shape[:2] + (-1,))
+        add = base.reshape(len(base), -1, base.shape[-1]).transpose(
+            0, 2, 1)[..., src]
+        if shared:
+            np.add.at(flat, (Ellipsis, tgt), add)
+        else:
+            flat[..., tgt] += add
+    ratio = _parent_tail_ratio(spec, M, m, n, alias)
+    if not ratio.max() <= tol_trunc:
+        raise TruncationBudgetExceeded(
+            f"{context}: discarded tail ratio {ratio.max():.3e} > {tol_trunc:.1e}")
+    k = np.arange(-n, n + 1) % M
+    if real:
+        half = spec[..., :n + 1] if m == 1 else spec[:, :, k, :n + 1]
+        kept = np.empty(half.shape[:-1] + (2 * n + 1,), dtype=complex)
+        kept[..., n:] = half
+        kept[..., :n] = half[(Ellipsis,) + (slice(None, None, -1),) * (m - 1)
+                             + (slice(n, 0, -1),)].conj()
+    else:
+        kept = spec[..., k] if m == 1 else spec[:, :, k[:, None], k]
+    if m == 2:
+        kept *= _spectrum_weights(M, m, n, real)[2]
+    kept = kept.transpose((0,) + tuple(range(2, m + 2)) + (1,))
+    return kept.reshape(batch + kept.shape[1:])
+
+
+def _parent_plan_compose(plan, u, tol_trunc):
+    """``CompositionPlan.compose`` on a flattened stack u, with the plan's
+    bounds read from their own passes over u."""
+    m, band, c = plan.m, plan.band, plan.coeffs
+    imag = _parent_imag_bound(u)
+    uc = u.coeffs.transpose((0, m + 1) + tuple(range(1, m + 1)))
+    M, alias = plan.composition_grid(np.maximum.reduce(np.abs(u.coeffs)),
+                                     np.maximum.reduce(imag), tol_trunc)
+    out = []
+    for s in node_chunks(max(len(uc), len(band)), M ** m):
+        e = _circle_m1(_parent_grid_values(uc[s] if len(uc) > 1 else uc, M,
+                                           imag[s] if len(uc) > 1 else imag))
+        vals = _shift_sum(band[s] if len(band) > 1 else band, e, M)
+        vals = vals.reshape((len(vals), c.shape[-1]) + (M,) * m)
+        out.append(_parent_fit_grid(
+            vals.transpose((0, *range(2, m + 2), 1)), plan.order, m,
+            tol_trunc, "compose", alias if len(alias) == 1 else alias[s],
+            c[s] if len(c) > 1 else c))
+    return np.concatenate(out)
+
+
+def parent_compose(g, perturb, *, order=None, oversample=4,
+                   tol_trunc=TOL_TRUNC, outer_scale=None, inner_scale=None):
+    """``compose`` with its reach test by ``imag_reach`` before the plan,
+    and its flattening, broadcasting and repetition of the stacks."""
+    m = g.m
+    if perturb.ncomp != m or perturb.m != m:
+        raise ValueError("perturbation must be a self-map displacement")
+    if outer_scale is not None:
+        reach = float(_parent_imag_reach(perturb, inner_scale).max())
+        if reach > outer_scale * (1 + 1e-12):
+            raise DomainEscape(
+                f"imaginary reach {reach:.6g} exceeds outer strip {outer_scale:.6g}")
+    if not isinstance(g, CompositionPlan):
+        n_out = g.order if order is None else order
+        g = CompositionPlan(g, n_out, oversample * (2 * n_out + 1))
+    n_out = g.order
+    u = (perturb.with_order(n_out) if perturb.order > n_out else perturb).flat()
+    out = _parent_plan_compose(g, u, tol_trunc)
+    batch = np.broadcast_shapes(g.batch, perturb.batch)
+    if len(out) < math.prod(batch):
+        out = np.repeat(out, math.prod(batch), axis=0)
+    return _wrap(out.reshape(batch + out.shape[1:]), m)
+
+
+def _parent_node_values(pieces, taus):
+    if pieces.shape[1] == 1:
+        return np.repeat(pieces[:, 0], len(taus), axis=0)
+    table = np.vander(taus, pieces.shape[1], increasing=True)
+    return _table_product(table, pieces).reshape((-1,) + pieces.shape[2:])
+
+
+def _parent_sup_distance(a, b, eps):
+    return float(_parent_majorants(a - b, a.ndim - 2, eps)[0].max())
+
+
+class ParentSweep:
+    """``flow._PicardSweep`` with a plan per grid, the node tables built per
+    call and one ``majorants`` call per norm of the defect pass."""
+
+    def __init__(self, gamma, grid):
+        gam = gamma.field
+        self.gamma, self.grid = gamma, grid
+        self.h = np.diff(grid.floats)
+        self.field_pieces = pieces_on(gam.pieces, gam.grid, grid)
+        self.nodes = _parent_node_values(self.field_pieces, FIT_NODES)
+        self.plan = self._plan(FIT_NODES)
+        self.gauss = None
+
+    def _plan(self, taus):
+        f = self.gamma.field
+        return CompositionPlan(
+            _wrap(_parent_node_values(self.field_pieces, taus), f.m),
+            f.order, 4 * (2 * f.order + 1))
+
+    def _compose(self, plan, u):
+        eps = self.gamma.eps
+        return parent_compose(plan, _wrap(u, plan.m), tol_trunc=TOL_TRUNC,
+                              outer_scale=2 * eps, inner_scale=eps).coeffs
+
+    def run(self, pieces):
+        if not pieces.any():
+            return self._integrate(self.nodes)
+        return self._integrate(self._compose(
+            self.plan, _parent_node_values(pieces, FIT_NODES)))
+
+    def _integrate(self, kept):
+        J, Q, shape = len(self.h), len(FIT_NODES), kept.shape[1:]
+        anti = node_integral(kept, self.h).reshape(J, Q + 1, -1)
+        snaps = np.zeros((J + 1, anti.shape[2]), dtype=complex)
+        np.cumsum(anti.sum(axis=1), axis=0, out=snaps[1:])
+        anti[:, 0] = snaps[:-1]
+        return snaps.reshape((J + 1,) + shape), anti.reshape((J, Q + 1) + shape)
+
+    def defect(self, pieces, out):
+        if self.gauss is None:
+            ts, constant = self.grid.floats, self.field_pieces.shape[1] == 1
+            self.gauss = (self.grid.quadrature(ts[:-1], ts[1:])[2],
+                          self.plan if constant else self._plan(GAUSS_NODES))
+        w, plan = self.gauss
+        u = _parent_node_values(pieces, GAUSS_NODES)
+        vals = self._compose(plan, u)
+        r = vals - _parent_node_values(_derivative(out, self.h), GAUSS_NODES)
+        r = r.reshape(w.shape + r.shape[1:])
+        m, eps = r.ndim - 3, self.gamma.eps
+        local = (w * _parent_majorants(r, m, eps)[0]).sum(axis=1)
+        err = (w.reshape(w.shape + (1,) * (m + 1)) * r).sum(axis=1)
+        before = np.cumsum(err, axis=0) - err
+        D = float((_parent_majorants(before, m, eps)[0] + local).max())
+        return local, D, _parent_sup_distance(
+            _parent_node_values(out, GAUSS_NODES), u, eps)
+
+    def rounding(self, pieces, snaps):
+        again = self.run(pieces * (1 + 2.0 ** -40))[0]
+        return _parent_sup_distance(again, snaps, self.gamma.eps)
+
+
+def parent_solve(gamma, max_step, tol_solve=1e-10, max_iter=200):
+    """``solve_flow`` from the identity path on the grid it chooses, driving
+    ``ParentSweep``: (grid, snapshots, pieces, iteration_log, discarded,
+    residual)."""
+    theta = gamma.theta_hat
+    target = tol_solve * (1 - theta)
+    grid = gamma.field.grid.refined(max_step)
+    f = gamma.field
+    shape = (2 * f.order + 1,) * f.m + (f.ncomp,)
+    snaps = np.zeros((len(grid),) + shape, complex)
+    pieces = np.zeros((len(grid) - 1, 1) + shape, complex)
+    sweep = ParentSweep(gamma, grid)
+    log, discarded, step, goal, settled = [], [], None, target, False
+    while True:
+        stalled = False
+        for _ in range(max_iter - len(log)):
+            new_snaps, new_pieces = sweep.run(pieces)
+            diff = _parent_sup_distance(new_snaps, snaps, gamma.eps)
+            ratio = diff / step if step else float("nan")
+            noise_floor = 64 * np.finfo(float).eps * max(
+                1.0, float(np.abs(new_snaps).max()))
+            if step is not None:
+                grew = diff > step and diff > 16 * noise_floor
+                if not settled and (grew or (
+                        diff > RATIO_FLOOR and np.isfinite(ratio)
+                        and ratio > theta + RATIO_SLACK)):
+                    discarded.append((len(log) + 1, diff, ratio,
+                                      sweep.rounding(pieces, new_snaps)))
+                    stalled = True
+                    break
+                if grew:
+                    raise NonContraction(f"observed ratio {ratio:.3f} >= 1")
+            inp, snaps, pieces, step = pieces, new_snaps, new_pieces, diff
+            log.append((len(log) + 1, diff, ratio))
+            if diff <= max(goal, noise_floor):
+                break
+        else:
+            raise ContractionStall(f"no convergence within {max_iter} iterations")
+        local, defect, inside = sweep.defect(inp, pieces)
+        last = float(np.max([step, inside]))
+        residual = (last + defect) / (1 - theta)
+        if residual <= tol_solve:
+            break
+        finer = grid.halved(local / (sweep.h * target))
+        if finer != grid:
+            pieces = pieces_on(pieces, grid, finer)
+            snaps = np.concatenate([pieces[:, 0], snaps[-1:]])
+            grid, step, goal = finer, None, target
+            sweep = ParentSweep(gamma, grid)
+        elif stalled:
+            settled = True
+        elif defect < target and last > max(target - defect, noise_floor):
+            goal = (target - defect) * step / last
+        else:
+            break
+    return grid, snaps, pieces, log, discarded, residual

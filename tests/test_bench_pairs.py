@@ -18,7 +18,8 @@ END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 def canned_run(tree, workload, seed, seconds):
     """The output of run.py: an environment line, readable lines and the
     result line; the change runs one job per second more, and its raw
-    set-up median is 0.1 s shorter.  Seed 3 of the change exits 1, and
+    set-up median is 0.1 s shorter; the raw rates are half the scaled
+    ones.  Seed 3 of the change exits 1, and
     seed 4 of the parent ends without a result line."""
     side = tree.name
     if (side, seed) == ("change", 3):
@@ -34,8 +35,9 @@ def canned_run(tree, workload, seed, seconds):
     raw = 0.5 + 0.1 * seed - 0.1 * (side == "change")
     setup = (f"  setup_s      {float(seed):.4f} s [{raw:.4f}] (median of 3: "
              "0.412, 0.398, 0.405)")
-    return 0, (f"env {{}}\n{setup}\n  jobs_per_s {rate}\n"
-               f"{json.dumps(res)}\n"), ""
+    rates = (f"  jobs_per_s   {rate:.4f} 1/s [{rate / 2:.4f}] (median per "
+             "slot; 20 jobs / 2.00 s busy = 10.0000)")
+    return 0, (f"env {{}}\n{setup}\n{rates}\n{json.dumps(res)}\n"), ""
 
 
 def test_bench_pairs_file_schema(tmp_path):
@@ -90,8 +92,19 @@ def test_bench_pairs_file_schema(tmp_path):
                                 [None, 0.8]]
         assert raw["pairs_won"] == 2 and raw["bound"] == 0.25
         assert raw["change"]["median"] == 0.6
+        # the raw rates, read from the brackets of the jobs_per_s line
+        raw_rate = w["jobs_per_s_raw"]
+        assert raw_rate["pairs"] == [[5.0, 5.5], [10.0, 10.5], [15.0, None],
+                                     [None, 20.5]]
+        assert raw_rate["better"] == "higher" and raw_rate["pairs_won"] == 2
+        assert raw_rate["bound"] == rate["bound"]
+        assert raw_rate["change"]["median"] == 10.5
     assert [r["setup_raw_s"] for r in got["runs"][:4]] == [0.6, 0.5, 0.6, 0.7]
-    assert bench.raw_setup("env {}\n  setup_s 0.4 s\n") is None
+    assert [r["jobs_per_s_raw"] for r in got["runs"][:4]] == [
+        5.0, 5.5, 10.5, 10.0]
+    assert bench.raw_value("env {}\n  setup_s 0.4 s\n", "setup_raw_s") is None
+    assert bench.raw_value("env {}\n  jobs_per_s 4 1/s\n",
+                           "jobs_per_s_raw") is None
 
 
 def test_result_line_takes_only_a_result():

@@ -1,6 +1,8 @@
 """Scenario runner: exit codes, artifacts, determinism."""
 
 import argparse
+import csv
+import io
 import json
 import operator
 from pathlib import Path
@@ -209,6 +211,69 @@ def test_batched_writers_match_the_per_snapshot_forms(tmp_path, m, order,
     assert lines[1:] == [",".join(map(repr, row)) for row in rows]
     snaps = json.loads((tmp_path / "out" / "flow.json").read_text())["snapshots"]
     assert repr(snaps) == repr(entries)
+
+
+#: JSON values as the CLI's writers meet them, and the corners of the format
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(obj=JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(obj):
+    """summary.json and manifest.json are written as json.dumps(obj,
+    indent=1) writes them: nested and empty lists and dicts, tuples,
+    non-ASCII and escaped strings, booleans, None, NaN and +-inf."""
+    assert cli._json_indented(obj) == json.dumps(obj, indent=1)
+
+
+def test_shipped_json_files_are_json_dumps_of_their_content(shipped):
+    """Every shipped scenario's manifest and summary (the rejection's too)
+    are the bytes json.dumps(indent=1) gives for what they hold."""
+    codes = set()
+    for kind, code, out in shipped.values():
+        codes.add(code)
+        for name in ("manifest.json", "summary.json"):
+            if not (out / name).exists():
+                continue
+            text = (out / name).read_text()
+            obj = json.loads(text)
+            assert text == json.dumps(obj, indent=1) == cli._json_indented(obj)
+    assert 3 in codes
+
+
+def _csv_module(rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+@given(rows=st.lists(st.lists(st.text(alphabet=st.sampled_from(
+    'a1.,"\r\n é-')), max_size=4), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_csv_lines_match_the_csv_module(rows):
+    """Rows of strings holding commas, quotes and line breaks, empty rows
+    and rows of one empty field read as the csv module writes them."""
+    assert "".join(map(cli._csv_line, rows)) == _csv_module(rows)
+
+
+def test_shipped_csv_files_are_the_csv_modules(shipped):
+    """Every CSV of every runner holds the bytes the csv module writes for
+    its rows, \\r\\n terminators included."""
+    seen = set()
+    for kind, code, out in shipped.values():
+        for path in out.glob("*.csv"):
+            with open(path, newline="") as fh:
+                text = fh.read()
+            assert text == _csv_module(csv.reader(io.StringIO(text)))
+            seen.add(kind)
+    assert seen == set(cli.KINDS)
 
 
 #: ``torusflow --help`` at 80 columns

@@ -21,6 +21,7 @@ from torusflow.flow import (RATIO_SLACK, contraction_certificate_ok,
                             invert_at_point, max_contraction_ratio)
 from torusflow.timepaths import FIT_NODES, node_values
 
+import _reference_loops as ref_loops
 from _readings import eval_points, field_from_profile
 from _reference_loops import _real_horner
 from _reference_sweep import reference_sweep
@@ -130,6 +131,38 @@ DIFFERENTIAL_FIELDS = {
 }
 
 
+#: the differential fields, and a weaker coupled m = 2 field that solves
+SOLVE_FIELDS = {**DIFFERENTIAL_FIELDS, "m2_coupled_weak_N8": (
+    lambda: _coupled_m2_field(a=1e-3, b=1e-3), Fraction(1, 4), 1)}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_FIELDS))
+def test_solve_matches_the_parent_sweep_bit_for_bit(name):
+    """solve_flow gives the bytes of the solve driven by the parent's sweep
+    (``ref_loops.parent_solve``): the grid, snapshots, pieces, iteration
+    log, discarded sweeps and residual, or the same fault: the full-band
+    m = 2 field and the coupled one at the default budget spread past the
+    order."""
+    make, max_step, _ = SOLVE_FIELDS[name]
+    gamma = AdmissibleField.certify(make(), EPS)
+    try:
+        path = solve_flow(gamma, max_step=max_step)
+    except TruncationBudgetExceeded as exc:
+        with pytest.raises(TruncationBudgetExceeded) as want:
+            ref_loops.parent_solve(gamma, max_step)
+        assert str(exc) == str(want.value) and name in (
+            "m2_coupled_N8", "m2_full_band_N6")
+        return
+    grid, snaps, pieces, log, discarded, residual = ref_loops.parent_solve(
+        gamma, max_step)
+    assert path.grid == grid
+    assert path.snapshots.coeffs.tobytes() == snaps.tobytes()
+    assert path.pieces.shape == pieces.shape
+    assert path.pieces.tobytes() == pieces.tobytes()
+    assert repr((path.iteration_log, path.discarded, path.residual)) == repr(
+        (log, discarded, residual))
+
+
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FIELDS))
 def test_sweep_matches_compose_reference(name):
     make, max_step, band = DIFFERENTIAL_FIELDS[name]
@@ -154,19 +187,21 @@ def _odot_field(order=16):
     return odot(gam, eta)
 
 
-@pytest.mark.parametrize("field, max_step, plans_per_grid", [
-    (lambda: _coupled_m2_field(a=1e-3, b=1e-3), Fraction(1, 4), 1),
-    (lambda: TimeDependentField.constant(sine_map(0.03, order=32), 0.2), 1, 1),
-    (_odot_field, 1, 2)],
+@pytest.mark.parametrize("field, max_step, plans_per_grid, grids", [
+    (lambda: _coupled_m2_field(a=1e-3, b=1e-3), Fraction(1, 4), 0, 1),
+    (lambda: TimeDependentField.constant(sine_map(0.03, order=32), 0.2), 1,
+     0, 2),
+    (_odot_field, 1, 2, 2)],
     ids=["m2_coupled_N8", "m1_sine_N32", "m1_odot_N16"])
 def test_composition_plan_is_built_once_per_solver_grid(
-        field, max_step, plans_per_grid, monkeypatch):
+        field, max_step, plans_per_grid, grids, monkeypatch):
     """Each solver grid builds one CompositionPlan for its field stack and,
     for a field that varies in time, one for its defect pass, however many
-    sweeps it runs on them; a field constant in time reads the same at the
-    Gauss nodes, and its defect pass takes the sweep's plan.  Every sweep
-    and defect pass composes once, except the first sweep, which starts
-    from the identity path."""
+    sweeps it runs on them.  A field that is one map at all times
+    (``plans_per_grid`` 0) has one plan per solve, which every grid and
+    its defect pass share.  Every sweep and defect pass composes once,
+    except the first sweep, which starts from the identity path.  The
+    solves take ``grids`` grids: the m = 1 ones halve theirs once."""
     gamma = AdmissibleField.certify(field(), EPS)
     counts = {"plans": 0, "grids": 0, "composes": 0, "runs": 0, "defects": 0}
 
@@ -183,9 +218,11 @@ def test_composition_plan_is_built_once_per_solver_grid(
     counted(flow_module._PicardSweep, "run", "runs")
     counted(flow_module._PicardSweep, "defect", "defects")
     solve_flow(gamma, max_step=max_step)
-    assert counts["plans"] == plans_per_grid * counts["grids"]
+    assert counts["plans"] == (plans_per_grid * counts["grids"]
+                               if plans_per_grid else 1)
     assert counts["composes"] == counts["runs"] - 1 + counts["defects"]
     assert counts["composes"] > counts["plans"] + 2
+    assert counts["grids"] == grids
 
 
 def _support_m2_field(order=12, a=0.002):
@@ -210,9 +247,9 @@ def test_identity_sweep_takes_the_field_at_the_nodes(field, max_step,
     compose call, has the bits of the sweep that composes."""
     gamma = AdmissibleField.certify(field(), EPS)
     path = identity_path(gamma, max_step)
-    sweep = flow_module._PicardSweep(gamma, path.grid)
-    composed = sweep._compose(sweep.plan, np.zeros_like(sweep.plan.source.coeffs))
-    assert np.array_equal(composed, sweep.plan.source.coeffs)
+    sweep = flow_module._PicardSweep(gamma, path.grid, None)
+    composed = sweep._compose(sweep.plan, np.zeros_like(sweep.nodes))
+    assert np.array_equal(composed, sweep.nodes)
     want = sweep._integrate(composed)
     calls = []
     compose = fourier_module.CompositionPlan.compose
@@ -275,10 +312,10 @@ def _sweep_matches_reference(seed, m, order, band):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow_module, "TOL_TRUNC", 1.0)
         start = FlowPath(coarse.grid, EPS, *flow_module._PicardSweep(
-            gamma, coarse.grid).run(coarse.pieces))
+            gamma, coarse.grid, None).run(coarse.pieces))
         with composition_grids() as grids:
             try:
-                out = flow_module._PicardSweep(gamma, start.grid).run(
+                out = flow_module._PicardSweep(gamma, start.grid, None).run(
                     start.pieces)
             except TruncationBudgetExceeded:
                 out = None

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusflow import (FlowPath, FourierMap, RealityDefect, TimeGrid,
-                       TruncationBudgetExceeded, compose, jacobian, multiply,
-                       restrict, strip_norms)
+from torusflow import (DomainEscape, FlowPath, FourierMap, RealityDefect,
+                       TimeGrid, TruncationBudgetExceeded, compose, jacobian,
+                       multiply, restrict, strip_norms)
 from torusflow.flow import invert_at_point
 from torusflow import fourier
 from torusflow.fourier import (TWO_PI, MapStack, _wrap, cauchy_gain, fit_sampled,
@@ -188,12 +188,18 @@ def _full_spectrum(g, u, M):
     return np.fft.fftn(vals, axes=tuple(range(1, m + 1)), norm="forward")
 
 
-def _plan_bounds(plan, u, imag):
+def _u_bounds(u):
+    """What a plan reads of a stack u: the largest modulus over the stack
+    of each coefficient, and the largest mirror defect."""
+    return np.maximum.reduce(np.abs(u.coeffs)), np.maximum.reduce(u.imag_bound())
+
+
+def _plan_bounds(plan, amp, imag):
     """The plan's two bounds per map of g at every size of the plan,
-    (2, B, sizes): on the modes that can alias onto the lattice and on the
-    unobserved ones."""
+    (2, B, sizes), for the maps u that ``amp`` and ``imag`` bound: on the
+    modes that can alias onto the lattice and on the unobserved ones."""
     with np.errstate(over="ignore"):
-        return plan.nu0[:, None] * np.exp(plan.log_bounds(u, imag))[:, None]
+        return plan.nu0[:, None] * np.exp(plan.log_bounds(amp, imag))[:, None]
 
 
 def _on_first_axis(f: FourierMap, ncomp: int) -> MapStack:
@@ -221,7 +227,7 @@ def test_aliasing_bound_covers_the_measured_aliasing(m, order, axis):
     if axis:
         g, u = _on_first_axis(g, 1), _on_first_axis(u, 2)
     plan = fourier.CompositionPlan(g, order, 4 * (2 * order + 1))
-    lattice_bound, outside_bound = _plan_bounds(plan, u, u.imag_bound())
+    lattice_bound, outside_bound = _plan_bounds(plan, *_u_bounds(u))
     # rounding of the reference spectrum and of the fits
     dust = 1e3 * np.finfo(float).eps * plan.nu0
     M_ref = 8 * (2 * order + 1)
@@ -259,18 +265,18 @@ def test_composition_grid_never_exceeds_the_cap(m, order):
     eps = np.finfo(float).eps * (1 + 1e-9)
     for size in (0.0, 0.01, 0.1, 1.0):
         u = MapStack(_random_maps(rng, 3, m, order, order, m, size))
-        imag = u.imag_bound()
+        amp, imag = _u_bounds(u)
         for oversample in (1, 2, 4):
             cap = oversample * (2 * order + 1)
             plan = fourier.CompositionPlan(g, order, cap)
-            M, alias = plan.composition_grid(u, imag, fourier.TOL_TRUNC)
+            M, alias = plan.composition_grid(amp, imag, fourier.TOL_TRUNC)
             assert M <= cap
             if np.isinf(alias).all():
                 assert M == cap
             else:
                 assert M >= 2 * order + 2 and M % 2 == 0
                 j = np.flatnonzero(plan.sizes == M)
-                on_lattice, outside = _plan_bounds(plan, u, imag)[..., j]
+                on_lattice, outside = _plan_bounds(plan, amp, imag)[..., j]
                 assert (on_lattice[:, 0] <= eps * plan.nu0).all()
                 assert (2 * alias <= fourier.ALIAS_SHARE * fourier.TOL_TRUNC
                         * plan.nu0 * (1 + 1e-9)).all()
@@ -306,10 +312,10 @@ def test_plan_picks_the_least_certified_grid(m):
     eps, share = np.finfo(float).eps, fourier.ALIAS_SHARE * fourier.TOL_TRUNC
     picked = []
     for u in _scaled_perturbations(rng, m, order):
-        imag = u.imag_bound()
-        M, alias = plan.composition_grid(u, imag, fourier.TOL_TRUNC)
+        amp, imag = _u_bounds(u)
+        M, alias = plan.composition_grid(amp, imag, fourier.TOL_TRUNC)
         picked.append(M)
-        on_lattice, outside = _plan_bounds(plan, u, imag)
+        on_lattice, outside = _plan_bounds(plan, amp, imag)
         holds = ((on_lattice <= eps * plan.nu0[:, None] * (1 + 1e-9))
                  & (2 * outside <= share * plan.nu0[:, None] * (1 + 1e-9))
                  ).all(axis=0)
@@ -319,7 +325,7 @@ def test_plan_picks_the_least_certified_grid(m):
         j = int(np.flatnonzero(sizes == M)[0])
         assert holds[j] and not holds[:j].any()
         if u.coeffs.any():  # u = 0 gives h = g: nothing is unobserved
-            log_b = plan.log_bounds(u, imag)
+            log_b = plan.log_bounds(amp, imag)
             assert (alias == plan.nu0 * math.exp(log_b[1, j])).all()
         else:
             assert (alias == 0.0).all()
@@ -466,6 +472,52 @@ def _random_maps(rng, count, m, order, band, ncomp, size):
             c + c[(slice(None, None, -1),) * m].conj())
         maps.append(FourierMap(cube))
     return maps
+
+
+def _composite_or_fault(call):
+    """The shape and bytes of a composite, or the type and text of the
+    fault it raised."""
+    try:
+        out = call().coeffs
+    except (DomainEscape, RealityDefect, TruncationBudgetExceeded) as exc:
+        return type(exc), str(exc)
+    return out.shape, out.tobytes()
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([1, 2]),
+       stacks=st.sampled_from(["map-stack", "stack-map", "stack-stack"]),
+       plan=st.sampled_from(["none", "one-map", "B-map"]),
+       B=st.sampled_from([1, 4, 32]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_compose_matches_the_parent_pipeline_bit_for_bit(seed, m, stacks,
+                                                         plan, B, data):
+    """compose gives the bytes, or the fault, of its parent pipeline
+    (``ref_loops.parent_compose``): a map against a stack and a stack
+    against a map, plans of one map and of B maps, B in {1, 4, 32}, with
+    and without the reach test, u at the output's order or above it."""
+    n = data.draw(st.integers(1, 32 if m == 1 else 5))
+    band = data.draw(st.integers(0, min(n, 4)))
+    n_u = n + data.draw(st.sampled_from([0, 0, 2]))
+    size = data.draw(st.sampled_from([0.0, 1e-4, 1e-3, 2e-2, 0.2]))
+    scales = ({"outer_scale": 0.1, "inner_scale": 0.05}
+              if data.draw(st.booleans()) else {})
+    tol = data.draw(st.sampled_from([fourier.TOL_TRUNC, 1.0]))
+    rng = np.random.default_rng(seed)
+    one = plan == "one-map"
+    gs = _random_maps(rng, 1 if stacks == "map-stack" or one else B, m, n,
+                      band, m, 0.05)
+    if one and stacks != "map-stack":
+        gs = gs * B
+    us = _random_maps(rng, 1 if stacks == "stack-map" else B, m, n_u,
+                      min(n_u, 3), m, size)
+    g = MapStack(gs) if stacks != "map-stack" else gs[0]
+    u = MapStack(us) if stacks != "stack-map" else us[0]
+    if plan != "none":
+        g = fourier.CompositionPlan(g, n, 4 * (2 * n + 1))
+    got = _composite_or_fault(lambda: compose(g, u, tol_trunc=tol, **scales))
+    want = _composite_or_fault(lambda: ref_loops.parent_compose(
+        g, u, tol_trunc=tol, **scales))
+    assert got == want
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([1, 2]),

@@ -15,10 +15,10 @@ line of standard output is its result: ``correct``, ``attempted``,
 ``failed`` and ``metrics``.  A run that exits non-zero or ends without a
 result line is recorded with its exit code and the tail of its standard
 error, and its pair holds no value.  Beside the result, a run records
-``setup_raw_s``, the unscaled set-up CPU median that run.py prints in
-brackets on its readable ``setup_s`` line: the result's ``setup_s`` is
-that median scaled by the run's reference-kernel time, so its spread
-holds the noise of both.
+``setup_raw_s`` and ``jobs_per_s_raw``, the unscaled set-up CPU median
+and job rate that run.py prints in brackets on its readable ``setup_s``
+and ``jobs_per_s`` lines: the result's values are those scaled by the
+run's reference-kernel time, so their spread holds the noise of both.
 
 The file holds, per workload and end-to-end metric of the change tree's
 ``BENCHMARK.json``: each side's median and quartiles, every pair's values,
@@ -29,8 +29,8 @@ spread exceeds the bound (unless every run of the change beats every run
 of the parent), else ``within bound``.  It also holds the seeds, ``nproc``,
 the numpy and Python versions and both trees' ``git rev-parse HEAD``,
 each with whether its work tree differs from that commit.  Per workload,
-``setup_raw_s`` compares the raw set-up medians as an end-to-end metric,
-against the bound of ``setup_s``.
+``setup_raw_s`` and ``jobs_per_s_raw`` compare the raw values as
+end-to-end metrics, against the bounds of ``setup_s`` and ``jobs_per_s``.
 """
 
 from __future__ import annotations
@@ -64,14 +64,19 @@ def result_line(stdout: str):
     return res if isinstance(res, dict) and all(k in res for k in keys) else None
 
 
-#: run.py's readable set-up line: the scaled value, then the raw one in brackets
-_SETUP_LINE = re.compile(r"^\s*setup_s\s+\S+ s \[(\S+)\]", re.MULTILINE)
+#: the raw values recorded beside a run's result: the metric of run.py's
+#: readable line whose bracketed raw value each one is
+RAW = {"setup_raw_s": "setup_s", "jobs_per_s_raw": "jobs_per_s"}
+#: run.py's readable lines: the scaled value and unit, then the raw value
+#: in brackets
+_RAW_LINES = {key: re.compile(rf"^\s*{name}\s+\S+ \S+ \[(\S+)\]", re.MULTILINE)
+              for key, name in RAW.items()}
 
 
-def raw_setup(stdout: str):
-    """The raw set-up CPU median of a run's readable ``setup_s`` line, or
-    None when the output has no such line."""
-    found = _SETUP_LINE.search(stdout)
+def raw_value(stdout: str, key: str):
+    """The bracketed raw value ``key`` (of ``RAW``) of a run's readable
+    lines, or None when the output has no such line."""
+    found = _RAW_LINES[key].search(stdout)
     return float(found.group(1)) if found else None
 
 
@@ -93,8 +98,8 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float):
 def collect(trees: dict, workloads, pairs: int, seed: int, seconds: float,
             run=run_benchmark, log=print) -> list:
     """Every run, in the order it ran: dicts with the workload, pair, seed,
-    side, position in its pair, exit code, result (or None), raw set-up
-    median (or None) and error."""
+    side, position in its pair, exit code, result (or None), the raw
+    values of ``RAW`` (each None without a result) and error."""
     runs = []
     for workload in workloads:
         for i in range(pairs):
@@ -106,7 +111,8 @@ def collect(trees: dict, workloads, pairs: int, seed: int, seconds: float,
                              "seed": seed + i, "side": side,
                              "position": position, "exit": code,
                              "result": res,
-                             "setup_raw_s": raw_setup(out) if res else None,
+                             **{key: raw_value(out, key) if res else None
+                                for key in RAW},
                              "error": None if res else err[-2000:]})
                 log(f"{workload} pair {i} seed {seed + i} {side}: "
                     + ("ok" if res else f"no result (exit {code})"))
@@ -153,18 +159,19 @@ def _metric_summary(pairs, better: str, bound: float) -> dict:
 
 def summarize(runs: list, end_to_end: list) -> dict:
     """Per workload: the failed share of each side, one summary per
-    end-to-end metric (``end_to_end`` as in BENCHMARK.json) and one of the
-    raw set-up medians."""
+    end-to-end metric (``end_to_end`` as in BENCHMARK.json) and one per raw
+    value of ``RAW``, against the spec of its metric."""
     out = {}
-    setup = next(spec for spec in end_to_end if spec["name"] == "setup_s")
+    specs = {spec["name"]: spec for spec in end_to_end}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         n = max(r["pair"] for r in mine) + 1
         table = [[None, None] for _ in range(n)]
-        raw = [[None, None] for _ in range(n)]
+        raw = {key: [[None, None] for _ in range(n)] for key in RAW}
         for r in mine:
             table[r["pair"]][SIDES.index(r["side"])] = r["result"]
-            raw[r["pair"]][SIDES.index(r["side"])] = r["setup_raw_s"]
+            for key in RAW:
+                raw[key][r["pair"]][SIDES.index(r["side"])] = r[key]
         shares = {}
         for k, side in enumerate(SIDES):
             done = [row[k] for row in table if row[k] is not None]
@@ -180,9 +187,10 @@ def summarize(runs: list, end_to_end: list) -> dict:
                       else res["metrics"][name]["value"] for res in row]
                      for row in table]
             metrics[name] = _metric_summary(pairs, spec["better"], spec["bound"])
-        out[workload] = {"failures": shares, "metrics": metrics,
-                         "setup_raw_s": _metric_summary(
-                             raw, setup["better"], setup["bound"])}
+        out[workload] = {"failures": shares, "metrics": metrics}
+        for key, name in RAW.items():
+            out[workload][key] = _metric_summary(
+                raw[key], specs[name]["better"], specs[name]["bound"])
     return out
 
 
