@@ -867,8 +867,9 @@ def modes_to_json(coeffs, m, order):
 
 
 # ---------------------------------------------------------------------------
-# the m = 1 solve path before its one |u| pass: the composition's glue, the
-# sweep and its driver as they ran, for byte-for-byte comparisons
+# the m = 1 solve path before its one |u| pass: the composition's glue,
+# the sweep and the solve loop around it as they ran, for byte-for-byte
+# comparisons
 # ---------------------------------------------------------------------------
 
 def _parent_majorants(coeffs, m, eps):
