@@ -57,14 +57,16 @@ truncation gate.  A ``CompositionPlan`` holds what this needs of g, so a
 solver grid that composes one field stack on every sweep builds it once;
 a stack of maps with the same bits (a field constant in time, read at its
 nodes) it holds as that one map.  What ``compose`` fits is the change
-h - g, summed by ``_shift_sum`` over g's band, trimmed per axis to the
-extent K_i of g's support (rows 0 <= k_1 <= K_1 of a real map, columns
-|k_2| <= K_2), without subtracting values of g, with g's coefficients
-added to its spectrum: the FFT's rounding then scales with |h - g| rather
-than with |g|, which the strip weights e^{2 pi eps ||k||_1} of the top
-modes would otherwise magnify.  The sum runs on contiguous planes of all
-the grid points of the stack u, and one outer map contracts its band
-against the columns k_2 in one product over all of them.
+h - g, summed by ``_shift_sum`` without subtracting values of g, with g's
+coefficients added to its spectrum: the FFT's rounding then scales with
+|h - g| rather than with |g|, which the strip weights e^{2 pi eps ||k||_1}
+of the top modes would otherwise magnify.  At m = 1 Horner passes over
+k_1 sum g's rows 0 <= k_1 <= K_1, K_1 the extent of its support; at m = 2
+the sum runs over the support itself, the modes of the half lattice on
+which some map of g is nonzero, each a term e^{2 pi i k.x} ((1 + e_1)^{k_1}
+(1 + e_2)^{k_2} - 1).  The sum runs on contiguous planes of all the grid
+points of the stack u, and one outer map contracts its coefficients
+against them in one product over all of them.
 """
 
 from __future__ import annotations
@@ -341,11 +343,18 @@ def _wrap(coeffs: np.ndarray, m: int) -> FourierMap:
 
 
 def _imag_bound(c: np.ndarray) -> np.ndarray:
-    """``FourierMap.imag_bound`` of cubes flattened to batch + (L, ncomp)."""
+    """``FourierMap.imag_bound`` of cubes flattened to batch + (L, ncomp):
+    for several components one at a time, as numpy's sums over an axis
+    before a short last one are slow."""
     half = c.shape[-2] // 2
-    defect = np.add.reduce(np.abs(c[..., half + 1:, :] - np.conj(
-        c[..., :half, :][..., ::-1, :])), axis=-2)
-    return np.maximum.reduce(defect + np.abs(c[..., half, :].imag), axis=-1)
+    if c.shape[-1] == 1:
+        defect = np.add.reduce(np.abs(c[..., half + 1:, :] - np.conj(
+            c[..., :half, :][..., ::-1, :])), axis=-2)
+        return np.maximum.reduce(defect + np.abs(c[..., half, :].imag), axis=-1)
+    return reduce(np.maximum, [
+        np.add.reduce(np.abs(ci[..., half + 1:] - np.conj(
+            ci[..., :half][..., ::-1])), axis=-1) + np.abs(ci[..., half].imag)
+        for ci in np.moveaxis(c, -1, 0)])
 
 
 def _modes_to_json(coeffs: np.ndarray, m: int, order: int) -> list:
@@ -795,10 +804,12 @@ def _circle_m1(z: np.ndarray) -> np.ndarray:
     """e^{2 pi i z} - 1 at real z without cancellation:
     -2 sin^2(pi z) + i sin(2 pi z)."""
     e = np.empty(z.shape, dtype=complex)
-    np.sin(np.pi * z, out=e.real)
+    pz = np.pi * z
+    np.sin(pz, out=e.real)
     np.square(e.real, out=e.real)
     e.real *= -2.0
-    np.sin(TWO_PI * z, out=e.imag)
+    pz *= 2.0       # exact: the bits of TWO_PI * z
+    np.sin(pz, out=e.imag)
     return e
 
 
@@ -811,71 +822,104 @@ def _grid_roots(M: int, K: int) -> np.ndarray:
     return a
 
 
-def _shift_sum(c: np.ndarray, e: np.ndarray, M: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _mode_roots(M: int, modes: tuple) -> np.ndarray:
+    """a^k = e^{2 pi i k.x} for the modes k = (k_1, k_2) (rows) at the grid
+    points x = j/M of M points per axis, x_2 running fastest (columns), the
+    argument reduced exactly.  Read-only."""
+    j = np.indices((M, M)).reshape(2, -1)
+    a = _unit_circle(np.array(modes).reshape(-1, 2) @ j % M / M)
+    a.flags.writeable = False
+    return a
+
+
+def _fold_band(band: np.ndarray):
+    """The modes and coefficients of the m = 2 shift sum of a band (b, rows,
+    ncomp, cols), laid out as the real rows of ``_series_sum``: the modes
+    (k_1, k_2) of the half lattice, k_1 > 0 or k_1 = 0 < k_2, with a nonzero
+    coefficient in some map, in index order, and those coefficients (b,
+    ncomp, modes).  Row 0's columns k_2 and -k_2 fold into k_2 > 0 as
+    c_{k_2} + conj(c_{-k_2}): their terms of the sum are conjugate but for
+    the coefficient, so its real part does not change, and the mode (0, 0)
+    adds nothing to a change."""
+    K2 = band.shape[-1] // 2
+    c = band.copy()
+    c[:, 0, :, K2 + 1:] += np.conj(band[:, 0, :, :K2][..., ::-1])
+    c[:, 0, :, :K2 + 1] = 0.0
+    rows, cols = np.nonzero(c.any(axis=(0, 2)))
+    modes = tuple(zip(rows.tolist(), (cols - K2).tolist()))
+    return modes, np.ascontiguousarray(c[:, rows, :, cols].transpose(1, 2, 0))
+
+
+def _unit_powers(e: np.ndarray, K: int) -> list:
+    """E_k = (1 + e)^k - 1 for k = 1..K at index k, each from the one below
+    as E + e (1 + E), which subtracts nothing: E_1 is e itself."""
+    E = [None, e]
+    for _ in range(K - 1):
+        nxt = e * E[-1]
+        nxt += e
+        nxt += E[-1]
+        E.append(nxt)
+    return E
+
+
+def _shift_sum(c: np.ndarray, e: np.ndarray, M: int,
+               modes: tuple | None = None) -> np.ndarray:
     """g(x + u(x)) - g(x) on the grid of M points per axis, shape
-    (B, ncomp, M^m), from g's band c, laid out as the real rows of
-    ``_series_sum``, and e = e^{2 pi i u(x)} - 1, shape (B, m, M^m).
-    The band's shape sets the work: K_1 Horner steps over its rows
-    k_1 = 0..K_1, and for m = 2 a table of 2 K_2 + 1 columns k_2.
+    (B, ncomp, M^m), from g's coefficients c and e = e^{2 pi i u(x)} - 1,
+    shape (B, m, M^m).  No step subtracts values of g, so the rounding
+    scales with the difference, not with g.
 
-    With a = e^{2 pi i x} and w = a (1 + e), the Horner passes over k_1 for
-    g(x + u), p_j = C_j + w_1 p_{j+1}, and for g(x) differ by
-    d_j = D_j + a_1 (e_1 p_{j+1} + d_{j+1}).  C_j is row j summed over k_2
-    at w_2, and D_j its change from a_2: row j against a_2^k E_k, with
-    E_k = (1 + e_2)^k - 1 = E_{k-1} + e_2 (1 + E_{k-1}).  No step subtracts
-    values of g, so the rounding scales with the difference, not with g.
+    m = 1: c is g's band, the real rows k_1 = 0..K_1 of ``_series_sum``
+    (b, rows, ncomp), and K_1 Horner steps sum it.  With a = e^{2 pi i x}
+    and w = a (1 + e), the passes over k_1 for g(x + u), p_j = c_j + w
+    p_{j+1}, and for g(x) differ by d_j = a (e p_{j+1} + d_{j+1}); the state
+    p, d runs on planes (ncomp, B, P), transposed once at the end.
 
-    Every pass runs on contiguous planes of all B P points: the column
-    table E_k a_2^k as (cols, B, P), one plane per column, and the Horner
-    state p, d as (ncomp, B, P), transposed once at the end.  One outer map
-    (c of batch 1) contracts its band against the table in one product
-    over all B P points.
+    m = 2: c holds the coefficients (b, ncomp, n) of the n ``modes`` of
+    ``_fold_band``, and the sum runs over them alone: the change is
+    Re sum_k c_k phi_k with phi_k = a^k ((1 + e_1)^{k_1} (1 + e_2)^{k_2} - 1)
+    = a^k (E_1 + E_2 + E_1 E_2), E_d = (1 + e_d)^{|k_d|} - 1 of
+    ``_unit_powers``, conj(E_2) for k_2 < 0 (on the real grid (1 + e)^{-k}
+    and a^{-k} are taken as the conjugates of (1 + e)^k and a^k).  The modes
+    phi_k run as planes (n, B, P) of all B P points, and one outer map (c of
+    batch 1) contracts its coefficients against them in one product over
+    all the points.
     """
-    m, K = e.shape[1], c.shape[1] - 1
-    B, a = max(len(c), len(e)), _grid_roots(M, 1)[2]
-    P, ncomp = e.shape[-1], c.shape[2]
-    if m == 1:      # row j at a_2: the coefficient c_j, as (rows, ncomp, b, 1)
-        row, D = c.transpose(1, 2, 0)[..., None], None
-    else:
-        b, rows, _, cols = c.shape
-        k2, e2 = cols // 2, e[:, 1]
-        q = np.empty((cols, len(e), P), dtype=complex)
-        q[k2] = 0.0
-        for k in range(k2 + 1, cols):
-            np.multiply(e2, q[k - 1], out=q[k])
-            q[k] += e2
-            q[k] += q[k - 1]
-        a2 = _grid_roots(M, k2)
-        q.reshape(cols, len(e), M, M)[k2 + 1:] *= a2[k2 + 1:, None, None]
-        np.conjugate(q[:k2:-1], out=q[:k2])
-        flat = c.reshape(b, rows * ncomp, cols)
-        if b == 1:      # one product over every point, (rows, ncomp, B, P)
-            D = (flat[0] @ q.reshape(cols, -1)).reshape(rows, ncomp, B, P)
-        else:
-            D = np.moveaxis((flat @ q.swapaxes(0, 1)).reshape(
-                B, rows, ncomp, P), 0, 2)
-        del q
-        # row j at x_2 (which runs fastest), (rows, ncomp, b, 1, M)
-        row = np.moveaxis((flat @ a2).reshape(b, rows, ncomp, M), 0, 2)[
-            :, :, :, None]
-        a = np.repeat(a, M)
+    B, P = max(len(c), len(e)), e.shape[-1]
+    if e.shape[1] == 2:
+        if not modes:
+            return np.zeros((B, c.shape[1], P))
+        E1 = _unit_powers(e[:, 0], max(k for k, _ in modes))
+        E2 = _unit_powers(e[:, 1], max(abs(k) for _, k in modes))
+        conj = {k: np.conjugate(E2[-k]) for k in {k for _, k in modes}
+                if k < 0}
+        phi = np.empty((len(modes), len(e), P), dtype=complex)
+        for out, root, (k1, k2) in zip(phi, _mode_roots(M, modes), modes):
+            e2 = conj[k2] if k2 < 0 else E2[k2]
+            if k1 and k2:
+                np.multiply(E1[k1], e2, out=out)
+                out += E1[k1]
+                out += e2
+                out *= root
+            else:
+                np.multiply(E1[k1] if k1 else e2, root, out=out)
+        if len(c) == 1:     # one product over every point, (ncomp, B, P)
+            vals = (c[0] @ phi.reshape(len(modes), -1)).reshape(-1, len(e), P)
+            return np.ascontiguousarray(vals.real.swapaxes(0, 1))
+        return np.ascontiguousarray((c @ phi.swapaxes(0, 1)).real)
+    K, a = c.shape[1] - 1, _grid_roots(M, 1)[2]
+    row = c.transpose(1, 2, 0)[..., None]       # (rows, ncomp, b, 1)
     ae = a * e[:, 0]
     w = ae + a
-    # p_j = C_j + w_1 p_{j+1} with C_j = row_j + D_j; d as above
-    p = np.zeros((ncomp, B, P), dtype=complex)
-    grid = p.reshape((ncomp, B) + (M,) * m)
-    d = p.copy() if D is None else D[K].copy()
-    if D is not None:
-        p += D[K]
-    grid += row[K]
+    p = np.zeros((c.shape[2], B, P), dtype=complex)
+    d = p.copy()
+    p += row[K]
     for j in range(K - 1, -1, -1):
         d *= a
         d += ae * p
         p *= w
-        if D is not None:
-            d += D[j]
-            p += D[j]
-        grid += row[j]
+        p += row[j]
     return np.ascontiguousarray(d.real.swapaxes(0, 1))
 
 
@@ -935,15 +979,16 @@ def _grid_log_t(order_u: int, m: int, order: int, cap: int) -> np.ndarray:
     (1 - q_j)), q = e^{-2 pi rho}, the Cauchy estimate's sum over the modes
     |k_d| >= L per unit of S, per width pair and axis d, for the two sets
     of ``CompositionPlan.log_bounds`` at every candidate grid size, L = M - N
-    and M/2: (P, m, 2, sizes), for perturbations of order ``order_u``.
-    Read-only."""
+    and M/2, for perturbations of order ``order_u``: (m, 2, sizes, P), the
+    width pairs last, where ``log_bounds`` takes their least.  Read-only."""
     width = _alias_widths(order_u, m).width
     q = np.exp(-TWO_PI * width)
     both = np.log1p(q) - np.log1p(-q)
     rest = np.log(2.0) - np.log1p(-q) + both.sum(axis=1, keepdims=True) - both
     sizes = _fft_sizes(2 * order + 2, cap)
-    t = (rest[..., None, None] - TWO_PI * width[..., None, None]
-         * np.stack([sizes - order, sizes / 2]))
+    t = np.ascontiguousarray(np.moveaxis(
+        rest[..., None, None] - TWO_PI * width[..., None, None]
+        * np.stack([sizes - order, sizes / 2]), 0, -1))
     t.flags.writeable = False
     return t
 
@@ -972,10 +1017,12 @@ class CompositionPlan:
     """What ``compose`` needs of the outer maps g, built once while they
     stay fixed: a solver grid composes one field stack on every sweep.
 
-    The plan holds g's band as ``_shift_sum`` reads it, trimmed per axis
-    to the extents K_i of g's support: rows 0 <= k_1 <= K_1 and columns
-    |k_2| <= K_2.  The aliasing bound reads the cube |k_i| <= K, K =
-    max_i K_i: nu_0(g) per map, and the largest over the maps of max_i
+    The plan holds g's coefficients as ``_shift_sum`` reads them: for m = 1
+    the band of rows 0 <= k_1 <= K_1, K_1 the extent of g's support, and for
+    m = 2 the ``modes`` of g's support and their coefficients, folded by
+    ``_fold_band`` from the band trimmed per axis to the extents K_i.  The
+    aliasing bound reads the cube |k_i| <= K, K = max_i K_i: nu_0(g) per
+    map, and the largest over the maps of max_i
     |g_{k,i}| / nu_0(g) on the modes k != 0 of the cube, summed over the
     modes of one |k|.  It also holds the grid sizes up to ``cap``.
 
@@ -997,11 +1044,12 @@ class CompositionPlan:
         self.K = K = max(extent)
         cube = (slice(n - K, n + K + 1),) * m
         # the band's rows 0 <= k_1 <= K_1, k_1 > 0 doubled, and columns
-        # |k_2| <= K_2, as (B, k_1, ncomp[, k_2])
-        self.band = c[(slice(None), slice(n, n + extent[0] + 1))
-                      + tuple(slice(n - k, n + k + 1) for k in extent[1:])
-                      ].transpose((0, 1, m + 1) + tuple(range(2, m + 1))).copy()
-        self.band[:, 1:] *= 2.0
+        # |k_2| <= K_2, as (B, k_1, ncomp[, k_2]); for m = 2 its modes
+        band = c[(slice(None), slice(n, n + extent[0] + 1))
+                 + tuple(slice(n - k, n + k + 1) for k in extent[1:])
+                 ].transpose((0, 1, m + 1) + tuple(range(2, m + 1))).copy()
+        band[:, 1:] *= 2.0
+        self.modes, self.band = _fold_band(band) if m == 2 else (None, band)
         amp = np.maximum.reduce(np.abs(c[(slice(None),) + cube]), axis=-1)
         self.nu0 = np.add.reduce(amp.reshape(len(c), -1), axis=1)
         lead = (-1,) + (1,) * m
@@ -1050,7 +1098,7 @@ class CompositionPlan:
         log_s = top + np.log(np.exp(x - top[:, None]) @ self.amp)
         log_t = _grid_log_t(order_u, self.m, self.order, self.cap)
         return np.logaddexp.reduce(np.minimum.reduce(
-            log_s[:, None, None, None] + log_t, axis=0), axis=0)
+            log_s + log_t, axis=-1), axis=0)
 
     def composition_grid(self, amp: np.ndarray, imag: float,
                          tol_trunc: float):
@@ -1112,7 +1160,8 @@ class CompositionPlan:
         for s in node_chunks(max(len(u), len(band)), M ** m):
             e = _circle_m1(_grid_values(uc[s] if len(u) > 1 else uc, M,
                                         imag[s] if len(u) > 1 else imag))
-            vals = _shift_sum(band[s] if len(band) > 1 else band, e, M)
+            vals = _shift_sum(band[s] if len(band) > 1 else band, e, M,
+                              self.modes)
             if m == 2:
                 vals = vals.reshape(vals.shape[:2] + (M, M))
             out.append(fit_grid(vals.transpose((0, *range(2, m + 2), 1)),
@@ -1143,9 +1192,10 @@ def compose(g, perturb, *,
     single map against a stack) and give the batch of the result.  u =
     perturb, cut to order N, is synthesised on a real grid of M points per
     axis by inverse FFTs (RealityDefect unless it is real).  There
-    ``_shift_sum`` sums the difference g(x + u(x)) - g(x) over g's support
-    band |k_i| <= K_i by Horner passes that never subtract values of g, and
-    ``fit_grid`` fits it with g's own coefficients added to its spectrum.
+    ``_shift_sum`` sums the difference g(x + u(x)) - g(x) over g's support,
+    by Horner passes over k_1 at m = 1 and mode by mode at m = 2, never
+    subtracting values of g, and ``fit_grid`` fits it with g's own
+    coefficients added to its spectrum.
     The FFT's rounding thus scales with the change u makes, not with g.
 
     M comes from ``CompositionPlan.composition_grid``, between 2N + 2 and

@@ -29,8 +29,12 @@ complex ones (``_laurent_horner``).  ``pullback_windows`` samples each
 window column e_k o (id + u) with one complex exp per point and mode.
 
 ``shift_sum`` is the composition's shift sum before its contiguous planes:
-the column table and the Horner state laid out map by map, (B, cols, P)
-and (B, ncomp, P), the band contracted by one product per map.
+at m = 1 the Horner state laid out map by map, (B, ncomp, P), and at m = 2
+each map's support modes (modes, P) contracted by one product per map; the
+package must give its bits.  ``column_shift_sum`` is the m = 2 shift sum
+before it ran over g's support: a table of the band's columns k_2 and a
+Horner pass over its rows k_1, every slot of the band summed; the support
+sum must agree with it to rounding of the change.
 ``imag_bound`` is the reality bound over the whole lattice, each pair k,
 -k summed twice.  ``modes_to_json`` writes the JSON entries of one
 snapshot, as flow.json's writer did before it read the whole stack in one
@@ -59,10 +63,11 @@ from torusflow.flow import (RATIO_FLOOR, RATIO_SLACK, invert_at_point,
                             solve_flow)
 from torusflow.fourier import (TOL_TRUNC, TWO_PI, CompositionPlan, FourierMap,
                                MapStack, _band_powers, _circle_m1, _fft_sizes,
-                               _grid_roots, _grid_values, _k_l1, _sample_index,
-                               _shift_sum, _spectrum_weights, _support_band,
-                               _unit_circle, _weight_table, _wrap, compose,
-                               fit_grid, fit_sampled, imag_reach, jacobian,
+                               _fold_band, _grid_roots, _grid_values, _k_l1,
+                               _mode_roots, _sample_index, _shift_sum,
+                               _spectrum_weights, _support_band, _unit_circle,
+                               _weight_table, _wrap, compose, fit_grid,
+                               fit_sampled, imag_reach, jacobian,
                                lattice_modes, majorants, multiply,
                                node_chunks, sampling_grid, strip_norms,
                                strip_weights)
@@ -806,44 +811,108 @@ def pullback_windows(u, K):
 
 
 def shift_sum(c, e, M):
-    """``_shift_sum`` with its passes laid out map by map."""
+    """``_shift_sum`` with its passes laid out map by map, from g's band as
+    ``CompositionPlan`` trims it, (b, rows, ncomp[, cols]): for m = 1 the
+    Horner state (B, ncomp, P); for m = 2 the band folded by ``_fold_band``
+    and each map's modes (modes, P), E_d built up power by power, contracted
+    by one product per map."""
     m, K = e.shape[1], c.shape[1] - 1
     B, a = max(len(c), len(e)), _grid_roots(M, 1)[2]
-    if m == 1:
-        row, D = c[..., None], None
-    else:
-        b, rows, ncomp, cols = c.shape
-        k2, e2 = cols // 2, e[:, 1]
-        q = np.empty((len(e), cols, e.shape[-1]), dtype=complex)
-        q[:, k2] = 0.0
-        for k in range(k2 + 1, cols):
-            np.multiply(e2, q[:, k - 1], out=q[:, k])
-            q[:, k] += e2
-            q[:, k] += q[:, k - 1]
-        a2 = _grid_roots(M, k2)
-        q.reshape(len(e), cols, M, M)[:, k2 + 1:] *= a2[k2 + 1:, None]
-        np.conjugate(q[:, :k2:-1], out=q[:, :k2])
-        flat = c.reshape(b, rows * ncomp, cols)
-        D = (flat @ q).reshape(B, rows, ncomp, -1)
-        row = (flat @ a2).reshape(b, rows, ncomp, 1, M)
-        a = np.repeat(a, M)
+    if m == 2:
+        modes, c = _fold_band(c)
+        out = np.zeros((B, c.shape[1], e.shape[-1]))
+        roots = _mode_roots(M, modes)
+        for i in range(B if modes else 0):
+            e1, e2 = e[i if len(e) > 1 else 0]
+            phi = np.empty((len(modes), e.shape[-1]), dtype=complex)
+            for j, (k1, k2) in enumerate(modes):
+                E1, E2 = _power_m1(e1, k1), _power_m1(e2, abs(k2))
+                if k2 < 0:
+                    E2 = np.conjugate(E2)
+                if k1 and k2:
+                    phi[j] = E1 * E2
+                    phi[j] += E1
+                    phi[j] += E2
+                    phi[j] *= roots[j]
+                else:
+                    phi[j] = (E1 if k1 else E2) * roots[j]
+            out[i] = (c[i if len(c) > 1 else 0] @ phi).real
+        return out
+    row = c[..., None]
     ae = a * e[:, :1]
     w = ae + a
     p = np.zeros((B, c.shape[2], e.shape[-1]), dtype=complex)
-    grid = p.reshape(p.shape[:2] + (M,) * m)
-    d = p.copy() if D is None else D[:, K].copy()
+    d = p.copy()
+    p += row[:, K]
+    for j in range(K - 1, -1, -1):
+        d *= a
+        d += ae * p
+        p *= w
+        p += row[:, j]
+    return np.ascontiguousarray(d.real)
+
+
+def _power_m1(e, k):
+    """(1 + e)^k - 1, k >= 1, power by power as E + e (1 + E)."""
+    E = e
+    for _ in range(k - 1):
+        nxt = e * E
+        nxt += e
+        nxt += E
+        E = nxt
+    return E
+
+
+def column_shift_sum(c, e, M):
+    """``_shift_sum`` summed by Horner over k_1 for every m: for m = 2 a
+    table of the 2 K_2 + 1 columns E_k a_2^k, E_k = (1 + e_2)^k - 1, as
+    (cols, B, P), against which the band contracts before the Horner pass
+    p_j = C_j + w_1 p_{j+1}, d_j = D_j + a_1 (e_1 p_{j+1} + d_{j+1}) over
+    its rows; c is the band (b, rows, ncomp[, cols])."""
+    m, K = e.shape[1], c.shape[1] - 1
+    B, a = max(len(c), len(e)), _grid_roots(M, 1)[2]
+    P, ncomp = e.shape[-1], c.shape[2]
+    if m == 1:
+        row, D = c.transpose(1, 2, 0)[..., None], None
+    else:
+        b, rows, _, cols = c.shape
+        k2, e2 = cols // 2, e[:, 1]
+        q = np.empty((cols, len(e), P), dtype=complex)
+        q[k2] = 0.0
+        for k in range(k2 + 1, cols):
+            np.multiply(e2, q[k - 1], out=q[k])
+            q[k] += e2
+            q[k] += q[k - 1]
+        a2 = _grid_roots(M, k2)
+        q.reshape(cols, len(e), M, M)[k2 + 1:] *= a2[k2 + 1:, None, None]
+        np.conjugate(q[:k2:-1], out=q[:k2])
+        flat = c.reshape(b, rows * ncomp, cols)
+        if b == 1:
+            D = (flat[0] @ q.reshape(cols, -1)).reshape(rows, ncomp, B, P)
+        else:
+            D = np.moveaxis((flat @ q.swapaxes(0, 1)).reshape(
+                B, rows, ncomp, P), 0, 2)
+        del q
+        row = np.moveaxis((flat @ a2).reshape(b, rows, ncomp, M), 0, 2)[
+            :, :, :, None]
+        a = np.repeat(a, M)
+    ae = a * e[:, 0]
+    w = ae + a
+    p = np.zeros((ncomp, B, P), dtype=complex)
+    grid = p.reshape((ncomp, B) + (M,) * m)
+    d = p.copy() if D is None else D[K].copy()
     if D is not None:
-        p += D[:, K]
-    grid += row[:, K]
+        p += D[K]
+    grid += row[K]
     for j in range(K - 1, -1, -1):
         d *= a
         d += ae * p
         p *= w
         if D is not None:
-            d += D[:, j]
-            p += D[:, j]
-        grid += row[:, j]
-    return np.ascontiguousarray(d.real)
+            d += D[j]
+            p += D[j]
+        grid += row[j]
+    return np.ascontiguousarray(d.real.swapaxes(0, 1))
 
 
 def imag_bound(f):
@@ -972,7 +1041,8 @@ def _parent_plan_compose(plan, u, tol_trunc):
     for s in node_chunks(max(len(uc), len(band)), M ** m):
         e = _circle_m1(_parent_grid_values(uc[s] if len(uc) > 1 else uc, M,
                                            imag[s] if len(uc) > 1 else imag))
-        vals = _shift_sum(band[s] if len(band) > 1 else band, e, M)
+        vals = _shift_sum(band[s] if len(band) > 1 else band, e, M,
+                          plan.modes)
         vals = vals.reshape((len(vals), c.shape[-1]) + (M,) * m)
         out.append(_parent_fit_grid(
             vals.transpose((0, *range(2, m + 2), 1)), plan.order, m,

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,37 @@ def test_result_line_takes_only_a_result():
     assert bench.result_line('env {}\n{"correct": true}\n') is None
     line = {"correct": False, "attempted": 3, "failed": 3, "metrics": {}}
     assert bench.result_line("a\n" + json.dumps(line) + "\n\n") == line
+
+
+def test_each_tree_runs_with_its_own_fresh_bytecode_cache(tmp_path,
+                                                          monkeypatch):
+    """run_benchmark passes each tree one ``PYTHONPYCACHEPREFIX`` for all
+    its runs, another for the other tree, neither inside a tree, and drops
+    PYTHONPATH; the subprocess is a stand-in, so no benchmark starts."""
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        seen.append((Path(cwd), env))
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    trees = [tmp_path / side for side in bench.SIDES]
+    for tree in trees:
+        (tree / "__pycache__").mkdir(parents=True)
+    for _ in range(2):
+        for tree in trees:
+            assert bench.run_benchmark(tree, "solve_m2", 1, 1.0) == (0, "", "")
+    prefixes = {}
+    for cwd, env in seen:
+        assert "PYTHONPATH" not in env
+        prefixes.setdefault(cwd, set()).add(env["PYTHONPYCACHEPREFIX"])
+    assert set(prefixes) == set(trees)
+    assert all(len(p) == 1 for p in prefixes.values())
+    paths = [Path(next(iter(p))) for p in prefixes.values()]
+    assert paths[0] != paths[1] and all(p.is_dir() for p in paths)
+    for path in paths:
+        assert not any(path.is_relative_to(tree) for tree in trees)
+        assert not any(path.iterdir())
+    # nothing in either tree is removed
+    assert all((tree / "__pycache__").is_dir() for tree in trees)

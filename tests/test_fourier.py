@@ -382,15 +382,18 @@ def _maps_on_support(rng, count, order, support):
     ([(0, 2)], (0, 2)), ([(1, 0)], (1, 0)), ([(0, 0)], (0, 0)),
     ([(1, 0), (1, -1), (0, 2)], (1, 2))])
 def test_plan_band_is_trimmed_per_axis(support, extent):
-    """The plan keeps g's band to its support's extent on each axis, rows
-    0..K_1 and columns |k_2| <= K_2, and sums it to the bits of the full
-    cube |k_i| <= max(K_1, K_2) at the grid the plan picked.  The budget is
+    """The plan keeps g's support, the modes of the half lattice k_1 > 0 or
+    k_1 = 0 < k_2 that stand for the given ones and their mirrors, within
+    the extent K_i on each axis, and sums it to the bits of the full cube
+    |k_i| <= max(K_1, K_2) at the grid the plan picked.  The budget is
     open: g's modes are of size 1 and spread past the order."""
     order, rng = 6, np.random.default_rng(sum(sum(k) for k in support) + 70)
     g = _maps_on_support(rng, 3, order, support)
     plan = fourier.CompositionPlan(g, order, 4 * (2 * order + 1))
     assert fourier._support_band(g.coeffs) == extent
-    assert plan.band.shape == (3, extent[0] + 1, 2, 2 * extent[1] + 1)
+    half = {k if k > (0, 0) else (-k[0], -k[1]) for k in support} - {(0, 0)}
+    assert plan.modes == tuple(sorted(half))
+    assert plan.band.shape == (3, 2, len(half))
     assert plan.K == max(extent)
     u = MapStack(_random_maps(rng, 3, 2, order, 3, 2, 1e-3))
     with composition_grids() as grids:
@@ -658,20 +661,113 @@ def _shift_sum_inputs(rng, m, b, B, rows, cols, M, ncomp=2):
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("B", [1, 4, 32])
 def test_shift_sum_keeps_the_bits_of_the_map_by_map_layout(m, B):
-    """The shift sum on contiguous planes, with one band product over all
-    points for one outer map, gives the bits of its map-by-map form, for
-    one outer map and for a stack of them, over bands of 1-3 rows and
-    1-5 columns."""
+    """The shift sum on contiguous planes, with one product over all points
+    for one outer map, gives the bits of its map-by-map form, for one outer
+    map and for a stack of them, over bands of 1-3 rows and 1-5 columns
+    (at m = 2 every mode of the band, folded by ``_fold_band``)."""
     rng = np.random.default_rng(10 * m + B)
     M = 12 if m == 2 else 32
     for rows in (1, 2, 3):
         for cols in ((1, 3, 5) if m == 2 else (1,)):
             for b in (1, B):
                 c, e = _shift_sum_inputs(rng, m, b, B, rows, cols, M)
-                got = fourier._shift_sum(c, e, M)
+                if m == 2:
+                    modes, folded = fourier._fold_band(c)
+                    got = fourier._shift_sum(folded, e, M, modes)
+                else:
+                    got = fourier._shift_sum(c, e, M)
                 want = ref_loops.shift_sum(c, e, M)
                 assert got.shape == want.shape == (B, 2, M ** m)
                 assert got.tobytes() == want.tobytes(), (rows, cols, b)
+
+
+@st.composite
+def _support_bands(draw):
+    """A band (b, rows, 2, cols) of complex coefficients on a drawn support,
+    as ``CompositionPlan`` lays out an m = 2 band: 1-3 rows, 1-5 columns,
+    sparse or dense, row 0's modes k_2, -k_2 in pairs or one-sided, the
+    column k_2 = 0 kept or empty; and e = e^{2 pi i u} - 1 for B real u of
+    a drawn size on a grid of M points per axis, (B, 2, M^2), with u."""
+    rows, K2 = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    density = draw(st.sampled_from([0.3, 1.0]))
+    pairs, center = draw(st.booleans()), draw(st.booleans())
+    B = draw(st.sampled_from([1, 4, 32]))
+    b = draw(st.sampled_from([1, B]))
+    M = draw(st.sampled_from([6, 12, 18]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mask = rng.random((rows, 2 * K2 + 1)) < density
+    if pairs and K2:    # at least one pair, and every k_2 of row 0 paired
+        mask[0, K2 + 1] = True
+        mask[0, :K2] |= mask[0, :K2:-1]
+        mask[0, K2 + 1:] = mask[0, K2 - 1::-1]
+    elif K2:
+        mask[0, :K2] &= ~mask[0, :K2:-1]
+    mask[:, K2] = rng.random(rows) < 0.5 if center else False
+    shape = (b, rows, 2, 2 * K2 + 1)
+    c = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        * mask[:, None]
+    size = 10.0 ** draw(st.integers(-8, -1))
+    u = size * rng.normal(size=(B, 2, M * M))
+    return c, fourier._circle_m1(u), u, M
+
+
+@given(case=_support_bands())
+@settings(max_examples=150, deadline=None)
+def test_support_sum_matches_the_column_table(case):
+    """The m = 2 shift sum over the support's modes agrees with the column
+    table and Horner pass over k_1 it replaced (``ref_loops.
+    column_shift_sum``) to 32 ulp of the change's size, not of g's: per
+    point, sum_k |c_k| 2 pi ||k||_1 |u|_inf over the band's slots, which
+    bounds every term |c_k| |e^{2 pi i k.u} - 1| of either sum (2,000
+    draws came within 7 ulp); one outer map and a stack of them, B in
+    {1, 4, 32}."""
+    c, e, u, M = case
+    modes, folded = fourier._fold_band(c)
+    got = fourier._shift_sum(folded, e, M, modes)
+    want = ref_loops.column_shift_sum(c, e, M)
+    assert got.shape == want.shape == (len(u), 2, M * M)
+    K2 = c.shape[-1] // 2
+    k = np.abs(np.indices(c.shape[1:2] + c.shape[3:]) - np.array(
+        [0, K2])[:, None, None]).sum(axis=0)
+    weight = (np.abs(c) * TWO_PI * k[:, None]).sum(axis=(1, 3))     # (b, 2)
+    size = weight[:, :, None] * np.abs(u).max(axis=1)[:, None]
+    assert (np.abs(got - want) <= 32 * np.finfo(float).eps * size).all()
+
+
+@pytest.mark.parametrize("support", [
+    [(1, 0), (1, -1), (0, 2)], [(1, 0), (0, 1), (1, 1)], "dense"])
+@pytest.mark.parametrize("B", [1, 32])
+def test_support_sum_matches_direct_evaluation(support, B):
+    """The shift sum of a plan is g(x + u(x)) - g(x) on the grid, evaluated
+    directly: to rounding of g's size, which direct evaluation subtracts,
+    for solve_m2's supports and a dense band, while the change itself is
+    over 1e6 times larger."""
+    order, M, rng = 6, 18, np.random.default_rng(len(support) + B)
+    g = (_random_maps(rng, 1, 2, order, 3, 2, 1.0)[0] if support == "dense"
+         else _maps_on_support(rng, 1, order, support)[0])
+    u = MapStack(_random_maps(rng, B, 2, order, 3, 2, 1e-3))
+    x = fourier._grid_axes(M, 2).reshape(2, -1).T
+    ux = u.eval(x)                                          # (B, P, 2)
+    plan = fourier.CompositionPlan(g, order, 4 * (2 * order + 1))
+    got = fourier._shift_sum(plan.band, fourier._circle_m1(
+        np.ascontiguousarray(ux.transpose(0, 2, 1))), M, plan.modes)
+    want = (g.eval(x + ux) - g.eval(x)).transpose(0, 2, 1)
+    tol = 64 * np.finfo(float).eps * np.abs(g.coeffs).sum()
+    assert np.abs(got - want).max() <= tol
+    assert np.abs(want).max() > 1e6 * tol
+
+
+def test_circle_m1_keeps_the_bits_of_two_pi_z():
+    """sin(2 pi z) from pi z doubled in place has the bits of TWO_PI * z:
+    doubling is exact outside the subnormal range."""
+    rng = np.random.default_rng(5)
+    z = np.concatenate([rng.normal(size=(4, 2, 300)) * 10.0 ** rng.integers(
+        -300, 2, size=(4, 2, 300)), np.broadcast_to(
+            fourier._grid_axes(36, 2).reshape(2, -1), (4, 2, 1296))], axis=-1)
+    want = np.empty(z.shape, dtype=complex)
+    want.real = -2.0 * np.sin(np.pi * z) ** 2
+    want.imag = np.sin(TWO_PI * z)
+    assert fourier._circle_m1(z).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -742,6 +838,46 @@ def test_imag_bound_halves_the_lattice_within_rounding(seed, m, data):
     assert got.shape == want.shape == (count,)
     n = int((fourier._k_l1(order, m) <= order).sum())
     assert (np.abs(got - want) <= max(4, n - 1) * np.spacing(want)).all()
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([1, 2]),
+       ncomp=st.sampled_from([1, 2]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_imag_bound_by_component_keeps_its_verdicts(seed, m, ncomp, data):
+    """The reality bound sums one component at a time where there are
+    several: for one component it has the bits of the sum over the
+    lattice axis before the component axis (``ref_loops.
+    _parent_imag_bound``), for two it agrees with that sum to (n - 1) ulp,
+    n the lattice's modes, and a compose at m = 2 refuses a perturbation
+    with defects on several modes of both components just past 1e-9 of
+    its size and takes one just below, as the parent's bound reads them."""
+    rng = np.random.default_rng(seed)
+    order = data.draw(st.integers(0, 16 if m == 1 else 8))
+    count = data.draw(st.integers(1, 5))
+    c = _non_hermitian(rng, (count,), m, order, ncomp,
+                       10.0 ** data.draw(st.integers(-12, 2)))
+    f = _wrap(c, m)
+    got, parent = f.imag_bound(), ref_loops._parent_imag_bound(f)
+    if ncomp == 1:
+        assert got.tobytes() == parent.tobytes()
+    n = int((fourier._k_l1(order, m) <= order).sum())
+    assert (np.abs(got - parent) <= max(4, n - 1) * np.spacing(parent)).all()
+    if m == 1 or order < 4:     # below N = 4 the composite spreads past N
+        return
+    g = FourierMap.from_modes({(1, 0): [0.01j, 0.0], (0, 1): [0.0, 0.01]},
+                              order, m=2)
+    dust = np.zeros((2 * order + 1,) * 2 + (2,), dtype=complex)
+    for k in ((1, 0), (0, 2), (1, -1)):     # one-sided: k without -k
+        dust[order + k[0], order + k[1]] = rng.normal(size=2)
+    dust = FourierMap(dust, check=False)
+    for t, fires in ((1 + 1e-6, True), (1 - 1e-6, False)):
+        u = dust * (t * 1e-9 / float(ref_loops._parent_imag_bound(dust)))
+        assert (u.imag_bound() > 1e-9) == fires
+        if fires:
+            with pytest.raises(RealityDefect, match="not real on the real"):
+                compose(g, u)
+        else:
+            compose(g, u)
 
 
 @pytest.mark.parametrize("m", [1, 2])

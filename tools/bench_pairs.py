@@ -10,7 +10,12 @@ PARENT_TREE the tree it is compared with.  Pair i of a workload runs
     python3 <tree>/perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 in both trees with the same seed S = seed + i, the parent first in even
-pairs and the change first in odd ones, one run at a time.  Each run's last
+pairs and the change first in odd ones, one run at a time.  Each tree's
+runs share a bytecode cache of their own, ``PYTHONPYCACHEPREFIX`` set to a
+fresh directory under one temporary directory of this process, so neither
+side reads bytecode left in its tree by an earlier import (a tree that
+holds ``__pycache__`` sets up faster than one that compiles its sources);
+nothing in either tree is deleted.  Each run's last
 line of standard output is its result: ``correct``, ``attempted``,
 ``failed`` and ``metrics``.  A run that exits non-zero or ends without a
 result line is recorded with its exit code and the tail of its standard
@@ -43,6 +48,8 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+from functools import lru_cache
 from importlib import metadata
 from pathlib import Path
 
@@ -80,13 +87,30 @@ def raw_value(stdout: str, key: str):
     return float(found.group(1)) if found else None
 
 
+@lru_cache(maxsize=None)
+def _pycache_root() -> tempfile.TemporaryDirectory:
+    """The temporary directory that holds every tree's bytecode cache,
+    removed when the process exits."""
+    return tempfile.TemporaryDirectory(prefix="bench_pairs-")
+
+
+def pycache_prefix(tree: Path) -> Path:
+    """The bytecode cache of ``tree``'s runs: its own fresh directory under
+    ``_pycache_root``, the same for every run of the tree."""
+    name = str(Path(tree).resolve()).strip("/").replace("/", "_")
+    prefix = Path(_pycache_root().name) / name
+    prefix.mkdir(exist_ok=True)
+    return prefix
+
+
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float):
-    """(exit code, stdout, stderr) of one benchmark run in ``tree``; exit
-    None when the run timed out."""
+    """(exit code, stdout, stderr) of one benchmark run in ``tree``, with
+    the tree's own ``pycache_prefix``; exit None when the run timed out."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
            workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0"]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache_prefix(tree))
     try:
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
                               text=True, timeout=RUN_TIMEOUT_S)
