@@ -120,7 +120,8 @@ def test_each_tree_runs_with_its_own_fresh_bytecode_cache(tmp_path,
                                                           monkeypatch):
     """run_benchmark passes each tree one ``PYTHONPYCACHEPREFIX`` for all
     its runs, another for the other tree, neither inside a tree, and drops
-    PYTHONPATH; the subprocess is a stand-in, so no benchmark starts."""
+    PYTHONPATH and PYTHONDONTWRITEBYTECODE, so the cache fills; the
+    subprocess is a stand-in, so no benchmark starts."""
     seen = []
 
     def fake_run(cmd, cwd, env, **kwargs):
@@ -129,6 +130,7 @@ def test_each_tree_runs_with_its_own_fresh_bytecode_cache(tmp_path,
 
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     trees = [tmp_path / side for side in bench.SIDES]
     for tree in trees:
         (tree / "__pycache__").mkdir(parents=True)
@@ -137,7 +139,7 @@ def test_each_tree_runs_with_its_own_fresh_bytecode_cache(tmp_path,
             assert bench.run_benchmark(tree, "solve_m2", 1, 1.0) == (0, "", "")
     prefixes = {}
     for cwd, env in seen:
-        assert "PYTHONPATH" not in env
+        assert "PYTHONPATH" not in env and "PYTHONDONTWRITEBYTECODE" not in env
         prefixes.setdefault(cwd, set()).add(env["PYTHONPYCACHEPREFIX"])
     assert set(prefixes) == set(trees)
     assert all(len(p) == 1 for p in prefixes.values())

@@ -703,6 +703,7 @@ def _support_bands(draw):
     elif K2:
         mask[0, :K2] &= ~mask[0, :K2:-1]
     mask[:, K2] = rng.random(rows) < 0.5 if center else False
+    mask[-1, K2] |= center
     shape = (b, rows, 2, 2 * K2 + 1)
     c = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
         * mask[:, None]

@@ -12,10 +12,11 @@ PARENT_TREE the tree it is compared with.  Pair i of a workload runs
 in both trees with the same seed S = seed + i, the parent first in even
 pairs and the change first in odd ones, one run at a time.  Each tree's
 runs share a bytecode cache of their own, ``PYTHONPYCACHEPREFIX`` set to a
-fresh directory under one temporary directory of this process, so neither
-side reads bytecode left in its tree by an earlier import (a tree that
-holds ``__pycache__`` sets up faster than one that compiles its sources);
-nothing in either tree is deleted.  Each run's last
+fresh directory under one temporary directory of this process and
+``PYTHONDONTWRITEBYTECODE`` unset, so neither side reads bytecode left in
+its tree by an earlier import (a tree that holds ``__pycache__`` sets up
+faster than one that compiles its sources), and each compiles what it
+imports once, in its first set-up; nothing in either tree is deleted.  Each run's last
 line of standard output is its result: ``correct``, ``attempted``,
 ``failed`` and ``metrics``.  A run that exits non-zero or ends without a
 result line is recorded with its exit code and the tail of its standard
@@ -105,11 +106,13 @@ def pycache_prefix(tree: Path) -> Path:
 
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float):
     """(exit code, stdout, stderr) of one benchmark run in ``tree``, with
-    the tree's own ``pycache_prefix``; exit None when the run timed out."""
+    the tree's own ``pycache_prefix``, written as well as read; exit None
+    when the run timed out."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
            workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0"]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
     env["PYTHONPYCACHEPREFIX"] = str(pycache_prefix(tree))
     try:
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
