@@ -345,7 +345,9 @@ def _wrap(coeffs: np.ndarray, m: int) -> FourierMap:
 def _imag_bound(c: np.ndarray) -> np.ndarray:
     """``FourierMap.imag_bound`` of cubes flattened to batch + (L, ncomp):
     for several components one at a time, as numpy's sums over an axis
-    before a short last one are slow."""
+    before a short last one are slow; one component (every m = 1 u) takes
+    the sum over the lattice axis, which gives the same bits with fewer
+    numpy calls."""
     half = c.shape[-2] // 2
     if c.shape[-1] == 1:
         defect = np.add.reduce(np.abs(c[..., half + 1:, :] - np.conj(

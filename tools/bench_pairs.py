@@ -16,11 +16,11 @@ fresh directory under one temporary directory of this process and
 ``PYTHONDONTWRITEBYTECODE`` unset, so neither side reads bytecode left in
 its tree by an earlier import (a tree that holds ``__pycache__`` sets up
 faster than one that compiles its sources), and each compiles what it
-imports once, in its first set-up; nothing in either tree is deleted.  Each run's last
-line of standard output is its result: ``correct``, ``attempted``,
-``failed`` and ``metrics``.  A run that exits non-zero or ends without a
-result line is recorded with its exit code and the tail of its standard
-error, and its pair holds no value.  Beside the result, a run records
+imports once, in its first set-up; nothing in either tree is deleted.
+Each run's last line of standard output is its result: ``correct``,
+``attempted``, ``failed`` and ``metrics``.  A run that exits non-zero or
+ends without a result line is recorded with its exit code and the tail of
+its standard error, and its pair holds no value.  Beside the result, a run records
 ``setup_raw_s`` and ``jobs_per_s_raw``, the unscaled set-up CPU median
 and job rate that run.py prints in brackets on its readable ``setup_s``
 and ``jobs_per_s`` lines: the result's values are those scaled by the
