@@ -60,13 +60,11 @@ nodes) it holds as that one map.  What ``compose`` fits is the change
 h - g, summed by ``_shift_sum`` without subtracting values of g, with g's
 coefficients added to its spectrum: the FFT's rounding then scales with
 |h - g| rather than with |g|, which the strip weights e^{2 pi eps ||k||_1}
-of the top modes would otherwise magnify.  At m = 1 Horner passes over
-k_1 sum g's rows 0 <= k_1 <= K_1, K_1 the extent of its support; at m = 2
-the sum runs over the support itself, the modes of the half lattice on
-which some map of g is nonzero, each a term e^{2 pi i k.x} ((1 + e_1)^{k_1}
-(1 + e_2)^{k_2} - 1).  The sum runs on contiguous planes of all the grid
-points of the stack u, and one outer map contracts its coefficients
-against them in one product over all of them.
+of the top modes would otherwise magnify.  The sum runs over g's support,
+the modes of the half lattice on which some map of g is nonzero, each a
+term e^{2 pi i k.x} ((1 + e_1)^{k_1} .. (1 + e_m)^{k_m} - 1) on the grid
+points of a block of nodes of u, and g's coefficients contract against
+them node by node.
 """
 
 from __future__ import annotations
@@ -75,6 +73,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -816,113 +815,99 @@ def _circle_m1(z: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _grid_roots(M: int, K: int) -> np.ndarray:
-    """a^k, a = e^{2 pi i x}, for k = -K..K (rows) at the grid points
-    x = j/M (columns), the argument reduced exactly.  Read-only."""
-    a = _unit_circle(np.outer(_k_axis(K), np.arange(M)) % M / M)
-    a.flags.writeable = False
-    return a
-
-
-@lru_cache(maxsize=64)
 def _mode_roots(M: int, modes: tuple) -> np.ndarray:
-    """a^k = e^{2 pi i k.x} for the modes k = (k_1, k_2) (rows) at the grid
-    points x = j/M of M points per axis, x_2 running fastest (columns), the
-    argument reduced exactly.  Read-only."""
-    j = np.indices((M, M)).reshape(2, -1)
-    a = _unit_circle(np.array(modes).reshape(-1, 2) @ j % M / M)
+    """a^k = e^{2 pi i k.x} for the m-tuples k of ``modes`` (rows) at the
+    grid points x = j/M of M points per axis, the last coordinate running
+    fastest (columns), the argument reduced exactly.  Read-only."""
+    m = len(modes[0])
+    j = np.indices((M,) * m).reshape(m, -1)
+    a = _unit_circle(np.array(modes) @ j % M / M)
     a.flags.writeable = False
     return a
 
 
 def _fold_band(band: np.ndarray):
-    """The modes and coefficients of the m = 2 shift sum of a band (b, rows,
-    ncomp, cols), laid out as the real rows of ``_series_sum``: the modes
-    (k_1, k_2) of the half lattice, k_1 > 0 or k_1 = 0 < k_2, with a nonzero
-    coefficient in some map, in index order, and those coefficients (b,
-    ncomp, modes).  Row 0's columns k_2 and -k_2 fold into k_2 > 0 as
-    c_{k_2} + conj(c_{-k_2}): their terms of the sum are conjugate but for
-    the coefficient, so its real part does not change, and the mode (0, 0)
-    adds nothing to a change."""
-    K2 = band.shape[-1] // 2
-    c = band.copy()
-    c[:, 0, :, K2 + 1:] += np.conj(band[:, 0, :, :K2][..., ::-1])
+    """The modes and coefficients of the shift sum of a band (b, rows,
+    ncomp[, cols]), laid out as the real rows of ``_series_sum``: the modes
+    k of the half lattice, k_1 > 0 or (m = 2) k_1 = 0 < k_2, with a nonzero
+    coefficient in some map, in index order, as m-tuples, and those
+    coefficients (b, ncomp, modes).  Row 0's columns k_2 and -k_2 fold into
+    k_2 > 0 as c_{k_2} + conj(c_{-k_2}): their terms of the sum are
+    conjugate but for the coefficient, so its real part does not change, and
+    the mode 0 adds nothing to a change."""
+    c = band.reshape(band.shape[:3] + (-1,)).copy()     # m = 1: one column
+    K2 = c.shape[-1] // 2
+    c[:, 0, :, K2 + 1:] += np.conj(c[:, 0, :, :K2][..., ::-1])
     c[:, 0, :, :K2 + 1] = 0.0
     rows, cols = np.nonzero(c.any(axis=(0, 2)))
-    modes = tuple(zip(rows.tolist(), (cols - K2).tolist()))
+    modes = tuple(zip(*[k.tolist() for k in (rows, cols - K2)
+                        ][:band.ndim - 2]))
     return modes, np.ascontiguousarray(c[:, rows, :, cols].transpose(1, 2, 0))
 
 
-def _unit_powers(e: np.ndarray, K: int) -> list:
-    """E_k = (1 + e)^k - 1 for k = 1..K at index k, each from the one below
+def _unit_powers(e: np.ndarray):
+    """E_k = (1 + e)^k - 1 for k = 1, 2, .. in turn, each from the one below
     as E + e (1 + E), which subtracts nothing: E_1 is e itself."""
-    E = [None, e]
-    for _ in range(K - 1):
-        nxt = e * E[-1]
+    E = e
+    while True:
+        yield E
+        nxt = e * E
         nxt += e
-        nxt += E[-1]
-        E.append(nxt)
-    return E
+        nxt += E
+        E = nxt
 
 
 def _shift_sum(c: np.ndarray, e: np.ndarray, M: int,
-               modes: tuple | None = None) -> np.ndarray:
+               modes: tuple) -> np.ndarray:
     """g(x + u(x)) - g(x) on the grid of M points per axis, shape
     (B, ncomp, M^m), from g's coefficients c and e = e^{2 pi i u(x)} - 1,
     shape (B, m, M^m).  No step subtracts values of g, so the rounding
     scales with the difference, not with g.
 
-    m = 1: c is g's band, the real rows k_1 = 0..K_1 of ``_series_sum``
-    (b, rows, ncomp), and K_1 Horner steps sum it.  With a = e^{2 pi i x}
-    and w = a (1 + e), the passes over k_1 for g(x + u), p_j = c_j + w
-    p_{j+1}, and for g(x) differ by d_j = a (e p_{j+1} + d_{j+1}); the state
-    p, d runs on planes (ncomp, B, P), transposed once at the end.
-
-    m = 2: c holds the coefficients (b, ncomp, n) of the n ``modes`` of
+    c holds the coefficients (b, ncomp, n) of the n ``modes`` of
     ``_fold_band``, and the sum runs over them alone: the change is
-    Re sum_k c_k phi_k with phi_k = a^k ((1 + e_1)^{k_1} (1 + e_2)^{k_2} - 1)
-    = a^k (E_1 + E_2 + E_1 E_2), E_d = (1 + e_d)^{|k_d|} - 1 of
+    Re sum_k c_k phi_k with phi_k = a^k ((1 + e_1)^{k_1} .. (1 + e_m)^{k_m}
+    - 1), a^k = e^{2 pi i k.x}, which is a^k E_1 at m = 1 and
+    a^k (E_1 + E_2 + E_1 E_2) at m = 2, E_d = (1 + e_d)^{|k_d|} - 1 of
     ``_unit_powers``, conj(E_2) for k_2 < 0 (on the real grid (1 + e)^{-k}
-    and a^{-k} are taken as the conjugates of (1 + e)^k and a^k).  The modes
-    phi_k run as planes (n, B, P) of all B P points, and one outer map (c of
-    batch 1) contracts its coefficients against them in one product over
-    all the points.
+    and a^{-k} are taken as the conjugates of (1 + e)^k and a^k).  The
+    planes phi_k (n, nodes, P) are built for a block of nodes at a time, of
+    at most 4 ``_CHUNK_POINTS`` points over all modes (one node at least),
+    and g's coefficients contract against them in one product per node, so
+    a node gets the same bits alone and in a stack.
     """
     B, P = max(len(c), len(e)), e.shape[-1]
-    if e.shape[1] == 2:
-        if not modes:
-            return np.zeros((B, c.shape[1], P))
-        E1 = _unit_powers(e[:, 0], max(k for k, _ in modes))
-        E2 = _unit_powers(e[:, 1], max(abs(k) for _, k in modes))
-        conj = {k: np.conjugate(E2[-k]) for k in {k for _, k in modes}
+    out = np.zeros((B, c.shape[1], P))
+    if not modes:
+        return out
+    roots = _mode_roots(M, modes)
+    step = max(1, 4 * _CHUNK_POINTS // (len(modes) * P))
+    buf = np.empty((len(modes), min(step, len(e)), P), dtype=complex)
+    for s in ([slice(None)] if len(e) == 1 else
+              [slice(i, i + step) for i in range(0, len(e), step)]):
+        es = e[s].swapaxes(0, 1)
+        # E_1 advances along the modes, whose k_1 never falls; a later axis
+        # keeps its powers up to the largest |k_d| in a table
+        run, E1, k1 = _unit_powers(es[0]), None, 0
+        E = [[None, *islice(_unit_powers(ed), max(abs(k[d]) for k in modes))]
+             for d, ed in enumerate(es[1:], 1)]
+        conj = {k: np.conjugate(E[-1][-k]) for k in {k[-1] for k in modes}
                 if k < 0}
-        phi = np.empty((len(modes), len(e), P), dtype=complex)
-        for out, root, (k1, k2) in zip(phi, _mode_roots(M, modes), modes):
-            e2 = conj[k2] if k2 < 0 else E2[k2]
-            if k1 and k2:
-                np.multiply(E1[k1], e2, out=out)
-                out += E1[k1]
-                out += e2
-                out *= root
+        phi = buf[:, :es.shape[1]]
+        for plane, root, k in zip(phi, roots, modes):
+            while k1 < k[0]:
+                E1, k1 = next(run), k1 + 1
+            f = ([E1] if k[0] else []) + [conj[kd] if kd < 0 else Ed[kd]
+                                          for Ed, kd in zip(E, k[1:]) if kd]
+            if len(f) == 2:
+                np.multiply(f[0], f[1], out=plane)
+                plane += f[0]
+                plane += f[1]
+                plane *= root
             else:
-                np.multiply(E1[k1] if k1 else e2, root, out=out)
-        if len(c) == 1:     # one product over every point, (ncomp, B, P)
-            vals = (c[0] @ phi.reshape(len(modes), -1)).reshape(-1, len(e), P)
-            return np.ascontiguousarray(vals.real.swapaxes(0, 1))
-        return np.ascontiguousarray((c @ phi.swapaxes(0, 1)).real)
-    K, a = c.shape[1] - 1, _grid_roots(M, 1)[2]
-    row = c.transpose(1, 2, 0)[..., None]       # (rows, ncomp, b, 1)
-    ae = a * e[:, 0]
-    w = ae + a
-    p = np.zeros((c.shape[2], B, P), dtype=complex)
-    d = p.copy()
-    p += row[K]
-    for j in range(K - 1, -1, -1):
-        d *= a
-        d += ae * p
-        p *= w
-        p += row[j]
-    return np.ascontiguousarray(d.real.swapaxes(0, 1))
+                np.multiply(f[0], root, out=plane)
+        out[s] = ((c[s] if len(c) > 1 else c) @ phi.swapaxes(0, 1)).real
+    return out
 
 
 #: strip half-widths rho of the Cauchy estimates on a composite's modes,
@@ -1019,9 +1004,8 @@ class CompositionPlan:
     """What ``compose`` needs of the outer maps g, built once while they
     stay fixed: a solver grid composes one field stack on every sweep.
 
-    The plan holds g's coefficients as ``_shift_sum`` reads them: for m = 1
-    the band of rows 0 <= k_1 <= K_1, K_1 the extent of g's support, and for
-    m = 2 the ``modes`` of g's support and their coefficients, folded by
+    The plan holds g's coefficients as ``_shift_sum`` reads them: the
+    ``modes`` of g's support and their coefficients, folded by
     ``_fold_band`` from the band trimmed per axis to the extents K_i.  The
     aliasing bound reads the cube |k_i| <= K, K = max_i K_i: nu_0(g) per
     map, and the largest over the maps of max_i
@@ -1046,12 +1030,12 @@ class CompositionPlan:
         self.K = K = max(extent)
         cube = (slice(n - K, n + K + 1),) * m
         # the band's rows 0 <= k_1 <= K_1, k_1 > 0 doubled, and columns
-        # |k_2| <= K_2, as (B, k_1, ncomp[, k_2]); for m = 2 its modes
+        # |k_2| <= K_2, as (B, k_1, ncomp[, k_2]), folded to its modes
         band = c[(slice(None), slice(n, n + extent[0] + 1))
                  + tuple(slice(n - k, n + k + 1) for k in extent[1:])
                  ].transpose((0, 1, m + 1) + tuple(range(2, m + 1))).copy()
         band[:, 1:] *= 2.0
-        self.modes, self.band = _fold_band(band) if m == 2 else (None, band)
+        self.modes, self.band = _fold_band(band)
         amp = np.maximum.reduce(np.abs(c[(slice(None),) + cube]), axis=-1)
         self.nu0 = np.add.reduce(amp.reshape(len(c), -1), axis=1)
         lead = (-1,) + (1,) * m
@@ -1194,10 +1178,9 @@ def compose(g, perturb, *,
     single map against a stack) and give the batch of the result.  u =
     perturb, cut to order N, is synthesised on a real grid of M points per
     axis by inverse FFTs (RealityDefect unless it is real).  There
-    ``_shift_sum`` sums the difference g(x + u(x)) - g(x) over g's support,
-    by Horner passes over k_1 at m = 1 and mode by mode at m = 2, never
-    subtracting values of g, and ``fit_grid`` fits it with g's own
-    coefficients added to its spectrum.
+    ``_shift_sum`` sums the difference g(x + u(x)) - g(x) over g's support
+    modes, never subtracting values of g, and ``fit_grid`` fits it with g's
+    own coefficients added to its spectrum.
     The FFT's rounding thus scales with the change u makes, not with g.
 
     M comes from ``CompositionPlan.composition_grid``, between 2N + 2 and

@@ -663,19 +663,16 @@ def _shift_sum_inputs(rng, m, b, B, rows, cols, M, ncomp=2):
 def test_shift_sum_keeps_the_bits_of_the_map_by_map_layout(m, B):
     """The shift sum on contiguous planes, with one product over all points
     for one outer map, gives the bits of its map-by-map form, for one outer
-    map and for a stack of them, over bands of 1-3 rows and 1-5 columns
-    (at m = 2 every mode of the band, folded by ``_fold_band``)."""
+    map and for a stack of them, over bands of 1-3 rows and 1-5 columns,
+    every mode of the band folded by ``_fold_band``."""
     rng = np.random.default_rng(10 * m + B)
     M = 12 if m == 2 else 32
     for rows in (1, 2, 3):
         for cols in ((1, 3, 5) if m == 2 else (1,)):
             for b in (1, B):
                 c, e = _shift_sum_inputs(rng, m, b, B, rows, cols, M)
-                if m == 2:
-                    modes, folded = fourier._fold_band(c)
-                    got = fourier._shift_sum(folded, e, M, modes)
-                else:
-                    got = fourier._shift_sum(c, e, M)
+                modes, folded = fourier._fold_band(c)
+                got = fourier._shift_sum(folded, e, M, modes)
                 want = ref_loops.shift_sum(c, e, M)
                 assert got.shape == want.shape == (B, 2, M ** m)
                 assert got.tobytes() == want.tobytes(), (rows, cols, b)
@@ -683,72 +680,94 @@ def test_shift_sum_keeps_the_bits_of_the_map_by_map_layout(m, B):
 
 @st.composite
 def _support_bands(draw):
-    """A band (b, rows, 2, cols) of complex coefficients on a drawn support,
-    as ``CompositionPlan`` lays out an m = 2 band: 1-3 rows, 1-5 columns,
-    sparse or dense, row 0's modes k_2, -k_2 in pairs or one-sided, the
-    column k_2 = 0 kept or empty; and e = e^{2 pi i u} - 1 for B real u of
-    a drawn size on a grid of M points per axis, (B, 2, M^2), with u."""
-    rows, K2 = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    """A band (b, rows, m[, cols]) of complex coefficients on a drawn
+    support, as ``CompositionPlan`` lays out a band, sparse or dense: at
+    m = 1 rows k_1 = 0..K, K = 1-64, the top one nonzero; at m = 2 1-3
+    rows and 1-5 columns, row 0's modes k_2, -k_2 in pairs or one-sided,
+    the column k_2 = 0 kept or empty; and e = e^{2 pi i u} - 1 for B real u
+    of a drawn size on a grid of M points per axis, (B, m, M^m), with u."""
+    m = draw(st.sampled_from([1, 2]))
     density = draw(st.sampled_from([0.3, 1.0]))
-    pairs, center = draw(st.booleans()), draw(st.booleans())
     B = draw(st.sampled_from([1, 4, 32]))
     b = draw(st.sampled_from([1, B]))
-    M = draw(st.sampled_from([6, 12, 18]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    mask = rng.random((rows, 2 * K2 + 1)) < density
-    if pairs and K2:    # at least one pair, and every k_2 of row 0 paired
-        mask[0, K2 + 1] = True
-        mask[0, :K2] |= mask[0, :K2:-1]
-        mask[0, K2 + 1:] = mask[0, K2 - 1::-1]
-    elif K2:
-        mask[0, :K2] &= ~mask[0, :K2:-1]
-    mask[:, K2] = rng.random(rows) < 0.5 if center else False
-    mask[-1, K2] |= center
-    shape = (b, rows, 2, 2 * K2 + 1)
+    if m == 1:
+        M = draw(st.sampled_from([16, 72, 130]))
+        mask = rng.random((draw(st.integers(2, 65)), 1)) < density
+        mask[-1] = True
+    else:
+        rows, K2 = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        pairs, center = draw(st.booleans()), draw(st.booleans())
+        M = draw(st.sampled_from([6, 12, 18]))
+        mask = rng.random((rows, 2 * K2 + 1)) < density
+        if pairs and K2:    # at least one pair, and every k_2 of row 0 paired
+            mask[0, K2 + 1] = True
+            mask[0, :K2] |= mask[0, :K2:-1]
+            mask[0, K2 + 1:] = mask[0, K2 - 1::-1]
+        elif K2:
+            mask[0, :K2] &= ~mask[0, :K2:-1]
+        mask[:, K2] = rng.random(rows) < 0.5 if center else False
+        mask[-1, K2] |= center
+    shape = (b, len(mask), m, mask.shape[1])
     c = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
         * mask[:, None]
     size = 10.0 ** draw(st.integers(-8, -1))
-    u = size * rng.normal(size=(B, 2, M * M))
-    return c, fourier._circle_m1(u), u, M
+    u = size * rng.normal(size=(B, m, M ** m))
+    return c if m == 2 else c[..., 0], fourier._circle_m1(u), u, M
 
 
 @given(case=_support_bands())
 @settings(max_examples=150, deadline=None)
 def test_support_sum_matches_the_column_table(case):
-    """The m = 2 shift sum over the support's modes agrees with the column
-    table and Horner pass over k_1 it replaced (``ref_loops.
-    column_shift_sum``) to 32 ulp of the change's size, not of g's: per
-    point, sum_k |c_k| 2 pi ||k||_1 |u|_inf over the band's slots, which
-    bounds every term |c_k| |e^{2 pi i k.u} - 1| of either sum (2,000
-    draws came within 7 ulp); one outer map and a stack of them, B in
-    {1, 4, 32}."""
+    """The shift sum over the support's modes agrees with the Horner pass
+    over k_1 it replaced, at m = 2 against a table of the columns k_2
+    (``ref_loops.column_shift_sum``), run in extended precision on the same
+    inputs, to 32 ulp of the change's size, not of g's: per point, sum_k
+    |c_k| 2 pi ||k||_1 |u|_inf over the band's slots, which bounds every
+    term |c_k| |e^{2 pi i k.u} - 1| of either sum (2,000 draws came within
+    5 ulp; the Horner pass in double precision builds a_1^K by K products
+    and strays up to 95 ulp at K = 64); one outer map and a stack of them,
+    B in {1, 4, 32}."""
     c, e, u, M = case
     modes, folded = fourier._fold_band(c)
     got = fourier._shift_sum(folded, e, M, modes)
-    want = ref_loops.column_shift_sum(c, e, M)
-    assert got.shape == want.shape == (len(u), 2, M * M)
-    K2 = c.shape[-1] // 2
-    k = np.abs(np.indices(c.shape[1:2] + c.shape[3:]) - np.array(
+    want = ref_loops.column_shift_sum(c.astype(np.clongdouble),
+                                      e.astype(np.clongdouble), M)
+    m = e.shape[1]
+    assert got.shape == want.shape == (len(u), m, M ** m)
+    band = c.reshape(c.shape[:3] + (-1,))
+    K2 = band.shape[-1] // 2
+    k = np.abs(np.indices(band.shape[1:2] + band.shape[3:]) - np.array(
         [0, K2])[:, None, None]).sum(axis=0)
-    weight = (np.abs(c) * TWO_PI * k[:, None]).sum(axis=(1, 3))     # (b, 2)
+    weight = (np.abs(band) * TWO_PI * k[:, None]).sum(axis=(1, 3))  # (b, m)
     size = weight[:, :, None] * np.abs(u).max(axis=1)[:, None]
     assert (np.abs(got - want) <= 32 * np.finfo(float).eps * size).all()
 
 
-@pytest.mark.parametrize("support", [
-    [(1, 0), (1, -1), (0, 2)], [(1, 0), (0, 1), (1, 1)], "dense"])
+@pytest.mark.parametrize("m, support", [
+    (1, "sine"), (1, 4), (1, "dense"), (2, [(1, 0), (1, -1), (0, 2)]),
+    (2, [(1, 0), (0, 1), (1, 1)]), (2, "dense")])
 @pytest.mark.parametrize("B", [1, 32])
-def test_support_sum_matches_direct_evaluation(support, B):
+def test_support_sum_matches_direct_evaluation(m, support, B):
     """The shift sum of a plan is g(x + u(x)) - g(x) on the grid, evaluated
     directly: to rounding of g's size, which direct evaluation subtracts,
-    for solve_m2's supports and a dense band, while the change itself is
-    over 1e6 times larger."""
-    order, M, rng = 6, 18, np.random.default_rng(len(support) + B)
-    g = (_random_maps(rng, 1, 2, order, 3, 2, 1.0)[0] if support == "dense"
-         else _maps_on_support(rng, 1, order, support)[0])
-    u = MapStack(_random_maps(rng, B, 2, order, 3, 2, 1e-3))
-    x = fourier._grid_axes(M, 2).reshape(2, -1).T
-    ux = u.eval(x)                                          # (B, P, 2)
+    for a sine (K = 1), a random band of K = 4 and a dense one (K = N) at
+    m = 1, and solve_m2's supports and a dense band at m = 2, while the
+    change itself is over 1e6 times larger."""
+    order, M = (16, 72) if m == 1 else (6, 18)
+    rng = np.random.default_rng(len(str(support)) + B)
+    if support == "sine":
+        g = FourierMap.from_modes({1: -0.5j}, order)
+    elif m == 1:
+        g = _random_maps(rng, 1, 1, order, order if support == "dense"
+                         else support, 1, 1.0)[0]
+    else:
+        g = (_random_maps(rng, 1, 2, order, 3, 2, 1.0)[0]
+             if support == "dense" else _maps_on_support(rng, 1, order,
+                                                         support)[0])
+    u = MapStack(_random_maps(rng, B, m, order, 3, m, 1e-3))
+    x = fourier._grid_axes(M, m).reshape(m, -1).T
+    ux = u.eval(x)                                          # (B, P, m)
     plan = fourier.CompositionPlan(g, order, 4 * (2 * order + 1))
     got = fourier._shift_sum(plan.band, fourier._circle_m1(
         np.ascontiguousarray(ux.transpose(0, 2, 1))), M, plan.modes)

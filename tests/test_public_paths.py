@@ -1,8 +1,9 @@
 """One path per job: static scans of who reaches what in the package.
 
-Only the solver runs the sweep engine, and every name the package exports is
+Only the solver runs the sweep engine, every name the package exports is
 reached by the package or the benchmark, or serves a named acceptance
-criterion or result of the paper.  Docstrings do not count as references:
+criterion or result of the paper, and every private top-level function is
+reached by the package.  Docstrings do not count as references:
 the scans read ``Name`` and ``Attribute`` nodes only.
 """
 
@@ -86,9 +87,8 @@ def _exported():
             if isinstance(node, ast.ImportFrom) for a in node.names}
 
 
-def _referenced():
-    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    files += sorted((ROOT / "perfbench").glob("*.py"))
+def _names(files):
+    """Every ``Name`` id and ``Attribute`` attr in the files."""
     names = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -99,6 +99,11 @@ def _referenced():
     return names
 
 
+def _referenced():
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    return _names(files + sorted((ROOT / "perfbench").glob("*.py")))
+
+
 def test_every_export_is_reached_or_serves_a_criterion():
     """An exported name that no package or benchmark code reaches must be
     in CRITERIA_ONLY, and every name there must still be exported and
@@ -107,3 +112,16 @@ def test_every_export_is_reached_or_serves_a_criterion():
     unreached = exported - _referenced()
     assert unreached - CRITERIA_ONLY == set(), "exported, reached by nothing"
     assert CRITERIA_ONLY - unreached == set(), "reached or no longer exported"
+
+
+def test_every_private_function_is_reached_by_the_package():
+    """A private top-level function of the package is referenced from the
+    package itself (``Name`` and ``Attribute`` nodes), so no helper that
+    only the tests' oracles call stays in ``src/``."""
+    files = sorted(PACKAGE.glob("*.py"))
+    names = _names(files)
+    unreached = [(path.name, node.name) for path in files
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name.startswith("_") and node.name not in names]
+    assert unreached == []

@@ -5,10 +5,13 @@
 TREE is the root of a torusflow checkout (default: the one holding this
 script); its ``src`` is imported and its ``scenarios/*.json`` are run, each
 by ``torusflow.cli.main`` in a fresh process with one BLAS thread, into a
-fresh temporary directory.  One line gives a scenario's exit code, and one
-line per output file its SHA-256; ``manifest.json`` is left out, since it
-records the time of the run.  Two trees whose digests diff empty give
-byte-identical outputs but for timestamps:
+fresh temporary directory.  One line gives a scenario's exit code, one
+line per output file its SHA-256 (``manifest.json`` is left out, since it
+records the time of the run), and one line per check of its
+``summary.json`` the check's name, the ``repr`` of its value and its pass
+flag, so that a changed hash shows how far each check moved and whether it
+still passes.  Two trees whose digests diff empty give byte-identical
+outputs but for timestamps:
 
     python tools/scenario_digest.py /path/to/other/tree > a.txt
     python tools/scenario_digest.py > b.txt
@@ -45,6 +48,11 @@ def digest(tree: Path) -> list:
                 if f.is_file() and f.name != "manifest.json":
                     sha = hashlib.sha256(f.read_bytes()).hexdigest()
                     lines.append(f"{scenario.name} {f.relative_to(out)} {sha}")
+            summary = out / "summary.json"
+            checks = (json.loads(summary.read_text()).get("checks", [])
+                      if summary.exists() else [])
+            lines += [f"{scenario.name} check {c['name']} {c['value']!r} "
+                      f"pass {c['pass']}" for c in checks]
     return lines
 
 
