@@ -840,8 +840,8 @@ def _fold_band(band: np.ndarray):
     c[:, 0, :, K2 + 1:] += np.conj(c[:, 0, :, :K2][..., ::-1])
     c[:, 0, :, :K2 + 1] = 0.0
     rows, cols = np.nonzero(c.any(axis=(0, 2)))
-    modes = tuple(zip(*[k.tolist() for k in (rows, cols - K2)
-                        ][:band.ndim - 2]))
+    axes = (rows, cols - K2)[:band.ndim - 2]
+    modes = tuple(zip(*(k.tolist() for k in axes)))
     return modes, np.ascontiguousarray(c[:, rows, :, cols].transpose(1, 2, 0))
 
 
