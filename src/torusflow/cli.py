@@ -369,8 +369,6 @@ def run_solve(s: Scenario, out: Path, checks: list) -> None:
     path = solve_flow(gamma, tol_solve=s.tol_solve)
     write_csv(out / "iteration_log.csv", ("step", "sup_diff", "ratio"),
               path.iteration_log)
-    write_csv(out / "discarded_sweeps.csv",
-              ("step", "sup_diff", "ratio", "rounding"), path.discarded)
     n = strip_norms(path.snapshots, gamma.eps)      # one row per snapshot
     write_csv(out / "norms.csv", ("eps", "nu", "beta", "tail_ratio"),
               [(n.eps, *r) for r in zip(n.nu, n.beta, n.tail_ratio)])

@@ -16,8 +16,10 @@ snapshots on a time grid together with one polynomial piece per interval
 (the integral of a cubic collocation fit of s -> gamma(s) o zeta(s), so
 time integration is closed-form).  The iteration log records the observed
 sup-distances and their ratios, which must respect the certified
-contraction factor; two solved parameter values can never drift apart by
-more than twice their L^1 distance, which is checked by
+contraction factor; a sweep that breaks it by no more than its measured
+rounding is decided where it happens, by halving the grid when that can
+mend it (``solve_flow``).  Two solved parameter values can never drift
+apart by more than twice their L^1 distance, which is checked by
 ``param_lipschitz_check``.
 
 The reported ``residual`` estimates the distance to the exact flow at all
@@ -138,16 +140,15 @@ class FlowPath:
     ``pieces`` the local polynomial of u on each interval as one array
     (intervals, degree + 1) + map shape, so zeta can be evaluated at any t
     in [0, 1].  ``iteration_log`` rows are (step, sup_diff, ratio) of the
-    kept sweeps, ``discarded`` rows (step, sup_diff, ratio, rounding) of
-    the sweeps the solver did not keep, with their measured rounding
-    level; ``residual`` estimates the nu_eps distance to the exact flow
-    over all times (the last step of a pinned solve).
+    kept sweeps, and last of a sweep excused as rounding on a grid that
+    could not be halved (``solve_flow``); ``residual`` estimates the nu_eps
+    distance to the exact flow over all times (the last step of a pinned
+    solve).
     """
 
     def __init__(self, grid: TimeGrid, eps: float, snapshots, pieces,
                  source: AdmissibleField | None = None,
-                 iteration_log=None, residual: float = np.nan,
-                 discarded=None):
+                 iteration_log=None, residual: float = np.nan):
         self.grid = grid
         self.eps = float(eps)
         self.snapshots = MapStack(snapshots, check=False)
@@ -155,7 +156,6 @@ class FlowPath:
         self.source = source
         self.iteration_log = list(iteration_log or [])
         self.residual = residual
-        self.discarded = list(discarded or [])
         self.m = self.snapshots.m
         self.order = self.snapshots.order
 
@@ -257,7 +257,8 @@ class _PicardSweep:
     alike, with the weights of ``TimeGrid.quadrature``; it builds that
     plan once, or takes the sweep's plan for pieces constant in time (the
     same at any nodes), and takes every majorant it needs in one call.
-    ``rounding`` measures its rounding level by one more sweep.
+    ``rounding`` measures the rounding level of a sweep that grows or
+    breaks the ratio certificate by one more sweep.
     """
 
     def __init__(self, gamma: AdmissibleField, grid: TimeGrid,
@@ -373,9 +374,14 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
     arithmetic, so growth signals a certificate or truncation bug.  But few
     long intervals average the rounding of their nodes less, so on a grid
     that may still be halved a sweep that grows or breaks the ratio
-    certificate is not kept: it goes to ``discarded`` with its measured
-    rounding level, where ``contraction_check`` still reads it,
-    and the defect pass of the last kept sweep decides where to halve.
+    certificate is measured once (``_PicardSweep.rounding``).  If its step
+    exceeds theta_hat times the step before it by no more than
+    ROUNDING_SPAN rounding levels, it is rounding: the sweep is not kept,
+    sweeping on that grid ends, and the defect pass of the last kept sweep
+    decides where to halve; when it halves nothing, the excused sweep is
+    logged and the solve ends, so ``contraction_check`` reads it.  Any
+    other such sweep is judged as on a given grid: growth raises, and a
+    ratio break is kept and logged, which fails ``contraction_check``.
     The log holds the kept sweeps; the first sweep on each grid logs no
     ratio.
 
@@ -406,11 +412,10 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
             log.append((len(log) + 1, step, float("nan")))
         return FlowPath(grid, gamma.eps, snaps, pieces, source=gamma,
                         iteration_log=log, residual=step)
-    # step: the last kept sweep's distance on this grid, inp: its input;
-    # a grid is settled once no stall there could be mended by halving it
-    log, discarded, step, goal, settled = [], [], None, target, not refine
+    # step: the last kept sweep's distance on this grid, inp: its input
+    log, step, goal = [], None, target
     while True:
-        stalled = False
+        excused = None
         for _ in range(max_iter - len(log)):
             new_snaps, new_pieces = sweep.run(pieces)
             diff = _sup_distance(new_snaps, snaps, gamma.eps)
@@ -418,11 +423,11 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
             noise_floor = NOISE_UNIT * max(1.0, float(np.abs(new_snaps).max()))
             if step is not None:
                 grew = diff > step and diff > 16 * noise_floor
-                if not settled and (grew or _breaks_ratio(diff, ratio, theta)):
-                    # not kept: halving may mend it
-                    discarded.append((len(log) + 1, diff, ratio,
-                                      sweep.rounding(pieces, new_snaps)))
-                    stalled = True
+                if refine and (grew or _breaks_ratio(diff, ratio, theta)) and (
+                        diff - theta * step
+                        <= ROUNDING_SPAN * sweep.rounding(pieces, new_snaps)):
+                    # rounding: not kept, and halving may mend it
+                    excused = (len(log) + 1, diff, ratio)
                     break
                 if grew:
                     raise NonContraction(
@@ -447,15 +452,16 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
             snaps = np.concatenate([pieces[:, 0], snaps[-1:]])
             grid, step, goal = finer, None, target
             sweep = _PicardSweep(gamma, grid, plan)
-        elif stalled:           # sweep on as the grid is
-            settled = True
+        elif excused:           # halving cannot mend it: the certificate reads it
+            log.append(excused)
+            break
         elif defect < target and last > max(target - defect, noise_floor):
             # the grid-time step that brings the last step within the room
             goal = (target - defect) * step / last
         else:
             break
     return FlowPath(grid, gamma.eps, snaps, pieces, source=gamma,
-                    iteration_log=log, residual=residual, discarded=discarded)
+                    iteration_log=log, residual=residual)
 
 
 #: the stop and growth tests' floor per unit of the largest coefficient
@@ -464,7 +470,7 @@ NOISE_UNIT = 64 * np.finfo(float).eps
 RATIO_FLOOR = 1e3 * np.finfo(float).eps
 #: the contraction certificate's slack over theta_hat
 RATIO_SLACK = 0.05
-#: a discarded sweep's step may exceed theta_hat times the step before it
+#: an excused sweep's step may exceed theta_hat times the step before it
 #: by this many measured rounding levels: the two sweeps it compares each
 #: carry their own rounding
 ROUNDING_SPAN = 2.0
@@ -482,17 +488,9 @@ def _breaks_ratio(diff: float, ratio: float, theta: float) -> bool:
 
 def max_contraction_ratio(path: FlowPath) -> float:
     """The largest observed ratio that the certificate tests (0 when there
-    is none): logged ones from step 2 onward, and those of discarded sweeps
-    whose step exceeds theta_hat times the step before it by more than
-    ROUNDING_SPAN times their measured rounding, which rounding cannot
-    explain."""
-    rows = [(diff, ratio) for _, diff, ratio in path.iteration_log[1:]]
-    if path.discarded:
-        theta = path.source.theta_hat
-        rows += [(diff, ratio) for _, diff, ratio, noise in path.discarded
-                 if diff - theta * diff / ratio > ROUNDING_SPAN * noise]
-    return max((ratio for diff, ratio in rows if _counted(diff, ratio)),
-               default=0.0)
+    is none): the logged ones from step 2 onward."""
+    return max((ratio for _, diff, ratio in path.iteration_log[1:]
+                if _counted(diff, ratio)), default=0.0)
 
 
 def contraction_check(path: FlowPath) -> Check:

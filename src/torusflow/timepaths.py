@@ -491,17 +491,12 @@ def integrate_primitive(gamma: TimeDependentField) -> ACPath:
 # ---------------------------------------------------------------------------
 
 class SuperpositionRule:
-    """An analytic map on perturbations, with its directional derivative;
-    the methods take maps with a batch axis (MapStacks, or the rows of a
-    field's pieces for affine rules) and answer for every map at once."""
+    """An analytic map on perturbations, ``value(u)``, with its directional
+    derivative ``differential(u, v)``, which each rule defines; the methods
+    take maps with a batch axis (MapStacks, or the rows of a field's pieces
+    for affine rules) and answer for every map at once."""
 
     is_affine = False
-
-    def value(self, u: MapStack) -> MapStack:
-        raise NotImplementedError
-
-    def differential(self, u: MapStack, v: MapStack) -> MapStack:
-        raise NotImplementedError
 
     def domain_ok(self, u: MapStack) -> np.ndarray:
         return np.ones(len(u), dtype=bool)

@@ -665,9 +665,12 @@ def _shell_amplitudes(f):
 
 def _alias_logs(amp, u, sizes):
     """log S(rho) per map, (B, R), and the log shell sums of the modes
-    ||k||_1 >= M/2 per size, (sizes, R), of ``iso_aliasing_bound``: the
-    reach is one ``imag_reach`` of the maps as a batch (B, 1) against the
-    widths, S one Horner pass over the shells in e^{-2 pi r}."""
+    ||k||_1 >= M/2 per size, (sizes, R), of the isotropic bound on
+    sum_{||k||_1 >= M/2} max_i |h_{k,i}| of h = g o (id + u), per map and
+    size: nu_{r(rho)}(g) times the shell sums of e^{-2 pi rho ||k||_1}, the
+    least over the widths rho.  The reach is one ``imag_reach`` of the maps
+    as a batch (B, 1) against the widths, S one Horner pass over the shells
+    in e^{-2 pi r}."""
     m = u.m
     rho = _ISO_RHO[TWO_PI * _ISO_RHO * m * max(u.order, 1) <= 600.0]
     reach = imag_reach(_wrap(u.flat().coeffs[:, None], m), rho)
@@ -686,18 +689,11 @@ def _alias_logs(amp, u, sizes):
     return log_s, log_t
 
 
-def iso_aliasing_bound(g, u, sizes):
-    """The isotropic bound on sum_{||k||_1 >= M/2} max_i |h_{k,i}| of
-    h = g o (id + u), per map and size: nu_{r(rho)}(g) times the shell sums
-    of e^{-2 pi rho ||k||_1}, the least over the widths rho."""
-    log_s, log_t = _alias_logs(_shell_amplitudes(g), u, sizes)
-    return np.exp((log_s.T[:, :, None] + log_t.T[:, None]).min(axis=0))
-
-
 def composition_grid(g, u, order, cap):
     """The per-call search: the least even 5-smooth M in [2N + 2, cap] at
-    which ``iso_aliasing_bound`` is at most machine epsilon times nu_0(g)
-    for every map, and the bound there; (cap, None) without one."""
+    which the isotropic bound of ``_alias_logs`` is at most machine
+    epsilon times nu_0(g) for every map, and the bound there; (cap, None)
+    without one."""
     sizes = _fft_sizes(2 * order + 2, cap)
     if not len(sizes):
         return cap, None

@@ -17,8 +17,10 @@ from torusflow.errors import ContractionStall, NonContraction
 from torusflow import fourier as fourier_module
 from torusflow.fourier import (TOL_TRUNC, _support_band, _tail_ratio,
                                jacobian, sampling_grid, strip_norms)
-from torusflow.flow import (RATIO_SLACK, contraction_certificate_ok,
-                            invert_at_point, max_contraction_ratio)
+from torusflow.flow import (RATIO_SLACK, ROUNDING_SPAN, TOL_SOLVE,
+                            contraction_certificate_ok, contraction_check,
+                            invert_at_point, max_contraction_ratio,
+                            solve_checks)
 from torusflow.timepaths import FIT_NODES, node_values
 
 import _reference_loops as ref_loops
@@ -131,18 +133,38 @@ DIFFERENTIAL_FIELDS = {
 }
 
 
-#: the differential fields, and a weaker coupled m = 2 field that solves
+def _order_64_field(make_map, budget):
+    """make_map(a, order=64) at the amplitude whose theta_hat is ``budget``,
+    constant in time."""
+    a = budget / (2 * np.pi * np.exp(2 * np.pi * 2 * EPS))
+    return TimeDependentField.constant(make_map(a, order=64), 4 * EPS)
+
+
+#: N = 64 fields whose solves on the start grid meet a sweep that breaks the
+#: ratio certificate by no more than its measured rounding
+ROUNDING_FIELDS = {
+    "m1_sine_N64_budget_045": (lambda: _order_64_field(sine_map, 0.45), 1, 1),
+    "m1_cosine_N64_budget_045": (
+        lambda: _order_64_field(cosine_map, 0.45), 1, 1),
+}
+
+#: the differential fields, a weaker coupled m = 2 field that solves, and
+#: the rounding fields
 SOLVE_FIELDS = {**DIFFERENTIAL_FIELDS, "m2_coupled_weak_N8": (
-    lambda: _coupled_m2_field(a=1e-3, b=1e-3), Fraction(1, 4), 1)}
+    lambda: _coupled_m2_field(a=1e-3, b=1e-3), Fraction(1, 4), 1),
+    **ROUNDING_FIELDS}
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_FIELDS))
 def test_solve_matches_the_parent_sweep_bit_for_bit(name):
     """solve_flow gives the bytes of the solve driven by the parent's sweep
     (``ref_loops.parent_solve``): the grid, snapshots, pieces, iteration
-    log, discarded sweeps and residual, or the same fault: the full-band
-    m = 2 field and the coupled one at the default budget spread past the
-    order."""
+    log and residual, or the same fault: the full-band m = 2 field and the
+    coupled one at the default budget spread past the order.  The oracle
+    keeps the sweeps it did not keep apart and lets the certificate judge
+    them after the solve; on the rounding fields each is within
+    ROUNDING_SPAN of its measured rounding, which solve_flow decides where
+    the sweep happens, so the two verdicts agree."""
     make, max_step, _ = SOLVE_FIELDS[name]
     gamma = AdmissibleField.certify(make(), EPS)
     try:
@@ -159,8 +181,11 @@ def test_solve_matches_the_parent_sweep_bit_for_bit(name):
     assert path.snapshots.coeffs.tobytes() == snaps.tobytes()
     assert path.pieces.shape == pieces.shape
     assert path.pieces.tobytes() == pieces.tobytes()
-    assert repr((path.iteration_log, path.discarded, path.residual)) == repr(
-        (log, discarded, residual))
+    assert repr((path.iteration_log, path.residual)) == repr((log, residual))
+    theta = gamma.theta_hat
+    assert bool(discarded) == (name in ROUNDING_FIELDS)
+    assert all(diff - theta * diff / ratio <= ROUNDING_SPAN * rounding
+               for _, diff, ratio, rounding in discarded)
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FIELDS))
@@ -430,29 +455,56 @@ def test_order_64_sine_solves_pass_the_contraction_certificate(budget):
     Rounding in the fit of g o (id + u) at the size of g then read as
     sweep steps near the stopping target and broke the observed ratios;
     fitted as the difference from g, it stays below the target."""
-    a = budget / (2 * np.pi * np.exp(2 * np.pi * 2 * EPS))
-    gamma = AdmissibleField.certify(TimeDependentField.constant(
-        sine_map(a, order=64), 4 * EPS), EPS)
+    gamma = AdmissibleField.certify(_order_64_field(sine_map, budget), EPS)
     path = solve_flow(gamma)
     assert contraction_certificate_ok(path), path.iteration_log
 
 
-def test_discarded_sweeps_are_logged_and_read_by_the_certificate():
-    """A sweep that breaks the ratio certificate on a grid that can still be
-    halved is not kept, but ``discarded`` logs it with its measured
-    rounding level, and the certificate excuses it only while its excess
-    over theta_hat times the step before it is within ROUNDING_SPAN of
-    those levels: without them it counts, and fails."""
-    a = 0.45 / (2 * np.pi * np.exp(2 * np.pi * 2 * EPS))
-    gamma = AdmissibleField.certify(TimeDependentField.constant(
-        sine_map(a, order=64), 4 * EPS), EPS)
+def _spy_rounding(monkeypatch):
+    """The levels ``_PicardSweep.rounding`` measures, in call order."""
+    levels, measure = [], flow_module._PicardSweep.rounding
+
+    def spy(sweep, pieces, snaps):
+        levels.append(measure(sweep, pieces, snaps))
+        return levels[-1]
+    monkeypatch.setattr(flow_module._PicardSweep, "rounding", spy)
+    return levels
+
+
+def test_rounding_sweeps_are_excused_where_they_happen(monkeypatch):
+    """On the N = 64 sine at budget 0.45, sweeps on a grid that can still be
+    halved break the ratio certificate by no more than their measured
+    rounding: solve_flow measures them, keeps none of them, halves the
+    grid, and the solve passes every check.  With the rounding level read
+    as 0 none is excused, and the solve raises NonContraction."""
+    gamma = AdmissibleField.certify(
+        ROUNDING_FIELDS["m1_sine_N64_budget_045"][0](), EPS)
+    levels = _spy_rounding(monkeypatch)
     path = solve_flow(gamma)
-    assert path.discarded and contraction_certificate_ok(path)
-    for _, diff, ratio, noise in path.discarded:
-        assert ratio > gamma.theta_hat + RATIO_SLACK and noise > 0
-    path.discarded = [row[:3] + (0.0,) for row in path.discarded]
-    assert max_contraction_ratio(path) == max(r for _, _, r, _ in path.discarded)
-    assert not contraction_certificate_ok(path)
+    assert levels and min(levels) > 0
+    assert all(check.ok for check in solve_checks(path))
+    monkeypatch.setattr(flow_module._PicardSweep, "rounding",
+                        lambda sweep, pieces, snaps: 0.0)
+    with pytest.raises(NonContraction):
+        solve_flow(gamma)
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDING_FIELDS))
+def test_an_excused_sweep_on_a_grid_that_cannot_be_halved_is_logged(
+        monkeypatch, name):
+    """Where the defect pass cannot halve the grid (``TimeGrid.halved``
+    returns the grid itself), the sweep excused as rounding joins the
+    iteration log and the solve ends there: the certificate reads its
+    ratio and fails."""
+    gamma = AdmissibleField.certify(ROUNDING_FIELDS[name][0](), EPS)
+    monkeypatch.setattr(TimeGrid, "halved", lambda grid, excess: grid)
+    levels = _spy_rounding(monkeypatch)
+    path = solve_flow(gamma)
+    assert path.grid == gamma.field.grid and path.residual > TOL_SOLVE
+    (_, step, _), (_, diff, ratio) = path.iteration_log[-2:]
+    assert diff - gamma.theta_hat * step <= ROUNDING_SPAN * levels[-1]
+    check = contraction_check(path)
+    assert not check.ok and check.value == ratio
 
 
 def test_solver_uniqueness_from_different_starts(sine_gamma):

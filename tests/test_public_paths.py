@@ -2,8 +2,9 @@
 
 Only the solver runs the sweep engine, every name the package exports is
 reached by the package or the benchmark, or serves a named acceptance
-criterion or result of the paper, and every private top-level function is
-reached by the package.  Docstrings do not count as references:
+criterion or result of the paper, every private top-level function is
+reached by the package, and every top-level function of a helper module of
+the tests is reached by the tests or the tools.  Docstrings do not count as references:
 the scans read ``Name`` and ``Attribute`` nodes only.
 """
 
@@ -124,4 +125,18 @@ def test_every_private_function_is_reached_by_the_package():
                  for node in ast.parse(path.read_text()).body
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                  and node.name.startswith("_") and node.name not in names]
+    assert unreached == []
+
+
+def test_every_test_helper_is_reached():
+    """A top-level function of a helper module of the tests
+    (``tests/_*.py``) is referenced from the tests or the tools, so no
+    oracle or reader that nothing calls stays behind."""
+    tests = Path(__file__).resolve().parent
+    names = _names(sorted(tests.glob("*.py"))
+                   + sorted((ROOT / "tools").glob("*.py")))
+    unreached = [(path.name, node.name) for path in sorted(tests.glob("_*.py"))
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name not in names]
     assert unreached == []
