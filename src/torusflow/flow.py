@@ -452,7 +452,7 @@ def solve_flow(gamma: AdmissibleField, tol_solve: float = TOL_SOLVE,
             snaps = np.concatenate([pieces[:, 0], snaps[-1:]])
             grid, step, goal = finer, None, target
             sweep = _PicardSweep(gamma, grid, plan)
-        elif excused:           # halving cannot mend it: the certificate reads it
+        elif excused:           # halving cannot mend it: log it for the check
             log.append(excused)
             break
         elif defect < target and last > max(target - defect, noise_floor):

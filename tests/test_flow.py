@@ -17,10 +17,9 @@ from torusflow.errors import ContractionStall, NonContraction
 from torusflow import fourier as fourier_module
 from torusflow.fourier import (TOL_TRUNC, _support_band, _tail_ratio,
                                jacobian, sampling_grid, strip_norms)
-from torusflow.flow import (RATIO_SLACK, ROUNDING_SPAN, TOL_SOLVE,
+from torusflow.flow import (ROUNDING_SPAN, TOL_SOLVE,
                             contraction_certificate_ok, contraction_check,
-                            invert_at_point, max_contraction_ratio,
-                            solve_checks)
+                            invert_at_point, solve_checks)
 from torusflow.timepaths import FIT_NODES, node_values
 
 import _reference_loops as ref_loops
@@ -161,10 +160,10 @@ def test_solve_matches_the_parent_sweep_bit_for_bit(name):
     (``ref_loops.parent_solve``): the grid, snapshots, pieces, iteration
     log and residual, or the same fault: the full-band m = 2 field and the
     coupled one at the default budget spread past the order.  The oracle
-    keeps the sweeps it did not keep apart and lets the certificate judge
-    them after the solve; on the rounding fields each is within
-    ROUNDING_SPAN of its measured rounding, which solve_flow decides where
-    the sweep happens, so the two verdicts agree."""
+    sets apart the sweeps it does not keep and leaves them to the
+    certificate after the solve; on the rounding fields each is within
+    ROUNDING_SPAN of its measured rounding, the test solve_flow applies
+    where the sweep happens, so the two verdicts agree."""
     make, max_step, _ = SOLVE_FIELDS[name]
     gamma = AdmissibleField.certify(make(), EPS)
     try:

@@ -4,8 +4,8 @@ Only the solver runs the sweep engine, every name the package exports is
 reached by the package or the benchmark, or serves a named acceptance
 criterion or result of the paper, every private top-level function is
 reached by the package, and every top-level function of a helper module of
-the tests is reached by the tests or the tools.  Docstrings do not count as references:
-the scans read ``Name`` and ``Attribute`` nodes only.
+the tests is reached by the tests or the tools.  Docstrings do not count
+as references: the scans read ``Name`` and ``Attribute`` nodes only.
 """
 
 import ast
